@@ -36,6 +36,7 @@ from .factorization import (
     export_factorization,
     isometry_b,
     onb_factorization,
+    onb_gram,
     radon_nikodym_density,
     realize,
     reverse_direction,

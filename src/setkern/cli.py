@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -24,19 +25,16 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SetKernError
 from .factorization import (
     Factorization,
-    RkhsElement,
     b_range_dimension,
     build_T,
     check_absolute_continuity,
-    coisometry_b_star,
-    isometry_b,
-    onb_factorization,
+    onb_gram,
     realize,
     reverse_direction,
     write_factorization,
 )
 from .field import cross_moment_check, ito_isometry_check, refinement_sweep
-from .kernels import SetKernel, gram
+from .kernels import GramMatrix, SetKernel, gram
 from .markov import (
     MarkovChain,
     check_transient,
@@ -73,6 +71,18 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "q-final": 1e-9,
 }
 
+CHECKS = (
+    "symmetry", "gram-psd", "schwarz", "absolute-continuity",
+    "detailed-balance", "contractivity", "transience", "spectral-gap",
+    "realization", "density-consistency", "isometry", "adjoint", "parseval", "parseval-invariance",
+    "range-rank", "green-identity", "series-solve", "green-psd", "green-factor", "fundamental-match",
+    "ito-isometry", "cross-moment", "q-monotone", "q-bound", "q-attained",
+)
+"""Check names accepted under ``checks:``, besides the pattern ``q-level-<n>``."""
+
+EXPECTATIONS = ("range-rank",)
+"""Names accepted under ``expect:``."""
+
 
 @dataclass
 class RunContext:
@@ -91,11 +101,16 @@ class RunContext:
 
     def probe_family(self) -> list[MeasurableSet]:
         """Singletons plus the configured family; decisive for biadditive kernels."""
-        pool = list(self.cfg.space.singletons())
-        for A in self.cfg.family:
-            if A not in pool:
-                pool.append(A)
-        return pool
+        return list(dict.fromkeys([*self.cfg.space.singletons(), *self.cfg.family]))
+
+
+def _check_names(cfg: ExperimentConfig) -> None:
+    for name in cfg.checks or ():
+        if name not in CHECKS and not re.fullmatch(r"q-level-\d+", name):
+            raise ConfigError(f"checks: unknown check {name!r}")
+    for name in cfg.expect:
+        if name not in EXPECTATIONS:
+            raise ConfigError(f"expect: unknown expectation {name!r}")
 
 
 def _resolve_tolerances(cfg: ExperimentConfig, overrides: tuple[str, ...]) -> dict[str, float]:
@@ -121,19 +136,28 @@ def _resolve_tolerances(cfg: ExperimentConfig, overrides: tuple[str, ...]) -> di
 # check suites
 
 
+def _bounded(
+    report: RunReport,
+    ctx: RunContext,
+    check: str,
+    tag: str,
+    tol: str,
+    value: float | None,
+    t0: float | None = None,
+    ok: bool = True,
+) -> None:
+    """Record ``check``: it passes when ``value`` exists, is within ``ctx.tol[tol]`` and ``ok`` holds."""
+    bound = ctx.tol[tol]
+    passed = ok and value is not None and value <= bound
+    report.add(check, tag, passed, value=value, bound=bound, runtime=ctx.tock(t0))
+
+
 def _chain_checks(report: RunReport, ctx: RunContext, chain: MarkovChain) -> None:
     cfg = ctx.cfg
     if cfg.enabled("detailed-balance"):
         t0 = ctx.tick()
         defect = reversibility_defect(chain)
-        report.add(
-            "detailed-balance",
-            "detailed-balance",
-            defect <= ctx.tol["detailed-balance"],
-            value=defect,
-            bound=ctx.tol["detailed-balance"],
-            runtime=ctx.tock(t0),
-        )
+        _bounded(report, ctx, "detailed-balance", "detailed-balance", "detailed-balance", defect, t0)
     if cfg.enabled("contractivity"):
         t0 = ctx.tick()
         ok = contractivity_check(chain, seed=ctx.seed, tol=ctx.tol["contractivity"])
@@ -156,43 +180,27 @@ def _chain_checks(report: RunReport, ctx: RunContext, chain: MarkovChain) -> Non
         )
 
 
-def _kernel_checks(report: RunReport, ctx: RunContext, kernel: SetKernel | None) -> None:
-    cfg = ctx.cfg
-    pool = ctx.probe_family()
-    pairs = [(A, B) for i, A in enumerate(pool) for B in pool[i:]]
+def _psd_record(report: RunReport, ctx: RunContext, check: str, g: GramMatrix | None) -> None:
+    t0 = ctx.tick()
+    value = bound = None
+    if g is not None:
+        value, bound = g.min_eigenvalue, g.psd_bound(ctx.tol["gram-psd"])
+    passed = g is not None and value >= bound
+    report.add(check, "positive-definite", passed, value=value, bound=bound, runtime=ctx.tock(t0))
 
+
+def _kernel_checks(report: RunReport, ctx: RunContext, kernel: SetKernel | None) -> None:
+    """Symmetry, positivity and Schwarz from one Gram of the probe family, then null sets."""
+    cfg = ctx.cfg
+    g = gram(kernel, ctx.probe_family()) if kernel is not None else None
     if cfg.enabled("symmetry"):
         t0 = ctx.tick()
-        value = None
-        if kernel is not None:
-            value = max(abs(kernel(A, B) - kernel(B, A)) for A, B in pairs)
-        report.add(
-            "symmetry",
-            "kernel-symmetry",
-            kernel is not None and value <= ctx.tol["symmetry"],
-            value=value,
-            bound=ctx.tol["symmetry"],
-            runtime=ctx.tock(t0),
-        )
+        _bounded(report, ctx, "symmetry", "kernel-symmetry", "symmetry", g.asymmetry if g else None, t0)
     if cfg.enabled("gram-psd"):
-        t0 = ctx.tick()
-        value = bound = None
-        ok = False
-        if kernel is not None:
-            g = gram(kernel, pool)
-            scale = max(1.0, abs(float(np.trace(g.entries))))
-            value = g.min_eigenvalue
-            bound = -ctx.tol["gram-psd"] * scale
-            ok = value >= bound
-        report.add("gram-psd", "positive-definite", ok, value=value, bound=bound, runtime=ctx.tock(t0))
+        _psd_record(report, ctx, "gram-psd", g)
     if cfg.enabled("schwarz"):
         t0 = ctx.tick()
-        value = None
-        ok = False
-        if kernel is not None:
-            value = max(kernel(A, B) ** 2 - kernel(A, A) * kernel(B, B) for A, B in pairs)
-            ok = value <= ctx.tol["schwarz"]
-        report.add("schwarz", "schwarz", ok, value=value, bound=ctx.tol["schwarz"], runtime=ctx.tock(t0))
+        _bounded(report, ctx, "schwarz", "schwarz", "schwarz", g.schwarz_excess() if g else None, t0)
     if cfg.enabled("absolute-continuity"):
         t0 = ctx.tick()
         value = None
@@ -201,14 +209,7 @@ def _kernel_checks(report: RunReport, ctx: RunContext, kernel: SetKernel | None)
             ac = check_absolute_continuity(kernel, cfg.family, tol=ctx.tol["absolute-continuity"])
             value = max((v for _, v in ac.violations), default=0.0)
             ok = ac.ok
-        report.add(
-            "absolute-continuity",
-            "absolute-continuity",
-            ok,
-            value=value,
-            bound=ctx.tol["absolute-continuity"],
-            runtime=ctx.tock(t0),
-        )
+        _bounded(report, ctx, "absolute-continuity", "absolute-continuity", "absolute-continuity", value, t0, ok)
 
 
 def _validate_suite(report: RunReport, ctx: RunContext) -> SetKernel | None:
@@ -226,11 +227,14 @@ def _validate_suite(report: RunReport, ctx: RunContext) -> SetKernel | None:
     return kernel
 
 
-def _random_element(rng: np.random.Generator, pool: list[MeasurableSet]) -> RkhsElement:
+def _random_coefficients(rng: np.random.Generator, m: int) -> np.ndarray:
+    """A random element ``sum_i alpha_i K(., A_i)`` of one to four terms over a pool of ``m`` sets."""
     k = int(rng.integers(1, 5))
-    idx = rng.integers(0, len(pool), size=k)
+    idx = rng.integers(0, m, size=k)
     coefs = rng.uniform(-2.0, 2.0, size=k)
-    return RkhsElement(tuple((float(c), pool[int(i)]) for c, i in zip(coefs, idx)))
+    alpha = np.zeros(m)
+    np.add.at(alpha, idx, coefs)
+    return alpha
 
 
 def _factorize_suite(report: RunReport, ctx: RunContext, kernel: SetKernel | None) -> Factorization | None:
@@ -239,30 +243,14 @@ def _factorize_suite(report: RunReport, ctx: RunContext, kernel: SetKernel | Non
     pool = ctx.probe_family()
 
     fact = None
-    if cfg.enabled("realization"):
-        t0 = ctx.tick()
-        value = None
-        ok = False
-        if kernel is not None:
-            try:
-                fact = realize(kernel, tol=ctx.tol["realization"])
-                value = fact.residual
-                ok = True
-            except SetKernError:
-                fact = None
-        report.add(
-            "realization",
-            "realization",
-            ok,
-            value=value,
-            bound=ctx.tol["realization"],
-            runtime=ctx.tock(t0),
-        )
-    elif kernel is not None:
+    t0 = ctx.tick()
+    if kernel is not None:
         try:
             fact = realize(kernel, tol=ctx.tol["realization"])
         except SetKernError:
             fact = None
+    if cfg.enabled("realization"):
+        _bounded(report, ctx, "realization", "realization", "realization", fact.residual if fact else None, t0)
 
     if cfg.enabled("density-consistency"):
         t0 = ctx.tick()
@@ -271,88 +259,62 @@ def _factorize_suite(report: RunReport, ctx: RunContext, kernel: SetKernel | Non
         if fact is not None:
             rep = reverse_direction(fact, tol=math.inf)
             value = rep.max_residual
-            ok = value <= ctx.tol["density"] and rep.absolute_continuity_ok
-        report.add(
-            "density-consistency",
-            "density",
-            ok,
-            value=value,
-            bound=ctx.tol["density"],
-            runtime=ctx.tock(t0),
-        )
+            ok = rep.absolute_continuity_ok
+        _bounded(report, ctx, "density-consistency", "density", "density", value, t0, ok)
 
+    # Every random element below is a coefficient vector over the pool: its
+    # reproducing-space norm comes from the pool Gram, and its image under
+    # the isometry from the rows k_A of C S^T.
     rng = np.random.default_rng(ctx.seed)
+    w = space.weight_array
+    if fact is not None:
+        G = gram(kernel, pool).entries
+        kvecs = space.indicator_matrix(pool) @ fact.S.T
+
     if cfg.enabled("isometry"):
         t0 = ctx.tick()
         value = None
-        ok = False
         if fact is not None:
-            worst = 0.0
-            for _ in range(1000):
-                el = _random_element(rng, pool)
-                image = isometry_b(fact, el)
-                n2 = el.norm_squared(kernel)
-                defect = abs(space.norm_squared(image) - n2) / max(1.0, abs(n2))
-                worst = max(worst, defect)
-            value = worst
-            ok = value <= ctx.tol["isometry"]
-        report.add("isometry", "isometry", ok, value=value, bound=ctx.tol["isometry"], runtime=ctx.tock(t0))
+            alpha = np.array([_random_coefficients(rng, len(pool)) for _ in range(1000)])
+            n2 = np.einsum("ij,jk,ik->i", alpha, G, alpha)
+            image_n2 = (alpha @ kvecs) ** 2 @ w
+            value = float(np.max(np.abs(image_n2 - n2) / np.maximum(1.0, np.abs(n2))))
+        _bounded(report, ctx, "isometry", "isometry", "isometry", value, t0)
 
     if cfg.enabled("adjoint"):
         t0 = ctx.tick()
         value = None
-        ok = False
         if fact is not None:
-            worst = 0.0
+            phis, alphas = [], []
             for _ in range(200):
-                phi = rng.standard_normal(space.size)
-                el = _random_element(rng, pool)
-                lhs = sum(c * coisometry_b_star(fact, phi, A) for c, A in el.terms)
-                rhs = space.inner(phi, isometry_b(fact, el))
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-            value = worst
-            ok = value <= ctx.tol["adjoint"]
-        report.add("adjoint", "adjoint", ok, value=value, bound=ctx.tol["adjoint"], runtime=ctx.tock(t0))
+                phis.append(rng.standard_normal(space.size))
+                alphas.append(_random_coefficients(rng, len(pool)))
+            phi_w = np.array(phis) * w
+            alpha = np.array(alphas)
+            lhs = ((phi_w @ kvecs.T) * alpha).sum(axis=1)  # sum_i alpha_i (b* phi)(A_i)
+            rhs = (phi_w * (alpha @ kvecs)).sum(axis=1)  # <phi, b(F)>
+            value = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
+        _bounded(report, ctx, "adjoint", "adjoint", "adjoint", value, t0)
 
     if cfg.enabled("parseval") or cfg.enabled("parseval-invariance"):
         t0 = ctx.tick()
         match = invariance = None
-        ok_match = ok_inv = False
         if fact is not None:
-            w = space.weight_array
             pos = np.flatnonzero(space.positive)
-            basis1 = []
-            for i in pos:
-                v = np.zeros(space.size)
-                v[i] = 1.0 / np.sqrt(w[i])
-                basis1.append(v)
+            root_w = np.sqrt(w[pos])
+            basis1 = np.eye(space.size)[pos] / root_w[:, None]
             Q, _ = np.linalg.qr(rng.standard_normal((len(pos), len(pos))))
-            basis2 = []
-            for j in range(len(pos)):
-                v = np.zeros(space.size)
-                v[pos] = Q[:, j] / np.sqrt(w[pos])
-                basis2.append(v)
-            match = invariance = 0.0
-            for A, B in [(A, B) for i, A in enumerate(pool) for B in pool[i:]]:
-                s1 = onb_factorization(fact, basis1, A, B)
-                s2 = onb_factorization(fact, basis2, A, B)
-                k = kernel(A, B)
-                match = max(match, abs(s1 - k), abs(s2 - k))
-                invariance = max(invariance, abs(s1 - s2))
-            ok_match = match <= ctx.tol["parseval"]
-            ok_inv = invariance <= ctx.tol["parseval-invariance"]
+            basis2 = np.zeros((len(pos), space.size))
+            basis2[:, pos] = Q.T / root_w[None, :]
+            s1 = onb_gram(fact, basis1, pool)
+            s2 = onb_gram(fact, basis2, pool)
+            match = float(max(np.abs(s1 - G).max(), np.abs(s2 - G).max()))
+            invariance = float(np.abs(s1 - s2).max())
         runtime = ctx.tock(t0)
-        if cfg.enabled("parseval"):
-            report.add("parseval", "parseval", ok_match, value=match, bound=ctx.tol["parseval"], runtime=runtime)
-        if cfg.enabled("parseval-invariance"):
-            report.add(
-                "parseval-invariance",
-                "parseval",
-                ok_inv,
-                value=invariance,
-                bound=ctx.tol["parseval-invariance"],
-                runtime=runtime,
-            )
+        for check, value in (("parseval", match), ("parseval-invariance", invariance)):
+            if cfg.enabled(check):
+                passed = value is not None and value <= ctx.tol[check]
+                report.add(check, "parseval", passed, value=value, bound=ctx.tol[check], runtime=runtime)
 
     if cfg.enabled("range-rank"):
         t0 = ctx.tick()
@@ -370,82 +332,42 @@ def _factorize_suite(report: RunReport, ctx: RunContext, kernel: SetKernel | Non
 
 def _green_suite(report: RunReport, ctx: RunContext) -> None:
     cfg = ctx.cfg
+    space = cfg.space
     chain = cfg.chain
     _chain_checks(report, ctx, chain)
 
     if cfg.enabled("spectral-gap"):
         t0 = ctx.tick()
         gap = spectral_gap(chain)
-        report.add(
-            "spectral-gap",
-            "spectral-gap",
-            gap >= ctx.tol["transience-gap"],
-            value=gap,
-            bound=ctx.tol["transience-gap"],
-            runtime=ctx.tock(t0),
-        )
+        bound = ctx.tol["transience-gap"]
+        report.add("spectral-gap", "spectral-gap", gap >= bound, value=gap, bound=bound, runtime=ctx.tock(t0))
 
-    data = None
+    data = kernel = None
     try:
         data = green(chain)
+        kernel = green_kernel(chain)
     except SetKernError:
-        data = None
+        pass
 
     if cfg.enabled("green-identity"):
         t0 = ctx.tick()
         value = None
-        ok = False
         if data is not None:
-            n = cfg.space.size
-            P = chain.transitions
-            value = float(np.abs((np.eye(n) - P) @ data.G - np.eye(n)).max())
-            ok = value <= ctx.tol["green-identity"]
-        report.add(
-            "green-identity",
-            "green-identity",
-            ok,
-            value=value,
-            bound=ctx.tol["green-identity"],
-            runtime=ctx.tock(t0),
-        )
+            identity = np.eye(space.size)
+            value = float(np.abs((identity - chain.transitions) @ data.G - identity).max())
+        _bounded(report, ctx, "green-identity", "green-identity", "green-identity", value, t0)
     if cfg.enabled("series-solve"):
         t0 = ctx.tick()
-        value = data.series_agreement if data is not None else None
-        ok = data is not None and value <= ctx.tol["series-solve"]
-        report.add(
-            "series-solve",
-            "series-agreement",
-            ok,
-            value=value,
-            bound=ctx.tol["series-solve"],
-            runtime=ctx.tock(t0),
-        )
-
-    kernel = None
-    if data is not None:
-        try:
-            kernel = green_kernel(chain)
-        except SetKernError:
-            kernel = None
+        value = data.series_agreement if data else None
+        _bounded(report, ctx, "series-solve", "series-agreement", "series-solve", value, t0)
 
     if cfg.enabled("green-psd"):
-        t0 = ctx.tick()
-        value = bound = None
-        ok = False
-        if kernel is not None:
-            g = gram(kernel, ctx.probe_family())
-            scale = max(1.0, abs(float(np.trace(g.entries))))
-            value = g.min_eigenvalue
-            bound = -ctx.tol["gram-psd"] * scale
-            ok = value >= bound
-        report.add("green-psd", "positive-definite", ok, value=value, bound=bound, runtime=ctx.tock(t0))
+        _psd_record(report, ctx, "green-psd", gram(kernel, ctx.probe_family()) if kernel else None)
 
     if cfg.enabled("green-factor"):
         t0 = ctx.tick()
         value = None
-        ok = False
         if kernel is not None:
-            space = cfg.space
             if space.size <= 6:
                 sets = [
                     MeasurableSet(frozenset(i for i in range(space.size) if mask >> i & 1))
@@ -453,37 +375,16 @@ def _green_suite(report: RunReport, ctx: RunContext) -> None:
                 ]
             else:
                 sets = ctx.probe_family()
-            C = np.array([space.indicator(A) for A in sets])
+            C = space.indicator_matrix(sets)
             kvecs = C @ green_root(chain).T
             inner = kvecs @ (space.weight_array[:, None] * kvecs.T)
-            target = C @ (space.weight_array[:, None] * data.G) @ C.T
-            value = float(np.abs(inner - target).max())
-            ok = value <= ctx.tol["green-factor"]
-        report.add(
-            "green-factor",
-            "green-factorization",
-            ok,
-            value=value,
-            bound=ctx.tol["green-factor"],
-            runtime=ctx.tock(t0),
-        )
+            value = float(np.abs(inner - C @ kernel.Q @ C.T).max())
+        _bounded(report, ctx, "green-factor", "green-factorization", "green-factor", value, t0)
 
     if cfg.enabled("fundamental-match"):
         t0 = ctx.tick()
-        value = None
-        ok = False
-        if kernel is not None:
-            T = build_T(kernel)
-            value = float(np.abs(T - data.G).max())
-            ok = value <= ctx.tol["fundamental-match"]
-        report.add(
-            "fundamental-match",
-            "fundamental-matrix",
-            ok,
-            value=value,
-            bound=ctx.tol["fundamental-match"],
-            runtime=ctx.tock(t0),
-        )
+        value = float(np.abs(build_T(kernel) - data.G).max()) if kernel is not None else None
+        _bounded(report, ctx, "fundamental-match", "fundamental-matrix", "fundamental-match", value, t0)
 
 
 def _sweep_records(report: RunReport, ctx: RunContext, kernel: SetKernel, fact: Factorization) -> None:
@@ -497,31 +398,12 @@ def _sweep_records(report: RunReport, ctx: RunContext, kernel: SetKernel, fact: 
     exact = fact.s_norm_squared(cfg.phi)
     if cfg.enabled("q-monotone"):
         worst = max((qs[i] - qs[i + 1] for i in range(len(qs) - 1)), default=0.0)
-        report.add(
-            "q-monotone",
-            "projection-monotone",
-            worst <= ctx.tol["q-monotone"],
-            value=worst,
-            bound=ctx.tol["q-monotone"],
-        )
+        _bounded(report, ctx, "q-monotone", "projection-monotone", "q-monotone", worst)
     if cfg.enabled("q-bound"):
-        excess = qs[-1] - exact
-        report.add(
-            "q-bound",
-            "projection-limit",
-            excess <= ctx.tol["q-final"],
-            value=excess,
-            bound=ctx.tol["q-final"],
-        )
+        _bounded(report, ctx, "q-bound", "projection-limit", "q-final", qs[-1] - exact)
     finest = cfg.partitions[-1]
     if set(finest.blocks) == set(cfg.space.singletons()) and cfg.enabled("q-attained"):
-        report.add(
-            "q-attained",
-            "projection-limit",
-            abs(qs[-1] - exact) <= ctx.tol["q-final"],
-            value=abs(qs[-1] - exact),
-            bound=ctx.tol["q-final"],
-        )
+        _bounded(report, ctx, "q-attained", "projection-limit", "q-final", abs(qs[-1] - exact))
 
 
 def _mc_records(report: RunReport, ctx: RunContext, kernel: SetKernel, fact: Factorization) -> None:
@@ -580,6 +462,7 @@ def _out_dir() -> Path:
 
 def _prepare(command, config_path, seed, samples, tol_overrides, workers, timings):
     cfg = load_config(config_path)
+    _check_names(cfg)
     tol = _resolve_tolerances(cfg, tol_overrides)
     ctx = RunContext(
         cfg=cfg,

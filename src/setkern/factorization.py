@@ -32,7 +32,7 @@ from .errors import (
     VerificationError,
 )
 from .kernels import SetKernel, gram
-from .linalg import numerical_rank, psd_sqrt, symmetrized
+from .linalg import numerical_rank, psd_sqrt
 from .measure import MeasurableSet, MeasureSpace, SimpleFunction
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "isometry_b",
     "coisometry_b_star",
     "onb_factorization",
+    "onb_gram",
     "b_range_dimension",
     "verify_pushforward",
     "export_factorization",
@@ -96,20 +97,33 @@ def check_absolute_continuity(
 
     The probed family is ``probe_sets`` together with every zero-weight
     singleton.  By the Schwarz bound, ``K(A, A) == 0`` already forces
-    ``K(A, B) == 0`` for every ``B``, so only diagonal values are inspected.
+    ``K(A, B) == 0`` for every ``B``, so only the diagonal of ``C Q C^T``
+    over the null sets is inspected.
     """
     space = kernel.space
-    family: list[MeasurableSet] = []
-    for A in list(probe_sets) + _null_singletons(space):
-        if A not in family:
-            family.append(A)
-    violations = []
-    for A in family:
-        if space.measure(A) == 0.0:
-            value = kernel(A, A)
-            if value > tol:
-                violations.append((A, value))
-    return AbsoluteContinuityReport(violations=tuple(violations), probed=len(family), tol=tol)
+    family = list(dict.fromkeys([*probe_sets, *_null_singletons(space)]))
+    null = [A for A in family if space.measure(A) == 0.0]
+    C = space.indicator_matrix(null)
+    charges = ((C @ kernel.Q) * C).sum(axis=1)
+    violations = tuple((A, float(v)) for A, v in zip(null, charges) if v > tol)
+    return AbsoluteContinuityReport(violations=violations, probed=len(family), tol=tol)
+
+
+def _densities(kernel: SetKernel, sets: Sequence[MeasurableSet], tol: float) -> np.ndarray:
+    """Columns ``g(., B) = (Q chi_B) / w`` for each ``B`` in ``sets``, zero on null atoms."""
+    space = kernel.space
+    pos = space.positive
+    QC = kernel.Q @ space.indicator_matrix(sets).T
+    charged = np.argwhere(np.abs(QC[~pos]) > tol)
+    if charged.size:
+        i, j = charged[0]
+        atom = space.atoms[np.flatnonzero(~pos)[i]]
+        raise AbsoluteContinuityError(
+            f"kernel charges null atom {atom!r} against {sets[j]}: no density exists"
+        )
+    g = np.zeros_like(QC)
+    g[pos] = QC[pos] / space.weight_array[pos, None]
+    return g
 
 
 def radon_nikodym_density(kernel: SetKernel, B: MeasurableSet, *, tol: float = 1e-10) -> np.ndarray:
@@ -125,18 +139,7 @@ def radon_nikodym_density(kernel: SetKernel, B: MeasurableSet, *, tol: float = 1
         If some null atom carries kernel mass against ``B``, in which case no
         such density exists.
     """
-    space = kernel.space
-    w = space.weight_array
-    g = np.zeros(space.size)
-    for i in range(space.size):
-        value = kernel(space.singleton(i), B)
-        if w[i] > 0:
-            g[i] = value / w[i]
-        elif abs(value) > tol:
-            raise AbsoluteContinuityError(
-                f"kernel charges null atom {space.atoms[i]!r} against {B}: no density exists"
-            )
-    return g
+    return _densities(kernel, [B], tol)[:, 0]
 
 
 def build_T(kernel: SetKernel, *, tol: float = 1e-10, psd_reject: float = 1e-8) -> np.ndarray:
@@ -155,35 +158,26 @@ def build_T(kernel: SetKernel, *, tol: float = 1e-10, psd_reject: float = 1e-8) 
         If the singleton Gram is indefinite beyond ``psd_reject`` relative to
         its largest eigenvalue.
     """
-    space = kernel.space
     report = check_absolute_continuity(kernel, tol=tol)
     if not report.ok:
         A, value = report.violations[0]
         raise AbsoluteContinuityError(
             f"kernel charges null set {A} with K(A,A)={value:.3e}: no realization exists"
         )
-    w = space.weight_array
-    pos = space.positive
-    n = space.size
-    singles = space.singletons()
-    K_sing = np.zeros((n, n))
-    idx = np.flatnonzero(pos)
-    for a, i in enumerate(idx):
-        for j in idx[a:]:
-            v = kernel(singles[i], singles[j])
-            K_sing[i, j] = v
-            K_sing[j, i] = v
-    # PSD certificate on the weighted-geometry symmetrization D^{-1/2} K D^{-1/2}.
+    w = kernel.space.weight_array
+    idx = np.flatnonzero(kernel.space.positive)
+    Q = kernel.Q[np.ix_(idx, idx)]
+    # PSD certificate on the weighted-geometry symmetrization D^{-1/2} Q D^{-1/2}.
     d = np.sqrt(w[idx])
-    Ms = K_sing[np.ix_(idx, idx)] / d[:, None] / d[None, :]
+    Ms = Q / d[:, None] / d[None, :]
     lam = np.linalg.eigvalsh(0.5 * (Ms + Ms.T))
     lmax = max(float(lam.max()), 0.0)
     if float(lam.min()) < -psd_reject * max(lmax, 1.0):
         raise NotPositiveError(
             f"kernel is indefinite on singletons (eigenvalue {lam.min():.3e})"
         )
-    T = np.zeros((n, n))
-    T[idx, :] = K_sing[idx, :] / w[idx, None]
+    T = np.zeros_like(kernel.Q)
+    T[np.ix_(idx, idx)] = Q / w[idx, None]
     return T
 
 
@@ -235,7 +229,8 @@ def realize(kernel: SetKernel, *, tol: float = 1e-8) -> Factorization:
 
     Requires the kernel to vanish on null sets and to be PSD on singletons;
     then ``k_A = T^{1/2} chi_A`` reproduces the kernel.  The reconstruction
-    is verified on all singleton pairs before returning.
+    is verified on all singleton pairs before returning; kernels are
+    biadditive by construction, so the singleton pairs decide every pair.
 
     Raises
     ------
@@ -279,19 +274,18 @@ def reverse_direction(
     """
     space = factorization.space
     if sets is None:
-        sets = list(space.singletons()) + [space.full_set()]
-    worst = 0.0
-    for B in sets:
-        from_factorization = factorization.T @ space.indicator(B)
-        direct = radon_nikodym_density(factorization.kernel, B)
-        worst = max(worst, float(np.abs(from_factorization - direct).max()))
+        sets = [*space.singletons(), space.full_set()]
+    sets = list(sets)
+    from_factorization = factorization.T @ space.indicator_matrix(sets).T
+    direct = _densities(factorization.kernel, sets, tol=1e-10)
+    worst = float(np.abs(from_factorization - direct).max(initial=0.0))
     if worst > tol:
         raise InconsistencyError(
             f"factorization densities disagree with kernel densities: {worst:.3e} > {tol:g}"
         )
     ac = check_absolute_continuity(factorization.kernel)
     return DensityReport(
-        max_residual=worst, checked=len(list(sets)), tol=tol, absolute_continuity_ok=ac.ok
+        max_residual=worst, checked=len(sets), tol=tol, absolute_continuity_ok=ac.ok
     )
 
 
@@ -314,10 +308,6 @@ class RkhsElement:
 
     def sets(self) -> tuple[MeasurableSet, ...]:
         return tuple(s for _, s in self.terms)
-
-    def evaluate(self, kernel: SetKernel, A: MeasurableSet) -> float:
-        """The function value ``F(A) = sum_i alpha_i K(A, A_i)``."""
-        return float(sum(c * kernel(A, s) for c, s in self.terms))
 
     def norm_squared(self, kernel: SetKernel) -> float:
         """Reproducing-space norm squared, the Gram quadratic form."""
@@ -351,10 +341,7 @@ def coisometry_b_star(
     return factorization.space.inner(np.asarray(phi, dtype=float), factorization.k(A))
 
 
-def _check_onb(
-    factorization: Factorization, basis: Sequence[np.ndarray], tol: float
-) -> np.ndarray:
-    space = factorization.space
+def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray], tol: float) -> np.ndarray:
     if len(basis) == 0:
         raise InvalidBasisError("empty basis")
     B = np.asarray([np.asarray(v, dtype=float) for v in basis])
@@ -391,11 +378,28 @@ def onb_factorization(
         If the family is not orthonormal within ``tol`` or does not span the
         positive-weight atoms.
     """
-    Bmat = _check_onb(factorization, basis, tol)
-    w = factorization.space.weight_array
-    cA = Bmat @ (w * factorization.k(A))
-    cB = Bmat @ (w * factorization.k(B))
-    return float(cA @ cB)
+    return float(onb_gram(factorization, basis, [A, B], tol=tol)[0, 1])
+
+
+def onb_gram(
+    factorization: Factorization,
+    basis: Sequence[np.ndarray],
+    sets: Sequence[MeasurableSet],
+    *,
+    tol: float = 1e-10,
+) -> np.ndarray:
+    """Parseval expansions of ``K(A, B)`` for every pair of ``sets`` at once.
+
+    The basis is validated once (see ``onb_factorization``); the rows of
+    ``C S^T`` are the ``k_A``, their basis coefficients are
+    ``<phi_n, k_A>``, and the result is the product of the coefficient
+    matrix with its transpose.
+    """
+    space = factorization.space
+    Bmat = _check_onb(space, basis, tol)
+    kvecs = space.indicator_matrix(sets) @ factorization.S.T
+    coef = (kvecs * space.weight_array) @ Bmat.T
+    return coef @ coef.T
 
 
 def b_range_dimension(
@@ -411,9 +415,8 @@ def b_range_dimension(
     equals the number of positive-weight atoms.
     """
     space = factorization.space
-    sets = list(space.singletons()) + [A for A in family]
-    cols = np.column_stack([factorization.k(A) for A in sets])
-    scaled = np.sqrt(space.weight_array)[:, None] * cols
+    C = space.indicator_matrix([*space.singletons(), *family])
+    scaled = np.sqrt(space.weight_array)[:, None] * (factorization.S @ C.T)
     return numerical_rank(scaled, cutoff=cutoff)
 
 
@@ -462,20 +465,15 @@ def export_factorization(
     by the atom names of its set.
     """
     space = factorization.space
-    sets = list(space.singletons())
-    for A in family:
-        if A not in sets:
-            sets.append(A)
+    sets = list(dict.fromkeys([*space.singletons(), *family]))
+    kvecs = space.indicator_matrix(sets) @ factorization.S.T
     return {
         "atoms": list(space.atoms),
-        "weights": [float(w) for w in space.weights],
-        "T": [[float(v) for v in row] for row in factorization.T],
+        "weights": list(space.weights),
+        "T": factorization.T.tolist(),
         "k": [
-            {
-                "set": [space.atoms[i] for i in A.indices],
-                "vector": [float(v) for v in factorization.k(A)],
-            }
-            for A in sets
+            {"set": [space.atoms[i] for i in A.indices], "vector": k}
+            for A, k in zip(sets, kvecs.tolist())
         ],
     }
 

@@ -1,17 +1,19 @@
 """Symmetric kernels indexed by pairs of measurable sets.
 
-The builtin kernels are biadditive over disjoint unions and arise from an
-atom matrix ``M`` through ``K(A, B) = sum_{x in A, y in B} w(x) M[x, y]``:
-the overlap (Wiener) kernel uses the identity, operator-induced kernels a
-user matrix, and Green kernels the fundamental matrix of a transient chain.
-The product kernel ``w(A) w(B)`` and arbitrary callables (used to build
-counterexamples) are also supported.
+A kernel is stored as its atom Gram ``Q[x, y] = K({x}, {y})``, and every
+value is ``K(A, B) = chi_A^T Q chi_B``.  Kernels are therefore biadditive
+over disjoint unions by construction, and the Gram of a set family is the
+product ``C Q C^T`` with the family's indicator matrix ``C``.  The builtin
+kernels are the overlap (Wiener) kernel ``Q = diag(w)``, the product kernel
+``Q = w w^T``, operator-induced kernels ``Q = diag(w) M``, Green kernels
+``Q = diag(w) G`` (see ``markov.green_kernel``) and the counting kernel
+``Q = I``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,44 +33,58 @@ __all__ = [
     "schwarz_check",
 ]
 
-Evaluator = Callable[[MeasurableSet, MeasurableSet], float]
-
 
 @dataclass(frozen=True, eq=False)
 class SetKernel:
     """A real symmetric kernel on pairs of finite-measure sets.
 
-    ``matrix`` is the inducing atom matrix when the kernel is operator- or
-    Green-induced, and ``None`` otherwise.  Evaluation is pure; instances are
-    immutable and safe to share.
+    ``Q`` is the atom Gram; ``matrix`` is the inducing operator ``M`` with
+    ``Q = diag(w) M`` when the kernel is operator- or Green-induced, and
+    ``None`` otherwise.  Instances are immutable and safe to share.
+
+    Raises
+    ------
+    InvalidOperatorError
+        If ``Q`` is not a finite ``n x n`` matrix over the space's atoms.
     """
 
     space: MeasureSpace
     kind: str
-    evaluator: Evaluator
+    Q: np.ndarray
     matrix: np.ndarray | None = None
+
+    def __post_init__(self):
+        Q = np.array(self.Q, dtype=float)
+        n = self.space.size
+        if Q.shape != (n, n):
+            raise InvalidOperatorError(f"atom Gram must be {n}x{n}, got {Q.shape}")
+        if not np.all(np.isfinite(Q)):
+            raise InvalidOperatorError("atom Gram entries must be finite")
+        Q.setflags(write=False)
+        object.__setattr__(self, "Q", Q)
 
     def __call__(self, A: MeasurableSet, B: MeasurableSet) -> float:
         self.space.validate_set(A)
         self.space.validate_set(B)
-        return float(self.evaluator(A, B))
+        if not A.members or not B.members:
+            return 0.0
+        return float(self.Q[np.ix_(A.indices, B.indices)].sum())
 
     @classmethod
-    def from_callable(cls, space: MeasureSpace, fn: Evaluator, kind: str = "custom") -> "SetKernel":
-        """Wrap an arbitrary symmetric evaluator (mainly for tests)."""
-        return cls(space=space, kind=kind, evaluator=fn)
+    def from_atom_gram(cls, space: MeasureSpace, Q: np.ndarray, kind: str = "custom") -> "SetKernel":
+        """The kernel ``K(A, B) = chi_A^T Q chi_B`` of an atom Gram ``Q``."""
+        return cls(space=space, kind=kind, Q=Q)
 
 
 def wiener_kernel(space: MeasureSpace) -> SetKernel:
     """Overlap kernel ``K(A, B) = w(A & B)``, the white-noise covariance."""
-    return SetKernel(space=space, kind="wiener", evaluator=lambda A, B: space.measure(A & B))
+    return SetKernel(space=space, kind="wiener", Q=np.diag(space.weight_array))
 
 
 def rank_one_kernel(space: MeasureSpace) -> SetKernel:
     """Product kernel ``K(A, B) = w(A) w(B)``; its Gram matrices have rank one."""
-    return SetKernel(
-        space=space, kind="rank_one", evaluator=lambda A, B: space.measure(A) * space.measure(B)
-    )
+    w = space.weight_array
+    return SetKernel(space=space, kind="rank_one", Q=np.outer(w, w))
 
 
 def counting_kernel(space: MeasureSpace) -> SetKernel:
@@ -78,7 +94,7 @@ def counting_kernel(space: MeasureSpace) -> SetKernel:
     atom it charges a null set and therefore admits no weighted-L2
     realization.  Kept as the standard counterexample.
     """
-    return SetKernel(space=space, kind="counting", evaluator=lambda A, B: float(len(A & B)))
+    return SetKernel(space=space, kind="counting", Q=np.eye(space.size))
 
 
 def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -> SetKernel:
@@ -90,14 +106,16 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     Raises
     ------
     InvalidOperatorError
-        If ``M`` has the wrong shape, violates the weighted symmetry
-        ``w(x) M[x,y] == w(y) M[y,x]`` beyond ``tol``, or is indefinite
-        beyond ``tol`` relative to its largest eigenvalue.
+        If ``M`` has the wrong shape or nonfinite entries, violates the
+        weighted symmetry ``w(x) M[x,y] == w(y) M[y,x]`` beyond ``tol``, or
+        is indefinite beyond ``tol`` relative to its largest eigenvalue.
     """
     M = np.asarray(M, dtype=float)
     n = space.size
     if M.shape != (n, n):
         raise InvalidOperatorError(f"operator matrix must be {n}x{n}, got {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InvalidOperatorError("operator matrix entries must be finite")
     w = space.weight_array
     defect = selfadjoint_defect(M, w)
     scale = max(1.0, float(np.abs(w[:, None] * M).max()))
@@ -112,22 +130,20 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
         raise InvalidOperatorError(
             f"matrix is indefinite (eigenvalue {lam.min():.3e}) and induces no valid kernel"
         )
-    WM = w[:, None] * M
-
-    def evaluate(A: MeasurableSet, B: MeasurableSet) -> float:
-        if not A.members or not B.members:
-            return 0.0
-        return float(WM[np.ix_(A.indices, B.indices)].sum())
-
-    return SetKernel(space=space, kind="operator", evaluator=evaluate, matrix=M)
+    return SetKernel(space=space, kind="operator", Q=w[:, None] * M, matrix=M)
 
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Kernel values over a finite family of sets, symmetrized by construction."""
+    """Kernel values over a finite family of sets.
+
+    ``entries`` is symmetrized; ``asymmetry`` is the largest
+    ``|K(A, B) - K(B, A)|`` over the family before symmetrizing.
+    """
 
     sets: tuple[MeasurableSet, ...]
     entries: np.ndarray
+    asymmetry: float = 0.0
 
     def eigenvalues(self) -> np.ndarray:
         if self.entries.size == 0:
@@ -139,18 +155,26 @@ class GramMatrix:
         ev = self.eigenvalues()
         return float(ev.min()) if ev.size else 0.0
 
+    def psd_bound(self, tol: float) -> float:
+        """Least admissible eigenvalue: ``-tol`` relative to the trace, absolute below one."""
+        return -tol * max(1.0, abs(float(np.trace(self.entries))))
+
+    def schwarz_excess(self) -> float:
+        """Largest ``K(A,B)^2 - K(A,A) K(B,B)`` over pairs of the family."""
+        if self.entries.size == 0:
+            return 0.0
+        d = np.diag(self.entries)
+        return float((self.entries**2 - np.outer(d, d)).max())
+
 
 def gram(kernel: SetKernel, sets: Sequence[MeasurableSet]) -> GramMatrix:
-    """Evaluate the kernel pairwise over ``sets``."""
+    """Kernel values over ``sets`` as the product ``C Q C^T``."""
     sets = tuple(sets)
-    m = len(sets)
-    entries = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            v = kernel(sets[i], sets[j])
-            entries[i, j] = v
-            entries[j, i] = v
-    return GramMatrix(sets=sets, entries=entries)
+    C = kernel.space.indicator_matrix(sets)
+    G = C @ kernel.Q @ C.T
+    return GramMatrix(
+        sets=sets, entries=0.5 * (G + G.T), asymmetry=float(np.abs(G - G.T).max(initial=0.0))
+    )
 
 
 def check_positive_definite(
@@ -159,15 +183,12 @@ def check_positive_definite(
     """Certify the quadratic form on ``sets`` is nonnegative.
 
     Passes iff the smallest Gram eigenvalue is at least ``-tol`` relative to
-    the Gram trace (absolute when the trace is below one).  For biadditive
-    kernels the singleton family is decisive, so callers typically include
-    the singletons alongside the sets of interest.
+    the Gram trace (absolute when the trace is below one).  The singleton
+    family is decisive, so callers typically include the singletons
+    alongside the sets of interest.
     """
     g = gram(kernel, sets)
-    if g.entries.size == 0:
-        return True
-    scale = max(1.0, abs(float(np.trace(g.entries))))
-    return g.min_eigenvalue >= -tol * scale
+    return g.min_eigenvalue >= g.psd_bound(tol)
 
 
 def schwarz_check(
@@ -178,4 +199,4 @@ def schwarz_check(
     This is the Cauchy-Schwarz bound in the kernel's reproducing geometry;
     in particular a set with ``K(A,A) == 0`` cannot pair with anything.
     """
-    return kernel(A, B) ** 2 <= kernel(A, A) * kernel(B, B) + tol
+    return gram(kernel, [A, B]).schwarz_excess() <= tol

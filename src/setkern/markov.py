@@ -231,15 +231,8 @@ def green_kernel(chain: MarkovChain, *, balance_tol: float = 1e-10) -> SetKernel
             f"chain is not reversible (defect {reversibility_defect(chain):.3e}); "
             "the Green kernel would not be symmetric"
         )
-    data = green(chain)
-    WG = chain.space.weight_array[:, None] * data.G
-
-    def evaluate(A: MeasurableSet, B: MeasurableSet) -> float:
-        if not A.members or not B.members:
-            return 0.0
-        return float(WG[np.ix_(A.indices, B.indices)].sum())
-
-    return SetKernel(space=chain.space, kind="green", evaluator=evaluate, matrix=data.G)
+    G = green(chain).G
+    return SetKernel(space=chain.space, kind="green", Q=chain.space.weight_array[:, None] * G, matrix=G)
 
 
 def green_root(chain: MarkovChain) -> np.ndarray:

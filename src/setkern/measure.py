@@ -164,6 +164,14 @@ class MeasureSpace:
         chi[A.indices] = 1.0
         return chi
 
+    def indicator_matrix(self, sets: Sequence[MeasurableSet]) -> np.ndarray:
+        """Indicators of ``sets`` as the rows of a ``(len(sets), size)`` matrix."""
+        C = np.zeros((len(sets), self.size))
+        for r, A in enumerate(sets):
+            self.validate_set(A)
+            C[r, A.indices] = 1.0
+        return C
+
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Weighted L2 inner product of two atom vectors."""
         u = np.asarray(u, dtype=float)

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
-from setkern.cli import main
+from setkern.cli import CHECKS, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -299,3 +300,73 @@ def test_default_output_uses_env_dir(runner, tmp_path):
     result = invoke(runner, tmp_path, "validate", "--config", str(CONFIGS / "wiener.yaml"))
     assert result.exit_code == 0
     assert (tmp_path / "validate-report.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# config faults: each exits 2 and names the field
+
+
+WIENER_SPACE = "space: {atoms: [a, b], weights: [1.0, 1.0]}\n"
+
+
+def _config_error(runner, tmp_path, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    return result.output
+
+
+@pytest.mark.parametrize("entry", [".nan", ".inf", "-.inf"])
+def test_nonfinite_kernel_matrix_is_a_config_error(runner, tmp_path, entry):
+    output = _config_error(
+        runner,
+        tmp_path,
+        WIENER_SPACE
+        + f"kernel: {{type: operator, matrix: [[{entry}, 0.0], [0.0, 1.0]]}}\n"
+        + "checks: [gram-psd]\n",
+    )
+    assert "kernel.matrix" in output
+
+
+def test_non_integer_sample_count_is_a_config_error(runner, tmp_path):
+    output = _config_error(runner, tmp_path, WIENER_SPACE + "kernel: {type: wiener}\nmc: {samples: 1e3}\n")
+    assert "mc.samples" in output
+
+
+def test_non_numeric_weight_is_a_config_error(runner, tmp_path):
+    output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0, x]}\nkernel: {type: wiener}\n")
+    assert "space.weights[1]" in output
+
+
+def test_unknown_check_name_is_a_config_error(runner, tmp_path):
+    output = _config_error(runner, tmp_path, WIENER_SPACE + "kernel: {type: wiener}\nchecks: [gram-psdd]\n")
+    assert "gram-psdd" in output
+
+
+def test_unknown_expectation_is_a_config_error(runner, tmp_path):
+    output = _config_error(runner, tmp_path, WIENER_SPACE + "kernel: {type: wiener}\nexpect: {rank: 1}\n")
+    assert "rank" in output
+
+
+def test_q_level_checks_are_matched_by_pattern(runner, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\nchecks: [gram-psd, q-level-12]\n")
+    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
+    assert result.exit_code == 0, result.output
+
+
+def test_every_reported_check_is_a_known_name():
+    names = {
+        json.loads(line)["check"]
+        for path in (Path(__file__).resolve().parent / "golden").glob("*.jsonl")
+        for line in path.read_text().splitlines()[1:]
+    }
+    assert {n for n in names if not n.startswith("q-level-")} <= set(CHECKS)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+def test_libyaml_and_python_loaders_agree(path):
+    text = path.read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)

@@ -161,7 +161,7 @@ def test_build_T_rejects_charged_null_atom(null_space):
 
 
 def test_build_T_rejects_indefinite_kernel(space):
-    neg = SetKernel.from_callable(space, lambda A, B: -space.measure(A & B), kind="negative")
+    neg = SetKernel.from_atom_gram(space, -np.diag(space.weight_array), kind="negative")
     with pytest.raises(NotPositiveError):
         build_T(neg)
 

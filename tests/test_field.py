@@ -68,7 +68,7 @@ def test_factor_reconstructs_gram(space):
 
 
 def test_indefinite_gram_is_rejected(space):
-    neg = SetKernel.from_callable(space, lambda A, B: -space.measure(A & B), kind="negative")
+    neg = SetKernel.from_atom_gram(space, -np.diag(space.weight_array), kind="negative")
     with pytest.raises(InvalidCovarianceError):
         build_sampler(neg, [space.subset("a")], seed=0)
 

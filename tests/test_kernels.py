@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkern import (
+    AbsoluteContinuityError,
     InvalidOperatorError,
     MeasurableSet,
     MeasureSpace,
@@ -11,13 +14,21 @@ from setkern import (
     check_positive_definite,
     counting_kernel,
     gram,
+    green_kernel,
     operator_kernel,
     rank_one_kernel,
+    realize,
     schwarz_check,
     wiener_kernel,
 )
 from setkern.linalg import numerical_rank
-from support import random_operator_kernel, random_sets, random_space
+from support import (
+    random_conductance_chain,
+    random_nu_psd_matrix,
+    random_operator_kernel,
+    random_sets,
+    random_space,
+)
 
 
 @pytest.fixture
@@ -126,6 +137,44 @@ def test_operator_rejects_indefinite_matrix():
         operator_kernel(sp, np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_operator_rejects_nonfinite_matrix(space, entry):
+    M = np.eye(3)
+    M[0, 0] = entry
+    with pytest.raises(InvalidOperatorError):
+        operator_kernel(space, M)
+
+
+# ---------------------------------------------------------------------------
+# atom Gram
+
+
+def test_atom_gram_is_the_singleton_kernel(space):
+    Q = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
+    k = SetKernel.from_atom_gram(space, Q)
+    assert k(space.subset("b"), space.subset("c")) == 0.5
+    assert k(space.subset("a", "b"), space.subset("b", "c")) == 1.0 + 0.0 + 3.0 + 0.5
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_atom_gram_rejects_nonfinite_entries(space, entry):
+    Q = np.eye(3)
+    Q[1, 2] = entry
+    with pytest.raises(InvalidOperatorError):
+        SetKernel.from_atom_gram(space, Q)
+
+
+def test_atom_gram_rejects_wrong_shape(space):
+    with pytest.raises(InvalidOperatorError):
+        SetKernel.from_atom_gram(space, np.eye(2))
+
+
+def test_atom_gram_is_read_only(space):
+    k = wiener_kernel(space)
+    with pytest.raises(ValueError):
+        k.Q[0, 0] = 5.0
+
+
 # ---------------------------------------------------------------------------
 # gram
 
@@ -158,7 +207,7 @@ def test_wiener_is_positive_definite(space):
 
 
 def test_negative_kernel_fails_positivity(space):
-    neg = SetKernel.from_callable(space, lambda A, B: -space.measure(A & B), kind="negative")
+    neg = SetKernel.from_atom_gram(space, -np.diag(space.weight_array), kind="negative")
     assert not check_positive_definite(neg, [space.subset("a")])
 
 
@@ -231,3 +280,55 @@ def test_null_diagonal_forces_null_row():
         assert k(null, null) == 0.0
         for B in random_sets(rng, sp, 50):
             assert abs(k(null, B)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# every route to a kernel value agrees on every pair of sets
+
+
+KINDS = ("atom_gram", "wiener", "rank_one", "operator", "counting", "green")
+
+DEFINITIONS = {
+    "wiener": lambda sp, A, B: sp.measure(A & B),
+    "rank_one": lambda sp, A, B: sp.measure(A) * sp.measure(B),
+    "counting": lambda sp, A, B: float(len(A & B)),
+}
+
+
+@st.composite
+def small_kernels(draw):
+    """A builtin kernel, or a random PSD atom Gram, on at most 5 atoms."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "green":
+        return green_kernel(random_conductance_chain(rng, n))
+    space = random_space(rng, n, zero_atoms=int(n > 1 and draw(st.booleans())))
+    if kind == "atom_gram":
+        B = rng.standard_normal((n, n)) * space.positive[:, None]
+        return SetKernel.from_atom_gram(space, B @ B.T)
+    if kind == "operator":
+        return operator_kernel(space, random_nu_psd_matrix(rng, space))
+    return {"wiener": wiener_kernel, "rank_one": rank_one_kernel, "counting": counting_kernel}[kind](space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_kernels())
+def test_kernel_gram_and_realization_agree_on_all_sets(kernel):
+    sp = kernel.space
+    n = sp.size
+    sets = [MeasurableSet(frozenset(i for i in range(n) if mask >> i & 1)) for mask in range(2**n)]
+    direct = np.array([[kernel(A, B) for B in sets] for A in sets])
+    scale = max(1.0, float(np.abs(direct).max()))
+    assert np.abs(gram(kernel, sets).entries - direct).max() <= 1e-12 * scale
+    if kernel.kind in DEFINITIONS:
+        defined = np.array([[DEFINITIONS[kernel.kind](sp, A, B) for B in sets] for A in sets])
+        assert np.abs(defined - direct).max() <= 1e-12 * scale
+    if kernel.kind == "counting" and not sp.positive.all():
+        with pytest.raises(AbsoluteContinuityError):
+            realize(kernel)
+        return
+    fact = realize(kernel)
+    kvecs = np.array([fact.k(A) for A in sets])
+    inner = kvecs @ (sp.weight_array[:, None] * kvecs.T)
+    assert np.abs(inner - direct).max() <= 1e-8 * scale
