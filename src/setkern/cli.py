@@ -2,10 +2,15 @@
 
 Subcommands load one YAML config, run a fixed suite of checks, and emit a
 JSON-lines report (optionally also CSV).  Exit codes: 0 all checks passed,
-1 at least one check failed, 2 config or parse error.  Reports are
-byte-deterministic for fixed (config, seed), including across ``--workers``
-settings; pass ``--timings`` to record per-check runtimes at the cost of
-that determinism.
+1 at least one check failed or no check ran, 2 config or parse error.
+Reports are byte-deterministic for fixed (config, seed), including across
+``--workers`` settings; pass ``--timings`` to record per-check runtimes at
+the cost of that determinism.
+
+Every check is one row of ``SUITES``: its name, report tag and tolerance
+key, and a function of the command's shared ``Run`` state that returns
+``(value, bound, passed)``, or ``None`` when the check does not apply.
+Each command of ``COMMANDS`` runs its suites through one loop.
 """
 
 from __future__ import annotations
@@ -16,35 +21,16 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
+from typing import Callable, NamedTuple, TypeVar
 
 import click
 import numpy as np
 
+from . import factorization, field, kernels, markov
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SetKernError
-from .factorization import (
-    Factorization,
-    b_range_dimension,
-    build_T,
-    check_absolute_continuity,
-    onb_gram,
-    realize,
-    reverse_direction,
-    write_factorization,
-)
-from .field import cross_moment_check, ito_isometry_check, refinement_sweep
-from .kernels import GramMatrix, SetKernel, gram
-from .markov import (
-    MarkovChain,
-    check_transient,
-    contractivity_check,
-    green,
-    green_kernel,
-    green_root,
-    reversibility_defect,
-    spectral_gap,
-)
 from .measure import MeasurableSet
 from .report import RunReport
 
@@ -71,160 +57,148 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "q-final": 1e-9,
 }
 
-CHECKS = (
-    "symmetry", "gram-psd", "schwarz", "absolute-continuity",
-    "detailed-balance", "contractivity", "transience", "spectral-gap",
-    "realization", "density-consistency", "isometry", "adjoint", "parseval", "parseval-invariance",
-    "range-rank", "green-identity", "series-solve", "green-psd", "green-factor", "fundamental-match",
-    "ito-isometry", "cross-moment", "q-monotone", "q-bound", "q-attained",
-)
-"""Check names accepted under ``checks:``, besides the pattern ``q-level-<n>``."""
-
 EXPECTATIONS = ("range-rank",)
 """Names accepted under ``expect:``."""
 
+LEVELS = "q-level-<n>"
+"""The sweep row, recorded once per partition as ``q-level-0``, ``q-level-1``, ..."""
+
+Outcome = tuple[float | None, float | None, bool]
+T = TypeVar("T")
+
+
+def _or_none(build: Callable[[], T]) -> T | None:
+    """``build()``, or ``None`` when the library rejects its input; config errors propagate."""
+    try:
+        return build()
+    except ConfigError:
+        raise
+    except SetKernError:
+        return None  # the checks that need it are recorded as failed
+
 
 @dataclass
-class RunContext:
+class Run:
+    """State shared by the checks of one command; each part is built on first use."""
+
     cfg: ExperimentConfig
-    tol: dict[str, float]
-    seed: int
-    samples: int
+    report: RunReport  # also holds the resolved seed, sample count and tolerances
     workers: int
-    timings: bool
+    rng: np.random.Generator  # draws of the isometry, adjoint and Parseval checks, in that order
 
-    def tick(self) -> float | None:
-        return time.perf_counter() if self.timings else None
-
-    def tock(self, t0: float | None) -> float | None:
-        return time.perf_counter() - t0 if t0 is not None else None
-
-    def probe_family(self) -> list[MeasurableSet]:
+    @cached_property
+    def probes(self) -> list[MeasurableSet]:
         """Singletons plus the configured family; decisive for biadditive kernels."""
         return list(dict.fromkeys([*self.cfg.space.singletons(), *self.cfg.family]))
 
+    @cached_property
+    def kernel(self) -> kernels.SetKernel | None:
+        return _or_none(self.cfg.kernel) if self.cfg.kernel_type is not None else None
 
-def _check_names(cfg: ExperimentConfig) -> None:
-    for name in cfg.checks or ():
-        if name not in CHECKS and not re.fullmatch(r"q-level-\d+", name):
-            raise ConfigError(f"checks: unknown check {name!r}")
-    for name in cfg.expect:
-        if name not in EXPECTATIONS:
-            raise ConfigError(f"expect: unknown expectation {name!r}")
+    @cached_property
+    def gram(self) -> kernels.GramMatrix | None:
+        return kernels.gram(self.kernel, self.probes) if self.kernel is not None else None
 
+    @cached_property
+    def fact(self) -> factorization.Factorization | None:
+        """The realization, attempted only while every check so far has passed.
 
-def _resolve_tolerances(cfg: ExperimentConfig, overrides: tuple[str, ...]) -> dict[str, float]:
-    tol = dict(DEFAULT_TOLERANCES)
-    for name, value in cfg.tolerances.items():
-        if name not in tol:
-            raise ConfigError(f"unknown tolerance {name!r}")
-        tol[name] = float(value)
-    for item in overrides:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-        if name not in tol:
-            raise ConfigError(f"unknown tolerance {name!r}")
-        try:
-            tol[name] = float(value)
-        except ValueError:
-            raise ConfigError(f"--tol {name}: {value!r} is not a number") from None
-    return tol
+        A kernel that failed validation is therefore never realized.
+        """
+        if self.kernel is None or not self.report.all_passed:
+            return None
+        return _or_none(lambda: factorization.realize(self.kernel, tol=self.report.tolerances["realization"]))
+
+    @cached_property
+    def kvecs(self) -> np.ndarray:
+        """Rows ``k_A = S chi_A`` of ``C S^T``, the images under ``b`` of the probes' kernel sections."""
+        return self.cfg.space.indicator_matrix(self.probes) @ self.fact.S.T
+
+    @cached_property
+    def parseval(self) -> tuple[float, float]:
+        """Parseval error over two orthonormal bases, and the bases' disagreement."""
+        space = self.cfg.space
+        pos = np.flatnonzero(space.positive)
+        root_w = np.sqrt(space.weight_array[pos])
+        basis1 = np.eye(space.size)[pos] / root_w[:, None]
+        Q, _ = np.linalg.qr(self.rng.standard_normal((len(pos), len(pos))))
+        basis2 = np.zeros((len(pos), space.size))
+        basis2[:, pos] = Q.T / root_w[None, :]
+        G = self.gram.entries
+        s1 = factorization.onb_gram(self.fact, basis1, self.probes)
+        s2 = factorization.onb_gram(self.fact, basis2, self.probes)
+        return float(max(np.abs(s1 - G).max(), np.abs(s2 - G).max())), float(np.abs(s1 - s2).max())
+
+    @cached_property
+    def green(self) -> markov.GreenData | None:
+        return _or_none(lambda: markov.green(self.cfg.chain))
+
+    @cached_property
+    def green_kernel(self) -> kernels.SetKernel | None:
+        if self.green is None:
+            return None
+        return _or_none(lambda: markov.green_kernel(self.cfg.chain, data=self.green))
+
+    @cached_property
+    def sweep(self) -> tuple[list[float], float]:
+        """Projection second moments along the partitions, and the exact second moment."""
+        qs = field.refinement_sweep(self.kernel, self.fact, self.cfg.phi, self.cfg.partitions)
+        return qs, self.fact.s_norm_squared(self.cfg.phi)
 
 
 # ---------------------------------------------------------------------------
-# check suites
+# the check table
 
 
-def _bounded(
-    report: RunReport,
-    ctx: RunContext,
-    check: str,
-    tag: str,
-    tol: str,
-    value: float | None,
-    t0: float | None = None,
-    ok: bool = True,
-) -> None:
-    """Record ``check``: it passes when ``value`` exists, is within ``ctx.tol[tol]`` and ``ok`` holds."""
-    bound = ctx.tol[tol]
-    passed = ok and value is not None and value <= bound
-    report.add(check, tag, passed, value=value, bound=bound, runtime=ctx.tock(t0))
+class Check(NamedTuple):
+    """One row of the check table."""
+
+    name: str
+    tag: str
+    tol: str | None
+    measure: Callable[[Run, float | None], Outcome | None]
+    shared: bool = False
+    """Record the runtime of the check before it, which computed both."""
 
 
-def _chain_checks(report: RunReport, ctx: RunContext, chain: MarkovChain) -> None:
-    cfg = ctx.cfg
-    if cfg.enabled("detailed-balance"):
-        t0 = ctx.tick()
-        defect = reversibility_defect(chain)
-        _bounded(report, ctx, "detailed-balance", "detailed-balance", "detailed-balance", defect, t0)
-    if cfg.enabled("contractivity"):
-        t0 = ctx.tick()
-        ok = contractivity_check(chain, seed=ctx.seed, tol=ctx.tol["contractivity"])
-        report.add("contractivity", "contractivity", ok, runtime=ctx.tock(t0))
-    if cfg.enabled("transience"):
-        t0 = ctx.tick()
-        try:
-            rho = check_transient(chain)
-            ok = True
-        except SetKernError as e:
-            rho = getattr(e, "spectral_bound", None)
-            ok = False
-        report.add(
-            "transience",
-            "transience",
-            ok,
-            value=rho,
-            bound=1 - ctx.tol["transience-gap"],
-            runtime=ctx.tock(t0),
-        )
+def _within(value: float | None, tol: float, ok: bool = True) -> Outcome:
+    """Passes when ``value`` exists, is at most ``tol`` and ``ok`` holds."""
+    return value, tol, ok and value is not None and value <= tol
 
 
-def _psd_record(report: RunReport, ctx: RunContext, check: str, g: GramMatrix | None) -> None:
-    t0 = ctx.tick()
-    value = bound = None
-    if g is not None:
-        value, bound = g.min_eigenvalue, g.psd_bound(ctx.tol["gram-psd"])
-    passed = g is not None and value >= bound
-    report.add(check, "positive-definite", passed, value=value, bound=bound, runtime=ctx.tock(t0))
+def _bounded(needs: str, value: Callable[[Run], float]) -> Callable[[Run, float], Outcome]:
+    """A check of ``value(run)`` against its tolerance that fails when ``run.<needs>`` is missing."""
+    return lambda run, tol: _within(value(run) if getattr(run, needs) is not None else None, tol)
 
 
-def _kernel_checks(report: RunReport, ctx: RunContext, kernel: SetKernel | None) -> None:
-    """Symmetry, positivity and Schwarz from one Gram of the probe family, then null sets."""
-    cfg = ctx.cfg
-    g = gram(kernel, ctx.probe_family()) if kernel is not None else None
-    if cfg.enabled("symmetry"):
-        t0 = ctx.tick()
-        _bounded(report, ctx, "symmetry", "kernel-symmetry", "symmetry", g.asymmetry if g else None, t0)
-    if cfg.enabled("gram-psd"):
-        _psd_record(report, ctx, "gram-psd", g)
-    if cfg.enabled("schwarz"):
-        t0 = ctx.tick()
-        _bounded(report, ctx, "schwarz", "schwarz", "schwarz", g.schwarz_excess() if g else None, t0)
-    if cfg.enabled("absolute-continuity"):
-        t0 = ctx.tick()
-        value = None
-        ok = False
-        if kernel is not None:
-            ac = check_absolute_continuity(kernel, cfg.family, tol=ctx.tol["absolute-continuity"])
-            value = max((v for _, v in ac.violations), default=0.0)
-            ok = ac.ok
-        _bounded(report, ctx, "absolute-continuity", "absolute-continuity", "absolute-continuity", value, t0, ok)
+def _psd(g: kernels.GramMatrix | None, tol: float) -> Outcome:
+    """Smallest eigenvalue of ``g`` against ``-tol`` times its trace (absolute below one)."""
+    if g is None:
+        return None, None, False
+    value, bound = g.min_eigenvalue, g.psd_bound(tol)
+    return value, bound, value >= bound
 
 
-def _validate_suite(report: RunReport, ctx: RunContext) -> SetKernel | None:
-    if ctx.cfg.chain is not None:
-        _chain_checks(report, ctx, ctx.cfg.chain)
-    kernel = None
-    if ctx.cfg.kernel_type is not None:
-        try:
-            kernel = ctx.cfg.kernel()
-        except ConfigError:
-            raise
-        except SetKernError:
-            kernel = None  # dependent checks are recorded as failed
-        _kernel_checks(report, ctx, kernel)
-    return kernel
+def _transience(run: Run, gap: float) -> Outcome:
+    try:
+        rho, ok = markov.check_transient(run.cfg.chain), True
+    except SetKernError as e:
+        rho, ok = getattr(e, "spectral_bound", None), False
+    return rho, 1 - gap, ok
+
+
+def _absolute_continuity(run: Run, tol: float) -> Outcome:
+    if run.kernel is None:
+        return _within(None, tol)
+    ac = factorization.check_absolute_continuity(run.kernel, run.cfg.family, tol=tol)
+    return _within(max((v for _, v in ac.violations), default=0.0), tol, ac.ok)
+
+
+def _density(run: Run, tol: float) -> Outcome:
+    if run.fact is None:
+        return _within(None, tol)
+    rep = factorization.reverse_direction(run.fact, tol=math.inf)
+    return _within(rep.max_residual, tol, rep.absolute_continuity_ok)
 
 
 def _random_coefficients(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -237,249 +211,227 @@ def _random_coefficients(rng: np.random.Generator, m: int) -> np.ndarray:
     return alpha
 
 
-def _factorize_suite(report: RunReport, ctx: RunContext, kernel: SetKernel | None) -> Factorization | None:
-    cfg = ctx.cfg
-    space = cfg.space
-    pool = ctx.probe_family()
-
-    fact = None
-    t0 = ctx.tick()
-    if kernel is not None:
-        try:
-            fact = realize(kernel, tol=ctx.tol["realization"])
-        except SetKernError:
-            fact = None
-    if cfg.enabled("realization"):
-        _bounded(report, ctx, "realization", "realization", "realization", fact.residual if fact else None, t0)
-
-    if cfg.enabled("density-consistency"):
-        t0 = ctx.tick()
-        value = None
-        ok = False
-        if fact is not None:
-            rep = reverse_direction(fact, tol=math.inf)
-            value = rep.max_residual
-            ok = rep.absolute_continuity_ok
-        _bounded(report, ctx, "density-consistency", "density", "density", value, t0, ok)
-
-    # Every random element below is a coefficient vector over the pool: its
-    # reproducing-space norm comes from the pool Gram, and its image under
-    # the isometry from the rows k_A of C S^T.
-    rng = np.random.default_rng(ctx.seed)
-    w = space.weight_array
-    if fact is not None:
-        G = gram(kernel, pool).entries
-        kvecs = space.indicator_matrix(pool) @ fact.S.T
-
-    if cfg.enabled("isometry"):
-        t0 = ctx.tick()
-        value = None
-        if fact is not None:
-            alpha = np.array([_random_coefficients(rng, len(pool)) for _ in range(1000)])
-            n2 = np.einsum("ij,jk,ik->i", alpha, G, alpha)
-            image_n2 = (alpha @ kvecs) ** 2 @ w
-            value = float(np.max(np.abs(image_n2 - n2) / np.maximum(1.0, np.abs(n2))))
-        _bounded(report, ctx, "isometry", "isometry", "isometry", value, t0)
-
-    if cfg.enabled("adjoint"):
-        t0 = ctx.tick()
-        value = None
-        if fact is not None:
-            phis, alphas = [], []
-            for _ in range(200):
-                phis.append(rng.standard_normal(space.size))
-                alphas.append(_random_coefficients(rng, len(pool)))
-            phi_w = np.array(phis) * w
-            alpha = np.array(alphas)
-            lhs = ((phi_w @ kvecs.T) * alpha).sum(axis=1)  # sum_i alpha_i (b* phi)(A_i)
-            rhs = (phi_w * (alpha @ kvecs)).sum(axis=1)  # <phi, b(F)>
-            value = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
-        _bounded(report, ctx, "adjoint", "adjoint", "adjoint", value, t0)
-
-    if cfg.enabled("parseval") or cfg.enabled("parseval-invariance"):
-        t0 = ctx.tick()
-        match = invariance = None
-        if fact is not None:
-            pos = np.flatnonzero(space.positive)
-            root_w = np.sqrt(w[pos])
-            basis1 = np.eye(space.size)[pos] / root_w[:, None]
-            Q, _ = np.linalg.qr(rng.standard_normal((len(pos), len(pos))))
-            basis2 = np.zeros((len(pos), space.size))
-            basis2[:, pos] = Q.T / root_w[None, :]
-            s1 = onb_gram(fact, basis1, pool)
-            s2 = onb_gram(fact, basis2, pool)
-            match = float(max(np.abs(s1 - G).max(), np.abs(s2 - G).max()))
-            invariance = float(np.abs(s1 - s2).max())
-        runtime = ctx.tock(t0)
-        for check, value in (("parseval", match), ("parseval-invariance", invariance)):
-            if cfg.enabled(check):
-                passed = value is not None and value <= ctx.tol[check]
-                report.add(check, "parseval", passed, value=value, bound=ctx.tol[check], runtime=runtime)
-
-    if cfg.enabled("range-rank"):
-        t0 = ctx.tick()
-        value = None
-        expected = cfg.expect.get("range-rank")
-        ok = False
-        if fact is not None:
-            rank = b_range_dimension(fact, cfg.family)
-            value = float(rank)
-            ok = expected is None or rank == int(expected)
-        report.add("range-rank", "range-rank", ok, value=value, bound=expected, runtime=ctx.tock(t0))
-
-    return fact
+def _isometry(run: Run) -> float:
+    """Largest relative error of ``|b F|^2 = |F|^2`` over 1000 random elements ``F``."""
+    alpha = np.array([_random_coefficients(run.rng, len(run.probes)) for _ in range(1000)])
+    n2 = np.einsum("ij,jk,ik->i", alpha, run.gram.entries, alpha)
+    image_n2 = (alpha @ run.kvecs) ** 2 @ run.cfg.space.weight_array
+    return float(np.max(np.abs(image_n2 - n2) / np.maximum(1.0, np.abs(n2))))
 
 
-def _green_suite(report: RunReport, ctx: RunContext) -> None:
-    cfg = ctx.cfg
-    space = cfg.space
-    chain = cfg.chain
-    _chain_checks(report, ctx, chain)
-
-    if cfg.enabled("spectral-gap"):
-        t0 = ctx.tick()
-        gap = spectral_gap(chain)
-        bound = ctx.tol["transience-gap"]
-        report.add("spectral-gap", "spectral-gap", gap >= bound, value=gap, bound=bound, runtime=ctx.tock(t0))
-
-    data = kernel = None
-    try:
-        data = green(chain)
-        kernel = green_kernel(chain)
-    except SetKernError:
-        pass
-
-    if cfg.enabled("green-identity"):
-        t0 = ctx.tick()
-        value = None
-        if data is not None:
-            identity = np.eye(space.size)
-            value = float(np.abs((identity - chain.transitions) @ data.G - identity).max())
-        _bounded(report, ctx, "green-identity", "green-identity", "green-identity", value, t0)
-    if cfg.enabled("series-solve"):
-        t0 = ctx.tick()
-        value = data.series_agreement if data else None
-        _bounded(report, ctx, "series-solve", "series-agreement", "series-solve", value, t0)
-
-    if cfg.enabled("green-psd"):
-        _psd_record(report, ctx, "green-psd", gram(kernel, ctx.probe_family()) if kernel else None)
-
-    if cfg.enabled("green-factor"):
-        t0 = ctx.tick()
-        value = None
-        if kernel is not None:
-            if space.size <= 6:
-                sets = [
-                    MeasurableSet(frozenset(i for i in range(space.size) if mask >> i & 1))
-                    for mask in range(2**space.size)
-                ]
-            else:
-                sets = ctx.probe_family()
-            C = space.indicator_matrix(sets)
-            kvecs = C @ green_root(chain).T
-            inner = kvecs @ (space.weight_array[:, None] * kvecs.T)
-            value = float(np.abs(inner - C @ kernel.Q @ C.T).max())
-        _bounded(report, ctx, "green-factor", "green-factorization", "green-factor", value, t0)
-
-    if cfg.enabled("fundamental-match"):
-        t0 = ctx.tick()
-        value = float(np.abs(build_T(kernel) - data.G).max()) if kernel is not None else None
-        _bounded(report, ctx, "fundamental-match", "fundamental-matrix", "fundamental-match", value, t0)
+def _adjoint(run: Run) -> float:
+    """Largest relative error of ``<b* phi, F> = <phi, b F>`` over 200 random pairs."""
+    phis, alphas = [], []
+    for _ in range(200):
+        phis.append(run.rng.standard_normal(run.cfg.space.size))
+        alphas.append(_random_coefficients(run.rng, len(run.probes)))
+    phi_w = np.array(phis) * run.cfg.space.weight_array
+    alpha = np.array(alphas)
+    lhs = ((phi_w @ run.kvecs.T) * alpha).sum(axis=1)  # sum_i alpha_i (b* phi)(A_i)
+    rhs = (phi_w * (alpha @ run.kvecs)).sum(axis=1)  # <phi, b(F)>
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
 
 
-def _sweep_records(report: RunReport, ctx: RunContext, kernel: SetKernel, fact: Factorization) -> None:
-    cfg = ctx.cfg
-    t0 = ctx.tick()
-    qs = refinement_sweep(kernel, fact, cfg.phi, cfg.partitions)
-    runtime = ctx.tock(t0)
-    for i, q in enumerate(qs):
-        if cfg.enabled(f"q-level-{i}"):
-            report.add(f"q-level-{i}", "projection-moment", True, value=q, runtime=runtime)
-    exact = fact.s_norm_squared(cfg.phi)
-    if cfg.enabled("q-monotone"):
-        worst = max((qs[i] - qs[i + 1] for i in range(len(qs) - 1)), default=0.0)
-        _bounded(report, ctx, "q-monotone", "projection-monotone", "q-monotone", worst)
-    if cfg.enabled("q-bound"):
-        _bounded(report, ctx, "q-bound", "projection-limit", "q-final", qs[-1] - exact)
-    finest = cfg.partitions[-1]
-    if set(finest.blocks) == set(cfg.space.singletons()) and cfg.enabled("q-attained"):
-        _bounded(report, ctx, "q-attained", "projection-limit", "q-final", abs(qs[-1] - exact))
+def _range_rank(run: Run, _: None) -> Outcome:
+    expected = run.cfg.expect.get("range-rank")
+    if run.fact is None:
+        return None, expected, False
+    rank = factorization.b_range_dimension(run.fact, run.cfg.family)
+    return float(rank), expected, expected is None or rank == expected
 
 
-def _mc_records(report: RunReport, ctx: RunContext, kernel: SetKernel, fact: Factorization) -> None:
-    cfg = ctx.cfg
-    if cfg.enabled("ito-isometry"):
-        t0 = ctx.tick()
-        res = ito_isometry_check(
-            kernel, fact, cfg.phi, ctx.samples, seed=ctx.seed, workers=ctx.workers
-        )
-        report.add(
-            "ito-isometry",
-            "ito-isometry",
-            res.within(ctx.tol["mc-sigma"]),
-            value=res.deviation_sigmas,
-            bound=ctx.tol["mc-sigma"],
-            runtime=ctx.tock(t0),
-        )
-    if cfg.psi is not None and cfg.enabled("cross-moment"):
-        t0 = ctx.tick()
-        res = cross_moment_check(
-            kernel, fact, cfg.phi, cfg.psi, ctx.samples, seed=ctx.seed, workers=ctx.workers
-        )
-        report.add(
-            "cross-moment",
-            "cross-moment",
-            res.within(ctx.tol["mc-sigma"]),
-            value=res.deviation_sigmas,
-            bound=ctx.tol["mc-sigma"],
-            runtime=ctx.tock(t0),
-        )
+def _green_identity(run: Run) -> float:
+    identity = np.eye(run.cfg.space.size)
+    return float(np.abs((identity - run.cfg.chain.transitions) @ run.green.G - identity).max())
+
+
+def _green_factor(run: Run) -> float:
+    """Largest error of ``<k_A, k_B>`` from the Green root against the kernel, over every set on up to six atoms."""
+    space = run.cfg.space
+    n = space.size
+    if n <= 6:  # row m is the indicator of the atoms whose bits are set in m
+        C = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+    else:
+        C = space.indicator_matrix(run.probes)
+    kvecs = C @ markov.green_root(run.cfg.chain).T
+    inner = kvecs @ (space.weight_array[:, None] * kvecs.T)
+    return float(np.abs(inner - C @ run.green_kernel.Q @ C.T).max())
+
+
+def _monte_carlo(run: Run, tol: float, check: Callable, *integrands) -> Outcome:
+    res = check(run.kernel, run.fact, *integrands, run.report.samples, seed=run.report.seed, workers=run.workers)
+    return res.deviation_sigmas, tol, res.within(tol)
+
+
+def _q_attained(run: Run, tol: float) -> Outcome | None:
+    if set(run.cfg.partitions[-1].blocks) != set(run.cfg.space.singletons()):
+        return None
+    qs, exact = run.sweep
+    return _within(abs(qs[-1] - exact), tol)
+
+
+REALIZATION = Check("realization", "realization", "realization", _bounded("fact", lambda run: run.fact.residual))
+
+SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
+    "chain": (lambda run: run.cfg.chain is not None, (
+        Check("detailed-balance", "detailed-balance", "detailed-balance",
+              lambda run, tol: _within(markov.reversibility_defect(run.cfg.chain), tol)),
+        Check("contractivity", "contractivity", "contractivity",
+              lambda run, tol: (None, None, markov.contractivity_check(run.cfg.chain, seed=run.report.seed, tol=tol))),
+        Check("transience", "transience", "transience-gap", _transience),
+    )),
+    "kernel": (lambda run: run.cfg.kernel_type is not None, (
+        Check("symmetry", "kernel-symmetry", "symmetry", _bounded("gram", lambda run: run.gram.asymmetry)),
+        Check("gram-psd", "positive-definite", "gram-psd", lambda run, tol: _psd(run.gram, tol)),
+        Check("schwarz", "schwarz", "schwarz", _bounded("gram", lambda run: run.gram.schwarz_excess())),
+        Check("absolute-continuity", "absolute-continuity", "absolute-continuity", _absolute_continuity),
+    )),
+    "factorize": (lambda run: run.report.all_passed, (
+        REALIZATION,
+        Check("density-consistency", "density", "density", _density),
+        Check("isometry", "isometry", "isometry", _bounded("fact", _isometry)),
+        Check("adjoint", "adjoint", "adjoint", _bounded("fact", _adjoint)),
+        Check("parseval", "parseval", "parseval", _bounded("fact", lambda run: run.parseval[0])),
+        Check("parseval-invariance", "parseval", "parseval-invariance",
+              _bounded("fact", lambda run: run.parseval[1]), shared=True),
+        Check("range-rank", "range-rank", None, _range_rank),
+    )),
+    "green": (lambda run: True, (
+        Check("spectral-gap", "spectral-gap", "transience-gap",
+              lambda run, tol: (gap := markov.spectral_gap(run.cfg.chain), tol, gap >= tol)),
+        Check("green-identity", "green-identity", "green-identity", _bounded("green", _green_identity)),
+        Check("series-solve", "series-agreement", "series-solve",
+              _bounded("green", lambda run: run.green.series_agreement)),
+        Check("green-psd", "positive-definite", "gram-psd",
+              lambda run, tol: _psd(kernels.gram(run.green_kernel, run.probes) if run.green_kernel is not None else None, tol)),
+        Check("green-factor", "green-factorization", "green-factor", _bounded("green_kernel", _green_factor)),
+        Check("fundamental-match", "fundamental-matrix", "fundamental-match",
+              _bounded("green_kernel", lambda run: float(np.abs(factorization.build_T(run.green_kernel) - run.green.G).max()))),
+    )),
+    "mc": (lambda run: run.fact is not None, (
+        Check("ito-isometry", "ito-isometry", "mc-sigma",
+              lambda run, tol: _monte_carlo(run, tol, field.ito_isometry_check, run.cfg.phi)),
+        Check("cross-moment", "cross-moment", "mc-sigma", lambda run, tol: None if run.cfg.psi is None
+              else _monte_carlo(run, tol, field.cross_moment_check, run.cfg.phi, run.cfg.psi)),
+    )),
+    "sweep": (lambda run: run.fact is not None and bool(run.cfg.partitions), (
+        Check(LEVELS, "projection-moment", None, lambda run, _, level: (run.sweep[0][level], None, True)),
+        Check("q-monotone", "projection-monotone", "q-monotone", lambda run, tol: _within(
+            max((a - b for a, b in zip(run.sweep[0], run.sweep[0][1:])), default=0.0), tol
+        )),
+        Check("q-bound", "projection-limit", "q-final", lambda run, tol: _within(run.sweep[0][-1] - run.sweep[1], tol)),
+        Check("q-attained", "projection-limit", "q-final", _q_attained),
+    )),
+    # refine-sweep realizes the kernel without validating it and records only a failure
+    "unrealized": (lambda run: run.fact is None, (REALIZATION,)),
+}
+
+CHECKS = tuple(dict.fromkeys(c.name for _, checks in SUITES.values() for c in checks if c.name != LEVELS))
+"""Check names accepted under ``checks:``, besides the pattern ``q-level-<n>``."""
+
+
+def _expand_levels(checks: tuple[Check, ...], levels: int):
+    for check in checks:
+        if check.name != LEVELS:
+            yield check
+        else:
+            for i in range(levels):
+                yield check._replace(name=f"q-level-{i}", measure=partial(check.measure, level=i), shared=i > 0)
+
+
+def _run_checks(run: Run, checks: tuple[Check, ...], timings: bool) -> None:
+    """Record every enabled check that applies, in table order."""
+    last = None  # runtime of the previous check, if it ran
+    for check in _expand_levels(checks, len(run.cfg.partitions)):
+        if not run.cfg.enabled(check.name):
+            last = None
+            continue
+        t0 = time.perf_counter()
+        outcome = check.measure(run, run.report.tolerances.get(check.tol))
+        runtime = time.perf_counter() - t0 if timings else None
+        if check.shared and last is not None:
+            runtime = last
+        last = runtime
+        if outcome is not None:
+            value, bound, passed = outcome
+            run.report.add(check.name, check.tag, passed, value=value, bound=bound, runtime=runtime)
 
 
 # ---------------------------------------------------------------------------
-# command plumbing
+# commands
+
+COMMANDS = (
+    # name, help, config sections it cannot run without, suites in report order
+    ("validate", "Kernel sanity checks: symmetry, positivity, Schwarz, null sets, chain balance.",
+     (), ("chain", "kernel")),
+    ("factorize", "Realize the kernel in weighted L2 and verify the isometry calculus.",
+     (), ("chain", "kernel", "factorize")),
+    ("markov-green", "Chain checks plus Green function, Green kernel, and its factorization.",
+     ("chain",), ("chain", "green")),
+    ("simulate", "Monte Carlo second-moment checks (and the projection sweep when configured).",
+     ("phi",), ("chain", "kernel", "factorize", "mc", "sweep")),
+    ("refine-sweep", "Projection second moments along the configured partition chain.",
+     ("phi", "partitions", "kernel"), ("unrealized", "sweep")),
+)
 
 
-def _common_options(f):
-    options = [
-        click.option("--config", "config_path", required=True, type=click.Path(dir_okay=False)),
-        click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None, help="Override mc.seed."),
-        click.option("--samples", type=click.IntRange(1), default=None, help="Override mc.samples."),
-        click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None, help="Report JSONL path."),
-        click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None, help="Also write a CSV table."),
-        click.option("--tol", "tol_overrides", multiple=True, metavar="NAME=VALUE", help="Override a tolerance (repeatable)."),
-        click.option("--workers", type=click.IntRange(1), default=1, show_default=True, help="Worker threads for sampling."),
-        click.option("--timings", is_flag=True, help="Record per-check runtimes (breaks byte-determinism)."),
-    ]
-    for opt in reversed(options):
-        f = opt(f)
-    return f
+def _check_names(cfg: ExperimentConfig) -> None:
+    for name in cfg.checks or ():
+        if name not in CHECKS and not re.fullmatch(r"q-level-\d+", name):
+            raise ConfigError(f"checks: unknown check {name!r}")
+    for name in cfg.expect:
+        if name not in EXPECTATIONS:
+            raise ConfigError(f"expect: unknown expectation {name!r}")
 
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("SETKERN_OUT", "."))
+def _resolve_tolerances(cfg: ExperimentConfig, overrides: tuple[str, ...]) -> dict[str, float]:
+    items = [(f"tolerances.{name}", name, value) for name, value in cfg.tolerances.items()]
+    for item in overrides:
+        name, sep, value = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
+        items.append((f"--tol {name}", name, value))
+    tol = dict(DEFAULT_TOLERANCES)
+    for where, name, value in items:
+        if name not in tol:
+            raise ConfigError(f"unknown tolerance {name!r}")
+        try:
+            tol[name] = float(value)
+        except ValueError:
+            raise ConfigError(f"{where}: {value!r} is not a number") from None
+        if not math.isfinite(tol[name]):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+    return tol
 
 
-def _prepare(command, config_path, seed, samples, tol_overrides, workers, timings):
-    cfg = load_config(config_path)
-    _check_names(cfg)
-    tol = _resolve_tolerances(cfg, tol_overrides)
-    ctx = RunContext(
-        cfg=cfg,
-        tol=tol,
-        seed=cfg.seed if seed is None else seed,
-        samples=cfg.samples if samples is None else samples,
-        workers=workers,
-        timings=timings,
-    )
-    report = RunReport(
-        command=command, seed=ctx.seed, samples=ctx.samples, tolerances=tol
-    )
-    return ctx, report
-
-
-def _finish(report: RunReport, command: str, out_path, csv_path) -> None:
-    out = Path(out_path) if out_path else _out_dir() / f"{command}-report.jsonl"
+def _run(name, requires, suites, config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings,
+         export_path=None):
+    """Load and vet the config, run the command's suites, write the report and exit with its verdict."""
+    out_dir = Path(os.environ.get("SETKERN_OUT", "."))
+    try:
+        cfg = load_config(config_path)
+        _check_names(cfg)
+        tol = _resolve_tolerances(cfg, tol_overrides)
+        for section in requires:
+            if getattr(cfg, "kernel_type" if section == "kernel" else section) in (None, ()):
+                raise ConfigError(f"{name} requires a {section} section")
+        seed = cfg.seed if seed is None else seed
+        samples = cfg.samples if samples is None else samples
+        report = RunReport(command=name, seed=seed, samples=samples, tolerances=tol)
+        run = Run(cfg, report, workers, np.random.default_rng(seed))
+        for suite in suites:
+            applies, checks = SUITES[suite]
+            if applies(run):
+                _run_checks(run, checks, timings)
+        if name == "factorize" and run.fact is not None:
+            export = Path(export_path) if export_path else out_dir / "factorization.json"
+            export.parent.mkdir(parents=True, exist_ok=True)
+            factorization.write_factorization(run.fact, export, family=cfg.family)
+            click.echo(f"factorization written to {export}")
+    except ConfigError as e:
+        click.echo(f"config error: {e}", err=True)
+        sys.exit(2)
+    out = Path(out_path) if out_path else out_dir / f"{name}-report.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     report.write_jsonl(out)
     if csv_path:
@@ -487,12 +439,25 @@ def _finish(report: RunReport, command: str, out_path, csv_path) -> None:
     for line in report.summary_lines():
         click.echo(line)
     click.echo(f"report written to {out}")
-    sys.exit(0 if report.all_passed else 1)
+    # A run that recorded no check has shown nothing, so it does not pass.
+    sys.exit(0 if report.records and report.all_passed else 1)
 
 
-def _config_abort(e: ConfigError) -> None:
-    click.echo(f"config error: {e}", err=True)
-    sys.exit(2)
+def _options(name: str) -> list[click.Option]:
+    path = click.Path(dir_okay=False)
+    options = [
+        click.Option(["--config", "config_path"], required=True, type=path),
+        click.Option(["--seed"], type=click.IntRange(0, 2**64 - 1), default=None, help="Override mc.seed."),
+        click.Option(["--samples"], type=click.IntRange(1), default=None, help="Override mc.samples."),
+        click.Option(["--out", "out_path"], type=path, default=None, help="Report JSONL path."),
+        click.Option(["--csv", "csv_path"], type=path, default=None, help="Also write a CSV table."),
+        click.Option(["--tol", "tol_overrides"], multiple=True, metavar="NAME=VALUE", help="Override a tolerance (repeatable)."),
+        click.Option(["--workers"], type=click.IntRange(1), default=1, show_default=True, help="Worker threads for sampling."),
+        click.Option(["--timings"], is_flag=True, help="Record per-check runtimes (breaks byte-determinism)."),
+    ]
+    if name == "factorize":
+        options.append(click.Option(["--export", "export_path"], type=path, default=None, help="Factorization export path (JSON)."))
+    return options
 
 
 @click.group()
@@ -500,103 +465,10 @@ def main():
     """Validate, factorize, and simulate set-indexed kernels from config files."""
 
 
-@main.command()
-@_common_options
-def validate(config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings):
-    """Kernel sanity checks: symmetry, positivity, Schwarz, null sets, chain balance."""
-    try:
-        ctx, report = _prepare("validate", config_path, seed, samples, tol_overrides, workers, timings)
-        _validate_suite(report, ctx)
-    except ConfigError as e:
-        _config_abort(e)
-    _finish(report, "validate", out_path, csv_path)
-
-
-@main.command()
-@_common_options
-@click.option(
-    "--export",
-    "export_path",
-    type=click.Path(dir_okay=False),
-    default=None,
-    help="Factorization export path (JSON).",
-)
-def factorize(config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings, export_path):
-    """Realize the kernel in weighted L2 and verify the isometry calculus."""
-    try:
-        ctx, report = _prepare("factorize", config_path, seed, samples, tol_overrides, workers, timings)
-        kernel = _validate_suite(report, ctx)
-        fact = None
-        if report.all_passed:
-            fact = _factorize_suite(report, ctx, kernel)
-        if fact is not None:
-            export = Path(export_path) if export_path else _out_dir() / "factorization.json"
-            export.parent.mkdir(parents=True, exist_ok=True)
-            write_factorization(fact, export, family=ctx.cfg.family)
-            click.echo(f"factorization written to {export}")
-    except ConfigError as e:
-        _config_abort(e)
-    _finish(report, "factorize", out_path, csv_path)
-
-
-@main.command("markov-green")
-@_common_options
-def markov_green(config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings):
-    """Chain checks plus Green function, Green kernel, and its factorization."""
-    try:
-        ctx, report = _prepare("markov-green", config_path, seed, samples, tol_overrides, workers, timings)
-        if ctx.cfg.chain is None:
-            raise ConfigError("markov-green requires a chain section")
-        _green_suite(report, ctx)
-    except ConfigError as e:
-        _config_abort(e)
-    _finish(report, "markov-green", out_path, csv_path)
-
-
-@main.command()
-@_common_options
-def simulate(config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings):
-    """Monte Carlo second-moment checks (and the projection sweep when configured)."""
-    try:
-        ctx, report = _prepare("simulate", config_path, seed, samples, tol_overrides, workers, timings)
-        if ctx.cfg.phi is None:
-            raise ConfigError("simulate requires a phi section")
-        kernel = _validate_suite(report, ctx)
-        fact = None
-        if report.all_passed:
-            fact = _factorize_suite(report, ctx, kernel)
-        if fact is not None:
-            _mc_records(report, ctx, kernel, fact)
-            if ctx.cfg.partitions:
-                _sweep_records(report, ctx, kernel, fact)
-    except ConfigError as e:
-        _config_abort(e)
-    _finish(report, "simulate", out_path, csv_path)
-
-
-@main.command("refine-sweep")
-@_common_options
-def refine_sweep(config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings):
-    """Projection second moments along the configured partition chain."""
-    try:
-        ctx, report = _prepare("refine-sweep", config_path, seed, samples, tol_overrides, workers, timings)
-        if ctx.cfg.phi is None:
-            raise ConfigError("refine-sweep requires a phi section")
-        if not ctx.cfg.partitions:
-            raise ConfigError("refine-sweep requires a partitions section")
-        fact = None
-        try:
-            kernel = ctx.cfg.kernel()
-            fact = realize(kernel, tol=ctx.tol["realization"])
-        except ConfigError:
-            raise
-        except SetKernError:
-            report.add("realization", "realization", False, bound=ctx.tol["realization"])
-        if fact is not None:
-            _sweep_records(report, ctx, kernel, fact)
-    except ConfigError as e:
-        _config_abort(e)
-    _finish(report, "refine-sweep", out_path, csv_path)
+for _name, _help, _requires, _suites in COMMANDS:
+    main.add_command(click.Command(
+        _name, callback=partial(_run, _name, _requires, _suites), params=_options(_name), help=_help
+    ))
 
 
 if __name__ == "__main__":

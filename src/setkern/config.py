@@ -22,7 +22,7 @@ Schema (all sections optional unless a command needs them)::
     mc: {samples: 200000, seed: 7}
     tolerances: {gram-psd: 1.0e-10}
     checks: [gram-psd, schwarz]    # optional filter of enabled checks
-    expect: {range-rank: 1}        # optional expected values
+    expect: {range-rank: 1}        # optional expected counts
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class ExperimentConfig:
     seed: int
     tolerances: dict[str, float] = field(default_factory=dict)
     checks: tuple[str, ...] | None = None
-    expect: dict[str, float] = field(default_factory=dict)
+    expect: dict[str, int] = field(default_factory=dict)
 
     def kernel(self) -> SetKernel:
         if self.kernel_type is None:
@@ -285,7 +285,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     expect = {}
     for name, value in _as_mapping(raw.get("expect"), "expect").items():
-        expect[str(name)] = _number(value, f"expect.{name}")
+        expect[str(name)] = _integer(value, f"expect.{name}")  # every expectation is a count
 
     return ExperimentConfig(
         space=space,

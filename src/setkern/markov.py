@@ -219,19 +219,22 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
     return GreenData(G=G, spectral_bound=rho, series_terms=terms, series_agreement=agreement)
 
 
-def green_kernel(chain: MarkovChain, *, balance_tol: float = 1e-10) -> SetKernel:
+def green_kernel(
+    chain: MarkovChain, *, balance_tol: float = 1e-10, data: GreenData | None = None
+) -> SetKernel:
     """Kernel ``K(A, B) = sum_{x in A} w(x) G(x, B)`` of a reversible transient chain.
 
     Symmetric because detailed balance makes ``w G`` symmetric; positive
     definite because ``G`` is the inverse of ``I - P`` with spectrum in
-    ``(0, 2]`` of the weighted geometry.
+    ``(0, 2]`` of the weighted geometry.  Pass the chain's ``green(chain)``
+    as ``data`` to build the kernel without solving for ``G`` again.
     """
     if not check_reversibility(chain, tol=balance_tol):
         raise InvalidChainError(
             f"chain is not reversible (defect {reversibility_defect(chain):.3e}); "
             "the Green kernel would not be symmetric"
         )
-    G = green(chain).G
+    G = (green(chain) if data is None else data).G
     return SetKernel(space=chain.space, kind="green", Q=chain.space.weight_array[:, None] * G, matrix=G)
 
 

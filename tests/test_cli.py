@@ -1,6 +1,8 @@
 """Command-line front-end: exit codes, report format, determinism, exports."""
 
 import json
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from setkern.cli import CHECKS, main
+from setkern.cli import CHECKS, SUITES, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -370,3 +372,105 @@ def test_every_reported_check_is_a_known_name():
 def test_libyaml_and_python_loaders_agree(path):
     text = path.read_text()
     assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+# ---------------------------------------------------------------------------
+# empty suites, counted solves, runtimes, strict numbers, the documented table
+
+
+@pytest.mark.parametrize("checks", ["[]", "[ito-isometry]"])
+def test_a_run_that_records_no_check_fails(runner, tmp_path, checks):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(WIENER_SPACE + f"kernel: {{type: wiener}}\nphi: [[1.0, [a]]]\nchecks: {checks}\n")
+    out = tmp_path / "v.jsonl"
+    result = invoke(runner, tmp_path, "validate", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert "0/0 checks passed" in result.output
+    assert read_records(out)[1] == []
+
+
+def test_factorize_runs_a_realization_only_suite(runner, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\nchecks: [realization]\n")
+    out = tmp_path / "f.jsonl"
+    result = invoke(runner, tmp_path, "factorize", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 0, result.output
+    assert [(r["check"], r["status"]) for r in read_records(out)[1]] == [("realization", "pass")]
+
+
+@pytest.mark.parametrize("command", ["factorize", "simulate"])
+def test_failed_validation_stops_before_realizing(runner, tmp_path, command):
+    out, export = tmp_path / "r.jsonl", tmp_path / "fact.json"
+    args = [command, "--config", str(CONFIGS / "wiener.yaml"), "--out", str(out), "--tol", "symmetry=-1"]
+    args += ["--export", str(export)] if command == "factorize" else ["--samples", "2000"]
+    result = invoke(runner, tmp_path, *args)
+    assert result.exit_code == 1, result.output
+    _, records = read_records(out)
+    assert [r["check"] for r in records] == ["symmetry", "gram-psd", "schwarz", "absolute-continuity"]
+    assert not export.exists() and not (tmp_path / "factorization.json").exists()
+
+
+def test_markov_green_solves_for_the_green_function_once(runner, tmp_path, monkeypatch):
+    import setkern.markov
+
+    calls = []
+    solve = setkern.markov.green
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    # count calls made through every module that imported the function by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("setkern") and getattr(module, "green", None) is solve:
+            monkeypatch.setattr(module, "green", counted)
+    result = invoke(runner, tmp_path, "markov-green", "--config", str(CONFIGS / "two-state-green.yaml"))
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+GOLDEN_RUNS = sorted(p.stem.split(".") for p in (Path(__file__).resolve().parent / "golden").glob("*.jsonl"))
+
+
+@pytest.mark.parametrize("config,command", GOLDEN_RUNS, ids=[f"{c}.{m}" for c, m in GOLDEN_RUNS])
+def test_timings_fill_every_runtime(runner, tmp_path, config, command):
+    out = tmp_path / "t.jsonl"
+    invoke(runner, tmp_path, command, "--config", str(CONFIGS / f"{config}.yaml"), "--out", str(out), "--timings")
+    _, records = read_records(out)
+    assert records and all(isinstance(r["runtime"], float) for r in records)
+    runtime = {r["check"]: r["runtime"] for r in records}
+    if "parseval" in runtime:  # both records come from one computation
+        assert runtime["parseval-invariance"] == runtime["parseval"]
+    assert len({t for name, t in runtime.items() if name.startswith("q-level-")}) <= 1
+
+
+def test_fractional_expected_rank_is_a_config_error(runner, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(CONFIGS.joinpath("rank-one.yaml").read_text().replace("range-rank: 1", "range-rank: 1.5"))
+    result = invoke(runner, tmp_path, "factorize", "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert "expect.range-rank" in result.output
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_nonfinite_config_tolerance_is_a_config_error(runner, tmp_path, value):
+    output = _config_error(runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\ntolerances: {{symmetry: {value}}}\n")
+    assert "tolerances.symmetry" in output
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_tolerance_override_is_a_config_error(runner, tmp_path, value):
+    result = invoke(
+        runner, tmp_path, "validate", "--config", str(CONFIGS / "wiener.yaml"), "--tol", f"symmetry={value}"
+    )
+    assert result.exit_code == 2, result.output
+    assert "--tol symmetry" in result.output
+
+
+def test_readme_check_table_matches_the_registry():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    table = readme.split("### Checks", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z0-9<>-]+)` \| `([a-z-]+)` \| (?:`([a-z-]+)`|none) \|", table, flags=re.MULTILINE)
+    documented = {(name, tag, tol or None) for name, tag, tol in rows}
+    assert {name for name, _, _ in documented} - {"q-level-<n>"} == set(CHECKS)
+    assert documented == {(c.name, c.tag, c.tol) for _, checks in SUITES.values() for c in checks}
