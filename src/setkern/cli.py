@@ -181,7 +181,7 @@ def _psd(g: kernels.GramMatrix | None, tol: float) -> Outcome:
 
 def _transience(run: Run, gap: float) -> Outcome:
     try:
-        rho, ok = markov.check_transient(run.cfg.chain), True
+        rho, ok = markov.check_transient(run.cfg.chain, gap=gap), True
     except SetKernError as e:
         rho, ok = getattr(e, "spectral_bound", None), False
     return rho, 1 - gap, ok

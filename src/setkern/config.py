@@ -27,6 +27,7 @@ Schema (all sections optional unless a command needs them)::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -146,6 +147,8 @@ def _simple_function(space: MeasureSpace, node: Any, where: str) -> SimpleFuncti
             raise ConfigError(f"{where}[{i}] must be [coefficient, [atoms...]]")
         coef, names = term
         coef = _number(coef, f"{where}[{i}] coefficient")
+        if not math.isfinite(coef):
+            raise ConfigError(f"{where}[{i}] coefficient must be finite, got {coef!r}")
         terms.append((coef, _atom_set(space, names, f"{where}[{i}]")))
     return SimpleFunction(tuple(terms))
 

@@ -12,19 +12,24 @@ Transience is certified spectrally: the largest weighted singular value of
 ``G = I + P + P^2 + ...`` geometrically convergent.  ``G`` is computed by a
 direct solve of ``(I - P) G = I`` (authoritative) and cross-validated against
 the truncated series.
+
+A chain is immutable, so it computes its spectrum, its Green function and
+``(I - P)^{-1/2}`` once, on first use, and every function here shares them.
+The cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InconsistencyError, InvalidChainError, NotTransientError
 from .kernels import SetKernel
-from .linalg import spectral_transform, symmetrized
+from .linalg import symmetrized
 from .measure import MeasurableSet, MeasureSpace
 
 __all__ = [
@@ -42,6 +47,11 @@ __all__ = [
 ]
 
 TRANSIENCE_GAP = 1e-10
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +133,29 @@ class MarkovChain:
         P = C / w[:, None]
         return cls(space=MeasureSpace(tuple(atoms), tuple(w)), transitions=P)
 
+    @cached_property
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of the symmetrization ``D^{1/2} P D^{-1/2}``."""
+        lam, U = np.linalg.eigh(symmetrized(self.transitions, self.space.weight_array)[0])
+        return _read_only(lam), _read_only(U)
+
+    @cached_property
+    def _green_data(self) -> dict[float, GreenData]:
+        """``green``'s solve and series, one entry per ``series_tol``, before ``agree_tol``."""
+        return {}
+
+    @cached_property
+    def _green_root(self) -> np.ndarray:
+        """``(I - P)^{-1/2}`` mapped back from the eigenpairs; a non-transient chain raises."""
+        lam, U = self._eigenpairs
+        top = float(lam.max())
+        if top >= 1 - TRANSIENCE_GAP:
+            raise NotTransientError(
+                f"chain is not transient: spectral bound {top:.12g} reaches 1", spectral_bound=top
+            )
+        d = np.sqrt(self.space.weight_array)
+        return _read_only((((U * (1.0 / np.sqrt(1.0 - lam))) @ U.T) / d[:, None]) * d[None, :])
+
 
 def reversibility_defect(chain: MarkovChain) -> float:
     """Largest violation of detailed balance ``w(x) P[x,y] == w(y) P[y,x]``."""
@@ -139,23 +172,17 @@ def check_reversibility(chain: MarkovChain, tol: float = 1e-10) -> bool:
     return reversibility_defect(chain) <= tol
 
 
-def _symmetric_spectrum(chain: MarkovChain) -> np.ndarray:
-    Ms, _ = symmetrized(chain.transitions, chain.space.weight_array)
-    return np.linalg.eigvalsh(Ms)
-
-
-def check_transient(chain: MarkovChain) -> float:
+def check_transient(chain: MarkovChain, gap: float = TRANSIENCE_GAP) -> float:
     """Spectral certificate of transience.
 
     Returns the largest weighted singular value ``rho`` of the transition
     matrix (for a reversible chain, the largest absolute eigenvalue of its
-    symmetrization).  Transience requires ``rho < 1 - 1e-10``, which gives
+    symmetrization).  Transience requires ``rho < 1 - gap``, which gives
     the Green series a geometric tail bound; otherwise ``NotTransientError``
     is raised.
     """
-    lam = _symmetric_spectrum(chain)
-    rho = float(np.abs(lam).max())
-    if rho >= 1 - TRANSIENCE_GAP:
+    rho = float(np.abs(chain._eigenpairs[0]).max())
+    if rho >= 1 - gap:
         raise NotTransientError(
             f"chain is not transient: spectral bound {rho:.12g} reaches 1", spectral_bound=rho
         )
@@ -191,7 +218,9 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
 
     The solve is authoritative (one step of iterative refinement is applied);
     the truncated series uses enough terms for a ``series_tol`` geometric
-    tail, and the two must agree entrywise within ``agree_tol``.
+    tail, and the two must agree entrywise within ``agree_tol``.  Both are
+    computed once per chain and ``series_tol``; ``agree_tol`` is applied on
+    every call.
 
     Raises
     ------
@@ -201,22 +230,24 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
         If solve and series disagree beyond ``agree_tol``.
     """
     rho = check_transient(chain)
-    P = chain.transitions
-    n = P.shape[0]
-    A = np.eye(n) - P
-    G = np.linalg.solve(A, np.eye(n))
-    G = G + np.linalg.solve(A, np.eye(n) - A @ G)
-    if rho == 0.0:
-        terms = 1
-    else:
-        terms = max(1, math.ceil(math.log(series_tol * (1 - rho)) / math.log(rho)))
-    S = _neumann_sum(P, terms)
-    agreement = float(np.abs(S - G).max())
-    if agreement > agree_tol:
+    data = chain._green_data.get(series_tol)
+    if data is None:
+        P = chain.transitions
+        n = P.shape[0]
+        A = np.eye(n) - P
+        G = np.linalg.solve(A, np.eye(n))
+        G = _read_only(G + np.linalg.solve(A, np.eye(n) - A @ G))
+        if rho == 0.0:
+            terms = 1
+        else:
+            terms = max(1, math.ceil(math.log(series_tol * (1 - rho)) / math.log(rho)))
+        agreement = float(np.abs(_neumann_sum(P, terms) - G).max())
+        data = chain._green_data[series_tol] = GreenData(G, rho, terms, agreement)
+    if data.series_agreement > agree_tol:
         raise InconsistencyError(
-            f"Green series and solve disagree: {agreement:.3e} > {agree_tol:g}"
+            f"Green series and solve disagree: {data.series_agreement:.3e} > {agree_tol:g}"
         )
-    return GreenData(G=G, spectral_bound=rho, series_terms=terms, series_agreement=agreement)
+    return data
 
 
 def green_kernel(
@@ -239,18 +270,8 @@ def green_kernel(
 
 
 def green_root(chain: MarkovChain) -> np.ndarray:
-    """The operator ``(I - P)^{-1/2}`` in the weighted geometry."""
-
-    def inv_sqrt(lam: np.ndarray) -> np.ndarray:
-        top = float(lam.max())
-        if top >= 1 - TRANSIENCE_GAP:
-            raise NotTransientError(
-                f"chain is not transient: spectral bound {top:.12g} reaches 1",
-                spectral_bound=top,
-            )
-        return 1.0 / np.sqrt(1.0 - lam)
-
-    return spectral_transform(chain.transitions, chain.space.weight_array, inv_sqrt)
+    """The operator ``(I - P)^{-1/2}`` in the weighted geometry (read-only)."""
+    return chain._green_root
 
 
 def k_from_green(chain: MarkovChain, A: MeasurableSet) -> np.ndarray:
@@ -272,8 +293,7 @@ def contractivity_check(
     the quadratic-form bound ``|<phi, P phi>| <= |phi|^2`` (both within
     ``tol``).
     """
-    lam = _symmetric_spectrum(chain)
-    if float(np.abs(lam).max()) > 1 + tol:
+    if float(np.abs(chain._eigenpairs[0]).max()) > 1 + tol:
         return False
     rng = np.random.default_rng(seed)
     w = chain.space.weight_array
@@ -286,5 +306,4 @@ def contractivity_check(
 
 def spectral_gap(chain: MarkovChain) -> float:
     """Smallest weighted eigenvalue of ``I - P``; positive for transient chains."""
-    lam = _symmetric_spectrum(chain)
-    return float(1.0 - lam.max())
+    return float(1.0 - chain._eigenpairs[0].max())

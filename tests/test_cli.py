@@ -429,6 +429,35 @@ def test_markov_green_solves_for_the_green_function_once(runner, tmp_path, monke
     assert len(calls) == 1
 
 
+def test_markov_green_decomposes_the_chain_once(runner, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(decompose):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decompose(*args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    result = invoke(runner, tmp_path, "markov-green", "--config", str(CONFIGS / "two-state-green.yaml"))
+    assert result.exit_code == 0, result.output
+    # the chain's spectrum once, then the probe Gram's and build_T's
+    assert len(calls) == 3
+
+
+def test_transience_is_judged_by_its_own_gap(runner, tmp_path):
+    out = tmp_path / "g.jsonl"
+    result = invoke(
+        runner, tmp_path, "markov-green", "--config", str(CONFIGS / "two-state-green.yaml"),
+        "--out", str(out), "--tol", "transience-gap=0.6",
+    )
+    assert result.exit_code == 1, result.output
+    record = next(r for r in read_records(out)[1] if r["check"] == "transience")
+    assert (record["status"], record["value"], record["bound"]) == ("fail", 0.5, pytest.approx(0.4))
+
+
 GOLDEN_RUNS = sorted(p.stem.split(".") for p in (Path(__file__).resolve().parent / "golden").glob("*.jsonl"))
 
 
@@ -474,3 +503,14 @@ def test_readme_check_table_matches_the_registry():
     documented = {(name, tag, tol or None) for name, tag, tol in rows}
     assert {name for name, _, _ in documented} - {"q-level-<n>"} == set(CHECKS)
     assert documented == {(c.name, c.tag, c.tol) for _, checks in SUITES.values() for c in checks}
+
+
+@pytest.mark.parametrize("field", ["phi", "psi"])
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_nonfinite_simple_function_coefficient_is_a_config_error(runner, tmp_path, field, value):
+    terms = {"phi": "[[1.0, [a]]]", "psi": "[[1.0, [b]]]"}
+    terms[field] = f"[[{value}, [a]]]"
+    output = _config_error(
+        runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\nphi: {terms['phi']}\npsi: {terms['psi']}\n"
+    )
+    assert f"{field}[0] coefficient" in output

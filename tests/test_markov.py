@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkern import (
+    InconsistencyError,
     InvalidChainError,
     MarkovChain,
     MeasureSpace,
@@ -269,3 +272,84 @@ def test_contractivity_random_chains():
 def test_identity_chain_is_contractive_at_the_boundary():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
     assert contractivity_check(MarkovChain(sp, np.eye(2)))
+
+
+# ---------------------------------------------------------------------------
+# the per-chain cache of spectrum, Green function and root
+
+
+def near_recurrent_path(n=10, kill=1e-4):
+    """Valid transient path whose solve and series disagree by about 1e-8."""
+    atoms = [f"p{i}" for i in range(n)]
+    edges = [(atoms[i], atoms[i + 1], 1.0) for i in range(n - 1)]
+    return MarkovChain.from_conductances(atoms, edges, {atoms[0]: kill})
+
+
+def test_green_is_shared_and_read_only():
+    chain = random_conductance_chain(np.random.default_rng(11), 8)
+    first, second = green(chain), green(chain)
+    np.testing.assert_array_equal(first.G, second.G)
+    for array in (first.G, green_root(chain)):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def test_agreement_bound_applies_on_every_call():
+    chain = random_conductance_chain(np.random.default_rng(12), 8)
+    agreement = green(chain).series_agreement
+    assert agreement > 0
+    with pytest.raises(InconsistencyError):
+        green(chain, agree_tol=agreement / 2)
+    path = near_recurrent_path()
+    for _ in range(2):
+        with pytest.raises(InconsistencyError):
+            green(path)
+
+
+def test_series_tolerance_keys_its_own_series():
+    chain = random_conductance_chain(np.random.default_rng(13), 8)
+    tight = green(chain).series_terms
+    loose = green(chain, series_tol=1e-3, agree_tol=1.0).series_terms
+    assert loose < tight
+    assert green(chain).series_terms == tight
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_cached_results_match_fresh_numpy(n, seed):
+    chain = random_conductance_chain(np.random.default_rng(seed), n)
+    P, w = chain.transitions, chain.space.weight_array
+    d = np.sqrt(w)
+    sym = d[:, None] * P / d[None, :]
+    lam, U = np.linalg.eigh(0.5 * (sym + sym.T))
+    root = ((U / np.sqrt(1.0 - lam)) @ U.T) / d[:, None] * d[None, :]
+
+    def close(value, reference):
+        assert np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    close(check_transient(chain), np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.T))).max())
+    close(spectral_gap(chain), 1.0 - lam.max())
+    close(green(chain).G, np.linalg.inv(np.eye(n) - P))
+    close(green_root(chain), root)
+
+
+def test_one_eigendecomposition_and_one_refined_solve_per_chain(monkeypatch):
+    calls = {"eigen": 0, "solve": 0}
+
+    def counting(kind, fn):
+        def counted(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name, kind in (("eigh", "eigen"), ("eigvalsh", "eigen"), ("solve", "solve")):
+        monkeypatch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
+    chain = random_conductance_chain(np.random.default_rng(14), 8)
+    check_transient(chain)
+    spectral_gap(chain)
+    contractivity_check(chain)
+    green(chain)
+    green_kernel(chain)
+    green_root(chain)
+    assert calls == {"eigen": 1, "solve": 2}
