@@ -33,8 +33,10 @@ from .factorization import (
     build_T,
     check_absolute_continuity,
     coisometry_b_star,
+    coisometry_b_star_batch,
     export_factorization,
     isometry_b,
+    isometry_b_batch,
     onb_factorization,
     onb_gram,
     radon_nikodym_density,

@@ -110,11 +110,6 @@ class Run:
         return _or_none(lambda: factorization.realize(self.kernel, tol=self.report.tolerances["realization"]))
 
     @cached_property
-    def kvecs(self) -> np.ndarray:
-        """Rows ``k_A = S chi_A`` of ``C S^T``, the images under ``b`` of the probes' kernel sections."""
-        return self.cfg.space.indicator_matrix(self.probes) @ self.fact.S.T
-
-    @cached_property
     def parseval(self) -> tuple[float, float]:
         """Parseval error over two orthonormal bases, and the bases' disagreement."""
         space = self.cfg.space
@@ -172,7 +167,7 @@ def _bounded(needs: str, value: Callable[[Run], float]) -> Callable[[Run, float]
 
 
 def _psd(g: kernels.GramMatrix | None, tol: float) -> Outcome:
-    """Smallest eigenvalue of ``g`` against ``-tol`` times its trace (absolute below one)."""
+    """Smallest eigenvalue of ``g`` against ``-tol`` times its trace."""
     if g is None:
         return None, None, False
     value, bound = g.min_eigenvalue, g.psd_bound(tol)
@@ -201,34 +196,29 @@ def _density(run: Run, tol: float) -> Outcome:
     return _within(rep.max_residual, tol, rep.absolute_continuity_ok)
 
 
-def _random_coefficients(rng: np.random.Generator, m: int) -> np.ndarray:
-    """A random element ``sum_i alpha_i K(., A_i)`` of one to four terms over a pool of ``m`` sets."""
-    k = int(rng.integers(1, 5))
-    idx = rng.integers(0, m, size=k)
-    coefs = rng.uniform(-2.0, 2.0, size=k)
-    alpha = np.zeros(m)
-    np.add.at(alpha, idx, coefs)
-    return alpha
+def _random_coefficients(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
+    """Rows of ``count`` random elements ``sum_i alpha_i K(., A_i)`` of one to four terms over a pool of ``m`` sets."""
+    terms = rng.integers(1, 5, size=count)
+    idx = rng.integers(0, m, size=(count, 4)) + m * np.arange(count)[:, None]
+    coefs = rng.uniform(-2.0, 2.0, size=(count, 4)) * (np.arange(4) < terms[:, None])
+    return np.bincount(idx.ravel(), weights=coefs.ravel(), minlength=count * m).reshape(count, m)
 
 
 def _isometry(run: Run) -> float:
     """Largest relative error of ``|b F|^2 = |F|^2`` over 1000 random elements ``F``."""
-    alpha = np.array([_random_coefficients(run.rng, len(run.probes)) for _ in range(1000)])
-    n2 = np.einsum("ij,jk,ik->i", alpha, run.gram.entries, alpha)
-    image_n2 = (alpha @ run.kvecs) ** 2 @ run.cfg.space.weight_array
+    alpha = _random_coefficients(run.rng, len(run.probes), 1000)
+    n2 = ((alpha @ run.gram.entries) * alpha).sum(axis=1)
+    image_n2 = factorization.isometry_b_batch(run.fact, alpha, run.probes) ** 2 @ run.cfg.space.weight_array
     return float(np.max(np.abs(image_n2 - n2) / np.maximum(1.0, np.abs(n2))))
 
 
 def _adjoint(run: Run) -> float:
     """Largest relative error of ``<b* phi, F> = <phi, b F>`` over 200 random pairs."""
-    phis, alphas = [], []
-    for _ in range(200):
-        phis.append(run.rng.standard_normal(run.cfg.space.size))
-        alphas.append(_random_coefficients(run.rng, len(run.probes)))
-    phi_w = np.array(phis) * run.cfg.space.weight_array
-    alpha = np.array(alphas)
-    lhs = ((phi_w @ run.kvecs.T) * alpha).sum(axis=1)  # sum_i alpha_i (b* phi)(A_i)
-    rhs = (phi_w * (alpha @ run.kvecs)).sum(axis=1)  # <phi, b(F)>
+    phi = run.rng.standard_normal((200, run.cfg.space.size))
+    alpha = _random_coefficients(run.rng, len(run.probes), 200)
+    lhs = (factorization.coisometry_b_star_batch(run.fact, phi, run.probes) * alpha).sum(axis=1)
+    image = factorization.isometry_b_batch(run.fact, alpha, run.probes)
+    rhs = (phi * run.cfg.space.weight_array * image).sum(axis=1)  # <phi, b(F)>
     return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
 
 

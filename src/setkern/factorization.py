@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     AbsoluteContinuityError,
+    DomainError,
     InconsistencyError,
     InvalidBasisError,
     InvalidMapError,
@@ -47,7 +48,9 @@ __all__ = [
     "realize",
     "reverse_direction",
     "isometry_b",
+    "isometry_b_batch",
     "coisometry_b_star",
+    "coisometry_b_star_batch",
     "onb_factorization",
     "onb_gram",
     "b_range_dimension",
@@ -172,7 +175,7 @@ def build_T(kernel: SetKernel, *, tol: float = 1e-10, psd_reject: float = 1e-8) 
     Ms = Q / d[:, None] / d[None, :]
     lam = np.linalg.eigvalsh(0.5 * (Ms + Ms.T))
     lmax = max(float(lam.max()), 0.0)
-    if float(lam.min()) < -psd_reject * max(lmax, 1.0):
+    if float(lam.min()) < -psd_reject * lmax:
         raise NotPositiveError(
             f"kernel is indefinite on singletons (eigenvalue {lam.min():.3e})"
         )
@@ -211,6 +214,10 @@ class Factorization:
     def k(self, A: MeasurableSet) -> np.ndarray:
         """The factor vector ``k_A = S chi_A``."""
         return self.S @ self.space.indicator(A)
+
+    def k_rows(self, sets: Sequence[MeasurableSet]) -> np.ndarray:
+        """The factor vectors ``k_A`` of ``sets`` as the rows of ``C S^T``."""
+        return self.space.indicator_matrix(sets) @ self.S.T
 
     def apply_S(self, phi: SimpleFunction | np.ndarray) -> np.ndarray:
         """Apply ``S`` to a simple function (or pointwise atom vector)."""
@@ -317,28 +324,38 @@ class RkhsElement:
         G = gram(kernel, self.sets()).entries
         return float(alpha @ G @ alpha)
 
-    def to_simple(self) -> SimpleFunction:
-        """The simple function with the same coefficients over the same sets."""
-        return SimpleFunction(self.terms)
+
+def isometry_b_batch(factorization: Factorization, alpha: np.ndarray, sets: Sequence[MeasurableSet]) -> np.ndarray:
+    """Images under ``b`` of the elements ``sum_i alpha[r, i] K(., sets[i])``, one per row of ``alpha``.
+
+    ``b`` sends ``K(., A)`` to ``k_A`` and extends linearly, so the images are
+    the rows of ``alpha @ (C S^T)``, each with its element's norm in weighted L2.
+    """
+    return np.asarray(alpha, dtype=float) @ factorization.k_rows(sets)
 
 
 def isometry_b(factorization: Factorization, element: RkhsElement) -> np.ndarray:
-    """Image of an element under the isometry into weighted L2.
+    """Image of one element under the isometry into weighted L2 (see ``isometry_b_batch``)."""
+    return isometry_b_batch(factorization, element.coefficients()[None], element.sets())[0]
 
-    ``b`` sends ``K(., A)`` to ``k_A`` and extends linearly, so the image is
-    ``S`` applied to the matching simple function; its weighted L2 norm
-    equals the element's reproducing-space norm.
+
+def coisometry_b_star_batch(factorization: Factorization, phi: np.ndarray, sets: Sequence[MeasurableSet]) -> np.ndarray:
+    """Adjoint images ``(b* phi)(A) = <phi, k_A>``: ``(phi w) @ (C S^T)^T``, one row per row of ``phi``.
+
+    A ``phi`` that is not a matrix with one column per atom raises ``DomainError``.
     """
-    if not element.terms:
-        return np.zeros(factorization.space.size)
-    return factorization.apply_S(element.to_simple())
+    phi = np.asarray(phi, dtype=float)
+    space = factorization.space
+    if phi.ndim != 2 or phi.shape[1] != space.size:
+        raise DomainError("atom vectors must match the space size")
+    return (phi * space.weight_array) @ factorization.k_rows(sets).T
 
 
 def coisometry_b_star(
     factorization: Factorization, phi: np.ndarray, A: MeasurableSet
 ) -> float:
     """Value at ``A`` of the adjoint image of an L2 vector: ``<phi, k_A>``."""
-    return factorization.space.inner(np.asarray(phi, dtype=float), factorization.k(A))
+    return float(coisometry_b_star_batch(factorization, np.asarray(phi, dtype=float)[None], [A])[0, 0])
 
 
 def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray], tol: float) -> np.ndarray:
@@ -395,10 +412,8 @@ def onb_gram(
     ``<phi_n, k_A>``, and the result is the product of the coefficient
     matrix with its transpose.
     """
-    space = factorization.space
-    Bmat = _check_onb(space, basis, tol)
-    kvecs = space.indicator_matrix(sets) @ factorization.S.T
-    coef = (kvecs * space.weight_array) @ Bmat.T
+    Bmat = _check_onb(factorization.space, basis, tol)
+    coef = coisometry_b_star_batch(factorization, Bmat, sets).T
     return coef @ coef.T
 
 
@@ -466,7 +481,7 @@ def export_factorization(
     """
     space = factorization.space
     sets = list(dict.fromkeys([*space.singletons(), *family]))
-    kvecs = space.indicator_matrix(sets) @ factorization.S.T
+    kvecs = factorization.k_rows(sets)
     return {
         "atoms": list(space.atoms),
         "weights": list(space.weights),
@@ -481,6 +496,23 @@ def export_factorization(
 def write_factorization(
     factorization: Factorization, path: str | Path, family: Sequence[MeasurableSet] = ()
 ) -> None:
-    """Write the JSON export with stable ordering."""
-    data = export_factorization(factorization, family)
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Write the JSON export: the bytes of ``json.dumps(export, indent=2, sort_keys=True)`` and a newline."""
+    Path(path).write_text(_indented_json(export_factorization(factorization, family)) + "\n")
+
+
+def _indented_json(obj: object, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, with each list of scalars written by the C encoder.
+
+    ``json.dumps`` with ``indent`` always runs the pure-Python encoder; without it
+    the C encoder spells scalars the same way.  A list is laid out by its first
+    item: no list of the export mixes scalars and containers.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{json.dumps(key)}: {_indented_json(value, inner)}" for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+        return "[" + inner + ("," + inner).join(_indented_json(item, inner) for item in obj) + pad + "]"
+    if isinstance(obj, list) and obj:
+        return "[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1] + pad + "]"
+    return json.dumps(obj)

@@ -110,7 +110,7 @@ def build_sampler(
         return FieldSampler(family=family, gram=g, factor=np.zeros((0, 0)), seed=int(seed))
     lam, U = np.linalg.eigh(g.entries)
     lmax = max(float(lam.max()), 0.0)
-    if float(lam.min()) < -tol * max(lmax, 1.0):
+    if float(lam.min()) < -tol * lmax:
         raise InvalidCovarianceError(
             f"Gram matrix is indefinite: eigenvalue {lam.min():.3e} with top {lmax:.3e}"
         )

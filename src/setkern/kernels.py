@@ -126,7 +126,7 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     Ms, _ = symmetrized(M, w)
     lam = np.linalg.eigvalsh(Ms)
     lmax = max(float(lam.max()), 0.0)
-    if float(lam.min()) < -tol * max(lmax, 1.0):
+    if float(lam.min()) < -tol * lmax:
         raise InvalidOperatorError(
             f"matrix is indefinite (eigenvalue {lam.min():.3e}) and induces no valid kernel"
         )
@@ -156,8 +156,8 @@ class GramMatrix:
         return float(ev.min()) if ev.size else 0.0
 
     def psd_bound(self, tol: float) -> float:
-        """Least admissible eigenvalue: ``-tol`` relative to the trace, absolute below one."""
-        return -tol * max(1.0, abs(float(np.trace(self.entries))))
+        """Least admissible eigenvalue: ``-tol`` relative to the trace."""
+        return -tol * abs(float(np.trace(self.entries)))
 
     def schwarz_excess(self) -> float:
         """Largest ``K(A,B)^2 - K(A,A) K(B,B)`` over pairs of the family."""
@@ -183,7 +183,7 @@ def check_positive_definite(
     """Certify the quadratic form on ``sets`` is nonnegative.
 
     Passes iff the smallest Gram eigenvalue is at least ``-tol`` relative to
-    the Gram trace (absolute when the trace is below one).  The singleton
+    the Gram trace, however small the trace.  The singleton
     family is decisive, so callers typically include the singletons
     alongside the sets of interest.
     """

@@ -140,8 +140,16 @@ class MarkovChain:
         return _read_only(lam), _read_only(U)
 
     @cached_property
-    def _green_data(self) -> dict[float, GreenData]:
-        """``green``'s solve and series, one entry per ``series_tol``, before ``agree_tol``."""
+    def _green(self) -> np.ndarray:
+        """``(I - P)^{-1}`` by a solve with one step of iterative refinement."""
+        n = self.space.size
+        A = np.eye(n) - self.transitions
+        G = np.linalg.solve(A, np.eye(n))
+        return _read_only(G + np.linalg.solve(A, np.eye(n) - A @ G))
+
+    @cached_property
+    def _series(self) -> dict[float, tuple[int, float]]:
+        """``green``'s series terms and series/solve agreement, one entry per ``series_tol``."""
         return {}
 
     @cached_property
@@ -218,9 +226,9 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
 
     The solve is authoritative (one step of iterative refinement is applied);
     the truncated series uses enough terms for a ``series_tol`` geometric
-    tail, and the two must agree entrywise within ``agree_tol``.  Both are
-    computed once per chain and ``series_tol``; ``agree_tol`` is applied on
-    every call.
+    tail, and the two must agree entrywise within ``agree_tol``.  The solve
+    is computed once per chain and the series once per ``series_tol``;
+    ``agree_tol`` is applied on every call.
 
     Raises
     ------
@@ -230,24 +238,17 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
         If solve and series disagree beyond ``agree_tol``.
     """
     rho = check_transient(chain)
-    data = chain._green_data.get(series_tol)
-    if data is None:
-        P = chain.transitions
-        n = P.shape[0]
-        A = np.eye(n) - P
-        G = np.linalg.solve(A, np.eye(n))
-        G = _read_only(G + np.linalg.solve(A, np.eye(n) - A @ G))
+    if series_tol not in chain._series:
         if rho == 0.0:
             terms = 1
         else:
             terms = max(1, math.ceil(math.log(series_tol * (1 - rho)) / math.log(rho)))
-        agreement = float(np.abs(_neumann_sum(P, terms) - G).max())
-        data = chain._green_data[series_tol] = GreenData(G, rho, terms, agreement)
-    if data.series_agreement > agree_tol:
-        raise InconsistencyError(
-            f"Green series and solve disagree: {data.series_agreement:.3e} > {agree_tol:g}"
-        )
-    return data
+        agreement = float(np.abs(_neumann_sum(chain.transitions, terms) - chain._green).max())
+        chain._series[series_tol] = terms, agreement
+    terms, agreement = chain._series[series_tol]
+    if agreement > agree_tol:
+        raise InconsistencyError(f"Green series and solve disagree: {agreement:.3e} > {agree_tol:g}")
+    return GreenData(chain._green, rho, terms, agreement)
 
 
 def green_kernel(

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from setkern.cli import CHECKS, SUITES, main
+from setkern.cli import CHECKS, SUITES, _random_coefficients, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -514,3 +514,46 @@ def test_nonfinite_simple_function_coefficient_is_a_config_error(runner, tmp_pat
         runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\nphi: {terms['phi']}\npsi: {terms['psi']}\n"
     )
     assert f"{field}[0] coefficient" in output
+
+
+def test_an_indefinite_matrix_far_below_unit_scale_is_a_config_error(runner, tmp_path):
+    output = _config_error(
+        runner, tmp_path, WIENER_SPACE + "kernel: {type: operator, matrix: [[1e-12, 2e-12], [2e-12, 1e-12]]}\n"
+    )
+    assert "kernel.matrix" in output
+    assert "indefinite" in output
+
+
+def test_factorize_checks_keep_their_order_tags_and_bounds(runner, tmp_path):
+    out = tmp_path / "f.jsonl"
+    result = invoke(runner, tmp_path, "factorize", "--config", str(CONFIGS / "rank-one.yaml"), "--out", str(out))
+    assert result.exit_code == 0
+    _, records = read_records(out)
+    factorize = [(r["check"], r["tag"], r["bound"]) for r in records[4:]]
+    assert factorize == [
+        ("realization", "realization", 1e-8),
+        ("density-consistency", "density", 1e-9),
+        ("isometry", "isometry", 1e-9),
+        ("adjoint", "adjoint", 1e-9),
+        ("parseval", "parseval", 1e-9),
+        ("parseval-invariance", "parseval", 1e-10),
+        ("range-rank", "range-rank", 1.0),
+    ]
+
+
+def test_random_elements_follow_the_per_element_law():
+    count, m = 20_000, 64
+    alpha = _random_coefficients(np.random.default_rng(3), m, count)
+    rng = np.random.default_rng(3)  # the same three draws, summed one term at a time
+    terms = rng.integers(1, 5, size=count)
+    idx = rng.integers(0, m, size=(count, 4))
+    coefs = rng.uniform(-2.0, 2.0, size=(count, 4))
+    reference = np.zeros((count, m))
+    for r in range(count):
+        for t in range(terms[r]):
+            reference[r, idx[r, t]] += coefs[r, t]
+    np.testing.assert_array_equal(alpha, reference)
+    shares = np.bincount(terms, minlength=5)[1:] / count
+    assert np.abs(shares - 0.25).max() <= 0.02
+    assert idx.min() == 0 and idx.max() == m - 1
+    assert np.abs(coefs).max() <= 2.0

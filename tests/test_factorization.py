@@ -1,10 +1,14 @@
 """Realization engine: densities, operator assembly, square roots, isometries."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from setkern import (
     AbsoluteContinuityError,
+    DomainError,
     Factorization,
     InconsistencyError,
     InvalidBasisError,
@@ -18,10 +22,12 @@ from setkern import (
     build_T,
     check_absolute_continuity,
     coisometry_b_star,
+    coisometry_b_star_batch,
     counting_kernel,
     export_factorization,
     gram,
     isometry_b,
+    isometry_b_batch,
     onb_factorization,
     operator_kernel,
     radon_nikodym_density,
@@ -31,7 +37,9 @@ from setkern import (
     sqrt_T,
     verify_pushforward,
     wiener_kernel,
+    write_factorization,
 )
+from setkern.config import load_config
 from support import (
     random_nu_psd_matrix,
     random_operator_kernel,
@@ -39,6 +47,9 @@ from support import (
     random_simple_function,
     random_space,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -335,6 +346,33 @@ def test_reproducing_property_through_b(space):
         assert coisometry_b_star(fact, image, B) == pytest.approx(k(A, B), abs=1e-9)
 
 
+def test_batch_rows_match_the_single_element_views():
+    rng = np.random.default_rng(10)
+    space = random_space(rng, 7, zero_atoms=1)
+    fact = realize(random_operator_kernel(rng, space))
+    sets = list(space.singletons()) + random_sets(rng, space, 5)
+    alpha = rng.uniform(-2.0, 2.0, size=(40, len(sets)))
+    phi = rng.standard_normal((40, space.size))
+    images = isometry_b_batch(fact, alpha, sets)
+    adjoints = coisometry_b_star_batch(fact, phi, sets)
+    for a, image in zip(alpha, images):
+        reference = fact.S @ (a @ space.indicator_matrix(sets))  # S applied to sum_i alpha_i chi_(A_i)
+        for single in (reference, isometry_b(fact, RkhsElement(tuple(zip(a, sets))))):
+            assert np.abs(image - single).max() <= 1e-12 * np.abs(single).max()
+    for p, row in zip(phi, adjoints):
+        reference = np.array([space.inner(p, fact.k(A)) for A in sets])
+        for single in (reference, [coisometry_b_star(fact, p, A) for A in sets]):
+            assert np.abs(row - single).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_coisometry_rejects_vectors_of_the_wrong_size(space):
+    fact = realize(wiener_kernel(space))
+    with pytest.raises(DomainError):
+        coisometry_b_star(fact, np.ones(2), space.subset("a"))
+    with pytest.raises(DomainError):
+        coisometry_b_star_batch(fact, np.ones(3), [space.subset("a")])
+
+
 # ---------------------------------------------------------------------------
 # Parseval expansions
 
@@ -440,3 +478,32 @@ def test_export_contents(space):
     np.testing.assert_allclose(data["T"], np.eye(3))
     by_set = {tuple(entry["set"]): entry["vector"] for entry in data["k"]}
     np.testing.assert_allclose(by_set[("a", "b")], [1.0, 1.0, 0.0], atol=1e-12)
+
+
+def assert_written_as_indented_json(fact, family, path):
+    write_factorization(fact, path, family=family)
+    expected = json.dumps(export_factorization(fact, family), indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("name", ["rank-one", "two-state-green", "wiener"])
+def test_shipped_exports_are_indented_json(name, tmp_path):
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    assert_written_as_indented_json(realize(cfg.kernel()), cfg.family, tmp_path / "f.json")
+
+
+def test_a_150_atom_export_is_indented_json(tmp_path):
+    rng = np.random.default_rng(150)
+    space = random_space(rng, 150)
+    fact = realize(random_operator_kernel(rng, space, well_conditioned=True))
+    assert_written_as_indented_json(fact, random_sets(rng, space, 50), tmp_path / "f.json")
+
+
+def test_export_edge_cases_are_indented_json(tmp_path):
+    space = MeasureSpace(('quote"', "back\\slash", "new\nline", "ünï", "null"), (1.0, 5e-324, 1e300, 2.0, 0.0))
+    fact = realize(wiener_kernel(space))
+    assert_written_as_indented_json(fact, (), tmp_path / "empty-family.json")
+    assert_written_as_indented_json(fact, [space.subset('quote"', "ünï")], tmp_path / "family.json")
+    T = np.array([[-0.0, 5e-324, 1e300, np.nan, -np.inf]] * 5)
+    odd = Factorization(space=space, kernel=fact.kernel, T=T, S=T, residual=0.0)
+    assert_written_as_indented_json(odd, [space.full_set()], tmp_path / "odd.json")

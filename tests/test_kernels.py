@@ -137,6 +137,22 @@ def test_operator_rejects_indefinite_matrix():
         operator_kernel(sp, np.diag([1.0, -1.0]))
 
 
+# Indefinite (eigenvalues 3e-12 and -1e-12) at a scale far below one.
+TINY_INDEFINITE = np.array([[1e-12, 2e-12], [2e-12, 1e-12]])
+
+
+def test_operator_rejects_an_indefinite_matrix_at_any_scale():
+    with pytest.raises(InvalidOperatorError, match="indefinite"):
+        operator_kernel(MeasureSpace(("a", "b"), (1.0, 1.0)), TINY_INDEFINITE)
+
+
+def test_positivity_is_relative_to_the_gram_scale():
+    sp = MeasureSpace(("a", "b"), (1.0, 1.0))
+    tiny = SetKernel.from_atom_gram(sp, sp.weight_array[:, None] * TINY_INDEFINITE)
+    assert not check_positive_definite(tiny, list(sp.singletons()))
+    assert check_positive_definite(SetKernel.from_atom_gram(sp, 1e-12 * np.eye(2)), list(sp.singletons()))
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_operator_rejects_nonfinite_matrix(space, entry):
     M = np.eye(3)

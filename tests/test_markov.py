@@ -353,3 +353,15 @@ def test_one_eigendecomposition_and_one_refined_solve_per_chain(monkeypatch):
     green_kernel(chain)
     green_root(chain)
     assert calls == {"eigen": 1, "solve": 2}
+
+
+def test_a_second_series_tolerance_reuses_the_solve(monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    chain = random_conductance_chain(np.random.default_rng(15), 50)
+    tight = green(chain)
+    loose = green(chain, series_tol=1e-6, agree_tol=1e-4)
+    assert len(solves) == 2
+    assert loose.G is tight.G
+    assert loose.series_terms < tight.series_terms
