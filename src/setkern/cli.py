@@ -288,7 +288,8 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
     )),
     "green": (lambda run: True, (
         Check("spectral-gap", "spectral-gap", "transience-gap",
-              lambda run, tol: (gap := markov.spectral_gap(run.cfg.chain), tol, gap >= tol)),
+              lambda run, tol: (gap := _or_none(partial(markov.spectral_gap, run.cfg.chain)), tol,
+                                gap is not None and gap >= tol)),
         Check("green-identity", "green-identity", "green-identity", _bounded("green", _green_identity)),
         Check("series-solve", "series-agreement", "series-solve",
               _bounded("green", lambda run: run.green.series_agreement)),

@@ -33,7 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .kernels import SetKernel, gram
-from .linalg import numerical_rank, psd_sqrt
+from .linalg import Spectrum, psd_sqrt
 from .measure import MeasurableSet, MeasureSpace, SimpleFunction
 
 __all__ = [
@@ -151,7 +151,7 @@ def build_T(kernel: SetKernel, *, tol: float = 1e-10, psd_reject: float = 1e-8) 
     ``T[x, y] = K({x}, {y}) / w(x)`` on positive atoms, zero rows and columns
     on null atoms.  The result satisfies ``<chi_A, T chi_B> = K(A, B)`` in the
     weighted pairing for every pair of sets, is nu-selfadjoint by symmetry of
-    the kernel, and is certified nu-PSD.
+    the kernel, and is certified nu-PSD by the kernel's ``spectrum``.
 
     Raises
     ------
@@ -167,32 +167,22 @@ def build_T(kernel: SetKernel, *, tol: float = 1e-10, psd_reject: float = 1e-8) 
         raise AbsoluteContinuityError(
             f"kernel charges null set {A} with K(A,A)={value:.3e}: no realization exists"
         )
+    kernel.spectrum.certify(psd_reject, NotPositiveError, "kernel on singletons")
     w = kernel.space.weight_array
     idx = np.flatnonzero(kernel.space.positive)
-    Q = kernel.Q[np.ix_(idx, idx)]
-    # PSD certificate on the weighted-geometry symmetrization D^{-1/2} Q D^{-1/2}.
-    d = np.sqrt(w[idx])
-    Ms = Q / d[:, None] / d[None, :]
-    lam = np.linalg.eigvalsh(0.5 * (Ms + Ms.T))
-    lmax = max(float(lam.max()), 0.0)
-    if float(lam.min()) < -psd_reject * lmax:
-        raise NotPositiveError(
-            f"kernel is indefinite on singletons (eigenvalue {lam.min():.3e})"
-        )
     T = np.zeros_like(kernel.Q)
-    T[np.ix_(idx, idx)] = Q / w[idx, None]
+    T[np.ix_(idx, idx)] = kernel.Q[np.ix_(idx, idx)] / w[idx, None]
     return T
 
 
 def sqrt_T(T: np.ndarray, space: MeasureSpace) -> np.ndarray:
     """Nu-PSD square root of a nu-selfadjoint nu-PSD atom matrix.
 
-    Computed by symmetrizing with the weight diagonal, taking a symmetric
-    eigendecomposition with eigenvalues below ``1e-12 * lambda_max`` clamped
-    to zero, and conjugating back.  An eigenvalue below
+    Computed from the matrix's weighted ``Spectrum``, with eigenvalues up to
+    ``CLAMP * lambda_max`` set to zero.  An eigenvalue below
     ``-1e-8 * lambda_max`` raises ``NotPositiveError``.
     """
-    return psd_sqrt(np.asarray(T, dtype=float), space.weight_array)
+    return psd_sqrt(Spectrum.of(T, space.weight_array).certify(1e-8, NotPositiveError, "matrix"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +228,7 @@ def realize(kernel: SetKernel, *, tol: float = 1e-8) -> Factorization:
     then ``k_A = T^{1/2} chi_A`` reproduces the kernel.  The reconstruction
     is verified on all singleton pairs before returning; kernels are
     biadditive by construction, so the singleton pairs decide every pair.
+    The root comes from the kernel's ``spectrum``, which ``build_T`` certifies.
 
     Raises
     ------
@@ -248,7 +239,7 @@ def realize(kernel: SetKernel, *, tol: float = 1e-8) -> Factorization:
     """
     space = kernel.space
     T = build_T(kernel)
-    S = sqrt_T(T, space)
+    S = psd_sqrt(kernel.spectrum)
     w = space.weight_array
     # <S chi_x, S chi_y> = (S^T D S)[x, y] must equal K({x},{y}) = (D T)[x, y].
     lhs = S.T @ (w[:, None] * S)
@@ -361,6 +352,8 @@ def coisometry_b_star(
 def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray], tol: float) -> np.ndarray:
     if len(basis) == 0:
         raise InvalidBasisError("empty basis")
+    if tol * len(basis) >= 1:
+        raise InvalidBasisError(f"tolerance {tol:g} cannot certify {len(basis)} vectors as orthonormal")
     B = np.asarray([np.asarray(v, dtype=float) for v in basis])
     if B.shape[1] != space.size:
         raise InvalidBasisError("basis vectors must match the space size")
@@ -368,9 +361,9 @@ def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray], tol: float) -> 
     G = B @ (w[:, None] * B.T)
     if float(np.abs(G - np.eye(len(basis))).max()) > tol:
         raise InvalidBasisError("family is not orthonormal in the weighted pairing")
-    n_pos = int(space.positive.sum())
-    scaled = B[:, space.positive] * np.sqrt(w[space.positive])[None, :]
-    if numerical_rank(scaled.T) < n_pos:
+    # G is the Gram of the rows of B D^{1/2}, within tol of I; as tol * len(basis) < 1 it is
+    # nonsingular (Gershgorin), so the rows span the positive atoms iff there are that many.
+    if len(basis) < int(space.positive.sum()):
         raise InvalidBasisError("basis does not span the positive-weight atoms")
     return B
 
@@ -392,8 +385,9 @@ def onb_factorization(
     Raises
     ------
     InvalidBasisError
-        If the family is not orthonormal within ``tol`` or does not span the
-        positive-weight atoms.
+        If the family is not orthonormal within ``tol``, does not span the
+        positive-weight atoms, or ``tol * len(basis) >= 1``, too loose to
+        make orthonormal vectors independent.
     """
     return float(onb_gram(factorization, basis, [A, B], tol=tol)[0, 1])
 
@@ -417,22 +411,15 @@ def onb_gram(
     return coef @ coef.T
 
 
-def b_range_dimension(
-    factorization: Factorization,
-    family: Sequence[MeasurableSet] = (),
-    *,
-    cutoff: float = 1e-10,
-) -> int:
+def b_range_dimension(factorization: Factorization, family: Sequence[MeasurableSet] = ()) -> int:
     """Dimension of the closed span of the ``k_A`` family in weighted L2.
 
-    The columns are ``k_A`` for every singleton plus the requested family,
-    scaled into the weighted geometry; the isometry is onto exactly when this
-    equals the number of positive-weight atoms.
+    The singletons alone already span the range of ``S``, so ``family``
+    adds nothing: the dimension is the rank of the kernel's ``spectrum``.
+    The isometry is onto exactly when this equals the number of
+    positive-weight atoms.
     """
-    space = factorization.space
-    C = space.indicator_matrix([*space.singletons(), *family])
-    scaled = np.sqrt(space.weight_array)[:, None] * (factorization.S @ C.T)
-    return numerical_rank(scaled, cutoff=cutoff)
+    return factorization.kernel.spectrum.rank
 
 
 def verify_pushforward(

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError, InvalidCovarianceError, OrderingError, UnsupportedFunctionError
 from .factorization import Factorization
 from .kernels import GramMatrix, SetKernel, gram
+from .linalg import Spectrum
 from .measure import MeasurableSet, Partition, SimpleFunction, is_partition, is_refinement
 
 __all__ = [
@@ -99,24 +100,19 @@ def build_sampler(
 ) -> FieldSampler:
     """Factor the Gram of ``family`` for sampling.
 
-    Uses a symmetric eigendecomposition, dropping eigenvalues below
-    ``1e-12`` of the largest (rank deficiency is expected, e.g. for the
-    product kernel).  An eigenvalue below ``-tol`` relative to the largest
-    means the Gram is indefinite and ``InvalidCovarianceError`` is raised.
+    Uses the Gram's ``Spectrum`` with unit weights: columns follow the
+    eigenvalues in descending order, and eigenvalues up to
+    ``CLAMP * lambda_max`` are dropped (rank deficiency is expected, e.g. for
+    the product kernel).  An eigenvalue below ``-tol`` relative to the
+    largest means the Gram is indefinite and ``InvalidCovarianceError`` is
+    raised.
     """
     family = tuple(family)
     g = gram(kernel, family)
-    if len(family) == 0:
-        return FieldSampler(family=family, gram=g, factor=np.zeros((0, 0)), seed=int(seed))
-    lam, U = np.linalg.eigh(g.entries)
-    lmax = max(float(lam.max()), 0.0)
-    if float(lam.min()) < -tol * lmax:
-        raise InvalidCovarianceError(
-            f"Gram matrix is indefinite: eigenvalue {lam.min():.3e} with top {lmax:.3e}"
-        )
-    order = np.argsort(lam)[::-1]
-    keep = order[lam[order] > 1e-12 * lmax] if lmax > 0 else order[:0]
-    L = U[:, keep] * np.sqrt(lam[keep])
+    spec = Spectrum.of(g.entries, np.ones(len(family))).certify(tol, InvalidCovarianceError, "Gram matrix")
+    order = np.argsort(spec.values)[::-1]
+    keep = order[spec.kept[order]]
+    L = spec.vectors[:, keep] * np.sqrt(spec.values[keep])
     return FieldSampler(family=family, gram=g, factor=L, seed=int(seed))
 
 

@@ -13,12 +13,13 @@ kernels are the overlap (Wiener) kernel ``Q = diag(w)``, the product kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidOperatorError
-from .linalg import selfadjoint_defect, symmetrized
+from .linalg import Spectrum, selfadjoint_defect
 from .measure import MeasurableSet, MeasureSpace
 
 __all__ = [
@@ -40,7 +41,8 @@ class SetKernel:
 
     ``Q`` is the atom Gram; ``matrix`` is the inducing operator ``M`` with
     ``Q = diag(w) M`` when the kernel is operator- or Green-induced, and
-    ``None`` otherwise.  Instances are immutable and safe to share.
+    ``None`` otherwise.  Instances are immutable and safe to share, and
+    compute their ``spectrum`` once, on first use.
 
     Raises
     ------
@@ -62,6 +64,12 @@ class SetKernel:
             raise InvalidOperatorError("atom Gram entries must be finite")
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Weighted spectrum of ``T = D^{-1} Q``, the operator ``factorization.build_T`` assembles."""
+        w = self.space.weight_array
+        return Spectrum.of(self.Q / np.where(w > 0, w, 1.0)[:, None], w)
 
     def __call__(self, A: MeasurableSet, B: MeasurableSet) -> float:
         self.space.validate_set(A)
@@ -107,8 +115,9 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     ------
     InvalidOperatorError
         If ``M`` has the wrong shape or nonfinite entries, violates the
-        weighted symmetry ``w(x) M[x,y] == w(y) M[y,x]`` beyond ``tol``, or
-        is indefinite beyond ``tol`` relative to its largest eigenvalue.
+        weighted symmetry ``w(x) M[x,y] == w(y) M[y,x]`` beyond ``tol``
+        relative to the largest ``|w(x) M[x,y]|``, or is indefinite beyond
+        ``tol`` relative to its largest eigenvalue.
     """
     M = np.asarray(M, dtype=float)
     n = space.size
@@ -117,20 +126,15 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     if not np.all(np.isfinite(M)):
         raise InvalidOperatorError("operator matrix entries must be finite")
     w = space.weight_array
+    Q = w[:, None] * M
     defect = selfadjoint_defect(M, w)
-    scale = max(1.0, float(np.abs(w[:, None] * M).max()))
-    if defect > tol * scale:
+    if defect > tol * float(np.abs(Q).max()):
         raise InvalidOperatorError(
             f"matrix is not selfadjoint in the weighted geometry (defect {defect:.3e})"
         )
-    Ms, _ = symmetrized(M, w)
-    lam = np.linalg.eigvalsh(Ms)
-    lmax = max(float(lam.max()), 0.0)
-    if float(lam.min()) < -tol * lmax:
-        raise InvalidOperatorError(
-            f"matrix is indefinite (eigenvalue {lam.min():.3e}) and induces no valid kernel"
-        )
-    return SetKernel(space=space, kind="operator", Q=w[:, None] * M, matrix=M)
+    kernel = SetKernel(space=space, kind="operator", Q=Q, matrix=M)
+    kernel.spectrum.certify(tol, InvalidOperatorError, "matrix")
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,26 +3,29 @@
 An atom matrix ``M`` acts on atom vectors.  With ``D`` the diagonal of atom
 weights, ``M`` is nu-selfadjoint when ``D M`` is symmetric, and nu-PSD when
 its similarity transform ``D^{1/2} M D^{-1/2}`` is PSD.  Null atoms (zero
-weight) are excluded from the geometry: spectral transforms act on the
-positive-weight block and return matrices with zero rows and columns at null
-atoms.
+weight) are excluded from the geometry.  A ``Spectrum`` holds the eigenpairs
+of that transform on the positive-weight atoms, and every PSD decision,
+square root and rank in the package reads one.  Spectral transforms return
+matrices with zero rows and columns at null atoms.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveError
-
 __all__ = [
+    "CLAMP",
+    "Spectrum",
     "selfadjoint_defect",
-    "symmetrized",
     "spectral_transform",
     "psd_sqrt",
     "numerical_rank",
 ]
+
+CLAMP = 1e-12
+"""Eigenvalues at most ``CLAMP * lambda_max`` are roundoff: roots set them to zero and ranks skip them."""
 
 
 def selfadjoint_defect(M: np.ndarray, weights: np.ndarray) -> float:
@@ -31,68 +34,76 @@ def selfadjoint_defect(M: np.ndarray, weights: np.ndarray) -> float:
     return float(np.abs(WM - WM.T).max())
 
 
-def symmetrized(M: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Similarity transform to a symmetric matrix on the positive-weight block.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigenpairs of ``D^{1/2} M D^{-1/2}`` on the positive-weight atoms.
 
-    Returns ``(Ms, pos)`` where ``pos`` is the positive-weight mask and
-    ``Ms = D^{1/2} M D^{-1/2}`` restricted to ``pos``, averaged with its
-    transpose to remove roundoff asymmetry.
+    ``values`` ascend and the columns of ``vectors`` are their eigenvectors;
+    ``pos`` is the positive-weight mask and ``d`` the square roots of the
+    positive weights.  Every array is read-only.
     """
-    weights = np.asarray(weights, dtype=float)
-    pos = weights > 0
-    d = np.sqrt(weights[pos])
-    Mp = np.asarray(M, dtype=float)[np.ix_(pos, pos)]
-    Ms = (d[:, None] * Mp) / d[None, :]
-    return 0.5 * (Ms + Ms.T), pos
+
+    values: np.ndarray
+    vectors: np.ndarray
+    pos: np.ndarray
+    d: np.ndarray
+
+    @classmethod
+    def of(cls, M: np.ndarray, weights: np.ndarray) -> "Spectrum":
+        """One ``eigh`` of the transform, averaged with its transpose to remove roundoff asymmetry."""
+        pos = weights > 0
+        d = np.sqrt(weights[pos])
+        Ms = (d[:, None] * np.asarray(M, dtype=float)[np.ix_(pos, pos)]) / d[None, :]
+        values, vectors = np.linalg.eigh(0.5 * (Ms + Ms.T))
+        for a in (values, vectors, pos, d):
+            a.setflags(write=False)
+        return cls(values, vectors, pos, d)
+
+    @property
+    def top(self) -> float:
+        """``lambda_max``, or zero when no eigenvalue is positive."""
+        return max(float(self.values.max()), 0.0) if self.values.size else 0.0
+
+    @property
+    def kept(self) -> np.ndarray:
+        """Mask of the eigenvalues above ``CLAMP * lambda_max``, the ones a root keeps."""
+        return self.values > CLAMP * self.top
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.kept))
+
+    def certify(self, tol: float, error: type[Exception], what: str) -> "Spectrum":
+        """``self`` if ``lambda_min >= -tol * lambda_max``; otherwise raise ``error``.
+
+        The rule is relative to the spectral scale with no absolute floor,
+        as eigenvalue perturbations are bounded by ``|Delta M|``, not by 1.
+        """
+        if self.values.size and float(self.values.min()) < -tol * self.top:
+            raise error(
+                f"{what} is indefinite: eigenvalue {self.values.min():.3e} below -{tol:g} * {self.top:.3e}"
+            )
+        return self
 
 
-def spectral_transform(
-    M: np.ndarray, weights: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Apply ``fn`` to the spectrum of a nu-selfadjoint matrix.
+def spectral_transform(spec: Spectrum, values: np.ndarray) -> np.ndarray:
+    """The atom matrix with ``spec``'s eigenvectors and the eigenvalues ``values``.
 
-    ``fn`` receives the eigenvalue array of the symmetrized positive block and
-    returns transformed eigenvalues (it may raise to reject a spectrum).  The
-    result is mapped back to an atom matrix with zero rows and columns at null
-    atoms.
+    It is mapped back from the symmetrization, with zero rows and columns at
+    null atoms.
     """
-    M = np.asarray(M, dtype=float)
-    Ms, pos = symmetrized(M, weights)
-    lam, U = np.linalg.eigh(Ms)
-    vals = np.asarray(fn(lam), dtype=float)
-    Rs = (U * vals) @ U.T
-    d = np.sqrt(np.asarray(weights, dtype=float)[pos])
-    Rp = (Rs / d[:, None]) * d[None, :]
-    out = np.zeros_like(M)
-    out[np.ix_(pos, pos)] = Rp
+    U, d = spec.vectors, spec.d
+    R = (((U * values) @ U.T) / d[:, None]) * d[None, :]
+    if spec.pos.all():
+        return R
+    out = np.zeros((spec.pos.size, spec.pos.size))
+    out[np.ix_(spec.pos, spec.pos)] = R
     return out
 
 
-def psd_sqrt(
-    M: np.ndarray,
-    weights: np.ndarray,
-    *,
-    clamp: float = 1e-12,
-    reject: float = 1e-8,
-) -> np.ndarray:
-    """Nu-PSD square root of a nu-selfadjoint nu-PSD matrix.
-
-    Eigenvalues below ``clamp * lambda_max`` are set to zero before taking the
-    root; an eigenvalue below ``-reject * lambda_max`` means the input is
-    genuinely indefinite and raises ``NotPositiveError``.
-    """
-
-    def root(lam: np.ndarray) -> np.ndarray:
-        lmax = max(float(lam.max()), 0.0) if lam.size else 0.0
-        if lam.size and float(lam.min()) < -reject * lmax:
-            raise NotPositiveError(
-                f"matrix is not positive semidefinite: eigenvalue {lam.min():.3e} "
-                f"below -{reject:g} * {lmax:.3e}"
-            )
-        lam = np.where(lam < clamp * lmax, 0.0, lam)
-        return np.sqrt(lam)
-
-    return spectral_transform(M, weights, root)
+def psd_sqrt(spec: Spectrum) -> np.ndarray:
+    """Nu-PSD square root from a certified spectrum, eigenvalues outside ``kept`` set to zero."""
+    return spectral_transform(spec, np.sqrt(np.where(spec.kept, spec.values, 0.0)))
 
 
 def numerical_rank(columns: np.ndarray, *, cutoff: float = 1e-10) -> int:

@@ -9,13 +9,16 @@ detailed balance holds by construction.
 
 Transience is certified spectrally: the largest weighted singular value of
 ``P`` must stay below one, which makes the Green series
-``G = I + P + P^2 + ...`` geometrically convergent.  ``G`` is computed by a
-direct solve of ``(I - P) G = I`` (authoritative) and cross-validated against
-the truncated series.
+``G = I + P + P^2 + ...`` geometrically convergent.  For a reversible chain
+that is the largest ``|lambda|`` of ``D^{1/2} P D^{-1/2}``; a chain that
+fails detailed balance is judged by ``P* P`` with ``P* = D^{-1} P^T D``
+instead, and has no spectral gap or ``(I - P)^{-1/2}``.  ``G`` is computed by a direct solve of
+``(I - P) G = I`` (authoritative) and cross-validated against the truncated
+series.
 
-A chain is immutable, so it computes its spectrum, its Green function and
-``(I - P)^{-1/2}`` once, on first use, and every function here shares them.
-The cached arrays are read-only.
+A chain is immutable, so it computes its spectrum, its balance defect, its
+Green function and ``(I - P)^{-1/2}`` once, on first use, and every function
+here shares them.  The cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import InconsistencyError, InvalidChainError, NotTransientError
 from .kernels import SetKernel
-from .linalg import symmetrized
+from .linalg import Spectrum, selfadjoint_defect, spectral_transform
 from .measure import MeasurableSet, MeasureSpace
 
 __all__ = [
@@ -134,10 +137,28 @@ class MarkovChain:
         return cls(space=MeasureSpace(tuple(atoms), tuple(w)), transitions=P)
 
     @cached_property
-    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and eigenvectors of the symmetrization ``D^{1/2} P D^{-1/2}``."""
-        lam, U = np.linalg.eigh(symmetrized(self.transitions, self.space.weight_array)[0])
-        return _read_only(lam), _read_only(U)
+    def _spectrum(self) -> Spectrum:
+        """Weighted spectrum of ``P``: one ``eigh`` of ``D^{1/2} P D^{-1/2}``."""
+        return Spectrum.of(self.transitions, self.space.weight_array)
+
+    @cached_property
+    def _balance_defect(self) -> float:
+        return selfadjoint_defect(self.transitions, self.space.weight_array)
+
+    @cached_property
+    def _reversible(self) -> bool:
+        """Detailed balance within ``1e-10`` of ``max w(x) P[x,y]``, which scales like the roundoff in ``w P``."""
+        scale = float((self.space.weight_array * self.transitions.max(axis=1)).max())
+        return self._balance_defect <= 1e-10 * scale
+
+    @cached_property
+    def _norm(self) -> float:
+        """Weighted norm of ``P``: its spectral radius if reversible, else ``sqrt(lambda_max(P* P))``."""
+        if self._reversible:
+            return float(np.abs(self._spectrum.values).max())
+        w = self.space.weight_array
+        adjoint = (self.transitions.T * w[None, :]) / w[:, None]
+        return math.sqrt(Spectrum.of(adjoint @ self.transitions, w).top)
 
     @cached_property
     def _green(self) -> np.ndarray:
@@ -154,21 +175,21 @@ class MarkovChain:
 
     @cached_property
     def _green_root(self) -> np.ndarray:
-        """``(I - P)^{-1/2}`` mapped back from the eigenpairs; a non-transient chain raises."""
-        lam, U = self._eigenpairs
+        """``(I - P)^{-1/2}`` from the spectrum; a non-reversible or non-transient chain raises."""
+        if not self._reversible:
+            raise InvalidChainError(f"chain is not reversible (defect {self._balance_defect:.3e}): no (I - P)^(-1/2)")
+        lam = self._spectrum.values
         top = float(lam.max())
         if top >= 1 - TRANSIENCE_GAP:
             raise NotTransientError(
                 f"chain is not transient: spectral bound {top:.12g} reaches 1", spectral_bound=top
             )
-        d = np.sqrt(self.space.weight_array)
-        return _read_only((((U * (1.0 / np.sqrt(1.0 - lam))) @ U.T) / d[:, None]) * d[None, :])
+        return _read_only(spectral_transform(self._spectrum, 1.0 / np.sqrt(1.0 - lam)))
 
 
 def reversibility_defect(chain: MarkovChain) -> float:
     """Largest violation of detailed balance ``w(x) P[x,y] == w(y) P[y,x]``."""
-    WP = chain.space.weight_array[:, None] * chain.transitions
-    return float(np.abs(WP - WP.T).max())
+    return chain._balance_defect
 
 
 def check_reversibility(chain: MarkovChain, tol: float = 1e-10) -> bool:
@@ -183,13 +204,13 @@ def check_reversibility(chain: MarkovChain, tol: float = 1e-10) -> bool:
 def check_transient(chain: MarkovChain, gap: float = TRANSIENCE_GAP) -> float:
     """Spectral certificate of transience.
 
-    Returns the largest weighted singular value ``rho`` of the transition
-    matrix (for a reversible chain, the largest absolute eigenvalue of its
-    symmetrization).  Transience requires ``rho < 1 - gap``, which gives
-    the Green series a geometric tail bound; otherwise ``NotTransientError``
-    is raised.
+    Returns the weighted operator norm ``rho`` of the transition matrix:
+    for a reversible chain, the largest absolute eigenvalue of its
+    symmetrization, and otherwise its largest weighted singular value.
+    Transience requires ``rho < 1 - gap``, which gives the Green series a
+    geometric tail bound; otherwise ``NotTransientError`` is raised.
     """
-    rho = float(np.abs(chain._eigenpairs[0]).max())
+    rho = chain._norm
     if rho >= 1 - gap:
         raise NotTransientError(
             f"chain is not transient: spectral bound {rho:.12g} reaches 1", spectral_bound=rho
@@ -294,7 +315,7 @@ def contractivity_check(
     the quadratic-form bound ``|<phi, P phi>| <= |phi|^2`` (both within
     ``tol``).
     """
-    if float(np.abs(chain._eigenpairs[0]).max()) > 1 + tol:
+    if chain._norm > 1 + tol:
         return False
     rng = np.random.default_rng(seed)
     w = chain.space.weight_array
@@ -306,5 +327,7 @@ def contractivity_check(
 
 
 def spectral_gap(chain: MarkovChain) -> float:
-    """Smallest weighted eigenvalue of ``I - P``; positive for transient chains."""
-    return float(1.0 - chain._eigenpairs[0].max())
+    """Smallest weighted eigenvalue of ``I - P``, positive for transient chains; only reversible chains have one."""
+    if not chain._reversible:
+        raise InvalidChainError(f"chain is not reversible (defect {chain._balance_defect:.3e}): no spectral gap")
+    return float(1.0 - chain._spectrum.values.max())

@@ -11,6 +11,7 @@ import yaml
 from click.testing import CliRunner
 
 from setkern.cli import CHECKS, SUITES, _random_coefficients, main
+from support import random_nu_psd_matrix, random_sets, random_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -557,3 +558,57 @@ def test_random_elements_follow_the_per_element_law():
     assert np.abs(shares - 0.25).max() <= 0.02
     assert idx.min() == 0 and idx.max() == m - 1
     assert np.abs(coefs).max() <= 2.0
+
+
+def test_an_asymmetric_matrix_far_below_unit_scale_is_a_config_error(runner, tmp_path):
+    # the defect 2e-12 is as large as the matrix; judged against an absolute floor of 1,
+    # it was accepted and validate exited 1 with FAIL symmetry
+    output = _config_error(
+        runner, tmp_path, WIENER_SPACE + "kernel: {type: operator, matrix: [[3e-12, 2e-12], [0.0, 3e-12]]}\n"
+    )
+    assert "kernel.matrix" in output
+    assert "selfadjoint" in output
+
+
+def test_factorize_decomposes_the_kernel_once_and_runs_no_svd(runner, tmp_path, monkeypatch):
+    # before the shared kernel spectrum, a 48-atom factorize made 1 eigh, 3 eigvalsh and 3 svd calls
+    rng = np.random.default_rng(48)
+    space = random_space(rng, 48)
+    atoms = list(space.atoms)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "space": {"atoms": atoms, "weights": list(space.weights)},
+        "kernel": {"type": "operator", "matrix": random_nu_psd_matrix(rng, space, well_conditioned=True).tolist()},
+        "family": [[atoms[i] for i in A.indices] for A in random_sets(rng, space, 16)],
+    }))
+    calls = []
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    result = invoke(runner, tmp_path, "factorize", "--config", str(cfg))
+    assert result.exit_code == 0, result.output
+    assert sorted(calls) == ["eigh", "eigvalsh"]
+
+
+NON_REVERSIBLE = "space: {atoms: [a, b], weights: [3.0, 1.0]}\nchain: {transitions: [[0.0, 1.0], [0.0, 0.0]]}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "markov-green"])
+def test_a_non_reversible_chain_gets_no_spectral_certificate(runner, tmp_path, command):
+    # ||P||_w = sqrt(3), but the symmetric part has radius sqrt(3)/2: read from it, the
+    # contractivity, transience (0.866) and spectral-gap records passed
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(NON_REVERSIBLE)
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    by_check = {r["check"]: r for r in read_records(out)[1]}
+    assert by_check["contractivity"]["status"] == "fail"
+    assert by_check["transience"]["status"] == "fail"
+    assert by_check["transience"]["value"] == pytest.approx(3**0.5)
+    if command == "markov-green":
+        assert (by_check["spectral-gap"]["status"], by_check["spectral-gap"]["value"]) == ("fail", None)

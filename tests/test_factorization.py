@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkern import (
     AbsoluteContinuityError,
@@ -40,6 +42,7 @@ from setkern import (
     write_factorization,
 )
 from setkern.config import load_config
+from setkern.linalg import numerical_rank
 from support import (
     random_nu_psd_matrix,
     random_operator_kernel,
@@ -417,6 +420,18 @@ def test_onb_rejects_incomplete_basis(space):
         onb_factorization(fact, [v], space.subset("a"), space.subset("b"))
 
 
+@pytest.mark.parametrize("second", [(0.5, 0.0), (0.5, 1.0)])
+def test_onb_rejects_a_tolerance_too_loose_to_make_the_basis_independent(second):
+    # (e1, 0.5 e1 + e2) spans and is within 0.9 of orthonormal: accepted, it gave K(a, a) = 1.25, not 1;
+    # (e1, 0.5 e1) does not span, and without an SVD only this rule tells it from a basis
+    sp = MeasureSpace(("a", "b"), (1.0, 1.0))
+    fact = realize(wiener_kernel(sp))
+    basis = [np.array([1.0, 0.0]), np.array(second)]
+    with pytest.raises(InvalidBasisError):
+        onb_factorization(fact, basis, sp.subset("a"), sp.subset("a"), tol=0.9)
+    assert onb_factorization(fact, list(np.eye(2)), sp.subset("a"), sp.subset("a"), tol=0.49) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # range dimension
 
@@ -435,6 +450,67 @@ def test_degenerate_operator_range():
     sp = MeasureSpace(("a", "b", "c"), (1.0, 1.0, 1.0))
     fact = realize(operator_kernel(sp, np.diag([1.0, 1.0, 0.0])))
     assert b_range_dimension(fact) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_range_rank_is_the_rank_of_the_realized_columns(n, null, seed):
+    # before the shared kernel spectrum, the rank came from an SVD of these columns
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, n, zero_atoms=null)
+    pos = sp.positive
+    rank = int(rng.integers(0, pos.sum() + 1))
+    X = np.zeros((n, rank))
+    X[pos] = rng.standard_normal((pos.sum(), rank))
+    fact = realize(SetKernel.from_atom_gram(sp, X @ X.T))
+    family = random_sets(rng, sp, 3)
+    columns = np.sqrt(sp.weight_array)[:, None] * (fact.S @ sp.indicator_matrix([*sp.singletons(), *family]).T)
+    assert b_range_dimension(fact, family) == numerical_rank(columns) == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 3), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_certify_agrees_with_a_fresh_eigvalsh(n, null, shift, seed):
+    rng = np.random.default_rng(seed)
+    sp = random_space(rng, n, zero_atoms=null)
+    pos, w = sp.positive, sp.weight_array
+    X = rng.standard_normal((n, n))
+    Q = (X @ X.T - shift * n * np.diag(w)) * np.outer(pos, pos)
+    kernel = SetKernel.from_atom_gram(sp, Q)
+    d = np.sqrt(w[pos])
+    fresh = np.linalg.eigvalsh(Q[np.ix_(pos, pos)] / d[:, None] / d[None, :])
+    np.testing.assert_allclose(kernel.spectrum.values, fresh, rtol=0, atol=1e-12 * np.abs(fresh).max())
+    for tol in (1e-10, 1e-2, 0.5):
+        try:
+            kernel.spectrum.certify(tol, NotPositiveError, "kernel")
+            certified = True
+        except NotPositiveError:
+            certified = False
+        assert certified == (fresh.min() >= -tol * max(fresh.max(), 0.0))
+
+
+def test_kernel_spectrum_is_read_only_and_computed_once(monkeypatch):
+    # before it, operator_kernel and build_T each ran an eigvalsh, realize an eigh and b_range_dimension an svd
+    calls = []
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    rng = np.random.default_rng(21)
+    sp = random_space(rng, 7, zero_atoms=2)
+    kernel = random_operator_kernel(rng, sp, well_conditioned=True)
+    fact = realize(kernel)
+    assert b_range_dimension(fact) == 5
+    assert calls == ["eigh"]
+    spectrum = kernel.spectrum
+    assert spectrum is kernel.spectrum
+    for array in (spectrum.values, spectrum.vectors, spectrum.pos, spectrum.d):
+        assert not array.flags.writeable
+    with pytest.raises(AttributeError):
+        spectrum.values = np.zeros(5)
 
 
 # ---------------------------------------------------------------------------

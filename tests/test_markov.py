@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from setkern import (
@@ -365,3 +365,49 @@ def test_a_second_series_tolerance_reuses_the_solve(monkeypatch):
     assert len(solves) == 2
     assert loose.G is tight.G
     assert loose.series_terms < tight.series_terms
+
+
+def test_a_non_reversible_chain_is_judged_by_its_singular_values():
+    # the symmetric part of D^{1/2} P D^{-1/2} has radius sqrt(3)/2, which was returned as rho,
+    # and contractivity passed although ||P f||_w^2 = 3 ||f||_w^2 for f = (0, 1)
+    chain = MarkovChain(MeasureSpace(("a", "b"), (3.0, 1.0)), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotTransientError) as raised:
+        check_transient(chain)
+    assert raised.value.spectral_bound == pytest.approx(np.sqrt(3.0))
+    assert not contractivity_check(chain)
+    with pytest.raises(InvalidChainError):
+        spectral_gap(chain)
+    with pytest.raises(InvalidChainError):
+        green_root(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_a_non_reversible_chain_bound_is_its_weighted_operator_norm(n, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 3.0, size=n)
+    P = rng.uniform(0.0, 1.0, size=(n, n))
+    P *= rng.uniform(0.1, 1.0, size=(n, 1)) / P.sum(axis=1, keepdims=True)
+    chain = MarkovChain(MeasureSpace(tuple(f"s{i}" for i in range(n)), tuple(w)), P)
+    assume(not check_reversibility(chain))
+    d = np.sqrt(w)
+    norm = np.linalg.norm(d[:, None] * P / d[None, :], 2)
+    try:
+        rho = check_transient(chain)
+    except NotTransientError as e:
+        rho = e.spectral_bound
+    assert abs(rho - norm) <= 1e-12 * norm
+    assert contractivity_check(chain) == (norm <= 1 + 1e-10)
+
+
+def test_a_reversible_chain_is_told_from_a_non_reversible_one_relative_to_its_scale():
+    # conductances near 1e6 leave a roundoff balance defect of about 2e-10, above an absolute 1e-10
+    rng = np.random.default_rng(16)
+    atoms = [f"s{i}" for i in range(30)]
+    edges = [(atoms[i], atoms[int(rng.integers(0, i))], float(rng.uniform(0.2, 2.0))) for i in range(1, 30)]
+    small = MarkovChain.from_conductances(atoms, edges, {a: 0.1 for a in atoms})
+    large = MarkovChain.from_conductances(atoms, [(x, y, c * 1e6) for x, y, c in edges], {a: 1e5 for a in atoms})
+    assert reversibility_defect(large) > 1e-10
+    assert spectral_gap(large) == pytest.approx(spectral_gap(small), rel=1e-12)
+    assert check_transient(large) == pytest.approx(check_transient(small), rel=1e-12)
+    np.testing.assert_allclose(green_root(large), green_root(small), rtol=0, atol=1e-10)
