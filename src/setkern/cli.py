@@ -226,7 +226,7 @@ def _range_rank(run: Run, _: None) -> Outcome:
     expected = run.cfg.expect.get("range-rank")
     if run.fact is None:
         return None, expected, False
-    rank = factorization.b_range_dimension(run.fact, run.cfg.family)
+    rank = factorization.b_range_dimension(run.fact)
     return float(rank), expected, expected is None or rank == expected
 
 

@@ -414,10 +414,13 @@ def onb_gram(
 def b_range_dimension(factorization: Factorization, family: Sequence[MeasurableSet] = ()) -> int:
     """Dimension of the closed span of the ``k_A`` family in weighted L2.
 
-    The singletons alone already span the range of ``S``, so ``family``
-    adds nothing: the dimension is the rank of the kernel's ``spectrum``.
-    The isometry is onto exactly when this equals the number of
-    positive-weight atoms.
+    The singletons alone already span the range of ``S``, so ``family`` is
+    ignored (it is accepted for older callers).  The result is the rank of
+    the kernel's ``spectrum``, the spectrum of ``T``; that is the rank of
+    ``S`` for a factorization built by ``realize``, and ``S`` itself is not
+    read, so a hand-built ``Factorization`` with another ``S`` gets its
+    kernel's rank.  The isometry is onto exactly when this equals the
+    number of positive-weight atoms.
     """
     return factorization.kernel.spectrum.rank
 

@@ -126,13 +126,12 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     if not np.all(np.isfinite(M)):
         raise InvalidOperatorError("operator matrix entries must be finite")
     w = space.weight_array
-    Q = w[:, None] * M
     defect = selfadjoint_defect(M, w)
-    if defect > tol * float(np.abs(Q).max()):
+    if defect > tol:
         raise InvalidOperatorError(
-            f"matrix is not selfadjoint in the weighted geometry (defect {defect:.3e})"
+            f"matrix is not selfadjoint in the weighted geometry (relative defect {defect:.3e})"
         )
-    kernel = SetKernel(space=space, kind="operator", Q=Q, matrix=M)
+    kernel = SetKernel(space=space, kind="operator", Q=w[:, None] * M, matrix=M)
     kernel.spectrum.certify(tol, InvalidOperatorError, "matrix")
     return kernel
 

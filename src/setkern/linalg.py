@@ -29,9 +29,14 @@ CLAMP = 1e-12
 
 
 def selfadjoint_defect(M: np.ndarray, weights: np.ndarray) -> float:
-    """Largest violation of ``w(x) M[x,y] == w(y) M[y,x]``."""
+    """Largest violation of ``w(x) M[x,y] == w(y) M[y,x]`` relative to the largest ``|w(x) M[x,y]|``.
+
+    ``M`` is nu-selfadjoint within ``tol`` when this is at most ``tol``, the
+    one selfadjointness rule of the package; a zero matrix has defect 0.
+    """
     WM = weights[:, None] * np.asarray(M, dtype=float)
-    return float(np.abs(WM - WM.T).max())
+    scale = float(np.abs(WM).max())
+    return float(np.abs(WM - WM.T).max()) / scale if scale > 0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,9 +12,11 @@ Transience is certified spectrally: the largest weighted singular value of
 ``G = I + P + P^2 + ...`` geometrically convergent.  For a reversible chain
 that is the largest ``|lambda|`` of ``D^{1/2} P D^{-1/2}``; a chain that
 fails detailed balance is judged by ``P* P`` with ``P* = D^{-1} P^T D``
-instead, and has no spectral gap or ``(I - P)^{-1/2}``.  ``G`` is computed by a direct solve of
-``(I - P) G = I`` (authoritative) and cross-validated against the truncated
-series.
+instead, and has no spectral gap, ``(I - P)^{-1/2}`` or Green kernel.
+Detailed balance is judged relative to the largest ``w(x) P[x,y]``, by one
+rule (``check_reversibility``) shared by all of these.  ``G`` is computed by
+a direct solve of ``(I - P) G = I`` (authoritative) and cross-validated
+against the truncated series.
 
 A chain is immutable, so it computes its spectrum, its balance defect, its
 Green function and ``(I - P)^{-1/2}`` once, on first use, and every function
@@ -146,15 +148,9 @@ class MarkovChain:
         return selfadjoint_defect(self.transitions, self.space.weight_array)
 
     @cached_property
-    def _reversible(self) -> bool:
-        """Detailed balance within ``1e-10`` of ``max w(x) P[x,y]``, which scales like the roundoff in ``w P``."""
-        scale = float((self.space.weight_array * self.transitions.max(axis=1)).max())
-        return self._balance_defect <= 1e-10 * scale
-
-    @cached_property
     def _norm(self) -> float:
         """Weighted norm of ``P``: its spectral radius if reversible, else ``sqrt(lambda_max(P* P))``."""
-        if self._reversible:
+        if check_reversibility(self):
             return float(np.abs(self._spectrum.values).max())
         w = self.space.weight_array
         adjoint = (self.transitions.T * w[None, :]) / w[:, None]
@@ -176,7 +172,7 @@ class MarkovChain:
     @cached_property
     def _green_root(self) -> np.ndarray:
         """``(I - P)^{-1/2}`` from the spectrum; a non-reversible or non-transient chain raises."""
-        if not self._reversible:
+        if not check_reversibility(self):
             raise InvalidChainError(f"chain is not reversible (defect {self._balance_defect:.3e}): no (I - P)^(-1/2)")
         lam = self._spectrum.values
         top = float(lam.max())
@@ -188,12 +184,17 @@ class MarkovChain:
 
 
 def reversibility_defect(chain: MarkovChain) -> float:
-    """Largest violation of detailed balance ``w(x) P[x,y] == w(y) P[y,x]``."""
+    """Largest violation of detailed balance ``w(x) P[x,y] == w(y) P[y,x]`` relative to the largest ``w(x) P[x,y]``."""
     return chain._balance_defect
 
 
 def check_reversibility(chain: MarkovChain, tol: float = 1e-10) -> bool:
-    """True iff detailed balance holds within ``tol``.
+    """True iff detailed balance holds within ``tol`` relative to the largest ``w(x) P[x,y]``.
+
+    This is the one reversibility rule: ``green_kernel``, the transience
+    norm, ``spectral_gap`` and ``green_root`` all decide with it (at the
+    default ``tol``).  Relative to scale, a chain and the same chain with
+    every conductance and killing mass multiplied by ``c`` are judged alike.
 
     The atom-level identity integrates to the set-level balance
     ``sum_A w P(., B) == sum_B w P(., A)`` by biadditivity.
@@ -272,17 +273,16 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
     return GreenData(chain._green, rho, terms, agreement)
 
 
-def green_kernel(
-    chain: MarkovChain, *, balance_tol: float = 1e-10, data: GreenData | None = None
-) -> SetKernel:
+def green_kernel(chain: MarkovChain, *, data: GreenData | None = None) -> SetKernel:
     """Kernel ``K(A, B) = sum_{x in A} w(x) G(x, B)`` of a reversible transient chain.
 
     Symmetric because detailed balance makes ``w G`` symmetric; positive
     definite because ``G`` is the inverse of ``I - P`` with spectrum in
-    ``(0, 2]`` of the weighted geometry.  Pass the chain's ``green(chain)``
-    as ``data`` to build the kernel without solving for ``G`` again.
+    ``(0, 2]`` of the weighted geometry.  It accepts exactly the chains that
+    ``green_root`` factors.  Pass the chain's ``green(chain)`` as ``data`` to
+    build the kernel without solving for ``G`` again.
     """
-    if not check_reversibility(chain, tol=balance_tol):
+    if not check_reversibility(chain):
         raise InvalidChainError(
             f"chain is not reversible (defect {reversibility_defect(chain):.3e}); "
             "the Green kernel would not be symmetric"
@@ -328,6 +328,6 @@ def contractivity_check(
 
 def spectral_gap(chain: MarkovChain) -> float:
     """Smallest weighted eigenvalue of ``I - P``, positive for transient chains; only reversible chains have one."""
-    if not chain._reversible:
+    if not check_reversibility(chain):
         raise InvalidChainError(f"chain is not reversible (defect {chain._balance_defect:.3e}): no spectral gap")
     return float(1.0 - chain._spectrum.values.max())

@@ -612,3 +612,21 @@ def test_a_non_reversible_chain_gets_no_spectral_certificate(runner, tmp_path, c
     assert by_check["transience"]["value"] == pytest.approx(3**0.5)
     if command == "markov-green":
         assert (by_check["spectral-gap"]["status"], by_check["spectral-gap"]["value"]) == ("fail", None)
+
+
+def test_a_chain_with_a_defect_below_unit_scale_fails_every_green_row_alike(runner, tmp_path):
+    # judged by an absolute 1e-10, the defect 5e-11 (1e-8 of the chain's scale) passed
+    # detailed-balance and every Green row; with a relative rule in green_root alone,
+    # green_kernel still accepted the chain and green-factor ended in a traceback
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("space: {atoms: [a, b], weights: [0.01, 0.01]}\n"
+                   "chain: {transitions: [[0.0, 0.5], [0.500000005, 0.0]]}\n")
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, "markov-green", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    by_check = {r["check"]: r for r in read_records(out)[1]}
+    assert by_check["detailed-balance"]["value"] == pytest.approx(1e-8, rel=1e-3)
+    for check in ("detailed-balance", "spectral-gap", "green-psd", "green-factor", "fundamental-match"):
+        assert by_check[check]["status"] == "fail", check
+    assert by_check["transience"]["status"] == "pass"

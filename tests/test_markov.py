@@ -401,13 +401,34 @@ def test_a_non_reversible_chain_bound_is_its_weighted_operator_norm(n, seed):
 
 
 def test_a_reversible_chain_is_told_from_a_non_reversible_one_relative_to_its_scale():
-    # conductances near 1e6 leave a roundoff balance defect of about 2e-10, above an absolute 1e-10
+    # conductances near 1e6 leave a roundoff balance defect of about 2e-10, above an absolute 1e-10,
+    # and green_kernel rejected the chain
     rng = np.random.default_rng(16)
     atoms = [f"s{i}" for i in range(30)]
     edges = [(atoms[i], atoms[int(rng.integers(0, i))], float(rng.uniform(0.2, 2.0))) for i in range(1, 30)]
     small = MarkovChain.from_conductances(atoms, edges, {a: 0.1 for a in atoms})
     large = MarkovChain.from_conductances(atoms, [(x, y, c * 1e6) for x, y, c in edges], {a: 1e5 for a in atoms})
-    assert reversibility_defect(large) > 1e-10
+    WP = large.space.weight_array[:, None] * large.transitions
+    assert np.abs(WP - WP.T).max() > 1e-10
+    assert check_reversibility(large)
+    green_kernel(large)
     assert spectral_gap(large) == pytest.approx(spectral_gap(small), rel=1e-12)
     assert check_transient(large) == pytest.approx(check_transient(small), rel=1e-12)
     np.testing.assert_allclose(green_root(large), green_root(small), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e6])
+@pytest.mark.parametrize("skew", [1e-13, 1e-8])
+def test_every_reversibility_decision_is_the_same_rule(scale, skew):
+    # on weights (0.01, 0.01) with skew 1e-8 the absolute defect is 5e-11: an absolute 1e-10
+    # called the chain reversible, and a relative rule in green_root alone disagreed with green_kernel
+    chain = MarkovChain(MeasureSpace(("a", "b"), (scale, scale)), np.array([[0.0, 0.5], [0.5 * (1 + skew), 0.0]]))
+    reversible = skew < 1e-10
+    assert check_reversibility(chain) == reversible
+    assert reversibility_defect(chain) == pytest.approx(skew, rel=1e-3)
+    for decide in (green_kernel, green_root, spectral_gap):
+        if reversible:
+            decide(chain)
+        else:
+            with pytest.raises(InvalidChainError):
+                decide(chain)
