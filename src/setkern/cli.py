@@ -292,7 +292,7 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
                                 gap is not None and gap >= tol)),
         Check("green-identity", "green-identity", "green-identity", _bounded("green", _green_identity)),
         Check("series-solve", "series-agreement", "series-solve",
-              _bounded("green", lambda run: run.green.series_agreement)),
+              _bounded("green", lambda run: run.green.relative_agreement)),
         Check("green-psd", "positive-definite", "gram-psd",
               lambda run, tol: _psd(kernels.gram(run.green_kernel, run.probes) if run.green_kernel is not None else None, tol)),
         Check("green-factor", "green-factorization", "green-factor", _bounded("green_kernel", _green_factor)),

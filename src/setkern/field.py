@@ -15,9 +15,11 @@ order, so results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,10 +43,69 @@ __all__ = [
 
 CHUNK_SIZE = 8192
 
+_pool: ThreadPoolExecutor | None = None
+_pool_threads = 0
+_pool_lock = threading.Lock()
 
-def _chunk_normals(seed: int, chunk: int, rows: int, cols: int) -> np.ndarray:
-    bitgen = np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64))
-    return np.random.Generator(bitgen).standard_normal((rows, cols))
+
+def _shared_pool(threads: int) -> ThreadPoolExecutor:
+    """The process's Monte Carlo pool, created on first use and grown to ``threads``.
+
+    A replaced pool is only dropped: a call still holding it finishes, and
+    its idle threads exit once it is collected.
+    """
+    global _pool, _pool_threads
+    with _pool_lock:
+        if threads > _pool_threads:
+            _pool = ThreadPoolExecutor(threads, thread_name_prefix="setkern-mc")
+            _pool_threads = threads
+        return _pool
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_threads
+    _pool, _pool_threads = None, 0
+
+
+# a forked child has none of its parent's pool threads
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _each_chunk(seed: int, n: int, rank: int, work: Callable[[int, np.ndarray], object], workers: int) -> list:
+    """``work(start, z)`` on every chunk of ``n`` draws, results in chunk order.
+
+    Chunk ``i`` holds rows ``[i * CHUNK_SIZE, ...)``, and its ``(rows, rank)``
+    standard normals ``z`` come from ``Philox(key=[seed, i])`` alone, so the
+    results do not depend on ``workers``.  ``z`` is a per-thread buffer that
+    is overwritten by the next chunk.  At most ``min(workers, chunks)``
+    threads of the shared pool run at once.
+    """
+    starts = range(0, n, CHUNK_SIZE)
+    results = [None] * len(starts)
+    threads = min(workers, len(starts))
+
+    def run(first: int) -> None:
+        buf = np.empty((min(n, CHUNK_SIZE), rank))
+        for i in range(first, len(starts), max(threads, 1)):
+            z = buf[: min(CHUNK_SIZE, n - starts[i])]
+            bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+            np.random.Generator(bitgen).standard_normal(out=z)
+            results[i] = work(starts[i], z)
+
+    if threads > 1:
+        pool = _shared_pool(threads)
+        for future in [pool.submit(run, first) for first in range(threads)]:
+            future.result()
+    else:
+        run(0)
+    return results
+
+
+def _check_counts(n: int, least: int, workers: int) -> None:
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"n must be an integer >= {least}, got {n!r}")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,23 +136,15 @@ class FieldSampler:
         """Draw ``n`` i.i.d. field vectors, shape ``(n, len(family))``.
 
         Identical output for any ``workers`` value and across runs with the
-        same seed.
+        same seed.  ``n < 0`` or ``workers < 1`` raises ``DomainError``.
         """
-        m = len(self.family)
-        out = np.empty((n, m))
-        starts = range(0, n, CHUNK_SIZE)
+        _check_counts(n, 0, workers)
+        out = np.empty((n, len(self.family)))
 
-        def fill(start: int) -> None:
-            count = min(CHUNK_SIZE, n - start)
-            z = _chunk_normals(self.seed, start // CHUNK_SIZE, count, self.rank)
-            out[start : start + count] = z @ self.factor.T
+        def fill(start: int, z: np.ndarray) -> None:
+            out[start : start + len(z)] = z @ self.factor.T
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill, starts))
-        else:
-            for start in starts:
-                fill(start)
+        _each_chunk(self.seed, n, self.rank, fill, workers)
         return out
 
 
@@ -158,28 +211,27 @@ class ItoResult:
 def _mc_product_moment(
     sampler: FieldSampler, alpha: np.ndarray, beta: np.ndarray, n: int, workers: int
 ) -> tuple[float, float]:
-    """Mean and standard error of ``Z_alpha * Z_beta`` over ``n`` draws."""
-    L = sampler.factor
-    starts = list(range(0, n, CHUNK_SIZE))
+    """Mean and standard error of ``Z_alpha * Z_beta`` over ``n`` draws.
 
-    def partial(start: int) -> tuple[float, float]:
-        count = min(CHUNK_SIZE, n - start)
-        z = _chunk_normals(sampler.seed, start // CHUNK_SIZE, count, sampler.rank)
-        W = z @ L.T
-        vals = (W @ alpha) * (W @ beta)
+    With ``Z = L z`` the field, ``Z_alpha = z . (L^T alpha)``: the
+    coefficients are folded into the factor once, so no chunk forms its
+    field block.
+    """
+    _check_counts(n, 1, workers)
+    a = sampler.factor.T @ alpha
+    b = a if beta is alpha else sampler.factor.T @ beta
+
+    def partial(start: int, z: np.ndarray) -> tuple[float, float]:
+        za = z @ a
+        vals = za * za if b is a else za * (z @ b)
         return float(np.sum(vals)), float(np.sum(vals * vals))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(partial, starts))
-    else:
-        partials = [partial(s) for s in starts]
     # Fixed-order reduction keeps results independent of the worker count.
     s1 = 0.0
     s2 = 0.0
-    for a, b in partials:
-        s1 += a
-        s2 += b
+    for p1, p2 in _each_chunk(sampler.seed, n, sampler.rank, partial, workers):
+        s1 += p1
+        s2 += p2
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
     return mean, float(np.sqrt(var / n))
@@ -198,7 +250,8 @@ def ito_isometry_check(
 
     Estimates the mean square of the integral of ``phi`` over ``n`` draws
     and compares with the exact value, the weighted-L2 norm squared of the
-    transformed integrand.
+    transformed integrand.  ``n < 1`` or ``workers < 1`` raises
+    ``DomainError``.
     """
     sampler = build_sampler(kernel, phi.sets(), seed)
     alpha = _coefficients(phi, sampler)
@@ -220,7 +273,7 @@ def cross_moment_check(
     """Monte Carlo check of the covariance of two integrals.
 
     The exact value is the weighted-L2 pairing of the two transformed
-    integrands.
+    integrands.  ``n < 1`` or ``workers < 1`` raises ``DomainError``.
     """
     family: list[MeasurableSet] = []
     for s in phi.sets() + psi.sets():

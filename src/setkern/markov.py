@@ -227,6 +227,12 @@ class GreenData:
     spectral_bound: float
     series_terms: int
     series_agreement: float
+    """Largest entrywise gap between the solved and the summed ``G``."""
+
+    @property
+    def relative_agreement(self) -> float:
+        """``series_agreement / max|G|``; ``G >= I`` entrywise, so ``max|G| >= 1``."""
+        return self.series_agreement / float(np.abs(self.G).max())
 
 
 def _neumann_sum(P: np.ndarray, terms: int) -> np.ndarray:
@@ -248,16 +254,18 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
 
     The solve is authoritative (one step of iterative refinement is applied);
     the truncated series uses enough terms for a ``series_tol`` geometric
-    tail, and the two must agree entrywise within ``agree_tol``.  The solve
-    is computed once per chain and the series once per ``series_tol``;
-    ``agree_tol`` is applied on every call.
+    tail, and the two must agree entrywise within ``agree_tol * max|G|``
+    (roundoff in both grows with ``G``, and ``max|G| >= 1``, so the bound
+    never drops below ``agree_tol``).  The solve is computed once per chain
+    and the series once per ``series_tol``; ``agree_tol`` is applied on
+    every call.
 
     Raises
     ------
     NotTransientError
         If the spectral bound reaches one.
     InconsistencyError
-        If solve and series disagree beyond ``agree_tol``.
+        If solve and series disagree beyond ``agree_tol * max|G|``.
     """
     rho = check_transient(chain)
     if series_tol not in chain._series:
@@ -267,10 +275,12 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
             terms = max(1, math.ceil(math.log(series_tol * (1 - rho)) / math.log(rho)))
         agreement = float(np.abs(_neumann_sum(chain.transitions, terms) - chain._green).max())
         chain._series[series_tol] = terms, agreement
-    terms, agreement = chain._series[series_tol]
-    if agreement > agree_tol:
-        raise InconsistencyError(f"Green series and solve disagree: {agreement:.3e} > {agree_tol:g}")
-    return GreenData(chain._green, rho, terms, agreement)
+    data = GreenData(chain._green, rho, *chain._series[series_tol])
+    if data.relative_agreement > agree_tol:
+        raise InconsistencyError(
+            f"Green series and solve disagree: {data.relative_agreement:.3e} of max|G| > {agree_tol:g}"
+        )
+    return data
 
 
 def green_kernel(chain: MarkovChain, *, data: GreenData | None = None) -> SetKernel:

@@ -10,7 +10,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from setkern import green
 from setkern.cli import CHECKS, SUITES, _random_coefficients, main
+from setkern.config import load_config
 from support import random_nu_psd_matrix, random_sets, random_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -630,3 +632,25 @@ def test_a_chain_with_a_defect_below_unit_scale_fails_every_green_row_alike(runn
     for check in ("detailed-balance", "spectral-gap", "green-psd", "green-factor", "fundamental-match"):
         assert by_check[check]["status"] == "fail", check
     assert by_check["transience"]["status"] == "pass"
+
+
+def test_series_solve_reports_the_gap_relative_to_the_green_function(runner, tmp_path):
+    # the solve and the series of this path differ by 1.2e-8, 6e-13 of max|G| ~ 2e4: judged
+    # absolutely, every Green row failed with no value
+    atoms = [f"p{i}" for i in range(10)]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "space": {"atoms": atoms},
+        "kernel": {"type": "green"},
+        "chain": {"edges": [[a, b, 1.0] for a, b in zip(atoms, atoms[1:])], "kill": {"p0": 1e-4}},
+        "family": [["p0", "p1"], ["p5"]],
+    }))
+    out = tmp_path / "r.jsonl"
+    invoke(runner, tmp_path, "markov-green", "--config", str(cfg), "--out", str(out))
+    by_check = {r["check"]: r for r in read_records(out)[1]}
+    data = green(load_config(cfg).chain)
+    assert data.series_agreement > 1e-8
+    assert by_check["series-solve"]["value"] == data.series_agreement / np.abs(data.G).max()
+    assert by_check["series-solve"]["bound"] == 1e-8
+    for check in ("green-identity", "series-solve", "green-psd", "fundamental-match"):
+        assert by_check[check]["status"] == "pass", check

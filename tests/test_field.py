@@ -1,8 +1,14 @@
 """Gaussian field sampling, stochastic-integral moments, projection sweeps."""
 
+import os
+import signal
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import setkern.field
 from setkern import (
     DomainError,
     InvalidCovarianceError,
@@ -25,6 +31,7 @@ from setkern import (
     refinement_sweep,
     wiener_kernel,
 )
+from setkern.field import CHUNK_SIZE
 from support import random_sets, random_simple_function, random_space
 
 
@@ -351,3 +358,156 @@ def test_sweep_on_singular_gram():
     qs = refinement_sweep(kernel, fact, phi, chain)
     assert qs[0] <= qs[1] + 1e-10
     assert qs[-1] == pytest.approx(fact.s_norm_squared(phi), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the chunk engine: stream, folded reduction, shared pool, bad counts
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Start the test with no Monte Carlo pool, so its thread count is exact."""
+    monkeypatch.setattr(setkern.field, "_pool", None)
+    monkeypatch.setattr(setkern.field, "_pool_threads", 0)
+
+
+def _mc_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("setkern-mc")}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sample_is_the_per_chunk_philox_stream(space, workers):
+    family = [space.subset("a"), space.subset("b", "c"), space.subset("a", "b")]
+    sampler = build_sampler(wiener_kernel(space), family, seed=21)
+    n = 2 * CHUNK_SIZE + 100
+    chunks = []
+    for i, start in enumerate(range(0, n, CHUNK_SIZE)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([21, i], dtype=np.uint64)))
+        chunks.append(rng.standard_normal((min(CHUNK_SIZE, n - start), sampler.rank)) @ sampler.factor.T)
+    assert sampler.sample(n, workers=workers).tobytes() == np.vstack(chunks).tobytes()
+
+
+def _moments(values):
+    n = len(values)
+    mean = values.mean()
+    var = (np.mean(values * values) - mean * mean) * n / (n - 1) if n > 1 else 0.0
+    return mean, np.sqrt(var / n)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, 3 * CHUNK_SIZE + 17])
+def test_folded_moments_match_the_sampled_field_for_any_worker_count(n):
+    rng = np.random.default_rng(22)
+    sp = random_space(rng, 5)
+    kernel = wiener_kernel(sp)
+    fact = realize(kernel)
+    phi, psi = random_simple_function(rng, sp), random_simple_function(rng, sp)
+    for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, psi))):
+        results = [check(kernel, fact, *integrands, n, seed=23, workers=w) for w in (1, 2, 3)]
+        assert len({(r.estimate, r.std_error) for r in results}) == 1
+        family = list(dict.fromkeys(phi.sets() + integrands[-1].sets()))
+        sampler = build_sampler(kernel, family, seed=23)
+        draws = sampler.sample(n)
+        coef = [setkern.field._coefficients(f, sampler) for f in integrands]
+        mean, se = _moments((draws @ coef[0]) * (draws @ coef[-1]))
+        assert results[0].estimate == pytest.approx(mean, rel=1e-12)
+        assert results[0].std_error == pytest.approx(se, rel=1e-12)
+
+
+def test_threaded_checks_share_one_pool(space, fresh_pool):
+    kernel = wiener_kernel(space)
+    fact = realize(kernel)
+    phi = SimpleFunction(((1.0, space.subset("a")), (-0.5, space.subset("b", "c"))))
+    before = _mc_threads()
+    ito_isometry_check(kernel, fact, phi, 50000, seed=8, workers=2)
+    started = _mc_threads() - before
+    assert len(started) == 2
+    ito_isometry_check(kernel, fact, phi, 50000, seed=9, workers=2)
+    cross_moment_check(kernel, fact, phi, phi, 50000, seed=9, workers=2)
+    assert _mc_threads() - before == started
+
+
+def test_threads_are_capped_at_the_chunk_count(space, fresh_pool):
+    sampler = build_sampler(wiener_kernel(space), [space.subset("a")], seed=0)
+    before = threading.enumerate()
+    draws = sampler.sample(20000, workers=64)  # 3 chunks
+    assert len(set(threading.enumerate()) - set(before)) <= 3
+    assert np.array_equal(draws, sampler.sample(20000))
+
+
+@pytest.mark.parametrize("n", [-5, 0, 2.5])
+def test_a_moment_check_needs_a_positive_integer_count(space, n):
+    kernel = wiener_kernel(space)
+    fact = realize(kernel)
+    phi = SimpleFunction.indicator(space.subset("a"))
+    # n = -5 returned estimate -0.0 over n_samples -5, and n = 0 divided by zero
+    for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, phi))):
+        with pytest.raises(DomainError, match="n must be"):
+            check(kernel, fact, *integrands, n, seed=0)
+
+
+def test_sample_needs_a_nonnegative_count(space):
+    sampler = build_sampler(wiener_kernel(space), [space.subset("a")], seed=0)
+    assert sampler.sample(0).shape == (0, 1)
+    with pytest.raises(DomainError, match="n must be"):
+        sampler.sample(-3)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_must_be_positive(space, workers):
+    kernel = wiener_kernel(space)
+    fact = realize(kernel)
+    phi = SimpleFunction.indicator(space.subset("a"))
+    sampler = build_sampler(kernel, [space.subset("a")], seed=0)
+    with pytest.raises(DomainError, match="workers must be"):
+        sampler.sample(10, workers=workers)
+    with pytest.raises(DomainError, match="workers must be"):
+        ito_isometry_check(kernel, fact, phi, 10, seed=0, workers=workers)
+
+
+def test_concurrent_callers_growing_the_pool_get_the_serial_results(space, fresh_pool):
+    family = [space.subset("a"), space.subset("b", "c")]
+    sampler = build_sampler(wiener_kernel(space), family, seed=31)
+    n = 4 * CHUNK_SIZE + 3
+    expected = sampler.sample(n)
+    results, errors = {}, []
+
+    def caller(workers):
+        try:
+            for _ in range(3):
+                results.setdefault(workers, []).append(sampler.sample(n, workers=workers))
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(w,)) for w in (2, 3, 4, 5)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == []
+    assert all(np.array_equal(draws, expected) for runs in results.values() for draws in runs)
+    assert sorted(len(runs) for runs in results.values()) == [3, 3, 3, 3]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_a_forked_child_starts_its_own_pool(space):
+    # the child inherits the pool object but none of its threads: without a fresh pool,
+    # its first threaded call waits forever
+    sampler = build_sampler(wiener_kernel(space), [space.subset("a"), space.subset("b")], seed=1)
+    expected = sampler.sample(20000, workers=2)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(30)
+            code = 0 if np.array_equal(sampler.sample(20000, workers=2), expected) else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

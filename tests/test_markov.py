@@ -278,11 +278,14 @@ def test_identity_chain_is_contractive_at_the_boundary():
 # the per-chain cache of spectrum, Green function and root
 
 
-def near_recurrent_path(n=10, kill=1e-4):
-    """Valid transient path whose solve and series disagree by about 1e-8."""
+def near_recurrent_path(n=10, kill=1e-4, at=0):
+    """Transient unit-conductance path killed at atom ``at``.
+
+    With the defaults, solve and series differ by 1.2e-8 at ``max|G|`` near 2e4.
+    """
     atoms = [f"p{i}" for i in range(n)]
     edges = [(atoms[i], atoms[i + 1], 1.0) for i in range(n - 1)]
-    return MarkovChain.from_conductances(atoms, edges, {atoms[0]: kill})
+    return MarkovChain.from_conductances(atoms, edges, {atoms[at]: kill})
 
 
 def test_green_is_shared_and_read_only():
@@ -296,14 +299,30 @@ def test_green_is_shared_and_read_only():
 
 def test_agreement_bound_applies_on_every_call():
     chain = random_conductance_chain(np.random.default_rng(12), 8)
-    agreement = green(chain).series_agreement
-    assert agreement > 0
+    relative = green(chain).relative_agreement
+    assert relative > 0
     with pytest.raises(InconsistencyError):
-        green(chain, agree_tol=agreement / 2)
+        green(chain, agree_tol=relative / 2)
+    # the path's gap of 1.2e-8 is 6e-13 of max|G| ~ 2e4: an absolute 1e-8 rejected it on every call
     path = near_recurrent_path()
     for _ in range(2):
+        data = green(path)
+        assert data.series_agreement > 1e-8
+        assert data.relative_agreement == data.series_agreement / np.abs(data.G).max() < 1e-11
         with pytest.raises(InconsistencyError):
-            green(path)
+            green(path, agree_tol=data.relative_agreement / 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.floats(-7.0, -4.0), st.data())
+def test_a_near_recurrent_chain_is_accepted_relative_to_its_green_function(n, log_kill, data):
+    chain = near_recurrent_path(n, 10.0**log_kill, data.draw(st.integers(0, n - 1)))
+    result = green(chain)
+    G, eye = result.G, np.eye(n)
+    scale = np.abs(G).max()
+    assert scale >= 10.0**-log_kill
+    assert np.abs((eye - chain.transitions) @ G - eye).max() <= 1e-12 * scale
+    assert (G - eye).min() >= -1e-12 * scale
 
 
 def test_series_tolerance_keys_its_own_series():
