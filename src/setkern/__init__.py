@@ -39,10 +39,8 @@ from .factorization import (
     isometry_b_batch,
     onb_factorization,
     onb_gram,
-    radon_nikodym_density,
     realize,
     reverse_direction,
-    sqrt_T,
     verify_pushforward,
     write_factorization,
 )

@@ -267,7 +267,7 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
         Check("detailed-balance", "detailed-balance", "detailed-balance",
               lambda run, tol: _within(markov.reversibility_defect(run.cfg.chain), tol)),
         Check("contractivity", "contractivity", "contractivity",
-              lambda run, tol: (None, None, markov.contractivity_check(run.cfg.chain, seed=run.report.seed, tol=tol))),
+              lambda run, tol: (None, None, markov.contractivity_check(run.cfg.chain, tol=tol))),
         Check("transience", "transience", "transience-gap", _transience),
     )),
     "kernel": (lambda run: run.cfg.kernel_type is not None, (

@@ -33,7 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .kernels import SetKernel, gram
-from .linalg import Spectrum, psd_sqrt
+from .linalg import psd_sqrt
 from .measure import MeasurableSet, MeasureSpace, SimpleFunction
 
 __all__ = [
@@ -42,9 +42,7 @@ __all__ = [
     "Factorization",
     "RkhsElement",
     "check_absolute_continuity",
-    "radon_nikodym_density",
     "build_T",
-    "sqrt_T",
     "realize",
     "reverse_direction",
     "isometry_b",
@@ -129,22 +127,6 @@ def _densities(kernel: SetKernel, sets: Sequence[MeasurableSet], tol: float) -> 
     return g
 
 
-def radon_nikodym_density(kernel: SetKernel, B: MeasurableSet, *, tol: float = 1e-10) -> np.ndarray:
-    """Density of ``K(., B)`` against the atom weights.
-
-    Returns the atom vector ``g(., B)`` with ``g(x, B) = K({x}, B) / w(x)``
-    on positive atoms and zero on null atoms, so that the weighted sum of
-    ``g(., B)`` over any set ``A`` reconstructs ``K(A, B)``.
-
-    Raises
-    ------
-    AbsoluteContinuityError
-        If some null atom carries kernel mass against ``B``, in which case no
-        such density exists.
-    """
-    return _densities(kernel, [B], tol)[:, 0]
-
-
 def build_T(kernel: SetKernel, *, tol: float = 1e-10, psd_reject: float = 1e-8) -> np.ndarray:
     """Assemble the positive operator representing the kernel on indicators.
 
@@ -173,16 +155,6 @@ def build_T(kernel: SetKernel, *, tol: float = 1e-10, psd_reject: float = 1e-8) 
     T = np.zeros_like(kernel.Q)
     T[np.ix_(idx, idx)] = kernel.Q[np.ix_(idx, idx)] / w[idx, None]
     return T
-
-
-def sqrt_T(T: np.ndarray, space: MeasureSpace) -> np.ndarray:
-    """Nu-PSD square root of a nu-selfadjoint nu-PSD atom matrix.
-
-    Computed from the matrix's weighted ``Spectrum``, with eigenvalues up to
-    ``CLAMP * lambda_max`` set to zero.  An eigenvalue below
-    ``-1e-8 * lambda_max`` raises ``NotPositiveError``.
-    """
-    return psd_sqrt(Spectrum.of(T, space.weight_array).certify(1e-8, NotPositiveError, "matrix"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,16 +10,15 @@ weighted-L2 norm squared of the transformed integrand).
 Sampling is reproducible and embarrassingly parallel: normals are produced by
 a counter-based generator keyed on ``(seed, chunk index)`` with a fixed chunk
 size, and Monte Carlo reductions always combine chunk partials in index
-order, so results are bit-identical for any worker count.
+order, so results are bit-identical for any worker count.  Each threaded
+call starts and joins its own helper threads; none outlives the call.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,33 +42,6 @@ __all__ = [
 
 CHUNK_SIZE = 8192
 
-_pool: ThreadPoolExecutor | None = None
-_pool_threads = 0
-_pool_lock = threading.Lock()
-
-
-def _shared_pool(threads: int) -> ThreadPoolExecutor:
-    """The process's Monte Carlo pool, created on first use and grown to ``threads``.
-
-    A replaced pool is only dropped: a call still holding it finishes, and
-    its idle threads exit once it is collected.
-    """
-    global _pool, _pool_threads
-    with _pool_lock:
-        if threads > _pool_threads:
-            _pool = ThreadPoolExecutor(threads, thread_name_prefix="setkern-mc")
-            _pool_threads = threads
-        return _pool
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_threads
-    _pool, _pool_threads = None, 0
-
-
-# a forked child has none of its parent's pool threads
-os.register_at_fork(after_in_child=_forget_pool)
-
 
 def _each_chunk(seed: int, n: int, rank: int, work: Callable[[int, np.ndarray], object], workers: int) -> list:
     """``work(start, z)`` on every chunk of ``n`` draws, results in chunk order.
@@ -77,27 +49,35 @@ def _each_chunk(seed: int, n: int, rank: int, work: Callable[[int, np.ndarray], 
     Chunk ``i`` holds rows ``[i * CHUNK_SIZE, ...)``, and its ``(rows, rank)``
     standard normals ``z`` come from ``Philox(key=[seed, i])`` alone, so the
     results do not depend on ``workers``.  ``z`` is a per-thread buffer that
-    is overwritten by the next chunk.  At most ``min(workers, chunks)``
-    threads of the shared pool run at once.
+    is overwritten by the next chunk.  With ``threads = min(workers, chunks)``,
+    chunk ``i`` runs on thread ``i % threads``: thread 0 is the caller, and
+    the others are ``setkern-mc`` helpers that the call starts and joins.
+    The first error any of them raised is raised again by the call.
     """
     starts = range(0, n, CHUNK_SIZE)
     results = [None] * len(starts)
-    threads = min(workers, len(starts))
+    threads = max(min(workers, len(starts)), 1)
+    errors: list[BaseException] = []
 
     def run(first: int) -> None:
-        buf = np.empty((min(n, CHUNK_SIZE), rank))
-        for i in range(first, len(starts), max(threads, 1)):
-            z = buf[: min(CHUNK_SIZE, n - starts[i])]
-            bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-            np.random.Generator(bitgen).standard_normal(out=z)
-            results[i] = work(starts[i], z)
+        try:
+            buf = np.empty((min(n, CHUNK_SIZE), rank))
+            for i in range(first, len(starts), threads):
+                z = buf[: min(CHUNK_SIZE, n - starts[i])]
+                bitgen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+                np.random.Generator(bitgen).standard_normal(out=z)
+                results[i] = work(starts[i], z)
+        except BaseException as e:  # raised by the caller once every helper has been joined
+            errors.append(e)
 
-    if threads > 1:
-        pool = _shared_pool(threads)
-        for future in [pool.submit(run, first) for first in range(threads)]:
-            future.result()
-    else:
-        run(0)
+    helpers = [threading.Thread(target=run, args=(first,), name="setkern-mc") for first in range(1, threads)]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
     return results
 
 
@@ -149,7 +129,7 @@ class FieldSampler:
 
 
 def build_sampler(
-    kernel: SetKernel, family: Sequence[MeasurableSet], seed: int, *, tol: float = 1e-10
+    kernel: SetKernel, family: Iterable[MeasurableSet], seed: int, *, tol: float = 1e-10
 ) -> FieldSampler:
     """Factor the Gram of ``family`` for sampling.
 
@@ -275,11 +255,7 @@ def cross_moment_check(
     The exact value is the weighted-L2 pairing of the two transformed
     integrands.  ``n < 1`` or ``workers < 1`` raises ``DomainError``.
     """
-    family: list[MeasurableSet] = []
-    for s in phi.sets() + psi.sets():
-        if s not in family:
-            family.append(s)
-    sampler = build_sampler(kernel, family, seed)
+    sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + psi.sets()), seed)
     alpha = _coefficients(phi, sampler)
     beta = _coefficients(psi, sampler)
     space = factorization.space

@@ -61,9 +61,6 @@ class MeasurableSet:
     def __le__(self, other: "MeasurableSet") -> bool:
         return self.members <= other.members
 
-    def isdisjoint(self, other: "MeasurableSet") -> bool:
-        return self.members.isdisjoint(other.members)
-
     @property
     def indices(self) -> list[int]:
         return sorted(self.members)
@@ -119,10 +116,6 @@ class MeasureSpace:
         mask = self.weight_array > 0
         mask.setflags(write=False)
         return mask
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weight_array.sum())
 
     def index(self, atom: str) -> int:
         try:
@@ -197,11 +190,7 @@ class MeasureSpace:
 
 @dataclass(frozen=True, eq=False)
 class SimpleFunction:
-    """Finite linear combination of set indicators.
-
-    Two simple functions compare equal iff their pointwise canonical forms
-    agree, regardless of how the terms are written.
-    """
+    """Finite linear combination of set indicators."""
 
     terms: tuple[tuple[float, MeasurableSet], ...]
 
@@ -221,14 +210,6 @@ class SimpleFunction:
     def zero(cls) -> "SimpleFunction":
         return cls(())
 
-    def canonical(self) -> dict[int, float]:
-        """Pointwise form: atom index -> value, zero entries dropped."""
-        out: dict[int, float] = {}
-        for coef, s in self.terms:
-            for i in s.members:
-                out[i] = out.get(i, 0.0) + coef
-        return {i: v for i, v in out.items() if v != 0.0}
-
     def max_index(self) -> int:
         return max((max(s.members) for _, s in self.terms if s.members), default=-1)
 
@@ -243,19 +224,7 @@ class SimpleFunction:
 
     def sets(self) -> tuple[MeasurableSet, ...]:
         """Distinct sets appearing in the terms, in first-occurrence order."""
-        seen: list[MeasurableSet] = []
-        for _, s in self.terms:
-            if s not in seen:
-                seen.append(s)
-        return tuple(seen)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimpleFunction):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.canonical().items()))
+        return tuple(dict.fromkeys(s for _, s in self.terms))
 
 
 @dataclass(frozen=True)

@@ -32,17 +32,15 @@ from setkern import (
     isometry_b_batch,
     onb_factorization,
     operator_kernel,
-    radon_nikodym_density,
     rank_one_kernel,
     realize,
     reverse_direction,
-    sqrt_T,
     verify_pushforward,
     wiener_kernel,
     write_factorization,
 )
 from setkern.config import load_config
-from setkern.linalg import numerical_rank
+from setkern.linalg import Spectrum, numerical_rank, psd_sqrt
 from support import (
     random_nu_psd_matrix,
     random_operator_kernel,
@@ -109,13 +107,13 @@ def test_rank_one_has_no_violations(null_space):
 
 def test_wiener_density_is_indicator(space):
     B = space.subset("b", "c")
-    np.testing.assert_allclose(radon_nikodym_density(wiener_kernel(space), B), space.indicator(B))
+    np.testing.assert_allclose(build_T(wiener_kernel(space)) @ space.indicator(B), space.indicator(B))
 
 
 def test_rank_one_density_is_constant():
     sp = MeasureSpace(("a", "b", "c"), (0.5, 0.3, 0.2))  # total mass one
     B = sp.subset("a", "b")
-    g = radon_nikodym_density(rank_one_kernel(sp), B)
+    g = build_T(rank_one_kernel(sp)) @ sp.indicator(B)
     np.testing.assert_allclose(g, sp.measure(B) * np.ones(3), atol=1e-12)
 
 
@@ -125,7 +123,7 @@ def test_operator_density_applies_the_matrix(space):
     k = operator_kernel(space, M)
     B = space.subset("b", "c")
     np.testing.assert_allclose(
-        radon_nikodym_density(k, B), M @ space.indicator(B), atol=1e-12
+        build_T(k) @ space.indicator(B), M @ space.indicator(B), atol=1e-12
     )
 
 
@@ -133,7 +131,7 @@ def test_density_reconstructs_kernel_by_weighted_sums(space):
     rng = np.random.default_rng(1)
     k = random_operator_kernel(rng, space)
     for B in random_sets(rng, space, 10):
-        g = radon_nikodym_density(k, B)
+        g = build_T(k) @ space.indicator(B)
         for A in random_sets(rng, space, 10):
             recon = float(np.sum(space.weight_array * space.indicator(A) * g))
             assert recon == pytest.approx(k(A, B), abs=1e-10)
@@ -141,7 +139,7 @@ def test_density_reconstructs_kernel_by_weighted_sums(space):
 
 def test_density_refuses_charged_null_atom(null_space):
     with pytest.raises(AbsoluteContinuityError):
-        radon_nikodym_density(counting_kernel(null_space), null_space.subset("c"))
+        build_T(counting_kernel(null_space)) @ null_space.indicator(null_space.subset("c"))
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +179,20 @@ def test_build_T_rejects_indefinite_kernel(space):
 
 
 def test_sqrt_of_identity(space):
-    np.testing.assert_allclose(sqrt_T(np.eye(3), space), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(psd_sqrt(Spectrum.of(np.eye(3), space.weight_array)), np.eye(3), atol=1e-14)
 
 
 def test_sqrt_of_diagonal():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
-    np.testing.assert_allclose(sqrt_T(np.diag([4.0, 9.0]), sp), np.diag([2.0, 3.0]), atol=1e-12)
+    R = psd_sqrt(Spectrum.of(np.diag([4.0, 9.0]), sp.weight_array))
+    np.testing.assert_allclose(R, np.diag([2.0, 3.0]), atol=1e-12)
 
 
 def test_sqrt_reconstructs_random_matrix():
     rng = np.random.default_rng(3)
     sp = random_space(rng, 6)
     T = random_nu_psd_matrix(rng, sp)
-    R = sqrt_T(T, sp)
+    R = psd_sqrt(Spectrum.of(T, sp.weight_array))
     assert np.abs(R @ R - T).max() <= 1e-9
     # nu-selfadjoint: w(x) R[x,y] == w(y) R[y,x]
     WR = sp.weight_array[:, None] * R
@@ -202,7 +201,7 @@ def test_sqrt_reconstructs_random_matrix():
 
 def test_sqrt_rejects_indefinite(space):
     with pytest.raises(NotPositiveError):
-        sqrt_T(np.diag([1.0, -1.0, 1.0]), space)
+        Spectrum.of(np.diag([1.0, -1.0, 1.0]), space.weight_array).certify(1e-8, NotPositiveError, "matrix")
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def test_sweep_constant_function_is_flat(unit_space):
         Partition(sp.singletons()),
     ]
     qs = refinement_sweep(kernel, fact, phi, chain)
-    np.testing.assert_allclose(qs, c**2 * sp.total_mass, atol=1e-10)
+    np.testing.assert_allclose(qs, c**2 * sum(sp.weights), atol=1e-10)
 
 
 def test_sweep_zero_function(unit_space):
@@ -361,18 +361,15 @@ def test_sweep_on_singular_gram():
 
 
 # ---------------------------------------------------------------------------
-# the chunk engine: stream, folded reduction, shared pool, bad counts
-
-
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """Start the test with no Monte Carlo pool, so its thread count is exact."""
-    monkeypatch.setattr(setkern.field, "_pool", None)
-    monkeypatch.setattr(setkern.field, "_pool_threads", 0)
+# the chunk engine: stream, folded reduction, helper threads, bad counts
 
 
 def _mc_threads():
-    return {t for t in threading.enumerate() if t.name.startswith("setkern-mc")}
+    return [t for t in threading.enumerate() if t.name.startswith("setkern-mc")]
+
+
+def _thread_of_chunk(start, z):
+    return threading.current_thread()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -413,25 +410,46 @@ def test_folded_moments_match_the_sampled_field_for_any_worker_count(n):
         assert results[0].std_error == pytest.approx(se, rel=1e-12)
 
 
-def test_threaded_checks_share_one_pool(space, fresh_pool):
-    kernel = wiener_kernel(space)
-    fact = realize(kernel)
-    phi = SimpleFunction(((1.0, space.subset("a")), (-0.5, space.subset("b", "c"))))
-    before = _mc_threads()
-    ito_isometry_check(kernel, fact, phi, 50000, seed=8, workers=2)
-    started = _mc_threads() - before
-    assert len(started) == 2
-    ito_isometry_check(kernel, fact, phi, 50000, seed=9, workers=2)
-    cross_moment_check(kernel, fact, phi, phi, 50000, seed=9, workers=2)
-    assert _mc_threads() - before == started
+@pytest.mark.parametrize("workers, n", [(1, 50000), (2, 50000), (3, 50000), (64, 20000)])
+def test_each_call_runs_its_chunks_on_its_own_threads(workers, n):
+    # a shared pool could hand both strides of a two-worker call to one idle thread
+    chunks = -(-n // CHUNK_SIZE)
+    caller = threading.current_thread()
+    for _ in range(300):
+        ran = setkern.field._each_chunk(0, n, 1, _thread_of_chunk, workers)
+        # Thread objects, not idents: an ident is reused once a helper exits
+        assert len(set(ran)) == min(workers, chunks)
+        assert ran[0] is caller
+        assert _mc_threads() == []
 
 
-def test_threads_are_capped_at_the_chunk_count(space, fresh_pool):
+def test_threads_are_capped_at_the_chunk_count(space, monkeypatch):
+    ran = set()
+    each_chunk = setkern.field._each_chunk
+
+    def recording(seed, n, rank, work, workers):
+        def traced(start, z):
+            ran.add(threading.current_thread())
+            return work(start, z)
+
+        return each_chunk(seed, n, rank, traced, workers)
+
+    monkeypatch.setattr(setkern.field, "_each_chunk", recording)
     sampler = build_sampler(wiener_kernel(space), [space.subset("a")], seed=0)
-    before = threading.enumerate()
     draws = sampler.sample(20000, workers=64)  # 3 chunks
-    assert len(set(threading.enumerate()) - set(before)) <= 3
+    assert len(ran) == 3
     assert np.array_equal(draws, sampler.sample(20000))
+
+
+def test_an_error_on_a_helper_chunk_is_raised_by_the_call():
+    def work(start, z):
+        if start == CHUNK_SIZE:  # chunk 1 runs on the first helper
+            raise ValueError("chunk 1 failed")
+        return threading.current_thread()
+
+    with pytest.raises(ValueError, match="chunk 1 failed"):
+        setkern.field._each_chunk(0, 3 * CHUNK_SIZE, 1, work, 3)
+    assert _mc_threads() == []
 
 
 @pytest.mark.parametrize("n", [-5, 0, 2.5])
@@ -464,7 +482,7 @@ def test_worker_count_must_be_positive(space, workers):
         ito_isometry_check(kernel, fact, phi, 10, seed=0, workers=workers)
 
 
-def test_concurrent_callers_growing_the_pool_get_the_serial_results(space, fresh_pool):
+def test_concurrent_callers_growing_the_pool_get_the_serial_results(space):
     family = [space.subset("a"), space.subset("b", "c")]
     sampler = build_sampler(wiener_kernel(space), family, seed=31)
     n = 4 * CHUNK_SIZE + 3
@@ -497,8 +515,7 @@ def test_concurrent_callers_growing_the_pool_get_the_serial_results(space, fresh
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_a_forked_child_starts_its_own_pool(space):
-    # the child inherits the pool object but none of its threads: without a fresh pool,
-    # its first threaded call waits forever
+    # a forked child inherits none of its parent's threads; its threaded calls start their own
     sampler = build_sampler(wiener_kernel(space), [space.subset("a"), space.subset("b")], seed=1)
     expected = sampler.sample(20000, workers=2)
     pid = os.fork()

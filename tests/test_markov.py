@@ -266,7 +266,7 @@ def test_contractivity_random_chains():
     rng = np.random.default_rng(8)
     for _ in range(10):
         chain = random_conductance_chain(rng, int(rng.integers(2, 10)))
-        assert contractivity_check(chain, seed=int(rng.integers(0, 2**32)))
+        assert contractivity_check(chain)
 
 
 def test_identity_chain_is_contractive_at_the_boundary():
@@ -311,6 +311,18 @@ def test_agreement_bound_applies_on_every_call():
         assert data.relative_agreement == data.series_agreement / np.abs(data.G).max() < 1e-11
         with pytest.raises(InconsistencyError):
             green(path, agree_tol=data.relative_agreement / 2)
+
+
+def test_a_chain_below_double_precision_names_its_gap():
+    # with gap 4.5e-10 the series roundoff may reach eps / gap = 4.9e-7 of max|G|, beyond
+    # agree_tol = 1e-8 (it is 1.77e-8 here); the message named neither the gap nor that scale
+    chain = near_recurrent_path(12, 1e-8)
+    gap = 1.0 - check_transient(chain)
+    assert 4e-10 < gap < 5e-10
+    with pytest.raises(InconsistencyError, match="series and solve disagree") as raised:
+        green(chain)
+    assert f"1 - rho = {gap:.3e}" in str(raised.value)
+    assert f"eps / (1 - rho) = {np.finfo(float).eps / gap:.3e}" in str(raised.value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -98,23 +98,6 @@ def test_inner_rejects_foreign_function(space):
 
 
 # ---------------------------------------------------------------------------
-# simple function canonical form
-
-
-def test_simple_function_equality_is_pointwise(space):
-    split = SimpleFunction(((1.0, space.subset("a")), (1.0, space.subset("b"))))
-    merged = SimpleFunction.indicator(space.subset("a", "b"))
-    assert split == merged
-    assert hash(split) == hash(merged)
-
-
-def test_simple_function_cancellation():
-    A = MeasurableSet(frozenset({0}))
-    f = SimpleFunction(((1.0, A), (-1.0, A)))
-    assert f == SimpleFunction.zero()
-
-
-# ---------------------------------------------------------------------------
 # partitions
 
 
