@@ -189,13 +189,6 @@ def _absolute_continuity(run: Run, tol: float) -> Outcome:
     return _within(max((v for _, v in ac.violations), default=0.0), tol, ac.ok)
 
 
-def _density(run: Run, tol: float) -> Outcome:
-    if run.fact is None:
-        return _within(None, tol)
-    rep = factorization.reverse_direction(run.fact, tol=math.inf)
-    return _within(rep.max_residual, tol, rep.absolute_continuity_ok)
-
-
 def _random_coefficients(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     """Rows of ``count`` random elements ``sum_i alpha_i K(., A_i)`` of one to four terms over a pool of ``m`` sets."""
     terms = rng.integers(1, 5, size=count)
@@ -278,7 +271,8 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
     )),
     "factorize": (lambda run: run.report.all_passed, (
         REALIZATION,
-        Check("density-consistency", "density", "density", _density),
+        Check("density-consistency", "density", "density",
+              _bounded("fact", lambda run: factorization.reverse_direction(run.fact, tol=math.inf).max_residual)),
         Check("isometry", "isometry", "isometry", _bounded("fact", _isometry)),
         Check("adjoint", "adjoint", "adjoint", _bounded("fact", _adjoint)),
         Check("parseval", "parseval", "parseval", _bounded("fact", lambda run: run.parseval[0])),

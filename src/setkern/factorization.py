@@ -1,10 +1,11 @@
 """Realization of set-kernels as inner products in the weighted L2 space.
 
 A kernel admits a family ``{k_A}`` of atom vectors with
-``K(A, B) = <k_A, k_B>`` in the weighted pairing exactly when it charges no
-null set.  The construction goes through densities: ``g(x, B) = K({x}, B) / w(x)``
-assembles a nu-selfadjoint PSD operator ``T`` with ``<chi_A, T chi_B> = K(A, B)``,
-and ``k_A = T^{1/2} chi_A``.  The map sending ``K(., A)`` to ``k_A`` extends to
+``K(A, B) = <k_A, k_B>`` in the weighted pairing exactly when it is positive
+definite and charges no null set, as ``check_absolute_continuity`` decides.
+The construction goes through the densities ``(T chi_B)(x) = K({x}, B) / w(x)``
+of the kernel's nu-selfadjoint PSD operator ``SetKernel.T``, and
+``k_A = T^{1/2} chi_A``.  The map sending ``K(., A)`` to ``k_A`` extends to
 an isometry ``b`` of the kernel's reproducing space into weighted L2; its
 adjoint, Parseval expansions over orthonormal bases, and the range dimension
 are all computable here.  A pushforward verifier for measure-space morphisms
@@ -62,13 +63,12 @@ __all__ = [
 class AbsoluteContinuityReport:
     """Null sets charged by a kernel.
 
-    ``violations`` lists each probed set ``A`` with ``w(A) == 0`` but
-    ``K(A, A) > tol``; an empty list certifies the probed family.
+    ``violations`` lists each probed set ``A`` with ``w(A) == 0`` and its
+    charge ``max_y |K(A, {y})|`` where that exceeds the tolerance; an empty
+    list certifies the probed family.
     """
 
     violations: tuple[tuple[MeasurableSet, float], ...]
-    probed: int
-    tol: float
 
     @property
     def ok(self) -> bool:
@@ -77,16 +77,9 @@ class AbsoluteContinuityReport:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Agreement between factorization densities and direct kernel densities."""
+    """Agreement between the root's ``S k_B`` and the kernel's densities ``T chi_B``."""
 
     max_residual: float
-    checked: int
-    tol: float
-    absolute_continuity_ok: bool
-
-
-def _null_singletons(space: MeasureSpace) -> list[MeasurableSet]:
-    return [space.singleton(i) for i in range(space.size) if space.weights[i] == 0.0]
 
 
 def check_absolute_continuity(
@@ -97,81 +90,72 @@ def check_absolute_continuity(
     """Probe whether the kernel vanishes on null sets.
 
     The probed family is ``probe_sets`` together with every zero-weight
-    singleton.  By the Schwarz bound, ``K(A, A) == 0`` already forces
-    ``K(A, B) == 0`` for every ``B``, so only the diagonal of ``C Q C^T``
-    over the null sets is inspected.
+    singleton.  A null set ``A`` is charged when some ``|K(A, {y})|``, an
+    entry of its row of ``C Q``, exceeds ``tol``; this is the package's one
+    null-set rule.
     """
     space = kernel.space
-    family = list(dict.fromkeys([*probe_sets, *_null_singletons(space)]))
-    null = [A for A in family if space.measure(A) == 0.0]
-    C = space.indicator_matrix(null)
-    charges = ((C @ kernel.Q) * C).sum(axis=1)
-    violations = tuple((A, float(v)) for A, v in zip(null, charges) if v > tol)
-    return AbsoluteContinuityReport(violations=violations, probed=len(family), tol=tol)
+    null_atoms = [space.singleton(i) for i in np.flatnonzero(~space.positive)]
+    null = [A for A in dict.fromkeys([*probe_sets, *null_atoms]) if space.measure(A) == 0.0]
+    charges = np.abs(space.indicator_matrix(null) @ kernel.Q).max(axis=1, initial=0.0)
+    return AbsoluteContinuityReport(tuple((A, float(v)) for A, v in zip(null, charges) if v > tol))
 
 
-def _densities(kernel: SetKernel, sets: Sequence[MeasurableSet], tol: float) -> np.ndarray:
-    """Columns ``g(., B) = (Q chi_B) / w`` for each ``B`` in ``sets``, zero on null atoms."""
-    space = kernel.space
-    pos = space.positive
-    QC = kernel.Q @ space.indicator_matrix(sets).T
-    charged = np.argwhere(np.abs(QC[~pos]) > tol)
-    if charged.size:
-        i, j = charged[0]
-        atom = space.atoms[np.flatnonzero(~pos)[i]]
+def _require_absolute_continuity(kernel: SetKernel) -> None:
+    """Raise ``AbsoluteContinuityError`` naming the first null atom the kernel charges."""
+    report = check_absolute_continuity(kernel)
+    if not report.ok:
+        A, value = report.violations[0]  # a null singleton: no other set is probed
+        atom = kernel.space.atoms[A.indices[0]]
         raise AbsoluteContinuityError(
-            f"kernel charges null atom {atom!r} against {sets[j]}: no density exists"
+            f"kernel charges null atom {atom!r}: max_y |K({{{atom}}},{{y}})| = {value:.3e}, so no realization exists"
         )
-    g = np.zeros_like(QC)
-    g[pos] = QC[pos] / space.weight_array[pos, None]
-    return g
 
 
-def build_T(kernel: SetKernel, *, tol: float = 1e-10, psd_reject: float = 1e-8) -> np.ndarray:
-    """Assemble the positive operator representing the kernel on indicators.
+def build_T(kernel: SetKernel) -> np.ndarray:
+    """The kernel's operator ``T``, once the kernel is shown realizable.
 
     ``T[x, y] = K({x}, {y}) / w(x)`` on positive atoms, zero rows and columns
-    on null atoms.  The result satisfies ``<chi_A, T chi_B> = K(A, B)`` in the
-    weighted pairing for every pair of sets, is nu-selfadjoint by symmetry of
-    the kernel, and is certified nu-PSD by the kernel's ``spectrum``.
+    on null atoms (see ``SetKernel.T``).  The result satisfies
+    ``<chi_A, T chi_B> = K(A, B)`` in the weighted pairing for every pair of
+    sets, is nu-selfadjoint by symmetry of the kernel, and is certified
+    nu-PSD by the kernel's ``spectrum``.
 
     Raises
     ------
     AbsoluteContinuityError
-        If the kernel charges a null singleton.
+        If the kernel charges a null atom by more than 1e-10.
     NotPositiveError
-        If the singleton Gram is indefinite beyond ``psd_reject`` relative to
-        its largest eigenvalue.
+        If the singleton Gram is indefinite beyond 1e-8 relative to its
+        largest eigenvalue.
     """
-    report = check_absolute_continuity(kernel, tol=tol)
-    if not report.ok:
-        A, value = report.violations[0]
-        raise AbsoluteContinuityError(
-            f"kernel charges null set {A} with K(A,A)={value:.3e}: no realization exists"
-        )
-    kernel.spectrum.certify(psd_reject, NotPositiveError, "kernel on singletons")
-    w = kernel.space.weight_array
-    idx = np.flatnonzero(kernel.space.positive)
-    T = np.zeros_like(kernel.Q)
-    T[np.ix_(idx, idx)] = kernel.Q[np.ix_(idx, idx)] / w[idx, None]
-    return T
+    _require_absolute_continuity(kernel)
+    kernel.spectrum.certify(1e-8, NotPositiveError, "kernel on singletons")
+    return kernel.T
 
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """A realized kernel: operator ``T``, its root ``S``, and the ``k_A`` family.
+    """A realized kernel: the kernel, its root ``S``, and the ``k_A`` family.
 
-    ``S`` is the unique nu-PSD square root, so ``S @ S == T`` and
-    ``k_A = S chi_A`` satisfies ``<k_A, k_B> = K(A, B)`` in the weighted
-    pairing.  ``residual`` is the largest singleton-pair reconstruction error
-    observed when the factorization was built.
+    ``S`` is the unique nu-PSD square root of the kernel's ``T``, so
+    ``S @ S == T`` and ``k_A = S chi_A`` satisfies ``<k_A, k_B> = K(A, B)``
+    in the weighted pairing.  ``residual`` is the largest singleton-pair
+    reconstruction error observed when the factorization was built.
     """
 
-    space: MeasureSpace
     kernel: SetKernel
-    T: np.ndarray
     S: np.ndarray
     residual: float
+
+    @property
+    def space(self) -> MeasureSpace:
+        return self.kernel.space
+
+    @property
+    def T(self) -> np.ndarray:
+        """The kernel's operator ``T``."""
+        return self.kernel.T
 
     def k(self, A: MeasurableSet) -> np.ndarray:
         """The factor vector ``k_A = S chi_A``."""
@@ -198,30 +182,28 @@ def realize(kernel: SetKernel, *, tol: float = 1e-8) -> Factorization:
 
     Requires the kernel to vanish on null sets and to be PSD on singletons;
     then ``k_A = T^{1/2} chi_A`` reproduces the kernel.  The reconstruction
-    is verified on all singleton pairs before returning; kernels are
+    ``<k_x, k_y>`` is verified against the kernel's ``K({x}, {y})`` on every
+    singleton pair, null atoms included, before returning; kernels are
     biadditive by construction, so the singleton pairs decide every pair.
     The root comes from the kernel's ``spectrum``, which ``build_T`` certifies.
 
     Raises
     ------
     AbsoluteContinuityError, NotPositiveError
-        Propagated from the operator assembly.
+        Propagated from ``build_T``.
     VerificationError
-        If the singleton-pair reconstruction residual exceeds ``tol``.
+        If the singleton-pair reconstruction residual exceeds ``tol`` or is
+        not a number.
     """
-    space = kernel.space
-    T = build_T(kernel)
+    build_T(kernel)
     S = psd_sqrt(kernel.spectrum)
-    w = space.weight_array
-    # <S chi_x, S chi_y> = (S^T D S)[x, y] must equal K({x},{y}) = (D T)[x, y].
-    lhs = S.T @ (w[:, None] * S)
-    rhs = w[:, None] * T
-    residual = float(np.abs(lhs - rhs).max())
-    if residual > tol:
+    # <S chi_x, S chi_y> = (S^T D S)[x, y] must equal K({x},{y}) = Q[x, y].
+    residual = float(np.abs(S.T @ (kernel.space.weight_array[:, None] * S) - kernel.Q).max())
+    if not residual <= tol:
         raise VerificationError(
             f"factorization failed verification: singleton residual {residual:.3e} > {tol:g}"
         )
-    return Factorization(space=space, kernel=kernel, T=T, S=S, residual=residual)
+    return Factorization(kernel=kernel, S=S, residual=residual)
 
 
 def reverse_direction(
@@ -230,33 +212,34 @@ def reverse_direction(
     *,
     tol: float = 1e-9,
 ) -> DensityReport:
-    """Recover kernel densities from a factorization and cross-check them.
+    """Recover the kernel's densities from the root and cross-check them.
 
-    For each probe set ``B`` the factorization side computes ``T chi_B``,
-    which must agree with the directly evaluated density
-    ``K({x}, B) / w(x)``; agreement shows the realized kernel indeed vanishes
-    on null sets and has the stated densities.
+    For each probe set ``B`` (by default the singletons and the full set) the
+    root gives ``S k_B = S S chi_B``, which must agree with the kernel's
+    density ``T chi_B``, ``K({x}, B) / w(x)`` on positive atoms and zero on
+    null atoms.  The kernel must first pass ``check_absolute_continuity``:
+    without it the densities do not exist.
 
     Raises
     ------
+    AbsoluteContinuityError
+        If the kernel charges a null atom by more than 1e-10.
     InconsistencyError
         If any probe residual exceeds ``tol``.
     """
-    space = factorization.space
+    kernel = factorization.kernel
+    _require_absolute_continuity(kernel)
+    space = kernel.space
     if sets is None:
         sets = [*space.singletons(), space.full_set()]
     sets = list(sets)
-    from_factorization = factorization.T @ space.indicator_matrix(sets).T
-    direct = _densities(factorization.kernel, sets, tol=1e-10)
-    worst = float(np.abs(from_factorization - direct).max(initial=0.0))
+    from_root = factorization.S @ factorization.k_rows(sets).T
+    worst = float(np.abs(from_root - kernel.T @ space.indicator_matrix(sets).T).max(initial=0.0))
     if worst > tol:
         raise InconsistencyError(
-            f"factorization densities disagree with kernel densities: {worst:.3e} > {tol:g}"
+            f"the root's densities S k_B disagree with the kernel's T chi_B: {worst:.3e} > {tol:g}"
         )
-    ac = check_absolute_continuity(factorization.kernel)
-    return DensityReport(
-        max_residual=worst, checked=len(sets), tol=tol, absolute_continuity_ok=ac.ok
-    )
+    return DensityReport(max_residual=worst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,16 +366,16 @@ def onb_gram(
     return coef @ coef.T
 
 
-def b_range_dimension(factorization: Factorization, family: Sequence[MeasurableSet] = ()) -> int:
+def b_range_dimension(factorization: Factorization) -> int:
     """Dimension of the closed span of the ``k_A`` family in weighted L2.
 
-    The singletons alone already span the range of ``S``, so ``family`` is
-    ignored (it is accepted for older callers).  The result is the rank of
-    the kernel's ``spectrum``, the spectrum of ``T``; that is the rank of
-    ``S`` for a factorization built by ``realize``, and ``S`` itself is not
-    read, so a hand-built ``Factorization`` with another ``S`` gets its
-    kernel's rank.  The isometry is onto exactly when this equals the
-    number of positive-weight atoms.
+    The singletons alone already span the range of ``S``, so no family is
+    needed.  The result is the rank of the kernel's ``spectrum``, the
+    spectrum of ``T``; that is the rank of ``S`` for a factorization built
+    by ``realize``, and ``S`` itself is not read, so a hand-built
+    ``Factorization`` with another ``S`` gets its kernel's rank.  The
+    isometry is onto exactly when this equals the number of positive-weight
+    atoms.
     """
     return factorization.kernel.spectrum.rank
 

@@ -42,7 +42,7 @@ class SetKernel:
     ``Q`` is the atom Gram; ``matrix`` is the inducing operator ``M`` with
     ``Q = diag(w) M`` when the kernel is operator- or Green-induced, and
     ``None`` otherwise.  Instances are immutable and safe to share, and
-    compute their ``spectrum`` once, on first use.
+    compute their operator ``T`` and its ``spectrum`` once, on first use.
 
     Raises
     ------
@@ -66,10 +66,18 @@ class SetKernel:
         object.__setattr__(self, "Q", Q)
 
     @cached_property
+    def T(self) -> np.ndarray:
+        """Read-only ``T = D^{-1} Q`` on the positive atoms and zero at null atoms; ``factorization.build_T`` certifies it."""
+        pos = self.space.positive
+        T = np.zeros_like(self.Q)
+        T[np.ix_(pos, pos)] = self.Q[np.ix_(pos, pos)] / self.space.weight_array[pos, None]
+        T.setflags(write=False)
+        return T
+
+    @cached_property
     def spectrum(self) -> Spectrum:
-        """Weighted spectrum of ``T = D^{-1} Q``, the operator ``factorization.build_T`` assembles."""
-        w = self.space.weight_array
-        return Spectrum.of(self.Q / np.where(w > 0, w, 1.0)[:, None], w)
+        """Weighted spectrum of ``T``."""
+        return Spectrum.of(self.T, self.space.weight_array)
 
     def __call__(self, A: MeasurableSet, B: MeasurableSet) -> float:
         self.space.validate_set(A)

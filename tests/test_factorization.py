@@ -20,6 +20,8 @@ from setkern import (
     NotPositiveError,
     RkhsElement,
     SetKernel,
+    SetKernError,
+    VerificationError,
     b_range_dimension,
     build_T,
     check_absolute_continuity,
@@ -242,15 +244,61 @@ def test_realize_rejects_counting_kernel_on_null_space(null_space):
         realize(counting_kernel(null_space))
 
 
+@pytest.mark.parametrize(
+    "Q, error",
+    [
+        ([[-1.0, 0.0], [0.0, 1.0]], AbsoluteContinuityError),  # K(X,X) = -1 on a null atom
+        ([[1e-11, 3e-3], [3e-3, 1e6]], AbsoluteContinuityError),  # K({x},{y}) = 3e-3 off the diagonal
+        ([[0.0, 0.0], [0.5, 1.0]], VerificationError),  # a null column, which no row rule sees
+    ],
+)
+def test_realize_refuses_a_kernel_its_root_does_not_reproduce(Q, error):
+    # before it, each was realized with residual 0.0 and a wrong K on some pair of sets
+    sp = MeasureSpace(("X", "Y"), (0.0, 1.0))
+    with pytest.raises(error):
+        realize(SetKernel.from_atom_gram(sp, np.array(Q)))
+
+
+NUDGES = st.sampled_from([1e-11, -1e-11, 3e-3, -0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_realize_reproduces_every_pair_or_refuses(data):
+    # atom Grams near valid ones on spaces with a null atom: X X^T, its null rows and
+    # columns cleared or not, and up to two entries nudged
+    n = data.draw(st.integers(2, 5))
+    w = data.draw(
+        st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n).filter(
+            lambda w: 0.0 in w and any(w)
+        )
+    )
+    sp = MeasureSpace(tuple(f"x{i}" for i in range(n)), tuple(w))
+    X = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    keep = np.where(sp.positive, 1.0, 0.0)
+    rows = keep if data.draw(st.booleans()) else np.ones(n)
+    cols = keep if data.draw(st.booleans()) else np.ones(n)
+    Q = rows[:, None] * (X @ X.T) * cols[None, :]
+    entries = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), NUDGES)
+    for i, j, value in data.draw(st.lists(entries, max_size=2)):
+        Q[i, j] += value
+    try:
+        fact = realize(SetKernel.from_atom_gram(sp, Q))
+    except SetKernError:
+        return
+    C = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+    kvecs = fact.k_rows([MeasurableSet(frozenset(np.flatnonzero(row))) for row in C])
+    inner = kvecs @ (sp.weight_array[:, None] * kvecs.T)
+    assert np.abs(inner - C @ Q @ C.T).max() <= n * n * 1e-8
+
+
 # ---------------------------------------------------------------------------
 # reverse direction
 
 
 def test_reverse_direction_wiener(space):
     fact = realize(wiener_kernel(space))
-    report = reverse_direction(fact)
-    assert report.max_residual <= 1e-12
-    assert report.absolute_continuity_ok
+    assert reverse_direction(fact).max_residual <= 1e-12
 
 
 def test_reverse_direction_rank_one():
@@ -269,12 +317,18 @@ def test_reverse_direction_random_operator(space):
 
 
 def test_reverse_direction_detects_tampering(space):
+    # before it, reverse_direction compared T with itself and never read S
     fact = realize(wiener_kernel(space))
-    bad = Factorization(
-        space=space, kernel=fact.kernel, T=2.0 * fact.T, S=fact.S, residual=0.0
-    )
-    with pytest.raises(InconsistencyError):
-        reverse_direction(bad)
+    for scale in (0.0, np.sqrt(2.0)):
+        bad = Factorization(kernel=fact.kernel, S=scale * fact.S, residual=0.0)
+        with pytest.raises(InconsistencyError):
+            reverse_direction(bad)
+
+
+def test_reverse_direction_refuses_a_kernel_that_charges_a_null_atom(null_space):
+    kernel = counting_kernel(null_space)
+    with pytest.raises(AbsoluteContinuityError, match=r"null atom 'c': max_y \|K\(\{c\},\{y\}\)\| = 1\.000e\+00"):
+        reverse_direction(Factorization(kernel=kernel, S=np.eye(3), residual=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +496,7 @@ def test_wiener_range_is_everything(null_space):
 
 def test_rank_one_range_is_one_dimensional(space):
     fact = realize(rank_one_kernel(space))
-    assert b_range_dimension(fact, [space.subset("a", "b")]) == 1
+    assert b_range_dimension(fact) == 1
 
 
 def test_degenerate_operator_range():
@@ -464,7 +518,7 @@ def test_range_rank_is_the_rank_of_the_realized_columns(n, null, seed):
     fact = realize(SetKernel.from_atom_gram(sp, X @ X.T))
     family = random_sets(rng, sp, 3)
     columns = np.sqrt(sp.weight_array)[:, None] * (fact.S @ sp.indicator_matrix([*sp.singletons(), *family]).T)
-    assert b_range_dimension(fact, family) == numerical_rank(columns) == rank
+    assert b_range_dimension(fact) == numerical_rank(columns) == rank
 
 
 @settings(max_examples=60, deadline=None)
@@ -575,10 +629,14 @@ def test_a_150_atom_export_is_indented_json(tmp_path):
 
 
 def test_export_edge_cases_are_indented_json(tmp_path):
-    space = MeasureSpace(('quote"', "back\\slash", "new\nline", "ünï", "null"), (1.0, 5e-324, 1e300, 2.0, 0.0))
+    space = MeasureSpace(('quote"', "back\\slash", "new\nline", "ünï", "null"), (1.0, 5e-324, 1e300, 2.0, -0.0))
     fact = realize(wiener_kernel(space))
     assert_written_as_indented_json(fact, (), tmp_path / "empty-family.json")
     assert_written_as_indented_json(fact, [space.subset('quote"', "ünï")], tmp_path / "family.json")
-    T = np.array([[-0.0, 5e-324, 1e300, np.nan, -np.inf]] * 5)
-    odd = Factorization(space=space, kernel=fact.kernel, T=T, S=T, residual=0.0)
-    assert_written_as_indented_json(odd, [space.full_set()], tmp_path / "odd.json")
+    # the weights carry -0.0, 5e-324 and 1e300; the k vectors C S^T carry 5e-324, 1e300, NaN,
+    # and -Infinity where the full set's row overflows
+    S = np.zeros((5, 5))
+    S[0, 0], S[1, 0], S[2], S[4] = 5e-324, 1e300, np.nan, -1e308
+    odd = Factorization(kernel=fact.kernel, S=S, residual=0.0)
+    with np.errstate(over="ignore"):
+        assert_written_as_indented_json(odd, [space.full_set()], tmp_path / "odd.json")
