@@ -8,9 +8,12 @@ Reports are byte-deterministic for fixed (config, seed), including across
 the cost of that determinism.
 
 Every check is one row of ``SUITES``: its name, report tag and tolerance
-key, and a function of the command's shared ``Run`` state that returns
-``(value, bound, passed)``, or ``None`` when the check does not apply.
-Each command of ``COMMANDS`` runs its suites through one loop.
+key, and a function of the command's shared ``Run`` state that returns a
+``linalg.Verdict`` ``(value, bound, passed)``, or ``None`` when the check
+does not apply.  An error passes when it is at most ``tol * scale``, by
+``linalg.judge``, the rule the library raises by; transience, contractivity,
+spectral gap, Monte Carlo sigmas and range rank are dimensionless and keep
+their own rules.  Each command of ``COMMANDS`` runs its suites through one loop.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from . import factorization, field, kernels, markov
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SetKernError
+from .linalg import Verdict, judge
 from .measure import MeasurableSet
 from .report import RunReport
 
@@ -63,7 +67,6 @@ EXPECTATIONS = ("range-rank",)
 LEVELS = "q-level-<n>"
 """The sweep row, recorded once per partition as ``q-level-0``, ``q-level-1``, ..."""
 
-Outcome = tuple[float | None, float | None, bool]
 T = TypeVar("T")
 
 
@@ -130,15 +133,14 @@ class Run:
 
     @cached_property
     def green_kernel(self) -> kernels.SetKernel | None:
-        if self.green is None:
-            return None
-        return _or_none(lambda: markov.green_kernel(self.cfg.chain, data=self.green))
+        return None if self.green is None else _or_none(lambda: markov.green_kernel(self.cfg.chain, data=self.green))
 
     @cached_property
-    def sweep(self) -> tuple[list[float], float]:
-        """Projection second moments along the partitions, and the exact second moment."""
+    def sweep(self) -> tuple[list[float], float, float]:
+        """Projection second moments, the exact one ``|S phi|^2_w``, and their bound ``|phi|^2_w lambda_max(T)``."""
         qs = field.refinement_sweep(self.kernel, self.fact, self.cfg.phi, self.cfg.partitions)
-        return qs, self.fact.s_norm_squared(self.cfg.phi)
+        phi = self.cfg.phi.values(self.cfg.space.size)
+        return qs, self.fact.s_norm_squared(phi), self.cfg.space.norm_squared(phi) * self.kernel.spectrum.top
 
 
 # ---------------------------------------------------------------------------
@@ -151,42 +153,19 @@ class Check(NamedTuple):
     name: str
     tag: str
     tol: str | None
-    measure: Callable[[Run, float | None], Outcome | None]
+    measure: Callable[[Run, float | None], Verdict | None]
+    needs: str | None = None
+    """The ``Run`` part the check reads; when it could not be built, the check fails with no value or bound."""
     shared: bool = False
     """Record the runtime of the check before it, which computed both."""
 
 
-def _within(value: float | None, tol: float, ok: bool = True) -> Outcome:
-    """Passes when ``value`` exists, is at most ``tol`` and ``ok`` holds."""
-    return value, tol, ok and value is not None and value <= tol
-
-
-def _bounded(needs: str, value: Callable[[Run], float]) -> Callable[[Run, float], Outcome]:
-    """A check of ``value(run)`` against its tolerance that fails when ``run.<needs>`` is missing."""
-    return lambda run, tol: _within(value(run) if getattr(run, needs) is not None else None, tol)
-
-
-def _psd(g: kernels.GramMatrix | None, tol: float) -> Outcome:
-    """Smallest eigenvalue of ``g`` against ``-tol`` times its trace."""
-    if g is None:
-        return None, None, False
-    value, bound = g.min_eigenvalue, g.psd_bound(tol)
-    return value, bound, value >= bound
-
-
-def _transience(run: Run, gap: float) -> Outcome:
+def _transience(run: Run, gap: float) -> Verdict:
     try:
         rho, ok = markov.check_transient(run.cfg.chain, gap=gap), True
     except SetKernError as e:
         rho, ok = getattr(e, "spectral_bound", None), False
-    return rho, 1 - gap, ok
-
-
-def _absolute_continuity(run: Run, tol: float) -> Outcome:
-    if run.kernel is None:
-        return _within(None, tol)
-    ac = factorization.check_absolute_continuity(run.kernel, run.cfg.family, tol=tol)
-    return _within(max((v for _, v in ac.violations), default=0.0), tol, ac.ok)
+    return Verdict(rho, 1 - gap, ok)
 
 
 def _random_coefficients(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
@@ -197,38 +176,33 @@ def _random_coefficients(rng: np.random.Generator, m: int, count: int) -> np.nda
     return np.bincount(idx.ravel(), weights=coefs.ravel(), minlength=count * m).reshape(count, m)
 
 
-def _isometry(run: Run) -> float:
-    """Largest relative error of ``|b F|^2 = |F|^2`` over 1000 random elements ``F``."""
+def _isometry(run: Run, tol: float) -> Verdict:
+    """Largest error of ``|b F|^2 = |F|^2`` over 1000 random elements ``F``, against ``tol * max |F|^2``."""
     alpha = _random_coefficients(run.rng, len(run.probes), 1000)
     n2 = ((alpha @ run.gram.entries) * alpha).sum(axis=1)
     image_n2 = factorization.isometry_b_batch(run.fact, alpha, run.probes) ** 2 @ run.cfg.space.weight_array
-    return float(np.max(np.abs(image_n2 - n2) / np.maximum(1.0, np.abs(n2))))
+    return judge(float(np.abs(image_n2 - n2).max()), float(np.abs(n2).max()), tol)
 
 
-def _adjoint(run: Run) -> float:
-    """Largest relative error of ``<b* phi, F> = <phi, b F>`` over 200 random pairs."""
+def _adjoint(run: Run, tol: float) -> Verdict:
+    """Largest error of ``<b* phi, F> = <phi, b F>`` over 200 random pairs, against ``tol * max |phi| |b F|``."""
+    w = run.cfg.space.weight_array
     phi = run.rng.standard_normal((200, run.cfg.space.size))
     alpha = _random_coefficients(run.rng, len(run.probes), 200)
     lhs = (factorization.coisometry_b_star_batch(run.fact, phi, run.probes) * alpha).sum(axis=1)
     image = factorization.isometry_b_batch(run.fact, alpha, run.probes)
-    rhs = (phi * run.cfg.space.weight_array * image).sum(axis=1)  # <phi, b(F)>
-    return float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
+    rhs = (phi * w * image).sum(axis=1)  # <phi, b(F)>
+    scale = np.sqrt((phi**2 @ w) * (image**2 @ w)).max()  # Cauchy-Schwarz bounds |rhs| by it
+    return judge(float(np.abs(lhs - rhs).max()), float(scale), tol)
 
 
-def _range_rank(run: Run, _: None) -> Outcome:
+def _range_rank(run: Run, _: None) -> Verdict:
     expected = run.cfg.expect.get("range-rank")
-    if run.fact is None:
-        return None, expected, False
     rank = factorization.b_range_dimension(run.fact)
-    return float(rank), expected, expected is None or rank == expected
+    return Verdict(float(rank), expected, expected is None or rank == expected)
 
 
-def _green_identity(run: Run) -> float:
-    identity = np.eye(run.cfg.space.size)
-    return float(np.abs((identity - run.cfg.chain.transitions) @ run.green.G - identity).max())
-
-
-def _green_factor(run: Run) -> float:
+def _green_factor(run: Run, tol: float) -> Verdict:
     """Largest error of ``<k_A, k_B>`` from the Green root against the kernel, over every set on up to six atoms."""
     space = run.cfg.space
     n = space.size
@@ -238,60 +212,68 @@ def _green_factor(run: Run) -> float:
         C = space.indicator_matrix(run.probes)
     kvecs = C @ markov.green_root(run.cfg.chain).T
     inner = kvecs @ (space.weight_array[:, None] * kvecs.T)
-    return float(np.abs(inner - C @ run.green_kernel.Q @ C.T).max())
+    K = C @ run.green_kernel.Q @ C.T
+    return judge(float(np.abs(inner - K).max()), float(np.abs(K).max()), tol)
 
 
-def _monte_carlo(run: Run, tol: float, check: Callable, *integrands) -> Outcome:
+def _monte_carlo(run: Run, tol: float, check: Callable, *integrands) -> Verdict:
     res = check(run.kernel, run.fact, *integrands, run.report.samples, seed=run.report.seed, workers=run.workers)
-    return res.deviation_sigmas, tol, res.within(tol)
+    return Verdict(res.deviation_sigmas, tol, res.within(tol))
 
 
-def _q_attained(run: Run, tol: float) -> Outcome | None:
+def _q_attained(run: Run, tol: float) -> Verdict | None:
     if set(run.cfg.partitions[-1].blocks) != set(run.cfg.space.singletons()):
         return None
-    qs, exact = run.sweep
-    return _within(abs(qs[-1] - exact), tol)
+    qs, exact, scale = run.sweep
+    return judge(abs(qs[-1] - exact), scale, tol)
 
 
-REALIZATION = Check("realization", "realization", "realization", _bounded("fact", lambda run: run.fact.residual))
+REALIZATION = Check("realization", "realization", "realization",
+                    lambda run, tol: judge(run.fact.residual, run.kernel.scale, tol), needs="fact")
 
 SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
     "chain": (lambda run: run.cfg.chain is not None, (
         Check("detailed-balance", "detailed-balance", "detailed-balance",
-              lambda run, tol: _within(markov.reversibility_defect(run.cfg.chain), tol)),
+              lambda run, tol: judge(*markov.reversibility_defect(run.cfg.chain), tol)),
         Check("contractivity", "contractivity", "contractivity",
-              lambda run, tol: (None, None, markov.contractivity_check(run.cfg.chain, tol=tol))),
+              lambda run, tol: Verdict(None, None, markov.contractivity_check(run.cfg.chain, tol=tol))),
         Check("transience", "transience", "transience-gap", _transience),
     )),
     "kernel": (lambda run: run.cfg.kernel_type is not None, (
-        Check("symmetry", "kernel-symmetry", "symmetry", _bounded("gram", lambda run: run.gram.asymmetry)),
-        Check("gram-psd", "positive-definite", "gram-psd", lambda run, tol: _psd(run.gram, tol)),
-        Check("schwarz", "schwarz", "schwarz", _bounded("gram", lambda run: run.gram.schwarz_excess())),
-        Check("absolute-continuity", "absolute-continuity", "absolute-continuity", _absolute_continuity),
+        Check("symmetry", "kernel-symmetry", "symmetry", lambda run, tol: judge(run.gram.asymmetry, run.gram.scale, tol), needs="gram"),
+        Check("gram-psd", "positive-definite", "gram-psd", lambda run, tol: run.gram.psd(tol), needs="gram"),
+        Check("schwarz", "schwarz", "schwarz", lambda run, tol: run.gram.schwarz(tol), needs="gram"),
+        Check("absolute-continuity", "absolute-continuity", "absolute-continuity", lambda run, tol: judge(
+            factorization.check_absolute_continuity(run.kernel, run.cfg.family, tol=tol).charge, run.kernel.scale, tol
+        ), needs="kernel"),
     )),
     "factorize": (lambda run: run.report.all_passed, (
         REALIZATION,
-        Check("density-consistency", "density", "density",
-              _bounded("fact", lambda run: factorization.reverse_direction(run.fact, tol=math.inf).max_residual)),
-        Check("isometry", "isometry", "isometry", _bounded("fact", _isometry)),
-        Check("adjoint", "adjoint", "adjoint", _bounded("fact", _adjoint)),
-        Check("parseval", "parseval", "parseval", _bounded("fact", lambda run: run.parseval[0])),
+        Check("density-consistency", "density", "density", lambda run, tol: judge(
+            *factorization.reverse_direction(run.fact, tol=math.inf), tol), needs="fact"),
+        Check("isometry", "isometry", "isometry", _isometry, needs="fact"),
+        Check("adjoint", "adjoint", "adjoint", _adjoint, needs="fact"),
+        Check("parseval", "parseval", "parseval",
+              lambda run, tol: judge(run.parseval[0], run.gram.scale, tol), needs="fact"),
         Check("parseval-invariance", "parseval", "parseval-invariance",
-              _bounded("fact", lambda run: run.parseval[1]), shared=True),
-        Check("range-rank", "range-rank", None, _range_rank),
+              lambda run, tol: judge(run.parseval[1], run.gram.scale, tol), needs="fact", shared=True),
+        Check("range-rank", "range-rank", None, _range_rank, needs="fact"),
     )),
     "green": (lambda run: True, (
         Check("spectral-gap", "spectral-gap", "transience-gap",
-              lambda run, tol: (gap := _or_none(partial(markov.spectral_gap, run.cfg.chain)), tol,
-                                gap is not None and gap >= tol)),
-        Check("green-identity", "green-identity", "green-identity", _bounded("green", _green_identity)),
+              lambda run, tol: Verdict(gap := _or_none(partial(markov.spectral_gap, run.cfg.chain)), tol,
+                                       gap is not None and gap >= tol)),
+        Check("green-identity", "green-identity", "green-identity", lambda run, tol: judge(float(np.abs(
+            run.green.G - run.cfg.chain.transitions @ run.green.G - np.eye(run.cfg.space.size)
+        ).max()), run.green.scale, tol), needs="green"),
         Check("series-solve", "series-agreement", "series-solve",
-              _bounded("green", lambda run: run.green.relative_agreement)),
+              lambda run, tol: judge(run.green.series_agreement, run.green.scale, tol), needs="green"),
         Check("green-psd", "positive-definite", "gram-psd",
-              lambda run, tol: _psd(kernels.gram(run.green_kernel, run.probes) if run.green_kernel is not None else None, tol)),
-        Check("green-factor", "green-factorization", "green-factor", _bounded("green_kernel", _green_factor)),
-        Check("fundamental-match", "fundamental-matrix", "fundamental-match",
-              _bounded("green_kernel", lambda run: float(np.abs(factorization.build_T(run.green_kernel) - run.green.G).max()))),
+              lambda run, tol: kernels.gram(run.green_kernel, run.probes).psd(tol), needs="green_kernel"),
+        Check("green-factor", "green-factorization", "green-factor", _green_factor, needs="green_kernel"),
+        Check("fundamental-match", "fundamental-matrix", "fundamental-match", lambda run, tol: judge(
+            float(np.abs(factorization.build_T(run.green_kernel) - run.green.G).max()), run.green.scale, tol
+        ), needs="green_kernel"),
     )),
     "mc": (lambda run: run.fact is not None, (
         Check("ito-isometry", "ito-isometry", "mc-sigma",
@@ -300,11 +282,12 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
               else _monte_carlo(run, tol, field.cross_moment_check, run.cfg.phi, run.cfg.psi)),
     )),
     "sweep": (lambda run: run.fact is not None and bool(run.cfg.partitions), (
-        Check(LEVELS, "projection-moment", None, lambda run, _, level: (run.sweep[0][level], None, True)),
-        Check("q-monotone", "projection-monotone", "q-monotone", lambda run, tol: _within(
-            max((a - b for a, b in zip(run.sweep[0], run.sweep[0][1:])), default=0.0), tol
+        Check(LEVELS, "projection-moment", None, lambda run, _, level: Verdict(run.sweep[0][level], None, True)),
+        Check("q-monotone", "projection-monotone", "q-monotone", lambda run, tol: judge(
+            max((a - b for a, b in zip(run.sweep[0], run.sweep[0][1:])), default=0.0), run.sweep[2], tol
         )),
-        Check("q-bound", "projection-limit", "q-final", lambda run, tol: _within(run.sweep[0][-1] - run.sweep[1], tol)),
+        Check("q-bound", "projection-limit", "q-final",
+              lambda run, tol: judge(run.sweep[0][-1] - run.sweep[1], run.sweep[2], tol)),
         Check("q-attained", "projection-limit", "q-final", _q_attained),
     )),
     # refine-sweep realizes the kernel without validating it and records only a failure
@@ -332,7 +315,10 @@ def _run_checks(run: Run, checks: tuple[Check, ...], timings: bool) -> None:
             last = None
             continue
         t0 = time.perf_counter()
-        outcome = check.measure(run, run.report.tolerances.get(check.tol))
+        if check.needs is not None and getattr(run, check.needs) is None:
+            outcome = Verdict(None, None, False)
+        else:
+            outcome = check.measure(run, run.report.tolerances.get(check.tol))
         runtime = time.perf_counter() - t0 if timings else None
         if check.shared and last is not None:
             runtime = last

@@ -43,6 +43,7 @@ from .kernels import (
     rank_one_kernel,
     wiener_kernel,
 )
+from .linalg import require
 from .markov import MarkovChain, green_kernel
 from .measure import (
     MeasurableSet,
@@ -177,10 +178,9 @@ def _parse_chain(
         if weights is not None:
             derived = chain.space.weight_array
             given = np.asarray(weights, dtype=float)
-            if given.shape != derived.shape or np.abs(given - derived).max() > 1e-12:
-                raise ConfigError(
-                    "space.weights disagree with the weights derived from chain.edges"
-                )
+            gap = float(np.abs(given - derived).max()) if given.shape == derived.shape else math.inf
+            require(gap, float(derived.max()), 1e-12, ConfigError,
+                    "space.weights disagree with the weights derived from chain.edges:", "max w")
         return chain, chain.space
     if "transitions" in node:
         if weights is None:

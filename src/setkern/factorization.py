@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     VerificationError,
 )
 from .kernels import SetKernel, gram
-from .linalg import psd_sqrt
+from .linalg import judge, psd_sqrt, require
 from .measure import MeasurableSet, MeasureSpace, SimpleFunction
 
 __all__ = [
@@ -64,52 +64,52 @@ class AbsoluteContinuityReport:
     """Null sets charged by a kernel.
 
     ``violations`` lists each probed set ``A`` with ``w(A) == 0`` and its
-    charge ``max_y |K(A, {y})|`` where that exceeds the tolerance; an empty
-    list certifies the probed family.
+    charge ``max_y |K(A, {y})|`` where that exceeds the bound; ``charge`` is
+    the largest charge over every probed null set, zero when there is none.
     """
 
     violations: tuple[tuple[MeasurableSet, float], ...]
+    charge: float
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Agreement between the root's ``S k_B`` and the kernel's densities ``T chi_B``."""
+class DensityReport(NamedTuple):
+    """Agreement between the root's ``S k_B`` and the kernel's densities ``T chi_B``, and its scale ``max|T chi_B|``."""
 
     max_residual: float
+    scale: float
 
 
 def check_absolute_continuity(
-    kernel: SetKernel,
-    probe_sets: Sequence[MeasurableSet] = (),
-    tol: float = 1e-10,
+    kernel: SetKernel, probe_sets: Sequence[MeasurableSet] = (), tol: float = 1e-10
 ) -> AbsoluteContinuityReport:
     """Probe whether the kernel vanishes on null sets.
 
     The probed family is ``probe_sets`` together with every zero-weight
     singleton.  A null set ``A`` is charged when some ``|K(A, {y})|``, an
-    entry of its row of ``C Q``, exceeds ``tol``; this is the package's one
-    null-set rule.
+    entry of its row of ``C Q``, exceeds ``tol * max|Q|``; this is the
+    package's one null-set rule.
     """
     space = kernel.space
     null_atoms = [space.singleton(i) for i in np.flatnonzero(~space.positive)]
     null = [A for A in dict.fromkeys([*probe_sets, *null_atoms]) if space.measure(A) == 0.0]
     charges = np.abs(space.indicator_matrix(null) @ kernel.Q).max(axis=1, initial=0.0)
-    return AbsoluteContinuityReport(tuple((A, float(v)) for A, v in zip(null, charges) if v > tol))
+    violations = tuple((A, float(v)) for A, v in zip(null, charges) if not judge(v, kernel.scale, tol).passed)
+    return AbsoluteContinuityReport(violations, float(charges.max(initial=0.0)))
 
 
 def _require_absolute_continuity(kernel: SetKernel) -> None:
-    """Raise ``AbsoluteContinuityError`` naming the first null atom the kernel charges."""
-    report = check_absolute_continuity(kernel)
-    if not report.ok:
-        A, value = report.violations[0]  # a null singleton: no other set is probed
+    """Raise ``AbsoluteContinuityError`` naming the first null atom the kernel charges beyond ``1e-10 * max|Q|``."""
+    violations = check_absolute_continuity(kernel).violations
+    if violations:
+        A, value = violations[0]  # a null singleton: no other set is probed
         atom = kernel.space.atoms[A.indices[0]]
         raise AbsoluteContinuityError(
-            f"kernel charges null atom {atom!r}: max_y |K({{{atom}}},{{y}})| = {value:.3e}, so no realization exists"
-        )
+            f"no realization exists: kernel charges null atom {atom!r}: max_y |K({{{atom}}},{{y}})| = "
+            f"{value:.3e} > 1e-10 × max|Q| = {kernel.scale:.3e}")
 
 
 def build_T(kernel: SetKernel) -> np.ndarray:
@@ -124,10 +124,9 @@ def build_T(kernel: SetKernel) -> np.ndarray:
     Raises
     ------
     AbsoluteContinuityError
-        If the kernel charges a null atom by more than 1e-10.
+        If the kernel charges a null atom by more than ``1e-10 * max|Q|``.
     NotPositiveError
-        If the singleton Gram is indefinite beyond 1e-8 relative to its
-        largest eigenvalue.
+        If the spectrum has an eigenvalue below ``-1e-8 * lambda_max``.
     """
     _require_absolute_continuity(kernel)
     kernel.spectrum.certify(1e-8, NotPositiveError, "kernel on singletons")
@@ -192,25 +191,20 @@ def realize(kernel: SetKernel, *, tol: float = 1e-8) -> Factorization:
     AbsoluteContinuityError, NotPositiveError
         Propagated from ``build_T``.
     VerificationError
-        If the singleton-pair reconstruction residual exceeds ``tol`` or is
-        not a number.
+        If the singleton-pair reconstruction residual exceeds
+        ``tol * max|Q|`` or is not a number.
     """
     build_T(kernel)
     S = psd_sqrt(kernel.spectrum)
     # <S chi_x, S chi_y> = (S^T D S)[x, y] must equal K({x},{y}) = Q[x, y].
     residual = float(np.abs(S.T @ (kernel.space.weight_array[:, None] * S) - kernel.Q).max())
-    if not residual <= tol:
-        raise VerificationError(
-            f"factorization failed verification: singleton residual {residual:.3e} > {tol:g}"
-        )
+    require(residual, kernel.scale, tol, VerificationError,
+            "factorization failed verification: singleton residual", "max|Q|")
     return Factorization(kernel=kernel, S=S, residual=residual)
 
 
 def reverse_direction(
-    factorization: Factorization,
-    sets: Sequence[MeasurableSet] | None = None,
-    *,
-    tol: float = 1e-9,
+    factorization: Factorization, sets: Sequence[MeasurableSet] | None = None, *, tol: float = 1e-9
 ) -> DensityReport:
     """Recover the kernel's densities from the root and cross-check them.
 
@@ -223,9 +217,10 @@ def reverse_direction(
     Raises
     ------
     AbsoluteContinuityError
-        If the kernel charges a null atom by more than 1e-10.
+        If the kernel charges a null atom by more than ``1e-10 * max|Q|``.
     InconsistencyError
-        If any probe residual exceeds ``tol``.
+        If any probe residual exceeds ``tol * max|T chi_B|``, the largest
+        density over the probes.
     """
     kernel = factorization.kernel
     _require_absolute_continuity(kernel)
@@ -233,13 +228,12 @@ def reverse_direction(
     if sets is None:
         sets = [*space.singletons(), space.full_set()]
     sets = list(sets)
-    from_root = factorization.S @ factorization.k_rows(sets).T
-    worst = float(np.abs(from_root - kernel.T @ space.indicator_matrix(sets).T).max(initial=0.0))
-    if worst > tol:
-        raise InconsistencyError(
-            f"the root's densities S k_B disagree with the kernel's T chi_B: {worst:.3e} > {tol:g}"
-        )
-    return DensityReport(max_residual=worst)
+    densities = kernel.T @ space.indicator_matrix(sets).T
+    worst = float(np.abs(factorization.S @ factorization.k_rows(sets).T - densities).max(initial=0.0))
+    scale = float(np.abs(densities).max(initial=0.0))
+    require(worst, scale, tol, InconsistencyError,
+            "the root's densities S k_B disagree with the kernel's T chi_B:", "max|T chi_B|")
+    return DensityReport(max_residual=worst, scale=scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,29 +375,20 @@ def b_range_dimension(factorization: Factorization) -> int:
 
 
 def verify_pushforward(
-    source: MeasureSpace,
-    target: MeasureSpace,
-    mapping: Mapping[int, int] | Sequence[int],
-    *,
-    tol: float = 1e-12,
+    source: MeasureSpace, target: MeasureSpace, mapping: Mapping[int, int] | Sequence[int], *, tol: float = 1e-12
 ) -> bool:
     """Check that an atom map transports the source weights onto the target.
 
     ``mapping`` sends every source atom index to a target atom index; the
-    check passes iff for each target atom the total mapped source mass equals
-    its weight within ``tol``.
+    check passes iff the pushed mass and the target weights have the same null
+    atoms and, on each target atom, agree within ``tol * max w``.
 
     Raises
     ------
     InvalidMapError
         If some source atom is unmapped or a target index is out of range.
     """
-    if isinstance(mapping, Mapping):
-        images = [mapping.get(i) for i in range(source.size)]
-    else:
-        images = list(mapping)
-        if len(images) < source.size:
-            images += [None] * (source.size - len(images))
+    images = [mapping.get(i) for i in range(source.size)] if isinstance(mapping, Mapping) else list(mapping)
     pushed = np.zeros(target.size)
     for i in range(source.size):
         y = images[i] if i < len(images) else None
@@ -413,7 +398,8 @@ def verify_pushforward(
         if not 0 <= y < target.size:
             raise InvalidMapError(f"target index {y} out of range for {source.atoms[i]!r}")
         pushed[y] += source.weights[i]
-    return bool(np.abs(pushed - target.weight_array).max() <= tol)
+    w = target.weight_array
+    return np.array_equal(pushed > 0, w > 0) and judge(float(np.abs(pushed - w).max()), float(w.max()), tol).passed
 
 
 def export_factorization(

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, InvalidCovarianceError, OrderingError, UnsupportedFunctionError
 from .factorization import Factorization
 from .kernels import GramMatrix, SetKernel, gram
-from .linalg import Spectrum
+from .linalg import Spectrum, judge
 from .measure import MeasurableSet, Partition, SimpleFunction, is_partition, is_refinement
 
 __all__ = [
@@ -136,9 +136,8 @@ def build_sampler(
     Uses the Gram's ``Spectrum`` with unit weights: columns follow the
     eigenvalues in descending order, and eigenvalues up to
     ``CLAMP * lambda_max`` are dropped (rank deficiency is expected, e.g. for
-    the product kernel).  An eigenvalue below ``-tol`` relative to the
-    largest means the Gram is indefinite and ``InvalidCovarianceError`` is
-    raised.
+    the product kernel).  An eigenvalue below ``-tol * lambda_max`` means
+    the Gram is indefinite and ``InvalidCovarianceError`` is raised.
     """
     family = tuple(family)
     g = gram(kernel, family)
@@ -185,7 +184,8 @@ class ItoResult:
         return dev / self.std_error
 
     def within(self, n_sigma: float = 5.0) -> bool:
-        return abs(self.estimate - self.exact) <= n_sigma * self.std_error
+        """True iff the estimate is within ``n_sigma`` standard errors of the exact value."""
+        return judge(abs(self.estimate - self.exact), self.std_error, n_sigma).passed
 
 
 def _mc_product_moment(

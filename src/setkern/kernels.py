@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidOperatorError
-from .linalg import Spectrum, selfadjoint_defect
+from .linalg import Spectrum, Verdict, judge, require, selfadjoint_defect
 from .measure import MeasurableSet, MeasureSpace
 
 __all__ = [
@@ -75,6 +75,11 @@ class SetKernel:
         return T
 
     @cached_property
+    def scale(self) -> float:
+        """``max|Q|``, the unit of the kernel's values and of every error measured against them."""
+        return float(np.abs(self.Q).max())
+
+    @cached_property
     def spectrum(self) -> Spectrum:
         """Weighted spectrum of ``T``."""
         return Spectrum.of(self.T, self.space.weight_array)
@@ -123,9 +128,9 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     ------
     InvalidOperatorError
         If ``M`` has the wrong shape or nonfinite entries, violates the
-        weighted symmetry ``w(x) M[x,y] == w(y) M[y,x]`` beyond ``tol``
-        relative to the largest ``|w(x) M[x,y]|``, or is indefinite beyond
-        ``tol`` relative to its largest eigenvalue.
+        weighted symmetry ``w(x) M[x,y] == w(y) M[y,x]`` beyond
+        ``tol * max|w(x) M[x,y]|``, or has an eigenvalue below
+        ``-tol * lambda_max``.
     """
     M = np.asarray(M, dtype=float)
     n = space.size
@@ -134,11 +139,8 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     if not np.all(np.isfinite(M)):
         raise InvalidOperatorError("operator matrix entries must be finite")
     w = space.weight_array
-    defect = selfadjoint_defect(M, w)
-    if defect > tol:
-        raise InvalidOperatorError(
-            f"matrix is not selfadjoint in the weighted geometry (relative defect {defect:.3e})"
-        )
+    require(*selfadjoint_defect(M, w), tol, InvalidOperatorError,
+            "matrix is not selfadjoint in the weighted geometry: defect", "max|wM|")
     kernel = SetKernel(space=space, kind="operator", Q=w[:, None] * M, matrix=M)
     kernel.spectrum.certify(tol, InvalidOperatorError, "matrix")
     return kernel
@@ -149,65 +151,53 @@ class GramMatrix:
     """Kernel values over a finite family of sets.
 
     ``entries`` is symmetrized; ``asymmetry`` is the largest
-    ``|K(A, B) - K(B, A)|`` over the family before symmetrizing.
+    ``|K(A, B) - K(B, A)|`` over the family before symmetrizing.  Each check
+    returns the ``Verdict`` of ``linalg.judge`` for its own ``tol``.
     """
 
-    sets: tuple[MeasurableSet, ...]
     entries: np.ndarray
     asymmetry: float = 0.0
 
-    def eigenvalues(self) -> np.ndarray:
-        if self.entries.size == 0:
-            return np.zeros(0)
-        return np.linalg.eigvalsh(self.entries)
-
     @property
-    def min_eigenvalue(self) -> float:
-        ev = self.eigenvalues()
-        return float(ev.min()) if ev.size else 0.0
+    def scale(self) -> float:
+        """``max|G|``, the unit of the family's kernel values."""
+        return float(np.abs(self.entries).max(initial=0.0))
 
-    def psd_bound(self, tol: float) -> float:
-        """Least admissible eigenvalue: ``-tol`` relative to the trace."""
-        return -tol * abs(float(np.trace(self.entries)))
+    def psd(self, tol: float) -> Verdict:
+        """Smallest eigenvalue against ``-tol * lambda_max``, the rule of ``Spectrum.certify``; no eigenvectors."""
+        values = np.linalg.eigvalsh(self.entries) if self.entries.size else np.zeros(1)
+        low = float(values.min())
+        verdict = judge(-low, float(values.max(initial=0.0)), tol)
+        return Verdict(low, -verdict.bound, verdict.passed)
 
-    def schwarz_excess(self) -> float:
-        """Largest ``K(A,B)^2 - K(A,A) K(B,B)`` over pairs of the family."""
-        if self.entries.size == 0:
-            return 0.0
+    def schwarz(self, tol: float) -> Verdict:
+        """Largest ``K(A,B)^2 - K(A,A) K(B,B)`` over pairs of the family against ``tol * max|G|^2``."""
         d = np.diag(self.entries)
-        return float((self.entries**2 - np.outer(d, d)).max())
+        return judge(float((self.entries**2 - np.outer(d, d)).max(initial=0.0)), self.scale**2, tol)
 
 
 def gram(kernel: SetKernel, sets: Sequence[MeasurableSet]) -> GramMatrix:
     """Kernel values over ``sets`` as the product ``C Q C^T``."""
-    sets = tuple(sets)
-    C = kernel.space.indicator_matrix(sets)
+    C = kernel.space.indicator_matrix(tuple(sets))
     G = C @ kernel.Q @ C.T
-    return GramMatrix(
-        sets=sets, entries=0.5 * (G + G.T), asymmetry=float(np.abs(G - G.T).max(initial=0.0))
-    )
+    return GramMatrix(entries=0.5 * (G + G.T), asymmetry=float(np.abs(G - G.T).max(initial=0.0)))
 
 
-def check_positive_definite(
-    kernel: SetKernel, sets: Sequence[MeasurableSet], tol: float = 1e-10
-) -> bool:
+def check_positive_definite(kernel: SetKernel, sets: Sequence[MeasurableSet], tol: float = 1e-10) -> bool:
     """Certify the quadratic form on ``sets`` is nonnegative.
 
     Passes iff the smallest Gram eigenvalue is at least ``-tol`` relative to
-    the Gram trace, however small the trace.  The singleton
+    the largest (``GramMatrix.psd``), however small the Gram.  The singleton
     family is decisive, so callers typically include the singletons
     alongside the sets of interest.
     """
-    g = gram(kernel, sets)
-    return g.min_eigenvalue >= g.psd_bound(tol)
+    return gram(kernel, sets).psd(tol).passed
 
 
-def schwarz_check(
-    kernel: SetKernel, A: MeasurableSet, B: MeasurableSet, tol: float = 1e-10
-) -> bool:
-    """Check ``K(A,B)^2 <= K(A,A) K(B,B) + tol``.
+def schwarz_check(kernel: SetKernel, A: MeasurableSet, B: MeasurableSet, tol: float = 1e-10) -> bool:
+    """Check ``K(A,B)^2 <= K(A,A) K(B,B) + tol * max|G|^2`` on the Gram ``G`` of ``A`` and ``B``.
 
     This is the Cauchy-Schwarz bound in the kernel's reproducing geometry;
     in particular a set with ``K(A,A) == 0`` cannot pair with anything.
     """
-    return gram(kernel, [A, B]).schwarz_excess() <= tol
+    return gram(kernel, [A, B]).schwarz(tol).passed

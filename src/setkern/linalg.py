@@ -4,19 +4,30 @@ An atom matrix ``M`` acts on atom vectors.  With ``D`` the diagonal of atom
 weights, ``M`` is nu-selfadjoint when ``D M`` is symmetric, and nu-PSD when
 its similarity transform ``D^{1/2} M D^{-1/2}`` is PSD.  Null atoms (zero
 weight) are excluded from the geometry.  A ``Spectrum`` holds the eigenpairs
-of that transform on the positive-weight atoms, and every PSD decision,
-square root and rank in the package reads one.  Spectral transforms return
-matrices with zero rows and columns at null atoms.
+of that transform on the positive-weight atoms, and every square root and
+rank in the package reads one.  Spectral transforms return matrices with
+zero rows and columns at null atoms.
+
+Every check decides "small enough" by one rule, ``judge``: an error passes
+when it is at most ``tol * scale``, with ``scale`` the size of what the error
+is measured against, in its units.  So no verdict depends on the unit of the
+measure, and bounds follow the roundoff of the products involved, about
+``n * eps * scale`` (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2002, ch. 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "CLAMP",
+    "Verdict",
+    "judge",
+    "require",
     "Spectrum",
     "selfadjoint_defect",
     "spectral_transform",
@@ -28,15 +39,37 @@ CLAMP = 1e-12
 """Eigenvalues at most ``CLAMP * lambda_max`` are roundoff: roots set them to zero and ranks skip them."""
 
 
-def selfadjoint_defect(M: np.ndarray, weights: np.ndarray) -> float:
-    """Largest violation of ``w(x) M[x,y] == w(y) M[y,x]`` relative to the largest ``|w(x) M[x,y]|``.
+class Verdict(NamedTuple):
+    """An error, its bound ``tol * scale``, and whether it passed; ``None`` where nothing was measured."""
 
-    ``M`` is nu-selfadjoint within ``tol`` when this is at most ``tol``, the
-    one selfadjointness rule of the package; a zero matrix has defect 0.
+    value: float | None
+    bound: float | None
+    passed: bool
+
+
+def judge(value: float, scale: float, tol: float) -> Verdict:
+    """``value`` against ``tol * scale``: passes when ``value <= tol * scale``, and a NaN fails.
+
+    A zero ``scale`` admits only a zero error, whatever ``tol``.
+    """
+    bound = tol * scale if scale else 0.0
+    return Verdict(value, bound, bool(value <= bound))
+
+
+def require(value: float, scale: float, tol: float, error: type[Exception], what: str, per: str) -> None:
+    """Raise ``error`` unless ``judge(value, scale, tol)`` passes: ``<what> <value> > <tol> × <per> = <scale>``."""
+    if not judge(value, scale, tol).passed:
+        raise error(f"{what} {value:.3e} > {tol:g} × {per} = {scale:.3e}")
+
+
+def selfadjoint_defect(M: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """``max|w(x) M[x,y] - w(y) M[y,x]|`` and its scale ``max|w(x) M[x,y]|``.
+
+    ``M`` is nu-selfadjoint within ``tol`` when ``judge`` passes the pair at
+    ``tol``, the one selfadjointness rule of the package.
     """
     WM = weights[:, None] * np.asarray(M, dtype=float)
-    scale = float(np.abs(WM).max())
-    return float(np.abs(WM - WM.T).max()) / scale if scale > 0 else 0.0
+    return float(np.abs(WM - WM.T).max()), float(np.abs(WM).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +100,7 @@ class Spectrum:
     @property
     def top(self) -> float:
         """``lambda_max``, or zero when no eigenvalue is positive."""
-        return max(float(self.values.max()), 0.0) if self.values.size else 0.0
+        return float(self.values.max(initial=0.0))
 
     @property
     def kept(self) -> np.ndarray:
@@ -81,13 +114,12 @@ class Spectrum:
     def certify(self, tol: float, error: type[Exception], what: str) -> "Spectrum":
         """``self`` if ``lambda_min >= -tol * lambda_max``; otherwise raise ``error``.
 
-        The rule is relative to the spectral scale with no absolute floor,
-        as eigenvalue perturbations are bounded by ``|Delta M|``, not by 1.
+        The package's PSD rule, which ``GramMatrix.psd`` applies to
+        eigenvalues alone: relative to the spectral scale with no absolute
+        floor, as eigenvalue perturbations are bounded by ``|Delta M|``, not by 1.
         """
-        if self.values.size and float(self.values.min()) < -tol * self.top:
-            raise error(
-                f"{what} is indefinite: eigenvalue {self.values.min():.3e} below -{tol:g} * {self.top:.3e}"
-            )
+        low = float(self.values.min(initial=0.0))
+        require(-low, self.top, tol, error, f"{what} is indefinite: -lambda_min", "lambda_max")
         return self
 
 

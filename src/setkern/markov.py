@@ -13,8 +13,8 @@ Transience is certified spectrally: the largest weighted singular value of
 that is the largest ``|lambda|`` of ``D^{1/2} P D^{-1/2}``; a chain that
 fails detailed balance is judged by ``P* P`` with ``P* = D^{-1} P^T D``
 instead, and has no spectral gap, ``(I - P)^{-1/2}`` or Green kernel.
-Detailed balance is judged relative to the largest ``w(x) P[x,y]``, by one
-rule (``check_reversibility``) shared by all of these.  ``G`` is computed by
+Detailed balance is judged against ``tol`` times the largest ``w(x) P[x,y]``,
+by one rule (``check_reversibility``) shared by all of these.  ``G`` is computed by
 a direct solve of ``(I - P) G = I`` (authoritative) and cross-validated
 against the truncated series.
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InconsistencyError, InvalidChainError, NotTransientError
 from .kernels import SetKernel
-from .linalg import Spectrum, selfadjoint_defect, spectral_transform
+from .linalg import Spectrum, judge, require, selfadjoint_defect, spectral_transform
 from .measure import MeasurableSet, MeasureSpace
 
 __all__ = [
@@ -144,7 +144,7 @@ class MarkovChain:
         return Spectrum.of(self.transitions, self.space.weight_array)
 
     @cached_property
-    def _balance_defect(self) -> float:
+    def _balance_defect(self) -> tuple[float, float]:
         return selfadjoint_defect(self.transitions, self.space.weight_array)
 
     @cached_property
@@ -172,8 +172,7 @@ class MarkovChain:
     @cached_property
     def _green_root(self) -> np.ndarray:
         """``(I - P)^{-1/2}`` from the spectrum; a non-reversible or non-transient chain raises."""
-        if not check_reversibility(self):
-            raise InvalidChainError(f"chain is not reversible (defect {self._balance_defect:.3e}): no (I - P)^(-1/2)")
+        _require_reversible(self, "(I - P)^(-1/2)")
         lam = self._spectrum.values
         top = float(lam.max())
         if top >= 1 - TRANSIENCE_GAP:
@@ -183,23 +182,29 @@ class MarkovChain:
         return _read_only(spectral_transform(self._spectrum, 1.0 / np.sqrt(1.0 - lam)))
 
 
-def reversibility_defect(chain: MarkovChain) -> float:
-    """Largest violation of detailed balance ``w(x) P[x,y] == w(y) P[y,x]`` relative to the largest ``w(x) P[x,y]``."""
+def reversibility_defect(chain: MarkovChain) -> tuple[float, float]:
+    """Largest violation of detailed balance ``w(x) P[x,y] == w(y) P[y,x]``, and its scale ``max w(x) P[x,y]``."""
     return chain._balance_defect
 
 
 def check_reversibility(chain: MarkovChain, tol: float = 1e-10) -> bool:
-    """True iff detailed balance holds within ``tol`` relative to the largest ``w(x) P[x,y]``.
+    """True iff detailed balance holds within ``tol`` times the largest ``w(x) P[x,y]``.
 
     This is the one reversibility rule: ``green_kernel``, the transience
-    norm, ``spectral_gap`` and ``green_root`` all decide with it (at the
-    default ``tol``).  Relative to scale, a chain and the same chain with
+    norm, ``spectral_gap`` and ``green_root`` all decide with it at
+    ``tol = 1e-10``.  Relative to scale, a chain and the same chain with
     every conductance and killing mass multiplied by ``c`` are judged alike.
 
     The atom-level identity integrates to the set-level balance
     ``sum_A w P(., B) == sum_B w P(., A)`` by biadditivity.
     """
-    return reversibility_defect(chain) <= tol
+    return judge(*reversibility_defect(chain), tol).passed
+
+
+def _require_reversible(chain: MarkovChain, lacks: str) -> None:
+    """Raise ``InvalidChainError`` unless detailed balance holds within ``1e-10`` times the largest ``w(x) P[x,y]``."""
+    require(*reversibility_defect(chain), 1e-10, InvalidChainError,
+            f"chain is not reversible, so it has no {lacks}: balance defect", "max|wP|")
 
 
 def check_transient(chain: MarkovChain, gap: float = TRANSIENCE_GAP) -> float:
@@ -230,9 +235,9 @@ class GreenData:
     """Largest entrywise gap between the solved and the summed ``G``."""
 
     @property
-    def relative_agreement(self) -> float:
-        """``series_agreement / max|G|``; ``G >= I`` entrywise, so ``max|G| >= 1``."""
-        return self.series_agreement / float(np.abs(self.G).max())
+    def scale(self) -> float:
+        """``max|G|``, the unit of ``series_agreement``; ``G >= I`` entrywise, so it is at least 1."""
+        return float(np.abs(self.G).max())
 
 
 def _neumann_sum(P: np.ndarray, terms: int) -> np.ndarray:
@@ -277,12 +282,13 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
         agreement = float(np.abs(_neumann_sum(chain.transitions, terms) - chain._green).max())
         chain._series[series_tol] = terms, agreement
     data = GreenData(chain._green, rho, *chain._series[series_tol])
-    if data.relative_agreement > agree_tol:
+    if not judge(data.series_agreement, data.scale, agree_tol).passed:
         gap = 1.0 - rho
         raise InconsistencyError(
-            f"Green series and solve disagree: {data.relative_agreement:.3e} of max|G| > {agree_tol:g}; "
+            f"Green series and solve disagree by {data.series_agreement:.3e} > {agree_tol:g} × max|G| = "
+            f"{data.scale:.3e}; "
             f"with spectral gap 1 - rho = {gap:.3e}, double precision certifies agreement only to "
-            f"about eps / (1 - rho) = {np.finfo(float).eps / gap:.3e}"
+            f"about eps / (1 - rho) = {np.finfo(float).eps / gap:.3e} of max|G|"
         )
     return data
 
@@ -296,11 +302,7 @@ def green_kernel(chain: MarkovChain, *, data: GreenData | None = None) -> SetKer
     ``green_root`` factors.  Pass the chain's ``green(chain)`` as ``data`` to
     build the kernel without solving for ``G`` again.
     """
-    if not check_reversibility(chain):
-        raise InvalidChainError(
-            f"chain is not reversible (defect {reversibility_defect(chain):.3e}); "
-            "the Green kernel would not be symmetric"
-        )
+    _require_reversible(chain, "symmetric Green kernel")
     G = (green(chain) if data is None else data).G
     return SetKernel(space=chain.space, kind="green", Q=chain.space.weight_array[:, None] * G, matrix=G)
 
@@ -327,6 +329,5 @@ def contractivity_check(chain: MarkovChain, *, tol: float = 1e-10) -> bool:
 
 def spectral_gap(chain: MarkovChain) -> float:
     """Smallest weighted eigenvalue of ``I - P``, positive for transient chains; only reversible chains have one."""
-    if not check_reversibility(chain):
-        raise InvalidChainError(f"chain is not reversible (defect {chain._balance_defect:.3e}): no spectral gap")
+    _require_reversible(chain, "spectral gap")
     return float(1.0 - chain._spectrum.values.max())

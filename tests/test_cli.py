@@ -235,6 +235,23 @@ def test_refine_sweep_records_levels(runner, tmp_path):
     assert by_check["q-attained"]["status"] == "pass"
 
 
+def test_refine_sweep_passes_for_phi_in_the_null_space_of_S(runner, tmp_path):
+    # T = 1 w^T, so S phi = 0 for a mean-zero phi and every q_n is roundoff:
+    # the q rows must bound that roundoff by |phi|^2_w lambda_max(T), not by |S phi|^2_w
+    cfg = tmp_path / "mean-zero.yaml"
+    cfg.write_text(CONFIGS.joinpath("rank-one.yaml").read_text() + (
+        "phi:\n  - [2.0, [a]]\n  - [-3.3333333333333335, [b]]\n"
+        "partitions:\n  - [[a, b, c]]\n  - [[a], [b, c]]\n  - [[a], [b], [c]]\n"
+    ))
+    out = tmp_path / "q.jsonl"
+    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
+    _, records = read_records(out)
+    by_check = {r["check"]: r for r in records}
+    assert result.exit_code == 0, records
+    assert {by_check[c]["status"] for c in ("q-monotone", "q-bound", "q-attained")} == {"pass"}
+    assert by_check["q-attained"]["bound"] > 1e-12
+
+
 # ---------------------------------------------------------------------------
 # flags and formats
 
@@ -533,13 +550,15 @@ def test_factorize_checks_keep_their_order_tags_and_bounds(runner, tmp_path):
     assert result.exit_code == 0
     _, records = read_records(out)
     factorize = [(r["check"], r["tag"], r["bound"]) for r in records[4:]]
+    # each bound is tol * scale: max|Q| = 0.5**2, max|T chi_B| = w(X) = 1, max|G| = w({a, b})**2 = 0.64,
+    # and the largest |F|**2 and |phi| |b F| of the seeded random elements
     assert factorize == [
-        ("realization", "realization", 1e-8),
+        ("realization", "realization", 1e-8 * 0.25),
         ("density-consistency", "density", 1e-9),
-        ("isometry", "isometry", 1e-9),
-        ("adjoint", "adjoint", 1e-9),
-        ("parseval", "parseval", 1e-9),
-        ("parseval-invariance", "parseval", 1e-10),
+        ("isometry", "isometry", pytest.approx(1e-9 * 14.656765717555004, rel=1e-12)),
+        ("adjoint", "adjoint", pytest.approx(1e-9 * 4.153781025193098, rel=1e-12)),
+        ("parseval", "parseval", pytest.approx(1e-9 * 0.64, rel=1e-12)),
+        ("parseval-invariance", "parseval", pytest.approx(1e-10 * 0.64, rel=1e-12)),
         ("range-rank", "range-rank", 1.0),
     ]
 
@@ -628,7 +647,8 @@ def test_a_chain_with_a_defect_below_unit_scale_fails_every_green_row_alike(runn
     assert result.exit_code == 1, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     by_check = {r["check"]: r for r in read_records(out)[1]}
-    assert by_check["detailed-balance"]["value"] == pytest.approx(1e-8, rel=1e-3)
+    balance = by_check["detailed-balance"]  # the defect is 1e-8 of max|wP|, 100 times its bound
+    assert balance["value"] / balance["bound"] == pytest.approx(1e-8 / 1e-10, rel=1e-3)
     for check in ("detailed-balance", "spectral-gap", "green-psd", "green-factor", "fundamental-match"):
         assert by_check[check]["status"] == "fail", check
     assert by_check["transience"]["status"] == "pass"
@@ -650,7 +670,7 @@ def test_series_solve_reports_the_gap_relative_to_the_green_function(runner, tmp
     by_check = {r["check"]: r for r in read_records(out)[1]}
     data = green(load_config(cfg).chain)
     assert data.series_agreement > 1e-8
-    assert by_check["series-solve"]["value"] == data.series_agreement / np.abs(data.G).max()
-    assert by_check["series-solve"]["bound"] == 1e-8
+    assert by_check["series-solve"]["value"] == data.series_agreement
+    assert by_check["series-solve"]["bound"] == 1e-8 * np.abs(data.G).max()
     for check in ("green-identity", "series-solve", "green-psd", "fundamental-match"):
         assert by_check[check]["status"] == "pass", check

@@ -586,6 +586,14 @@ def test_mass_mismatch_pushforward():
     assert not verify_pushforward(src, dst, [0, 1])
 
 
+def test_pushforward_that_leaves_a_positive_atom_null_fails():
+    # the mismatch 1e-7 is below 1e-12 * max w = 1e-6, but the image charges no mass to "z"
+    src = MeasureSpace(("u", "v"), (1e6, 1e-7))
+    dst = MeasureSpace(("w", "z"), (1e6, 1e-7))
+    assert verify_pushforward(src, dst, [0, 1])
+    assert not verify_pushforward(src, dst, [0, 0])
+
+
 def test_unmapped_atom_is_an_error(space):
     with pytest.raises(InvalidMapError):
         verify_pushforward(space, space, {0: 0, 1: 1})

@@ -4,8 +4,8 @@
 shipped config supports (every command that does not end in a config error),
 written with default seeds.  A refactor must reproduce every record's status
 exactly, every value within ``1e-9 * max(1, |golden|)`` and every bound
-within ``1e-9 * |golden|``: bounds are tolerances, some of them scaled by a
-Gram trace, and many are far below the absolute floor of the value test.
+within ``1e-9 * |golden|``: bounds are tolerances times the scale of their
+check, and many are far below the absolute floor of the value test.
 """
 
 import json

@@ -26,7 +26,7 @@ from setkern import (
     wiener_kernel,
 )
 from setkern.kernels import check_positive_definite
-from support import random_conductance_chain, random_sets
+from support import near_recurrent_path, random_conductance_chain, random_sets
 
 
 @pytest.fixture
@@ -72,7 +72,8 @@ def test_conductance_chain_is_reversible_by_construction():
     rng = np.random.default_rng(0)
     for _ in range(20):
         chain = random_conductance_chain(rng, int(rng.integers(2, 12)))
-        assert reversibility_defect(chain) <= 1e-14
+        defect, scale = reversibility_defect(chain)
+        assert defect <= 1e-14 * scale
 
 
 def test_conductance_weights_formula():
@@ -105,7 +106,8 @@ def test_detailed_balance_violation():
     sp = MeasureSpace(("a", "b"), (1.0, 2.0))
     chain = MarkovChain(sp, np.array([[0.0, 0.5], [0.5, 0.0]]))
     assert not check_reversibility(chain)
-    assert reversibility_defect(chain) == pytest.approx(0.5)
+    defect, scale = reversibility_defect(chain)
+    assert defect / scale == pytest.approx(0.5)
 
 
 def test_zero_chain_is_reversible():
@@ -278,16 +280,6 @@ def test_identity_chain_is_contractive_at_the_boundary():
 # the per-chain cache of spectrum, Green function and root
 
 
-def near_recurrent_path(n=10, kill=1e-4, at=0):
-    """Transient unit-conductance path killed at atom ``at``.
-
-    With the defaults, solve and series differ by 1.2e-8 at ``max|G|`` near 2e4.
-    """
-    atoms = [f"p{i}" for i in range(n)]
-    edges = [(atoms[i], atoms[i + 1], 1.0) for i in range(n - 1)]
-    return MarkovChain.from_conductances(atoms, edges, {atoms[at]: kill})
-
-
 def test_green_is_shared_and_read_only():
     chain = random_conductance_chain(np.random.default_rng(11), 8)
     first, second = green(chain), green(chain)
@@ -299,7 +291,8 @@ def test_green_is_shared_and_read_only():
 
 def test_agreement_bound_applies_on_every_call():
     chain = random_conductance_chain(np.random.default_rng(12), 8)
-    relative = green(chain).relative_agreement
+    data = green(chain)
+    relative = data.series_agreement / data.scale
     assert relative > 0
     with pytest.raises(InconsistencyError):
         green(chain, agree_tol=relative / 2)
@@ -308,9 +301,10 @@ def test_agreement_bound_applies_on_every_call():
     for _ in range(2):
         data = green(path)
         assert data.series_agreement > 1e-8
-        assert data.relative_agreement == data.series_agreement / np.abs(data.G).max() < 1e-11
+        assert data.scale == np.abs(data.G).max()
+        assert data.series_agreement / data.scale < 1e-11
         with pytest.raises(InconsistencyError):
-            green(path, agree_tol=data.relative_agreement / 2)
+            green(path, agree_tol=data.series_agreement / data.scale / 2)
 
 
 def test_a_chain_below_double_precision_names_its_gap():
@@ -456,7 +450,8 @@ def test_every_reversibility_decision_is_the_same_rule(scale, skew):
     chain = MarkovChain(MeasureSpace(("a", "b"), (scale, scale)), np.array([[0.0, 0.5], [0.5 * (1 + skew), 0.0]]))
     reversible = skew < 1e-10
     assert check_reversibility(chain) == reversible
-    assert reversibility_defect(chain) == pytest.approx(skew, rel=1e-3)
+    defect, scale = reversibility_defect(chain)
+    assert defect / scale == pytest.approx(skew, rel=1e-3)
     for decide in (green_kernel, green_root, spectral_gap):
         if reversible:
             decide(chain)
