@@ -168,6 +168,11 @@ def _transience(run: Run, gap: float) -> Verdict:
     return Verdict(rho, 1 - gap, ok)
 
 
+def _spectral_gap(run: Run, gap: float) -> Verdict:
+    value = _or_none(partial(markov.spectral_gap, run.cfg.chain))
+    return Verdict(None, None, False) if value is None else Verdict(value, gap, value >= gap)
+
+
 def _random_coefficients(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     """Rows of ``count`` random elements ``sum_i alpha_i K(., A_i)`` of one to four terms over a pool of ``m`` sets."""
     terms = rng.integers(1, 5, size=count)
@@ -260,9 +265,7 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
         Check("range-rank", "range-rank", None, _range_rank, needs="fact"),
     )),
     "green": (lambda run: True, (
-        Check("spectral-gap", "spectral-gap", "transience-gap",
-              lambda run, tol: Verdict(gap := _or_none(partial(markov.spectral_gap, run.cfg.chain)), tol,
-                                       gap is not None and gap >= tol)),
+        Check("spectral-gap", "spectral-gap", "transience-gap", _spectral_gap),
         Check("green-identity", "green-identity", "green-identity", lambda run, tol: judge(float(np.abs(
             run.green.G - run.cfg.chain.transitions @ run.green.G - np.eye(run.cfg.space.size)
         ).max()), run.green.scale, tol), needs="green"),

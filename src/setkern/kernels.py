@@ -89,7 +89,7 @@ class SetKernel:
         self.space.validate_set(B)
         if not A.members or not B.members:
             return 0.0
-        return float(self.Q[np.ix_(A.indices, B.indices)].sum())
+        return float(self.Q.take(A.indices, 0).take(B.indices, 1).sum())
 
     @classmethod
     def from_atom_gram(cls, space: MeasureSpace, Q: np.ndarray, kind: str = "custom") -> "SetKernel":

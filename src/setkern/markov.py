@@ -243,13 +243,13 @@ class GreenData:
 def _neumann_sum(P: np.ndarray, terms: int) -> np.ndarray:
     # Partial sum I + P + ... + P^(k-1) with k the next power of two >= terms,
     # via the doubling identity S_{2k} = S_k + P^k S_k.
-    n = P.shape[0]
-    S = np.eye(n)
-    Q = P.copy()
+    S = np.eye(P.shape[0])
+    Q = P
     k = 1
     while k < terms:
+        if k > 1:
+            Q = Q @ Q
         S = S + Q @ S
-        Q = Q @ Q
         k *= 2
     return S
 

@@ -109,6 +109,18 @@ def near_recurrent_path(n: int = 10, kill: float = 1e-4, at: int = 0) -> MarkovC
     return MarkovChain.from_conductances(atoms, edges, {atoms[at]: kill})
 
 
+def neumann_sum_doubling(P: np.ndarray, terms: int) -> np.ndarray:
+    """``I + P + ... + P^(k-1)``, ``k`` the next power of two >= ``terms``, squaring ``Q = P^k`` after every step."""
+    S = np.eye(P.shape[0])
+    Q = P.copy()
+    k = 1
+    while k < terms:
+        S = S + Q @ S
+        Q = Q @ Q
+        k *= 2
+    return S
+
+
 def splitting_partitions(rng: np.random.Generator, space: MeasureSpace) -> list[Partition]:
     """Full splitting sequence from the one-block partition down to singletons."""
     blocks = [frozenset(range(space.size))]

@@ -32,7 +32,7 @@ from setkern import (
     wiener_kernel,
 )
 from setkern.field import CHUNK_SIZE
-from support import random_sets, random_simple_function, random_space
+from support import random_conductance_chain, random_sets, random_simple_function, random_space
 
 
 @pytest.fixture
@@ -408,6 +408,51 @@ def test_folded_moments_match_the_sampled_field_for_any_worker_count(n):
         mean, se = _moments((draws @ coef[0]) * (draws @ coef[-1]))
         assert results[0].estimate == pytest.approx(mean, rel=1e-12)
         assert results[0].std_error == pytest.approx(se, rel=1e-12)
+
+
+def _per_chunk_philox_moment(sampler, alpha, beta, n):
+    """Mean and standard error of ``Z_alpha * Z_beta`` from a new ``Philox`` per chunk and ``@`` partials."""
+    a, b = sampler.factor.T @ alpha, sampler.factor.T @ beta
+    s1 = s2 = 0.0
+    for i, start in enumerate(range(0, n, CHUNK_SIZE)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([sampler.seed, i], dtype=np.uint64)))
+        z = rng.standard_normal((min(CHUNK_SIZE, n - start), sampler.rank))
+        vals = (z @ a) * (z @ b)
+        s1 += float(np.sum(vals))
+        s2 += float(np.sum(vals * vals))
+    mean = s1 / n
+    var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
+    return mean, float(np.sqrt(var / n))
+
+
+def _rank_cases():
+    sp = MeasureSpace(tuple("abcdef"), (1.0, 2.0, 0.5, 1.5, 0.7, 3.0))
+    phi = SimpleFunction(((1.0, sp.subset("a", "b")), (2.0, sp.subset("c")), (-0.7, sp.subset("d", "e", "f"))))
+    psi = SimpleFunction(((0.5, sp.subset("a", "b", "c")), (-1.0, sp.subset("d", "e", "f"))))
+    chain = random_conductance_chain(np.random.default_rng(24), 6)
+    singletons = list(chain.space.singletons())
+    phi6 = SimpleFunction(tuple((0.3 * i - 0.8, s) for i, s in enumerate(singletons)))
+    psi6 = SimpleFunction(((1.2, singletons[0] | singletons[3]), (-0.4, singletons[5])))
+    return {
+        "rank_one": (rank_one_kernel(sp), phi, psi, 1),
+        "wiener": (wiener_kernel(sp), phi, psi, 3),
+        "green": (green_kernel(chain), phi6, psi6, 6),
+    }
+
+
+@pytest.mark.parametrize("case", ["rank_one", "wiener", "green"])
+@pytest.mark.parametrize("n", [1, CHUNK_SIZE, 3 * CHUNK_SIZE + 17])
+def test_moment_checks_are_the_per_chunk_philox_stream_to_the_bit(case, n):
+    kernel, phi, psi, rank = _rank_cases()[case]
+    fact = realize(kernel)
+    for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, psi))):
+        sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + integrands[-1].sets()), seed=25)
+        assert sampler.rank == rank
+        coef = [setkern.field._coefficients(f, sampler) for f in integrands]
+        expected = _per_chunk_philox_moment(sampler, coef[0], coef[-1], n)
+        for workers in (1, 2, 3):
+            result = check(kernel, fact, *integrands, n, seed=25, workers=workers)
+            assert (result.estimate, result.std_error) == expected
 
 
 @pytest.mark.parametrize("workers, n", [(1, 50000), (2, 50000), (3, 50000), (64, 20000)])

@@ -328,6 +328,18 @@ def small_kernels(draw):
     return {"wiener": wiener_kernel, "rank_one": rank_one_kernel, "counting": counting_kernel}[kind](space)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_a_kernel_value_is_the_sum_of_its_atom_block_to_the_bit(n, seed, pa, pb):
+    # the value takes rows, then columns of Q; the same block and the same sum as an np.ix_ block
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    kernel = SetKernel.from_atom_gram(random_space(rng, n), B @ B.T)
+    A, C = (MeasurableSet(frozenset(np.flatnonzero(rng.random(n) < p).tolist())) for p in (pa, pb))
+    block_sum = float(kernel.Q[np.ix_(A.indices, C.indices)].sum())
+    assert np.float64(kernel(A, C)).tobytes() == np.float64(block_sum).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_kernels())
 def test_kernel_gram_and_realization_agree_on_all_sets(kernel):

@@ -26,7 +26,8 @@ from setkern import (
     wiener_kernel,
 )
 from setkern.kernels import check_positive_definite
-from support import near_recurrent_path, random_conductance_chain, random_sets
+from setkern.markov import _neumann_sum
+from support import near_recurrent_path, neumann_sum_doubling, random_conductance_chain, random_sets
 
 
 @pytest.fixture
@@ -356,6 +357,15 @@ def test_cached_results_match_fresh_numpy(n, seed):
     close(spectral_gap(chain), 1.0 - lam.max())
     close(green(chain).G, np.linalg.inv(np.eye(n) - P))
     close(green_root(chain), root)
+
+
+@pytest.mark.parametrize("n, terms", [(2, 1), (2, 2), (8, None), (96, None), (192, None)])
+def test_the_series_skips_the_square_it_never_reads(n, terms):
+    # the reference also squares Q after its last step, a square no step reads
+    chain = random_conductance_chain(np.random.default_rng(n), n)
+    terms = terms or green(chain).series_terms
+    P = chain.transitions
+    assert _neumann_sum(P, terms).tobytes() == neumann_sum_doubling(P, terms).tobytes()
 
 
 def test_one_eigendecomposition_and_one_refined_solve_per_chain(monkeypatch):
