@@ -27,7 +27,13 @@ from setkern import (
 )
 from setkern.kernels import check_positive_definite
 from setkern.markov import _neumann_sum
-from support import near_recurrent_path, neumann_sum_doubling, random_conductance_chain, random_sets
+from support import (
+    conductance_transitions_one_edge_at_a_time,
+    near_recurrent_path,
+    neumann_sum_doubling,
+    random_conductance_chain,
+    random_sets,
+)
 
 
 @pytest.fixture
@@ -368,7 +374,9 @@ def test_the_series_skips_the_square_it_never_reads(n, terms):
     assert _neumann_sum(P, terms).tobytes() == neumann_sum_doubling(P, terms).tobytes()
 
 
-def test_one_eigendecomposition_and_one_refined_solve_per_chain(monkeypatch):
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of ``eigh``/``eigvalsh`` (as ``eigen``) and ``solve`` calls made from here on."""
     calls = {"eigen": 0, "solve": 0}
 
     def counting(kind, fn):
@@ -380,26 +388,115 @@ def test_one_eigendecomposition_and_one_refined_solve_per_chain(monkeypatch):
 
     for name, kind in (("eigh", "eigen"), ("eigvalsh", "eigen"), ("solve", "solve")):
         monkeypatch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
-    chain = random_conductance_chain(np.random.default_rng(14), 8)
-    check_transient(chain)
-    spectral_gap(chain)
-    contractivity_check(chain)
-    green(chain)
-    green_kernel(chain)
-    green_root(chain)
-    assert calls == {"eigen": 1, "solve": 2}
+    return calls
 
 
-def test_a_second_series_tolerance_reuses_the_solve(monkeypatch):
-    solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+# detailed balance fails on these weights (3 × 0.5 against 1 × 0.2), and rho = 0.866
+NON_REVERSIBLE_TRANSIENT = MarkovChain(
+    MeasureSpace(("a", "b"), (3.0, 1.0)), np.array([[0.0, 0.5], [0.2, 0.0]])
+)
+
+
+@pytest.mark.parametrize(
+    "reversible, expected",
+    [(True, {"eigen": 1, "solve": 0}), (False, {"eigen": 1, "solve": 1})],
+    ids=["reversible", "non-reversible"],
+)
+def test_one_eigendecomposition_per_chain_and_a_solve_only_without_balance(linalg_calls, reversible, expected):
+    # a reversible chain made two solves besides its eigh; its G now comes from that spectrum
+    if reversible:
+        chain = random_conductance_chain(np.random.default_rng(14), 8)
+        uses = (check_transient, spectral_gap, contractivity_check, green, green_kernel, green_root)
+    else:
+        chain = NON_REVERSIBLE_TRANSIENT
+        assert not check_reversibility(chain)
+        uses = (check_transient, contractivity_check, green, green)
+    for use in uses:
+        use(chain)
+    assert linalg_calls == expected
+
+
+def test_a_second_series_tolerance_reuses_G(linalg_calls):
     chain = random_conductance_chain(np.random.default_rng(15), 50)
     tight = green(chain)
     loose = green(chain, series_tol=1e-6, agree_tol=1e-4)
-    assert len(solves) == 2
+    assert linalg_calls == {"eigen": 1, "solve": 0}
     assert loose.G is tight.G
     assert loose.series_terms < tight.series_terms
+
+
+def test_a_non_reversible_transient_chain_is_inverted_by_its_solve():
+    data = green(NON_REVERSIBLE_TRANSIENT)
+    assert data.spectral_bound == pytest.approx(np.sqrt(0.75), rel=1e-12)
+    # (I - P)^{-1} by hand: det 0.9
+    expected = np.array([[1.0, 0.5], [0.2, 1.0]]) / 0.9
+    assert np.abs(data.G - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.floats(-7.0, -4.0), st.data())
+def test_green_inverts_the_chain_at_the_edge_of_the_balance_rule(n, log_kill, data):
+    # every transition is an off-diagonal entry, scaled down by up to 4e-11: the chain passes the
+    # 1e-10 balance rule, so G starts from the spectrum of its symmetrization, which is not P's
+    path = near_recurrent_path(n, 10.0**log_kill, data.draw(st.integers(0, n - 1)))
+    skew = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0.0, 4e-11, size=(n, n))
+    chain = MarkovChain(path.space, path.transitions * (1.0 - skew))
+    assert check_reversibility(chain)
+    # below a gap of about 1e-8 no series certifies agree_tol (the test of the 1e-8 kill above):
+    # G alone is judged here
+    G, eye = green(chain, agree_tol=np.inf).G, np.eye(n)
+    scale = np.abs(G).max()
+    assert np.abs((eye - chain.transitions) @ G - eye).max() <= 1e-12 * scale
+    # inv is itself accurate only to about eps / (1 - rho) of max|G|: at n = 31 and kill 1e-7 the
+    # solve and inv differed by 1.4e-8 of it, each within 6e-9 of a 60-digit inverse
+    floor = max(1e-8, np.finfo(float).eps / spectral_gap(chain))
+    assert np.abs(G - np.linalg.inv(eye - chain.transitions)).max() <= floor * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2**32 - 1))
+def test_permuting_the_atoms_permutes_every_result(n, seed):
+    rng = np.random.default_rng(seed)
+    chain = random_conductance_chain(rng, n)
+    sp = chain.space
+    p = rng.permutation(n)
+    moved = MarkovChain(
+        MeasureSpace(tuple(sp.atoms[i] for i in p), tuple(sp.weight_array[p])),
+        chain.transitions[np.ix_(p, p)],
+    )
+
+    def close(value, reference):
+        assert np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    for decide in (check_reversibility, contractivity_check):
+        assert decide(moved) == decide(chain)
+    close(check_transient(moved), check_transient(chain))
+    close(spectral_gap(moved), spectral_gap(chain))
+    close(green(moved).G, green(chain).G[np.ix_(p, p)])
+    close(green_root(moved), green_root(chain)[np.ix_(p, p)])
+    k, k_moved = green_kernel(chain), green_kernel(moved)
+
+    def relabel(A):
+        return moved.space.subset(*(sp.atoms[i] for i in A.indices))
+
+    pairs = list(zip(random_sets(rng, sp, 8), random_sets(rng, sp, 8)))
+    close(np.array([k_moved(relabel(A), relabel(B)) for A, B in pairs]), np.array([k(A, B) for A, B in pairs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_conductances_add_up_one_edge_at_a_time_to_the_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    atoms = [f"s{i}" for i in range(n)]
+    edges = [(atoms[i], atoms[j], float(rng.uniform(0.0, 2.0))) for i, j in rng.integers(0, n, size=(3 * n, 2))]
+    x, y, _ = edges[0]
+    # a repeated edge, the same pair in the other direction, and a self-loop
+    edges += [edges[0], (y, x, float(rng.uniform(0.0, 2.0))), (x, x, float(rng.uniform(0.0, 2.0)))]
+    kill = rng.uniform(0.05, 0.5, size=n)
+    chain = MarkovChain.from_conductances(atoms, edges, kill)
+    P, w = conductance_transitions_one_edge_at_a_time(atoms, edges, kill)
+    assert chain.transitions.tobytes() == P.tobytes()
+    assert chain.space.weight_array.tobytes() == w.tobytes()
 
 
 def test_a_non_reversible_chain_is_judged_by_its_singular_values():
