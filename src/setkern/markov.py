@@ -14,9 +14,9 @@ that is the largest ``|lambda|`` of ``D^{1/2} P D^{-1/2}``; a chain that
 fails detailed balance is judged by ``P* P`` with ``P* = D^{-1} P^T D``
 instead, and has no spectral gap, ``(I - P)^{-1/2}`` or Green kernel.
 Detailed balance is judged against ``tol`` times the largest ``w(x) P[x,y]``,
-by one rule (``check_reversibility``) shared by all of these.  ``G`` is the
-spectral inverse (reversible) or solve (otherwise), refined once against
-``I - P``, and cross-validated by the series.
+by one rule (``check_reversibility``) shared by all of these.  ``G`` is one
+solve of ``(I - P) G = I``, refined once against ``I - P`` by a
+Newton-Schulz step, and cross-validated against the truncated series.
 
 A chain is immutable, so it computes its spectrum, its balance defect, its
 Green function and ``(I - P)^{-1/2}`` once, on first use, and every function
@@ -107,9 +107,7 @@ class MarkovChain:
         n = len(atoms)
         if n == 0:
             raise InvalidChainError("need at least one atom")
-        # (i, j, c) in edge order, each non-loop edge followed by (j, i, c): add.at adds in
-        # that order, so every C[i, j] is the same sum as one edge at a time
-        rows, cols, vals = [], [], []
+        C = np.zeros((n, n))
         for x, y, c in edges:
             c = float(c)
             if c < 0:
@@ -118,15 +116,9 @@ class MarkovChain:
                 i, j = index[str(x)], index[str(y)]
             except KeyError as e:
                 raise InvalidChainError(f"edge references unknown atom {e.args[0]!r}") from None
-            rows.append(i)
-            cols.append(j)
-            vals.append(c)
+            C[i, j] += c
             if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(c)
-        C = np.zeros((n, n))
-        np.add.at(C, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), vals)
+                C[j, i] += c
         killv = np.zeros(n)
         if isinstance(kill, Mapping):
             for a, m in kill.items():
@@ -166,25 +158,20 @@ class MarkovChain:
 
     @cached_property
     def _green(self) -> np.ndarray:
-        """``(I - P)^{-1}``: spectral inverse (reversible) or solve (otherwise), refined once.
+        """``(I - P)^{-1}`` by one solve, refined once.
 
-        Only ``green`` reads it, after ``check_transient``, so every
-        eigenvalue is below one.  The Newton-Schulz step
-        ``G0 + G0 (I - A G0)`` with ``A = I - P`` squares the residual of
-        ``G0`` against ``P`` itself, not against the symmetrization the
-        spectrum came from.
+        The Newton-Schulz step ``G0 + G0 (I - A G0)`` with ``A = I - P``
+        squares the residual of the solve with two matrix products, where
+        classical iterative refinement would solve a second time.
         """
         eye = np.eye(self.space.size)
         A = eye - self.transitions
-        if check_reversibility(self):
-            G0 = spectral_transform(self._spectrum, 1.0 / (1.0 - self._spectrum.values))
-        else:
-            G0 = np.linalg.solve(A, eye)
+        G0 = np.linalg.solve(A, eye)
         return _read_only(G0 + G0 @ (eye - A @ G0))
 
     @cached_property
     def _series(self) -> dict[float, tuple[int, float]]:
-        """``green``'s series terms and their agreement with ``G``, one entry per ``series_tol``."""
+        """``green``'s series terms and series/solve agreement, one entry per ``series_tol``."""
         return {}
 
     @cached_property
@@ -275,20 +262,20 @@ def _neumann_sum(P: np.ndarray, terms: int) -> np.ndarray:
 def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1e-8) -> GreenData:
     """Green function ``G = (I - P)^{-1}``, cross-validated against the series.
 
-    ``G`` is the spectral inverse (reversible) or solve (otherwise), refined
-    once against ``I - P``, and cross-validated by the series: the truncated
-    series uses enough terms for a ``series_tol`` geometric tail, and the two
-    must agree entrywise within ``agree_tol * max|G|`` (roundoff in both
-    grows with ``G``, and ``max|G| >= 1``, so the bound never drops below
-    ``agree_tol``).  ``G`` is computed once per chain and the series once per
-    ``series_tol``; ``agree_tol`` is applied on every call.
+    ``G`` is one solve, refined once against ``I - P``, and cross-validated
+    by the series: the truncated series uses enough terms for a
+    ``series_tol`` geometric tail, and the two must agree entrywise within
+    ``agree_tol * max|G|`` (roundoff in both grows with ``G``, and
+    ``max|G| >= 1``, so the bound never drops below ``agree_tol``).  The
+    solve is made once per chain and the series once per ``series_tol``;
+    ``agree_tol`` is applied on every call.
 
     Raises
     ------
     NotTransientError
         If the spectral bound reaches one.
     InconsistencyError
-        If ``G`` and the series disagree beyond ``agree_tol * max|G|``; the
+        If solve and series disagree beyond ``agree_tol * max|G|``; the
         message names the gap ``1 - rho`` and the roundoff scale ``eps / (1 - rho)``.
     """
     rho = check_transient(chain)
@@ -318,7 +305,7 @@ def green_kernel(chain: MarkovChain, *, data: GreenData | None = None) -> SetKer
     definite because ``G`` is the inverse of ``I - P`` with spectrum in
     ``(0, 2]`` of the weighted geometry.  It accepts exactly the chains that
     ``green_root`` factors.  Pass the chain's ``green(chain)`` as ``data`` to
-    build the kernel without computing ``G`` again.
+    build the kernel without solving for ``G`` again.
     """
     _require_reversible(chain, "symmetric Green kernel")
     G = (green(chain) if data is None else data).G

@@ -109,21 +109,6 @@ def near_recurrent_path(n: int = 10, kill: float = 1e-4, at: int = 0) -> MarkovC
     return MarkovChain.from_conductances(atoms, edges, {atoms[at]: kill})
 
 
-def conductance_transitions_one_edge_at_a_time(
-    atoms: list[str], edges: list[tuple[str, str, float]], kill: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(P, w)`` of ``MarkovChain.from_conductances``, adding each edge ``c`` into ``C[i, j]`` and then ``C[j, i]``."""
-    index = {a: i for i, a in enumerate(atoms)}
-    C = np.zeros((len(atoms), len(atoms)))
-    for x, y, c in edges:
-        i, j = index[x], index[y]
-        C[i, j] += c
-        if i != j:
-            C[j, i] += c
-    w = C.sum(axis=1) + kill
-    return C / w[:, None], w
-
-
 def neumann_sum_doubling(P: np.ndarray, terms: int) -> np.ndarray:
     """``I + P + ... + P^(k-1)``, ``k`` the next power of two >= ``terms``, squaring ``Q = P^k`` after every step."""
     S = np.eye(P.shape[0])
