@@ -21,7 +21,6 @@ from .errors import (
     NotTransientError,
     OrderingError,
     SetKernError,
-    UnsupportedFunctionError,
     VerificationError,
 )
 from .factorization import (
@@ -32,7 +31,6 @@ from .factorization import (
     b_range_dimension,
     build_T,
     check_absolute_continuity,
-    coisometry_b_star,
     coisometry_b_star_batch,
     export_factorization,
     isometry_b,
@@ -49,7 +47,6 @@ from .field import (
     ItoResult,
     build_sampler,
     cross_moment_check,
-    ito_integral,
     ito_isometry_check,
     projection_second_moment,
     refinement_sweep,
@@ -57,12 +54,10 @@ from .field import (
 from .kernels import (
     GramMatrix,
     SetKernel,
-    check_positive_definite,
     counting_kernel,
     gram,
     operator_kernel,
     rank_one_kernel,
-    schwarz_check,
     wiener_kernel,
 )
 from .markov import (
@@ -74,7 +69,6 @@ from .markov import (
     green,
     green_kernel,
     green_root,
-    k_from_green,
     reversibility_defect,
     spectral_gap,
 )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -298,7 +297,7 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
 }
 
 CHECKS = tuple(dict.fromkeys(c.name for _, checks in SUITES.values() for c in checks if c.name != LEVELS))
-"""Check names accepted under ``checks:``, besides the pattern ``q-level-<n>``."""
+"""Check names accepted under ``checks:``, besides ``q-level-<n>`` for each configured partition ``n``."""
 
 
 def _expand_levels(checks: tuple[Check, ...], levels: int):
@@ -350,8 +349,9 @@ COMMANDS = (
 
 
 def _check_names(cfg: ExperimentConfig) -> None:
+    levels = {f"q-level-{i}" for i in range(len(cfg.partitions))}
     for name in cfg.checks or ():
-        if name not in CHECKS and not re.fullmatch(r"q-level-\d+", name):
+        if name not in CHECKS and name not in levels:
             raise ConfigError(f"checks: unknown check {name!r}")
     for name in cfg.expect:
         if name not in EXPECTATIONS:

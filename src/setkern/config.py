@@ -1,6 +1,8 @@
 """Experiment configuration: a single YAML document.
 
-Schema (all sections optional unless a command needs them)::
+Schema (all sections optional unless a command needs them; a key the schema
+does not name at the top level or in ``space``, ``kernel``, ``chain`` or ``mc``
+is an error)::
 
     space:
       atoms: [a, b, c]
@@ -51,12 +53,13 @@ from .measure import (
     Partition,
     SimpleFunction,
     is_partition,
-    refinement_chain_ok,
+    is_refinement,
 )
 
 __all__ = ["ExperimentConfig", "load_config", "KERNEL_TYPES"]
 
 KERNEL_TYPES = ("wiener", "rank_one", "operator", "green", "counting")
+_SECTIONS = ("space", "kernel", "chain", "family", "phi", "psi", "partitions", "mc", "tolerances", "checks", "expect")
 
 # libyaml parses configs about ten times faster when PyYAML was built with it.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -104,11 +107,15 @@ class ExperimentConfig:
         return self.checks is None or check in self.checks
 
 
-def _as_mapping(node: Any, where: str) -> dict:
+def _as_mapping(node: Any, where: str, keys: tuple[str, ...] | None = None) -> dict:
+    """``node`` as a mapping; with ``keys``, a key outside them is a config error naming it."""
     if node is None:
         return {}
     if not isinstance(node, dict):
         raise ConfigError(f"{where} must be a mapping")
+    for key in node if keys is not None else ():
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r}, expected one of {', '.join(keys)}")
     return node
 
 
@@ -207,9 +214,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot read {path}: {e}") from e
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: {e}") from e
-    raw = _as_mapping(raw, str(path))
+    raw = _as_mapping(raw, str(path), _SECTIONS)
 
-    space_node = _as_mapping(raw.get("space"), "space")
+    space_node = _as_mapping(raw.get("space"), "space", ("atoms", "weights"))
     if "atoms" not in space_node:
         raise ConfigError("space.atoms is required")
     atoms = [str(a) for a in _as_list(space_node["atoms"], "space.atoms")]
@@ -222,7 +229,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     chain = None
     if "chain" in raw:
-        chain, space = _parse_chain(atoms, weights, _as_mapping(raw["chain"], "chain"))
+        chain, space = _parse_chain(atoms, weights, _as_mapping(raw["chain"], "chain", ("transitions", "edges", "kill")))
     else:
         if weights is None:
             raise ConfigError("space.weights are required without a conductance chain")
@@ -234,7 +241,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     kernel_type = None
     kernel_matrix = None
     if "kernel" in raw:
-        knode = _as_mapping(raw["kernel"], "kernel")
+        knode = _as_mapping(raw["kernel"], "kernel", ("type", "matrix"))
         kernel_type = str(knode.get("type", ""))
         if kernel_type not in KERNEL_TYPES:
             raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {kernel_type!r}")
@@ -266,11 +273,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         )
         if not is_partition(space, part.blocks):
             raise ConfigError(f"partitions[{i}] does not partition the space")
+        if partitions and not is_refinement(partitions[-1], part):
+            raise ConfigError(f"partitions[{i}] does not refine partitions[{i - 1}]")
         partitions.append(part)
-    if partitions and not refinement_chain_ok(partitions):
-        raise ConfigError("partitions must be ordered by refinement")
 
-    mc = _as_mapping(raw.get("mc"), "mc")
+    mc = _as_mapping(raw.get("mc"), "mc", ("samples", "seed"))
     samples = _integer(mc.get("samples", 200000), "mc.samples")
     seed = _integer(mc.get("seed", 0), "mc.seed")
     if samples < 1:

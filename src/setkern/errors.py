@@ -1,5 +1,11 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "SetKernError", "InvalidSetError", "DomainError", "InvalidOperatorError", "AbsoluteContinuityError",
+    "NotPositiveError", "VerificationError", "InconsistencyError", "InvalidBasisError", "InvalidMapError",
+    "InvalidChainError", "NotTransientError", "InvalidCovarianceError", "OrderingError", "ConfigError",
+]
+
 
 class SetKernError(Exception):
     """Base class for every error raised by this package."""
@@ -55,10 +61,6 @@ class NotTransientError(SetKernError):
 
 class InvalidCovarianceError(SetKernError):
     """A covariance (Gram) matrix is indefinite beyond tolerance."""
-
-
-class UnsupportedFunctionError(SetKernError):
-    """A simple function uses sets outside the sampler's family."""
 
 
 class OrderingError(SetKernError):

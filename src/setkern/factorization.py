@@ -48,7 +48,6 @@ __all__ = [
     "reverse_direction",
     "isometry_b",
     "isometry_b_batch",
-    "coisometry_b_star",
     "coisometry_b_star_batch",
     "onb_factorization",
     "onb_gram",
@@ -151,11 +150,6 @@ class Factorization:
     def space(self) -> MeasureSpace:
         return self.kernel.space
 
-    @property
-    def T(self) -> np.ndarray:
-        """The kernel's operator ``T``."""
-        return self.kernel.T
-
     def k(self, A: MeasurableSet) -> np.ndarray:
         """The factor vector ``k_A = S chi_A``."""
         return self.S @ self.space.indicator(A)
@@ -242,14 +236,6 @@ class RkhsElement:
 
     terms: tuple[tuple[float, MeasurableSet], ...]
 
-    def __post_init__(self):
-        norm = []
-        for coef, s in self.terms:
-            if not isinstance(s, MeasurableSet):
-                s = MeasurableSet(frozenset(s))
-            norm.append((float(coef), s))
-        object.__setattr__(self, "terms", tuple(norm))
-
     def coefficients(self) -> np.ndarray:
         return np.array([c for c, _ in self.terms], dtype=float)
 
@@ -290,12 +276,6 @@ def coisometry_b_star_batch(factorization: Factorization, phi: np.ndarray, sets:
         raise DomainError("atom vectors must match the space size")
     return (phi * space.weight_array) @ factorization.k_rows(sets).T
 
-
-def coisometry_b_star(
-    factorization: Factorization, phi: np.ndarray, A: MeasurableSet
-) -> float:
-    """Value at ``A`` of the adjoint image of an L2 vector: ``<phi, k_A>``."""
-    return float(coisometry_b_star_batch(factorization, np.asarray(phi, dtype=float)[None], [A])[0, 0])
 
 
 def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray], tol: float) -> np.ndarray:
@@ -416,7 +396,7 @@ def export_factorization(
     return {
         "atoms": list(space.atoms),
         "weights": list(space.weights),
-        "T": factorization.T.tolist(),
+        "T": factorization.kernel.T.tolist(),
         "k": [
             {"set": [space.atoms[i] for i in A.indices], "vector": k}
             for A, k in zip(sets, kvecs.tolist())

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidCovarianceError, OrderingError, UnsupportedFunctionError
+from .errors import DomainError, InvalidCovarianceError, OrderingError
 from .factorization import Factorization
 from .kernels import GramMatrix, SetKernel, gram
 from .linalg import Spectrum, judge
@@ -34,7 +34,6 @@ __all__ = [
     "FieldSampler",
     "ItoResult",
     "build_sampler",
-    "ito_integral",
     "ito_isometry_check",
     "cross_moment_check",
     "projection_second_moment",
@@ -114,12 +113,6 @@ class FieldSampler:
     def rank(self) -> int:
         return self.factor.shape[1]
 
-    def index_of(self, A: MeasurableSet) -> int:
-        try:
-            return self.family.index(A)
-        except ValueError:
-            raise UnsupportedFunctionError(f"set {A} is not in the sampler family") from None
-
     def sample(self, n: int, workers: int = 1) -> np.ndarray:
         """Draw ``n`` i.i.d. field vectors, shape ``(n, len(family))``.
 
@@ -157,22 +150,12 @@ def build_sampler(
 
 
 def _coefficients(phi: SimpleFunction, sampler: FieldSampler) -> np.ndarray:
+    """Coefficients of ``phi`` over the sampler family, which holds every set of ``phi``."""
+    index = {A: i for i, A in enumerate(sampler.family)}
     alpha = np.zeros(len(sampler.family))
     for coef, s in phi.terms:
-        alpha[sampler.index_of(s)] += coef
+        alpha[index[s]] += coef
     return alpha
-
-
-def ito_integral(sampler: FieldSampler, phi: SimpleFunction, draw: np.ndarray) -> float:
-    """Integral of a simple function against one field draw.
-
-    ``phi`` must be supported on the sampler family; the value is the
-    coefficient-weighted sum of the draw's coordinates.
-    """
-    draw = np.asarray(draw, dtype=float)
-    if draw.shape != (len(sampler.family),):
-        raise DomainError("draw length must match the sampler family")
-    return float(_coefficients(phi, sampler) @ draw)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,6 @@ __all__ = [
     "operator_kernel",
     "counting_kernel",
     "gram",
-    "check_positive_definite",
-    "schwarz_check",
 ]
 
 
@@ -39,9 +37,10 @@ __all__ = [
 class SetKernel:
     """A real symmetric kernel on pairs of finite-measure sets.
 
-    ``Q`` is the atom Gram; ``matrix`` is the inducing operator ``M`` with
-    ``Q = diag(w) M`` when the kernel is operator- or Green-induced, and
-    ``None`` otherwise.  Instances are immutable and safe to share, and
+    ``Q`` is the atom Gram: ``SetKernel(space, Q)`` is the kernel
+    ``K(A, B) = chi_A^T Q chi_B`` of any symmetric ``Q``.  ``matrix`` is the
+    inducing operator ``M`` with ``Q = diag(w) M`` when the kernel is
+    operator- or Green-induced, and ``None`` otherwise.  Instances are immutable and safe to share, and
     compute their operator ``T`` and its ``spectrum`` once, on first use.
 
     Raises
@@ -51,8 +50,8 @@ class SetKernel:
     """
 
     space: MeasureSpace
-    kind: str
     Q: np.ndarray
+    kind: str = "custom"
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
@@ -90,11 +89,6 @@ class SetKernel:
         if not A.members or not B.members:
             return 0.0
         return float(self.Q.take(A.indices, 0).take(B.indices, 1).sum())
-
-    @classmethod
-    def from_atom_gram(cls, space: MeasureSpace, Q: np.ndarray, kind: str = "custom") -> "SetKernel":
-        """The kernel ``K(A, B) = chi_A^T Q chi_B`` of an atom Gram ``Q``."""
-        return cls(space=space, kind=kind, Q=Q)
 
 
 def wiener_kernel(space: MeasureSpace) -> SetKernel:
@@ -182,22 +176,3 @@ def gram(kernel: SetKernel, sets: Sequence[MeasurableSet]) -> GramMatrix:
     G = C @ kernel.Q @ C.T
     return GramMatrix(entries=0.5 * (G + G.T), asymmetry=float(np.abs(G - G.T).max(initial=0.0)))
 
-
-def check_positive_definite(kernel: SetKernel, sets: Sequence[MeasurableSet], tol: float = 1e-10) -> bool:
-    """Certify the quadratic form on ``sets`` is nonnegative.
-
-    Passes iff the smallest Gram eigenvalue is at least ``-tol`` relative to
-    the largest (``GramMatrix.psd``), however small the Gram.  The singleton
-    family is decisive, so callers typically include the singletons
-    alongside the sets of interest.
-    """
-    return gram(kernel, sets).psd(tol).passed
-
-
-def schwarz_check(kernel: SetKernel, A: MeasurableSet, B: MeasurableSet, tol: float = 1e-10) -> bool:
-    """Check ``K(A,B)^2 <= K(A,A) K(B,B) + tol * max|G|^2`` on the Gram ``G`` of ``A`` and ``B``.
-
-    This is the Cauchy-Schwarz bound in the kernel's reproducing geometry;
-    in particular a set with ``K(A,A) == 0`` cannot pair with anything.
-    """
-    return gram(kernel, [A, B]).schwarz(tol).passed

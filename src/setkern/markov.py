@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InconsistencyError, InvalidChainError, NotTransientError
 from .kernels import SetKernel
 from .linalg import Spectrum, judge, require, selfadjoint_defect, spectral_transform
-from .measure import MeasurableSet, MeasureSpace
+from .measure import MeasureSpace
 
 __all__ = [
     "MarkovChain",
@@ -46,7 +46,6 @@ __all__ = [
     "green",
     "green_kernel",
     "green_root",
-    "k_from_green",
     "contractivity_check",
     "spectral_gap",
 ]
@@ -313,18 +312,8 @@ def green_kernel(chain: MarkovChain, *, data: GreenData | None = None) -> SetKer
 
 
 def green_root(chain: MarkovChain) -> np.ndarray:
-    """The operator ``(I - P)^{-1/2}`` in the weighted geometry (read-only)."""
+    """The operator ``(I - P)^{-1/2}`` in the weighted geometry (read-only); ``k_A`` is its product with ``chi_A``."""
     return chain._green_root
-
-
-def k_from_green(chain: MarkovChain, A: MeasurableSet) -> np.ndarray:
-    """Factor vector ``k_A = (I - P)^{-1/2} chi_A``.
-
-    Pairs of these vectors reproduce the Green kernel in the weighted
-    pairing, which is the same factorization the generic engine derives from
-    the kernel alone.
-    """
-    return green_root(chain) @ chain.space.indicator(A)
 
 
 def contractivity_check(chain: MarkovChain, *, tol: float = 1e-10) -> bool:

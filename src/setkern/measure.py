@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -176,17 +176,6 @@ class MeasureSpace:
     def norm_squared(self, u: np.ndarray) -> float:
         return self.inner(u, u)
 
-    def l2_inner(self, f: "SimpleFunction", g: "SimpleFunction") -> float:
-        """Weighted L2 pairing of two simple functions.
-
-        Symmetric and bilinear; raises ``DomainError`` when either function
-        references atoms outside this space.
-        """
-        for fn in (f, g):
-            if fn.max_index() >= self.size:
-                raise DomainError("simple function references atoms outside this space")
-        return float(np.sum(self.weight_array * f.values(self.size) * g.values(self.size)))
-
 
 @dataclass(frozen=True, eq=False)
 class SimpleFunction:
@@ -194,21 +183,9 @@ class SimpleFunction:
 
     terms: tuple[tuple[float, MeasurableSet], ...]
 
-    def __post_init__(self):
-        norm = []
-        for coef, s in self.terms:
-            if not isinstance(s, MeasurableSet):
-                s = MeasurableSet(frozenset(s))
-            norm.append((float(coef), s))
-        object.__setattr__(self, "terms", tuple(norm))
-
     @classmethod
     def indicator(cls, A: MeasurableSet) -> "SimpleFunction":
         return cls(((1.0, A),))
-
-    @classmethod
-    def zero(cls) -> "SimpleFunction":
-        return cls(())
 
     def max_index(self) -> int:
         return max((max(s.members) for _, s in self.terms if s.members), default=-1)
@@ -233,13 +210,6 @@ class Partition:
 
     blocks: tuple[MeasurableSet, ...]
 
-    def __post_init__(self):
-        norm = tuple(
-            b if isinstance(b, MeasurableSet) else MeasurableSet(frozenset(b))
-            for b in self.blocks
-        )
-        object.__setattr__(self, "blocks", norm)
-
     def covered(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
         for b in self.blocks:
@@ -252,12 +222,11 @@ class Partition:
 
 def is_partition(space: MeasureSpace, blocks: Sequence[MeasurableSet]) -> bool:
     """True iff the blocks are nonempty, pairwise disjoint, and cover all atoms."""
-    blocks = [b if isinstance(b, MeasurableSet) else MeasurableSet(frozenset(b)) for b in blocks]
     seen: set[int] = set()
     for b in blocks:
         if not b.members:
             return False
-        if b.members and max(b.members) >= space.size:
+        if max(b.members) >= space.size:
             return False
         if seen & b.members:
             return False
@@ -278,8 +247,3 @@ def is_refinement(coarse: Partition, fine: Partition) -> bool:
             return False
     return True
 
-
-def refinement_chain_ok(partitions: Iterable[Partition]) -> bool:
-    """True iff each partition in the sequence refines the previous one."""
-    parts = list(partitions)
-    return all(is_refinement(parts[i], parts[i + 1]) for i in range(len(parts) - 1))

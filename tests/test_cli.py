@@ -99,6 +99,21 @@ def test_unordered_partitions_are_a_config_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_the_refinement_error_names_the_failing_pair(runner, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "space: {atoms: [a, b, c], weights: [1.0, 2.0, 0.5]}\n"
+        "kernel: {type: wiener}\n"
+        "partitions:\n"
+        "  - [[a, b, c]]\n"
+        "  - [[a], [b, c]]\n"
+        "  - [[a, b], [c]]\n"
+    )
+    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert "partitions[2] does not refine partitions[1]" in result.output
+
+
 def test_simulate_requires_phi(runner, tmp_path):
     result = invoke(runner, tmp_path, "simulate", "--config", str(CONFIGS / "rank-one.yaml"))
     assert result.exit_code == 2
@@ -372,10 +387,35 @@ def test_unknown_expectation_is_a_config_error(runner, tmp_path):
 
 
 def test_q_level_checks_are_matched_by_pattern(runner, tmp_path):
+    # configs/wiener.yaml has three partitions, so q-level-2 is the last level
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\nchecks: [gram-psd, q-level-12]\n")
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
+    cfg.write_text((CONFIGS / "wiener.yaml").read_text() + "checks: [q-level-2]\n")
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
     assert result.exit_code == 0, result.output
+    assert [r["check"] for r in read_records(out)[1]] == ["q-level-2"]
+
+
+@pytest.mark.parametrize("name", ["q-level-3", "q-level-5", "q-level-01"])
+def test_a_q_level_that_names_no_configured_partition_is_a_config_error(runner, tmp_path, name):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text((CONFIGS / "wiener.yaml").read_text() + f"checks: [{name}, q-monotone]\n")
+    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert f"checks: unknown check {name!r}" in result.output
+
+
+@pytest.mark.parametrize("text, where, key", [
+    (WIENER_SPACE + "kernel: {type: wiener}\ntolerence: {gram-psd: 1.0e-10}\n", "cfg.yaml", "tolerence"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nchekcs: [gram-psd]\n", "cfg.yaml", "chekcs"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nmc: {sample: 10}\n", "mc", "sample"),
+    ("space: {atoms: [a, b], weights: [1.0, 1.0], wieghts: [2.0, 2.0]}\nkernel: {type: wiener}\n", "space", "wieghts"),
+    (WIENER_SPACE + "kernel: {type: wiener, matrx: [[1.0, 0.0], [0.0, 1.0]]}\n", "kernel", "matrx"),
+    ("space: {atoms: [a, b]}\nchain: {edges: [[a, b, 1.0]], kil: {a: 0.5}}\n", "chain", "kil"),
+], ids=["top-level", "checks", "mc", "space", "kernel", "chain"])
+def test_a_misspelled_config_key_is_a_config_error(runner, tmp_path, text, where, key):
+    output = _config_error(runner, tmp_path, text)
+    assert f"{where}: unknown key {key!r}" in output
 
 
 def test_every_reported_check_is_a_known_name():

@@ -25,7 +25,6 @@ from setkern import (
     b_range_dimension,
     build_T,
     check_absolute_continuity,
-    coisometry_b_star,
     coisometry_b_star_batch,
     counting_kernel,
     export_factorization,
@@ -175,7 +174,7 @@ def test_build_T_rejects_charged_null_atom(null_space):
 
 
 def test_build_T_rejects_indefinite_kernel(space):
-    neg = SetKernel.from_atom_gram(space, -np.diag(space.weight_array), kind="negative")
+    neg = SetKernel(space, -np.diag(space.weight_array), kind="negative")
     with pytest.raises(NotPositiveError):
         build_T(neg)
 
@@ -256,7 +255,7 @@ def test_realize_refuses_a_kernel_its_root_does_not_reproduce(Q, error):
     # before it, each was realized with residual 0.0 and a wrong K on some pair of sets
     sp = MeasureSpace(("X", "Y"), (0.0, 1.0))
     with pytest.raises(error):
-        realize(SetKernel.from_atom_gram(sp, np.array(Q)))
+        realize(SetKernel(sp, np.array(Q)))
 
 
 NUDGES = st.sampled_from([1e-11, -1e-11, 3e-3, -0.5, 1.0])
@@ -283,7 +282,7 @@ def test_realize_reproduces_every_pair_or_refuses(data):
     for i, j, value in data.draw(st.lists(entries, max_size=2)):
         Q[i, j] += value
     try:
-        fact = realize(SetKernel.from_atom_gram(sp, Q))
+        fact = realize(SetKernel(sp, Q))
     except SetKernError:
         return
     C = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
@@ -305,7 +304,7 @@ def test_reverse_direction_rank_one():
     sp = MeasureSpace(("a", "b", "c"), (0.5, 0.3, 0.2))
     fact = realize(rank_one_kernel(sp))
     B = sp.subset("a", "b")
-    recovered = fact.T @ sp.indicator(B)
+    recovered = fact.kernel.T @ sp.indicator(B)
     np.testing.assert_allclose(recovered, sp.measure(B) * np.ones(3), atol=1e-12)
     assert reverse_direction(fact).max_residual <= 1e-12
 
@@ -370,14 +369,14 @@ def test_isometry_preserves_norms(space):
 def test_coisometry_on_wiener(space):
     fact = realize(wiener_kernel(space))
     A, B = space.subset("a", "b"), space.subset("b", "c")
-    assert coisometry_b_star(fact, space.indicator(B), A) == pytest.approx(2.0)
+    assert coisometry_b_star_batch(fact, space.indicator(B)[None], [A])[0, 0] == pytest.approx(2.0)
 
 
 def test_coisometry_annihilates_orthogonal_complement():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
     fact = realize(wiener_kernel(sp))
     phi = np.array([0.0, 1.0])
-    assert coisometry_b_star(fact, phi, sp.subset("a")) == 0.0
+    assert coisometry_b_star_batch(fact, phi[None], [sp.subset("a")])[0, 0] == 0.0
 
 
 def test_adjoint_identity(space):
@@ -387,7 +386,7 @@ def test_adjoint_identity(space):
     for _ in range(100):
         phi = rng.standard_normal(space.size)
         el = RkhsElement(random_simple_function(rng, space).terms)
-        lhs = sum(c * coisometry_b_star(fact, phi, A) for c, A in el.terms)
+        lhs = sum(c * coisometry_b_star_batch(fact, phi[None], [A])[0, 0] for c, A in el.terms)
         rhs = space.inner(phi, isometry_b(fact, el))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
@@ -399,7 +398,7 @@ def test_reproducing_property_through_b(space):
     fact = realize(k)
     for A, B in zip(random_sets(rng, space, 20), random_sets(rng, space, 20)):
         image = isometry_b(fact, RkhsElement(((1.0, A),)))
-        assert coisometry_b_star(fact, image, B) == pytest.approx(k(A, B), abs=1e-9)
+        assert coisometry_b_star_batch(fact, image[None], [B])[0, 0] == pytest.approx(k(A, B), abs=1e-9)
 
 
 def test_batch_rows_match_the_single_element_views():
@@ -417,14 +416,14 @@ def test_batch_rows_match_the_single_element_views():
             assert np.abs(image - single).max() <= 1e-12 * np.abs(single).max()
     for p, row in zip(phi, adjoints):
         reference = np.array([space.inner(p, fact.k(A)) for A in sets])
-        for single in (reference, [coisometry_b_star(fact, p, A) for A in sets]):
+        for single in (reference, [coisometry_b_star_batch(fact, p[None], [A])[0, 0] for A in sets]):
             assert np.abs(row - single).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_coisometry_rejects_vectors_of_the_wrong_size(space):
     fact = realize(wiener_kernel(space))
     with pytest.raises(DomainError):
-        coisometry_b_star(fact, np.ones(2), space.subset("a"))
+        coisometry_b_star_batch(fact, np.ones((1, 2)), [space.subset("a")])
     with pytest.raises(DomainError):
         coisometry_b_star_batch(fact, np.ones(3), [space.subset("a")])
 
@@ -515,7 +514,7 @@ def test_range_rank_is_the_rank_of_the_realized_columns(n, null, seed):
     rank = int(rng.integers(0, pos.sum() + 1))
     X = np.zeros((n, rank))
     X[pos] = rng.standard_normal((pos.sum(), rank))
-    fact = realize(SetKernel.from_atom_gram(sp, X @ X.T))
+    fact = realize(SetKernel(sp, X @ X.T))
     family = random_sets(rng, sp, 3)
     columns = np.sqrt(sp.weight_array)[:, None] * (fact.S @ sp.indicator_matrix([*sp.singletons(), *family]).T)
     assert b_range_dimension(fact) == numerical_rank(columns) == rank
@@ -529,7 +528,7 @@ def test_certify_agrees_with_a_fresh_eigvalsh(n, null, shift, seed):
     pos, w = sp.positive, sp.weight_array
     X = rng.standard_normal((n, n))
     Q = (X @ X.T - shift * n * np.diag(w)) * np.outer(pos, pos)
-    kernel = SetKernel.from_atom_gram(sp, Q)
+    kernel = SetKernel(sp, Q)
     d = np.sqrt(w[pos])
     fresh = np.linalg.eigvalsh(Q[np.ix_(pos, pos)] / d[:, None] / d[None, :])
     np.testing.assert_allclose(kernel.spectrum.values, fresh, rtol=0, atol=1e-12 * np.abs(fresh).max())

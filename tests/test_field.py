@@ -19,11 +19,9 @@ from setkern import (
     Partition,
     SetKernel,
     SimpleFunction,
-    UnsupportedFunctionError,
     build_sampler,
     cross_moment_check,
     green_kernel,
-    ito_integral,
     ito_isometry_check,
     projection_second_moment,
     rank_one_kernel,
@@ -75,7 +73,7 @@ def test_factor_reconstructs_gram(space):
 
 
 def test_indefinite_gram_is_rejected(space):
-    neg = SetKernel.from_atom_gram(space, -np.diag(space.weight_array), kind="negative")
+    neg = SetKernel(space, -np.diag(space.weight_array), kind="negative")
     with pytest.raises(InvalidCovarianceError):
         build_sampler(neg, [space.subset("a")], seed=0)
 
@@ -135,46 +133,6 @@ def test_nested_family_marginals_are_consistent(space):
     g_small = build_sampler(kernel, small, seed=0).gram.entries
     g_large = build_sampler(kernel, large, seed=0).gram.entries
     np.testing.assert_allclose(g_large[:2, :2], g_small)
-
-
-# ---------------------------------------------------------------------------
-# stochastic integrals
-
-
-def test_integral_of_single_indicator_is_the_coordinate(space):
-    family = [space.subset("a"), space.subset("b")]
-    sampler = build_sampler(wiener_kernel(space), family, seed=0)
-    draw = sampler.sample(1)[0]
-    phi = SimpleFunction.indicator(family[0])
-    assert ito_integral(sampler, phi, draw) == pytest.approx(draw[0])
-
-
-def test_integral_of_zero_function(space):
-    family = [space.subset("a")]
-    sampler = build_sampler(wiener_kernel(space), family, seed=0)
-    draw = sampler.sample(1)[0]
-    assert ito_integral(sampler, SimpleFunction.zero(), draw) == 0.0
-
-
-def test_integral_is_linear_in_coordinates(space):
-    family = [space.subset("a"), space.subset("b")]
-    sampler = build_sampler(wiener_kernel(space), family, seed=0)
-    draw = sampler.sample(1)[0]
-    phi = SimpleFunction(((1.0, family[0]), (1.0, family[1])))
-    assert ito_integral(sampler, phi, draw) == pytest.approx(draw.sum())
-
-
-def test_integral_rejects_unknown_sets(space):
-    sampler = build_sampler(wiener_kernel(space), [space.subset("a")], seed=0)
-    draw = sampler.sample(1)[0]
-    with pytest.raises(UnsupportedFunctionError):
-        ito_integral(sampler, SimpleFunction.indicator(space.subset("b")), draw)
-
-
-def test_integral_rejects_wrong_draw_length(space):
-    sampler = build_sampler(wiener_kernel(space), [space.subset("a")], seed=0)
-    with pytest.raises(DomainError):
-        ito_integral(sampler, SimpleFunction.indicator(space.subset("a")), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +252,7 @@ def test_projection_rejects_non_partition(space):
     fact = realize(kernel)
     bad = Partition((space.subset("a"),))
     with pytest.raises(DomainError):
-        projection_second_moment(kernel, fact, SimpleFunction.zero(), bad)
+        projection_second_moment(kernel, fact, SimpleFunction(()), bad)
 
 
 def test_sweep_hand_oracle(unit_space):
@@ -332,7 +290,7 @@ def test_sweep_zero_function(unit_space):
     kernel = wiener_kernel(unit_space)
     fact = realize(kernel)
     chain = [Partition((unit_space.full_set(),)), Partition(unit_space.singletons())]
-    qs = refinement_sweep(kernel, fact, SimpleFunction.zero(), chain)
+    qs = refinement_sweep(kernel, fact, SimpleFunction(()), chain)
     np.testing.assert_allclose(qs, [0.0, 0.0], atol=1e-15)
 
 
@@ -345,7 +303,7 @@ def test_sweep_rejects_non_refining_chain(unit_space):
         Partition((sp.subset("a", "b"), sp.subset("c"))),
     ]
     with pytest.raises(OrderingError):
-        refinement_sweep(kernel, fact, SimpleFunction.zero(), chain)
+        refinement_sweep(kernel, fact, SimpleFunction(()), chain)
 
 
 def test_sweep_on_singular_gram():

@@ -11,14 +11,12 @@ from setkern import (
     MeasurableSet,
     MeasureSpace,
     SetKernel,
-    check_positive_definite,
     counting_kernel,
     gram,
     green_kernel,
     operator_kernel,
     rank_one_kernel,
     realize,
-    schwarz_check,
     wiener_kernel,
 )
 from setkern.linalg import numerical_rank
@@ -148,9 +146,9 @@ def test_operator_rejects_an_indefinite_matrix_at_any_scale():
 
 def test_positivity_is_relative_to_the_gram_scale():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
-    tiny = SetKernel.from_atom_gram(sp, sp.weight_array[:, None] * TINY_INDEFINITE)
-    assert not check_positive_definite(tiny, list(sp.singletons()))
-    assert check_positive_definite(SetKernel.from_atom_gram(sp, 1e-12 * np.eye(2)), list(sp.singletons()))
+    tiny = SetKernel(sp, sp.weight_array[:, None] * TINY_INDEFINITE)
+    assert not gram(tiny, list(sp.singletons())).psd(1e-10).passed
+    assert gram(SetKernel(sp, 1e-12 * np.eye(2)), list(sp.singletons())).psd(1e-10).passed
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
@@ -167,7 +165,7 @@ def test_operator_rejects_nonfinite_matrix(space, entry):
 
 def test_atom_gram_is_the_singleton_kernel(space):
     Q = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
-    k = SetKernel.from_atom_gram(space, Q)
+    k = SetKernel(space, Q)
     assert k(space.subset("b"), space.subset("c")) == 0.5
     assert k(space.subset("a", "b"), space.subset("b", "c")) == 1.0 + 0.0 + 3.0 + 0.5
 
@@ -177,12 +175,12 @@ def test_atom_gram_rejects_nonfinite_entries(space, entry):
     Q = np.eye(3)
     Q[1, 2] = entry
     with pytest.raises(InvalidOperatorError):
-        SetKernel.from_atom_gram(space, Q)
+        SetKernel(space, Q)
 
 
 def test_atom_gram_rejects_wrong_shape(space):
     with pytest.raises(InvalidOperatorError):
-        SetKernel.from_atom_gram(space, np.eye(2))
+        SetKernel(space, np.eye(2))
 
 
 def test_atom_gram_is_read_only(space):
@@ -219,40 +217,40 @@ def test_gram_is_symmetric(space):
 def test_wiener_is_positive_definite(space):
     rng = np.random.default_rng(3)
     family = list(space.singletons()) + random_sets(rng, space, 5)
-    assert check_positive_definite(wiener_kernel(space), family)
+    assert gram(wiener_kernel(space), family).psd(1e-10).passed
 
 
 def test_negative_kernel_fails_positivity(space):
-    neg = SetKernel.from_atom_gram(space, -np.diag(space.weight_array), kind="negative")
-    assert not check_positive_definite(neg, [space.subset("a")])
+    neg = SetKernel(space, -np.diag(space.weight_array), kind="negative")
+    assert not gram(neg, [space.subset("a")]).psd(1e-10).passed
 
 
 def test_rank_one_is_positive_definite(space):
     rng = np.random.default_rng(4)
     family = random_sets(rng, space, 6)
-    assert check_positive_definite(rank_one_kernel(space), family)
+    assert gram(rank_one_kernel(space), family).psd(1e-10).passed
 
 
 def test_counting_kernel_is_positive_definite():
     sp = MeasureSpace(("a", "b", "c"), (1.0, 1.0, 0.0))
-    assert check_positive_definite(counting_kernel(sp), list(sp.singletons()))
+    assert gram(counting_kernel(sp), list(sp.singletons())).psd(1e-10).passed
 
 
 def test_schwarz_on_wiener(space):
     # K(A,B)^2 = 4 against K(A,A) K(B,B) = 3 * 2.5.
-    assert schwarz_check(wiener_kernel(space), space.subset("a", "b"), space.subset("b", "c"))
+    assert gram(wiener_kernel(space), [space.subset("a", "b"), space.subset("b", "c")]).schwarz(1e-10).passed
 
 
 def test_schwarz_equality_case(space):
     A = space.subset("a", "b")
-    assert schwarz_check(wiener_kernel(space), A, A)
+    assert gram(wiener_kernel(space), [A, A]).schwarz(1e-10).passed
 
 
 def test_schwarz_rank_one_saturates(space):
     rng = np.random.default_rng(6)
     k = rank_one_kernel(space)
     for A, B in zip(random_sets(rng, space, 10), random_sets(rng, space, 10)):
-        assert schwarz_check(k, A, B)
+        assert gram(k, [A, B]).schwarz(1e-10).passed
         assert k(A, B) ** 2 == pytest.approx(k(A, A) * k(B, B), rel=1e-12)
 
 
@@ -322,7 +320,7 @@ def small_kernels(draw):
     space = random_space(rng, n, zero_atoms=int(n > 1 and draw(st.booleans())))
     if kind == "atom_gram":
         B = rng.standard_normal((n, n)) * space.positive[:, None]
-        return SetKernel.from_atom_gram(space, B @ B.T)
+        return SetKernel(space, B @ B.T)
     if kind == "operator":
         return operator_kernel(space, random_nu_psd_matrix(rng, space))
     return {"wiener": wiener_kernel, "rank_one": rank_one_kernel, "counting": counting_kernel}[kind](space)
@@ -334,7 +332,7 @@ def test_a_kernel_value_is_the_sum_of_its_atom_block_to_the_bit(n, seed, pa, pb)
     # the value takes rows, then columns of Q; the same block and the same sum as an np.ix_ block
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, n))
-    kernel = SetKernel.from_atom_gram(random_space(rng, n), B @ B.T)
+    kernel = SetKernel(random_space(rng, n), B @ B.T)
     A, C = (MeasurableSet(frozenset(np.flatnonzero(rng.random(n) < p).tolist())) for p in (pa, pb))
     block_sum = float(kernel.Q[np.ix_(A.indices, C.indices)].sum())
     assert np.float64(kernel(A, C)).tobytes() == np.float64(block_sum).tobytes()

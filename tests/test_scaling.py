@@ -83,7 +83,7 @@ def _kernel_40() -> SetKernel:
 
 def _kernel_40_times(c: float) -> SetKernel:
     kernel = _kernel_40()
-    return SetKernel.from_atom_gram(kernel.space, c * kernel.Q)
+    return SetKernel(kernel.space, c * kernel.Q)
 
 
 def _operator_12() -> dict:
@@ -230,7 +230,7 @@ def test_spectrum_certify_and_the_gram_psd_row_decide_alike(tmp_path):
 
 def test_errors_name_the_value_the_tolerance_and_the_scale():
     kernel = _kernel_40_times(4.0)
-    indefinite = SetKernel.from_atom_gram(MeasureSpace(("a", "b"), (1.0, 1.0)), np.diag([2.0, -1.0]))
+    indefinite = SetKernel(MeasureSpace(("a", "b"), (1.0, 1.0)), np.diag([2.0, -1.0]))
     number = r"\d\.\d{3}e[-+]\d+"
     cases = [
         (lambda: realize(kernel, tol=1e-20),

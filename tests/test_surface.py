@@ -1,0 +1,38 @@
+"""The public surface: module exports and the README's library example."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import setkern
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p.stem for p in (ROOT / "src" / "setkern").glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(f"setkern.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_the_package_imports_only_exported_names():
+    tree = ast.parse((ROOT / "src" / "setkern" / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"setkern.{node.module}")
+        exported = set(getattr(module, "__all__", ()))
+        assert [a.name for a in node.names if a.name not in exported] == [], node.module
+        assert all(hasattr(setkern, a.name) for a in node.names)
+
+
+def test_the_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", tour, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
