@@ -128,7 +128,8 @@ class Run:
 
     @cached_property
     def green(self) -> markov.GreenData | None:
-        return _or_none(lambda: markov.green(self.cfg.chain))
+        """The chain's Green function, its series judged at the ``series-solve`` tolerance."""
+        return _or_none(lambda: markov.green(self.cfg.chain, agree_tol=self.report.tolerances["series-solve"]))
 
     @cached_property
     def green_kernel(self) -> kernels.SetKernel | None:
@@ -139,7 +140,7 @@ class Run:
         """Projection second moments, the exact one ``|S phi|^2_w``, and their bound ``|phi|^2_w lambda_max(T)``."""
         qs = field.refinement_sweep(self.kernel, self.fact, self.cfg.phi, self.cfg.partitions)
         phi = self.cfg.phi.values(self.cfg.space.size)
-        return qs, self.fact.s_norm_squared(phi), self.cfg.space.norm_squared(phi) * self.kernel.spectrum.top
+        return qs, self.fact.s_norm_squared(self.cfg.phi), self.cfg.space.norm_squared(phi) * self.kernel.spectrum.top
 
 
 # ---------------------------------------------------------------------------

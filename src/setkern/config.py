@@ -59,6 +59,8 @@ from .measure import (
 __all__ = ["ExperimentConfig", "load_config", "KERNEL_TYPES"]
 
 KERNEL_TYPES = ("wiener", "rank_one", "operator", "green", "counting")
+_BUILTIN_KERNELS = {"wiener": wiener_kernel, "rank_one": rank_one_kernel, "counting": counting_kernel}
+"""The kernel types that the space alone determines."""
 _SECTIONS = ("space", "kernel", "chain", "family", "phi", "psi", "partitions", "mc", "tolerances", "checks", "expect")
 
 # libyaml parses configs about ten times faster when PyYAML was built with it.
@@ -84,14 +86,6 @@ class ExperimentConfig:
     expect: dict[str, int] = field(default_factory=dict)
 
     def kernel(self) -> SetKernel:
-        if self.kernel_type is None:
-            raise ConfigError("config has no kernel section")
-        if self.kernel_type == "wiener":
-            return wiener_kernel(self.space)
-        if self.kernel_type == "rank_one":
-            return rank_one_kernel(self.space)
-        if self.kernel_type == "counting":
-            return counting_kernel(self.space)
         if self.kernel_type == "operator":
             try:
                 return operator_kernel(self.space, self.kernel_matrix)
@@ -101,7 +95,9 @@ class ExperimentConfig:
             if self.chain is None:
                 raise ConfigError("kernel.type green requires a chain section")
             return green_kernel(self.chain)
-        raise ConfigError(f"unknown kernel type {self.kernel_type!r}")
+        if self.kernel_type not in _BUILTIN_KERNELS:
+            raise ConfigError(f"unknown kernel type {self.kernel_type!r}")
+        return _BUILTIN_KERNELS[self.kernel_type](self.space)
 
     def enabled(self, check: str) -> bool:
         return self.checks is None or check in self.checks
@@ -164,6 +160,8 @@ def _simple_function(space: MeasureSpace, node: Any, where: str) -> SimpleFuncti
 def _parse_chain(
     atoms: list[str], weights: list[float] | None, node: dict
 ) -> tuple[MarkovChain, MeasureSpace]:
+    if "edges" in node and "transitions" in node:
+        raise ConfigError("chain takes one of 'transitions' and 'edges', got both")
     if "edges" in node:
         edges = []
         for i, e in enumerate(_as_list(node["edges"], "chain.edges")):
@@ -245,6 +243,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         kernel_type = str(knode.get("type", ""))
         if kernel_type not in KERNEL_TYPES:
             raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {kernel_type!r}")
+        if "matrix" in knode and kernel_type != "operator":
+            raise ConfigError(f"kernel.matrix is read only by kernel.type operator, got type {kernel_type!r}")
         if kernel_type == "operator":
             if "matrix" not in knode:
                 raise ConfigError("kernel.type operator requires kernel.matrix")

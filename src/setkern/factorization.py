@@ -158,15 +158,9 @@ class Factorization:
         """The factor vectors ``k_A`` of ``sets`` as the rows of ``C S^T``."""
         return self.space.indicator_matrix(sets) @ self.S.T
 
-    def apply_S(self, phi: SimpleFunction | np.ndarray) -> np.ndarray:
-        """Apply ``S`` to a simple function (or pointwise atom vector)."""
-        if isinstance(phi, SimpleFunction):
-            phi = phi.values(self.space.size)
-        return self.S @ np.asarray(phi, dtype=float)
-
-    def s_norm_squared(self, phi: SimpleFunction | np.ndarray) -> float:
+    def s_norm_squared(self, phi: SimpleFunction) -> float:
         """Weighted L2 norm squared of ``S phi``; the exact second moment."""
-        v = self.apply_S(phi)
+        v = self.S @ phi.values(self.space.size)
         return self.space.inner(v, v)
 
 
@@ -278,20 +272,18 @@ def coisometry_b_star_batch(factorization: Factorization, phi: np.ndarray, sets:
 
 
 
-def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray], tol: float) -> np.ndarray:
+def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray]) -> np.ndarray:
     if len(basis) == 0:
         raise InvalidBasisError("empty basis")
-    if tol * len(basis) >= 1:
-        raise InvalidBasisError(f"tolerance {tol:g} cannot certify {len(basis)} vectors as orthonormal")
     B = np.asarray([np.asarray(v, dtype=float) for v in basis])
     if B.shape[1] != space.size:
         raise InvalidBasisError("basis vectors must match the space size")
     w = space.weight_array
     G = B @ (w[:, None] * B.T)
-    if float(np.abs(G - np.eye(len(basis))).max()) > tol:
+    if float(np.abs(G - np.eye(len(basis))).max()) > 1e-10:
         raise InvalidBasisError("family is not orthonormal in the weighted pairing")
-    # G is the Gram of the rows of B D^{1/2}, within tol of I; as tol * len(basis) < 1 it is
-    # nonsingular (Gershgorin), so the rows span the positive atoms iff there are that many.
+    # G is the Gram of the rows of B D^{1/2}, within 1e-10 of I, so it is nonsingular (Gershgorin)
+    # for any basis of fewer than 1e10 vectors: the rows span the positive atoms iff there are that many.
     if len(basis) < int(space.positive.sum()):
         raise InvalidBasisError("basis does not span the positive-weight atoms")
     return B
@@ -302,8 +294,6 @@ def onb_factorization(
     basis: Sequence[np.ndarray],
     A: MeasurableSet,
     B: MeasurableSet,
-    *,
-    tol: float = 1e-10,
 ) -> float:
     """Parseval expansion of ``K(A, B)`` through an orthonormal basis.
 
@@ -314,20 +304,13 @@ def onb_factorization(
     Raises
     ------
     InvalidBasisError
-        If the family is not orthonormal within ``tol``, does not span the
-        positive-weight atoms, or ``tol * len(basis) >= 1``, too loose to
-        make orthonormal vectors independent.
+        If the family is empty, is not orthonormal within ``1e-10``, or does
+        not span the positive-weight atoms.
     """
-    return float(onb_gram(factorization, basis, [A, B], tol=tol)[0, 1])
+    return float(onb_gram(factorization, basis, [A, B])[0, 1])
 
 
-def onb_gram(
-    factorization: Factorization,
-    basis: Sequence[np.ndarray],
-    sets: Sequence[MeasurableSet],
-    *,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def onb_gram(factorization: Factorization, basis: Sequence[np.ndarray], sets: Sequence[MeasurableSet]) -> np.ndarray:
     """Parseval expansions of ``K(A, B)`` for every pair of ``sets`` at once.
 
     The basis is validated once (see ``onb_factorization``); the rows of
@@ -335,7 +318,7 @@ def onb_gram(
     ``<phi_n, k_A>``, and the result is the product of the coefficient
     matrix with its transpose.
     """
-    Bmat = _check_onb(factorization.space, basis, tol)
+    Bmat = _check_onb(factorization.space, basis)
     coef = coisometry_b_star_batch(factorization, Bmat, sets).T
     return coef @ coef.T
 
@@ -354,14 +337,12 @@ def b_range_dimension(factorization: Factorization) -> int:
     return factorization.kernel.spectrum.rank
 
 
-def verify_pushforward(
-    source: MeasureSpace, target: MeasureSpace, mapping: Mapping[int, int] | Sequence[int], *, tol: float = 1e-12
-) -> bool:
+def verify_pushforward(source: MeasureSpace, target: MeasureSpace, mapping: Mapping[int, int] | Sequence[int]) -> bool:
     """Check that an atom map transports the source weights onto the target.
 
     ``mapping`` sends every source atom index to a target atom index; the
     check passes iff the pushed mass and the target weights have the same null
-    atoms and, on each target atom, agree within ``tol * max w``.
+    atoms and, on each target atom, agree within ``1e-12 * max w``.
 
     Raises
     ------
@@ -379,7 +360,7 @@ def verify_pushforward(
             raise InvalidMapError(f"target index {y} out of range for {source.atoms[i]!r}")
         pushed[y] += source.weights[i]
     w = target.weight_array
-    return np.array_equal(pushed > 0, w > 0) and judge(float(np.abs(pushed - w).max()), float(w.max()), tol).passed
+    return np.array_equal(pushed > 0, w > 0) and judge(float(np.abs(pushed - w).max()), float(w.max()), 1e-12).passed
 
 
 def export_factorization(

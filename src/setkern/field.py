@@ -129,20 +129,18 @@ class FieldSampler:
         return out
 
 
-def build_sampler(
-    kernel: SetKernel, family: Iterable[MeasurableSet], seed: int, *, tol: float = 1e-10
-) -> FieldSampler:
+def build_sampler(kernel: SetKernel, family: Iterable[MeasurableSet], seed: int) -> FieldSampler:
     """Factor the Gram of ``family`` for sampling.
 
     Uses the Gram's ``Spectrum`` with unit weights: columns follow the
     eigenvalues in descending order, and eigenvalues up to
     ``CLAMP * lambda_max`` are dropped (rank deficiency is expected, e.g. for
-    the product kernel).  An eigenvalue below ``-tol * lambda_max`` means
+    the product kernel).  An eigenvalue below ``-1e-10 * lambda_max`` means
     the Gram is indefinite and ``InvalidCovarianceError`` is raised.
     """
     family = tuple(family)
     g = gram(kernel, family)
-    spec = Spectrum.of(g.entries, np.ones(len(family))).certify(tol, InvalidCovarianceError, "Gram matrix")
+    spec = Spectrum.of(g.entries, np.ones(len(family))).certify(1e-10, InvalidCovarianceError, "Gram matrix")
     order = np.argsort(spec.values)[::-1]
     keep = order[spec.kept[order]]
     L = spec.vectors[:, keep] * np.sqrt(spec.values[keep])
@@ -209,6 +207,22 @@ def _mc_product_moment(
     return mean, float(np.sqrt(var / n))
 
 
+def _moment_check(
+    kernel: SetKernel, fact: Factorization, phi: SimpleFunction, psi: SimpleFunction, n: int, seed: int, workers: int
+) -> ItoResult:
+    """Monte Carlo ``E[I(phi) I(psi)]`` over ``n`` draws against the exact ``<S phi, S psi>_w``.
+
+    ``psi is phi`` squares one product per draw instead of multiplying two.
+    """
+    sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + psi.sets()), seed)
+    alpha = _coefficients(phi, sampler)
+    beta = alpha if psi is phi else _coefficients(psi, sampler)
+    size = fact.space.size
+    exact = fact.space.inner(fact.S @ phi.values(size), fact.S @ psi.values(size))
+    estimate, se = _mc_product_moment(sampler, alpha, beta, n, workers)
+    return ItoResult(estimate=estimate, std_error=se, n_samples=n, exact=exact)
+
+
 def ito_isometry_check(
     kernel: SetKernel,
     factorization: Factorization,
@@ -225,11 +239,7 @@ def ito_isometry_check(
     transformed integrand.  ``n < 1`` or ``workers < 1`` raises
     ``DomainError``.
     """
-    sampler = build_sampler(kernel, phi.sets(), seed)
-    alpha = _coefficients(phi, sampler)
-    exact = factorization.s_norm_squared(phi)
-    estimate, se = _mc_product_moment(sampler, alpha, alpha, n, workers)
-    return ItoResult(estimate=estimate, std_error=se, n_samples=n, exact=exact)
+    return _moment_check(kernel, factorization, phi, phi, n, seed, workers)
 
 
 def cross_moment_check(
@@ -247,22 +257,11 @@ def cross_moment_check(
     The exact value is the weighted-L2 pairing of the two transformed
     integrands.  ``n < 1`` or ``workers < 1`` raises ``DomainError``.
     """
-    sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + psi.sets()), seed)
-    alpha = _coefficients(phi, sampler)
-    beta = _coefficients(psi, sampler)
-    space = factorization.space
-    exact = space.inner(factorization.apply_S(phi), factorization.apply_S(psi))
-    estimate, se = _mc_product_moment(sampler, alpha, beta, n, workers)
-    return ItoResult(estimate=estimate, std_error=se, n_samples=n, exact=exact)
+    return _moment_check(kernel, factorization, phi, psi, n, seed, workers)
 
 
 def projection_second_moment(
-    kernel: SetKernel,
-    factorization: Factorization,
-    phi: SimpleFunction,
-    partition: Partition,
-    *,
-    rcond: float = 1e-10,
+    kernel: SetKernel, factorization: Factorization, phi: SimpleFunction, partition: Partition
 ) -> float:
     """Second moment of the integral's projection onto a partition's span.
 
@@ -270,15 +269,15 @@ def projection_second_moment(
     field values of the partition blocks: with ``c_i`` the pairing of the
     transformed integrand with each transformed block indicator and ``G`` the
     block Gram, the value is ``c^T G^+ c``.  Singular Grams are handled by a
-    pseudo-inverse with relative cutoff ``rcond``.
+    pseudo-inverse with relative cutoff ``1e-10``.
     """
     space = factorization.space
     if not is_partition(space, partition.blocks):
         raise DomainError("blocks do not partition the space")
-    Sphi = factorization.apply_S(phi)
-    c = np.array([space.inner(Sphi, factorization.k(b)) for b in partition.blocks])
+    Sphi = factorization.S @ phi.values(space.size)
+    c = factorization.k_rows(partition.blocks) @ (space.weight_array * Sphi)
     G = gram(kernel, partition.blocks).entries
-    return float(c @ np.linalg.pinv(G, rcond=rcond) @ c)
+    return float(c @ np.linalg.pinv(G, rcond=1e-10) @ c)
 
 
 def refinement_sweep(

@@ -112,7 +112,7 @@ def counting_kernel(space: MeasureSpace) -> SetKernel:
     return SetKernel(space=space, kind="counting", Q=np.eye(space.size))
 
 
-def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -> SetKernel:
+def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:
     """Kernel induced by a nu-selfadjoint, nu-PSD atom matrix.
 
     ``K(A, B) = <chi_A, M chi_B>`` in the weighted L2 pairing, i.e. the
@@ -123,8 +123,8 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     InvalidOperatorError
         If ``M`` has the wrong shape or nonfinite entries, violates the
         weighted symmetry ``w(x) M[x,y] == w(y) M[y,x]`` beyond
-        ``tol * max|w(x) M[x,y]|``, or has an eigenvalue below
-        ``-tol * lambda_max``.
+        ``1e-10 * max|w(x) M[x,y]|``, or has an eigenvalue below
+        ``-1e-10 * lambda_max``.
     """
     M = np.asarray(M, dtype=float)
     n = space.size
@@ -133,10 +133,10 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray, *, tol: float = 1e-10) -
     if not np.all(np.isfinite(M)):
         raise InvalidOperatorError("operator matrix entries must be finite")
     w = space.weight_array
-    require(*selfadjoint_defect(M, w), tol, InvalidOperatorError,
+    require(*selfadjoint_defect(M, w), 1e-10, InvalidOperatorError,
             "matrix is not selfadjoint in the weighted geometry: defect", "max|wM|")
     kernel = SetKernel(space=space, kind="operator", Q=w[:, None] * M, matrix=M)
-    kernel.spectrum.certify(tol, InvalidOperatorError, "matrix")
+    kernel.spectrum.certify(1e-10, InvalidOperatorError, "matrix")
     return kernel
 
 

@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 TRANSIENCE_GAP = 1e-10
+SERIES_TOL = 1e-10
+"""Geometric tail bound of the Green series that cross-validates the solve."""
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -169,21 +171,18 @@ class MarkovChain:
         return _read_only(G0 + G0 @ (eye - A @ G0))
 
     @cached_property
-    def _series(self) -> dict[float, tuple[int, float]]:
-        """``green``'s series terms and series/solve agreement, one entry per ``series_tol``."""
-        return {}
+    def _series(self) -> tuple[int, float]:
+        """Series terms for a ``SERIES_TOL`` geometric tail, and the series' largest gap to ``_green``."""
+        rho = self._norm
+        terms = 1 if rho == 0.0 else max(1, math.ceil(math.log(SERIES_TOL * (1 - rho)) / math.log(rho)))
+        return terms, float(np.abs(_neumann_sum(self.transitions, terms) - self._green).max())
 
     @cached_property
     def _green_root(self) -> np.ndarray:
         """``(I - P)^{-1/2}`` from the spectrum; a non-reversible or non-transient chain raises."""
         _require_reversible(self, "(I - P)^(-1/2)")
-        lam = self._spectrum.values
-        top = float(lam.max())
-        if top >= 1 - TRANSIENCE_GAP:
-            raise NotTransientError(
-                f"chain is not transient: spectral bound {top:.12g} reaches 1", spectral_bound=top
-            )
-        return _read_only(spectral_transform(self._spectrum, 1.0 / np.sqrt(1.0 - lam)))
+        check_transient(self)
+        return _read_only(spectral_transform(self._spectrum, 1.0 / np.sqrt(1.0 - self._spectrum.values)))
 
 
 def reversibility_defect(chain: MarkovChain) -> tuple[float, float]:
@@ -258,16 +257,16 @@ def _neumann_sum(P: np.ndarray, terms: int) -> np.ndarray:
     return S
 
 
-def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1e-8) -> GreenData:
+def green(chain: MarkovChain, *, agree_tol: float = 1e-8) -> GreenData:
     """Green function ``G = (I - P)^{-1}``, cross-validated against the series.
 
     ``G`` is one solve, refined once against ``I - P``, and cross-validated
     by the series: the truncated series uses enough terms for a
-    ``series_tol`` geometric tail, and the two must agree entrywise within
+    ``SERIES_TOL`` geometric tail, and the two must agree entrywise within
     ``agree_tol * max|G|`` (roundoff in both grows with ``G``, and
     ``max|G| >= 1``, so the bound never drops below ``agree_tol``).  The
-    solve is made once per chain and the series once per ``series_tol``;
-    ``agree_tol`` is applied on every call.
+    solve and the series are made once per chain; ``agree_tol`` is applied
+    on every call.
 
     Raises
     ------
@@ -277,15 +276,8 @@ def green(chain: MarkovChain, *, series_tol: float = 1e-10, agree_tol: float = 1
         If solve and series disagree beyond ``agree_tol * max|G|``; the
         message names the gap ``1 - rho`` and the roundoff scale ``eps / (1 - rho)``.
     """
-    rho = check_transient(chain)
-    if series_tol not in chain._series:
-        if rho == 0.0:
-            terms = 1
-        else:
-            terms = max(1, math.ceil(math.log(series_tol * (1 - rho)) / math.log(rho)))
-        agreement = float(np.abs(_neumann_sum(chain.transitions, terms) - chain._green).max())
-        chain._series[series_tol] = terms, agreement
-    data = GreenData(chain._green, rho, *chain._series[series_tol])
+    rho = check_transient(chain)  # before the solve: I - P is singular on a chain that is not transient
+    data = GreenData(chain._green, rho, *chain._series)
     if not judge(data.series_agreement, data.scale, agree_tol).passed:
         gap = 1.0 - rho
         raise InconsistencyError(

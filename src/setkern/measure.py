@@ -183,16 +183,9 @@ class SimpleFunction:
 
     terms: tuple[tuple[float, MeasurableSet], ...]
 
-    @classmethod
-    def indicator(cls, A: MeasurableSet) -> "SimpleFunction":
-        return cls(((1.0, A),))
-
-    def max_index(self) -> int:
-        return max((max(s.members) for _, s in self.terms if s.members), default=-1)
-
     def values(self, size: int) -> np.ndarray:
         """Pointwise values over ``size`` atoms."""
-        if self.max_index() >= size:
+        if any(s.members and max(s.members) >= size for _, s in self.terms):
             raise InvalidSetError("simple function references atoms beyond the space")
         vals = np.zeros(size)
         for coef, s in self.terms:
@@ -215,9 +208,6 @@ class Partition:
         for b in self.blocks:
             out |= b.members
         return out
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def is_partition(space: MeasureSpace, blocks: Sequence[MeasurableSet]) -> bool:

@@ -715,3 +715,44 @@ def test_series_solve_reports_the_gap_relative_to_the_green_function(runner, tmp
     assert by_check["series-solve"]["bound"] == 1e-8 * np.abs(data.G).max()
     for check in ("green-identity", "series-solve", "green-psd", "fundamental-match"):
         assert by_check[check]["status"] == "pass", check
+
+
+def test_a_looser_series_solve_tolerance_reaches_the_green_solve(runner, tmp_path):
+    # the series of this path differs from the solve by 1.52e-8 of max|G|; green judged it at a fixed
+    # 1e-8, so --tol series-solve=1e-6 still recorded every Green row as failed with no value
+    atoms = [f"p{i}" for i in range(10)]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "space": {"atoms": atoms},
+        "chain": {"edges": [[a, b, 1.0] for a, b in zip(atoms, atoms[1:])], "kill": {"p0": 1e-8}},
+    }))
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, "markov-green", "--config", str(cfg), "--out", str(out),
+                    "--tol", "series-solve=1e-6")
+    by_check = {r["check"]: r for r in read_records(out)[1]}
+    data = green(load_config(cfg).chain, agree_tol=1e-6)
+    assert 1e-8 < data.series_agreement / data.scale <= 1e-6
+    assert by_check["series-solve"]["value"] == data.series_agreement
+    assert by_check["series-solve"]["bound"] == 1e-6 * data.scale
+    for check in ("green-identity", "series-solve", "green-psd", "fundamental-match"):
+        assert by_check[check]["status"] == "pass", check
+    assert result.exit_code == 1  # green-factor fails on its own bound
+
+
+def test_a_chain_with_both_transitions_and_edges_is_a_config_error(runner, tmp_path):
+    # the edges chain ran and the matrix was dropped without a word
+    output = _config_error(runner, tmp_path, WIENER_SPACE + (
+        "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]], edges: [[a, b, 1.0]], kill: {a: 1.0}}\n"
+    ))
+    assert "'transitions'" in output and "'edges'" in output
+
+
+@pytest.mark.parametrize("kind, chain", [
+    ("wiener", ""), ("rank_one", ""), ("counting", ""), ("green", "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]]}\n"),
+])
+def test_a_matrix_under_another_kernel_type_is_a_config_error(runner, tmp_path, kind, chain):
+    # type: wiener ignored the matrix and printed 4/4 checks passed
+    output = _config_error(runner, tmp_path, WIENER_SPACE + chain + (
+        f"kernel: {{type: {kind}, matrix: [[1.0, 0.0], [0.0, 1.0]]}}\n"
+    ))
+    assert "kernel.matrix" in output

@@ -472,18 +472,6 @@ def test_onb_rejects_incomplete_basis(space):
         onb_factorization(fact, [v], space.subset("a"), space.subset("b"))
 
 
-@pytest.mark.parametrize("second", [(0.5, 0.0), (0.5, 1.0)])
-def test_onb_rejects_a_tolerance_too_loose_to_make_the_basis_independent(second):
-    # (e1, 0.5 e1 + e2) spans and is within 0.9 of orthonormal: accepted, it gave K(a, a) = 1.25, not 1;
-    # (e1, 0.5 e1) does not span, and without an SVD only this rule tells it from a basis
-    sp = MeasureSpace(("a", "b"), (1.0, 1.0))
-    fact = realize(wiener_kernel(sp))
-    basis = [np.array([1.0, 0.0]), np.array(second)]
-    with pytest.raises(InvalidBasisError):
-        onb_factorization(fact, basis, sp.subset("a"), sp.subset("a"), tol=0.9)
-    assert onb_factorization(fact, list(np.eye(2)), sp.subset("a"), sp.subset("a"), tol=0.49) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # range dimension
 

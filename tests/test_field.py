@@ -143,7 +143,7 @@ def test_isometry_wiener_indicator(space):
     kernel = wiener_kernel(space)
     fact = realize(kernel)
     A = space.subset("a", "b")
-    res = ito_isometry_check(kernel, fact, SimpleFunction.indicator(A), 100000, seed=1)
+    res = ito_isometry_check(kernel, fact, SimpleFunction(((1.0, A),)), 100000, seed=1)
     assert res.exact == pytest.approx(3.0)
     assert res.within(5.0)
 
@@ -171,7 +171,7 @@ def test_isometry_on_two_state_green_kernel():
     chain = MarkovChain(sp, np.array([[0.0, 0.5], [0.5, 0.0]]))
     kernel = green_kernel(chain)
     fact = realize(kernel)
-    phi = SimpleFunction.indicator(sp.subset("1"))
+    phi = SimpleFunction(((1.0, sp.subset("1")),))
     res = ito_isometry_check(kernel, fact, phi, 200000, seed=4)
     assert res.exact == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert res.within(5.0)
@@ -190,8 +190,8 @@ def test_cross_moment_reduces_to_isometry(space):
 def test_cross_moment_disjoint_indicators_vanishes(space):
     kernel = wiener_kernel(space)
     fact = realize(kernel)
-    phi = SimpleFunction.indicator(space.subset("a"))
-    psi = SimpleFunction.indicator(space.subset("b"))
+    phi = SimpleFunction(((1.0, space.subset("a")),))
+    psi = SimpleFunction(((1.0, space.subset("b")),))
     res = cross_moment_check(kernel, fact, phi, psi, 100000, seed=6)
     assert res.exact == 0.0
     assert res.within(5.0)
@@ -459,7 +459,7 @@ def test_an_error_on_a_helper_chunk_is_raised_by_the_call():
 def test_a_moment_check_needs_a_positive_integer_count(space, n):
     kernel = wiener_kernel(space)
     fact = realize(kernel)
-    phi = SimpleFunction.indicator(space.subset("a"))
+    phi = SimpleFunction(((1.0, space.subset("a")),))
     # n = -5 returned estimate -0.0 over n_samples -5, and n = 0 divided by zero
     for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, phi))):
         with pytest.raises(DomainError, match="n must be"):
@@ -477,7 +477,7 @@ def test_sample_needs_a_nonnegative_count(space):
 def test_worker_count_must_be_positive(space, workers):
     kernel = wiener_kernel(space)
     fact = realize(kernel)
-    phi = SimpleFunction.indicator(space.subset("a"))
+    phi = SimpleFunction(((1.0, space.subset("a")),))
     sampler = build_sampler(kernel, [space.subset("a")], seed=0)
     with pytest.raises(DomainError, match="workers must be"):
         sampler.sample(10, workers=workers)

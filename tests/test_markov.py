@@ -330,14 +330,6 @@ def test_a_near_recurrent_chain_is_accepted_relative_to_its_green_function(n, lo
     assert (G - eye).min() >= -1e-12 * scale
 
 
-def test_series_tolerance_keys_its_own_series():
-    chain = random_conductance_chain(np.random.default_rng(13), 8)
-    tight = green(chain).series_terms
-    loose = green(chain, series_tol=1e-3, agree_tol=1.0).series_terms
-    assert loose < tight
-    assert green(chain).series_terms == tight
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
 def test_cached_results_match_fresh_numpy(n, seed):
@@ -403,15 +395,6 @@ def test_a_non_reversible_transient_chain_makes_one_eigendecomposition_and_one_s
     for use in (check_transient, contractivity_check, green, green):
         use(chain)
     assert linalg_calls == {"eigen": 1, "solve": 1}
-
-
-def test_a_second_series_tolerance_reuses_the_solve(linalg_calls):
-    chain = random_conductance_chain(np.random.default_rng(15), 50)
-    tight = green(chain)
-    loose = green(chain, series_tol=1e-6, agree_tol=1e-4)
-    assert linalg_calls == {"eigen": 1, "solve": 1}
-    assert loose.G is tight.G
-    assert loose.series_terms < tight.series_terms
 
 
 def test_a_non_reversible_transient_chain_is_inverted_by_its_solve():

@@ -79,20 +79,20 @@ def l2(sp, f, g):
 
 
 def test_inner_of_indicator_is_measure(space):
-    f = SimpleFunction.indicator(space.subset("a"))
+    f = SimpleFunction(((1.0, space.subset("a")),))
     assert l2(space, f, f) == 1.0
 
 
 def test_inner_disjoint_supports_vanishes(space):
-    f = SimpleFunction.indicator(space.subset("a"))
-    g = SimpleFunction.indicator(space.subset("b"))
+    f = SimpleFunction(((1.0, space.subset("a")),))
+    g = SimpleFunction(((1.0, space.subset("b")),))
     assert l2(space, f, g) == 0.0
 
 
 def test_inner_weighted_expansion(space):
     # f = chi_a + 2 chi_b against chi_{a,b}: 1*1*1 + 2*1*2 = 5.
     f = SimpleFunction(((1.0, space.subset("a")), (2.0, space.subset("b"))))
-    g = SimpleFunction.indicator(space.subset("a", "b"))
+    g = SimpleFunction(((1.0, space.subset("a", "b")),))
     assert l2(space, f, g) == pytest.approx(5.0, abs=1e-12)
 
 
