@@ -9,8 +9,8 @@ the cost of that determinism.
 
 Every check is one row of ``SUITES``: its name, report tag and tolerance
 key, and a function of the command's shared ``Run`` state that returns a
-``linalg.Verdict`` ``(value, bound, passed)``, or ``None`` when the check
-does not apply.  An error passes when it is at most ``tol * scale``, by
+``linalg.Verdict`` ``(value, bound, passed, detail)``, or ``None`` when the
+check does not apply.  An error passes when it is at most ``tol * scale``, by
 ``linalg.judge``, the rule the library raises by; transience, contractivity,
 spectral gap, Monte Carlo sigmas and range rank are dimensionless and keep
 their own rules.  Each command of ``COMMANDS`` runs its suites through one loop.
@@ -18,6 +18,7 @@ their own rules.  Each command of ``COMMANDS`` runs its suites through one loop.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import sys
@@ -222,8 +223,9 @@ def _green_factor(run: Run, tol: float) -> Verdict:
 
 
 def _monte_carlo(run: Run, tol: float, check: Callable, *integrands) -> Verdict:
+    """Deviation in sigmas; the detail is the ``ItoResult``: estimate, exact, std error, samples and normals drawn."""
     res = check(run.kernel, run.fact, *integrands, run.report.samples, seed=run.report.seed, workers=run.workers)
-    return Verdict(res.deviation_sigmas, tol, res.within(tol))
+    return Verdict(res.deviation_sigmas, tol, res.within(tol), dataclasses.asdict(res))
 
 
 def _q_attained(run: Run, tol: float) -> Verdict | None:
@@ -327,8 +329,8 @@ def _run_checks(run: Run, checks: tuple[Check, ...], timings: bool) -> None:
             runtime = last
         last = runtime
         if outcome is not None:
-            value, bound, passed = outcome
-            run.report.add(check.name, check.tag, passed, value=value, bound=bound, runtime=runtime)
+            value, bound, passed, detail = outcome
+            run.report.add(check.name, check.tag, passed, value=value, bound=bound, runtime=runtime, detail=detail)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,8 @@ def _parse_chain(
                     "space.weights disagree with the weights derived from chain.edges:", "max w")
         return chain, chain.space
     if "transitions" in node:
+        if "kill" in node:
+            raise ConfigError("chain.kill applies only to chain.edges; fold the killing into chain.transitions")
         if weights is None:
             raise ConfigError("space.weights are required with a dense chain.transitions")
         space = MeasureSpace(tuple(atoms), tuple(weights))

@@ -10,10 +10,13 @@ weighted-L2 norm squared of the transformed integrand).
 Sampling is reproducible and embarrassingly parallel: normals are produced by
 a counter-based generator keyed on ``(seed, chunk index)`` with a fixed chunk
 size, and Monte Carlo reductions always combine chunk partials in index
-order, so results are bit-identical for any worker count.  Each thread builds
-one Philox and re-keys it per chunk, which yields the same stream as a new
-generator per chunk at a fraction of the cost.  Each threaded call starts and
-joins its own helper threads; none outlives the call.
+order, so results are bit-identical for any worker count.  ``sample`` draws
+one normal per factor column; a moment check draws only the one or two
+columns its pair of integrals spans, so its moments are not computed from
+the ``sample`` stream.  Each thread builds one Philox and re-keys it per
+chunk, which yields the same stream as a new generator per chunk at a
+fraction of the cost.  Each threaded call starts and joins its own helper
+threads; none outlives the call.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ __all__ = [
 CHUNK_SIZE = 8192
 
 
-def _each_chunk(seed: int, n: int, rank: int, work: Callable[[int, np.ndarray], object], workers: int) -> list:
+def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray], object], workers: int) -> list:
     """``work(start, z)`` on every chunk of ``n`` draws, results in chunk order.
 
-    Chunk ``i`` holds rows ``[i * CHUNK_SIZE, ...)``, and its ``(rows, rank)``
+    Chunk ``i`` holds rows ``[i * CHUNK_SIZE, ...)``, and its ``(rows, width)``
     standard normals ``z`` come from ``Philox(key=[seed, i])`` alone, so the
     results do not depend on ``workers``.  Each thread builds one ``Philox``
     and, before each chunk, sets its state to the key ``[seed, i]`` with the
@@ -64,7 +67,7 @@ def _each_chunk(seed: int, n: int, rank: int, work: Callable[[int, np.ndarray], 
 
     def run(first: int) -> None:
         try:
-            buf = np.empty((min(n, CHUNK_SIZE), rank))
+            buf = np.empty((min(n, CHUNK_SIZE), width))
             bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
             normals = np.random.Generator(bitgen)
             fresh = bitgen.state
@@ -158,12 +161,13 @@ def _coefficients(phi: SimpleFunction, sampler: FieldSampler) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ItoResult:
-    """Monte Carlo second moment against its exact counterpart."""
+    """Monte Carlo second moment against its exact counterpart; ``normals`` counts the standard normals drawn."""
 
     estimate: float
     std_error: float
     n_samples: int
     exact: float
+    normals: int
 
     @property
     def deviation_sigmas(self) -> float:
@@ -179,32 +183,40 @@ class ItoResult:
 
 def _mc_product_moment(
     sampler: FieldSampler, alpha: np.ndarray, beta: np.ndarray, n: int, workers: int
-) -> tuple[float, float]:
-    """Mean and standard error of ``Z_alpha * Z_beta`` over ``n`` draws.
+) -> tuple[float, float, int]:
+    """Mean and standard error of ``Z_alpha * Z_beta`` over ``n`` draws, and the draw width ``d``.
 
-    With ``Z = L z`` the field, ``Z_alpha = z . (L^T alpha)``: the
-    coefficients are folded into the factor once, so no chunk forms its
-    field block.
+    With ``Z = L z`` the field, ``(Z_alpha, Z_beta) = (z . a, z . b)`` for
+    ``a = L^T alpha`` and ``b = L^T beta``, a Gaussian pair whose law is fixed
+    by the Gram of ``a`` and ``b``.  So the pair is projected before it is
+    drawn: from ``(n, d)`` normals ``z`` and the reduced QR ``[a b] = Q R``,
+    ``d = R.shape[0] = min(rank, 2)``, it is ``(z . R[:, 0], z . R[:, 1])``.
+    The isometry (``beta is alpha``) draws ``d = 1`` column, ``|a| z_1``.
+    The keys, chunks and reduction order are those of ``FieldSampler.sample``,
+    but not its draws, which take one column per column of ``L``.
     """
     _check_counts(n, 1, workers)
     a = sampler.factor.T @ alpha
-    b = a if beta is alpha else sampler.factor.T @ beta
+    if beta is alpha:
+        ra = rb = np.array([np.linalg.norm(a)])
+    else:
+        ra, rb = np.linalg.qr(np.column_stack([a, sampler.factor.T @ beta]), mode="r").T.copy()
 
     def partial(start: int, z: np.ndarray) -> tuple[float, float]:
-        # for a rank-one ``z``, ``dot`` reaches BLAS and ``@`` does not
-        za = z.dot(a)
-        vals = za * za if b is a else za * z.dot(b)
+        # for a one-column ``z``, ``dot`` reaches BLAS and ``@`` does not
+        za = z.dot(ra)
+        vals = za * za if rb is ra else za * z.dot(rb)
         return float(vals.sum()), float((vals * vals).sum())
 
     # Fixed-order reduction keeps results independent of the worker count.
     s1 = 0.0
     s2 = 0.0
-    for p1, p2 in _each_chunk(sampler.seed, n, sampler.rank, partial, workers):
+    for p1, p2 in _each_chunk(sampler.seed, n, len(ra), partial, workers):
         s1 += p1
         s2 += p2
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
-    return mean, float(np.sqrt(var / n))
+    return mean, float(np.sqrt(var / n)), len(ra)
 
 
 def _moment_check(
@@ -219,8 +231,8 @@ def _moment_check(
     beta = alpha if psi is phi else _coefficients(psi, sampler)
     size = fact.space.size
     exact = fact.space.inner(fact.S @ phi.values(size), fact.S @ psi.values(size))
-    estimate, se = _mc_product_moment(sampler, alpha, beta, n, workers)
-    return ItoResult(estimate=estimate, std_error=se, n_samples=n, exact=exact)
+    estimate, se, d = _mc_product_moment(sampler, alpha, beta, n, workers)
+    return ItoResult(estimate=estimate, std_error=se, n_samples=n, exact=exact, normals=n * d)
 
 
 def ito_isometry_check(

@@ -40,11 +40,15 @@ CLAMP = 1e-12
 
 
 class Verdict(NamedTuple):
-    """An error, its bound ``tol * scale``, and whether it passed; ``None`` where nothing was measured."""
+    """An error, its bound ``tol * scale``, and whether it passed; ``None`` where nothing was measured.
+
+    ``detail`` holds the deterministic quantities behind the verdict, for its report record.
+    """
 
     value: float | None
     bound: float | None
     passed: bool
+    detail: dict | None = None
 
 
 def judge(value: float, scale: float, tol: float) -> Verdict:

@@ -38,9 +38,11 @@ class CheckRecord:
     value: float | None
     bound: float | None
     runtime: float | None = None
+    detail: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
+        """The record's fields; ``detail`` only when the check has one, and never in the CSV."""
+        out = {
             "check": self.check,
             "tag": self.tag,
             "status": self.status,
@@ -48,6 +50,9 @@ class CheckRecord:
             "bound": _clean(self.bound),
             "runtime": _clean(self.runtime),
         }
+        if self.detail is not None:
+            out["detail"] = {k: _clean(v) if isinstance(v, float) else v for k, v in self.detail.items()}
+        return out
 
 
 @dataclass
@@ -68,6 +73,7 @@ class RunReport:
         value: float | None = None,
         bound: float | None = None,
         runtime: float | None = None,
+        detail: dict | None = None,
     ) -> CheckRecord:
         if any(r.check == check for r in self.records):
             raise ValueError(f"duplicate check record {check!r}")
@@ -78,6 +84,7 @@ class RunReport:
             value=value,
             bound=bound,
             runtime=runtime,
+            detail=detail,
         )
         self.records.append(rec)
         return rec

@@ -16,6 +16,7 @@ from setkern import (
     SimpleFunction,
     operator_kernel,
 )
+from setkern.field import CHUNK_SIZE
 
 
 def random_space(rng: np.random.Generator, n: int, zero_atoms: int = 0) -> MeasureSpace:
@@ -119,6 +120,36 @@ def neumann_sum_doubling(P: np.ndarray, terms: int) -> np.ndarray:
         Q = Q @ Q
         k *= 2
     return S
+
+
+def projected_factor(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``R`` with ``(z . a, z . b)`` equal in law to ``z R`` for standard normal rows ``z`` of width ``R.shape[0]``.
+
+    ``[[|a|]]`` when ``b is None`` (the square of one integral), else the
+    reduced QR factor of ``[a b]``, of ``min(len(a), 2)`` rows.
+    """
+    return np.array([[np.linalg.norm(a)]]) if b is None else np.linalg.qr(np.column_stack([a, b]), mode="r")
+
+
+def projected_moment(seed: int, a: np.ndarray, b: np.ndarray | None, n: int) -> tuple[float, float, int]:
+    """Mean and standard error of ``(z . a) (z . b)`` over ``n`` draws, projected before drawing, and the width ``d``.
+
+    Project, then draw: with ``R = projected_factor(a, b)`` a draw is
+    ``(z . R[:, 0]) (z . R[:, -1])`` from ``d = R.shape[0]`` columns.  Chunk
+    ``i`` of ``CHUNK_SIZE`` rows draws its ``(rows, d)`` normals from a new
+    ``Philox(key=[seed, i])``, and chunk sums are added in chunk order.
+    """
+    R = projected_factor(a, b)
+    s1 = s2 = 0.0
+    for i, start in enumerate(range(0, n, CHUNK_SIZE)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        z = rng.standard_normal((min(CHUNK_SIZE, n - start), R.shape[0]))
+        vals = (z @ R[:, 0]) * (z @ R[:, -1])
+        s1 += float(np.sum(vals))
+        s2 += float(np.sum(vals * vals))
+    mean = s1 / n
+    var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
+    return mean, float(np.sqrt(var / n)), R.shape[0]
 
 
 def splitting_partitions(rng: np.random.Generator, space: MeasureSpace) -> list[Partition]:

@@ -237,6 +237,37 @@ def test_simulate_seed_changes_report(runner, tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_monte_carlo_rows_carry_their_moments_and_normals(runner, tmp_path):
+    out, csv_path = tmp_path / "s.jsonl", tmp_path / "s.csv"
+    args = ["simulate", "--config", str(CONFIGS / "wiener.yaml"), "--samples", "20000"]
+    result = invoke(runner, tmp_path, *args, "--out", str(out), "--csv", str(csv_path))
+    assert result.exit_code == 0
+    _, records = read_records(out)
+    by_check = {r["check"]: r for r in records}
+    # phi on {a}, {b}: the isometry draws one column, the cross moment with psi on {a, b} two
+    for check, width in (("ito-isometry", 1), ("cross-moment", 2)):
+        detail = by_check[check]["detail"]
+        assert sorted(detail) == ["estimate", "exact", "n_samples", "normals", "std_error"]
+        assert (detail["n_samples"], detail["normals"]) == (20000, 20000 * width)
+        sigmas = abs(detail["estimate"] - detail["exact"]) / detail["std_error"]
+        assert by_check[check]["value"] == pytest.approx(sigmas, rel=1e-12)
+    assert by_check["ito-isometry"]["detail"]["exact"] == pytest.approx(9.0, rel=1e-12)  # |phi|^2_w = 1 + 4 * 2
+    assert [r["check"] for r in records if "detail" in r] == ["ito-isometry", "cross-moment"]
+    assert csv_path.read_text().splitlines()[0] == "check,tag,status,value,bound,runtime"
+
+
+def test_a_rank_one_monte_carlo_row_keeps_its_bytes_besides_the_detail(runner, tmp_path):
+    # two-state-green samples the one set {1}: projecting its rank-one pair changes no bit
+    golden = CONFIGS.parent / "tests" / "golden" / "two-state-green.simulate.jsonl"
+    out = tmp_path / "s.jsonl"
+    result = invoke(runner, tmp_path, "simulate", "--config", str(CONFIGS / "two-state-green.yaml"), "--out", str(out))
+    assert result.exit_code == 0
+    row = json.loads(out.read_text().splitlines()[-1])
+    assert row["detail"]["normals"] == 200000
+    del row["detail"]
+    assert json.dumps(row, sort_keys=True) == golden.read_text().splitlines()[-1]
+
+
 def test_refine_sweep_records_levels(runner, tmp_path):
     out = tmp_path / "q.jsonl"
     result = invoke(
@@ -745,6 +776,14 @@ def test_a_chain_with_both_transitions_and_edges_is_a_config_error(runner, tmp_p
         "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]], edges: [[a, b, 1.0]], kill: {a: 1.0}}\n"
     ))
     assert "'transitions'" in output and "'edges'" in output
+
+
+def test_a_kill_next_to_dense_transitions_is_a_config_error(runner, tmp_path):
+    # the unkilled matrix ran and printed 3/3 checks passed
+    output = _config_error(runner, tmp_path, WIENER_SPACE + (
+        "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]], kill: {a: 5.0}}\n"
+    ))
+    assert "chain.kill" in output
 
 
 @pytest.mark.parametrize("kind, chain", [

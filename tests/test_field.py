@@ -1,5 +1,6 @@
 """Gaussian field sampling, stochastic-integral moments, projection sweeps."""
 
+import dataclasses
 import os
 import signal
 import sys
@@ -30,7 +31,14 @@ from setkern import (
     wiener_kernel,
 )
 from setkern.field import CHUNK_SIZE
-from support import random_conductance_chain, random_sets, random_simple_function, random_space
+from support import (
+    projected_factor,
+    projected_moment,
+    random_conductance_chain,
+    random_sets,
+    random_simple_function,
+    random_space,
+)
 
 
 @pytest.fixture
@@ -349,6 +357,12 @@ def _moments(values):
     return mean, np.sqrt(var / n)
 
 
+def _pair(sampler, coef):
+    """``(a, b)`` of the check's pair, ``b`` None for the isometry."""
+    a = sampler.factor.T @ coef[0]
+    return a, (sampler.factor.T @ coef[1] if len(coef) > 1 else None)
+
+
 @pytest.mark.parametrize("n", [1, CHUNK_SIZE - 1, 3 * CHUNK_SIZE + 17])
 def test_folded_moments_match_the_sampled_field_for_any_worker_count(n):
     rng = np.random.default_rng(22)
@@ -361,26 +375,18 @@ def test_folded_moments_match_the_sampled_field_for_any_worker_count(n):
         assert len({(r.estimate, r.std_error) for r in results}) == 1
         family = list(dict.fromkeys(phi.sets() + integrands[-1].sets()))
         sampler = build_sampler(kernel, family, seed=23)
-        draws = sampler.sample(n)
         coef = [setkern.field._coefficients(f, sampler) for f in integrands]
-        mean, se = _moments((draws @ coef[0]) * (draws @ coef[-1]))
+        R = projected_factor(*_pair(sampler, coef))
+        # the projected pair has the law of (Z_phi, Z_psi) in the sampled field
+        C, M = np.array([coef[0], coef[-1]]), R[:, [0, -1]]
+        cov = C @ sampler.gram.entries @ C.T
+        np.testing.assert_allclose(M.T @ M, cov, rtol=0, atol=1e-10 * np.abs(cov).max())
+        # and the check's moments are those of the field sampled from the factor R^T, on the same keys
+        pair = dataclasses.replace(sampler, family=sampler.family[:1] * R.shape[1], factor=R.T)
+        draws = pair.sample(n)
+        mean, se = _moments(draws[:, 0] * draws[:, -1])
         assert results[0].estimate == pytest.approx(mean, rel=1e-12)
         assert results[0].std_error == pytest.approx(se, rel=1e-12)
-
-
-def _per_chunk_philox_moment(sampler, alpha, beta, n):
-    """Mean and standard error of ``Z_alpha * Z_beta`` from a new ``Philox`` per chunk and ``@`` partials."""
-    a, b = sampler.factor.T @ alpha, sampler.factor.T @ beta
-    s1 = s2 = 0.0
-    for i, start in enumerate(range(0, n, CHUNK_SIZE)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([sampler.seed, i], dtype=np.uint64)))
-        z = rng.standard_normal((min(CHUNK_SIZE, n - start), sampler.rank))
-        vals = (z @ a) * (z @ b)
-        s1 += float(np.sum(vals))
-        s2 += float(np.sum(vals * vals))
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
-    return mean, float(np.sqrt(var / n))
 
 
 def _rank_cases():
@@ -407,10 +413,11 @@ def test_moment_checks_are_the_per_chunk_philox_stream_to_the_bit(case, n):
         sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + integrands[-1].sets()), seed=25)
         assert sampler.rank == rank
         coef = [setkern.field._coefficients(f, sampler) for f in integrands]
-        expected = _per_chunk_philox_moment(sampler, coef[0], coef[-1], n)
+        mean, se, d = projected_moment(25, *_pair(sampler, coef), n)
+        assert d == (1 if check is ito_isometry_check else min(rank, 2))
         for workers in (1, 2, 3):
             result = check(kernel, fact, *integrands, n, seed=25, workers=workers)
-            assert (result.estimate, result.std_error) == expected
+            assert (result.estimate, result.std_error, result.normals) == (mean, se, n * d)
 
 
 @pytest.mark.parametrize("workers, n", [(1, 50000), (2, 50000), (3, 50000), (64, 20000)])
@@ -442,6 +449,65 @@ def test_threads_are_capped_at_the_chunk_count(space, monkeypatch):
     draws = sampler.sample(20000, workers=64)  # 3 chunks
     assert len(ran) == 3
     assert np.array_equal(draws, sampler.sample(20000))
+
+
+def _record_widths(monkeypatch) -> list[int]:
+    """The draw width of every ``_each_chunk`` call from now on, in call order."""
+    widths = []
+    each_chunk = setkern.field._each_chunk
+
+    def recording(seed, n, width, work, workers):
+        widths.append(width)
+        return each_chunk(seed, n, width, work, workers)
+
+    monkeypatch.setattr(setkern.field, "_each_chunk", recording)
+    return widths
+
+
+@pytest.mark.parametrize("case", ["rank_one", "wiener", "green"])
+def test_moment_checks_draw_only_the_columns_their_pair_spans(case, monkeypatch):
+    kernel, phi, psi, rank = _rank_cases()[case]
+    fact = realize(kernel)
+    widths = _record_widths(monkeypatch)
+    iso = ito_isometry_check(kernel, fact, phi, 1000, seed=26, workers=2)
+    cross = cross_moment_check(kernel, fact, phi, psi, 1000, seed=26, workers=2)
+    build_sampler(kernel, dict.fromkeys(phi.sets() + psi.sets()), seed=26).sample(1000)
+    assert widths == [1, min(rank, 2), rank]
+    assert (iso.normals, cross.normals) == (1000, 1000 * min(rank, 2))
+
+
+def test_a_zero_integrand_draws_the_same_width_and_estimates_zero(space, monkeypatch):
+    kernel = wiener_kernel(space)
+    fact = realize(kernel)
+    zero = SimpleFunction(((0.0, space.subset("a", "b")),))
+    phi = SimpleFunction(((1.0, space.subset("a")), (2.0, space.subset("b", "c"))))
+    widths = _record_widths(monkeypatch)
+    results = [
+        ito_isometry_check(kernel, fact, zero, 5000, seed=27),
+        cross_moment_check(kernel, fact, zero, phi, 5000, seed=27),
+        cross_moment_check(kernel, fact, phi, zero, 5000, seed=27),
+    ]
+    assert widths == [1, 2, 2]  # the family {a, b}, {a}, {b, c} has rank 3
+    for res in results:
+        assert (res.estimate, res.std_error, res.exact) == (0.0, 0.0, 0.0)
+        assert res.within(5.0)
+
+
+@pytest.mark.parametrize("weights, rank", [((1.0, 2.0), 1), ((1.0, 0.0), 0)])
+def test_a_sampler_of_rank_at_most_one_draws_its_rank_for_the_cross_moment(weights, rank, monkeypatch):
+    # the reduced QR of a rank x 2 matrix has rank rows
+    sp = MeasureSpace(("a", "b"), weights)
+    kernel = rank_one_kernel(sp)
+    fact = realize(kernel)
+    phi = SimpleFunction(((1.0, sp.subset("b")),))
+    psi = SimpleFunction(((-2.0, sp.subset("b")),))
+    assert build_sampler(kernel, [sp.subset("b")], seed=28).rank == rank
+    widths = _record_widths(monkeypatch)
+    res = cross_moment_check(kernel, fact, phi, psi, 20000, seed=28)
+    assert widths == [rank]
+    assert res.normals == 20000 * rank
+    assert res.exact == pytest.approx(-2.0 * weights[1] ** 2, abs=1e-12)
+    assert res.within(5.0)
 
 
 def test_an_error_on_a_helper_chunk_is_raised_by_the_call():
