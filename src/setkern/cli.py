@@ -2,7 +2,8 @@
 
 Subcommands load one YAML config, run a fixed suite of checks, and emit a
 JSON-lines report (optionally also CSV).  Exit codes: 0 all checks passed,
-1 at least one check failed or no check ran, 2 config or parse error.
+1 at least one check failed or no check ran, 2 config or parse error, which
+every command decides before its first check, the kernel included.
 Reports are byte-deterministic for fixed (config, seed), including across
 ``--workers`` settings; pass ``--timings`` to record per-check runtimes at
 the cost of that determinism.
@@ -36,7 +37,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SetKernError
 from .linalg import Verdict, judge
 from .measure import MeasurableSet
-from .report import RunReport
+from .report import CheckRecord, RunReport
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "symmetry": 1e-12,
@@ -71,11 +72,9 @@ T = TypeVar("T")
 
 
 def _or_none(build: Callable[[], T]) -> T | None:
-    """``build()``, or ``None`` when the library rejects its input; config errors propagate."""
+    """``build()``, or ``None`` when the library rejects its input."""
     try:
         return build()
-    except ConfigError:
-        raise
     except SetKernError:
         return None  # the checks that need it are recorded as failed
 
@@ -96,7 +95,7 @@ class Run:
 
     @cached_property
     def kernel(self) -> kernels.SetKernel | None:
-        return _or_none(self.cfg.kernel) if self.cfg.kernel_type is not None else None
+        return self.green_kernel if self.cfg.kernel_type == "green" else self.cfg.kernel
 
     @cached_property
     def gram(self) -> kernels.GramMatrix | None:
@@ -329,8 +328,7 @@ def _run_checks(run: Run, checks: tuple[Check, ...], timings: bool) -> None:
             runtime = last
         last = runtime
         if outcome is not None:
-            value, bound, passed, detail = outcome
-            run.report.add(check.name, check.tag, passed, value=value, bound=bound, runtime=runtime, detail=detail)
+            run.report.add(CheckRecord(check.name, check.tag, outcome, runtime))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Schema (all sections optional unless a command needs them; a key the schema
 does not name at the top level or in ``space``, ``kernel``, ``chain`` or ``mc``
-is an error)::
+is an error).  ``load_config`` builds every kernel but ``green``, which needs
+``chain`` and which a command builds at its ``series-solve`` tolerance::
 
     space:
       atoms: [a, b, c]
@@ -46,7 +47,7 @@ from .kernels import (
     wiener_kernel,
 )
 from .linalg import require
-from .markov import MarkovChain, green_kernel
+from .markov import MarkovChain
 from .measure import (
     MeasurableSet,
     MeasureSpace,
@@ -73,7 +74,7 @@ class ExperimentConfig:
 
     space: MeasureSpace
     kernel_type: str | None
-    kernel_matrix: np.ndarray | None
+    kernel: SetKernel | None
     chain: MarkovChain | None
     family: tuple[MeasurableSet, ...]
     phi: SimpleFunction | None
@@ -84,20 +85,6 @@ class ExperimentConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
     checks: tuple[str, ...] | None = None
     expect: dict[str, int] = field(default_factory=dict)
-
-    def kernel(self) -> SetKernel:
-        if self.kernel_type == "operator":
-            try:
-                return operator_kernel(self.space, self.kernel_matrix)
-            except SetKernError as e:
-                raise ConfigError(f"kernel.matrix: {e}") from e
-        if self.kernel_type == "green":
-            if self.chain is None:
-                raise ConfigError("kernel.type green requires a chain section")
-            return green_kernel(self.chain)
-        if self.kernel_type not in _BUILTIN_KERNELS:
-            raise ConfigError(f"unknown kernel type {self.kernel_type!r}")
-        return _BUILTIN_KERNELS[self.kernel_type](self.space)
 
     def enabled(self, check: str) -> bool:
         return self.checks is None or check in self.checks
@@ -239,7 +226,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"space: {e}") from e
 
     kernel_type = None
-    kernel_matrix = None
+    kernel = None
     if "kernel" in raw:
         knode = _as_mapping(raw["kernel"], "kernel", ("type", "matrix"))
         kernel_type = str(knode.get("type", ""))
@@ -247,15 +234,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {kernel_type!r}")
         if "matrix" in knode and kernel_type != "operator":
             raise ConfigError(f"kernel.matrix is read only by kernel.type operator, got type {kernel_type!r}")
+        if kernel_type == "green" and chain is None:
+            raise ConfigError("kernel.type green requires a chain section")
         if kernel_type == "operator":
             if "matrix" not in knode:
                 raise ConfigError("kernel.type operator requires kernel.matrix")
             try:
-                kernel_matrix = np.asarray(knode["matrix"], dtype=float)
+                kernel = operator_kernel(space, knode["matrix"])
             except (TypeError, ValueError):
                 raise ConfigError("kernel.matrix must be a dense numeric matrix") from None
-            if not np.all(np.isfinite(kernel_matrix)):
-                raise ConfigError("kernel.matrix entries must be finite")
+            except SetKernError as e:
+                raise ConfigError(f"kernel.matrix: {e}") from e
+        elif kernel_type in _BUILTIN_KERNELS:
+            try:
+                kernel = _BUILTIN_KERNELS[kernel_type](space)
+            except SetKernError as e:
+                raise ConfigError(f"kernel: {e}") from e
 
     family = tuple(
         _atom_set(space, names, f"family[{i}]")
@@ -302,7 +296,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(
         space=space,
         kernel_type=kernel_type,
-        kernel_matrix=kernel_matrix,
+        kernel=kernel,
         chain=chain,
         family=family,
         phi=phi,

@@ -190,18 +190,18 @@ def reversibility_defect(chain: MarkovChain) -> tuple[float, float]:
     return chain._balance_defect
 
 
-def check_reversibility(chain: MarkovChain, tol: float = 1e-10) -> bool:
-    """True iff detailed balance holds within ``tol`` times the largest ``w(x) P[x,y]``.
+def check_reversibility(chain: MarkovChain) -> bool:
+    """True iff detailed balance holds within ``1e-10`` times the largest ``w(x) P[x,y]``.
 
     This is the one reversibility rule: ``green_kernel``, the transience
-    norm, ``spectral_gap`` and ``green_root`` all decide with it at
-    ``tol = 1e-10``.  Relative to scale, a chain and the same chain with
-    every conductance and killing mass multiplied by ``c`` are judged alike.
+    norm, ``spectral_gap`` and ``green_root`` all decide with it.  Relative
+    to scale, a chain and the same chain with every conductance and killing
+    mass multiplied by ``c`` are judged alike.
 
     The atom-level identity integrates to the set-level balance
     ``sum_A w P(., B) == sum_B w P(., A)`` by biadditivity.
     """
-    return judge(*reversibility_defect(chain), tol).passed
+    return judge(*reversibility_defect(chain), 1e-10).passed
 
 
 def _require_reversible(chain: MarkovChain, lacks: str) -> None:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .linalg import Verdict
+
 __all__ = ["CheckRecord", "RunReport"]
 
 _FIELDS = ("check", "tag", "status", "value", "bound", "runtime")
@@ -30,28 +32,26 @@ def _clean(x: float | None) -> float | None:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One executed check: its tag, outcome, measured value, and bound."""
+    """One executed check: its name, tag, verdict and, when timed, runtime."""
 
     check: str
     tag: str
-    status: str
-    value: float | None
-    bound: float | None
+    verdict: Verdict
     runtime: float | None = None
-    detail: dict | None = None
 
     def as_dict(self) -> dict:
-        """The record's fields; ``detail`` only when the check has one, and never in the CSV."""
+        """The record's fields; ``detail`` only when the verdict has one, and never in the CSV."""
+        value, bound, passed, detail = self.verdict
         out = {
             "check": self.check,
             "tag": self.tag,
-            "status": self.status,
-            "value": _clean(self.value),
-            "bound": _clean(self.bound),
+            "status": "pass" if passed else "fail",
+            "value": _clean(value),
+            "bound": _clean(bound),
             "runtime": _clean(self.runtime),
         }
-        if self.detail is not None:
-            out["detail"] = {k: _clean(v) if isinstance(v, float) else v for k, v in self.detail.items()}
+        if detail is not None:
+            out["detail"] = {k: _clean(v) if isinstance(v, float) else v for k, v in detail.items()}
         return out
 
 
@@ -65,33 +65,14 @@ class RunReport:
     tolerances: dict[str, float]
     records: list[CheckRecord] = field(default_factory=list)
 
-    def add(
-        self,
-        check: str,
-        tag: str,
-        passed: bool,
-        value: float | None = None,
-        bound: float | None = None,
-        runtime: float | None = None,
-        detail: dict | None = None,
-    ) -> CheckRecord:
-        if any(r.check == check for r in self.records):
-            raise ValueError(f"duplicate check record {check!r}")
-        rec = CheckRecord(
-            check=check,
-            tag=tag,
-            status="pass" if passed else "fail",
-            value=value,
-            bound=bound,
-            runtime=runtime,
-            detail=detail,
-        )
-        self.records.append(rec)
-        return rec
+    def add(self, record: CheckRecord) -> None:
+        if any(r.check == record.check for r in self.records):
+            raise ValueError(f"duplicate check record {record.check!r}")
+        self.records.append(record)
 
     @property
     def all_passed(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
+        return all(r.verdict.passed for r in self.records)
 
     def meta(self) -> dict:
         return {
@@ -122,12 +103,12 @@ class RunReport:
     def summary_lines(self) -> list[str]:
         out = []
         for r in self.records:
-            parts = [r.status.upper(), r.check]
-            if r.value is not None:
-                parts.append(f"value={r.value:.6g}")
-            if r.bound is not None:
-                parts.append(f"bound={r.bound:.6g}")
+            value, bound, passed, _ = r.verdict
+            parts = ["PASS" if passed else "FAIL", r.check]
+            if value is not None:
+                parts.append(f"value={value:.6g}")
+            if bound is not None:
+                parts.append(f"bound={bound:.6g}")
             out.append("  ".join(parts))
-        n_pass = sum(1 for r in self.records if r.status == "pass")
-        out.append(f"{n_pass}/{len(self.records)} checks passed")
+        out.append(f"{sum(r.verdict.passed for r in self.records)}/{len(self.records)} checks passed")
         return out

@@ -394,7 +394,32 @@ def test_nonfinite_kernel_matrix_is_a_config_error(runner, tmp_path, entry):
         + f"kernel: {{type: operator, matrix: [[{entry}, 0.0], [0.0, 1.0]]}}\n"
         + "checks: [gram-psd]\n",
     )
-    assert "kernel.matrix" in output
+    assert "kernel.matrix: operator matrix entries must be finite" in output  # operator_kernel's own test
+
+
+def test_an_indefinite_kernel_matrix_is_a_config_error_for_a_command_that_never_reads_it(runner, tmp_path):
+    # the matrix was checked only when a command built the kernel, so markov-green exited 0
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(WIENER_SPACE + "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]]}\n"
+                   "kernel: {type: operator, matrix: [[1.0, 2.0], [2.0, 1.0]]}\n")
+    result = invoke(runner, tmp_path, "markov-green", "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert "kernel.matrix" in result.output and "indefinite" in result.output
+
+
+@pytest.mark.parametrize("command", ["validate", "factorize", "markov-green", "simulate", "refine-sweep"])
+def test_a_green_kernel_without_a_chain_is_a_config_error_for_every_command(runner, tmp_path, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(WIENER_SPACE + "kernel: {type: green}\n")
+    result = invoke(runner, tmp_path, command, "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert "kernel.type green requires a chain section" in result.output
+
+
+def test_a_builtin_kernel_that_overflows_is_a_config_error(runner, tmp_path):
+    # w w^T overflows at w = 1e200: validate recorded 0/4 checks with no value and exited 1
+    output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\nkernel: {type: rank_one}")
+    assert "kernel: atom Gram entries must be finite" in output
 
 
 def test_non_integer_sample_count_is_a_config_error(runner, tmp_path):
@@ -768,6 +793,29 @@ def test_a_looser_series_solve_tolerance_reaches_the_green_solve(runner, tmp_pat
     for check in ("green-identity", "series-solve", "green-psd", "fundamental-match"):
         assert by_check[check]["status"] == "pass", check
     assert result.exit_code == 1  # green-factor fails on its own bound
+
+
+def test_every_command_builds_one_green_kernel_at_the_run_tolerance(runner, tmp_path):
+    # validate built its Green kernel at the fixed series tolerance 1e-8, apart from the run's
+    # --tol series-solve=1e-6, and failed symmetry, gram-psd, schwarz and absolute-continuity
+    # with no value (3/7, exit 1) where markov-green passed green-psd
+    atoms = [f"p{i}" for i in range(10)]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "space": {"atoms": atoms},
+        "kernel": {"type": "green"},
+        "chain": {"edges": [[a, b, 1.0] for a, b in zip(atoms, atoms[1:])], "kill": {"p0": 1e-8}},
+    }))
+    codes, records = {}, {}
+    for command in ("validate", "markov-green"):
+        out = tmp_path / f"{command}.jsonl"
+        codes[command] = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out),
+                                "--tol", "series-solve=1e-6").exit_code
+        records[command] = {r["check"]: r for r in read_records(out)[1]}
+    assert codes == {"validate": 0, "markov-green": 1}  # green-factor fails on its own bound
+    psd, green_psd = records["validate"]["gram-psd"], records["markov-green"]["green-psd"]
+    assert psd["value"] is not None
+    assert (psd["status"], psd["value"], psd["bound"]) == (green_psd["status"], green_psd["value"], green_psd["bound"])
 
 
 def test_a_chain_with_both_transitions_and_edges_is_a_config_error(runner, tmp_path):

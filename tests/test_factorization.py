@@ -29,6 +29,7 @@ from setkern import (
     counting_kernel,
     export_factorization,
     gram,
+    green_kernel,
     isometry_b,
     isometry_b_batch,
     onb_factorization,
@@ -613,7 +614,8 @@ def assert_written_as_indented_json(fact, family, path):
 @pytest.mark.parametrize("name", ["rank-one", "two-state-green", "wiener"])
 def test_shipped_exports_are_indented_json(name, tmp_path):
     cfg = load_config(CONFIGS / f"{name}.yaml")
-    assert_written_as_indented_json(realize(cfg.kernel()), cfg.family, tmp_path / "f.json")
+    kernel = green_kernel(cfg.chain) if cfg.kernel_type == "green" else cfg.kernel
+    assert_written_as_indented_json(realize(kernel), cfg.family, tmp_path / "f.json")
 
 
 def test_a_150_atom_export_is_indented_json(tmp_path):

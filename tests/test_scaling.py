@@ -194,14 +194,14 @@ def _decides_alike(tmp_path, cfg, command, row, tolerance, ratio, rejects):
 
 def test_realize_and_the_realization_row_decide_alike(tmp_path):
     cfg = _operator_12()
-    kernel = _load(tmp_path, cfg).kernel()
+    kernel = _load(tmp_path, cfg).kernel
     _decides_alike(tmp_path, cfg, "factorize", "realization", "realization", realize(kernel).residual / kernel.scale,
                    lambda tol: _raises(realize, kernel, tol=tol))
 
 
 def test_reverse_direction_and_the_density_row_decide_alike(tmp_path):
     cfg = _operator_12()
-    fact = realize(_load(tmp_path, cfg).kernel())
+    fact = realize(_load(tmp_path, cfg).kernel)
     report = reverse_direction(fact)
     _decides_alike(tmp_path, cfg, "factorize", "density-consistency", "density", report.max_residual / report.scale,
                    lambda tol: _raises(reverse_direction, fact, tol=tol))
@@ -210,7 +210,7 @@ def test_reverse_direction_and_the_density_row_decide_alike(tmp_path):
 def test_check_absolute_continuity_and_its_row_decide_alike(tmp_path):
     cfg = _config("counting-null-atom")
     loaded = _load(tmp_path, cfg)
-    kernel = loaded.kernel()
+    kernel = loaded.kernel
     charge = check_absolute_continuity(kernel, loaded.family).charge
     _decides_alike(tmp_path, cfg, "validate", "absolute-continuity", "absolute-continuity", charge / kernel.scale,
                    lambda tol: not check_absolute_continuity(kernel, loaded.family, tol=tol).ok)
@@ -222,7 +222,7 @@ def test_spectrum_certify_and_the_gram_psd_row_decide_alike(tmp_path):
     M = U @ np.diag([2.0, 1.0, -1e-11]) @ U.T
     cfg = {"space": {"atoms": ["a", "b", "c"], "weights": [1.0, 1.0, 1.0]},
            "kernel": {"type": "operator", "matrix": (0.5 * (M + M.T)).tolist()}}
-    kernel = _load(tmp_path, cfg).kernel()
+    kernel = _load(tmp_path, cfg).kernel
     values = np.linalg.eigvalsh(kernel.Q)
     _decides_alike(tmp_path, cfg, "validate", "gram-psd", "gram-psd", -values.min() / values.max(),
                    lambda tol: _raises(kernel.spectrum.certify, tol, NotPositiveError, "kernel"))
