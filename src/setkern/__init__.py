@@ -24,8 +24,6 @@ from .errors import (
     VerificationError,
 )
 from .factorization import (
-    AbsoluteContinuityReport,
-    DensityReport,
     Factorization,
     RkhsElement,
     b_range_dimension,

@@ -11,10 +11,14 @@ the cost of that determinism.
 Every check is one row of ``SUITES``: its name, report tag and tolerance
 key, and a function of the command's shared ``Run`` state that returns a
 ``linalg.Verdict`` ``(value, bound, passed, detail)``, or ``None`` when the
-check does not apply.  An error passes when it is at most ``tol * scale``, by
-``linalg.judge``, the rule the library raises by; transience, contractivity,
-spectral gap, Monte Carlo sigmas and range rank are dimensionless and keep
-their own rules.  Each command of ``COMMANDS`` runs its suites through one loop.
+check does not apply.  Library checks such as ``GramMatrix.psd``,
+``check_absolute_continuity`` and ``reverse_direction`` return the verdict
+their row records; library constructors raise, and a check whose input the
+library rejects fails with no value or bound while the report is still
+written.  An error passes when it is at most ``tol * scale``, by
+``linalg.judge``; transience, contractivity, spectral gap, Monte Carlo sigmas
+and range rank are dimensionless and keep their own rules.  Each command of
+``COMMANDS`` runs its suites through one loop.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 import os
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
@@ -155,7 +160,7 @@ class Check(NamedTuple):
     tol: str | None
     measure: Callable[[Run, float | None], Verdict | None]
     needs: str | None = None
-    """The ``Run`` part the check reads; when it could not be built, the check fails with no value or bound."""
+    """The ``Run`` part the check reads; if it is missing, or ``measure`` raises ``SetKernError``, the check fails with no value."""
     shared: bool = False
     """Record the runtime of the check before it, which computed both."""
 
@@ -169,8 +174,8 @@ def _transience(run: Run, gap: float) -> Verdict:
 
 
 def _spectral_gap(run: Run, gap: float) -> Verdict:
-    value = _or_none(partial(markov.spectral_gap, run.cfg.chain))
-    return Verdict(None, None, False) if value is None else Verdict(value, gap, value >= gap)
+    value = markov.spectral_gap(run.cfg.chain)
+    return Verdict(value, gap, value >= gap)
 
 
 def _random_coefficients(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
@@ -249,14 +254,13 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
         Check("symmetry", "kernel-symmetry", "symmetry", lambda run, tol: judge(run.gram.asymmetry, run.gram.scale, tol), needs="gram"),
         Check("gram-psd", "positive-definite", "gram-psd", lambda run, tol: run.gram.psd(tol), needs="gram"),
         Check("schwarz", "schwarz", "schwarz", lambda run, tol: run.gram.schwarz(tol), needs="gram"),
-        Check("absolute-continuity", "absolute-continuity", "absolute-continuity", lambda run, tol: judge(
-            factorization.check_absolute_continuity(run.kernel, run.cfg.family, tol=tol).charge, run.kernel.scale, tol
-        ), needs="kernel"),
+        Check("absolute-continuity", "absolute-continuity", "absolute-continuity",
+              lambda run, tol: factorization.check_absolute_continuity(run.kernel, run.cfg.family, tol=tol), needs="kernel"),
     )),
     "factorize": (lambda run: run.report.all_passed, (
         REALIZATION,
-        Check("density-consistency", "density", "density", lambda run, tol: judge(
-            *factorization.reverse_direction(run.fact, tol=math.inf), tol), needs="fact"),
+        Check("density-consistency", "density", "density",
+              lambda run, tol: factorization.reverse_direction(run.fact, tol=tol), needs="fact"),
         Check("isometry", "isometry", "isometry", _isometry, needs="fact"),
         Check("adjoint", "adjoint", "adjoint", _adjoint, needs="fact"),
         Check("parseval", "parseval", "parseval",
@@ -319,10 +323,10 @@ def _run_checks(run: Run, checks: tuple[Check, ...], timings: bool) -> None:
             last = None
             continue
         t0 = time.perf_counter()
-        if check.needs is not None and getattr(run, check.needs) is None:
-            outcome = Verdict(None, None, False)
-        else:
-            outcome = check.measure(run, run.report.tolerances.get(check.tol))
+        outcome = Verdict(None, None, False)  # kept when the library rejects what the check reads
+        if check.needs is None or getattr(run, check.needs) is not None:
+            with suppress(SetKernError):
+                outcome = check.measure(run, run.report.tolerances.get(check.tol))
         runtime = time.perf_counter() - t0 if timings else None
         if check.shared and last is not None:
             runtime = last

@@ -11,6 +11,10 @@ adjoint, Parseval expansions over orthonormal bases, and the range dimension
 are all computable here.  A pushforward verifier for measure-space morphisms
 rounds out the module.
 
+Constructors (``build_T``, ``realize``) raise on a kernel they cannot realize;
+checks (``check_absolute_continuity``, ``reverse_direction``) return the
+``linalg.Verdict`` of their decision: the error, its bound and whether it passed.
+
 Null atoms are treated as L2-equivalence classes: densities, ``T`` and every
 ``k_A`` vanish there.
 """
@@ -20,26 +24,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     AbsoluteContinuityError,
     DomainError,
-    InconsistencyError,
     InvalidBasisError,
     InvalidMapError,
     NotPositiveError,
     VerificationError,
 )
 from .kernels import SetKernel, gram
-from .linalg import judge, psd_sqrt, require
+from .linalg import Verdict, judge, psd_sqrt, require
 from .measure import MeasurableSet, MeasureSpace, SimpleFunction
 
 __all__ = [
-    "AbsoluteContinuityReport",
-    "DensityReport",
     "Factorization",
     "RkhsElement",
     "check_absolute_continuity",
@@ -58,57 +59,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AbsoluteContinuityReport:
-    """Null sets charged by a kernel.
-
-    ``violations`` lists each probed set ``A`` with ``w(A) == 0`` and its
-    charge ``max_y |K(A, {y})|`` where that exceeds the bound; ``charge`` is
-    the largest charge over every probed null set, zero when there is none.
-    """
-
-    violations: tuple[tuple[MeasurableSet, float], ...]
-    charge: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-class DensityReport(NamedTuple):
-    """Agreement between the root's ``S k_B`` and the kernel's densities ``T chi_B``, and its scale ``max|T chi_B|``."""
-
-    max_residual: float
-    scale: float
-
-
-def check_absolute_continuity(
-    kernel: SetKernel, probe_sets: Sequence[MeasurableSet] = (), tol: float = 1e-10
-) -> AbsoluteContinuityReport:
-    """Probe whether the kernel vanishes on null sets.
+def check_absolute_continuity(kernel: SetKernel, probe_sets: Sequence[MeasurableSet] = (), tol: float = 1e-10) -> Verdict:
+    """Whether the kernel vanishes on null sets: the largest charge over the probed null sets against ``tol * max|Q|``.
 
     The probed family is ``probe_sets`` together with every zero-weight
-    singleton.  A null set ``A`` is charged when some ``|K(A, {y})|``, an
-    entry of its row of ``C Q``, exceeds ``tol * max|Q|``; this is the
-    package's one null-set rule.
+    singleton.  The charge of a null set ``A`` is ``max_y |K(A, {y})|``, the
+    largest entry of its row of ``C Q``, and zero when no null set is probed;
+    this is the package's one null-set rule.
     """
     space = kernel.space
     null_atoms = [space.singleton(i) for i in np.flatnonzero(~space.positive)]
     null = [A for A in dict.fromkeys([*probe_sets, *null_atoms]) if space.measure(A) == 0.0]
     charges = np.abs(space.indicator_matrix(null) @ kernel.Q).max(axis=1, initial=0.0)
-    violations = tuple((A, float(v)) for A, v in zip(null, charges) if not judge(v, kernel.scale, tol).passed)
-    return AbsoluteContinuityReport(violations, float(charges.max(initial=0.0)))
+    return judge(float(charges.max(initial=0.0)), kernel.scale, tol)
 
 
 def _require_absolute_continuity(kernel: SetKernel) -> None:
     """Raise ``AbsoluteContinuityError`` naming the first null atom the kernel charges beyond ``1e-10 * max|Q|``."""
-    violations = check_absolute_continuity(kernel).violations
-    if violations:
-        A, value = violations[0]  # a null singleton: no other set is probed
-        atom = kernel.space.atoms[A.indices[0]]
+    verdict = check_absolute_continuity(kernel)
+    if not verdict.passed:
+        null = np.flatnonzero(~kernel.space.positive)  # no other set is probed
+        charges = np.abs(kernel.Q[null]).max(axis=1)
+        first = int(np.argmax(charges > verdict.bound))
+        atom = kernel.space.atoms[null[first]]
         raise AbsoluteContinuityError(
             f"no realization exists: kernel charges null atom {atom!r}: max_y |K({{{atom}}},{{y}})| = "
-            f"{value:.3e} > 1e-10 × max|Q| = {kernel.scale:.3e}")
+            f"{charges[first]:.3e} > 1e-10 × max|Q| = {kernel.scale:.3e}")
 
 
 def build_T(kernel: SetKernel) -> np.ndarray:
@@ -193,22 +169,20 @@ def realize(kernel: SetKernel, *, tol: float = 1e-8) -> Factorization:
 
 def reverse_direction(
     factorization: Factorization, sets: Sequence[MeasurableSet] | None = None, *, tol: float = 1e-9
-) -> DensityReport:
+) -> Verdict:
     """Recover the kernel's densities from the root and cross-check them.
 
     For each probe set ``B`` (by default the singletons and the full set) the
     root gives ``S k_B = S S chi_B``, which must agree with the kernel's
     density ``T chi_B``, ``K({x}, B) / w(x)`` on positive atoms and zero on
-    null atoms.  The kernel must first pass ``check_absolute_continuity``:
-    without it the densities do not exist.
+    null atoms.  Returns the worst probe residual against
+    ``tol * max|T chi_B|``, the largest density over the probes.
 
     Raises
     ------
     AbsoluteContinuityError
-        If the kernel charges a null atom by more than ``1e-10 * max|Q|``.
-    InconsistencyError
-        If any probe residual exceeds ``tol * max|T chi_B|``, the largest
-        density over the probes.
+        If the kernel charges a null atom by more than ``1e-10 * max|Q|``:
+        without absolute continuity the densities do not exist.
     """
     kernel = factorization.kernel
     _require_absolute_continuity(kernel)
@@ -218,10 +192,7 @@ def reverse_direction(
     sets = list(sets)
     densities = kernel.T @ space.indicator_matrix(sets).T
     worst = float(np.abs(factorization.S @ factorization.k_rows(sets).T - densities).max(initial=0.0))
-    scale = float(np.abs(densities).max(initial=0.0))
-    require(worst, scale, tol, InconsistencyError,
-            "the root's densities S k_B disagree with the kernel's T chi_B:", "max|T chi_B|")
-    return DensityReport(max_residual=worst, scale=scale)
+    return judge(worst, float(np.abs(densities).max(initial=0.0)), tol)
 
 
 @dataclass(frozen=True, eq=False)

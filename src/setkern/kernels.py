@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidOperatorError
-from .linalg import Spectrum, Verdict, judge, require, selfadjoint_defect
+from .linalg import Spectrum, Verdict, judge, psd, require, selfadjoint_defect
 from .measure import MeasurableSet, MeasureSpace
 
 __all__ = [
@@ -158,11 +158,8 @@ class GramMatrix:
         return float(np.abs(self.entries).max(initial=0.0))
 
     def psd(self, tol: float) -> Verdict:
-        """Smallest eigenvalue against ``-tol * lambda_max``, the rule of ``Spectrum.certify``; no eigenvectors."""
-        values = np.linalg.eigvalsh(self.entries) if self.entries.size else np.zeros(1)
-        low = float(values.min())
-        verdict = judge(-low, float(values.max(initial=0.0)), tol)
-        return Verdict(low, -verdict.bound, verdict.passed)
+        """``linalg.psd`` of the Gram's eigenvalues; no eigenvectors."""
+        return psd(np.linalg.eigvalsh(self.entries), tol)
 
     def schwarz(self, tol: float) -> Verdict:
         """Largest ``K(A,B)^2 - K(A,A) K(B,B)`` over pairs of the family against ``tol * max|G|^2``."""

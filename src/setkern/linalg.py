@@ -28,6 +28,7 @@ __all__ = [
     "Verdict",
     "judge",
     "require",
+    "psd",
     "Spectrum",
     "selfadjoint_defect",
     "spectral_transform",
@@ -64,6 +65,18 @@ def require(value: float, scale: float, tol: float, error: type[Exception], what
     """Raise ``error`` unless ``judge(value, scale, tol)`` passes: ``<what> <value> > <tol> × <per> = <scale>``."""
     if not judge(value, scale, tol).passed:
         raise error(f"{what} {value:.3e} > {tol:g} × {per} = {scale:.3e}")
+
+
+def psd(values: np.ndarray, tol: float) -> Verdict:
+    """The package's one PSD rule: ``lambda_min >= -tol * lambda_max``, an empty spectrum reading ``lambda_min = 0``.
+
+    The verdict holds ``lambda_min`` and the bound ``-tol * lambda_max``.  The
+    rule is relative to the spectral scale with no absolute floor, as
+    eigenvalue perturbations are bounded by ``|Delta M|``, not by 1.
+    """
+    low = float(values.min()) if values.size else 0.0
+    verdict = judge(-low, float(values.max(initial=0.0)), tol)
+    return Verdict(low, -verdict.bound, verdict.passed)
 
 
 def selfadjoint_defect(M: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -116,14 +129,10 @@ class Spectrum:
         return int(np.count_nonzero(self.kept))
 
     def certify(self, tol: float, error: type[Exception], what: str) -> "Spectrum":
-        """``self`` if ``lambda_min >= -tol * lambda_max``; otherwise raise ``error``.
-
-        The package's PSD rule, which ``GramMatrix.psd`` applies to
-        eigenvalues alone: relative to the spectral scale with no absolute
-        floor, as eigenvalue perturbations are bounded by ``|Delta M|``, not by 1.
-        """
-        low = float(self.values.min(initial=0.0))
-        require(-low, self.top, tol, error, f"{what} is indefinite: -lambda_min", "lambda_max")
+        """``self`` if ``psd(self.values, tol)`` passes; otherwise raise ``error``."""
+        verdict = psd(self.values, tol)
+        if not verdict.passed:
+            raise error(f"{what} is indefinite: -lambda_min {-verdict.value:.3e} > {tol:g} × lambda_max = {self.top:.3e}")
         return self
 
 

@@ -88,7 +88,9 @@ def test_criterion_2_reverse_and_failure_direction():
     worst = 0.0
     for kernel in realized_kernels(100, 6, seed=101):
         fact = realize(kernel)
-        worst = max(worst, reverse_direction(fact).max_residual)
+        verdict = reverse_direction(fact)
+        assert verdict.passed
+        worst = max(worst, verdict.value)
     rejected = False
     null_space = MeasureSpace(("a", "b", "c"), (1.0, 1.0, 0.0))
     try:

@@ -843,3 +843,19 @@ def test_a_matrix_under_another_kernel_type_is_a_config_error(runner, tmp_path, 
         f"kernel: {{type: {kind}, matrix: [[1.0, 0.0], [0.0, 1.0]]}}\n"
     ))
     assert "kernel.matrix" in output
+
+
+def test_a_sampler_the_library_rejects_fails_its_row_and_the_report_is_written(runner, tmp_path):
+    # build_sampler's InvalidCovarianceError escaped as a traceback, with no report
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(WIENER_SPACE + (
+        "kernel: {type: operator, matrix: [[1.0, 0.0], [0.0, -9.0e-11]]}\nphi: [[1.0, [b]]]\nmc: {samples: 1000, seed: 1}\n"
+    ))
+    out = tmp_path / "s.jsonl"
+    result = invoke(runner, tmp_path, "simulate", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    by_check = {r["check"]: r for r in read_records(out)[1]}
+    ito = by_check.pop("ito-isometry")
+    assert (ito["status"], ito["value"], ito["bound"]) == ("fail", None, None)
+    assert len(by_check) == 11 and all(r["status"] == "pass" for r in by_check.values()), by_check

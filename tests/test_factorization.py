@@ -12,7 +12,6 @@ from setkern import (
     AbsoluteContinuityError,
     DomainError,
     Factorization,
-    InconsistencyError,
     InvalidBasisError,
     InvalidMapError,
     MeasurableSet,
@@ -88,19 +87,17 @@ def nu_orthonormal_bases(rng, space):
 
 
 def test_wiener_has_no_violations(null_space):
-    assert check_absolute_continuity(wiener_kernel(null_space)).ok
+    assert check_absolute_continuity(wiener_kernel(null_space)).passed
 
 
 def test_counting_kernel_charges_null_atom(null_space):
-    report = check_absolute_continuity(counting_kernel(null_space), [null_space.subset("c")])
-    assert not report.ok
-    (A, value), = report.violations
-    assert A == null_space.subset("c")
-    assert value == 1.0
+    verdict = check_absolute_continuity(counting_kernel(null_space), [null_space.subset("c")])
+    assert not verdict.passed
+    assert verdict.value == 1.0
 
 
 def test_rank_one_has_no_violations(null_space):
-    assert check_absolute_continuity(rank_one_kernel(null_space)).ok
+    assert check_absolute_continuity(rank_one_kernel(null_space)).passed
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +295,8 @@ def test_realize_reproduces_every_pair_or_refuses(data):
 
 def test_reverse_direction_wiener(space):
     fact = realize(wiener_kernel(space))
-    assert reverse_direction(fact).max_residual <= 1e-12
+    verdict = reverse_direction(fact)
+    assert verdict.passed and verdict.value <= 1e-12
 
 
 def test_reverse_direction_rank_one():
@@ -307,13 +305,15 @@ def test_reverse_direction_rank_one():
     B = sp.subset("a", "b")
     recovered = fact.kernel.T @ sp.indicator(B)
     np.testing.assert_allclose(recovered, sp.measure(B) * np.ones(3), atol=1e-12)
-    assert reverse_direction(fact).max_residual <= 1e-12
+    verdict = reverse_direction(fact)
+    assert verdict.passed and verdict.value <= 1e-12
 
 
 def test_reverse_direction_random_operator(space):
     rng = np.random.default_rng(5)
     fact = realize(random_operator_kernel(rng, space))
-    assert reverse_direction(fact, random_sets(rng, space, 20)).max_residual <= 1e-9
+    verdict = reverse_direction(fact, random_sets(rng, space, 20))
+    assert verdict.passed and verdict.value <= 1e-9
 
 
 def test_reverse_direction_detects_tampering(space):
@@ -321,14 +321,32 @@ def test_reverse_direction_detects_tampering(space):
     fact = realize(wiener_kernel(space))
     for scale in (0.0, np.sqrt(2.0)):
         bad = Factorization(kernel=fact.kernel, S=scale * fact.S, residual=0.0)
-        with pytest.raises(InconsistencyError):
-            reverse_direction(bad)
+        assert not reverse_direction(bad).passed
 
 
 def test_reverse_direction_refuses_a_kernel_that_charges_a_null_atom(null_space):
     kernel = counting_kernel(null_space)
     with pytest.raises(AbsoluteContinuityError, match=r"null atom 'c': max_y \|K\(\{c\},\{y\}\)\| = 1\.000e\+00"):
         reverse_direction(Factorization(kernel=kernel, S=np.eye(3), residual=0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_a_null_atom_the_kernel_does_not_charge_changes_no_verdict(n, seed):
+    rng = np.random.default_rng(seed)
+    kernel = random_operator_kernel(rng, random_space(rng, n))
+    wider = MeasureSpace((*kernel.space.atoms, "null"), (*kernel.space.weights, 0.0))
+    Q = np.zeros((n + 1, n + 1))
+    Q[:n, :n] = kernel.Q
+    padded = SetKernel(wider, Q)
+    assert check_absolute_continuity(padded) == check_absolute_continuity(kernel)
+    fact, padded_fact = realize(kernel), realize(padded)
+    assert padded_fact.residual == fact.residual
+    verdict, padded_verdict = reverse_direction(fact), reverse_direction(padded_fact)
+    assert padded_verdict.passed == verdict.passed
+    assert abs(padded_verdict.value - verdict.value) <= 1e-12 * verdict.bound
+    Q[n, :n] = Q[:n, n] = 1e-3 * kernel.scale
+    assert not check_absolute_continuity(SetKernel(wider, Q)).passed
 
 
 # ---------------------------------------------------------------------------
