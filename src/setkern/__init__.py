@@ -25,16 +25,13 @@ from .errors import (
 )
 from .factorization import (
     Factorization,
-    RkhsElement,
     b_range_dimension,
     build_T,
     check_absolute_continuity,
-    coisometry_b_star_batch,
+    coisometry_b_star,
     export_factorization,
     isometry_b,
-    isometry_b_batch,
     onb_factorization,
-    onb_gram,
     realize,
     reverse_direction,
     verify_pushforward,
@@ -62,6 +59,7 @@ from .markov import (
     GreenData,
     MarkovChain,
     check_reversibility,
+    check_series,
     check_transient,
     contractivity_check,
     green,

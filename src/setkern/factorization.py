@@ -6,10 +6,11 @@ definite and charges no null set, as ``check_absolute_continuity`` decides.
 The construction goes through the densities ``(T chi_B)(x) = K({x}, B) / w(x)``
 of the kernel's nu-selfadjoint PSD operator ``SetKernel.T``, and
 ``k_A = T^{1/2} chi_A``.  The map sending ``K(., A)`` to ``k_A`` extends to
-an isometry ``b`` of the kernel's reproducing space into weighted L2; its
-adjoint, Parseval expansions over orthonormal bases, and the range dimension
-are all computable here.  A pushforward verifier for measure-space morphisms
-rounds out the module.
+an isometry ``b`` of the kernel's reproducing space into weighted L2.  Over a
+set family, ``b``, its adjoint ``b*`` and Parseval expansions over an
+orthonormal basis are each one product with ``C S^T``, whose rows are the
+``k_A``.  The range dimension of ``b`` and a pushforward verifier for
+measure-space morphisms round out the module.
 
 Constructors (``build_T``, ``realize``) raise on a kernel they cannot realize;
 checks (``check_absolute_continuity``, ``reverse_direction``) return the
@@ -36,22 +37,19 @@ from .errors import (
     NotPositiveError,
     VerificationError,
 )
-from .kernels import SetKernel, gram
+from .kernels import SetKernel
 from .linalg import Verdict, judge, psd_sqrt, require
 from .measure import MeasurableSet, MeasureSpace, SimpleFunction
 
 __all__ = [
     "Factorization",
-    "RkhsElement",
     "check_absolute_continuity",
     "build_T",
     "realize",
     "reverse_direction",
     "isometry_b",
-    "isometry_b_batch",
-    "coisometry_b_star_batch",
+    "coisometry_b_star",
     "onb_factorization",
-    "onb_gram",
     "b_range_dimension",
     "verify_pushforward",
     "export_factorization",
@@ -126,12 +124,8 @@ class Factorization:
     def space(self) -> MeasureSpace:
         return self.kernel.space
 
-    def k(self, A: MeasurableSet) -> np.ndarray:
-        """The factor vector ``k_A = S chi_A``."""
-        return self.S @ self.space.indicator(A)
-
     def k_rows(self, sets: Sequence[MeasurableSet]) -> np.ndarray:
-        """The factor vectors ``k_A`` of ``sets`` as the rows of ``C S^T``."""
+        """The factor vectors ``k_A = S chi_A`` of ``sets`` as the rows of ``C S^T``."""
         return self.space.indicator_matrix(sets) @ self.S.T
 
     def s_norm_squared(self, phi: SimpleFunction) -> float:
@@ -195,42 +189,17 @@ def reverse_direction(
     return judge(worst, float(np.abs(densities).max(initial=0.0)), tol)
 
 
-@dataclass(frozen=True, eq=False)
-class RkhsElement:
-    """Finite combination ``F = sum_i alpha_i K(., A_i)`` in the kernel's space."""
-
-    terms: tuple[tuple[float, MeasurableSet], ...]
-
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for c, _ in self.terms], dtype=float)
-
-    def sets(self) -> tuple[MeasurableSet, ...]:
-        return tuple(s for _, s in self.terms)
-
-    def norm_squared(self, kernel: SetKernel) -> float:
-        """Reproducing-space norm squared, the Gram quadratic form."""
-        if not self.terms:
-            return 0.0
-        alpha = self.coefficients()
-        G = gram(kernel, self.sets()).entries
-        return float(alpha @ G @ alpha)
-
-
-def isometry_b_batch(factorization: Factorization, alpha: np.ndarray, sets: Sequence[MeasurableSet]) -> np.ndarray:
+def isometry_b(factorization: Factorization, alpha: np.ndarray, sets: Sequence[MeasurableSet]) -> np.ndarray:
     """Images under ``b`` of the elements ``sum_i alpha[r, i] K(., sets[i])``, one per row of ``alpha``.
 
     ``b`` sends ``K(., A)`` to ``k_A`` and extends linearly, so the images are
-    the rows of ``alpha @ (C S^T)``, each with its element's norm in weighted L2.
+    the rows of ``alpha @ (C S^T)``, each with its element's norm in weighted L2:
+    the Gram quadratic form ``alpha[r] @ gram(kernel, sets).entries @ alpha[r]``.
     """
     return np.asarray(alpha, dtype=float) @ factorization.k_rows(sets)
 
 
-def isometry_b(factorization: Factorization, element: RkhsElement) -> np.ndarray:
-    """Image of one element under the isometry into weighted L2 (see ``isometry_b_batch``)."""
-    return isometry_b_batch(factorization, element.coefficients()[None], element.sets())[0]
-
-
-def coisometry_b_star_batch(factorization: Factorization, phi: np.ndarray, sets: Sequence[MeasurableSet]) -> np.ndarray:
+def coisometry_b_star(factorization: Factorization, phi: np.ndarray, sets: Sequence[MeasurableSet]) -> np.ndarray:
     """Adjoint images ``(b* phi)(A) = <phi, k_A>``: ``(phi w) @ (C S^T)^T``, one row per row of ``phi``.
 
     A ``phi`` that is not a matrix with one column per atom raises ``DomainError``.
@@ -240,7 +209,6 @@ def coisometry_b_star_batch(factorization: Factorization, phi: np.ndarray, sets:
     if phi.ndim != 2 or phi.shape[1] != space.size:
         raise DomainError("atom vectors must match the space size")
     return (phi * space.weight_array) @ factorization.k_rows(sets).T
-
 
 
 def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -261,15 +229,13 @@ def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def onb_factorization(
-    factorization: Factorization,
-    basis: Sequence[np.ndarray],
-    A: MeasurableSet,
-    B: MeasurableSet,
-) -> float:
-    """Parseval expansion of ``K(A, B)`` through an orthonormal basis.
+    factorization: Factorization, basis: Sequence[np.ndarray], sets: Sequence[MeasurableSet]
+) -> np.ndarray:
+    """Parseval expansions ``sum_n <phi_n, k_A> <k_B, phi_n>`` of ``K(A, B)`` for every pair of ``sets``.
 
-    Returns ``sum_n <phi_n, k_A> <k_B, phi_n>`` in the weighted pairing; for
-    any complete orthonormal basis this equals ``K(A, B)``, independently of
+    The coefficients ``<phi_n, k_A>`` are ``b*`` of the basis, and the result
+    is the product of the coefficient matrix with its transpose.  For any
+    complete orthonormal basis it is the Gram of ``sets``, independently of
     the basis chosen.
 
     Raises
@@ -278,19 +244,7 @@ def onb_factorization(
         If the family is empty, is not orthonormal within ``1e-10``, or does
         not span the positive-weight atoms.
     """
-    return float(onb_gram(factorization, basis, [A, B])[0, 1])
-
-
-def onb_gram(factorization: Factorization, basis: Sequence[np.ndarray], sets: Sequence[MeasurableSet]) -> np.ndarray:
-    """Parseval expansions of ``K(A, B)`` for every pair of ``sets`` at once.
-
-    The basis is validated once (see ``onb_factorization``); the rows of
-    ``C S^T`` are the ``k_A``, their basis coefficients are
-    ``<phi_n, k_A>``, and the result is the product of the coefficient
-    matrix with its transpose.
-    """
-    Bmat = _check_onb(factorization.space, basis)
-    coef = coisometry_b_star_batch(factorization, Bmat, sets).T
+    coef = coisometry_b_star(factorization, _check_onb(factorization.space, basis), sets).T
     return coef @ coef.T
 
 

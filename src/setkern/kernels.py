@@ -38,10 +38,9 @@ class SetKernel:
     """A real symmetric kernel on pairs of finite-measure sets.
 
     ``Q`` is the atom Gram: ``SetKernel(space, Q)`` is the kernel
-    ``K(A, B) = chi_A^T Q chi_B`` of any symmetric ``Q``.  ``matrix`` is the
-    inducing operator ``M`` with ``Q = diag(w) M`` when the kernel is
-    operator- or Green-induced, and ``None`` otherwise.  Instances are immutable and safe to share, and
-    compute their operator ``T`` and its ``spectrum`` once, on first use.
+    ``K(A, B) = chi_A^T Q chi_B`` of any symmetric ``Q``.  Instances are
+    immutable and safe to share, and compute their operator ``T`` and its
+    ``spectrum`` once, on first use.
 
     Raises
     ------
@@ -52,7 +51,6 @@ class SetKernel:
     space: MeasureSpace
     Q: np.ndarray
     kind: str = "custom"
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
         Q = np.array(self.Q, dtype=float)
@@ -135,7 +133,7 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:
     w = space.weight_array
     require(*selfadjoint_defect(M, w), 1e-10, InvalidOperatorError,
             "matrix is not selfadjoint in the weighted geometry: defect", "max|wM|")
-    kernel = SetKernel(space=space, kind="operator", Q=w[:, None] * M, matrix=M)
+    kernel = SetKernel(space=space, kind="operator", Q=w[:, None] * M)
     kernel.spectrum.certify(1e-10, InvalidOperatorError, "matrix")
     return kernel
 

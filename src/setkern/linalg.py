@@ -44,12 +44,16 @@ class Verdict(NamedTuple):
     """An error, its bound ``tol * scale``, and whether it passed; ``None`` where nothing was measured.
 
     ``detail`` holds the deterministic quantities behind the verdict, for its report record.
+    A verdict has no truth value: as a non-empty tuple it would always be true, whatever it decided.
     """
 
     value: float | None
     bound: float | None
     passed: bool
     detail: dict | None = None
+
+    def __bool__(self):
+        raise TypeError("a Verdict has no truth value; read its .passed")
 
 
 def judge(value: float, scale: float, tol: float) -> Verdict:

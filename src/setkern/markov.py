@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InconsistencyError, InvalidChainError, NotTransientError
 from .kernels import SetKernel
-from .linalg import Spectrum, judge, require, selfadjoint_defect, spectral_transform
+from .linalg import Spectrum, Verdict, judge, require, selfadjoint_defect, spectral_transform
 from .measure import MeasureSpace
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "reversibility_defect",
     "check_reversibility",
     "check_transient",
+    "check_series",
     "green",
     "green_kernel",
     "green_root",
@@ -257,14 +258,21 @@ def _neumann_sum(P: np.ndarray, terms: int) -> np.ndarray:
     return S
 
 
+def check_series(chain: MarkovChain, tol: float = 1e-8) -> Verdict:
+    """The largest gap between the Green series and the solve against ``tol * max|G|``.
+
+    Roundoff in both grows with ``G``, and ``max|G| >= 1``, so the bound is at
+    least ``tol``.  A chain that is not transient raises ``NotTransientError``.
+    """
+    check_transient(chain)
+    return judge(chain._series[1], float(np.abs(chain._green).max()), tol)
+
+
 def green(chain: MarkovChain, *, agree_tol: float = 1e-8) -> GreenData:
     """Green function ``G = (I - P)^{-1}``, cross-validated against the series.
 
-    ``G`` is one solve, refined once against ``I - P``, and cross-validated
-    by the series: the truncated series uses enough terms for a
-    ``SERIES_TOL`` geometric tail, and the two must agree entrywise within
-    ``agree_tol * max|G|`` (roundoff in both grows with ``G``, and
-    ``max|G| >= 1``, so the bound never drops below ``agree_tol``).  The
+    ``G`` is one solve, refined once against ``I - P``, and the truncated
+    series must agree with it by ``check_series`` at ``agree_tol``.  The
     solve and the series are made once per chain; ``agree_tol`` is applied
     on every call.
 
@@ -278,7 +286,7 @@ def green(chain: MarkovChain, *, agree_tol: float = 1e-8) -> GreenData:
     """
     rho = check_transient(chain)  # before the solve: I - P is singular on a chain that is not transient
     data = GreenData(chain._green, rho, *chain._series)
-    if not judge(data.series_agreement, data.scale, agree_tol).passed:
+    if not check_series(chain, agree_tol).passed:
         gap = 1.0 - rho
         raise InconsistencyError(
             f"Green series and solve disagree by {data.series_agreement:.3e} > {agree_tol:g} × max|G| = "
@@ -300,7 +308,7 @@ def green_kernel(chain: MarkovChain, *, data: GreenData | None = None) -> SetKer
     """
     _require_reversible(chain, "symmetric Green kernel")
     G = (green(chain) if data is None else data).G
-    return SetKernel(space=chain.space, kind="green", Q=chain.space.weight_array[:, None] * G, matrix=G)
+    return SetKernel(space=chain.space, kind="green", Q=chain.space.weight_array[:, None] * G)
 
 
 def green_root(chain: MarkovChain) -> np.ndarray:

@@ -15,10 +15,10 @@ from setkern import (
     AbsoluteContinuityError,
     MeasurableSet,
     MeasureSpace,
-    RkhsElement,
     b_range_dimension,
     counting_kernel,
     cross_moment_check,
+    gram,
     green,
     green_kernel,
     green_root,
@@ -75,7 +75,7 @@ def test_criterion_1_forward_realization():
         C = indicator_stack(space)
         kvecs = C @ fact.S.T
         inner = kvecs @ (space.weight_array[:, None] * kvecs.T)
-        target = C @ (space.weight_array[:, None] * kernel.matrix) @ C.T
+        target = C @ kernel.Q @ C.T  # Q = diag(w) M, with M the operator that induced the kernel
         worst = max(worst, float(np.abs(inner - target).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed <= 60.0
@@ -117,37 +117,35 @@ def test_criterion_3_isometry_calculus():
         for _ in range(6)
     ]
 
-    iso_worst = 0.0
-    for _ in range(1000):
+    def element() -> np.ndarray:
+        """The coefficient row over ``pool`` of a random element ``sum_i alpha_i K(., A_i)`` of one to four terms."""
         k = int(rng.integers(1, 5))
         idx = rng.integers(0, len(pool), size=k)
         coefs = rng.uniform(-2.0, 2.0, size=k)
-        el = RkhsElement(tuple((float(c), pool[int(i)]) for c, i in zip(coefs, idx)))
-        defect = abs(space.norm_squared(isometry_b(fact, el)) - el.norm_squared(kernel))
-        iso_worst = max(iso_worst, defect)
+        row = np.zeros(len(pool))
+        np.add.at(row, idx, coefs)
+        return row
 
-    adj_worst = 0.0
-    for _ in range(200):
-        phi = rng.standard_normal(space.size)
-        k = int(rng.integers(1, 5))
-        idx = rng.integers(0, len(pool), size=k)
-        coefs = rng.uniform(-2.0, 2.0, size=k)
-        el = RkhsElement(tuple((float(c), pool[int(i)]) for c, i in zip(coefs, idx)))
-        lhs = sum(c * space.inner(phi, fact.k(A)) for c, A in el.terms)
-        rhs = space.inner(phi, isometry_b(fact, el))
-        adj_worst = max(adj_worst, abs(lhs - rhs))
+    w = space.weight_array
+    alpha = np.array([element() for _ in range(1000)])
+    norm2 = ((alpha @ gram(kernel, pool).entries) * alpha).sum(axis=1)
+    iso_worst = float(np.abs(isometry_b(fact, alpha, pool) ** 2 @ w - norm2).max())
+
+    draws = [(rng.standard_normal(space.size), element()) for _ in range(200)]
+    phi, coefs = (np.array(d) for d in zip(*draws))
+    lhs = (coefs * ((w * phi) @ fact.k_rows(pool).T)).sum(axis=1)  # coefs @ (k_rows @ (w phi)), row by row
+    rhs = (w * phi * isometry_b(fact, coefs, pool)).sum(axis=1)
+    adj_worst = float(np.abs(lhs - rhs).max())
 
     # Two distinct complete orthonormal bases in the weighted pairing.
-    w = space.weight_array
     basis1 = [np.eye(6)[i] / np.sqrt(w[i]) for i in range(6)]
     Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     basis2 = [Q[:, j] / np.sqrt(w) for j in range(6)]
-    onb_worst = 0.0
-    for _ in range(50):
-        A, B = pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))]
-        target = kernel(A, B)
-        for basis in (basis1, basis2):
-            onb_worst = max(onb_worst, abs(onb_factorization(fact, basis, A, B) - target))
+    pairs = [(int(rng.integers(len(pool))), int(rng.integers(len(pool)))) for _ in range(50)]
+    target = np.array([kernel(pool[a], pool[b]) for a, b in pairs])
+    rows, cols = np.array(pairs).T
+    onb_worst = max(float(np.abs(onb_factorization(fact, basis, pool)[rows, cols] - target).max())
+                    for basis in (basis1, basis2))
 
     rank = b_range_dimension(realize(rank_one_kernel(space)))
 

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from setkern import green
+from setkern import check_series, green
 from setkern.cli import CHECKS, SUITES, _random_coefficients, main
 from setkern.config import load_config
 from support import random_nu_psd_matrix, random_sets, random_space
@@ -793,6 +793,26 @@ def test_a_looser_series_solve_tolerance_reaches_the_green_solve(runner, tmp_pat
     for check in ("green-identity", "series-solve", "green-psd", "fundamental-match"):
         assert by_check[check]["status"] == "pass", check
     assert result.exit_code == 1  # green-factor fails on its own bound
+
+
+def test_a_failing_series_solve_row_records_its_value_and_bound(runner, tmp_path):
+    # green rejected this path and the row judged the same gap again, so it failed with no value or bound
+    atoms = [f"p{i}" for i in range(10)]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "space": {"atoms": atoms},
+        "chain": {"edges": [[a, b, 1.0] for a, b in zip(atoms, atoms[1:])], "kill": {"p0": 1e-8}},
+    }))
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, "markov-green", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1, result.output
+    by_check = {r["check"]: r for r in read_records(out)[1]}
+    row, verdict = by_check["series-solve"], check_series(load_config(cfg).chain)
+    assert (row["status"], row["value"], row["bound"]) == ("fail", verdict.value, verdict.bound)
+    assert row["bound"] == pytest.approx(2.0, rel=1e-6)  # 1e-8 × max|G|, with max|G| ~ 2e8
+    assert row["value"] > row["bound"]
+    for check in ("green-identity", "green-psd", "green-factor", "fundamental-match"):
+        assert (by_check[check]["status"], by_check[check]["value"]) == ("fail", None), check
 
 
 def test_every_command_builds_one_green_kernel_at_the_run_tolerance(runner, tmp_path):

@@ -17,20 +17,18 @@ from setkern import (
     MeasurableSet,
     MeasureSpace,
     NotPositiveError,
-    RkhsElement,
     SetKernel,
     SetKernError,
     VerificationError,
     b_range_dimension,
     build_T,
     check_absolute_continuity,
-    coisometry_b_star_batch,
+    coisometry_b_star,
     counting_kernel,
     export_factorization,
     gram,
     green_kernel,
     isometry_b,
-    isometry_b_batch,
     onb_factorization,
     operator_kernel,
     rank_one_kernel,
@@ -209,30 +207,30 @@ def test_sqrt_rejects_indefinite(space):
 
 def test_realize_wiener_gives_indicators(space):
     fact = realize(wiener_kernel(space))
-    for A in [space.subset("a"), space.subset("a", "c"), space.full_set()]:
-        np.testing.assert_allclose(fact.k(A), space.indicator(A), atol=1e-12)
+    sets = [space.subset("a"), space.subset("a", "c"), space.full_set()]
+    np.testing.assert_allclose(fact.k_rows(sets), space.indicator_matrix(sets), atol=1e-12)
 
 
 def test_realize_rank_one_gives_constant_vectors():
     sp = MeasureSpace(("a", "b", "c"), (0.5, 0.3, 0.2))
     fact = realize(rank_one_kernel(sp))
     A = sp.subset("a", "c")
-    np.testing.assert_allclose(fact.k(A), sp.measure(A) * np.ones(3), atol=1e-12)
+    np.testing.assert_allclose(fact.k_rows([A])[0], sp.measure(A) * np.ones(3), atol=1e-12)
 
 
 def test_realize_reproduces_kernel_exhaustively():
     # Every subset pair of an 8-atom space, vectorized over indicators.
     rng = np.random.default_rng(4)
     sp = random_space(rng, 8)
-    k = random_operator_kernel(rng, sp)
-    fact = realize(k)
+    M = random_nu_psd_matrix(rng, sp)
+    fact = realize(operator_kernel(sp, M))
     n = sp.size
     C = np.array(
         [[(mask >> i) & 1 for i in range(n)] for mask in range(2**n)], dtype=float
     )
     kvecs = C @ fact.S.T
     inner = kvecs @ (sp.weight_array[:, None] * kvecs.T)
-    target = C @ (sp.weight_array[:, None] * k.matrix) @ C.T
+    target = C @ (sp.weight_array[:, None] * M) @ C.T
     assert np.abs(inner - target).max() <= 1e-8
 
 
@@ -353,25 +351,28 @@ def test_a_null_atom_the_kernel_does_not_charge_changes_no_verdict(n, seed):
 # isometry and co-isometry
 
 
+def _element(f):
+    """The coefficient row and the sets of ``f``'s terms, an element ``sum_i alpha_i K(., A_i)``."""
+    return np.array([c for c, _ in f.terms]), [A for _, A in f.terms]
+
+
 def test_isometry_sends_kernel_sections_to_factors(space):
     fact = realize(wiener_kernel(space))
     A = space.subset("a", "b")
-    np.testing.assert_allclose(
-        isometry_b(fact, RkhsElement(((1.0, A),))), space.indicator(A), atol=1e-12
-    )
+    np.testing.assert_allclose(isometry_b(fact, [[1.0]], [A])[0], space.indicator(A), atol=1e-12)
 
 
 def test_isometry_of_zero_element(space):
     fact = realize(wiener_kernel(space))
-    image = isometry_b(fact, RkhsElement(()))
-    assert space.norm_squared(image) == 0.0
+    image = isometry_b(fact, np.zeros((1, 0)), [])  # no terms: a zero-column alpha
+    assert image.shape == (1, 3)
+    assert space.norm_squared(image[0]) == 0.0
 
 
 def test_isometry_linearity_cancels_duplicates(space):
     fact = realize(wiener_kernel(space))
     A = space.subset("a")
-    el = RkhsElement(((1.0, A), (-1.0, A)))
-    np.testing.assert_allclose(isometry_b(fact, el), np.zeros(3), atol=1e-15)
+    np.testing.assert_allclose(isometry_b(fact, [[1.0, -1.0]], [A, A])[0], np.zeros(3), atol=1e-15)
 
 
 def test_isometry_preserves_norms(space):
@@ -379,23 +380,23 @@ def test_isometry_preserves_norms(space):
     k = random_operator_kernel(rng, space)
     fact = realize(k)
     for _ in range(100):
-        el = RkhsElement(random_simple_function(rng, space).terms)
-        n2 = el.norm_squared(k)
-        image = space.norm_squared(isometry_b(fact, el))
+        alpha, sets = _element(random_simple_function(rng, space))
+        n2 = alpha @ gram(k, sets).entries @ alpha
+        image = space.norm_squared(isometry_b(fact, alpha[None], sets)[0])
         assert abs(image - n2) <= 1e-9 * max(1.0, n2)
 
 
 def test_coisometry_on_wiener(space):
     fact = realize(wiener_kernel(space))
     A, B = space.subset("a", "b"), space.subset("b", "c")
-    assert coisometry_b_star_batch(fact, space.indicator(B)[None], [A])[0, 0] == pytest.approx(2.0)
+    assert coisometry_b_star(fact, space.indicator(B)[None], [A])[0, 0] == pytest.approx(2.0)
 
 
 def test_coisometry_annihilates_orthogonal_complement():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
     fact = realize(wiener_kernel(sp))
     phi = np.array([0.0, 1.0])
-    assert coisometry_b_star_batch(fact, phi[None], [sp.subset("a")])[0, 0] == 0.0
+    assert coisometry_b_star(fact, phi[None], [sp.subset("a")])[0, 0] == 0.0
 
 
 def test_adjoint_identity(space):
@@ -404,9 +405,9 @@ def test_adjoint_identity(space):
     fact = realize(k)
     for _ in range(100):
         phi = rng.standard_normal(space.size)
-        el = RkhsElement(random_simple_function(rng, space).terms)
-        lhs = sum(c * coisometry_b_star_batch(fact, phi[None], [A])[0, 0] for c, A in el.terms)
-        rhs = space.inner(phi, isometry_b(fact, el))
+        alpha, sets = _element(random_simple_function(rng, space))
+        lhs = coisometry_b_star(fact, phi[None], sets)[0] @ alpha
+        rhs = space.inner(phi, isometry_b(fact, alpha[None], sets)[0])
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -416,8 +417,8 @@ def test_reproducing_property_through_b(space):
     k = random_operator_kernel(rng, space)
     fact = realize(k)
     for A, B in zip(random_sets(rng, space, 20), random_sets(rng, space, 20)):
-        image = isometry_b(fact, RkhsElement(((1.0, A),)))
-        assert coisometry_b_star_batch(fact, image[None], [B])[0, 0] == pytest.approx(k(A, B), abs=1e-9)
+        image = isometry_b(fact, [[1.0]], [A])
+        assert coisometry_b_star(fact, image, [B])[0, 0] == pytest.approx(k(A, B), abs=1e-9)
 
 
 def test_batch_rows_match_the_single_element_views():
@@ -427,24 +428,24 @@ def test_batch_rows_match_the_single_element_views():
     sets = list(space.singletons()) + random_sets(rng, space, 5)
     alpha = rng.uniform(-2.0, 2.0, size=(40, len(sets)))
     phi = rng.standard_normal((40, space.size))
-    images = isometry_b_batch(fact, alpha, sets)
-    adjoints = coisometry_b_star_batch(fact, phi, sets)
+    images = isometry_b(fact, alpha, sets)
+    adjoints = coisometry_b_star(fact, phi, sets)
     for a, image in zip(alpha, images):
         reference = fact.S @ (a @ space.indicator_matrix(sets))  # S applied to sum_i alpha_i chi_(A_i)
-        for single in (reference, isometry_b(fact, RkhsElement(tuple(zip(a, sets))))):
+        for single in (reference, isometry_b(fact, a[None], sets)[0]):
             assert np.abs(image - single).max() <= 1e-12 * np.abs(single).max()
     for p, row in zip(phi, adjoints):
-        reference = np.array([space.inner(p, fact.k(A)) for A in sets])
-        for single in (reference, [coisometry_b_star_batch(fact, p[None], [A])[0, 0] for A in sets]):
+        reference = np.array([space.inner(p, k) for k in fact.k_rows(sets)])
+        for single in (reference, [coisometry_b_star(fact, p[None], [A])[0, 0] for A in sets]):
             assert np.abs(row - single).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_coisometry_rejects_vectors_of_the_wrong_size(space):
     fact = realize(wiener_kernel(space))
     with pytest.raises(DomainError):
-        coisometry_b_star_batch(fact, np.ones((1, 2)), [space.subset("a")])
+        coisometry_b_star(fact, np.ones((1, 2)), [space.subset("a")])
     with pytest.raises(DomainError):
-        coisometry_b_star_batch(fact, np.ones(3), [space.subset("a")])
+        coisometry_b_star(fact, np.ones(3), [space.subset("a")])
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +457,14 @@ def test_onb_recovers_wiener_kernel(space):
     fact = realize(wiener_kernel(space))
     basis, _ = nu_orthonormal_bases(rng, space)
     A, B = space.subset("a", "b"), space.subset("b", "c")
-    assert onb_factorization(fact, basis, A, B) == pytest.approx(2.0, abs=1e-12)
+    assert onb_factorization(fact, basis, [A, B])[0, 1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_onb_on_empty_set(space):
     rng = np.random.default_rng(10)
     fact = realize(wiener_kernel(space))
     basis, _ = nu_orthonormal_bases(rng, space)
-    assert onb_factorization(fact, basis, MeasurableSet(frozenset()), space.subset("a")) == 0.0
+    assert onb_factorization(fact, basis, [MeasurableSet(frozenset()), space.subset("a")])[0, 1] == 0.0
 
 
 def test_onb_sum_is_basis_independent(space):
@@ -472,8 +473,8 @@ def test_onb_sum_is_basis_independent(space):
     fact = realize(k)
     basis1, basis2 = nu_orthonormal_bases(rng, space)
     for A, B in zip(random_sets(rng, space, 10), random_sets(rng, space, 10)):
-        s1 = onb_factorization(fact, basis1, A, B)
-        s2 = onb_factorization(fact, basis2, A, B)
+        s1 = onb_factorization(fact, basis1, [A, B])[0, 1]
+        s2 = onb_factorization(fact, basis2, [A, B])[0, 1]
         assert abs(s1 - s2) <= 1e-10 * max(1.0, abs(s1))
         assert s1 == pytest.approx(k(A, B), abs=1e-9)
 
@@ -481,14 +482,14 @@ def test_onb_sum_is_basis_independent(space):
 def test_onb_rejects_non_orthonormal(space):
     fact = realize(wiener_kernel(space))
     with pytest.raises(InvalidBasisError):
-        onb_factorization(fact, list(np.eye(3) * 2.0), space.subset("a"), space.subset("b"))
+        onb_factorization(fact, list(np.eye(3) * 2.0), [space.subset("a"), space.subset("b")])
 
 
 def test_onb_rejects_incomplete_basis(space):
     fact = realize(wiener_kernel(space))
     v = np.array([1.0, 0.0, 0.0])
     with pytest.raises(InvalidBasisError):
-        onb_factorization(fact, [v], space.subset("a"), space.subset("b"))
+        onb_factorization(fact, [v], [space.subset("a"), space.subset("b")])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from setkern import (
     realize,
     wiener_kernel,
 )
-from setkern.linalg import numerical_rank
+from setkern.linalg import Verdict, numerical_rank
 from support import (
     random_conductance_chain,
     random_nu_psd_matrix,
@@ -225,6 +225,17 @@ def test_negative_kernel_fails_positivity(space):
     assert not gram(neg, [space.subset("a")]).psd(1e-10).passed
 
 
+def test_a_verdict_has_no_truth_value(space):
+    # as a non-empty tuple a verdict was always true: `assert check(...)` passed a failing check
+    failing = gram(SetKernel(space, -np.diag(space.weight_array)), [space.subset("a")]).psd(1e-10)
+    for verdict in (failing, Verdict(0.0, 1.0, True)):
+        with pytest.raises(TypeError, match=r"\.passed"):
+            bool(verdict)
+        with pytest.raises(TypeError):
+            assert verdict
+    assert not failing.passed
+
+
 def test_rank_one_is_positive_definite(space):
     rng = np.random.default_rng(4)
     family = random_sets(rng, space, 6)
@@ -355,6 +366,6 @@ def test_kernel_gram_and_realization_agree_on_all_sets(kernel):
             realize(kernel)
         return
     fact = realize(kernel)
-    kvecs = np.array([fact.k(A) for A in sets])
+    kvecs = fact.k_rows(sets)
     inner = kvecs @ (sp.weight_array[:, None] * kvecs.T)
     assert np.abs(inner - direct).max() <= 1e-8 * scale

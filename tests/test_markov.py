@@ -13,6 +13,7 @@ from setkern import (
     NotTransientError,
     build_T,
     check_reversibility,
+    check_series,
     check_transient,
     contractivity_check,
     gram,
@@ -237,7 +238,7 @@ def test_k_from_green_reproduces_kernel_exhaustively():
         C = np.array([sp.indicator(A) for A in subsets])
         kvecs = C @ green_root(chain).T
         inner = kvecs @ (sp.weight_array[:, None] * kvecs.T)
-        target = C @ (sp.weight_array[:, None] * k.matrix) @ C.T
+        target = C @ k.Q @ C.T  # Q = diag(w) G
         assert np.abs(inner - target).max() <= 1e-8
 
 
@@ -247,8 +248,8 @@ def test_two_factorization_routes_agree():
     chain = random_conductance_chain(rng, 5)
     k = green_kernel(chain)
     fact = realize(k)
-    for A in random_sets(rng, chain.space, 10):
-        np.testing.assert_allclose(fact.k(A), green_root(chain) @ chain.space.indicator(A), atol=1e-8)
+    sets = random_sets(rng, chain.space, 10)
+    np.testing.assert_allclose(fact.k_rows(sets), chain.space.indicator_matrix(sets) @ green_root(chain).T, atol=1e-8)
 
 
 def test_build_T_of_green_kernel_is_the_green_matrix():
@@ -304,6 +305,20 @@ def test_agreement_bound_applies_on_every_call():
         assert data.series_agreement / data.scale < 1e-11
         with pytest.raises(InconsistencyError):
             green(path, agree_tol=data.series_agreement / data.scale / 2)
+
+
+def test_green_raises_by_the_series_verdict():
+    # the series of this path differs from the solve by 1.52e-8 of max|G| ~ 2e8
+    path = near_recurrent_path(10, 1e-8)
+    data = green(path, agree_tol=1e-6)
+    verdict = check_series(path)
+    assert (verdict.value, verdict.bound, verdict.passed) == (data.series_agreement, 1e-8 * data.scale, False)
+    assert check_series(path, tol=1e-6).passed
+    with pytest.raises(InconsistencyError, match="series and solve disagree"):
+        green(path)
+    stochastic = MarkovChain(MeasureSpace(("a", "b"), (1.0, 1.0)), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(NotTransientError):
+        check_series(stochastic)
 
 
 def test_a_chain_below_double_precision_names_its_gap():
