@@ -31,6 +31,7 @@ is an error).  ``load_config`` builds every kernel but ``green``, which needs
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -64,8 +65,41 @@ _BUILTIN_KERNELS = {"wiener": wiener_kernel, "rank_one": rank_one_kernel, "count
 """The kernel types that the space alone determines."""
 _SECTIONS = ("space", "kernel", "chain", "family", "phi", "psi", "partitions", "mc", "tolerances", "checks", "expect")
 
-# libyaml parses configs about ten times faster when PyYAML was built with it.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+_DECIMAL = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?")
+"""YAML 1.1's float forms without ``_``, ``:``, ``.inf`` or ``.nan``: PyYAML's float
+resolver is the first to claim each, and ``float`` reads each as PyYAML does.
+The unsigned ``.5`` branch is PyYAML's own: it reads ``-.5`` as a string."""
+
+
+def _loader(base: type) -> type:
+    """``base`` with a one-step resolver and constructor for plain decimal floats.
+
+    A 48-atom ``kernel.matrix`` is 2,304 such scalars, and PyYAML's generic
+    resolver and float constructor are most of its load.  Every scalar loads
+    exactly as under ``base``: any other scalar, and every NaN (``float``
+    gives ``-nan`` a sign that PyYAML does not), takes ``base``'s path.
+    """
+
+    class Loader(base):
+        def resolve(self, kind, value, implicit):
+            if kind is yaml.ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
+                return _FLOAT_TAG
+            return super().resolve(kind, value, implicit)
+
+        def construct_yaml_float(self, node):
+            try:
+                value = float(node.value)
+            except (TypeError, ValueError):
+                value = math.nan
+            return value if value == value else super().construct_yaml_float(node)
+
+    Loader.add_constructor(_FLOAT_TAG, Loader.construct_yaml_float)
+    return Loader
+
+
+# libyaml parses and composes in C when PyYAML was built with it.
+_LOADER = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 @dataclass
@@ -109,10 +143,21 @@ def _as_list(node: Any, where: str) -> list:
 
 
 def _number(value: Any, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):  # YAML 1.1 reads yes, on and off as booleans
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def _no_booleans(rows: Any, where: str) -> Any:
+    """``rows`` unchanged; a boolean entry, which numpy would read as 0 or 1, is a config error naming it."""
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        if isinstance(row, list) and bool in set(map(type, row)):
+            j = next(j for j, x in enumerate(row) if isinstance(x, bool))
+            raise ConfigError(f"{where}[{i}][{j}] must be a number, got {row[j]!r}")
+    return rows
 
 
 def _integer(value: Any, where: str) -> int:
@@ -180,7 +225,7 @@ def _parse_chain(
         if weights is None:
             raise ConfigError("space.weights are required with a dense chain.transitions")
         space = MeasureSpace(tuple(atoms), tuple(weights))
-        P = node["transitions"]
+        P = _no_booleans(node["transitions"], "chain.transitions")
         try:
             chain = MarkovChain(space, np.asarray(P, dtype=float))
         except (SetKernError, ValueError) as e:
@@ -196,7 +241,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=_LOADER)
+        # bytes, so that the loader reports text that is not UTF-8 as a YAMLError
+        raw = yaml.load(path.read_bytes(), Loader=_LOADER)
     except OSError as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     except yaml.YAMLError as e:
@@ -239,8 +285,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if kernel_type == "operator":
             if "matrix" not in knode:
                 raise ConfigError("kernel.type operator requires kernel.matrix")
+            matrix = _no_booleans(knode["matrix"], "kernel.matrix")
             try:
-                kernel = operator_kernel(space, knode["matrix"])
+                kernel = operator_kernel(space, matrix)
             except (TypeError, ValueError):
                 raise ConfigError("kernel.matrix must be a dense numeric matrix") from None
             except SetKernError as e:

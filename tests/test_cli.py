@@ -432,6 +432,39 @@ def test_non_numeric_weight_is_a_config_error(runner, tmp_path):
     assert "space.weights[1]" in output
 
 
+@pytest.mark.parametrize("text, where", [
+    ("space: {atoms: [a, b], weights: [yes, 2.0]}\nkernel: {type: wiener}\n", "space.weights[0] must be a number, got True"),
+    (WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {gram-psd: off}\n", "tolerances.gram-psd must be a number, got False"),
+    (WIENER_SPACE + "kernel: {type: operator, matrix: [[1.0, 0.0], [0.0, on]]}\n", "kernel.matrix[1][1] must be a number, got True"),
+    (WIENER_SPACE + "chain: {transitions: [[0.0, 0.5], [no, 0.0]]}\n", "chain.transitions[1][0] must be a number, got False"),
+    ("space: {atoms: [a, b]}\nchain: {edges: [[a, b, on]]}\n", "chain.edges[0] conductance must be a number, got True"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nphi: [[yes, [a]]]\n", "phi[0] coefficient must be a number, got True"),
+], ids=["weight", "tolerance", "matrix", "transitions", "conductance", "coefficient"])
+def test_a_yaml_boolean_is_not_a_number(runner, tmp_path, text, where):
+    # YAML 1.1 reads yes/no/on/off as booleans, and float(True) is 1.0: each of these ran and exited 0 or 1
+    assert where in _config_error(runner, tmp_path, text)
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(runner, tmp_path):
+    # read_text() raised UnicodeDecodeError, which ended in a traceback and exit code 1
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(b"space: {atoms: [\xe9]}\n")
+    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert f"config error: {cfg}: " in result.output
+
+
+def test_an_unsigned_exponent_in_kernel_matrix_is_read_as_a_number(runner, tmp_path):
+    # YAML 1.1 floats need a dot and a signed exponent, so PyYAML reads 1e-3 as a string; numpy parses it
+    text = WIENER_SPACE + "kernel: {type: operator, matrix: [[1e-3, 0.0], [0.0, 1.0]]}\n"
+    assert yaml.safe_load(text)["kernel"]["matrix"][0][0] == "1e-3"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert load_config(cfg).kernel.Q[0, 0] == 0.001
+    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
+    assert result.exit_code == 0, result.output
+
+
 def test_unknown_check_name_is_a_config_error(runner, tmp_path):
     output = _config_error(runner, tmp_path, WIENER_SPACE + "kernel: {type: wiener}\nchecks: [gram-psdd]\n")
     assert "gram-psdd" in output
