@@ -58,15 +58,14 @@ from .kernels import (
 from .markov import (
     GreenData,
     MarkovChain,
+    check_contractivity,
     check_reversibility,
     check_series,
+    check_spectral_gap,
     check_transient,
-    contractivity_check,
     green,
     green_kernel,
     green_root,
-    reversibility_defect,
-    spectral_gap,
 )
 from .measure import (
     MeasurableSet,

@@ -12,13 +12,14 @@ Every check is one row of ``SUITES``: its name, report tag and tolerance
 key, and a function of the command's shared ``Run`` state that returns a
 ``linalg.Verdict`` ``(value, bound, passed, detail)``, or ``None`` when the
 check does not apply.  Library checks such as ``GramMatrix.psd``,
-``check_absolute_continuity`` and ``reverse_direction`` return the verdict
-their row records; library constructors raise, and a check whose input the
-library rejects fails with no value or bound while the report is still
-written.  An error passes when it is at most ``tol * scale``, by
-``linalg.judge``; transience, contractivity, spectral gap, Monte Carlo sigmas
-and range rank are dimensionless and keep their own rules.  Each command of
-``COMMANDS`` runs its suites through one loop.
+``check_absolute_continuity``, ``reverse_direction`` and the ``markov``
+checks return the verdict their row records; library constructors raise, and
+a check whose input the library rejects fails with no value or bound while
+the report is still written.  An error passes when it is at most
+``tol * scale``, by ``linalg.judge``; transience, contractivity and the
+spectral gap compare a dimensionless norm or eigenvalue with ``1 - tol``,
+``1 + tol`` or ``tol``, and Monte Carlo sigmas and range rank keep their own
+rules.  Each command of ``COMMANDS`` runs its suites through one loop.
 """
 
 from __future__ import annotations
@@ -165,19 +166,6 @@ class Check(NamedTuple):
     """Record the runtime of the check before it, which computed both."""
 
 
-def _transience(run: Run, gap: float) -> Verdict:
-    try:
-        rho, ok = markov.check_transient(run.cfg.chain, gap=gap), True
-    except SetKernError as e:
-        rho, ok = getattr(e, "spectral_bound", None), False
-    return Verdict(rho, 1 - gap, ok)
-
-
-def _spectral_gap(run: Run, gap: float) -> Verdict:
-    value = markov.spectral_gap(run.cfg.chain)
-    return Verdict(value, gap, value >= gap)
-
-
 def _random_coefficients(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     """Rows of ``count`` random elements ``sum_i alpha_i K(., A_i)`` of one to four terms over a pool of ``m`` sets."""
     terms = rng.integers(1, 5, size=count)
@@ -213,13 +201,9 @@ def _range_rank(run: Run, _: None) -> Verdict:
 
 
 def _green_factor(run: Run, tol: float) -> Verdict:
-    """Largest error of ``<k_A, k_B>`` from the Green root against the kernel, over every set on up to six atoms."""
+    """Largest error of ``<k_A, k_B>`` from the Green root against the kernel, over the probe family."""
     space = run.cfg.space
-    n = space.size
-    if n <= 6:  # row m is the indicator of the atoms whose bits are set in m
-        C = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
-    else:
-        C = space.indicator_matrix(run.probes)
+    C = space.indicator_matrix(run.probes)
     kvecs = C @ markov.green_root(run.cfg.chain).T
     inner = kvecs @ (space.weight_array[:, None] * kvecs.T)
     K = C @ run.green_kernel.Q @ C.T
@@ -245,10 +229,10 @@ REALIZATION = Check("realization", "realization", "realization",
 SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
     "chain": (lambda run: run.cfg.chain is not None, (
         Check("detailed-balance", "detailed-balance", "detailed-balance",
-              lambda run, tol: judge(*markov.reversibility_defect(run.cfg.chain), tol)),
+              lambda run, tol: markov.check_reversibility(run.cfg.chain, tol)),
         Check("contractivity", "contractivity", "contractivity",
-              lambda run, tol: Verdict(None, None, markov.contractivity_check(run.cfg.chain, tol=tol))),
-        Check("transience", "transience", "transience-gap", _transience),
+              lambda run, tol: markov.check_contractivity(run.cfg.chain, tol)),
+        Check("transience", "transience", "transience-gap", lambda run, tol: markov.check_transient(run.cfg.chain, tol)),
     )),
     "kernel": (lambda run: run.cfg.kernel_type is not None, (
         Check("symmetry", "kernel-symmetry", "symmetry", lambda run, tol: judge(run.gram.asymmetry, run.gram.scale, tol), needs="gram"),
@@ -270,7 +254,8 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
         Check("range-rank", "range-rank", None, _range_rank, needs="fact"),
     )),
     "green": (lambda run: True, (
-        Check("spectral-gap", "spectral-gap", "transience-gap", _spectral_gap),
+        Check("spectral-gap", "spectral-gap", "transience-gap",
+              lambda run, tol: markov.check_spectral_gap(run.cfg.chain, tol)),
         Check("green-identity", "green-identity", "green-identity", lambda run, tol: judge(float(np.abs(
             run.green.G - run.cfg.chain.transitions @ run.green.G - np.eye(run.cfg.space.size)
         ).max()), run.green.scale, tol), needs="green"),
@@ -377,8 +362,8 @@ def _resolve_tolerances(cfg: ExperimentConfig, overrides: tuple[str, ...]) -> di
             tol[name] = float(value)
         except ValueError:
             raise ConfigError(f"{where}: {value!r} is not a number") from None
-        if not math.isfinite(tol[name]):
-            raise ConfigError(f"{where} must be finite, got {value!r}")
+        if not 0 <= tol[name] < math.inf:  # a negative tolerance inverts the verdict it bounds
+            raise ConfigError(f"{where} must be finite and nonnegative, got {value!r}")
     return tol
 
 

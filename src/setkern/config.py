@@ -168,9 +168,17 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
+def _atom_name(value: Any, where: str) -> str:
+    """An atom name as text; YAML 1.1 reads yes, on, off and ~ as a boolean or null, which ``str`` would rename."""
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ConfigError(f"{where} must be an atom name, got {value!r}; quote a name YAML reads otherwise")
+    return str(value)
+
+
 def _atom_set(space: MeasureSpace, names: Any, where: str) -> MeasurableSet:
+    names = [_atom_name(a, f"{where}[{j}]") for j, a in enumerate(_as_list(names, where))]
     try:
-        return space.subset(*[str(a) for a in _as_list(names, where)])
+        return space.subset(*names)
     except SetKernError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -200,10 +208,11 @@ def _parse_chain(
             e = _as_list(e, f"chain.edges[{i}]")
             if len(e) != 3:
                 raise ConfigError(f"chain.edges[{i}] must be [atom, atom, conductance]")
-            edges.append((str(e[0]), str(e[1]), _number(e[2], f"chain.edges[{i}] conductance")))
+            x, y = (_atom_name(e[j], f"chain.edges[{i}][{j}]") for j in (0, 1))
+            edges.append((x, y, _number(e[2], f"chain.edges[{i}] conductance")))
         kill = node.get("kill")
         if isinstance(kill, dict):
-            kill = {a: _number(m, f"chain.kill.{a}") for a, m in kill.items()}
+            kill = {_atom_name(a, "chain.kill key"): _number(m, f"chain.kill.{a}") for a, m in kill.items()}
         elif isinstance(kill, list):
             kill = [_number(m, f"chain.kill[{i}]") for i, m in enumerate(kill)]
         elif kill is not None:
@@ -252,7 +261,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     space_node = _as_mapping(raw.get("space"), "space", ("atoms", "weights"))
     if "atoms" not in space_node:
         raise ConfigError("space.atoms is required")
-    atoms = [str(a) for a in _as_list(space_node["atoms"], "space.atoms")]
+    atoms = [_atom_name(a, f"space.atoms[{i}]") for i, a in enumerate(_as_list(space_node["atoms"], "space.atoms"))]
     weights = None
     if "weights" in space_node:
         weights = [

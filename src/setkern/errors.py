@@ -52,11 +52,7 @@ class InvalidChainError(SetKernError):
 
 
 class NotTransientError(SetKernError):
-    """The chain's spectral bound reaches 1, so the Green series diverges."""
-
-    def __init__(self, message: str, spectral_bound: float | None = None):
-        super().__init__(message)
-        self.spectral_bound = spectral_bound
+    """The chain's spectral bound reaches 1, so it has no Green function; ``markov.check_transient`` reports the bound."""
 
 
 class InvalidCovarianceError(SetKernError):

@@ -17,6 +17,8 @@ Detailed balance is judged against ``tol`` times the largest ``w(x) P[x,y]``,
 by one rule (``check_reversibility``) shared by all of these.  ``G`` is one
 solve of ``(I - P) G = I``, refined once against ``I - P`` by a
 Newton-Schulz step, and cross-validated against the truncated series.
+Each ``check_*`` returns the ``linalg.Verdict`` its report row records; the
+constructors raise through one private requirement per rule.
 
 A chain is immutable, so it computes its spectrum, its balance defect, its
 Green function and ``(I - P)^{-1/2}`` once, on first use, and every function
@@ -40,15 +42,14 @@ from .measure import MeasureSpace
 __all__ = [
     "MarkovChain",
     "GreenData",
-    "reversibility_defect",
     "check_reversibility",
     "check_transient",
+    "check_contractivity",
+    "check_spectral_gap",
     "check_series",
     "green",
     "green_kernel",
     "green_root",
-    "contractivity_check",
-    "spectral_gap",
 ]
 
 TRANSIENCE_GAP = 1e-10
@@ -152,7 +153,7 @@ class MarkovChain:
     @cached_property
     def _norm(self) -> float:
         """Weighted norm of ``P``: its spectral radius if reversible, else ``sqrt(lambda_max(P* P))``."""
-        if check_reversibility(self):
+        if check_reversibility(self).passed:
             return float(np.abs(self._spectrum.values).max())
         w = self.space.weight_array
         adjoint = (self.transitions.T * w[None, :]) / w[:, None]
@@ -182,49 +183,47 @@ class MarkovChain:
     def _green_root(self) -> np.ndarray:
         """``(I - P)^{-1/2}`` from the spectrum; a non-reversible or non-transient chain raises."""
         _require_reversible(self, "(I - P)^(-1/2)")
-        check_transient(self)
+        _require_transient(self)
         return _read_only(spectral_transform(self._spectrum, 1.0 / np.sqrt(1.0 - self._spectrum.values)))
 
 
-def reversibility_defect(chain: MarkovChain) -> tuple[float, float]:
-    """Largest violation of detailed balance ``w(x) P[x,y] == w(y) P[y,x]``, and its scale ``max w(x) P[x,y]``."""
-    return chain._balance_defect
-
-
-def check_reversibility(chain: MarkovChain) -> bool:
-    """True iff detailed balance holds within ``1e-10`` times the largest ``w(x) P[x,y]``.
+def check_reversibility(chain: MarkovChain, tol: float = 1e-10) -> Verdict:
+    """The largest violation of detailed balance ``w(x) P[x,y] == w(y) P[y,x]`` against ``tol * max w(x) P[x,y]``.
 
     This is the one reversibility rule: ``green_kernel``, the transience
-    norm, ``spectral_gap`` and ``green_root`` all decide with it.  Relative
-    to scale, a chain and the same chain with every conductance and killing
-    mass multiplied by ``c`` are judged alike.
+    norm, ``check_spectral_gap`` and ``green_root`` all decide with it at
+    the default ``tol``.  Relative to scale, a chain and the same chain with
+    every conductance and killing mass multiplied by ``c`` are judged alike.
 
     The atom-level identity integrates to the set-level balance
     ``sum_A w P(., B) == sum_B w P(., A)`` by biadditivity.
     """
-    return judge(*reversibility_defect(chain), 1e-10).passed
+    return judge(*chain._balance_defect, tol)
 
 
 def _require_reversible(chain: MarkovChain, lacks: str) -> None:
     """Raise ``InvalidChainError`` unless detailed balance holds within ``1e-10`` times the largest ``w(x) P[x,y]``."""
-    require(*reversibility_defect(chain), 1e-10, InvalidChainError,
+    require(*chain._balance_defect, 1e-10, InvalidChainError,
             f"chain is not reversible, so it has no {lacks}: balance defect", "max|wP|")
 
 
-def check_transient(chain: MarkovChain, gap: float = TRANSIENCE_GAP) -> float:
-    """Spectral certificate of transience.
+def check_transient(chain: MarkovChain, gap: float = TRANSIENCE_GAP) -> Verdict:
+    """Spectral certificate of transience: the weighted norm ``rho`` of ``P`` against ``1 - gap``.
 
-    Returns the weighted operator norm ``rho`` of the transition matrix:
-    for a reversible chain, the largest absolute eigenvalue of its
-    symmetrization, and otherwise its largest weighted singular value.
+    ``rho`` is, for a reversible chain, the largest absolute eigenvalue of
+    its symmetrization, and otherwise its largest weighted singular value.
     Transience requires ``rho < 1 - gap``, which gives the Green series a
-    geometric tail bound; otherwise ``NotTransientError`` is raised.
+    geometric tail bound.
     """
     rho = chain._norm
-    if rho >= 1 - gap:
-        raise NotTransientError(
-            f"chain is not transient: spectral bound {rho:.12g} reaches 1", spectral_bound=rho
-        )
+    return Verdict(rho, 1 - gap, rho < 1 - gap)
+
+
+def _require_transient(chain: MarkovChain) -> float:
+    """``rho`` of a chain that ``check_transient`` accepts at ``TRANSIENCE_GAP``; otherwise raise ``NotTransientError``."""
+    rho, _, passed, _ = check_transient(chain)
+    if not passed:
+        raise NotTransientError(f"chain is not transient: spectral bound {rho:.12g} reaches 1")
     return rho
 
 
@@ -264,7 +263,7 @@ def check_series(chain: MarkovChain, tol: float = 1e-8) -> Verdict:
     Roundoff in both grows with ``G``, and ``max|G| >= 1``, so the bound is at
     least ``tol``.  A chain that is not transient raises ``NotTransientError``.
     """
-    check_transient(chain)
+    _require_transient(chain)
     return judge(chain._series[1], float(np.abs(chain._green).max()), tol)
 
 
@@ -284,7 +283,7 @@ def green(chain: MarkovChain, *, agree_tol: float = 1e-8) -> GreenData:
         If solve and series disagree beyond ``agree_tol * max|G|``; the
         message names the gap ``1 - rho`` and the roundoff scale ``eps / (1 - rho)``.
     """
-    rho = check_transient(chain)  # before the solve: I - P is singular on a chain that is not transient
+    rho = _require_transient(chain)  # before the solve: I - P is singular on a chain that is not transient
     data = GreenData(chain._green, rho, *chain._series)
     if not check_series(chain, agree_tol).passed:
         gap = 1.0 - rho
@@ -316,12 +315,17 @@ def green_root(chain: MarkovChain) -> np.ndarray:
     return chain._green_root
 
 
-def contractivity_check(chain: MarkovChain, *, tol: float = 1e-10) -> bool:
-    """True iff the weighted norm ``|P|_w <= 1 + tol``, which bounds ``|<phi, P phi>|`` by ``|P|_w |phi|^2``."""
-    return chain._norm <= 1 + tol
+def check_contractivity(chain: MarkovChain, tol: float = 1e-10) -> Verdict:
+    """The weighted norm ``|P|_w`` against ``1 + tol``; it bounds ``|<phi, P phi>|`` by ``|P|_w |phi|^2``."""
+    rho = chain._norm
+    return Verdict(rho, 1 + tol, rho <= 1 + tol)
 
 
-def spectral_gap(chain: MarkovChain) -> float:
-    """Smallest weighted eigenvalue of ``I - P``, positive for transient chains; only reversible chains have one."""
+def check_spectral_gap(chain: MarkovChain, gap: float = TRANSIENCE_GAP) -> Verdict:
+    """The smallest weighted eigenvalue ``1 - lambda_max`` of ``I - P`` against ``gap``.
+
+    Only a reversible chain has one; any other raises ``InvalidChainError``.
+    """
     _require_reversible(chain, "spectral gap")
-    return float(1.0 - chain._spectrum.values.max())
+    value = float(1.0 - chain._spectrum.values.max())
+    return Verdict(value, gap, value >= gap)

@@ -10,9 +10,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from setkern import check_series, green
+from setkern import check_series, green, markov
 from setkern.cli import CHECKS, SUITES, _random_coefficients, main
 from setkern.config import load_config
+from setkern.report import CheckRecord
 from support import random_nu_psd_matrix, random_sets, random_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -549,8 +550,10 @@ def test_factorize_runs_a_realization_only_suite(runner, tmp_path):
 
 @pytest.mark.parametrize("command", ["factorize", "simulate"])
 def test_failed_validation_stops_before_realizing(runner, tmp_path, command):
-    out, export = tmp_path / "r.jsonl", tmp_path / "fact.json"
-    args = [command, "--config", str(CONFIGS / "wiener.yaml"), "--out", str(out), "--tol", "symmetry=-1"]
+    # the counting kernel charges the null atom c, so absolute continuity fails
+    out, export, cfg = tmp_path / "r.jsonl", tmp_path / "fact.json", tmp_path / "cfg.yaml"
+    cfg.write_text((CONFIGS / "counting-null-atom.yaml").read_text() + "phi: [[1.0, [a]]]\n")
+    args = [command, "--config", str(cfg), "--out", str(out)]
     args += ["--export", str(export)] if command == "factorize" else ["--samples", "2000"]
     result = invoke(runner, tmp_path, *args)
     assert result.exit_code == 1, result.output
@@ -605,6 +608,75 @@ def test_transience_is_judged_by_its_own_gap(runner, tmp_path):
     assert result.exit_code == 1, result.output
     record = next(r for r in read_records(out)[1] if r["check"] == "transience")
     assert (record["status"], record["value"], record["bound"]) == ("fail", 0.5, pytest.approx(0.4))
+
+
+@pytest.mark.parametrize("config", ["stochastic-chain", "two-state-green"])
+def test_every_markov_row_records_the_library_verdict(runner, tmp_path, config):
+    # the CLI rebuilt these verdicts: contractivity recorded no value or bound, and transience read
+    # its value back out of NotTransientError
+    out = tmp_path / "m.jsonl"
+    invoke(runner, tmp_path, "markov-green", "--config", str(CONFIGS / f"{config}.yaml"), "--out", str(out))
+    meta, records = read_records(out)
+    chain, tol = load_config(CONFIGS / f"{config}.yaml").chain, meta["tolerances"]
+    verdicts = {
+        "detailed-balance": markov.check_reversibility(chain, tol["detailed-balance"]),
+        "contractivity": markov.check_contractivity(chain, tol["contractivity"]),
+        "transience": markov.check_transient(chain, tol["transience-gap"]),
+        "spectral-gap": markov.check_spectral_gap(chain, tol["transience-gap"]),
+    }
+    by_check = {r["check"]: r for r in records}
+    for name, verdict in verdicts.items():
+        assert by_check[name] == CheckRecord(name, by_check[name]["tag"], verdict).as_dict(), name
+    assert by_check["contractivity"]["value"] == by_check["transience"]["value"]
+
+
+@pytest.mark.parametrize("value", ["-0.5", "-1e-300"])
+def test_a_negative_tolerance_is_a_config_error(runner, tmp_path, value):
+    # transience-gap=-0.5 recorded transience as pass (value 1, bound 1.5) on a chain with rho = 1, and exited 0
+    result = invoke(
+        runner, tmp_path, "validate", "--config", str(CONFIGS / "stochastic-chain.yaml"), "--tol", f"transience-gap={value}"
+    )
+    assert result.exit_code == 2, result.output
+    assert "--tol transience-gap" in result.output
+    output = _config_error(runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\ntolerances: {{symmetry: {value}}}\n")
+    assert "tolerances.symmetry" in output
+
+
+def test_a_zero_tolerance_is_allowed(runner, tmp_path):
+    out = tmp_path / "z.jsonl"
+    result = invoke(
+        runner, tmp_path, "validate", "--config", str(CONFIGS / "wiener.yaml"), "--tol", "absolute-continuity=0",
+        "--out", str(out),
+    )
+    assert result.exit_code == 0, result.output
+    assert read_records(out)[0]["tolerances"]["absolute-continuity"] == 0.0
+
+
+@pytest.mark.parametrize("text, where", [
+    ("space: {atoms: [yes, on], weights: [1.0, 1.0]}\nkernel: {type: wiener}\n", "space.atoms[0] must be an atom name, got True"),
+    ("space: {atoms: [on, off], weights: [1.0, 1.0]}\nkernel: {type: wiener}\n", "space.atoms[0] must be an atom name, got True"),
+    ("space: {atoms: [a, ~], weights: [1.0, 1.0]}\nkernel: {type: wiener}\n", "space.atoms[1] must be an atom name, got None"),
+    ("space: {atoms: [a, [b]], weights: [1.0, 1.0]}\nkernel: {type: wiener}\n", "space.atoms[1] must be an atom name, got ['b']"),
+    ("space: {atoms: [a, {b: 1}], weights: [1.0, 1.0]}\nkernel: {type: wiener}\n", "space.atoms[1] must be an atom name"),
+    ("space: {atoms: [a, b]}\nchain: {edges: [[a, no, 1.0]]}\n", "chain.edges[0][1] must be an atom name, got False"),
+    ("space: {atoms: [a, b]}\nchain: {edges: [[a, b, 1.0]], kill: {yes: 0.5}}\n", "chain.kill key must be an atom name, got True"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nfamily: [[a, ~]]\n", "family[0][1] must be an atom name, got None"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nphi: [[1.0, [off]]]\n", "phi[0][0] must be an atom name, got False"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nphi: [[1.0, [a]]]\npsi: [[1.0, [~]]]\n", "psi[0][0] must be an atom name, got None"),
+    (WIENER_SPACE + "kernel: {type: wiener}\npartitions: [[[a, b]], [[a], [yes]]]\n",
+     "partitions[1][1][0] must be an atom name, got True"),
+], ids=["yes-on", "on-off", "null", "list", "mapping", "edge", "kill", "family", "phi", "psi", "partition"])
+def test_an_atom_name_that_yaml_reads_as_no_string_is_a_config_error(runner, tmp_path, text, where):
+    # str() made atoms named True, False and None: [on, off] and [a, ~] ran, and [yes, on] was
+    # rejected as "atom identifiers must be unique"
+    assert where in _config_error(runner, tmp_path, text)
+
+
+def test_integer_and_quoted_atom_names_read_as_before(runner, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text('space: {atoms: [1, "yes", "~"], weights: [1.0, 1.0, 1.0]}\nkernel: {type: wiener}\nfamily: [[1, "yes"]]\n')
+    assert load_config(cfg).space.atoms == ("1", "yes", "~")
+    assert invoke(runner, tmp_path, "validate", "--config", str(cfg)).exit_code == 0
 
 
 GOLDEN_RUNS = sorted(p.stem.split(".") for p in (Path(__file__).resolve().parent / "golden").glob("*.jsonl"))

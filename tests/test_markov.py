@@ -1,5 +1,7 @@
 """Chains, transience certificates, Green functions and their kernels."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,21 +14,23 @@ from setkern import (
     MeasureSpace,
     NotTransientError,
     build_T,
+    check_contractivity,
     check_reversibility,
     check_series,
+    check_spectral_gap,
     check_transient,
-    contractivity_check,
     gram,
     green,
     green_kernel,
     green_root,
     realize,
-    reversibility_defect,
-    spectral_gap,
     wiener_kernel,
 )
+from setkern.config import load_config
 from setkern.markov import _neumann_sum
 from support import near_recurrent_path, neumann_sum_doubling, random_conductance_chain, random_sets
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -72,7 +76,7 @@ def test_conductance_chain_is_reversible_by_construction():
     rng = np.random.default_rng(0)
     for _ in range(20):
         chain = random_conductance_chain(rng, int(rng.integers(2, 12)))
-        defect, scale = reversibility_defect(chain)
+        defect, scale = check_reversibility(chain, 1.0)[:2]  # at tol 1 the bound is the scale
         assert defect <= 1e-14 * scale
 
 
@@ -99,20 +103,20 @@ def test_unknown_edge_atom_is_rejected():
 
 
 def test_detailed_balance_symmetric_case(flip_chain):
-    assert check_reversibility(flip_chain)
+    assert check_reversibility(flip_chain).passed
 
 
 def test_detailed_balance_violation():
     sp = MeasureSpace(("a", "b"), (1.0, 2.0))
     chain = MarkovChain(sp, np.array([[0.0, 0.5], [0.5, 0.0]]))
-    assert not check_reversibility(chain)
-    defect, scale = reversibility_defect(chain)
+    assert not check_reversibility(chain).passed
+    defect, scale = check_reversibility(chain, 1.0)[:2]  # at tol 1 the bound is the scale
     assert defect / scale == pytest.approx(0.5)
 
 
 def test_zero_chain_is_reversible():
     sp = MeasureSpace(("a", "b"), (1.0, 2.0))
-    assert check_reversibility(MarkovChain(sp, np.zeros((2, 2))))
+    assert check_reversibility(MarkovChain(sp, np.zeros((2, 2)))).passed
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +124,35 @@ def test_zero_chain_is_reversible():
 
 
 def test_flip_chain_spectral_bound(flip_chain):
-    assert check_transient(flip_chain) == pytest.approx(0.5, abs=1e-12)
+    assert check_transient(flip_chain).value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_stochastic_chain_is_not_transient():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
     chain = MarkovChain(sp, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(NotTransientError) as err:
-        check_transient(chain)
-    assert err.value.spectral_bound == pytest.approx(1.0)
+    assert check_transient(chain).value == pytest.approx(1.0)
+    assert not check_transient(chain).passed
+    with pytest.raises(NotTransientError, match="spectral bound 1 reaches 1"):
+        green(chain)
+
+
+def test_the_shipped_stochastic_chain_is_judged_not_transient_without_raising():
+    # the check raised NotTransientError, and the CLI read the bound back out of the exception
+    chain = load_config(CONFIGS / "stochastic-chain.yaml").chain
+    assert check_transient(chain) == (1.0, 0.9999999999, False, None)
 
 
 def test_zero_chain_is_transient():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
-    assert check_transient(MarkovChain(sp, np.zeros((2, 2)))) == 0.0
+    assert check_transient(MarkovChain(sp, np.zeros((2, 2)))).value == 0.0
 
 
 def test_transient_chains_have_a_spectral_gap():
     rng = np.random.default_rng(1)
     for _ in range(20):
         chain = random_conductance_chain(rng, int(rng.integers(2, 10)))
-        check_transient(chain)
-        assert spectral_gap(chain) >= 1e-10
+        assert check_transient(chain).passed
+        assert check_spectral_gap(chain).value >= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +279,12 @@ def test_contractivity_random_chains():
     rng = np.random.default_rng(8)
     for _ in range(10):
         chain = random_conductance_chain(rng, int(rng.integers(2, 10)))
-        assert contractivity_check(chain)
+        assert check_contractivity(chain).passed
 
 
 def test_identity_chain_is_contractive_at_the_boundary():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
-    assert contractivity_check(MarkovChain(sp, np.eye(2)))
+    assert check_contractivity(MarkovChain(sp, np.eye(2))).passed
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +336,7 @@ def test_a_chain_below_double_precision_names_its_gap():
     # with gap 4.5e-10 the series roundoff may reach eps / gap = 4.9e-7 of max|G|, beyond
     # agree_tol = 1e-8 (it is 1.77e-8 here); the message named neither the gap nor that scale
     chain = near_recurrent_path(12, 1e-8)
-    gap = 1.0 - check_transient(chain)
+    gap = 1.0 - check_transient(chain).value
     assert 4e-10 < gap < 5e-10
     with pytest.raises(InconsistencyError, match="series and solve disagree") as raised:
         green(chain)
@@ -358,8 +369,8 @@ def test_cached_results_match_fresh_numpy(n, seed):
     def close(value, reference):
         assert np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    close(check_transient(chain), np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.T))).max())
-    close(spectral_gap(chain), 1.0 - lam.max())
+    close(check_transient(chain).value, np.abs(np.linalg.eigvalsh(0.5 * (sym + sym.T))).max())
+    close(check_spectral_gap(chain).value, 1.0 - lam.max())
     close(green(chain).G, np.linalg.inv(np.eye(n) - P))
     close(green_root(chain), root)
 
@@ -399,15 +410,15 @@ NON_REVERSIBLE_TRANSIENT = MarkovChain(
 def test_one_eigendecomposition_and_one_refined_solve_per_chain(linalg_calls):
     # the solve is refined by a Newton-Schulz step, not by a second solve
     chain = random_conductance_chain(np.random.default_rng(14), 8)
-    for use in (check_transient, spectral_gap, contractivity_check, green, green_kernel, green_root):
+    for use in (check_transient, check_spectral_gap, check_contractivity, green, green_kernel, green_root):
         use(chain)
     assert linalg_calls == {"eigen": 1, "solve": 1}
 
 
 def test_a_non_reversible_transient_chain_makes_one_eigendecomposition_and_one_solve(linalg_calls):
     chain = NON_REVERSIBLE_TRANSIENT
-    assert not check_reversibility(chain)
-    for use in (check_transient, contractivity_check, green, green):
+    assert not check_reversibility(chain).passed
+    for use in (check_transient, check_contractivity, green, green):
         use(chain)
     assert linalg_calls == {"eigen": 1, "solve": 1}
 
@@ -428,7 +439,7 @@ def test_green_inverts_the_chain_at_the_edge_of_the_balance_rule(n, log_kill, da
     path = near_recurrent_path(n, 10.0**log_kill, data.draw(st.integers(0, n - 1)))
     skew = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0.0, 4e-11, size=(n, n))
     chain = MarkovChain(path.space, path.transitions * (1.0 - skew))
-    assert check_reversibility(chain)
+    assert check_reversibility(chain).passed
     # below a gap of about 1e-8 no series certifies agree_tol (the test of the 1e-8 kill above):
     # G alone is judged here
     G, eye = green(chain, agree_tol=np.inf).G, np.eye(n)
@@ -436,7 +447,7 @@ def test_green_inverts_the_chain_at_the_edge_of_the_balance_rule(n, log_kill, da
     assert np.abs((eye - chain.transitions) @ G - eye).max() <= 1e-12 * scale
     # inv is itself accurate only to about eps / (1 - rho) of max|G|: at n = 31 and kill 1e-7 the
     # solve and inv differed by 1.4e-8 of it, each within 6e-9 of a 60-digit inverse
-    floor = max(1e-8, np.finfo(float).eps / spectral_gap(chain))
+    floor = max(1e-8, np.finfo(float).eps / check_spectral_gap(chain).value)
     assert np.abs(G - np.linalg.inv(eye - chain.transitions)).max() <= floor * scale
 
 
@@ -455,10 +466,10 @@ def test_permuting_the_atoms_permutes_every_result(n, seed):
     def close(value, reference):
         assert np.abs(value - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    for decide in (check_reversibility, contractivity_check):
-        assert decide(moved) == decide(chain)
-    close(check_transient(moved), check_transient(chain))
-    close(spectral_gap(moved), spectral_gap(chain))
+    for decide in (check_reversibility, check_contractivity):
+        assert decide(moved).passed == decide(chain).passed
+    close(check_transient(moved).value, check_transient(chain).value)
+    close(check_spectral_gap(moved).value, check_spectral_gap(chain).value)
     close(green(moved).G, green(chain).G[np.ix_(p, p)])
     close(green_root(moved), green_root(chain)[np.ix_(p, p)])
     k, k_moved = green_kernel(chain), green_kernel(moved)
@@ -474,12 +485,11 @@ def test_a_non_reversible_chain_is_judged_by_its_singular_values():
     # the symmetric part of D^{1/2} P D^{-1/2} has radius sqrt(3)/2, which was returned as rho,
     # and contractivity passed although ||P f||_w^2 = 3 ||f||_w^2 for f = (0, 1)
     chain = MarkovChain(MeasureSpace(("a", "b"), (3.0, 1.0)), np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotTransientError) as raised:
-        check_transient(chain)
-    assert raised.value.spectral_bound == pytest.approx(np.sqrt(3.0))
-    assert not contractivity_check(chain)
+    assert check_transient(chain).value == pytest.approx(np.sqrt(3.0))
+    assert not check_transient(chain).passed
+    assert not check_contractivity(chain).passed
     with pytest.raises(InvalidChainError):
-        spectral_gap(chain)
+        check_spectral_gap(chain)
     with pytest.raises(InvalidChainError):
         green_root(chain)
 
@@ -492,15 +502,12 @@ def test_a_non_reversible_chain_bound_is_its_weighted_operator_norm(n, seed):
     P = rng.uniform(0.0, 1.0, size=(n, n))
     P *= rng.uniform(0.1, 1.0, size=(n, 1)) / P.sum(axis=1, keepdims=True)
     chain = MarkovChain(MeasureSpace(tuple(f"s{i}" for i in range(n)), tuple(w)), P)
-    assume(not check_reversibility(chain))
+    assume(not check_reversibility(chain).passed)
     d = np.sqrt(w)
     norm = np.linalg.norm(d[:, None] * P / d[None, :], 2)
-    try:
-        rho = check_transient(chain)
-    except NotTransientError as e:
-        rho = e.spectral_bound
+    rho = check_transient(chain).value
     assert abs(rho - norm) <= 1e-12 * norm
-    assert contractivity_check(chain) == (norm <= 1 + 1e-10)
+    assert check_contractivity(chain).passed == (norm <= 1 + 1e-10)
 
 
 def test_a_reversible_chain_is_told_from_a_non_reversible_one_relative_to_its_scale():
@@ -513,10 +520,10 @@ def test_a_reversible_chain_is_told_from_a_non_reversible_one_relative_to_its_sc
     large = MarkovChain.from_conductances(atoms, [(x, y, c * 1e6) for x, y, c in edges], {a: 1e5 for a in atoms})
     WP = large.space.weight_array[:, None] * large.transitions
     assert np.abs(WP - WP.T).max() > 1e-10
-    assert check_reversibility(large)
+    assert check_reversibility(large).passed
     green_kernel(large)
-    assert spectral_gap(large) == pytest.approx(spectral_gap(small), rel=1e-12)
-    assert check_transient(large) == pytest.approx(check_transient(small), rel=1e-12)
+    assert check_spectral_gap(large).value == pytest.approx(check_spectral_gap(small).value, rel=1e-12)
+    assert check_transient(large).value == pytest.approx(check_transient(small).value, rel=1e-12)
     np.testing.assert_allclose(green_root(large), green_root(small), rtol=0, atol=1e-10)
 
 
@@ -527,10 +534,10 @@ def test_every_reversibility_decision_is_the_same_rule(scale, skew):
     # called the chain reversible, and a relative rule in green_root alone disagreed with green_kernel
     chain = MarkovChain(MeasureSpace(("a", "b"), (scale, scale)), np.array([[0.0, 0.5], [0.5 * (1 + skew), 0.0]]))
     reversible = skew < 1e-10
-    assert check_reversibility(chain) == reversible
-    defect, scale = reversibility_defect(chain)
+    assert check_reversibility(chain).passed == reversible
+    defect, scale = check_reversibility(chain, 1.0)[:2]  # at tol 1 the bound is the scale
     assert defect / scale == pytest.approx(skew, rel=1e-3)
-    for decide in (green_kernel, green_root, spectral_gap):
+    for decide in (green_kernel, green_root, check_spectral_gap):
         if reversible:
             decide(chain)
         else:
