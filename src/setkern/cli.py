@@ -8,24 +8,25 @@ Reports are byte-deterministic for fixed (config, seed), including across
 ``--workers`` settings; pass ``--timings`` to record per-check runtimes at
 the cost of that determinism.
 
-Every check is one row of ``SUITES``: its name, report tag and tolerance
-key, and a function of the command's shared ``Run`` state that returns a
-``linalg.Verdict`` ``(value, bound, passed, detail)``, or ``None`` when the
-check does not apply.  Library checks such as ``GramMatrix.psd``,
-``check_absolute_continuity``, ``reverse_direction`` and the ``markov``
-checks return the verdict their row records; library constructors raise, and
-a check whose input the library rejects fails with no value or bound while
-the report is still written.  An error passes when it is at most
-``tol * scale``, by ``linalg.judge``; transience, contractivity and the
-spectral gap compare a dimensionless norm or eigenvalue with ``1 - tol``,
-``1 + tol`` or ``tol``, and Monte Carlo sigmas and range rank keep their own
-rules.  Each command of ``COMMANDS`` runs its suites through one loop.
+Every check is one row of ``SUITES``: its name, report tag and tolerance key
+(a name of ``config.TOLERANCES``; ``load_config`` resolves each one from its
+default, the file and ``--tol``), and a function of the command's shared
+``Run`` state that returns a ``linalg.Verdict`` ``(value, bound, passed,
+detail)``, or ``None`` when the check does not apply.  Library checks such as
+``GramMatrix.psd``, ``check_absolute_continuity``, ``reverse_direction`` and
+the ``markov`` checks return the verdict their row records; library
+constructors raise, and a check whose input the library rejects fails with
+no value or bound while the report is still written.  An error passes when
+it is at most ``tol * scale``, by ``linalg.judge``; transience, contractivity
+and the spectral gap compare a dimensionless norm or eigenvalue with
+``1 - tol``, ``1 + tol`` or ``tol``, and Monte Carlo sigmas and range rank
+keep their own rules.  Each command of ``COMMANDS`` runs its suites through
+one loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import sys
 import time
@@ -44,32 +45,6 @@ from .errors import ConfigError, SetKernError
 from .linalg import Verdict, judge
 from .measure import MeasurableSet
 from .report import CheckRecord, RunReport
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "symmetry": 1e-12,
-    "gram-psd": 1e-10,
-    "schwarz": 1e-10,
-    "absolute-continuity": 1e-10,
-    "detailed-balance": 1e-10,
-    "contractivity": 1e-10,
-    "transience-gap": 1e-10,
-    "realization": 1e-8,
-    "density": 1e-9,
-    "isometry": 1e-9,
-    "adjoint": 1e-9,
-    "parseval": 1e-9,
-    "parseval-invariance": 1e-10,
-    "green-identity": 1e-9,
-    "series-solve": 1e-8,
-    "green-factor": 1e-8,
-    "fundamental-match": 1e-8,
-    "mc-sigma": 5.0,
-    "q-monotone": 1e-10,
-    "q-final": 1e-9,
-}
-
-EXPECTATIONS = ("range-rank",)
-"""Names accepted under ``expect:``."""
 
 LEVELS = "q-level-<n>"
 """The sweep row, recorded once per partition as ``q-level-0``, ``q-level-1``, ..."""
@@ -338,33 +313,21 @@ COMMANDS = (
 
 
 def _check_names(cfg: ExperimentConfig) -> None:
-    levels = {f"q-level-{i}" for i in range(len(cfg.partitions))}
+    levels = [f"q-level-{i}" for i in range(len(cfg.partitions))]  # a list: a YAML entry may be unhashable
     for name in cfg.checks or ():
         if name not in CHECKS and name not in levels:
             raise ConfigError(f"checks: unknown check {name!r}")
-    for name in cfg.expect:
-        if name not in EXPECTATIONS:
-            raise ConfigError(f"expect: unknown expectation {name!r}")
 
 
-def _resolve_tolerances(cfg: ExperimentConfig, overrides: tuple[str, ...]) -> dict[str, float]:
-    items = [(f"tolerances.{name}", name, value) for name, value in cfg.tolerances.items()]
+def _split_tolerances(overrides: tuple[str, ...]) -> list[tuple[str, str]]:
+    """Each ``--tol NAME=VALUE`` as the pair ``load_config`` reads."""
+    pairs = []
     for item in overrides:
         name, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-        items.append((f"--tol {name}", name, value))
-    tol = dict(DEFAULT_TOLERANCES)
-    for where, name, value in items:
-        if name not in tol:
-            raise ConfigError(f"unknown tolerance {name!r}")
-        try:
-            tol[name] = float(value)
-        except ValueError:
-            raise ConfigError(f"{where}: {value!r} is not a number") from None
-        if not 0 <= tol[name] < math.inf:  # a negative tolerance inverts the verdict it bounds
-            raise ConfigError(f"{where} must be finite and nonnegative, got {value!r}")
-    return tol
+        pairs.append((name, value))
+    return pairs
 
 
 def _run(name, requires, suites, config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings,
@@ -372,15 +335,14 @@ def _run(name, requires, suites, config_path, seed, samples, out_path, csv_path,
     """Load and vet the config, run the command's suites, write the report and exit with its verdict."""
     out_dir = Path(os.environ.get("SETKERN_OUT", "."))
     try:
-        cfg = load_config(config_path)
+        cfg = load_config(config_path, _split_tolerances(tol_overrides))
         _check_names(cfg)
-        tol = _resolve_tolerances(cfg, tol_overrides)
         for section in requires:
             if getattr(cfg, "kernel_type" if section == "kernel" else section) in (None, ()):
                 raise ConfigError(f"{name} requires a {section} section")
         seed = cfg.seed if seed is None else seed
         samples = cfg.samples if samples is None else samples
-        report = RunReport(command=name, seed=seed, samples=samples, tolerances=tol)
+        report = RunReport(command=name, seed=seed, samples=samples, tolerances=cfg.tolerances)
         run = Run(cfg, report, workers, np.random.default_rng(seed))
         for suite in suites:
             applies, checks = SUITES[suite]

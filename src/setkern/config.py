@@ -1,9 +1,11 @@
 """Experiment configuration: a single YAML document.
 
 Schema (all sections optional unless a command needs them; a key the schema
-does not name at the top level or in ``space``, ``kernel``, ``chain`` or ``mc``
-is an error).  ``load_config`` builds every kernel but ``green``, which needs
-``chain`` and which a command builds at its ``series-solve`` tolerance::
+does not name at the top level, in ``space``, ``kernel``, ``chain`` or ``mc``,
+or among ``TOLERANCES`` and ``EXPECTATIONS`` is an error).  ``load_config``
+builds every kernel but ``green``, which needs ``chain`` and which a command
+builds at its ``series-solve`` tolerance, and resolves every tolerance.  Any
+library rejection of the file's input is a ``ConfigError`` naming the field::
 
     space:
       atoms: [a, b, c]
@@ -14,7 +16,7 @@ is an error).  ``load_config`` builds every kernel but ``green``, which needs
     chain:
       transitions: [[...], ...]    # dense substochastic matrix, or:
       edges: [[a, b, 1.0], ...]    # conductances; weights derived from them
-      kill: {a: 0.1}               # per-atom killing mass (mapping or list)
+      kill: {a: 0.1}               # per-atom killing mass
     family: [[a], [a, b]]          # sets of atom names
     phi: [[1.0, [a]], [2.0, [b]]]  # simple function terms
     psi: [[1.0, [a, b]]]           # optional second integrand
@@ -23,7 +25,7 @@ is an error).  ``load_config`` builds every kernel but ``green``, which needs
       - [[a], [b, c]]
       - [[a], [b], [c]]
     mc: {samples: 200000, seed: 7}
-    tolerances: {gram-psd: 1.0e-10}
+    tolerances: {gram-psd: 1.0e-10} # overrides TOLERANCES; --tol overrides both
     checks: [gram-psd, schwarz]    # optional filter of enabled checks
     expect: {range-rank: 1}        # optional expected counts
 """
@@ -32,9 +34,10 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 import yaml
@@ -58,11 +61,36 @@ from .measure import (
     is_refinement,
 )
 
-__all__ = ["ExperimentConfig", "load_config", "KERNEL_TYPES"]
+__all__ = ["ExperimentConfig", "load_config", "KERNEL_TYPES", "TOLERANCES", "EXPECTATIONS"]
 
 KERNEL_TYPES = ("wiener", "rank_one", "operator", "green", "counting")
 _BUILTIN_KERNELS = {"wiener": wiener_kernel, "rank_one": rank_one_kernel, "counting": counting_kernel}
 """The kernel types that the space alone determines."""
+TOLERANCES: dict[str, float] = {
+    "symmetry": 1e-12,
+    "gram-psd": 1e-10,
+    "schwarz": 1e-10,
+    "absolute-continuity": 1e-10,
+    "detailed-balance": 1e-10,
+    "contractivity": 1e-10,
+    "transience-gap": 1e-10,
+    "realization": 1e-8,
+    "density": 1e-9,
+    "isometry": 1e-9,
+    "adjoint": 1e-9,
+    "parseval": 1e-9,
+    "parseval-invariance": 1e-10,
+    "green-identity": 1e-9,
+    "series-solve": 1e-8,
+    "green-factor": 1e-8,
+    "fundamental-match": 1e-8,
+    "mc-sigma": 5.0,
+    "q-monotone": 1e-10,
+    "q-final": 1e-9,
+}
+"""Every tolerance and its default: the names accepted under ``tolerances:`` and by ``--tol``."""
+EXPECTATIONS = ("range-rank",)
+"""Names accepted under ``expect:``; every expectation is a count."""
 _SECTIONS = ("space", "kernel", "chain", "family", "phi", "psi", "partitions", "mc", "tolerances", "checks", "expect")
 
 _FLOAT_TAG = "tag:yaml.org,2002:float"
@@ -151,13 +179,23 @@ def _number(value: Any, where: str) -> float:
     raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
-def _no_booleans(rows: Any, where: str) -> Any:
-    """``rows`` unchanged; a boolean entry, which numpy would read as 0 or 1, is a config error naming it."""
+def _tolerance(value: Any, where: str) -> float:
+    tol = _number(value, where)
+    if not 0 <= tol < math.inf:  # a negative tolerance inverts the verdict it bounds
+        raise ConfigError(f"{where} must be finite and nonnegative, got {value!r}")
+    return tol
+
+
+def _matrix(rows: Any, where: str) -> np.ndarray:
+    """``rows`` as a float array; a boolean entry, which numpy would read as 0 or 1, is a config error naming it."""
     for i, row in enumerate(rows if isinstance(rows, list) else ()):
         if isinstance(row, list) and bool in set(map(type, row)):
             j = next(j for j, x in enumerate(row) if isinstance(x, bool))
             raise ConfigError(f"{where}[{i}][{j}] must be a number, got {row[j]!r}")
-    return rows
+    try:
+        return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a dense numeric matrix") from None
 
 
 def _integer(value: Any, where: str) -> int:
@@ -175,12 +213,28 @@ def _atom_name(value: Any, where: str) -> str:
     return str(value)
 
 
-def _atom_set(space: MeasureSpace, names: Any, where: str) -> MeasurableSet:
-    names = [_atom_name(a, f"{where}[{j}]") for j, a in enumerate(_as_list(names, where))]
+@contextmanager
+def _reading(where: str):
+    """A library rejection of config input, raised inside, as a config error naming ``where``."""
     try:
-        return space.subset(*names)
+        yield
+    except ConfigError:
+        raise
     except SetKernError as e:
         raise ConfigError(f"{where}: {e}") from e
+
+
+def _space(atoms: list[str], weights: list[float] | None) -> MeasureSpace:
+    if weights is None:
+        raise ConfigError("space.weights are required unless chain.edges derives them")
+    with _reading("space"):
+        return MeasureSpace(tuple(atoms), tuple(weights))
+
+
+def _atom_set(space: MeasureSpace, names: Any, where: str) -> MeasurableSet:
+    names = [_atom_name(a, f"{where}[{j}]") for j, a in enumerate(_as_list(names, where))]
+    with _reading(where):
+        return space.subset(*names)
 
 
 def _simple_function(space: MeasureSpace, node: Any, where: str) -> SimpleFunction:
@@ -197,9 +251,7 @@ def _simple_function(space: MeasureSpace, node: Any, where: str) -> SimpleFuncti
     return SimpleFunction(tuple(terms))
 
 
-def _parse_chain(
-    atoms: list[str], weights: list[float] | None, node: dict
-) -> tuple[MarkovChain, MeasureSpace]:
+def _parse_chain(atoms: list[str], weights: list[float] | None, node: dict) -> tuple[MarkovChain, MeasureSpace]:
     if "edges" in node and "transitions" in node:
         raise ConfigError("chain takes one of 'transitions' and 'edges', got both")
     if "edges" in node:
@@ -210,17 +262,12 @@ def _parse_chain(
                 raise ConfigError(f"chain.edges[{i}] must be [atom, atom, conductance]")
             x, y = (_atom_name(e[j], f"chain.edges[{i}][{j}]") for j in (0, 1))
             edges.append((x, y, _number(e[2], f"chain.edges[{i}] conductance")))
-        kill = node.get("kill")
-        if isinstance(kill, dict):
-            kill = {_atom_name(a, "chain.kill key"): _number(m, f"chain.kill.{a}") for a, m in kill.items()}
-        elif isinstance(kill, list):
-            kill = [_number(m, f"chain.kill[{i}]") for i, m in enumerate(kill)]
-        elif kill is not None:
-            raise ConfigError("chain.kill must be a mapping or a list")
-        try:
+        kill = {
+            _atom_name(a, "chain.kill key"): _number(m, f"chain.kill.{a}")
+            for a, m in _as_mapping(node.get("kill"), "chain.kill").items()
+        }
+        with _reading("chain"):
             chain = MarkovChain.from_conductances(atoms, edges, kill)
-        except SetKernError as e:
-            raise ConfigError(f"chain: {e}") from e
         if weights is not None:
             derived = chain.space.weight_array
             given = np.asarray(weights, dtype=float)
@@ -231,22 +278,18 @@ def _parse_chain(
     if "transitions" in node:
         if "kill" in node:
             raise ConfigError("chain.kill applies only to chain.edges; fold the killing into chain.transitions")
-        if weights is None:
-            raise ConfigError("space.weights are required with a dense chain.transitions")
-        space = MeasureSpace(tuple(atoms), tuple(weights))
-        P = _no_booleans(node["transitions"], "chain.transitions")
-        try:
-            chain = MarkovChain(space, np.asarray(P, dtype=float))
-        except (SetKernError, ValueError) as e:
-            raise ConfigError(f"chain.transitions: {e}") from e
-        return chain, space
+        space = _space(atoms, weights)
+        with _reading("chain.transitions"):
+            return MarkovChain(space, _matrix(node["transitions"], "chain.transitions")), space
     raise ConfigError("chain needs either 'transitions' or 'edges'")
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, overrides: Iterable[tuple[str, str]] = ()) -> ExperimentConfig:
     """Parse and validate a config file.
 
-    Raises ``ConfigError`` with parse context for malformed documents.
+    ``overrides`` are ``--tol`` ``(NAME, VALUE)`` pairs, applied in order
+    after the file's ``tolerances:``.  Raises ``ConfigError`` naming the
+    field for malformed documents.
     """
     path = Path(path)
     try:
@@ -269,22 +312,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
             for i, w in enumerate(_as_list(space_node["weights"], "space.weights"))
         ]
 
-    chain = None
     if "chain" in raw:
         chain, space = _parse_chain(atoms, weights, _as_mapping(raw["chain"], "chain", ("transitions", "edges", "kill")))
     else:
-        if weights is None:
-            raise ConfigError("space.weights are required without a conductance chain")
-        try:
-            space = MeasureSpace(tuple(atoms), tuple(weights))
-        except SetKernError as e:
-            raise ConfigError(f"space: {e}") from e
+        chain, space = None, _space(atoms, weights)
 
     kernel_type = None
     kernel = None
     if "kernel" in raw:
         knode = _as_mapping(raw["kernel"], "kernel", ("type", "matrix"))
-        kernel_type = str(knode.get("type", ""))
+        kernel_type = knode.get("type", "")
         if kernel_type not in KERNEL_TYPES:
             raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {kernel_type!r}")
         if "matrix" in knode and kernel_type != "operator":
@@ -294,18 +331,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if kernel_type == "operator":
             if "matrix" not in knode:
                 raise ConfigError("kernel.type operator requires kernel.matrix")
-            matrix = _no_booleans(knode["matrix"], "kernel.matrix")
-            try:
-                kernel = operator_kernel(space, matrix)
-            except (TypeError, ValueError):
-                raise ConfigError("kernel.matrix must be a dense numeric matrix") from None
-            except SetKernError as e:
-                raise ConfigError(f"kernel.matrix: {e}") from e
+            with _reading("kernel.matrix"):
+                kernel = operator_kernel(space, _matrix(knode["matrix"], "kernel.matrix"))
         elif kernel_type in _BUILTIN_KERNELS:
-            try:
+            with _reading("kernel"):
                 kernel = _BUILTIN_KERNELS[kernel_type](space)
-            except SetKernError as e:
-                raise ConfigError(f"kernel: {e}") from e
 
     family = tuple(
         _atom_set(space, names, f"family[{i}]")
@@ -337,17 +367,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not 0 <= seed < 2**64:
         raise ConfigError("mc.seed must fit in 64 bits")
 
-    tolerances = {}
-    for name, value in _as_mapping(raw.get("tolerances"), "tolerances").items():
-        tolerances[str(name)] = _number(value, f"tolerances.{name}")
+    tolerances = dict(TOLERANCES)
+    for name, value in _as_mapping(raw.get("tolerances"), "tolerances", tuple(TOLERANCES)).items():
+        tolerances[name] = _tolerance(value, f"tolerances.{name}")
+    for name, value in overrides:
+        if name not in TOLERANCES:
+            raise ConfigError(f"--tol: unknown tolerance {name!r}, expected one of {', '.join(TOLERANCES)}")
+        tolerances[name] = _tolerance(value, f"--tol {name}")
 
-    checks = None
-    if "checks" in raw:
-        checks = tuple(str(c) for c in _as_list(raw["checks"], "checks"))
-
-    expect = {}
-    for name, value in _as_mapping(raw.get("expect"), "expect").items():
-        expect[str(name)] = _integer(value, f"expect.{name}")  # every expectation is a count
+    checks = tuple(_as_list(raw["checks"], "checks")) if "checks" in raw else None
+    expect = {
+        name: _integer(value, f"expect.{name}")
+        for name, value in _as_mapping(raw.get("expect"), "expect", EXPECTATIONS).items()
+    }
 
     return ExperimentConfig(
         space=space,

@@ -97,13 +97,14 @@ class MarkovChain:
         cls,
         atoms: Sequence[str],
         edges: Iterable[tuple[str, str, float]],
-        kill: Mapping[str, float] | Sequence[float] | None = None,
+        kill: Mapping[str, float] | None = None,
     ) -> "MarkovChain":
-        """Random walk on a weighted graph with optional per-atom killing.
+        """Random walk on a weighted graph with optional killing mass per named atom.
 
         Edge conductances are symmetric by construction, the derived weights
         are ``w(x) = sum_y c(x, y) + kill(x)``, and every atom needs an edge
-        or killing mass so its weight is positive.
+        or killing mass so its weight is positive.  Each conductance and
+        killing mass must be finite and nonnegative.
         """
         atoms = [str(a) for a in atoms]
         index = {a: i for i, a in enumerate(atoms)}
@@ -113,8 +114,8 @@ class MarkovChain:
         C = np.zeros((n, n))
         for x, y, c in edges:
             c = float(c)
-            if c < 0:
-                raise InvalidChainError(f"conductance must be nonnegative, got {c} on ({x},{y})")
+            if not 0 <= c < math.inf:
+                raise InvalidChainError(f"conductance must be finite and nonnegative, got {c} on ({x},{y})")
             try:
                 i, j = index[str(x)], index[str(y)]
             except KeyError as e:
@@ -123,17 +124,13 @@ class MarkovChain:
             if i != j:
                 C[j, i] += c
         killv = np.zeros(n)
-        if isinstance(kill, Mapping):
-            for a, m in kill.items():
-                if str(a) not in index:
-                    raise InvalidChainError(f"killing references unknown atom {a!r}")
-                killv[index[str(a)]] = float(m)
-        elif kill is not None:
-            killv = np.asarray(list(kill), dtype=float)
-            if killv.shape != (n,):
-                raise InvalidChainError("killing sequence must have one entry per atom")
-        if killv.min() < 0:
-            raise InvalidChainError("killing mass must be nonnegative")
+        for a, m in (kill or {}).items():
+            if str(a) not in index:
+                raise InvalidChainError(f"killing references unknown atom {a!r}")
+            m = float(m)
+            if not 0 <= m < math.inf:
+                raise InvalidChainError(f"killing mass must be finite and nonnegative, got {m} at {a!r}")
+            killv[index[str(a)]] = m
         w = C.sum(axis=1) + killv
         if w.min() <= 0:
             dead = atoms[int(np.argmin(w))]

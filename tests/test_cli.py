@@ -11,8 +11,9 @@ import yaml
 from click.testing import CliRunner
 
 from setkern import check_series, green, markov
-from setkern.cli import CHECKS, SUITES, _random_coefficients, main
-from setkern.config import load_config
+from setkern.cli import CHECKS, SUITES, _check_names, _random_coefficients, main
+from setkern.config import TOLERANCES, load_config
+from setkern.errors import ConfigError
 from setkern.report import CheckRecord
 from support import random_nu_psd_matrix, random_sets, random_space
 
@@ -506,6 +507,62 @@ def test_a_q_level_that_names_no_configured_partition_is_a_config_error(runner, 
 def test_a_misspelled_config_key_is_a_config_error(runner, tmp_path, text, where, key):
     output = _config_error(runner, tmp_path, text)
     assert f"{where}: unknown key {key!r}" in output
+
+
+DENSE_CHAIN = "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]]}\n"
+EDGE_SPACE = "space: {atoms: [a, b]}\n"
+
+
+@pytest.mark.parametrize("text, tol, message", [
+    ("space: {atoms: [a, a], weights: [1.0, 1.0]}\n" + DENSE_CHAIN, (), "space: atom identifiers must be unique"),
+    ("space: {atoms: [a, b], weights: [-1.0, 1.0]}\n" + DENSE_CHAIN, (), "space: weights must be finite and nonnegative"),
+    ("space: {atoms: [a, b], weights: [1.0]}\n" + DENSE_CHAIN, (), "space: need exactly one weight per atom"),
+    ("space: {atoms: [], weights: []}\n" + DENSE_CHAIN, (), "space: a measure space needs at least one atom"),
+    ("space: {atoms: [a, b]}\n" + DENSE_CHAIN, (), "space.weights are required unless chain.edges derives them"),
+    (WIENER_SPACE + "chain: {transitions: [[0.0, 0.5], [0.5]]}\n", (), "chain.transitions must be a dense numeric matrix"),
+    (WIENER_SPACE + "chain: {transitions: [[0.0, x], [0.5, 0.0]]}\n", (), "chain.transitions must be a dense numeric matrix"),
+    (WIENER_SPACE + "chain: {transitions: {a: [0.0, 0.5]}}\n", (), "chain.transitions must be a dense numeric matrix"),
+    (WIENER_SPACE + "kernel: {type: operator, matrix: [[1.0], [0.0, 1.0]]}\n", (), "kernel.matrix must be a dense numeric matrix"),
+    (EDGE_SPACE + "chain: {edges: [[a, b, 1.0]], kill: [0.5, 0.5]}\n", (), "chain.kill must be a mapping"),
+    (WIENER_SPACE + "kernel: {type: on}\n", (), "kernel.type must be one of"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nchecks: [yes]\n", (), "checks: unknown check True"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nchecks: [[gram-psd]]\n", (), "checks: unknown check ['gram-psd']"),
+    (WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {yes: 1.0e-9}\n", (), "tolerances: unknown key True"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nexpect: {yes: 1}\n", (), "expect: unknown key True"),
+    (WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {symmetri: 1.0e-9}\n", (), "tolerances: unknown key 'symmetri'"),
+    (WIENER_SPACE + "kernel: {type: wiener}\n", (("symmetri", "1e-9"),), "--tol: unknown tolerance 'symmetri'"),
+    (EDGE_SPACE + "chain: {edges: [[a, b, .nan]]}\n", (), "chain: conductance must be finite and nonnegative, got nan on (a,b)"),
+    (EDGE_SPACE + "chain: {edges: [[a, b, 1.0]], kill: {a: .inf}}\n", (),
+     "chain: killing mass must be finite and nonnegative, got inf at 'a'"),
+], ids=["dense-duplicate-atom", "dense-negative-weight", "dense-weight-count", "dense-no-atoms", "dense-no-weights",
+        "ragged-transitions", "text-transitions", "mapping-transitions", "ragged-matrix", "list-kill",
+        "boolean-kernel-type", "boolean-check", "list-check", "boolean-tolerance", "boolean-expectation",
+        "unknown-tolerance", "unknown-tol-override", "nan-conductance", "infinite-kill"])
+def test_no_malformed_config_escapes_as_another_error(runner, tmp_path, text, tol, message):
+    # the dense chain over a bad space ended in a DomainError traceback and exit 1; the booleans were
+    # reported as the string 'True'; the nonfinite conductance and kill were reported as a bad weight
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError) as err:  # what every command vets before its first check
+        _check_names(load_config(cfg, tol))
+    assert message in str(err.value)
+    for command in ("validate", "factorize", "markov-green", "simulate"):
+        result = invoke(runner, tmp_path, command, "--config", str(cfg), *(f"--tol={n}={v}" for n, v in tol))
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), (command, result.output)
+        assert f"config error: {message}" in result.output, command
+
+
+def test_every_check_reads_a_tolerance_of_the_config_schema():
+    assert {c.tol for _, checks in SUITES.values() for c in checks} - {None} <= set(TOLERANCES)
+
+
+def test_the_file_overrides_the_defaults_and_tol_overrides_both(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {symmetry: 1.0e-6, schwarz: 1.0e-5}\n")
+    assert load_config(cfg).tolerances == {**TOLERANCES, "symmetry": 1e-6, "schwarz": 1e-5}
+    tol = load_config(cfg, [("schwarz", "2e-5"), ("isometry", "3e-5"), ("isometry", "4e-5")]).tolerances
+    assert tol == {**TOLERANCES, "symmetry": 1e-6, "schwarz": 2e-5, "isometry": 4e-5}
+    assert list(tol) == list(TOLERANCES)  # the report's meta keeps this order
 
 
 def test_every_reported_check_is_a_known_name():

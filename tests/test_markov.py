@@ -93,6 +93,21 @@ def test_isolated_atom_is_rejected():
         MarkovChain.from_conductances(["u", "v"], [], {"u": 1.0})
 
 
+@pytest.mark.parametrize("edges, kill, message", [
+    ([("u", "v", float("nan"))], None, "conductance must be finite and nonnegative, got nan on (u,v)"),
+    ([("u", "v", float("inf"))], None, "conductance must be finite and nonnegative, got inf on (u,v)"),
+    ([("u", "v", -1.0)], None, "conductance must be finite and nonnegative, got -1.0 on (u,v)"),
+    ([("u", "v", 1.0)], {"u": float("inf")}, "killing mass must be finite and nonnegative, got inf at 'u'"),
+    ([("u", "v", 1.0)], {"v": float("nan")}, "killing mass must be finite and nonnegative, got nan at 'v'"),
+    ([("u", "v", 1.0)], {"v": -0.5}, "killing mass must be finite and nonnegative, got -0.5 at 'v'"),
+], ids=["nan-conductance", "inf-conductance", "negative-conductance", "inf-kill", "nan-kill", "negative-kill"])
+def test_a_bad_conductance_or_killing_mass_is_rejected_by_name(edges, kill, message):
+    # a NaN passed c < 0 and killv.min() < 0, and the chain failed later as a bad weight
+    with pytest.raises(InvalidChainError) as err:
+        MarkovChain.from_conductances(["u", "v"], edges, kill)
+    assert str(err.value) == message
+
+
 def test_unknown_edge_atom_is_rejected():
     with pytest.raises(InvalidChainError):
         MarkovChain.from_conductances(["u"], [("u", "w", 1.0)], {"u": 0.1})

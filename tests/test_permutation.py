@@ -1,8 +1,8 @@
 """Atom order: reversing the atoms of a shipped config changes no verdict.
 
 Reversing the atoms reverses the weights, the rows and columns of
-``kernel.matrix`` and of a dense ``chain.transitions``, and a list-form
-``chain.kill``; sets name their atoms, so they stay as they are.  Every command
+``kernel.matrix`` and of a dense ``chain.transitions``; sets and the keys of
+``chain.kill`` name their atoms, so they stay as they are.  Every command
 must keep its exit code and every record's ``(check, status)``.  Every record
 but the drawn ones must also keep its value and bound, by the golden rule:
 within ``1e-9 * max(1, |v|)``, and a null only where there was a null.  The
@@ -36,8 +36,6 @@ def _reversed(cfg: dict) -> dict:
     for node, key in ((kernel, "matrix"), (chain, "transitions")):
         if key in node:
             node[key] = [row[::-1] for row in node[key][::-1]]
-    if isinstance(chain.get("kill"), list):
-        chain["kill"] = chain["kill"][::-1]
     return cfg
 
 
