@@ -5,8 +5,8 @@ JSON-lines report (optionally also CSV).  Exit codes: 0 all checks passed,
 1 at least one check failed or no check ran, 2 config or parse error, which
 every command decides before its first check, the kernel included.
 Reports are byte-deterministic for fixed (config, seed), including across
-``--workers`` settings; pass ``--timings`` to record per-check runtimes at
-the cost of that determinism.
+``--workers`` settings, and only the Monte Carlo rows read the seed; pass
+``--timings`` to record per-check runtimes at the cost of that determinism.
 
 Every check is one row of ``SUITES``: its name, report tag and tolerance key
 (a name of ``config.TOLERANCES``; ``load_config`` resolves each one from its
@@ -62,12 +62,11 @@ def _or_none(build: Callable[[], T]) -> T | None:
 
 @dataclass
 class Run:
-    """State shared by the checks of one command; each part is built on first use."""
+    """State shared by the checks of one command; each part is built on first use, and none draws random numbers."""
 
     cfg: ExperimentConfig
     report: RunReport  # also holds the resolved seed, sample count and tolerances
     workers: int
-    rng: np.random.Generator  # draws of the isometry, adjoint and Parseval checks, in that order
 
     @cached_property
     def probes(self) -> list[MeasurableSet]:
@@ -94,14 +93,11 @@ class Run:
 
     @cached_property
     def parseval(self) -> tuple[float, float]:
-        """Parseval error over two orthonormal bases, and the bases' disagreement."""
-        space = self.cfg.space
-        pos = np.flatnonzero(space.positive)
-        root_w = np.sqrt(space.weight_array[pos])
-        basis1 = np.eye(space.size)[pos] / root_w[:, None]
-        Q, _ = np.linalg.qr(self.rng.standard_normal((len(pos), len(pos))))
-        basis2 = np.zeros((len(pos), space.size))
-        basis2[:, pos] = Q.T / root_w[None, :]
+        """Parseval error over the atom basis ``e_x / sqrt(w_x)`` and the kernel's eigenbasis, and their disagreement."""
+        spec = self.kernel.spectrum
+        basis1 = np.eye(self.cfg.space.size)[spec.pos] / spec.d[:, None]
+        basis2 = np.zeros_like(basis1)
+        basis2[:, spec.pos] = (spec.vectors / spec.d[:, None]).T
         G = self.gram.entries
         s1 = factorization.onb_factorization(self.fact, basis1, self.probes)
         s2 = factorization.onb_factorization(self.fact, basis2, self.probes)
@@ -141,32 +137,19 @@ class Check(NamedTuple):
     """Record the runtime of the check before it, which computed both."""
 
 
-def _random_coefficients(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
-    """Rows of ``count`` random elements ``sum_i alpha_i K(., A_i)`` of one to four terms over a pool of ``m`` sets."""
-    terms = rng.integers(1, 5, size=count)
-    idx = rng.integers(0, m, size=(count, 4)) + m * np.arange(count)[:, None]
-    coefs = rng.uniform(-2.0, 2.0, size=(count, 4)) * (np.arange(4) < terms[:, None])
-    return np.bincount(idx.ravel(), weights=coefs.ravel(), minlength=count * m).reshape(count, m)
-
-
 def _isometry(run: Run, tol: float) -> Verdict:
-    """Largest error of ``|b F|^2 = |F|^2`` over 1000 random elements ``F``, against ``tol * max |F|^2``."""
-    alpha = _random_coefficients(run.rng, len(run.probes), 1000)
-    n2 = ((alpha @ run.gram.entries) * alpha).sum(axis=1)
-    image_n2 = factorization.isometry_b(run.fact, alpha, run.probes) ** 2 @ run.cfg.space.weight_array
-    return judge(float(np.abs(image_n2 - n2).max()), float(np.abs(n2).max()), tol)
+    """``max|K_P D K_P^T - G_P|`` over the probe family against ``tol * max|G_P|``: ``|b F|^2 = |F|^2`` for every ``F`` at once."""
+    K = run.fact.k_rows(run.probes)
+    inner = K @ (run.cfg.space.weight_array[:, None] * K.T)
+    return judge(float(np.abs(inner - run.gram.entries).max()), run.gram.scale, tol)
 
 
 def _adjoint(run: Run, tol: float) -> Verdict:
-    """Largest error of ``<b* phi, F> = <phi, b F>`` over 200 random pairs, against ``tol * max |phi| |b F|``."""
-    w = run.cfg.space.weight_array
-    phi = run.rng.standard_normal((200, run.cfg.space.size))
-    alpha = _random_coefficients(run.rng, len(run.probes), 200)
-    lhs = (factorization.coisometry_b_star(run.fact, phi, run.probes) * alpha).sum(axis=1)
-    image = factorization.isometry_b(run.fact, alpha, run.probes)
-    rhs = (phi * w * image).sum(axis=1)  # <phi, b(F)>
-    scale = np.sqrt((phi**2 @ w) * (image**2 @ w)).max()  # Cauchy-Schwarz bounds |rhs| by it
-    return judge(float(np.abs(lhs - rhs).max()), float(scale), tol)
+    """``b*`` of the atom basis against the independent ``(b* phi)(A) = int_A S phi dnu``, ``(C D S)^T``, by ``tol * max|C D S|``."""
+    space = run.cfg.space
+    integrals = space.indicator_matrix(run.probes) @ (space.weight_array[:, None] * run.fact.S)
+    star = factorization.coisometry_b_star(run.fact, np.eye(space.size), run.probes)
+    return judge(float(np.abs(star - integrals.T).max()), float(np.abs(integrals).max()), tol)
 
 
 def _range_rank(run: Run, _: None) -> Verdict:
@@ -343,7 +326,7 @@ def _run(name, requires, suites, config_path, seed, samples, out_path, csv_path,
         seed = cfg.seed if seed is None else seed
         samples = cfg.samples if samples is None else samples
         report = RunReport(command=name, seed=seed, samples=samples, tolerances=cfg.tolerances)
-        run = Run(cfg, report, workers, np.random.default_rng(seed))
+        run = Run(cfg, report, workers)
         for suite in suites:
             applies, checks = SUITES[suite]
             if applies(run):

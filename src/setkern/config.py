@@ -255,6 +255,8 @@ def _parse_chain(atoms: list[str], weights: list[float] | None, node: dict) -> t
     if "edges" in node and "transitions" in node:
         raise ConfigError("chain takes one of 'transitions' and 'edges', got both")
     if "edges" in node:
+        if weights is not None and len(weights) != len(atoms):
+            raise ConfigError(f"space.weights: expected {len(atoms)} weights, got {len(weights)}")
         edges = []
         for i, e in enumerate(_as_list(node["edges"], "chain.edges")):
             e = _as_list(e, f"chain.edges[{i}]")
@@ -270,9 +272,7 @@ def _parse_chain(atoms: list[str], weights: list[float] | None, node: dict) -> t
             chain = MarkovChain.from_conductances(atoms, edges, kill)
         if weights is not None:
             derived = chain.space.weight_array
-            given = np.asarray(weights, dtype=float)
-            gap = float(np.abs(given - derived).max()) if given.shape == derived.shape else math.inf
-            require(gap, float(derived.max()), 1e-12, ConfigError,
+            require(float(np.abs(np.asarray(weights) - derived).max()), float(derived.max()), 1e-12, ConfigError,
                     "space.weights disagree with the weights derived from chain.edges:", "max w")
         return chain, chain.space
     if "transitions" in node:

@@ -89,6 +89,16 @@ class SetKernel:
         return float(self.Q.take(A.indices, 0).take(B.indices, 1).sum())
 
 
+def _weighted(space: MeasureSpace, M: np.ndarray, what: str) -> np.ndarray:
+    """``w(x) M[x, y]``; a product that overflows raises ``InvalidOperatorError`` naming ``what`` and its atoms."""
+    with np.errstate(over="ignore"):
+        Q = space.weight_array[:, None] * M
+    if not np.all(np.isfinite(Q)):
+        x, y = (space.atoms[i] for i in np.argwhere(~np.isfinite(Q))[0])
+        raise InvalidOperatorError(f"{what} is out of range at x={x!r}, y={y!r}: it overflows")
+    return Q
+
+
 def wiener_kernel(space: MeasureSpace) -> SetKernel:
     """Overlap kernel ``K(A, B) = w(A & B)``, the white-noise covariance."""
     return SetKernel(space=space, kind="wiener", Q=np.diag(space.weight_array))
@@ -96,8 +106,7 @@ def wiener_kernel(space: MeasureSpace) -> SetKernel:
 
 def rank_one_kernel(space: MeasureSpace) -> SetKernel:
     """Product kernel ``K(A, B) = w(A) w(B)``; its Gram matrices have rank one."""
-    w = space.weight_array
-    return SetKernel(space=space, kind="rank_one", Q=np.outer(w, w))
+    return SetKernel(space=space, kind="rank_one", Q=_weighted(space, space.weight_array[None, :], "w(x) w(y)"))
 
 
 def counting_kernel(space: MeasureSpace) -> SetKernel:
@@ -119,10 +128,10 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:
     Raises
     ------
     InvalidOperatorError
-        If ``M`` has the wrong shape or nonfinite entries, violates the
-        weighted symmetry ``w(x) M[x,y] == w(y) M[y,x]`` beyond
-        ``1e-10 * max|w(x) M[x,y]|``, or has an eigenvalue below
-        ``-1e-10 * lambda_max``.
+        If ``M`` has the wrong shape or nonfinite entries, a product
+        ``w(x) M[x,y]`` overflows, ``M`` violates the weighted symmetry
+        ``w(x) M[x,y] == w(y) M[y,x]`` beyond ``1e-10 * max|w(x) M[x,y]|``,
+        or has an eigenvalue below ``-1e-10 * lambda_max``.
     """
     M = np.asarray(M, dtype=float)
     n = space.size
@@ -130,10 +139,10 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:
         raise InvalidOperatorError(f"operator matrix must be {n}x{n}, got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidOperatorError("operator matrix entries must be finite")
-    w = space.weight_array
-    require(*selfadjoint_defect(M, w), 1e-10, InvalidOperatorError,
+    Q = _weighted(space, M, "w(x) M[x,y]")
+    require(*selfadjoint_defect(M, space.weight_array), 1e-10, InvalidOperatorError,
             "matrix is not selfadjoint in the weighted geometry: defect", "max|wM|")
-    kernel = SetKernel(space=space, kind="operator", Q=w[:, None] * M)
+    kernel = SetKernel(space=space, kind="operator", Q=Q)
     kernel.spectrum.certify(1e-10, InvalidOperatorError, "matrix")
     return kernel
 

@@ -103,10 +103,12 @@ class MarkovChain:
 
         Edge conductances are symmetric by construction, the derived weights
         are ``w(x) = sum_y c(x, y) + kill(x)``, and every atom needs an edge
-        or killing mass so its weight is positive.  Each conductance and
-        killing mass must be finite and nonnegative.
+        or killing mass so its weight is positive.  Atom names must be
+        unique, and each conductance and killing mass finite and nonnegative.
         """
         atoms = [str(a) for a in atoms]
+        if len(set(atoms)) != len(atoms):
+            raise InvalidChainError("atom identifiers must be unique")
         index = {a: i for i, a in enumerate(atoms)}
         n = len(atoms)
         if n == 0:

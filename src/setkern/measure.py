@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -153,16 +154,18 @@ class MeasureSpace:
     def indicator(self, A: MeasurableSet) -> np.ndarray:
         """Indicator of ``A`` as an atom vector."""
         self.validate_set(A)
-        chi = np.zeros(self.size)
-        chi[A.indices] = 1.0
-        return chi
+        return np.bincount(list(A.members), minlength=self.size).astype(float)
 
     def indicator_matrix(self, sets: Sequence[MeasurableSet]) -> np.ndarray:
-        """Indicators of ``sets`` as the rows of a ``(len(sets), size)`` matrix."""
-        C = np.zeros((len(sets), self.size))
-        for r, A in enumerate(sets):
-            self.validate_set(A)
-            C[r, A.indices] = 1.0
+        """Indicators of ``sets`` as matrix rows, set in one assignment; ``validate_set`` names the first set out of range."""
+        members = [A.members for A in sets]
+        sizes = list(map(len, members))
+        cols = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=sum(sizes))
+        if cols.size and cols.max() >= self.size:
+            for A in sets:
+                self.validate_set(A)
+        C = np.zeros((len(members), self.size))
+        C[np.arange(len(members)).repeat(sizes), cols] = 1.0
         return C
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:

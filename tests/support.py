@@ -61,6 +61,15 @@ def random_operator_kernel(
     return operator_kernel(space, random_nu_psd_matrix(rng, space, well_conditioned))
 
 
+def indicator_matrix_by_set(space: MeasureSpace, sets: list[MeasurableSet]) -> np.ndarray:
+    """``space.indicator_matrix(sets)`` built one set at a time: each set is validated, then its row is set."""
+    C = np.zeros((len(sets), space.size))
+    for r, A in enumerate(sets):
+        space.validate_set(A)
+        C[r, A.indices] = 1.0
+    return C
+
+
 def random_set(rng: np.random.Generator, space: MeasureSpace, allow_empty: bool = False) -> MeasurableSet:
     while True:
         mask = rng.random(space.size) < 0.5

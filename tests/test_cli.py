@@ -10,11 +10,12 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from setkern import check_series, green, markov
-from setkern.cli import CHECKS, SUITES, _check_names, _random_coefficients, main
+from setkern import Factorization, check_series, green, markov
+from setkern.cli import CHECKS, SUITES, Run, _adjoint, _check_names, main
 from setkern.config import TOLERANCES, load_config
 from setkern.errors import ConfigError
-from setkern.report import CheckRecord
+from setkern.linalg import selfadjoint_defect
+from setkern.report import CheckRecord, RunReport
 from support import random_nu_psd_matrix, random_sets, random_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -311,13 +312,13 @@ def test_tolerance_override_is_recorded_and_applied(runner, tmp_path):
         tmp_path,
         "factorize",
         "--config",
-        str(CONFIGS / "wiener.yaml"),
+        str(CONFIGS / "rank-one.yaml"),
         "--out",
         str(out),
         "--tol",
         "isometry=1e-20",
     )
-    assert result.exit_code == 1  # machine epsilon exceeds the absurd bound
+    assert result.exit_code == 1  # machine epsilon exceeds the absurd bound (the Wiener isometry row is exactly 0)
     meta, records = read_records(out)
     assert meta["tolerances"]["isometry"] == 1e-20
     by_check = {r["check"]: r for r in records}
@@ -418,10 +419,32 @@ def test_a_green_kernel_without_a_chain_is_a_config_error_for_every_command(runn
     assert "kernel.type green requires a chain section" in result.output
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_builtin_kernel_that_overflows_is_a_config_error(runner, tmp_path):
     # w w^T overflows at w = 1e200: validate recorded 0/4 checks with no value and exited 1
     output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\nkernel: {type: rank_one}")
-    assert "kernel: atom Gram entries must be finite" in output
+    assert "kernel: w(x) w(y) is out of range at x='a', y='a': it overflows" in output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_operator_product_that_overflows_is_a_config_error(runner, tmp_path):
+    # read as "matrix is not selfadjoint ...: defect nan > 1e-10 × max|wM| = inf", after two numpy warnings
+    output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\n"
+                                             "kernel: {type: operator, matrix: [[1.0e200, 0.0], [0.0, 1.0]]}\n")
+    assert "config error: kernel.matrix: w(x) M[x,y] is out of range at x='a', y='a': it overflows" in output
+
+
+def test_duplicate_atoms_of_a_conductance_chain_are_a_config_error(runner, tmp_path):
+    # read as "chain: atom 'a' has neither conductance nor killing"
+    output = _config_error(runner, tmp_path, "space: {atoms: [a, a]}\nchain: {edges: [[a, a, 1.0]]}\n")
+    assert "config error: chain: atom identifiers must be unique" in output
+
+
+@pytest.mark.parametrize("weights", ["[1.0]", "[1.0, 1.0, 1.0]"])
+def test_the_weight_count_next_to_chain_edges_is_named(runner, tmp_path, weights):
+    # read as "space.weights disagree with the weights derived from chain.edges: inf > ..."
+    output = _config_error(runner, tmp_path, f"space: {{atoms: [a, b], weights: {weights}}}\nchain: {{edges: [[a, b, 1.0]]}}\n")
+    assert f"config error: space.weights: expected 2 weights, got {weights.count(',') + 1}" in output
 
 
 def test_non_integer_sample_count_is_a_config_error(runner, tmp_path):
@@ -809,34 +832,57 @@ def test_factorize_checks_keep_their_order_tags_and_bounds(runner, tmp_path):
     _, records = read_records(out)
     factorize = [(r["check"], r["tag"], r["bound"]) for r in records[4:]]
     # each bound is tol * scale: max|Q| = 0.5**2, max|T chi_B| = w(X) = 1, max|G| = w({a, b})**2 = 0.64,
-    # and the largest |F|**2 and |phi| |b F| of the seeded random elements
+    # and max|C D S| = w({a, b}) w(a) = 0.4, as S = T = 1 w^T
     assert factorize == [
         ("realization", "realization", 1e-8 * 0.25),
         ("density-consistency", "density", 1e-9),
-        ("isometry", "isometry", pytest.approx(1e-9 * 14.656765717555004, rel=1e-12)),
-        ("adjoint", "adjoint", pytest.approx(1e-9 * 4.153781025193098, rel=1e-12)),
+        ("isometry", "isometry", pytest.approx(1e-9 * 0.64, rel=1e-12)),
+        ("adjoint", "adjoint", pytest.approx(1e-9 * 0.4, rel=1e-12)),
         ("parseval", "parseval", pytest.approx(1e-9 * 0.64, rel=1e-12)),
         ("parseval-invariance", "parseval", pytest.approx(1e-10 * 0.64, rel=1e-12)),
         ("range-rank", "range-rank", 1.0),
     ]
 
 
-def test_random_elements_follow_the_per_element_law():
-    count, m = 20_000, 64
-    alpha = _random_coefficients(np.random.default_rng(3), m, count)
-    rng = np.random.default_rng(3)  # the same three draws, summed one term at a time
-    terms = rng.integers(1, 5, size=count)
-    idx = rng.integers(0, m, size=(count, 4))
-    coefs = rng.uniform(-2.0, 2.0, size=(count, 4))
-    reference = np.zeros((count, m))
-    for r in range(count):
-        for t in range(terms[r]):
-            reference[r, idx[r, t]] += coefs[r, t]
-    np.testing.assert_array_equal(alpha, reference)
-    shares = np.bincount(terms, minlength=5)[1:] / count
-    assert np.abs(shares - 0.25).max() <= 0.02
-    assert idx.min() == 0 and idx.max() == m - 1
-    assert np.abs(coefs).max() <= 2.0
+def test_a_factorize_report_and_export_do_not_depend_on_the_seed(runner, tmp_path):
+    # the isometry, adjoint and Parseval rows drew random elements, pairs and bases from --seed
+    runs = {}
+    for seed in ("1", "2"):
+        out, export = tmp_path / f"report-{seed}.jsonl", tmp_path / f"export-{seed}.json"
+        result = invoke(runner, tmp_path, "factorize", "--config", str(CONFIGS / "wiener.yaml"), "--seed", seed,
+                        "--out", str(out), "--export", str(export))
+        assert result.exit_code == 0, result.output
+        meta, *records = out.read_bytes().splitlines()
+        runs[seed] = json.loads(meta)["meta"], records, export.read_bytes()
+    (meta1, records1, export1), (meta2, records2, export2) = runs["1"], runs["2"]
+    assert (meta1.pop("seed"), meta2.pop("seed")) == (1, 2)  # the meta record holds the seed it was given
+    assert meta1 == meta2
+    assert records1 == records2
+    assert export1 == export2
+
+
+def test_adjoint_fails_a_root_that_is_not_nu_selfadjoint(tmp_path):
+    rng = np.random.default_rng(17)
+    space = random_space(rng, 6)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "space": {"atoms": list(space.atoms), "weights": list(space.weights)},
+        "kernel": {"type": "operator", "matrix": random_nu_psd_matrix(rng, space, well_conditioned=True).tolist()},
+        "family": [["x0", "x1", "x2"], ["x3", "x5"]],
+    }))
+    config = load_config(cfg)
+    run = Run(config, RunReport("factorize", config.seed, config.samples, config.tolerances), workers=1)
+    tol = config.tolerances["adjoint"]
+    assert _adjoint(run, tol).passed
+    # S + D^{-1} E with E antisymmetric: D S gains the antisymmetric part E, so S is not nu-selfadjoint
+    w, S = space.weight_array, run.fact.S
+    E = rng.standard_normal((6, 6))
+    E = (E - E.T) * (5e-4 * np.abs(w[:, None] * S).max() / np.abs(E - E.T).max())
+    run.fact = Factorization(run.kernel, S + E / w[:, None], run.fact.residual)
+    defect, scale = selfadjoint_defect(run.fact.S, w)
+    assert 5e-4 < defect / scale < 2e-3
+    verdict = _adjoint(run, tol)
+    assert not verdict.passed and verdict.value > 1e3 * verdict.bound
 
 
 def test_an_asymmetric_matrix_far_below_unit_scale_is_a_config_error(runner, tmp_path):

@@ -159,6 +159,20 @@ def test_operator_rejects_nonfinite_matrix(space, entry):
         operator_kernel(space, M)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_weighted_product_that_overflows_is_out_of_range():
+    # w(x) M[x,y] = 1e400 was judged as a selfadjointness defect of nan against inf, and w w^T
+    # printed numpy's overflow warning before "atom Gram entries must be finite"
+    space = MeasureSpace(("a", "b"), (1.0e200, 1.0))
+    with pytest.raises(InvalidOperatorError) as err:
+        operator_kernel(space, [[1.0e200, 0.0], [0.0, 1.0]])
+    assert str(err.value) == "w(x) M[x,y] is out of range at x='a', y='a': it overflows"
+    with pytest.raises(InvalidOperatorError) as err:
+        rank_one_kernel(space)
+    assert str(err.value) == "w(x) w(y) is out of range at x='a', y='a': it overflows"
+    assert rank_one_kernel(MeasureSpace(("a", "b"), (1.0e150, 1.0))).Q[0, 0] == 1.0e150 * 1.0e150
+
+
 # ---------------------------------------------------------------------------
 # atom Gram
 

@@ -108,6 +108,13 @@ def test_a_bad_conductance_or_killing_mass_is_rejected_by_name(edges, kill, mess
     assert str(err.value) == message
 
 
+def test_duplicate_atom_names_are_rejected():
+    # the name index kept the last 'a', and the first was rejected as having neither conductance nor killing
+    with pytest.raises(InvalidChainError) as err:
+        MarkovChain.from_conductances(["a", "a"], [("a", "a", 1.0)])
+    assert str(err.value) == "atom identifiers must be unique"
+
+
 def test_unknown_edge_atom_is_rejected():
     with pytest.raises(InvalidChainError):
         MarkovChain.from_conductances(["u"], [("u", "w", 1.0)], {"u": 0.1})

@@ -15,7 +15,7 @@ from setkern import (
     is_partition,
     is_refinement,
 )
-from support import enumerate_partitions
+from support import enumerate_partitions, indicator_matrix_by_set
 
 
 @pytest.fixture
@@ -234,3 +234,34 @@ def test_cauchy_schwarz(data):
 def test_inner_is_symmetric(data):
     sp, f, g = data
     assert l2(sp, f, g) == pytest.approx(l2(sp, g, f), abs=1e-12)
+
+
+@st.composite
+def space_and_sets(draw):
+    sp = draw(spaces())
+    members = draw(st.lists(st.frozensets(st.integers(0, sp.size - 1)), max_size=8))
+    return sp, [MeasurableSet(m) for m in members]
+
+
+@given(space_and_sets())
+@example((MeasureSpace(("x0",), (1.0,)), []))
+@example((MeasureSpace(("x0", "x1"), (1.0, 0.0)), [MeasurableSet(frozenset())] * 3))
+def test_indicator_matrix_is_the_per_set_build(data):
+    sp, sets = data
+    C, expected = sp.indicator_matrix(sets), indicator_matrix_by_set(sp, sets)
+    assert (C.dtype, C.shape) == (expected.dtype, expected.shape)
+    assert C.tobytes() == expected.tobytes()
+
+
+@given(space_and_sets(), st.integers(0, 8), st.integers(0, 3))
+def test_indicator_matrix_names_the_first_set_out_of_range(data, at, beyond):
+    sp, sets = data
+    # two bad sets, the first with the smaller index: the message must name the first, not the largest index
+    sets.insert(min(at, len(sets)), MeasurableSet(frozenset({0, sp.size + beyond})))
+    sets.append(MeasurableSet(frozenset({sp.size + beyond + 1})))
+    with pytest.raises(InvalidSetError) as expected:
+        indicator_matrix_by_set(sp, sets)
+    with pytest.raises(InvalidSetError) as raised:
+        sp.indicator_matrix(sets)
+    assert str(raised.value) == str(expected.value)
+    assert f"atom index {sp.size + beyond} " in str(raised.value)
