@@ -7,16 +7,14 @@ and their second moments are checked against the exact values supplied by a
 factorization (the isometry identity: mean square of the integral equals the
 weighted-L2 norm squared of the transformed integrand).
 
-Sampling is reproducible and embarrassingly parallel: normals are produced by
-a counter-based generator keyed on ``(seed, chunk index)`` with a fixed chunk
-size, and Monte Carlo reductions always combine chunk partials in index
-order, so results are bit-identical for any worker count.  ``sample`` draws
-one normal per factor column; a moment check draws only the one or two
-columns its pair of integrals spans, so its moments are not computed from
-the ``sample`` stream.  Each thread builds one Philox and re-keys it per
-chunk, which yields the same stream as a new generator per chunk at a
-fraction of the cost.  Each threaded call starts and joins its own helper
-threads; none outlives the call.
+Sampling is reproducible and embarrassingly parallel: each chunk of a fixed
+size draws its normals from a new SFC64 seeded by
+``SeedSequence(seed, spawn_key=(chunk index,))``, and Monte Carlo reductions
+always combine chunk partials in index order, so results are bit-identical
+for any worker count.  ``sample`` draws one normal per factor column; a
+moment check draws only the one or two columns its pair of integrals spans,
+so its moments are not computed from the ``sample`` stream.  Each threaded
+call starts and joins its own helper threads; none outlives the call.
 """
 
 from __future__ import annotations
@@ -51,14 +49,15 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
     """``work(start, z)`` on every chunk of ``n`` draws, results in chunk order.
 
     Chunk ``i`` holds rows ``[i * CHUNK_SIZE, ...)``, and its ``(rows, width)``
-    standard normals ``z`` come from ``Philox(key=[seed, i])`` alone, so the
-    results do not depend on ``workers``.  Each thread builds one ``Philox``
-    and, before each chunk, sets its state to the key ``[seed, i]`` with the
-    zero counter and empty buffer of a new one.  ``z`` is a per-thread buffer
-    that is overwritten by the next chunk.  With ``threads = min(workers, chunks)``,
-    chunk ``i`` runs on thread ``i % threads``: thread 0 is the caller, and
-    the others are ``setkern-mc`` helpers that the call starts and joins.
-    The first error any of them raised is raised again by the call.
+    standard normals ``z`` come from ``SFC64(SeedSequence(seed, spawn_key=(i,)))``
+    alone, so the results do not depend on ``workers``.  The entropy
+    ``[seed, i]`` would not do: ``SeedSequence`` drops its trailing zero words,
+    so seed ``s + t * 2**32`` chunk 0 would replay seed ``s`` chunk ``t``.
+    ``z`` is a per-thread buffer that is overwritten by the next chunk.  With
+    ``threads = min(workers, chunks)``, chunk ``i`` runs on thread
+    ``i % threads``: thread 0 is the caller, and the others are ``setkern-mc``
+    helpers that the call starts and joins.  The first error any of them
+    raised is raised again by the call.
     """
     starts = range(0, n, CHUNK_SIZE)
     results = [None] * len(starts)
@@ -68,14 +67,9 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
     def run(first: int) -> None:
         try:
             buf = np.empty((min(n, CHUNK_SIZE), width))
-            bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-            normals = np.random.Generator(bitgen)
-            fresh = bitgen.state
             for i in range(first, len(starts), threads):
                 z = buf[: min(CHUNK_SIZE, n - starts[i])]
-                fresh["state"]["key"][:] = seed, i
-                bitgen.state = fresh
-                normals.standard_normal(out=z)
+                np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,)))).standard_normal(out=z)
                 results[i] = work(starts[i], z)
         except BaseException as e:  # raised by the caller once every helper has been joined
             errors.append(e)
@@ -139,8 +133,11 @@ def build_sampler(kernel: SetKernel, family: Iterable[MeasurableSet], seed: int)
     eigenvalues in descending order, and eigenvalues up to
     ``CLAMP * lambda_max`` are dropped (rank deficiency is expected, e.g. for
     the product kernel).  An eigenvalue below ``-1e-10 * lambda_max`` means
-    the Gram is indefinite and ``InvalidCovarianceError`` is raised.
+    the Gram is indefinite and ``InvalidCovarianceError`` is raised.  A
+    ``seed`` that is not an integer in ``[0, 2**64)`` raises ``DomainError``.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     family = tuple(family)
     g = gram(kernel, family)
     spec = Spectrum.of(g.entries, np.ones(len(family))).certify(1e-10, InvalidCovarianceError, "Gram matrix")

@@ -90,7 +90,8 @@ def selfadjoint_defect(M: np.ndarray, weights: np.ndarray) -> tuple[float, float
     ``tol``, the one selfadjointness rule of the package.
     """
     WM = weights[:, None] * np.asarray(M, dtype=float)
-    return float(np.abs(WM - WM.T).max()), float(np.abs(WM).max())
+    with np.errstate(over="ignore"):  # a defect past the float range reads inf
+        return float(np.abs(WM - WM.T).max()), float(np.abs(WM).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +110,11 @@ class Spectrum:
 
     @classmethod
     def of(cls, M: np.ndarray, weights: np.ndarray) -> "Spectrum":
-        """One ``eigh`` of the transform, averaged with its transpose to remove roundoff asymmetry."""
+        """One ``eigh`` of the transform, averaged by halves with its transpose to remove roundoff asymmetry without overflow."""
         pos = weights > 0
         d = np.sqrt(weights[pos])
         Ms = (d[:, None] * np.asarray(M, dtype=float)[np.ix_(pos, pos)]) / d[None, :]
-        values, vectors = np.linalg.eigh(0.5 * (Ms + Ms.T))
+        values, vectors = np.linalg.eigh(0.5 * Ms + 0.5 * Ms.T)
         for a in (values, vectors, pos, d):
             a.setflags(write=False)
         return cls(values, vectors, pos, d)
@@ -133,7 +134,9 @@ class Spectrum:
         return int(np.count_nonzero(self.kept))
 
     def certify(self, tol: float, error: type[Exception], what: str) -> "Spectrum":
-        """``self`` if ``psd(self.values, tol)`` passes; otherwise raise ``error``."""
+        """``self`` if its eigenvalues are finite and ``psd(self.values, tol)`` passes; otherwise raise ``error``."""
+        if not np.isfinite(self.values).all():
+            raise error(f"{what} is out of range: its eigenvalues leave the float range, lambda_max = {self.top:.3e}")
         verdict = psd(self.values, tol)
         if not verdict.passed:
             raise error(f"{what} is indefinite: -lambda_min {-verdict.value:.3e} > {tol:g} × lambda_max = {self.top:.3e}")

@@ -140,18 +140,23 @@ def projected_factor(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     return np.array([[np.linalg.norm(a)]]) if b is None else np.linalg.qr(np.column_stack([a, b]), mode="r")
 
 
+def chunk_generator(seed: int, i: int) -> np.random.Generator:
+    """A new generator for chunk ``i`` at ``seed``: the ``i``-th child of ``SeedSequence(seed).spawn``, on SFC64."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(i + 1)[i]))
+
+
 def projected_moment(seed: int, a: np.ndarray, b: np.ndarray | None, n: int) -> tuple[float, float, int]:
     """Mean and standard error of ``(z . a) (z . b)`` over ``n`` draws, projected before drawing, and the width ``d``.
 
     Project, then draw: with ``R = projected_factor(a, b)`` a draw is
     ``(z . R[:, 0]) (z . R[:, -1])`` from ``d = R.shape[0]`` columns.  Chunk
-    ``i`` of ``CHUNK_SIZE`` rows draws its ``(rows, d)`` normals from a new
-    ``Philox(key=[seed, i])``, and chunk sums are added in chunk order.
+    ``i`` of ``CHUNK_SIZE`` rows draws its ``(rows, d)`` normals from
+    ``chunk_generator(seed, i)``, and chunk sums are added in chunk order.
     """
     R = projected_factor(a, b)
     s1 = s2 = 0.0
     for i, start in enumerate(range(0, n, CHUNK_SIZE)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        rng = chunk_generator(seed, i)
         z = rng.standard_normal((min(CHUNK_SIZE, n - start), R.shape[0]))
         vals = (z @ R[:, 0]) * (z @ R[:, -1])
         s1 += float(np.sum(vals))

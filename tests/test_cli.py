@@ -434,6 +434,18 @@ def test_an_operator_product_that_overflows_is_a_config_error(runner, tmp_path):
     assert "config error: kernel.matrix: w(x) M[x,y] is out of range at x='a', y='a': it overflows" in output
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("matrix, message", [
+    # read as "matrix is indefinite: -lambda_min nan > 1e-10 × lambda_max = nan"
+    ("[[1.0e308, 1.0e308], [1.0e308, 1.0e308]]", "matrix is out of range: its eigenvalues leave the float range"),
+    # the message was right, but numpy's overflow warning reached stderr first
+    ("[[1.0, 1.0e308], [-1.0e308, 1.0]]", "matrix is not selfadjoint in the weighted geometry: defect inf"),
+], ids=["spectrum", "defect"])
+def test_an_operator_matrix_past_the_float_range_is_a_config_error(runner, tmp_path, matrix, message):
+    output = _config_error(runner, tmp_path, f"space: {{atoms: [a, b], weights: [1.0, 1.0]}}\nkernel: {{type: operator, matrix: {matrix}}}\n")
+    assert f"config error: kernel.matrix: {message}" in output
+
+
 def test_duplicate_atoms_of_a_conductance_chain_are_a_config_error(runner, tmp_path):
     # read as "chain: atom 'a' has neither conductance nor killing"
     output = _config_error(runner, tmp_path, "space: {atoms: [a, a]}\nchain: {edges: [[a, a, 1.0]]}\n")

@@ -32,6 +32,7 @@ from setkern import (
 )
 from setkern.field import CHUNK_SIZE
 from support import (
+    chunk_generator,
     projected_factor,
     projected_moment,
     random_conductance_chain,
@@ -339,15 +340,42 @@ def _thread_of_chunk(start, z):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_sample_is_the_per_chunk_philox_stream(space, workers):
+def test_sample_is_the_per_chunk_stream(space, workers):
     family = [space.subset("a"), space.subset("b", "c"), space.subset("a", "b")]
     sampler = build_sampler(wiener_kernel(space), family, seed=21)
     n = 2 * CHUNK_SIZE + 100
     chunks = []
     for i, start in enumerate(range(0, n, CHUNK_SIZE)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([21, i], dtype=np.uint64)))
+        rng = chunk_generator(21, i)
         chunks.append(rng.standard_normal((min(CHUNK_SIZE, n - start), sampler.rank)) @ sampler.factor.T)
     assert sampler.sample(n, workers=workers).tobytes() == np.vstack(chunks).tobytes()
+
+
+def _chunk_normals(seed, chunks):
+    """The normals ``_each_chunk`` draws at ``seed`` for each of ``chunks`` chunks of one column, in chunk order."""
+    return setkern.field._each_chunk(seed, chunks * CHUNK_SIZE, 1, lambda start, z: z.copy(), 1)
+
+
+def test_a_seed_past_32_bits_keys_chunks_of_its_own():
+    # keyed by the entropy [seed, i], whose trailing zero word SeedSequence drops, seed s + t * 2**32 chunk 0 is seed s chunk t
+    s, t = 5, 7
+    assert not np.array_equal(_chunk_normals(s + t * 2**32, 1)[0], _chunk_normals(s, t + 1)[t])
+    top = _chunk_normals(2**64 - 1, 2)
+    assert np.array_equal(top[1], chunk_generator(2**64 - 1, 1).standard_normal((CHUNK_SIZE, 1)))
+    assert not np.array_equal(top[0], top[1])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.5, True, "7"])
+def test_a_seed_outside_64_bits_or_not_an_integer_is_rejected(space, seed):
+    kernel = wiener_kernel(space)
+    fact = realize(kernel)
+    phi = SimpleFunction(((1.0, space.subset("a")),))
+    # seed -1 raised OverflowError, and 2.5 was truncated to 2
+    with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        build_sampler(kernel, [space.subset("a")], seed=seed)
+    for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, phi))):
+        with pytest.raises(DomainError, match="seed must be"):
+            check(kernel, fact, *integrands, 10, seed=seed)
 
 
 def _moments(values):
@@ -406,7 +434,7 @@ def _rank_cases():
 
 @pytest.mark.parametrize("case", ["rank_one", "wiener", "green"])
 @pytest.mark.parametrize("n", [1, CHUNK_SIZE, 3 * CHUNK_SIZE + 17])
-def test_moment_checks_are_the_per_chunk_philox_stream_to_the_bit(case, n):
+def test_moment_checks_are_the_per_chunk_stream_to_the_bit(case, n):
     kernel, phi, psi, rank = _rank_cases()[case]
     fact = realize(kernel)
     for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, psi))):

@@ -19,7 +19,7 @@ from setkern import (
     realize,
     wiener_kernel,
 )
-from setkern.linalg import Verdict, numerical_rank
+from setkern.linalg import Verdict, numerical_rank, selfadjoint_defect
 from support import (
     random_conductance_chain,
     random_nu_psd_matrix,
@@ -171,6 +171,24 @@ def test_a_weighted_product_that_overflows_is_out_of_range():
         rank_one_kernel(space)
     assert str(err.value) == "w(x) w(y) is out of range at x='a', y='a': it overflows"
     assert rank_one_kernel(MeasureSpace(("a", "b"), (1.0e150, 1.0))).Q[0, 0] == 1.0e150 * 1.0e150
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_spectrum_past_the_float_range_is_out_of_range():
+    # the symmetrization Ms + Ms.T overflowed, and the kernel read as "indefinite: -lambda_min nan"
+    with pytest.raises(InvalidOperatorError) as err:
+        operator_kernel(MeasureSpace(("a", "b"), (1.0, 1.0)), [[1.0e308, 1.0e308], [1.0e308, 1.0e308]])
+    assert str(err.value) == "matrix is out of range: its eigenvalues leave the float range, lambda_max = inf"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_selfadjoint_defect_past_the_float_range_reads_inf():
+    # numpy printed "overflow encountered in subtract" on the way to the same inf
+    M = np.array([[1.0, 1.0e308], [-1.0e308, 1.0]])
+    assert selfadjoint_defect(M, np.ones(2)) == (np.inf, 1.0e308)
+    with pytest.raises(InvalidOperatorError) as err:
+        operator_kernel(MeasureSpace(("a", "b"), (1.0, 1.0)), M)
+    assert str(err.value) == "matrix is not selfadjoint in the weighted geometry: defect inf > 1e-10 × max|wM| = 1.000e+308"
 
 
 # ---------------------------------------------------------------------------
