@@ -94,6 +94,7 @@ EXPECTATIONS = ("range-rank",)
 _SECTIONS = ("space", "kernel", "chain", "family", "phi", "psi", "partitions", "mc", "tolerances", "checks", "expect")
 
 _FLOAT_TAG = "tag:yaml.org,2002:float"
+_STR_TAG = "tag:yaml.org,2002:str"
 _DECIMAL = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?")
 """YAML 1.1's float forms without ``_``, ``:``, ``.inf`` or ``.nan``: PyYAML's float
 resolver is the first to claim each, and ``float`` reads each as PyYAML does.
@@ -101,12 +102,15 @@ The unsigned ``.5`` branch is PyYAML's own: it reads ``-.5`` as a string."""
 
 
 def _loader(base: type) -> type:
-    """``base`` with a one-step resolver and constructor for plain decimal floats.
+    """``base`` with one-step floats and sequences of scalars.
 
-    A 48-atom ``kernel.matrix`` is 2,304 such scalars, and PyYAML's generic
-    resolver and float constructor are most of its load.  Every scalar loads
-    exactly as under ``base``: any other scalar, and every NaN (``float``
-    gives ``-nan`` a sign that PyYAML does not), takes ``base``'s path.
+    A 48-atom ``kernel.matrix`` is 2,304 plain decimal floats.  Each is
+    resolved by one match and built by one ``float``, and a sequence builds
+    its float and string items itself, without ``construct_object``'s
+    per-node dispatch, cache and recursion bookkeeping, which no scalar
+    needs.  Every document loads exactly as under ``base``: any other
+    scalar, and every NaN (``float`` gives ``-nan`` a sign that PyYAML does
+    not), takes ``base``'s path, and so does every other sequence item.
     """
 
     class Loader(base):
@@ -121,6 +125,19 @@ def _loader(base: type) -> type:
             except (TypeError, ValueError):
                 value = math.nan
             return value if value == value else super().construct_yaml_float(node)
+
+        def construct_sequence(self, node, deep=False):
+            if not isinstance(node, yaml.SequenceNode):
+                return super().construct_sequence(node, deep=deep)
+            # a float item is built by the constructor construct_object would pick,
+            # and a string item is its value, which is what construct_yaml_str returns
+            scalar, to_float = yaml.ScalarNode, self.construct_yaml_float
+            return [
+                to_float(child) if child.tag == _FLOAT_TAG and isinstance(child, scalar)
+                else child.value if child.tag == _STR_TAG and isinstance(child, scalar)
+                else self.construct_object(child, deep=deep)
+                for child in node.value
+            ]
 
     Loader.add_constructor(_FLOAT_TAG, Loader.construct_yaml_float)
     return Loader

@@ -64,10 +64,21 @@ class SetKernel:
 
     @cached_property
     def T(self) -> np.ndarray:
-        """Read-only ``T = D^{-1} Q`` on the positive atoms and zero at null atoms; ``factorization.build_T`` certifies it."""
+        """Read-only ``T = D^{-1} Q`` on the positive atoms and zero at null atoms; ``factorization.build_T`` certifies it.
+
+        Raises ``InvalidOperatorError`` naming the atom and its weight if a
+        quotient ``Q[x, y] / w(x)`` overflows, as on a subnormal weight.
+        """
         pos = self.space.positive
         T = np.zeros_like(self.Q)
-        T[np.ix_(pos, pos)] = self.Q[np.ix_(pos, pos)] / self.space.weight_array[pos, None]
+        with np.errstate(over="ignore"):
+            T[np.ix_(pos, pos)] = self.Q[np.ix_(pos, pos)] / self.space.weight_array[pos, None]
+        if not np.all(np.isfinite(T)):
+            x = int(np.argwhere(~np.isfinite(T))[0, 0])
+            raise InvalidOperatorError(
+                f"T = Q / w(x) is out of range at x={self.space.atoms[x]!r}, whose weight is "
+                f"{self.space.weights[x]!r}: it overflows"
+            )
         T.setflags(write=False)
         return T
 
@@ -86,7 +97,7 @@ class SetKernel:
         self.space.validate_set(B)
         if not A.members or not B.members:
             return 0.0
-        return float(self.Q.take(A.indices, 0).take(B.indices, 1).sum())
+        return float(self.Q.take(A.index_array, 0).take(B.index_array, 1).sum())
 
 
 def _weighted(space: MeasureSpace, M: np.ndarray, what: str) -> np.ndarray:
@@ -115,8 +126,15 @@ def counting_kernel(space: MeasureSpace) -> SetKernel:
     Positive definite, but it ignores the weights: on a space with a null
     atom it charges a null set and therefore admits no weighted-L2
     realization.  Kept as the standard counterexample.
+
+    Raises
+    ------
+    InvalidOperatorError
+        If its density ``T = D^{-1}`` overflows, at a subnormal weight.
     """
-    return SetKernel(space=space, kind="counting", Q=np.eye(space.size))
+    kernel = SetKernel(space=space, kind="counting", Q=np.eye(space.size))
+    kernel.T  # built with the kernel, so that an overflow is rejected where the kernel is made
+    return kernel
 
 
 def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:

@@ -113,7 +113,8 @@ class Spectrum:
         """One ``eigh`` of the transform, averaged by halves with its transpose to remove roundoff asymmetry without overflow."""
         pos = weights > 0
         d = np.sqrt(weights[pos])
-        Ms = (d[:, None] * np.asarray(M, dtype=float)[np.ix_(pos, pos)]) / d[None, :]
+        M = np.asarray(M, dtype=float)
+        Ms = (d[:, None] * (M if pos.all() else M[np.ix_(pos, pos)])) / d[None, :]
         values, vectors = np.linalg.eigh(0.5 * Ms + 0.5 * Ms.T)
         for a in (values, vectors, pos, d):
             a.setflags(write=False)

@@ -244,13 +244,15 @@ class GreenData:
 
 def _neumann_sum(P: np.ndarray, terms: int) -> np.ndarray:
     # Partial sum I + P + ... + P^(k-1) with k the next power of two >= terms,
-    # via the doubling identity S_{2k} = S_k + P^k S_k.
-    S = np.eye(P.shape[0])
+    # via the doubling identity S_{2k} = S_k + P^k S_k.  The first step is
+    # S_2 = I + P, without the product P @ I, which equals P to the bit.
+    if terms <= 1:
+        return np.eye(P.shape[0])
+    S = np.eye(P.shape[0]) + P
     Q = P
-    k = 1
+    k = 2
     while k < terms:
-        if k > 1:
-            Q = Q @ Q
+        Q = Q @ Q
         S = S + Q @ S
         k *= 2
     return S

@@ -29,12 +29,17 @@ __all__ = [
 ]
 
 
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+
+
 @dataclass(frozen=True)
 class MeasurableSet:
     """A measurable set, stored as atom indices into some measure space.
 
     Sets are plain value types: they do not hold a reference to their space,
-    and two sets with equal index content compare equal.
+    and two sets with equal index content compare equal.  ``index_array``
+    holds the members sorted, as a read-only ``np.intp`` array built on
+    first use, for gathers and the range check.
     """
 
     members: frozenset[int]
@@ -43,6 +48,9 @@ class MeasurableSet:
         object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
         if any(i < 0 for i in self.members):
             raise InvalidSetError("atom indices must be nonnegative")
+        # no space has that many atoms, and index_array could not hold the index
+        if self.members and max(self.members) > _MAX_INDEX:
+            raise InvalidSetError(f"atom index {max(self.members)} is beyond any measure space")
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -65,6 +73,13 @@ class MeasurableSet:
     @property
     def indices(self) -> list[int]:
         return sorted(self.members)
+
+    @cached_property
+    def index_array(self) -> np.ndarray:
+        arr = np.fromiter(self.members, dtype=np.intp, count=len(self.members))
+        arr.sort()
+        arr.setflags(write=False)
+        return arr
 
     def __repr__(self) -> str:
         return f"MeasurableSet({self.indices})"
@@ -139,9 +154,9 @@ class MeasureSpace:
         return MeasurableSet(frozenset(range(self.size)))
 
     def validate_set(self, A: MeasurableSet) -> None:
-        if A.members and max(A.members) >= self.size:
+        if A.members and A.index_array[-1] >= self.size:
             raise InvalidSetError(
-                f"set references atom index {max(A.members)} in a space of size {self.size}"
+                f"set references atom index {A.index_array[-1]} in a space of size {self.size}"
             )
 
     def measure(self, A: MeasurableSet) -> float:

@@ -119,6 +119,26 @@ def near_recurrent_path(n: int = 10, kill: float = 1e-4, at: int = 0) -> MarkovC
     return MarkovChain.from_conductances(atoms, edges, {atoms[at]: kill})
 
 
+def kernel_value_by_lists(kernel: SetKernel, A: MeasurableSet, B: MeasurableSet) -> float:
+    """``K(A, B)`` gathered from ``Q`` with each set's members as a sorted list; 0.0 when a set is empty."""
+    if not A.members or not B.members:
+        return 0.0
+    return float(kernel.Q.take(sorted(A.members), 0).take(sorted(B.members), 1).sum())
+
+
+def neumann_sum_from_identity(P: np.ndarray, terms: int) -> np.ndarray:
+    """``I + P + ... + P^(k-1)``, ``k`` the next power of two >= ``terms``, from ``S = I`` with the product ``P @ I`` as first step."""
+    S = np.eye(P.shape[0])
+    Q = P
+    k = 1
+    while k < terms:
+        if k > 1:
+            Q = Q @ Q
+        S = S + Q @ S
+        k *= 2
+    return S
+
+
 def neumann_sum_doubling(P: np.ndarray, terms: int) -> np.ndarray:
     """``I + P + ... + P^(k-1)``, ``k`` the next power of two >= ``terms``, squaring ``Q = P^k`` after every step."""
     S = np.eye(P.shape[0])

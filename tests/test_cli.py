@@ -427,6 +427,19 @@ def test_a_builtin_kernel_that_overflows_is_a_config_error(runner, tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["validate", "factorize", "markov-green", "simulate", "refine-sweep"])
+def test_a_density_that_overflows_is_a_config_error_for_every_command(runner, tmp_path, command):
+    # 1 / w(x) overflows at w = 1e-320: numpy's warning, then factorize failed realization and six rows valued null
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("space: {atoms: [a, b], weights: [1.0e-320, 1.0]}\nkernel: {type: counting}\n")
+    result = invoke(runner, tmp_path, command, "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [
+        "config error: kernel: T = Q / w(x) is out of range at x='a', whose weight is 1e-320: it overflows"
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_operator_product_that_overflows_is_a_config_error(runner, tmp_path):
     # read as "matrix is not selfadjoint ...: defect nan > 1e-10 × max|wM| = inf", after two numpy warnings
     output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\n"

@@ -1,9 +1,10 @@
 """The config loader reads every scalar exactly as PyYAML's pure-Python SafeLoader does.
 
-``config._LOADER`` resolves and builds plain decimal floats in one step each;
-these tests pin that the shortcut changes no outcome: type, value, the sign of
-zero and of NaN, and the exception a bad scalar raises.  The shortcut is run
-over both loader bases, pure Python and libyaml.
+``config._LOADER`` resolves and builds plain decimal floats in one step each,
+and a sequence builds its float and string items without ``construct_object``;
+these tests pin that the shortcuts change no outcome: type, value, the sign of
+zero and of NaN, aliases and recursion, and the exception a bad scalar raises.
+The shortcuts are run over both loader bases, pure Python and libyaml.
 """
 
 import math
@@ -41,6 +42,24 @@ DOCUMENTS = [
     "- &x 2.5\n- *x\n- &y -0.0\n- *y\n",
     "{1.5: a, -.5: b, .5: c}\n",
     "matrix: [[1.0, -0.0, 1e-3], [.5, yes, .nan]]\n",
+    # aliased scalars inside a flow sequence
+    "[&f 1.5, *f, &s text, *s, &i 7, *i, &n .nan, *n, [*f, *s]]\n",
+    "{a: &f -0.0, b: [*f, *f]}\n",
+    # an aliased sequence, and recursive ones
+    "{a: &q [1.5, x], b: *q, c: [*q, *q]}\n",
+    "&r [1.5, *r]\n",
+    "&r [[a, *r], 2.5, {k: *r}]\n",
+    # nested and mixed rows
+    "[[1.5, a, 3, yes, ~], [x, -0.0, null, 'q', 2.5e+3], [[.5, [b, [1.0]]], []], {k: [1.5, c]}]\n",
+    "- - 1.5\n  - a\n- - 2\n  - off\n  - - .5\n    - ''\n",
+    # tagged items
+    "[!!str 1.5, !!float 3, !!int '7', !!str , !!float '-nan', !!seq [1.5], !!map {a: 1.5}]\n",
+    "[!!float [1], 1.5]\n",
+    "[1.5, !!float [1]]\n",
+    "[!!int 1.5]\n",
+    "[!!str [a]]\n",
+    # other float forms
+    "[.nan, -.inf, 1:30.5, 1_000.5, +.Inf, -1:30.5, .NaN]\n",
 ]
 
 
@@ -51,14 +70,23 @@ def _outcome(text, loader):
         return "raises", type(e).__name__
 
 
-def _key(value):
-    """``value`` as a comparable tuple that keeps its type, the sign of zero and NaN."""
+def _key(value, enclosing=()):
+    """``value`` as a comparable tuple that keeps its type, the sign of zero and NaN.
+
+    A list or mapping that contains itself reads as the depth of the
+    ``enclosing`` container it repeats.
+    """
     if isinstance(value, float):
         return float, math.copysign(1.0, value), "nan" if math.isnan(value) else value
+    if isinstance(value, (list, dict)):
+        for depth, outer in enumerate(enclosing):
+            if outer is value:
+                return "cycle", depth
+        enclosing = (*enclosing, value)
     if isinstance(value, list):
-        return list, tuple(_key(v) for v in value)
+        return list, tuple(_key(v, enclosing) for v in value)
     if isinstance(value, dict):
-        return dict, tuple((_key(k), _key(v)) for k, v in value.items())
+        return dict, tuple((_key(k, enclosing), _key(v, enclosing)) for k, v in value.items())
     return type(value), value
 
 
@@ -95,6 +123,41 @@ def test_the_shortcut_is_taken_on_both_bases(loader, monkeypatch):
 def test_any_float_written_any_way_loads_as_under_the_pure_python_loader(x):
     for text in (yaml.safe_dump([x]), f"- {x!r}\n", "- %.17e\n" % x):
         _assert_loads_as_pure_python(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.text(),
+    lambda items: st.lists(items, max_size=6),
+    max_leaves=30,
+).map(lambda value: value if isinstance(value, list) else [value]))
+def test_any_nested_list_of_floats_and_strings_loads_as_under_the_pure_python_loader(value):
+    for flow in (None, True, False):
+        _assert_loads_as_pure_python(yaml.safe_dump(value, default_flow_style=flow))
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=IDS)
+def test_a_sequence_builds_its_float_and_string_items_itself(loader, monkeypatch):
+    atoms = [f"x{i}" for i in range(48)]
+    document = {
+        "space": {"atoms": atoms, "weights": [1.0 + i / 48 for i in range(48)]},
+        "kernel": {"type": "operator", "matrix": [[(i * 48 + j) / 7 for j in range(48)] for i in range(48)]},
+    }
+    text = yaml.safe_dump(document, default_flow_style=True, sort_keys=False)
+    assert "matrix: [[" in text
+    calls = []
+    construct_object = loader.construct_object
+
+    def counted(self, node, deep=False):
+        calls.append(node)
+        return construct_object(self, node, deep=deep)
+
+    monkeypatch.setattr(loader, "construct_object", counted)
+    assert yaml.load(text, Loader=loader) == document
+    # the root, its 2 keys and 2 mappings, their 4 keys, the type, 3 sequences and
+    # the 48 rows: none of the 48 atoms, 48 weights or 2,304 matrix entries
+    assert len(calls) == 61, len(calls)
+    assert not any(node.tag == "tag:yaml.org,2002:float" for node in calls)
 
 
 def test_the_loader_still_reads_yaml_booleans_as_booleans():

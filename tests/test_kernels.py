@@ -19,8 +19,9 @@ from setkern import (
     realize,
     wiener_kernel,
 )
-from setkern.linalg import Verdict, numerical_rank, selfadjoint_defect
+from setkern.linalg import Spectrum, Verdict, numerical_rank, selfadjoint_defect
 from support import (
+    kernel_value_by_lists,
     random_conductance_chain,
     random_nu_psd_matrix,
     random_operator_kernel,
@@ -174,11 +175,40 @@ def test_a_weighted_product_that_overflows_is_out_of_range():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_density_that_overflows_is_out_of_range():
+    # T = Q / w was 1e320 at a subnormal weight: numpy's overflow warning, then a nonfinite T
+    space = MeasureSpace(("a", "b"), (1.0e-320, 1.0))
+    message = "T = Q / w(x) is out of range at x='a', whose weight is 1e-320: it overflows"
+    with pytest.raises(InvalidOperatorError) as err:
+        counting_kernel(space)
+    assert str(err.value) == message
+    with pytest.raises(InvalidOperatorError) as err:
+        SetKernel(space, np.eye(2)).T
+    assert str(err.value) == message
+    # the weight itself is fine: w(x) / w(x) is 1
+    assert np.array_equal(wiener_kernel(space).T, np.eye(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_spectrum_past_the_float_range_is_out_of_range():
     # the symmetrization Ms + Ms.T overflowed, and the kernel read as "indefinite: -lambda_min nan"
     with pytest.raises(InvalidOperatorError) as err:
         operator_kernel(MeasureSpace(("a", "b"), (1.0, 1.0)), [[1.0e308, 1.0e308], [1.0e308, 1.0e308]])
     assert str(err.value) == "matrix is out of range: its eigenvalues leave the float range, lambda_max = inf"
+
+
+@pytest.mark.parametrize("zero_atoms", [0, 2])
+def test_a_spectrum_is_the_eigh_of_its_positive_block_to_the_bit(zero_atoms):
+    # the block is gathered only when some weight is zero
+    rng = np.random.default_rng(zero_atoms)
+    space = random_space(rng, 12, zero_atoms)
+    M, w = random_nu_psd_matrix(rng, space), space.weight_array
+    pos = w > 0
+    d = np.sqrt(w[pos])
+    Ms = (d[:, None] * M[np.ix_(pos, pos)]) / d[None, :]
+    values, vectors = np.linalg.eigh(0.5 * Ms + 0.5 * Ms.T)
+    spec = Spectrum.of(M, w)
+    assert spec.values.tobytes() == values.tobytes() and spec.vectors.tobytes() == vectors.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -379,6 +409,8 @@ def test_a_kernel_value_is_the_sum_of_its_atom_block_to_the_bit(n, seed, pa, pb)
     A, C = (MeasurableSet(frozenset(np.flatnonzero(rng.random(n) < p).tolist())) for p in (pa, pb))
     block_sum = float(kernel.Q[np.ix_(A.indices, C.indices)].sum())
     assert np.float64(kernel(A, C)).tobytes() == np.float64(block_sum).tobytes()
+    # and the gather by each set's index array is the gather by two sorted lists
+    assert np.float64(kernel(A, C)).tobytes() == np.float64(kernel_value_by_lists(kernel, A, C)).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

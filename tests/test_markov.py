@@ -28,7 +28,13 @@ from setkern import (
 )
 from setkern.config import load_config
 from setkern.markov import _neumann_sum
-from support import near_recurrent_path, neumann_sum_doubling, random_conductance_chain, random_sets
+from support import (
+    near_recurrent_path,
+    neumann_sum_doubling,
+    neumann_sum_from_identity,
+    random_conductance_chain,
+    random_sets,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -397,13 +403,22 @@ def test_cached_results_match_fresh_numpy(n, seed):
     close(green_root(chain), root)
 
 
-@pytest.mark.parametrize("n, terms", [(2, 1), (2, 2), (8, None), (96, None), (192, None)])
+@pytest.mark.parametrize("n, terms", [(2, 0), (2, 1), (2, 2), (2, 3), (5, 3), (8, None), (96, None), (192, None)])
 def test_the_series_skips_the_square_it_never_reads(n, terms):
-    # the reference also squares Q after its last step, a square no step reads
+    # one reference also squares Q after its last step, a square no step reads;
+    # the other starts from S = I, so that its first step is the product P @ I
     chain = random_conductance_chain(np.random.default_rng(n), n)
-    terms = terms or green(chain).series_terms
+    terms = green(chain).series_terms if terms is None else terms
     P = chain.transitions
     assert _neumann_sum(P, terms).tobytes() == neumann_sum_doubling(P, terms).tobytes()
+    assert _neumann_sum(P, terms).tobytes() == neumann_sum_from_identity(P, terms).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_the_series_of_any_chain_is_the_loop_from_the_identity_to_the_bit(n, terms, seed):
+    P = random_conductance_chain(np.random.default_rng(seed), n).transitions
+    assert _neumann_sum(P, terms).tobytes() == neumann_sum_from_identity(P, terms).tobytes()
 
 
 @pytest.fixture

@@ -69,6 +69,23 @@ def test_measure_rejects_out_of_range(space):
         space.measure(MeasurableSet(frozenset({7})))
 
 
+def test_a_set_holds_its_members_as_a_sorted_read_only_index_array(space):
+    A = MeasurableSet(frozenset({9, 0, 4, 2}))
+    assert A.index_array.dtype == np.intp and A.index_array.tolist() == A.indices == [0, 2, 4, 9]
+    assert A.index_array is A.index_array and not A.index_array.flags.writeable
+    assert MeasurableSet(frozenset()).index_array.shape == (0,)
+    assert A == MeasurableSet(frozenset({0, 2, 4, 9})) and hash(A) == hash(MeasurableSet(frozenset({0, 2, 4, 9})))
+    with pytest.raises(InvalidSetError, match="set references atom index 9 in a space of size 3"):
+        space.validate_set(A)
+
+
+def test_an_index_no_array_can_hold_is_rejected_with_the_set():
+    # the set was made, and indicator_matrix and the kernel value raised OverflowError on it
+    with pytest.raises(InvalidSetError, match=f"atom index {2**63} is beyond any measure space"):
+        MeasurableSet(frozenset({0, 2**63}))
+    assert MeasurableSet(frozenset({2**63 - 1})).index_array.tolist() == [2**63 - 1]
+
+
 # ---------------------------------------------------------------------------
 # weighted inner product
 
