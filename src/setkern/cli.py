@@ -115,7 +115,7 @@ class Run:
     @cached_property
     def sweep(self) -> tuple[list[float], float, float]:
         """Projection second moments, the exact one ``|S phi|^2_w``, and their bound ``|phi|^2_w lambda_max(T)``."""
-        qs = field.refinement_sweep(self.kernel, self.fact, self.cfg.phi, self.cfg.partitions)
+        qs = field.refinement_sweep(self.fact, self.cfg.phi, self.cfg.partitions)
         phi = self.cfg.phi.values(self.cfg.space.size)
         return qs, self.fact.s_norm_squared(self.cfg.phi), self.cfg.space.norm_squared(phi) * self.kernel.spectrum.top
 
@@ -232,7 +232,7 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
               else _monte_carlo(run, tol, field.cross_moment_check, run.cfg.phi, run.cfg.psi)),
     )),
     "sweep": (lambda run: run.fact is not None and bool(run.cfg.partitions), (
-        Check(LEVELS, "projection-moment", None, lambda run, _, level: Verdict(run.sweep[0][level], None, True)),
+        Check(LEVELS, "projection-moment", None, lambda run, _, level: Verdict(q := run.sweep[0][level], None, bool(np.isfinite(q)))),
         Check("q-monotone", "projection-monotone", "q-monotone", lambda run, tol: judge(
             max((a - b for a, b in zip(run.sweep[0], run.sweep[0][1:])), default=0.0), run.sweep[2], tol
         )),

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, InvalidCovarianceError, OrderingError
 from .factorization import Factorization
 from .kernels import GramMatrix, SetKernel, gram
-from .linalg import Spectrum, judge
+from .linalg import CLAMP, Spectrum, judge
 from .measure import MeasurableSet, Partition, SimpleFunction, is_partition, is_refinement
 
 __all__ = [
@@ -269,32 +269,28 @@ def cross_moment_check(
     return _moment_check(kernel, factorization, phi, psi, n, seed, workers)
 
 
-def projection_second_moment(
-    kernel: SetKernel, factorization: Factorization, phi: SimpleFunction, partition: Partition
-) -> float:
+def projection_second_moment(factorization: Factorization, phi: SimpleFunction, partition: Partition) -> float:
     """Second moment of the integral's projection onto a partition's span.
 
-    Projects (in mean-square) the integral of ``phi`` onto the span of the
-    field values of the partition blocks: with ``c_i`` the pairing of the
-    transformed integrand with each transformed block indicator and ``G`` the
-    block Gram, the value is ``c^T G^+ c``.  Singular Grams are handled by a
-    pseudo-inverse with relative cutoff ``1e-10``.
+    The isometry carries the span of the blocks' field values to the span of
+    their factor vectors ``k_B``, so the value is ``|Pi S phi|^2_w``, ``Pi``
+    the weighted-orthogonal projection onto that span.  One thin SVD
+    ``U s V^T`` of ``D^{1/2} S C^T`` gives it: the ``s^2`` are the eigenvalues
+    of the block Gram, the columns of ``U`` with ``s^2 > CLAMP * s_max^2``
+    (``Spectrum.kept``'s rule) span the projection, and the value is
+    ``|U^T D^{1/2} S phi|^2``.  No Gram is formed, so the conditioning is
+    ``sqrt(kappa)`` of the Gram, not the ``kappa`` of ``c^T G^+ c``.
     """
     space = factorization.space
     if not is_partition(space, partition.blocks):
         raise DomainError("blocks do not partition the space")
-    Sphi = factorization.S @ phi.values(space.size)
-    c = factorization.k_rows(partition.blocks) @ (space.weight_array * Sphi)
-    G = gram(kernel, partition.blocks).entries
-    return float(c @ np.linalg.pinv(G, rcond=1e-10) @ c)
+    d = np.sqrt(space.weight_array)
+    U, s, _ = np.linalg.svd(d[:, None] * factorization.k_rows(partition.blocks).T, full_matrices=False)
+    coords = U[:, s * s > CLAMP * s[0] * s[0]].T @ (d * (factorization.S @ phi.values(space.size)))
+    return float(coords @ coords)
 
 
-def refinement_sweep(
-    kernel: SetKernel,
-    factorization: Factorization,
-    phi: SimpleFunction,
-    partitions: Sequence[Partition],
-) -> list[float]:
+def refinement_sweep(factorization: Factorization, phi: SimpleFunction, partitions: Sequence[Partition]) -> list[float]:
     """Projection second moments along a refinement-ordered partition chain.
 
     The sequence is nondecreasing and bounded by the exact second moment; it
@@ -310,4 +306,4 @@ def refinement_sweep(
     for i in range(len(parts) - 1):
         if not is_refinement(parts[i], parts[i + 1]):
             raise OrderingError(f"partition {i + 1} does not refine partition {i}")
-    return [projection_second_moment(kernel, factorization, phi, p) for p in parts]
+    return [projection_second_moment(factorization, phi, p) for p in parts]

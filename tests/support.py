@@ -5,6 +5,8 @@ Everything takes an explicit numpy Generator so tests stay reproducible.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from setkern import (
@@ -59,6 +61,42 @@ def random_operator_kernel(
     rng: np.random.Generator, space: MeasureSpace, well_conditioned: bool = False
 ) -> SetKernel:
     return operator_kernel(space, random_nu_psd_matrix(rng, space, well_conditioned))
+
+
+def conditioned_operator_kernel(rng: np.random.Generator, space: MeasureSpace, kappa: float) -> SetKernel:
+    """Operator kernel of ``M = D^{-1/2} U Lambda U^T D^{1/2}``, ``U`` random orthogonal, ``Lambda`` geometric from 1 to ``1 / kappa``.
+
+    Every weight must be positive.
+    """
+    U, _ = np.linalg.qr(rng.standard_normal((space.size, space.size)))
+    d = np.sqrt(space.weight_array)
+    return operator_kernel(space, ((U * np.geomspace(1.0, 1.0 / kappa, space.size)) @ U.T) / d[:, None] * d[None, :])
+
+
+def exact_projection_moment(kernel: SetKernel, phi: SimpleFunction, partition: Partition) -> Fraction:
+    """``c^T G^{-1} c`` in exact rationals, ``c = C Q phi`` and ``G = C Q C^T``, from the stored ``Q``.
+
+    ``Q`` is read as the exact symmetric part of its float entries, which
+    must be positive definite, and ``phi`` as the exact sums of its
+    coefficients.  ``G^{-1} c`` is never formed: eliminating block ``k``
+    adds ``c_k^2 / G_kk`` and leaves the Schur complement of ``G_kk``.
+    """
+    n = kernel.space.size
+    Q = [[(Fraction(kernel.Q[x, y]) + Fraction(kernel.Q[y, x])) / 2 for y in range(n)] for x in range(n)]
+    v = [sum((Fraction(coef) for coef, s in phi.terms if x in s), Fraction(0)) for x in range(n)]
+    Qv = [sum(Q[x][y] * v[y] for y in range(n)) for x in range(n)]
+    blocks = [A.indices for A in partition.blocks]
+    c = [sum(Qv[x] for x in A) for A in blocks]
+    G = [[sum(Q[x][y] for x in A for y in B) for B in blocks] for A in blocks]
+    q = Fraction(0)
+    for k in range(len(blocks)):
+        q += c[k] * c[k] / G[k][k]
+        for i in range(k + 1, len(blocks)):
+            f = G[i][k] / G[k][k]
+            c[i] -= f * c[k]
+            for j in range(k + 1, len(blocks)):
+                G[i][j] -= f * G[k][j]
+    return q
 
 
 def indicator_matrix_by_set(space: MeasureSpace, sets: list[MeasurableSet]) -> np.ndarray:

@@ -268,7 +268,7 @@ def test_criterion_6_projection_monotonicity():
         fact = realize(kernel)
         chain = random_refinement_chain(rng, space, min_length=3)
         phi = random_simple_function(rng, space)
-        qs = refinement_sweep(kernel, fact, phi, chain)
+        qs = refinement_sweep(fact, phi, chain)
         assert len(qs) >= 3
         drops = [qs[i] - qs[i + 1] for i in range(len(qs) - 1)]
         worst_drop = max(worst_drop, max(drops, default=0.0))

@@ -301,6 +301,39 @@ def test_refine_sweep_passes_for_phi_in_the_null_space_of_S(runner, tmp_path):
     assert by_check["q-attained"]["bound"] > 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, config, term, huge", [
+    ("phi", "wiener", "- [1.0, [a]]", "- [1.0e308, [a]]"),
+    ("psi", "wiener", "- [1.0, [a, b]]", "- [1.0e308, [a, b]]"),
+    # the values overflow at the null atom c, where the weight times inf is nan
+    ("phi", "counting-null-atom", "family:", "phi: [[1.0e308, [c]], [1.0e308, [c]]]\nfamily:"),
+], ids=["phi", "psi", "null-atom"])
+def test_an_integrand_whose_norm_overflows_is_a_config_error(runner, tmp_path, name, config, term, huge):
+    # simulate printed numpy's overflow warning and exited 1, with every q-level row passing on a null value
+    text = (CONFIGS / f"{config}.yaml").read_text()
+    assert term in text
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text.replace(term, huge))
+    result = invoke(runner, tmp_path, "simulate", "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [f"config error: {name}: |{name}|^2_w is out of range: it overflows"]
+
+
+# |phi|^2_w = 1e300 is finite and the config loads; numpy's overflow warning in q is known and left as it is
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_projection_moment_past_the_float_range_fails_its_row(runner, tmp_path):
+    # q = 1e310 overflows to inf, and its q-level row passed with the value null
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("space: {atoms: [a, b], weights: [1.0, 1.0]}\n"
+                   "kernel: {type: operator, matrix: [[1.0e10, 0.0], [0.0, 1.0e10]]}\n"
+                   "phi: [[1.0e150, [a]]]\npartitions:\n  - [[a, b]]\n  - [[a], [b]]\n")
+    out = tmp_path / "q.jsonl"
+    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
+    assert result.exit_code == 1
+    by_check = {r["check"]: r for r in read_records(out)[1]}
+    assert [(by_check[f"q-level-{i}"]["status"], by_check[f"q-level-{i}"]["value"]) for i in (0, 1)] == [("fail", None)] * 2
+
+
 # ---------------------------------------------------------------------------
 # flags and formats
 
