@@ -266,9 +266,8 @@ def _simple_function(space: MeasureSpace, node: Any, where: str) -> SimpleFuncti
             raise ConfigError(f"{where}[{i}] coefficient must be finite, got {coef!r}")
         terms.append((coef, _atom_set(space, names, f"{where}[{i}]")))
     fn = SimpleFunction(tuple(terms))
-    with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range reads inf, or nan at a null atom
-        if not math.isfinite(space.norm_squared(fn.values(space.size))):
-            raise ConfigError(f"{where}: |{where}|^2_w is out of range: it overflows")
+    if not math.isfinite(space.norm_squared(fn.values(space.size))):
+        raise ConfigError(f"{where}: |{where}|^2_w is out of range: it overflows")
     return fn
 
 

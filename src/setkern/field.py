@@ -178,23 +178,31 @@ class ItoResult:
         return judge(abs(self.estimate - self.exact), self.std_error, n_sigma).passed
 
 
-def _mc_product_moment(
-    sampler: FieldSampler, alpha: np.ndarray, beta: np.ndarray, n: int, workers: int
-) -> tuple[float, float, int]:
-    """Mean and standard error of ``Z_alpha * Z_beta`` over ``n`` draws, and the draw width ``d``.
+def _moment_check(
+    kernel: SetKernel, fact: Factorization, phi: SimpleFunction, psi: SimpleFunction, n: int, seed: int, workers: int
+) -> ItoResult:
+    """Monte Carlo ``E[I(phi) I(psi)]`` over ``n`` draws against the exact ``<S phi, S psi>_w``.
 
-    With ``Z = L z`` the field, ``(Z_alpha, Z_beta) = (z . a, z . b)`` for
-    ``a = L^T alpha`` and ``b = L^T beta``, a Gaussian pair whose law is fixed
-    by the Gram of ``a`` and ``b``.  So the pair is projected before it is
-    drawn: from ``(n, d)`` normals ``z`` and the reduced QR ``[a b] = Q R``,
-    ``d = R.shape[0] = min(rank, 2)``, it is ``(z . R[:, 0], z . R[:, 1])``.
-    The isometry (``beta is alpha``) draws ``d = 1`` column, ``|a| z_1``.
-    The keys, chunks and reduction order are those of ``FieldSampler.sample``,
-    but not its draws, which take one column per column of ``L``.
+    With ``Z = L z`` the field and ``alpha``, ``beta`` the coefficients of
+    ``phi`` and ``psi`` over the sampler family, ``(I(phi), I(psi))`` is
+    ``(z . a, z . b)`` for ``a = L^T alpha`` and ``b = L^T beta``, a Gaussian
+    pair whose law is fixed by the Gram of ``a`` and ``b``.  So the pair is
+    projected before it is drawn: from ``(n, d)`` normals ``z`` and the
+    reduced QR ``[a b] = Q R``, ``d = R.shape[0] = min(rank, 2)``, it is
+    ``(z . R[:, 0], z . R[:, 1])``.  The isometry (``psi is phi``) draws
+    ``d = 1`` column, ``|a| z_1``, and squares one product per draw instead
+    of multiplying two.  The keys, chunks and reduction order are those of
+    ``FieldSampler.sample``, but not its draws, which take one column per
+    column of ``L``.
     """
+    sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + psi.sets()), seed)
+    alpha = _coefficients(phi, sampler)
+    beta = alpha if psi is phi else _coefficients(psi, sampler)
+    size = fact.space.size
+    exact = fact.space.inner(fact.S @ phi.values(size), fact.S @ psi.values(size))
     _check_counts(n, 1, workers)
     a = sampler.factor.T @ alpha
-    if beta is alpha:
+    if psi is phi:
         ra = rb = np.array([np.linalg.norm(a)])
     else:
         ra, rb = np.linalg.qr(np.column_stack([a, sampler.factor.T @ beta]), mode="r").T.copy()
@@ -213,23 +221,7 @@ def _mc_product_moment(
         s2 += p2
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
-    return mean, float(np.sqrt(var / n)), len(ra)
-
-
-def _moment_check(
-    kernel: SetKernel, fact: Factorization, phi: SimpleFunction, psi: SimpleFunction, n: int, seed: int, workers: int
-) -> ItoResult:
-    """Monte Carlo ``E[I(phi) I(psi)]`` over ``n`` draws against the exact ``<S phi, S psi>_w``.
-
-    ``psi is phi`` squares one product per draw instead of multiplying two.
-    """
-    sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + psi.sets()), seed)
-    alpha = _coefficients(phi, sampler)
-    beta = alpha if psi is phi else _coefficients(psi, sampler)
-    size = fact.space.size
-    exact = fact.space.inner(fact.S @ phi.values(size), fact.S @ psi.values(size))
-    estimate, se, d = _mc_product_moment(sampler, alpha, beta, n, workers)
-    return ItoResult(estimate=estimate, std_error=se, n_samples=n, exact=exact, normals=n * d)
+    return ItoResult(estimate=mean, std_error=float(np.sqrt(var / n)), n_samples=n, exact=exact, normals=n * len(ra))
 
 
 def ito_isometry_check(
@@ -287,7 +279,8 @@ def projection_second_moment(factorization: Factorization, phi: SimpleFunction, 
     d = np.sqrt(space.weight_array)
     U, s, _ = np.linalg.svd(d[:, None] * factorization.k_rows(partition.blocks).T, full_matrices=False)
     coords = U[:, s * s > CLAMP * s[0] * s[0]].T @ (d * (factorization.S @ phi.values(space.size)))
-    return float(coords @ coords)
+    with np.errstate(over="ignore"):  # a moment past the float range reads inf, and its row fails
+        return float(coords @ coords)
 
 
 def refinement_sweep(factorization: Factorization, phi: SimpleFunction, partitions: Sequence[Partition]) -> list[float]:

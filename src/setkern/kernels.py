@@ -95,8 +95,6 @@ class SetKernel:
     def __call__(self, A: MeasurableSet, B: MeasurableSet) -> float:
         self.space.validate_set(A)
         self.space.validate_set(B)
-        if not A.members or not B.members:
-            return 0.0
         return float(self.Q.take(A.index_array, 0).take(B.index_array, 1).sum())
 
 
@@ -196,5 +194,5 @@ def gram(kernel: SetKernel, sets: Sequence[MeasurableSet]) -> GramMatrix:
     """Kernel values over ``sets`` as the product ``C Q C^T``."""
     C = kernel.space.indicator_matrix(tuple(sets))
     G = C @ kernel.Q @ C.T
-    return GramMatrix(entries=0.5 * (G + G.T), asymmetry=float(np.abs(G - G.T).max(initial=0.0)))
+    return GramMatrix(entries=0.5 * G + 0.5 * G.T, asymmetry=float(np.abs(G - G.T).max(initial=0.0)))
 

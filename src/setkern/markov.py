@@ -11,8 +11,9 @@ Transience is certified spectrally: the largest weighted singular value of
 ``P`` must stay below one, which makes the Green series
 ``G = I + P + P^2 + ...`` geometrically convergent.  For a reversible chain
 that is the largest ``|lambda|`` of ``D^{1/2} P D^{-1/2}``; a chain that
-fails detailed balance is judged by ``P* P`` with ``P* = D^{-1} P^T D``
-instead, and has no spectral gap, ``(I - P)^{-1/2}`` or Green kernel.
+fails detailed balance is judged by the largest singular value of
+``D^{1/2} P D^{-1/2}`` instead, and has no spectral gap, ``(I - P)^{-1/2}``
+or Green kernel.
 Detailed balance is judged against ``tol`` times the largest ``w(x) P[x,y]``,
 by one rule (``check_reversibility``) shared by all of these.  ``G`` is one
 solve of ``(I - P) G = I``, refined once against ``I - P`` by a
@@ -151,12 +152,11 @@ class MarkovChain:
 
     @cached_property
     def _norm(self) -> float:
-        """Weighted norm of ``P``: its spectral radius if reversible, else ``sqrt(lambda_max(P* P))``."""
+        """Weighted norm of ``P``: its spectral radius if reversible, else the largest singular value of ``D^{1/2} P D^{-1/2}``."""
         if check_reversibility(self).passed:
             return float(np.abs(self._spectrum.values).max())
-        w = self.space.weight_array
-        adjoint = (self.transitions.T * w[None, :]) / w[:, None]
-        return math.sqrt(Spectrum.of(adjoint @ self.transitions, w).top)
+        d = np.sqrt(self.space.weight_array)
+        return float(np.linalg.svd((d[:, None] * self.transitions) / d[None, :], compute_uv=False)[0])
 
     @cached_property
     def _green(self) -> np.ndarray:

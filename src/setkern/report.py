@@ -84,13 +84,10 @@ class RunReport:
             }
         }
 
-    def to_jsonl(self) -> str:
+    def write_jsonl(self, path: str | Path) -> None:
         lines = [json.dumps(self.meta(), sort_keys=True)]
         lines += [json.dumps(r.as_dict(), sort_keys=True) for r in self.records]
-        return "\n".join(lines) + "\n"
-
-    def write_jsonl(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl())
+        Path(path).write_text("\n".join(lines) + "\n")
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:

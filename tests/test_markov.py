@@ -423,8 +423,8 @@ def test_the_series_of_any_chain_is_the_loop_from_the_identity_to_the_bit(n, ter
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counts of ``eigh``/``eigvalsh`` (as ``eigen``) and ``solve`` calls made from here on."""
-    calls = {"eigen": 0, "solve": 0}
+    """Counts of ``eigh``/``eigvalsh`` (as ``eigen``), ``solve`` and ``svd`` calls made from here on."""
+    calls = {"eigen": 0, "solve": 0, "svd": 0}
 
     def counting(kind, fn):
         def counted(*args, **kwargs):
@@ -433,7 +433,7 @@ def linalg_calls(monkeypatch):
 
         return counted
 
-    for name, kind in (("eigh", "eigen"), ("eigvalsh", "eigen"), ("solve", "solve")):
+    for name, kind in (("eigh", "eigen"), ("eigvalsh", "eigen"), ("solve", "solve"), ("svd", "svd")):
         monkeypatch.setattr(np.linalg, name, counting(kind, getattr(np.linalg, name)))
     return calls
 
@@ -449,15 +449,16 @@ def test_one_eigendecomposition_and_one_refined_solve_per_chain(linalg_calls):
     chain = random_conductance_chain(np.random.default_rng(14), 8)
     for use in (check_transient, check_spectral_gap, check_contractivity, green, green_kernel, green_root):
         use(chain)
-    assert linalg_calls == {"eigen": 1, "solve": 1}
+    assert linalg_calls == {"eigen": 1, "solve": 1, "svd": 0}
 
 
-def test_a_non_reversible_transient_chain_makes_one_eigendecomposition_and_one_solve(linalg_calls):
+def test_a_non_reversible_transient_chain_makes_one_svd_and_one_solve(linalg_calls):
+    # its norm is the largest singular value of D^{1/2} P D^{-1/2}
     chain = NON_REVERSIBLE_TRANSIENT
     assert not check_reversibility(chain).passed
     for use in (check_transient, check_contractivity, green, green):
         use(chain)
-    assert linalg_calls == {"eigen": 1, "solve": 1}
+    assert linalg_calls == {"eigen": 0, "solve": 1, "svd": 1}
 
 
 def test_a_non_reversible_transient_chain_is_inverted_by_its_solve():
