@@ -279,8 +279,7 @@ def projection_second_moment(factorization: Factorization, phi: SimpleFunction, 
     d = np.sqrt(space.weight_array)
     U, s, _ = np.linalg.svd(d[:, None] * factorization.k_rows(partition.blocks).T, full_matrices=False)
     coords = U[:, s * s > CLAMP * s[0] * s[0]].T @ (d * (factorization.S @ phi.values(space.size)))
-    with np.errstate(over="ignore"):  # a moment past the float range reads inf, and its row fails
-        return float(coords @ coords)
+    return float(coords @ coords)
 
 
 def refinement_sweep(factorization: Factorization, phi: SimpleFunction, partitions: Sequence[Partition]) -> list[float]:

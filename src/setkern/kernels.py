@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidOperatorError
-from .linalg import Spectrum, Verdict, judge, psd, require, selfadjoint_defect
+from .linalg import DOMAIN_BITS, Spectrum, Verdict, judge, psd, require, require_in_domain, selfadjoint_defect
 from .measure import MeasurableSet, MeasureSpace
 
 __all__ = [
@@ -45,7 +45,9 @@ class SetKernel:
     Raises
     ------
     InvalidOperatorError
-        If ``Q`` is not a finite ``n x n`` matrix over the space's atoms.
+        If ``Q`` is not ``n x n`` over the space's atoms, or an entry's magnitude
+        exceeds ``2^(2b)``, the largest weight times operator entry (there is no
+        lower end: a computed ``w G`` may be tiny).
     """
 
     space: MeasureSpace
@@ -57,28 +59,18 @@ class SetKernel:
         n = self.space.size
         if Q.shape != (n, n):
             raise InvalidOperatorError(f"atom Gram must be {n}x{n}, got {Q.shape}")
-        if not np.all(np.isfinite(Q)):
-            raise InvalidOperatorError("atom Gram entries must be finite")
+        atoms = self.space.atoms
+        require_in_domain(Q, lambda x, y: f"Q[{atoms[x]!r}, {atoms[y]!r}]", InvalidOperatorError,
+                          floor=None, ceiling=2 * DOMAIN_BITS)
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
 
     @cached_property
     def T(self) -> np.ndarray:
-        """Read-only ``T = D^{-1} Q`` on the positive atoms and zero at null atoms; ``factorization.build_T`` certifies it.
-
-        Raises ``InvalidOperatorError`` naming the atom and its weight if a
-        quotient ``Q[x, y] / w(x)`` overflows, as on a subnormal weight.
-        """
+        """Read-only ``T = D^{-1} Q`` on the positive atoms and zero at null atoms; ``factorization.build_T`` certifies it."""
         pos = self.space.positive
         T = np.zeros_like(self.Q)
-        with np.errstate(over="ignore"):
-            T[np.ix_(pos, pos)] = self.Q[np.ix_(pos, pos)] / self.space.weight_array[pos, None]
-        if not np.all(np.isfinite(T)):
-            x = int(np.argwhere(~np.isfinite(T))[0, 0])
-            raise InvalidOperatorError(
-                f"T = Q / w(x) is out of range at x={self.space.atoms[x]!r}, whose weight is "
-                f"{self.space.weights[x]!r}: it overflows"
-            )
+        T[np.ix_(pos, pos)] = self.Q[np.ix_(pos, pos)] / self.space.weight_array[pos, None]
         T.setflags(write=False)
         return T
 
@@ -98,16 +90,6 @@ class SetKernel:
         return float(self.Q.take(A.index_array, 0).take(B.index_array, 1).sum())
 
 
-def _weighted(space: MeasureSpace, M: np.ndarray, what: str) -> np.ndarray:
-    """``w(x) M[x, y]``; a product that overflows raises ``InvalidOperatorError`` naming ``what`` and its atoms."""
-    with np.errstate(over="ignore"):
-        Q = space.weight_array[:, None] * M
-    if not np.all(np.isfinite(Q)):
-        x, y = (space.atoms[i] for i in np.argwhere(~np.isfinite(Q))[0])
-        raise InvalidOperatorError(f"{what} is out of range at x={x!r}, y={y!r}: it overflows")
-    return Q
-
-
 def wiener_kernel(space: MeasureSpace) -> SetKernel:
     """Overlap kernel ``K(A, B) = w(A & B)``, the white-noise covariance."""
     return SetKernel(space=space, kind="wiener", Q=np.diag(space.weight_array))
@@ -115,7 +97,7 @@ def wiener_kernel(space: MeasureSpace) -> SetKernel:
 
 def rank_one_kernel(space: MeasureSpace) -> SetKernel:
     """Product kernel ``K(A, B) = w(A) w(B)``; its Gram matrices have rank one."""
-    return SetKernel(space=space, kind="rank_one", Q=_weighted(space, space.weight_array[None, :], "w(x) w(y)"))
+    return SetKernel(space=space, kind="rank_one", Q=space.weight_array[:, None] * space.weight_array[None, :])
 
 
 def counting_kernel(space: MeasureSpace) -> SetKernel:
@@ -124,15 +106,8 @@ def counting_kernel(space: MeasureSpace) -> SetKernel:
     Positive definite, but it ignores the weights: on a space with a null
     atom it charges a null set and therefore admits no weighted-L2
     realization.  Kept as the standard counterexample.
-
-    Raises
-    ------
-    InvalidOperatorError
-        If its density ``T = D^{-1}`` overflows, at a subnormal weight.
     """
-    kernel = SetKernel(space=space, kind="counting", Q=np.eye(space.size))
-    kernel.T  # built with the kernel, so that an overflow is rejected where the kernel is made
-    return kernel
+    return SetKernel(space=space, kind="counting", Q=np.eye(space.size))
 
 
 def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:
@@ -144,8 +119,8 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:
     Raises
     ------
     InvalidOperatorError
-        If ``M`` has the wrong shape or nonfinite entries, a product
-        ``w(x) M[x,y]`` overflows, ``M`` violates the weighted symmetry
+        If ``M`` has the wrong shape or an entry outside the float domain
+        (``linalg.require_in_domain``), violates the weighted symmetry
         ``w(x) M[x,y] == w(y) M[y,x]`` beyond ``1e-10 * max|w(x) M[x,y]|``,
         or has an eigenvalue below ``-1e-10 * lambda_max``.
     """
@@ -153,9 +128,8 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:
     n = space.size
     if M.shape != (n, n):
         raise InvalidOperatorError(f"operator matrix must be {n}x{n}, got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise InvalidOperatorError("operator matrix entries must be finite")
-    Q = _weighted(space, M, "w(x) M[x,y]")
+    require_in_domain(M, lambda x, y: f"M[{space.atoms[x]!r}, {space.atoms[y]!r}]", InvalidOperatorError)
+    Q = space.weight_array[:, None] * M
     require(*selfadjoint_defect(M, space.weight_array), 1e-10, InvalidOperatorError,
             "matrix is not selfadjoint in the weighted geometry: defect", "max|wM|")
     kernel = SetKernel(space=space, kind="operator", Q=Q)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InconsistencyError, InvalidChainError, NotTransientError
 from .kernels import SetKernel
-from .linalg import Spectrum, Verdict, judge, require, selfadjoint_defect, spectral_transform
+from .linalg import Spectrum, Verdict, judge, require, require_in_domain, selfadjoint_defect, spectral_transform
 from .measure import MeasureSpace
 
 __all__ = [
@@ -105,7 +105,7 @@ class MarkovChain:
         Edge conductances are symmetric by construction, the derived weights
         are ``w(x) = sum_y c(x, y) + kill(x)``, and every atom needs an edge
         or killing mass so its weight is positive.  Atom names must be
-        unique, and each conductance and killing mass finite and nonnegative.
+        unique, and each conductance, killing mass and weight in the float domain.
         """
         atoms = [str(a) for a in atoms]
         if len(set(atoms)) != len(atoms):
@@ -114,11 +114,13 @@ class MarkovChain:
         n = len(atoms)
         if n == 0:
             raise InvalidChainError("need at least one atom")
+        edges = [(x, y, float(c)) for x, y, c in edges]
+        kill = {a: float(m) for a, m in (kill or {}).items()}
+        for values, name in (([c for *_, c in edges], lambda i: f"conductance on ({edges[i][0]},{edges[i][1]})"),
+                             (list(kill.values()), lambda i: f"killing mass at {list(kill)[i]!r}")):
+            require_in_domain(values, name, InvalidChainError, nonnegative=True)
         C = np.zeros((n, n))
         for x, y, c in edges:
-            c = float(c)
-            if not 0 <= c < math.inf:
-                raise InvalidChainError(f"conductance must be finite and nonnegative, got {c} on ({x},{y})")
             try:
                 i, j = index[str(x)], index[str(y)]
             except KeyError as e:
@@ -127,12 +129,9 @@ class MarkovChain:
             if i != j:
                 C[j, i] += c
         killv = np.zeros(n)
-        for a, m in (kill or {}).items():
+        for a, m in kill.items():
             if str(a) not in index:
                 raise InvalidChainError(f"killing references unknown atom {a!r}")
-            m = float(m)
-            if not 0 <= m < math.inf:
-                raise InvalidChainError(f"killing mass must be finite and nonnegative, got {m} at {a!r}")
             killv[index[str(a)]] = m
         w = C.sum(axis=1) + killv
         if w.min() <= 0:
@@ -173,9 +172,10 @@ class MarkovChain:
 
     @cached_property
     def _series(self) -> tuple[int, float]:
-        """Series terms for a ``SERIES_TOL`` geometric tail, and the series' largest gap to ``_green``."""
-        rho = self._norm
-        terms = 1 if rho == 0.0 else max(1, math.ceil(math.log(SERIES_TOL * (1 - rho)) / math.log(rho)))
+        """Terms for a ``SERIES_TOL`` tail in every entry, ``sqrt(w(y) / w(x))`` times its weighted norm, and the gap to ``_green``."""
+        rho, w = self._norm, self.space.weight_array
+        tail = SERIES_TOL * (1 - rho) / math.sqrt(w.max() / w.min())
+        terms = 1 if rho == 0.0 else max(1, math.ceil(math.log(tail) / math.log(rho)))
         return terms, float(np.abs(_neumann_sum(self.transitions, terms) - self._green).max())
 
     @cached_property

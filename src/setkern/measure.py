@@ -9,7 +9,6 @@ weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -18,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidSetError
+from .linalg import require_in_domain
 
 __all__ = [
     "MeasureSpace",
@@ -94,8 +94,8 @@ class MeasureSpace:
     atoms
         Unique atom identifiers, in a fixed order that defines atom indices.
     weights
-        One nonnegative weight per atom (the measure of the singleton).
-        At least one weight must be strictly positive.
+        One weight per atom (the measure of the singleton), zero or in the
+        float domain ``[2^-b, 2^b]``.  At least one must be positive.
     """
 
     atoms: tuple[str, ...]
@@ -110,10 +110,8 @@ class MeasureSpace:
             raise DomainError("atom identifiers must be unique")
         if not self.atoms:
             raise DomainError("a measure space needs at least one atom")
-        for w in self.weights:
-            if not math.isfinite(w) or w < 0:
-                raise DomainError(f"weights must be finite and nonnegative, got {w}")
-        if not any(w > 0 for w in self.weights):
+        require_in_domain(self.weight_array, lambda i: f"weight of atom {self.atoms[i]!r}", DomainError, nonnegative=True)
+        if not self.positive.any():
             raise DomainError("at least one atom must carry positive weight")
 
     @property
@@ -189,8 +187,7 @@ class MeasureSpace:
         v = np.asarray(v, dtype=float)
         if u.shape != (self.size,) or v.shape != (self.size,):
             raise DomainError("atom vectors must match the space size")
-        with np.errstate(over="ignore", invalid="ignore"):  # past the float range reads inf, or nan at a null atom
-            return float(np.sum(self.weight_array * u * v))
+        return float(np.sum(self.weight_array * u * v))
 
     def norm_squared(self, u: np.ndarray) -> float:
         return self.inner(u, u)
@@ -198,18 +195,20 @@ class MeasureSpace:
 
 @dataclass(frozen=True, eq=False)
 class SimpleFunction:
-    """Finite linear combination of set indicators."""
+    """Finite linear combination of set indicators; a coefficient outside the float domain raises ``DomainError``."""
 
     terms: tuple[tuple[float, MeasurableSet], ...]
+
+    def __post_init__(self):
+        require_in_domain([c for c, _ in self.terms], lambda i: f"term {i} coefficient", DomainError)
 
     def values(self, size: int) -> np.ndarray:
         """Pointwise values over ``size`` atoms."""
         if any(s.members and max(s.members) >= size for _, s in self.terms):
             raise InvalidSetError("simple function references atoms beyond the space")
         vals = np.zeros(size)
-        with np.errstate(over="ignore"):  # a sum past the float range reads inf
-            for coef, s in self.terms:
-                vals[s.indices] += coef
+        for coef, s in self.terms:
+            vals[s.indices] += coef
         return vals
 
     def sets(self) -> tuple[MeasurableSet, ...]:

@@ -14,11 +14,13 @@ from setkern import Factorization, check_series, green, markov
 from setkern.cli import CHECKS, SUITES, Run, _adjoint, _check_names, main
 from setkern.config import TOLERANCES, load_config
 from setkern.errors import ConfigError
-from setkern.linalg import selfadjoint_defect
+from setkern.linalg import DOMAIN_BITS, selfadjoint_defect
 from setkern.report import CheckRecord, RunReport
 from support import random_nu_psd_matrix, random_sets, random_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DOMAIN = f"outside the float domain: zero or in [2^-{DOMAIN_BITS}, 2^{DOMAIN_BITS}]"
+SIGNED_DOMAIN = f"outside the float domain: zero or of magnitude in [2^-{DOMAIN_BITS}, 2^{DOMAIN_BITS}]"
 
 
 @pytest.fixture
@@ -78,19 +80,25 @@ def test_stochastic_chain_not_transient_in_report(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["validate", "factorize", "markov-green"])
-def test_a_non_reversible_chain_on_a_subnormal_weight_records_its_finite_norm(runner, tmp_path, command):
-    # P* = D^{-1} P^T D overflowed at w = 1e-320: numpy's warnings, and both rows recorded null
+def test_a_non_reversible_chain_on_a_subnormal_weight_is_a_config_error(runner, tmp_path, command):
+    # P* = D^{-1} P^T D overflowed at w = 1e-320: numpy's warnings, and both rows recorded null;
+    # then the rows read 1e160; now the weight is outside the float domain
     text = (CONFIGS / "stochastic-chain.yaml").read_text()
     assert "weights: [1.0, 1.0]" in text
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text.replace("weights: [1.0, 1.0]", "weights: [1.0e-320, 1.0]"))
+    result = invoke(runner, tmp_path, command, "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [f"config error: space: weight of atom 'a' is 1e-320, {DOMAIN}"]
+    # at the least weight of the domain, both rows record the finite norm 2^(b/2)
+    cfg.write_text(text.replace("weights: [1.0, 1.0]", f"weights: [{2.0**-DOMAIN_BITS!r}, 1.0]"))
     out = tmp_path / "r.jsonl"
     result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out))
     assert result.exit_code == 1, result.output
     by_check = {r["check"]: r for r in read_records(out)[1]}
     for name in ("contractivity", "transience"):
         assert by_check[name]["status"] == "fail"
-        assert by_check[name]["value"] == pytest.approx(1.00001e160, rel=1e-5)
+        assert by_check[name]["value"] == pytest.approx(2.0 ** (DOMAIN_BITS / 2), rel=1e-12)
 
 
 def test_missing_config_is_a_usage_error(runner, tmp_path):
@@ -324,29 +332,37 @@ def test_refine_sweep_passes_for_phi_in_the_null_space_of_S(runner, tmp_path):
     ("phi", "counting-null-atom", "family:", "phi: [[1.0e308, [c]], [1.0e308, [c]]]\nfamily:"),
 ], ids=["phi", "psi", "null-atom"])
 def test_an_integrand_whose_norm_overflows_is_a_config_error(runner, tmp_path, name, config, term, huge):
-    # simulate printed numpy's overflow warning and exited 1, with every q-level row passing on a null value
+    # simulate printed numpy's overflow warning and exited 1, with every q-level row passing on a null value;
+    # then |phi|^2_w was judged after the fact; now the coefficient is outside the float domain
     text = (CONFIGS / f"{config}.yaml").read_text()
     assert term in text
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text.replace(term, huge))
     result = invoke(runner, tmp_path, "simulate", "--config", str(cfg))
     assert result.exit_code == 2, result.output
-    assert result.output.splitlines() == [f"config error: {name}: |{name}|^2_w is out of range: it overflows"]
+    assert result.output.splitlines() == [f"config error: {name}: term 0 coefficient is 1e+308, {SIGNED_DOMAIN}"]
 
 
-# |phi|^2_w = 1e300 is finite and the config loads
-def test_a_projection_moment_past_the_float_range_fails_its_row(runner, tmp_path):
-    # q = 1e310 overflows to inf, and its q-level row passed with the value null; then it failed
+def test_a_projection_moment_past_the_float_range_is_a_config_error(runner, tmp_path):
+    # q = 1e310 overflowed to inf, and its q-level row passed with the value null; then it failed
     # its row, but numpy's overflow warnings from q and |S phi|^2_w reached stderr
+    text = ("space: {atoms: [a, b], weights: [1.0, 1.0]}\n"
+            "kernel: {type: operator, matrix: [[1.0e10, 0.0], [0.0, 1.0e10]]}\n"
+            "phi: [[1.0e150, [a]]]\npartitions:\n  - [[a, b]]\n  - [[a], [b]]\n")
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("space: {atoms: [a, b], weights: [1.0, 1.0]}\n"
-                   "kernel: {type: operator, matrix: [[1.0e10, 0.0], [0.0, 1.0e10]]}\n"
-                   "phi: [[1.0e150, [a]]]\npartitions:\n  - [[a, b]]\n  - [[a], [b]]\n")
+    cfg.write_text(text)
+    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [f"config error: phi: term 0 coefficient is 1e+150, {SIGNED_DOMAIN}"]
+    # every input at the top of the domain: q = w M c^2 = 2^(4b) is finite, and every row passes on it
+    top = f"{2.0**DOMAIN_BITS!r}"
+    cfg.write_text(text.replace("1.0e150", top).replace("1.0e10", top).replace("1.0, 1.0", f"{top}, {top}"))
     out = tmp_path / "q.jsonl"
     result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 1
+    assert result.exit_code == 0, result.output
     by_check = {r["check"]: r for r in read_records(out)[1]}
-    assert [(by_check[f"q-level-{i}"]["status"], by_check[f"q-level-{i}"]["value"]) for i in (0, 1)] == [("fail", None)] * 2
+    q = [by_check[f"q-level-{i}"]["value"] for i in (0, 1)]
+    assert q == pytest.approx([2.0 ** (4 * DOMAIN_BITS) / 2, 2.0 ** (4 * DOMAIN_BITS)], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +461,7 @@ def test_nonfinite_kernel_matrix_is_a_config_error(runner, tmp_path, entry):
         + f"kernel: {{type: operator, matrix: [[{entry}, 0.0], [0.0, 1.0]]}}\n"
         + "checks: [gram-psd]\n",
     )
-    assert "kernel.matrix: operator matrix entries must be finite" in output  # operator_kernel's own test
+    assert f"kernel.matrix: M['a', 'a'] is {float(entry.replace('.', ''))!r}, {SIGNED_DOMAIN}" in output
 
 
 def test_an_indefinite_kernel_matrix_is_a_config_error_for_a_command_that_never_reads_it(runner, tmp_path):
@@ -470,7 +486,7 @@ def test_a_green_kernel_without_a_chain_is_a_config_error_for_every_command(runn
 def test_a_builtin_kernel_that_overflows_is_a_config_error(runner, tmp_path):
     # w w^T overflows at w = 1e200: validate recorded 0/4 checks with no value and exited 1
     output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\nkernel: {type: rank_one}")
-    assert "kernel: w(x) w(y) is out of range at x='a', y='a': it overflows" in output
+    assert f"config error: space: weight of atom 'a' is 1e+200, {DOMAIN}" in output
 
 
 @pytest.mark.parametrize("command", ["validate", "factorize", "markov-green", "simulate", "refine-sweep"])
@@ -480,23 +496,21 @@ def test_a_density_that_overflows_is_a_config_error_for_every_command(runner, tm
     cfg.write_text("space: {atoms: [a, b], weights: [1.0e-320, 1.0]}\nkernel: {type: counting}\n")
     result = invoke(runner, tmp_path, command, "--config", str(cfg))
     assert result.exit_code == 2, result.output
-    assert result.output.splitlines() == [
-        "config error: kernel: T = Q / w(x) is out of range at x='a', whose weight is 1e-320: it overflows"
-    ]
+    assert result.output.splitlines() == [f"config error: space: weight of atom 'a' is 1e-320, {DOMAIN}"]
 
 
 def test_an_operator_product_that_overflows_is_a_config_error(runner, tmp_path):
     # read as "matrix is not selfadjoint ...: defect nan > 1e-10 × max|wM| = inf", after two numpy warnings
     output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\n"
                                              "kernel: {type: operator, matrix: [[1.0e200, 0.0], [0.0, 1.0]]}\n")
-    assert "config error: kernel.matrix: w(x) M[x,y] is out of range at x='a', y='a': it overflows" in output
+    assert f"config error: space: weight of atom 'a' is 1e+200, {DOMAIN}" in output
 
 
 @pytest.mark.parametrize("matrix, message", [
     # read as "matrix is indefinite: -lambda_min nan > 1e-10 × lambda_max = nan"
-    ("[[1.0e308, 1.0e308], [1.0e308, 1.0e308]]", "matrix is out of range: its eigenvalues leave the float range"),
+    ("[[1.0e308, 1.0e308], [1.0e308, 1.0e308]]", f"M['a', 'a'] is 1e+308, {SIGNED_DOMAIN}"),
     # the message was right, but numpy's overflow warning reached stderr first
-    ("[[1.0, 1.0e308], [-1.0e308, 1.0]]", "matrix is not selfadjoint in the weighted geometry: defect inf"),
+    ("[[1.0, 1.0e308], [-1.0e308, 1.0]]", f"M['a', 'b'] is 1e+308, {SIGNED_DOMAIN}"),
 ], ids=["spectrum", "defect"])
 def test_an_operator_matrix_past_the_float_range_is_a_config_error(runner, tmp_path, matrix, message):
     output = _config_error(runner, tmp_path, f"space: {{atoms: [a, b], weights: [1.0, 1.0]}}\nkernel: {{type: operator, matrix: {matrix}}}\n")
@@ -607,7 +621,7 @@ EDGE_SPACE = "space: {atoms: [a, b]}\n"
 
 @pytest.mark.parametrize("text, tol, message", [
     ("space: {atoms: [a, a], weights: [1.0, 1.0]}\n" + DENSE_CHAIN, (), "space: atom identifiers must be unique"),
-    ("space: {atoms: [a, b], weights: [-1.0, 1.0]}\n" + DENSE_CHAIN, (), "space: weights must be finite and nonnegative"),
+    ("space: {atoms: [a, b], weights: [-1.0, 1.0]}\n" + DENSE_CHAIN, (), f"space: weight of atom 'a' is -1.0, {DOMAIN}"),
     ("space: {atoms: [a, b], weights: [1.0]}\n" + DENSE_CHAIN, (), "space: need exactly one weight per atom"),
     ("space: {atoms: [], weights: []}\n" + DENSE_CHAIN, (), "space: a measure space needs at least one atom"),
     ("space: {atoms: [a, b]}\n" + DENSE_CHAIN, (), "space.weights are required unless chain.edges derives them"),
@@ -623,9 +637,8 @@ EDGE_SPACE = "space: {atoms: [a, b]}\n"
     (WIENER_SPACE + "kernel: {type: wiener}\nexpect: {yes: 1}\n", (), "expect: unknown key True"),
     (WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {symmetri: 1.0e-9}\n", (), "tolerances: unknown key 'symmetri'"),
     (WIENER_SPACE + "kernel: {type: wiener}\n", (("symmetri", "1e-9"),), "--tol: unknown tolerance 'symmetri'"),
-    (EDGE_SPACE + "chain: {edges: [[a, b, .nan]]}\n", (), "chain: conductance must be finite and nonnegative, got nan on (a,b)"),
-    (EDGE_SPACE + "chain: {edges: [[a, b, 1.0]], kill: {a: .inf}}\n", (),
-     "chain: killing mass must be finite and nonnegative, got inf at 'a'"),
+    (EDGE_SPACE + "chain: {edges: [[a, b, .nan]]}\n", (), f"chain: conductance on (a,b) is nan, {DOMAIN}"),
+    (EDGE_SPACE + "chain: {edges: [[a, b, 1.0]], kill: {a: .inf}}\n", (), f"chain: killing mass at 'a' is inf, {DOMAIN}"),
 ], ids=["dense-duplicate-atom", "dense-negative-weight", "dense-weight-count", "dense-no-atoms", "dense-no-weights",
         "ragged-transitions", "text-transitions", "mapping-transitions", "ragged-matrix", "list-kill",
         "boolean-kernel-type", "boolean-check", "list-check", "boolean-tolerance", "boolean-expectation",
@@ -851,6 +864,25 @@ def test_fractional_expected_rank_is_a_config_error(runner, tmp_path):
     assert "expect.range-rank" in result.output
 
 
+@pytest.mark.parametrize("config, command, old, new, where", [
+    # the report's float() of the bound raised OverflowError: a traceback, exit 1
+    ("rank-one", "factorize", "range-rank: 1", f"range-rank: {10**400}", "expect.range-rank"),
+    # read as a rank that can never match, so the row failed
+    ("rank-one", "factorize", "range-rank: 1", "range-rank: -1", "expect.range-rank"),
+    # len(range(0, n, CHUNK_SIZE)) raised OverflowError: a traceback, exit 1
+    ("wiener", "simulate", "samples: 200000", f"samples: {10**400}", "mc.samples"),
+    ("wiener", "simulate", "seed: 11", f"seed: {2**64}", "mc.seed"),
+], ids=["huge-rank", "negative-rank", "huge-samples", "huge-seed"])
+def test_an_integer_field_past_64_bits_is_a_config_error(runner, tmp_path, config, command, old, new, where):
+    text = (CONFIGS / f"{config}.yaml").read_text()
+    assert old in text
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text.replace(old, new))
+    result = invoke(runner, tmp_path, command, "--config", str(cfg))
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [f"config error: {where} must be an integer in [0, 2**64)"]
+
+
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
 def test_nonfinite_config_tolerance_is_a_config_error(runner, tmp_path, value):
     output = _config_error(runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\ntolerances: {{symmetry: {value}}}\n")
@@ -883,7 +915,7 @@ def test_nonfinite_simple_function_coefficient_is_a_config_error(runner, tmp_pat
     output = _config_error(
         runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\nphi: {terms['phi']}\npsi: {terms['psi']}\n"
     )
-    assert f"{field}[0] coefficient" in output
+    assert f"{field}: term 0 coefficient is {float(value.replace('.', ''))!r}, {SIGNED_DOMAIN}" in output
 
 
 def test_an_indefinite_matrix_far_below_unit_scale_is_a_config_error(runner, tmp_path):

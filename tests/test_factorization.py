@@ -645,12 +645,12 @@ def test_a_150_atom_export_is_indented_json(tmp_path):
 
 
 def test_export_edge_cases_are_indented_json(tmp_path):
-    space = MeasureSpace(('quote"', "back\\slash", "new\nline", "ünï", "null"), (1.0, 5e-324, 1e300, 2.0, -0.0))
+    # the weights carry -0.0 and both ends of the float domain, 2^-b and 2^b
+    space = MeasureSpace(('quote"', "back\\slash", "new\nline", "ünï", "null"), (1.0, 2.0**-96, 2.0**96, 2.0, -0.0))
     fact = realize(wiener_kernel(space))
     assert_written_as_indented_json(fact, (), tmp_path / "empty-family.json")
     assert_written_as_indented_json(fact, [space.subset('quote"', "ünï")], tmp_path / "family.json")
-    # the weights carry -0.0, 5e-324 and 1e300; the k vectors C S^T carry 5e-324, 1e300, NaN,
-    # and -Infinity where the full set's row overflows
+    # the k vectors C S^T carry 5e-324, 1e300, NaN, and -Infinity where the full set's row overflows
     S = np.zeros((5, 5))
     S[0, 0], S[1, 0], S[2], S[4] = 5e-324, 1e300, np.nan, -1e308
     odd = Factorization(kernel=fact.kernel, S=S, residual=0.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from setkern import (
     AbsoluteContinuityError,
+    DomainError,
     InvalidOperatorError,
     MeasurableSet,
     MeasureSpace,
@@ -19,7 +20,7 @@ from setkern import (
     realize,
     wiener_kernel,
 )
-from setkern.linalg import Spectrum, Verdict, numerical_rank, selfadjoint_defect
+from setkern.linalg import DOMAIN_BITS, Spectrum, Verdict, numerical_rank, selfadjoint_defect
 from support import (
     kernel_value_by_lists,
     random_conductance_chain,
@@ -160,38 +161,56 @@ def test_operator_rejects_nonfinite_matrix(space, entry):
         operator_kernel(space, M)
 
 
+B = DOMAIN_BITS
+
+
 def test_a_weighted_product_that_overflows_is_out_of_range():
     # w(x) M[x,y] = 1e400 was judged as a selfadjointness defect of nan against inf, and w w^T
-    # printed numpy's overflow warning before "atom Gram entries must be finite"
-    space = MeasureSpace(("a", "b"), (1.0e200, 1.0))
+    # printed numpy's overflow warning before "atom Gram entries must be finite"; now each
+    # factor is rejected where it enters, and no product of two in-domain factors overflows
+    with pytest.raises(DomainError) as err:
+        MeasureSpace(("a", "b"), (1.0e200, 1.0))
+    assert str(err.value) == f"weight of atom 'a' is 1e+200, outside the float domain: zero or in [2^-{B}, 2^{B}]"
     with pytest.raises(InvalidOperatorError) as err:
-        operator_kernel(space, [[1.0e200, 0.0], [0.0, 1.0]])
-    assert str(err.value) == "w(x) M[x,y] is out of range at x='a', y='a': it overflows"
-    with pytest.raises(InvalidOperatorError) as err:
-        rank_one_kernel(space)
-    assert str(err.value) == "w(x) w(y) is out of range at x='a', y='a': it overflows"
-    assert rank_one_kernel(MeasureSpace(("a", "b"), (1.0e150, 1.0))).Q[0, 0] == 1.0e150 * 1.0e150
+        operator_kernel(MeasureSpace(("a", "b"), (1.0, 1.0)), [[1.0, 0.0], [0.0, 1.0e200]])
+    assert str(err.value) == f"M['b', 'b'] is 1e+200, outside the float domain: zero or of magnitude in [2^-{B}, 2^{B}]"
+    top = MeasureSpace(("a", "b"), (2.0**B, 1.0))
+    assert rank_one_kernel(top).Q[0, 0] == 2.0 ** (2 * B)
+    assert operator_kernel(top, np.diag([2.0**B, 1.0])).Q[0, 0] == 2.0 ** (2 * B)
 
 
 def test_a_density_that_overflows_is_out_of_range():
     # T = Q / w was 1e320 at a subnormal weight: numpy's overflow warning, then a nonfinite T
-    space = MeasureSpace(("a", "b"), (1.0e-320, 1.0))
-    message = "T = Q / w(x) is out of range at x='a', whose weight is 1e-320: it overflows"
-    with pytest.raises(InvalidOperatorError) as err:
-        counting_kernel(space)
-    assert str(err.value) == message
-    with pytest.raises(InvalidOperatorError) as err:
-        SetKernel(space, np.eye(2)).T
-    assert str(err.value) == message
-    # the weight itself is fine: w(x) / w(x) is 1
+    with pytest.raises(DomainError) as err:
+        MeasureSpace(("a", "b"), (1.0e-320, 1.0))
+    assert str(err.value) == f"weight of atom 'a' is 1e-320, outside the float domain: zero or in [2^-{B}, 2^{B}]"
+    # at the least weight of the domain, and at the largest custom Q over it, T stays finite
+    space = MeasureSpace(("a", "b"), (2.0**-B, 1.0))
+    assert np.array_equal(counting_kernel(space).T, np.diag([2.0**B, 1.0]))
+    assert SetKernel(space, 2.0 ** (2 * B) * np.eye(2)).T[0, 0] == 2.0 ** (3 * B)
     assert np.array_equal(wiener_kernel(space).T, np.eye(2))
+
+
+@pytest.mark.parametrize("entry", [2.0 ** (2 * B + 1), np.inf, np.nan])
+def test_an_atom_gram_past_its_ceiling_is_out_of_range(entry):
+    # a custom Q is a weight times an entry, so it is bounded by 2^(2b); a computed w G may be tiny
+    space = MeasureSpace(("a", "b"), (1.0, 1.0))
+    with pytest.raises(InvalidOperatorError) as err:
+        SetKernel(space, [[1.0, 0.0], [entry, 1.0]])
+    assert str(err.value) == f"Q['b', 'a'] is {entry!r}, outside the float domain: of magnitude at most 2^{2 * B}"
+    assert SetKernel(space, [[5e-324, 0.0], [0.0, 2.0 ** (2 * B)]]).Q[0, 0] == 5e-324
 
 
 def test_a_spectrum_past_the_float_range_is_out_of_range():
     # the symmetrization Ms + Ms.T overflowed, and the kernel read as "indefinite: -lambda_min nan"
     with pytest.raises(InvalidOperatorError) as err:
         operator_kernel(MeasureSpace(("a", "b"), (1.0, 1.0)), [[1.0e308, 1.0e308], [1.0e308, 1.0e308]])
-    assert str(err.value) == "matrix is out of range: its eigenvalues leave the float range, lambda_max = inf"
+    assert str(err.value) == f"M['a', 'a'] is 1e+308, outside the float domain: zero or of magnitude in [2^-{B}, 2^{B}]"
+    # the domain's corners: every weight and entry at 2^b, or at 2^-b
+    for e in (B, -B):
+        c = 2.0**e
+        kernel = operator_kernel(MeasureSpace(("a", "b"), (c, c)), [[c, c], [c, c]])
+        assert kernel.spectrum.top == 2 * c and kernel.spectrum.rank == 1
 
 
 @pytest.mark.parametrize("zero_atoms", [0, 2])
@@ -209,12 +228,19 @@ def test_a_spectrum_is_the_eigh_of_its_positive_block_to_the_bit(zero_atoms):
 
 
 def test_a_selfadjoint_defect_past_the_float_range_reads_inf():
-    # numpy printed "overflow encountered in subtract" on the way to the same inf
+    # numpy printed "overflow encountered in subtract" on the way to the same inf; the entries
+    # are now rejected where they enter, and the defect of in-domain entries is finite
     M = np.array([[1.0, 1.0e308], [-1.0e308, 1.0]])
-    assert selfadjoint_defect(M, np.ones(2)) == (np.inf, 1.0e308)
+    with np.errstate(over="ignore"):  # only past the float domain can the defect leave the float range
+        assert selfadjoint_defect(M, np.ones(2)) == (np.inf, 1.0e308)
     with pytest.raises(InvalidOperatorError) as err:
         operator_kernel(MeasureSpace(("a", "b"), (1.0, 1.0)), M)
-    assert str(err.value) == "matrix is not selfadjoint in the weighted geometry: defect inf > 1e-10 × max|wM| = 1.000e+308"
+    assert str(err.value) == f"M['a', 'b'] is 1e+308, outside the float domain: zero or of magnitude in [2^-{B}, 2^{B}]"
+    top = np.array([[1.0, 2.0**B], [-(2.0**B), 1.0]])
+    assert selfadjoint_defect(top, np.full(2, 2.0**B)) == (2.0 ** (2 * B + 1), 2.0 ** (2 * B))
+    with pytest.raises(InvalidOperatorError) as err:
+        operator_kernel(MeasureSpace(("a", "b"), (1.0, 1.0)), top)
+    assert str(err.value) == "matrix is not selfadjoint in the weighted geometry: defect 1.585e+29 > 1e-10 × max|wM| = 7.923e+28"
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +295,13 @@ def test_gram_is_symmetric(space):
 
 
 def test_a_gram_near_the_float_range_is_symmetrized_by_halves():
-    # G + G.T overflowed at w = 1e308 before it was halved: numpy's warning, and an entry of inf
-    space = MeasureSpace(("a", "b"), (1.0e308, 1.0))
-    g = gram(wiener_kernel(space), space.singletons())
-    assert np.array_equal(g.entries, np.diag([1.0e308, 1.0])) and g.asymmetry == 0.0
+    # G + G.T overflowed at w = 1e308 before it was halved: numpy's warning, and an entry of inf;
+    # the weight is now out of the float domain, and the halves keep the bits of an in-domain Gram
+    with pytest.raises(DomainError):
+        MeasureSpace(("a", "b"), (1.0e308, 1.0))
+    space = MeasureSpace(("a", "b"), (2.0**B, 1.0))
+    g = gram(SetKernel(space, [[2.0 ** (2 * B), 3.0], [3.0, 1.0]]), space.singletons())
+    assert np.array_equal(g.entries, [[2.0 ** (2 * B), 3.0], [3.0, 1.0]]) and g.asymmetry == 0.0
 
 
 # ---------------------------------------------------------------------------

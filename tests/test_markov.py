@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from setkern import (
+    DomainError,
     InconsistencyError,
     InvalidChainError,
     MarkovChain,
@@ -27,6 +28,7 @@ from setkern import (
     wiener_kernel,
 )
 from setkern.config import load_config
+from setkern.linalg import DOMAIN_BITS
 from setkern.markov import _neumann_sum
 from support import (
     near_recurrent_path,
@@ -99,19 +101,39 @@ def test_isolated_atom_is_rejected():
         MarkovChain.from_conductances(["u", "v"], [], {"u": 1.0})
 
 
+DOMAIN = f"outside the float domain: zero or in [2^-{DOMAIN_BITS}, 2^{DOMAIN_BITS}]"
+
+
 @pytest.mark.parametrize("edges, kill, message", [
-    ([("u", "v", float("nan"))], None, "conductance must be finite and nonnegative, got nan on (u,v)"),
-    ([("u", "v", float("inf"))], None, "conductance must be finite and nonnegative, got inf on (u,v)"),
-    ([("u", "v", -1.0)], None, "conductance must be finite and nonnegative, got -1.0 on (u,v)"),
-    ([("u", "v", 1.0)], {"u": float("inf")}, "killing mass must be finite and nonnegative, got inf at 'u'"),
-    ([("u", "v", 1.0)], {"v": float("nan")}, "killing mass must be finite and nonnegative, got nan at 'v'"),
-    ([("u", "v", 1.0)], {"v": -0.5}, "killing mass must be finite and nonnegative, got -0.5 at 'v'"),
-], ids=["nan-conductance", "inf-conductance", "negative-conductance", "inf-kill", "nan-kill", "negative-kill"])
+    ([("u", "v", float("nan"))], None, f"conductance on (u,v) is nan, {DOMAIN}"),
+    ([("u", "v", float("inf"))], None, f"conductance on (u,v) is inf, {DOMAIN}"),
+    ([("u", "v", -1.0)], None, f"conductance on (u,v) is -1.0, {DOMAIN}"),
+    ([("u", "v", 1.0)], {"u": float("inf")}, f"killing mass at 'u' is inf, {DOMAIN}"),
+    ([("u", "v", 1.0)], {"v": float("nan")}, f"killing mass at 'v' is nan, {DOMAIN}"),
+    ([("u", "v", 1.0)], {"v": -0.5}, f"killing mass at 'v' is -0.5, {DOMAIN}"),
+    ([("u", "v", 1.0), ("v", "u", 1.0e-320)], None, f"conductance on (v,u) is 1e-320, {DOMAIN}"),
+    ([("u", "v", 2.0 ** (DOMAIN_BITS + 1))], None, f"conductance on (u,v) is {2.0 ** (DOMAIN_BITS + 1)!r}, {DOMAIN}"),
+    ([("u", "v", 1.0)], {"u": 1.0, "v": 1.0e-320}, f"killing mass at 'v' is 1e-320, {DOMAIN}"),
+    # each conductance is in the domain, but the weight they derive for v is 2^(b+1)
+    ([("u", "v", 2.0**DOMAIN_BITS), ("v", "w", 2.0**DOMAIN_BITS)], None,
+     f"weight of atom 'v' is {2.0 ** (DOMAIN_BITS + 1)!r}, {DOMAIN}"),
+], ids=["nan-conductance", "inf-conductance", "negative-conductance", "inf-kill", "nan-kill", "negative-kill",
+        "subnormal-conductance", "huge-conductance", "subnormal-kill", "huge-derived-weight"])
 def test_a_bad_conductance_or_killing_mass_is_rejected_by_name(edges, kill, message):
     # a NaN passed c < 0 and killv.min() < 0, and the chain failed later as a bad weight
-    with pytest.raises(InvalidChainError) as err:
-        MarkovChain.from_conductances(["u", "v"], edges, kill)
+    with pytest.raises((InvalidChainError, DomainError)) as err:
+        MarkovChain.from_conductances(["u", "v", "w"], edges, {"w": 1.0, **(kill or {})})
     assert str(err.value) == message
+
+
+def test_the_green_series_bounds_every_entry_when_the_weights_span_the_float_domain():
+    # the series stopped at one term, I, by the weighted-norm tail rho = 2^-96.5, and green() raised
+    # InconsistencyError on the gap 0.5 at G[b, a] = P[b, a], which the weight ratio 2^191 had hidden
+    b = DOMAIN_BITS
+    chain = MarkovChain.from_conductances(["a", "b"], [("a", "b", 2.0**-b)], {"a": 2.0**b, "b": 2.0**-b})
+    data = green(chain)
+    assert check_series(chain).passed and data.series_agreement < 1e-50
+    assert data.G[1, 0] == 0.5 and data.G[0, 1] == 2.0 ** (-2 * b)
 
 
 def test_duplicate_atom_names_are_rejected():

@@ -15,6 +15,7 @@ from setkern import (
     is_partition,
     is_refinement,
 )
+from setkern.linalg import DOMAIN_BITS
 from support import enumerate_partitions, indicator_matrix_by_set
 
 
@@ -40,6 +41,32 @@ def test_some_weight_must_be_positive():
 def test_atoms_must_be_unique():
     with pytest.raises(DomainError):
         MeasureSpace(("a", "a"), (1.0, 1.0))
+
+
+B = DOMAIN_BITS
+OUTSIDE = [2.0 ** (B + 1), 2.0 ** (-B - 1), 5e-324, 1e308, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("w", OUTSIDE + [-1.0, -(2.0**-B)])
+def test_a_weight_outside_the_float_domain_is_rejected_by_atom(w):
+    # 1e308 overflowed w(x) w(y), 1e-320 overflowed T = Q / w, and each was caught by its own guard
+    with pytest.raises(DomainError) as err:
+        MeasureSpace(("a", "b"), (1.0, w))
+    assert str(err.value) == f"weight of atom 'b' is {w!r}, outside the float domain: zero or in [2^-{B}, 2^{B}]"
+
+
+@pytest.mark.parametrize("c", OUTSIDE + [-(2.0 ** (B + 1))])
+def test_a_coefficient_outside_the_float_domain_is_rejected_by_term(c):
+    A = MeasurableSet(frozenset({0}))
+    with pytest.raises(DomainError) as err:
+        SimpleFunction(((1.0, A), (c, A)))
+    assert str(err.value) == f"term 1 coefficient is {c!r}, outside the float domain: zero or of magnitude in [2^-{B}, 2^{B}]"
+
+
+def test_the_ends_of_the_float_domain_are_inside_it():
+    sp = MeasureSpace(("a", "b", "c", "d"), (2.0**-B, 2.0**B, 0.0, -0.0))
+    f = SimpleFunction(((2.0**B, sp.subset("a", "b")), (-(2.0**-B), sp.subset("b")), (0.0, sp.subset("c"))))
+    assert sp.norm_squared(f.values(sp.size)) == 2.0**-B * 2.0 ** (2 * B) + 2.0**B * (2.0**B - 2.0**-B) ** 2
 
 
 def test_zero_weight_atoms_are_allowed():
@@ -187,12 +214,18 @@ def test_refinement_is_a_partial_order(n):
 # property tests
 
 
+def in_domain(top: float, signed: bool = False):
+    """Floats of the package's domain up to ``top``: zero, or a magnitude in ``[2^-b, top]``."""
+    magnitude = st.floats(min_value=2.0**-B, max_value=top)
+    return st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x) if signed else st.nothing())
+
+
 @st.composite
 def spaces(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     weights = draw(
         st.lists(
-            st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+            in_domain(3.0),
             min_size=n,
             max_size=n,
         ).filter(lambda ws: any(w > 0 for w in ws))
@@ -218,7 +251,7 @@ def test_measure_additive_over_disjoint_unions(data):
 @st.composite
 def space_and_two_functions(draw):
     sp = draw(spaces())
-    coefs = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    coefs = in_domain(3.0, signed=True)
 
     def fn():
         k = draw(st.integers(1, 3))
