@@ -79,11 +79,9 @@ TOLERANCES: dict[str, float] = {
     "isometry": 1e-9,
     "adjoint": 1e-9,
     "parseval": 1e-9,
-    "parseval-invariance": 1e-10,
     "green-identity": 1e-9,
     "series-solve": 1e-8,
     "green-factor": 1e-8,
-    "fundamental-match": 1e-8,
     "mc-sigma": 5.0,
     "q-monotone": 1e-10,
     "q-final": 1e-9,
@@ -215,8 +213,12 @@ def _matrix(rows: Any, where: str) -> np.ndarray:
         return np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a dense numeric matrix") from None
-    except OverflowError:
-        raise ConfigError(f"{where} has an integer entry past the float range") from None
+    except OverflowError:  # an integer past the float range: name the first one
+        for i, row in enumerate(rows if isinstance(rows, list) else ()):
+            for j, x in enumerate(row if isinstance(row, list) else ()):
+                if isinstance(x, int) and math.isinf(_number(x, where)):
+                    raise ConfigError(f"{where}[{i}][{j}] is an integer past the float range") from None
+        raise ConfigError(f"{where} must be a dense numeric matrix") from None
 
 
 def _integer(value: Any, where: str) -> int:

@@ -57,6 +57,20 @@ def random_nu_psd_matrix(
     return M
 
 
+def random_operator_config(rng: np.random.Generator, n: int, zero_atoms: int = 0) -> dict:
+    """A config document: an operator kernel over ``n`` atoms, a family of 8 sets, ``phi``, ``psi`` and a refinement chain."""
+    space = random_space(rng, n, zero_atoms)
+    names = lambda A: [space.atoms[i] for i in A.indices]  # noqa: E731
+    return {
+        "space": {"atoms": list(space.atoms), "weights": list(space.weights)},
+        "kernel": {"type": "operator", "matrix": random_nu_psd_matrix(rng, space, well_conditioned=True).tolist()},
+        "family": [names(A) for A in random_sets(rng, space, 8)],
+        "phi": [[c, names(A)] for c, A in random_simple_function(rng, space).terms],
+        "psi": [[c, names(A)] for c, A in random_simple_function(rng, space).terms],
+        "partitions": [[names(B) for B in P.blocks] for P in random_refinement_chain(rng, space)],
+    }
+
+
 def random_operator_kernel(
     rng: np.random.Generator, space: MeasureSpace, well_conditioned: bool = False
 ) -> SetKernel:

@@ -232,7 +232,8 @@ def test_markov_green_two_state(runner, tmp_path):
     assert by_check["transience"]["value"] == pytest.approx(0.5)
     assert by_check["green-identity"]["status"] == "pass"
     assert by_check["green-factor"]["status"] == "pass"
-    assert by_check["fundamental-match"]["status"] == "pass"
+    assert list(by_check) == ["detailed-balance", "contractivity", "transience", "spectral-gap", "green-identity",
+                              "series-solve", "green-psd", "green-factor"]
 
 
 def test_markov_green_requires_chain(runner, tmp_path):
@@ -661,6 +662,22 @@ def test_every_check_reads_a_tolerance_of_the_config_schema():
     assert {c.tol for _, checks in SUITES.values() for c in checks} - {None} <= set(TOLERANCES)
 
 
+@pytest.mark.parametrize("command, where, args, line", [
+    ("factorize", "checks: [fundamental-match]\n", (), "checks: unknown check 'fundamental-match'"),
+    ("factorize", "tolerances: {parseval-invariance: 1.0e-10}\n", (),
+     f"tolerances: unknown key 'parseval-invariance', expected one of {', '.join(TOLERANCES)}"),
+    ("markov-green", "", ("--tol", "fundamental-match=1e-8"),
+     f"--tol: unknown tolerance 'fundamental-match', expected one of {', '.join(TOLERANCES)}"),
+], ids=["checks", "tolerances", "tol"])
+def test_the_names_of_the_removed_rows_are_config_errors(runner, tmp_path, command, where, args, line):
+    # parseval-invariance (the Parseval sum in two bases, equal for any k_A) and fundamental-match
+    # ((w G) / w against G) could fail under no mutation; a config that named them ran them
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text((CONFIGS / "two-state-green.yaml").read_text() + where)
+    result = invoke(runner, tmp_path, command, "--config", str(cfg), *args)
+    assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"])
+
+
 def test_the_file_overrides_the_defaults_and_tol_overrides_both(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {symmetry: 1.0e-6, schwarz: 1.0e-5}\n")
@@ -757,8 +774,8 @@ def test_markov_green_decomposes_the_chain_once(runner, tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     result = invoke(runner, tmp_path, "markov-green", "--config", str(CONFIGS / "two-state-green.yaml"))
     assert result.exit_code == 0, result.output
-    # the chain's spectrum once, then the probe Gram's and build_T's
-    assert len(calls) == 3
+    # the chain's spectrum once, then the probe Gram's; the Green kernel's own spectrum is never needed
+    assert len(calls) == 2
 
 
 def test_transience_is_judged_by_its_own_gap(runner, tmp_path):
@@ -851,8 +868,6 @@ def test_timings_fill_every_runtime(runner, tmp_path, config, command):
     _, records = read_records(out)
     assert records and all(isinstance(r["runtime"], float) for r in records)
     runtime = {r["check"]: r["runtime"] for r in records}
-    if "parseval" in runtime:  # both records come from one computation
-        assert runtime["parseval-invariance"] == runtime["parseval"]
     assert len({t for name, t in runtime.items() if name.startswith("q-level-")}) <= 1
 
 
@@ -905,6 +920,8 @@ def test_readme_check_table_matches_the_registry():
     documented = {(name, tag, tol or None) for name, tag, tol in rows}
     assert {name for name, _, _ in documented} - {"q-level-<n>"} == set(CHECKS)
     assert documented == {(c.name, c.tag, c.tol) for _, checks in SUITES.values() for c in checks}
+    # a tolerance key that no row reads would outlive the row it bounded, unseen
+    assert set(TOLERANCES) <= {c.tol for _, checks in SUITES.values() for c in checks}
 
 
 @pytest.mark.parametrize("field", ["phi", "psi"])
@@ -940,7 +957,6 @@ def test_factorize_checks_keep_their_order_tags_and_bounds(runner, tmp_path):
         ("isometry", "isometry", pytest.approx(1e-9 * 0.64, rel=1e-12)),
         ("adjoint", "adjoint", pytest.approx(1e-9 * 0.4, rel=1e-12)),
         ("parseval", "parseval", pytest.approx(1e-9 * 0.64, rel=1e-12)),
-        ("parseval-invariance", "parseval", pytest.approx(1e-10 * 0.64, rel=1e-12)),
         ("range-rank", "range-rank", 1.0),
     ]
 
@@ -1055,7 +1071,7 @@ def test_a_chain_with_a_defect_below_unit_scale_fails_every_green_row_alike(runn
     by_check = {r["check"]: r for r in read_records(out)[1]}
     balance = by_check["detailed-balance"]  # the defect is 1e-8 of max|wP|, 100 times its bound
     assert balance["value"] / balance["bound"] == pytest.approx(1e-8 / 1e-10, rel=1e-3)
-    for check in ("detailed-balance", "spectral-gap", "green-psd", "green-factor", "fundamental-match"):
+    for check in ("detailed-balance", "spectral-gap", "green-psd", "green-factor"):
         assert by_check[check]["status"] == "fail", check
     assert by_check["transience"]["status"] == "pass"
 
@@ -1078,7 +1094,7 @@ def test_series_solve_reports_the_gap_relative_to_the_green_function(runner, tmp
     assert data.series_agreement > 1e-8
     assert by_check["series-solve"]["value"] == data.series_agreement
     assert by_check["series-solve"]["bound"] == 1e-8 * np.abs(data.G).max()
-    for check in ("green-identity", "series-solve", "green-psd", "fundamental-match"):
+    for check in ("green-identity", "series-solve", "green-psd"):
         assert by_check[check]["status"] == "pass", check
 
 
@@ -1099,7 +1115,7 @@ def test_a_looser_series_solve_tolerance_reaches_the_green_solve(runner, tmp_pat
     assert 1e-8 < data.series_agreement / data.scale <= 1e-6
     assert by_check["series-solve"]["value"] == data.series_agreement
     assert by_check["series-solve"]["bound"] == 1e-6 * data.scale
-    for check in ("green-identity", "series-solve", "green-psd", "fundamental-match"):
+    for check in ("green-identity", "series-solve", "green-psd"):
         assert by_check[check]["status"] == "pass", check
     assert result.exit_code == 1  # green-factor fails on its own bound
 
@@ -1120,7 +1136,7 @@ def test_a_failing_series_solve_row_records_its_value_and_bound(runner, tmp_path
     assert (row["status"], row["value"], row["bound"]) == ("fail", verdict.value, verdict.bound)
     assert row["bound"] == pytest.approx(2.0, rel=1e-6)  # 1e-8 × max|G|, with max|G| ~ 2e8
     assert row["value"] > row["bound"]
-    for check in ("green-identity", "green-psd", "green-factor", "fundamental-match"):
+    for check in ("green-identity", "green-psd", "green-factor"):
         assert (by_check[check]["status"], by_check[check]["value"]) == ("fail", None), check
 
 
@@ -1187,4 +1203,4 @@ def test_a_sampler_the_library_rejects_fails_its_row_and_the_report_is_written(r
     by_check = {r["check"]: r for r in read_records(out)[1]}
     ito = by_check.pop("ito-isometry")
     assert (ito["status"], ito["value"], ito["bound"]) == ("fail", None, None)
-    assert len(by_check) == 11 and all(r["status"] == "pass" for r in by_check.values()), by_check
+    assert len(by_check) == 10 and all(r["status"] == "pass" for r in by_check.values()), by_check

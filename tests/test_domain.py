@@ -50,10 +50,13 @@ def _shipped(name, old, new):
      f"config error: space: weight of atom 'a' is inf, {DOMAIN}"),
     (lambda: _shipped("wiener", "- [1.0, [a]]", f"- [-{10**400}, [a]]"),
      f"config error: phi: term 0 coefficient is -inf, {DOMAIN.replace('in [', 'of magnitude in [')}"),
-    (lambda: f"space: {{atoms: [a], weights: [1.0]}}\nkernel: {{type: operator, matrix: [[{10**400}]]}}\n",
-     "config error: kernel.matrix has an integer entry past the float range"),
+    # the message named the field but not the entry
+    (lambda: f"space: {{atoms: [a, b], weights: [1.0, 1.0]}}\nkernel: {{type: operator, matrix: [[1.0, 0.0], [0.0, {10**400}]]}}\n",
+     "config error: kernel.matrix[1][1] is an integer past the float range"),
+    (lambda: _shipped("stochastic-chain", "- [1.0, 0.0]", f"- [-{10**400}, 0.0]"),
+     "config error: chain.transitions[1][0] is an integer past the float range"),
 ], ids=["wiener-huge-weight", "chain-weight-span", "degree-8-moment", "integer-weight", "integer-coefficient",
-        "integer-entry"])
+        "integer-entry", "integer-transition"])
 @pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
 def test_an_input_outside_the_float_domain_is_one_config_error_line(tmp_path, text, line, command):
     result, out = _run(tmp_path, command, text())
