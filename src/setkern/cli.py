@@ -14,9 +14,10 @@ default, the file and ``--tol``), and a function of the command's shared
 ``Run`` state that returns a ``linalg.Verdict`` ``(value, bound, passed,
 detail)``, or ``None`` when the check does not apply.  Library checks such as
 ``GramMatrix.psd``, ``check_absolute_continuity``, ``reverse_direction`` and
-the ``markov`` checks return the verdict their row records; library
-constructors raise, and a check whose input the library rejects fails with
-no value or bound while the report is still written.  An error passes when
+the ``markov`` checks return the verdict their row records.  Library
+constructors raise, and so does each ``Run`` part built from them; the loop
+turns a ``SetKernError`` from a check, or from a part it reads, into a failed
+row with no value or bound, and the report is still written.  An error passes when
 it is at most ``tol * scale``, by ``linalg.judge``; transience, contractivity
 and the spectral gap compare a dimensionless norm or eigenvalue with
 ``1 - tol``, ``1 + tol`` or ``tol``, and Monte Carlo sigmas and range rank
@@ -35,7 +36,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -50,20 +51,13 @@ from .report import CheckRecord, RunReport
 LEVELS = "q-level-<n>"
 """The sweep row, recorded once per partition as ``q-level-0``, ``q-level-1``, ..."""
 
-T = TypeVar("T")
-
-
-def _or_none(build: Callable[[], T]) -> T | None:
-    """``build()``, or ``None`` when the library rejects its input."""
-    try:
-        return build()
-    except SetKernError:
-        return None  # the checks that need it are recorded as failed
-
 
 @dataclass
 class Run:
-    """State shared by the checks of one command; each part is built on first use, and none draws random numbers."""
+    """State shared by the checks of one command; each part is built on first use, and none draws random numbers.
+
+    A part whose input the library rejects raises its ``SetKernError`` again on every use.
+    """
 
     cfg: ExperimentConfig
     report: RunReport  # also holds the resolved seed, sample count and tolerances
@@ -75,44 +69,47 @@ class Run:
         return list(dict.fromkeys([*self.cfg.space.singletons(), *self.cfg.family]))
 
     @cached_property
-    def kernel(self) -> kernels.SetKernel | None:
-        return self.green_kernel if self.cfg.kernel_type == "green" else self.cfg.kernel
+    def kernel(self) -> kernels.SetKernel:
+        if self.cfg.kernel_type == "green":
+            return self.green_kernel
+        if self.cfg.kernel is None:
+            raise SetKernError("no kernel is configured")
+        return self.cfg.kernel
 
     @cached_property
-    def gram(self) -> kernels.GramMatrix | None:
-        return kernels.gram(self.kernel, self.probes) if self.kernel is not None else None
+    def gram(self) -> kernels.GramMatrix:
+        return kernels.gram(self.kernel, self.probes)
 
     @cached_property
-    def fact(self) -> factorization.Factorization | None:
-        """The realization, attempted only while every check so far has passed.
+    def fact(self) -> factorization.Factorization:
+        """The realization, attempted only while every check so far has passed: a kernel that failed validation raises."""
+        if not self.report.all_passed:
+            raise SetKernError("an earlier check failed, so the kernel is not realized")
+        return factorization.realize(self.kernel, tol=self.report.tolerances["realization"])
 
-        A kernel that failed validation is therefore never realized.
-        """
-        if self.kernel is None or not self.report.all_passed:
-            return None
-        return _or_none(lambda: factorization.realize(self.kernel, tol=self.report.tolerances["realization"]))
+    def realized(self) -> bool:
+        """Whether ``fact`` builds: the test of the suites and the export that need a realization."""
+        with suppress(SetKernError):
+            return self.fact is not None
+        return False
 
     @cached_property
     def parseval(self) -> float:
-        """Largest Parseval error over the atom basis ``e_x / sqrt(w_x)`` and the kernel's eigenbasis.
-
-        Their gap is no check: every orthonormal basis gives the same sum, for any ``k_A``.
-        """
+        """Largest Parseval error over the kernel's eigenbasis ``V / sqrt(w)``; every orthonormal basis gives the same sum."""
         spec = self.kernel.spectrum
-        basis1 = np.eye(self.cfg.space.size)[spec.pos] / spec.d[:, None]
-        basis2 = np.zeros_like(basis1)
-        basis2[:, spec.pos] = (spec.vectors / spec.d[:, None]).T
-        expansions = (factorization.onb_factorization(self.fact, basis, self.probes) for basis in (basis1, basis2))
-        return float(max(np.abs(s - self.gram.entries).max() for s in expansions))
+        basis = np.zeros((spec.d.size, self.cfg.space.size))
+        basis[:, spec.pos] = (spec.vectors / spec.d[:, None]).T
+        expansion = factorization.onb_factorization(self.fact, basis, self.probes)
+        return float(np.abs(expansion - self.gram.entries).max())
 
     @cached_property
-    def green(self) -> markov.GreenData | None:
+    def green(self) -> markov.GreenData:
         """The chain's Green function, its series judged at the ``series-solve`` tolerance."""
-        return _or_none(lambda: markov.green(self.cfg.chain, agree_tol=self.report.tolerances["series-solve"]))
+        return markov.green(self.cfg.chain, agree_tol=self.report.tolerances["series-solve"])
 
     @cached_property
-    def green_kernel(self) -> kernels.SetKernel | None:
-        return None if self.green is None else _or_none(lambda: markov.green_kernel(self.cfg.chain, data=self.green))
+    def green_kernel(self) -> kernels.SetKernel:
+        return markov.green_kernel(self.cfg.chain, data=self.green)
 
     @cached_property
     def sweep(self) -> tuple[list[float], float, float]:
@@ -127,14 +124,17 @@ class Run:
 
 
 class Check(NamedTuple):
-    """One row of the check table."""
+    """One row of the check table.
+
+    ``measure`` gets the ``Run`` and the row's tolerance; if it raises
+    ``SetKernError``, itself or through a ``Run`` part it reads, the check
+    fails with no value or bound.
+    """
 
     name: str
     tag: str
     tol: str | None
     measure: Callable[[Run, float | None], Verdict | None]
-    needs: str | None = None
-    """The ``Run`` part the check reads; if it is missing, or ``measure`` raises ``SetKernError``, the check fails with no value."""
     shared: bool = False
     """Record the runtime of the check before it, which computed both; set on every sweep level after the first."""
 
@@ -183,8 +183,7 @@ def _q_attained(run: Run, tol: float) -> Verdict | None:
     return judge(abs(qs[-1] - exact), scale, tol)
 
 
-REALIZATION = Check("realization", "realization", "realization",
-                    lambda run, tol: judge(run.fact.residual, run.kernel.scale, tol), needs="fact")
+REALIZATION = Check("realization", "realization", "realization", lambda run, tol: judge(run.fact.residual, run.kernel.scale, tol))
 
 SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
     "chain": (lambda run: run.cfg.chain is not None, (
@@ -195,39 +194,37 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
         Check("transience", "transience", "transience-gap", lambda run, tol: markov.check_transient(run.cfg.chain, tol)),
     )),
     "kernel": (lambda run: run.cfg.kernel_type is not None, (
-        Check("symmetry", "kernel-symmetry", "symmetry", lambda run, tol: judge(run.gram.asymmetry, run.gram.scale, tol), needs="gram"),
-        Check("gram-psd", "positive-definite", "gram-psd", lambda run, tol: run.gram.psd(tol), needs="gram"),
-        Check("schwarz", "schwarz", "schwarz", lambda run, tol: run.gram.schwarz(tol), needs="gram"),
+        Check("symmetry", "kernel-symmetry", "symmetry", lambda run, tol: judge(run.gram.asymmetry, run.gram.scale, tol)),
+        Check("gram-psd", "positive-definite", "gram-psd", lambda run, tol: run.gram.psd(tol)),
+        Check("schwarz", "schwarz", "schwarz", lambda run, tol: run.gram.schwarz(tol)),
         Check("absolute-continuity", "absolute-continuity", "absolute-continuity",
-              lambda run, tol: factorization.check_absolute_continuity(run.kernel, run.cfg.family, tol=tol), needs="kernel"),
+              lambda run, tol: factorization.check_absolute_continuity(run.kernel, run.cfg.family, tol=tol)),
     )),
     "factorize": (lambda run: run.report.all_passed, (
         REALIZATION,
-        Check("density-consistency", "density", "density",
-              lambda run, tol: factorization.reverse_direction(run.fact, tol=tol), needs="fact"),
-        Check("isometry", "isometry", "isometry", _isometry, needs="fact"),
-        Check("adjoint", "adjoint", "adjoint", _adjoint, needs="fact"),
-        Check("parseval", "parseval", "parseval", lambda run, tol: judge(run.parseval, run.gram.scale, tol), needs="fact"),
-        Check("range-rank", "range-rank", None, _range_rank, needs="fact"),
+        Check("density-consistency", "density", "density", lambda run, tol: factorization.reverse_direction(run.fact, tol=tol)),
+        Check("isometry", "isometry", "isometry", _isometry),
+        Check("adjoint", "adjoint", "adjoint", _adjoint),
+        Check("parseval", "parseval", "parseval", lambda run, tol: judge(run.parseval, run.gram.scale, tol)),
+        Check("range-rank", "range-rank", None, _range_rank),
     )),
     "green": (lambda run: True, (
         Check("spectral-gap", "spectral-gap", "transience-gap",
               lambda run, tol: markov.check_spectral_gap(run.cfg.chain, tol)),
         Check("green-identity", "green-identity", "green-identity", lambda run, tol: judge(float(np.abs(
             run.green.G - run.cfg.chain.transitions @ run.green.G - np.eye(run.cfg.space.size)
-        ).max()), run.green.scale, tol), needs="green"),
+        ).max()), run.green.scale, tol)),
         Check("series-solve", "series-agreement", "series-solve", lambda run, tol: markov.check_series(run.cfg.chain, tol)),
-        Check("green-psd", "positive-definite", "gram-psd",
-              lambda run, tol: kernels.gram(run.green_kernel, run.probes).psd(tol), needs="green_kernel"),
-        Check("green-factor", "green-factorization", "green-factor", _green_factor, needs="green_kernel"),
+        Check("green-psd", "positive-definite", "gram-psd", lambda run, tol: kernels.gram(run.green_kernel, run.probes).psd(tol)),
+        Check("green-factor", "green-factorization", "green-factor", _green_factor),
     )),
-    "mc": (lambda run: run.fact is not None, (
+    "mc": (Run.realized, (
         Check("ito-isometry", "ito-isometry", "mc-sigma",
               lambda run, tol: _monte_carlo(run, tol, field.ito_isometry_check, run.cfg.phi)),
         Check("cross-moment", "cross-moment", "mc-sigma", lambda run, tol: None if run.cfg.psi is None
               else _monte_carlo(run, tol, field.cross_moment_check, run.cfg.phi, run.cfg.psi)),
     )),
-    "sweep": (lambda run: run.fact is not None and bool(run.cfg.partitions), (
+    "sweep": (lambda run: run.realized() and bool(run.cfg.partitions), (
         Check(LEVELS, "projection-moment", None, lambda run, _, level: Verdict(q := run.sweep[0][level], None, bool(np.isfinite(q)))),
         Check("q-monotone", "projection-monotone", "q-monotone", lambda run, tol: judge(
             max((a - b for a, b in zip(run.sweep[0], run.sweep[0][1:])), default=0.0), run.sweep[2], tol
@@ -237,7 +234,7 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
         Check("q-attained", "projection-limit", "q-final", _q_attained),
     )),
     # refine-sweep realizes the kernel without validating it and records only a failure
-    "unrealized": (lambda run: run.fact is None, (REALIZATION,)),
+    "unrealized": (lambda run: not run.realized(), (REALIZATION,)),
 }
 
 CHECKS = tuple(dict.fromkeys(c.name for _, checks in SUITES.values() for c in checks if c.name != LEVELS))
@@ -262,9 +259,8 @@ def _run_checks(run: Run, checks: tuple[Check, ...], timings: bool) -> None:
             continue
         t0 = time.perf_counter()
         outcome = Verdict(None, None, False)  # kept when the library rejects what the check reads
-        if check.needs is None or getattr(run, check.needs) is not None:
-            with suppress(SetKernError):
-                outcome = check.measure(run, run.report.tolerances.get(check.tol))
+        with suppress(SetKernError):
+            outcome = check.measure(run, run.report.tolerances.get(check.tol))
         runtime = time.perf_counter() - t0 if timings else None
         if check.shared and last is not None:
             runtime = last
@@ -327,7 +323,7 @@ def _run(name, requires, suites, config_path, seed, samples, out_path, csv_path,
             applies, checks = SUITES[suite]
             if applies(run):
                 _run_checks(run, checks, timings)
-        if name == "factorize" and run.fact is not None:
+        if name == "factorize" and run.realized():
             export = Path(export_path) if export_path else out_dir / "factorization.json"
             export.parent.mkdir(parents=True, exist_ok=True)
             factorization.write_factorization(run.fact, export, family=cfg.family)

@@ -61,15 +61,15 @@ def check_absolute_continuity(kernel: SetKernel, probe_sets: Sequence[Measurable
     """Whether the kernel vanishes on null sets: the largest charge over the probed null sets against ``tol * max|Q|``.
 
     The probed family is ``probe_sets`` together with every zero-weight
-    singleton.  The charge of a null set ``A`` is ``max_y |K(A, {y})|``, the
-    largest entry of its row of ``C Q``, and zero when no null set is probed;
-    this is the package's one null-set rule.
+    singleton, and its null sets are the rows of its indicator matrix ``C``
+    with ``C w == 0``.  The charge of a null set ``A`` is ``max_y |K(A, {y})|``,
+    the largest entry of its row of ``C Q``, and zero when no null set is
+    probed; this is the package's one null-set rule.
     """
     space = kernel.space
-    null_atoms = [space.singleton(i) for i in np.flatnonzero(~space.positive)]
-    null = [A for A in dict.fromkeys([*probe_sets, *null_atoms]) if space.measure(A) == 0.0]
-    charges = np.abs(space.indicator_matrix(null) @ kernel.Q).max(axis=1, initial=0.0)
-    return judge(float(charges.max(initial=0.0)), kernel.scale, tol)
+    C = np.vstack([space.indicator_matrix(probe_sets), np.eye(space.size)[~space.positive]])
+    null = C[C @ space.weight_array == 0.0]
+    return judge(float(np.abs(null @ kernel.Q).max(initial=0.0)), kernel.scale, tol)
 
 
 def _require_absolute_continuity(kernel: SetKernel) -> None:
@@ -195,8 +195,12 @@ def isometry_b(factorization: Factorization, alpha: np.ndarray, sets: Sequence[M
     ``b`` sends ``K(., A)`` to ``k_A`` and extends linearly, so the images are
     the rows of ``alpha @ (C S^T)``, each with its element's norm in weighted L2:
     the Gram quadratic form ``alpha[r] @ gram(kernel, sets).entries @ alpha[r]``.
+    An ``alpha`` whose last axis is not one entry per set raises ``DomainError``.
     """
-    return np.asarray(alpha, dtype=float) @ factorization.k_rows(sets)
+    alpha, K = np.asarray(alpha, dtype=float), factorization.k_rows(sets)
+    if alpha.ndim == 0 or alpha.shape[-1] != len(K):
+        raise DomainError(f"coefficients must have one entry per set ({len(K)}), got shape {alpha.shape}")
+    return alpha @ K
 
 
 def coisometry_b_star(factorization: Factorization, phi: np.ndarray, sets: Sequence[MeasurableSet]) -> np.ndarray:
@@ -214,9 +218,10 @@ def coisometry_b_star(factorization: Factorization, phi: np.ndarray, sets: Seque
 def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray]) -> np.ndarray:
     if len(basis) == 0:
         raise InvalidBasisError("empty basis")
-    B = np.asarray([np.asarray(v, dtype=float) for v in basis])
-    if B.shape[1] != space.size:
+    vectors = [np.asarray(v, dtype=float) for v in basis]
+    if any(v.shape != (space.size,) for v in vectors):
         raise InvalidBasisError("basis vectors must match the space size")
+    B = np.array(vectors)
     w = space.weight_array
     G = B @ (w[:, None] * B.T)
     if float(np.abs(G - np.eye(len(basis))).max()) > 1e-10:
@@ -241,8 +246,9 @@ def onb_factorization(
     Raises
     ------
     InvalidBasisError
-        If the family is empty, is not orthonormal within ``1e-10``, or does
-        not span the positive-weight atoms.
+        If the family is empty, has a vector that is not one entry per atom,
+        is not orthonormal within ``1e-10``, or does not span the
+        positive-weight atoms.
     """
     coef = coisometry_b_star(factorization, _check_onb(factorization.space, basis), sets).T
     return coef @ coef.T
@@ -267,25 +273,30 @@ def verify_pushforward(source: MeasureSpace, target: MeasureSpace, mapping: Mapp
 
     ``mapping`` sends every source atom index to a target atom index; the
     check passes iff the pushed mass and the target weights have the same null
-    atoms and, on each target atom, agree within ``1e-12 * max w``.
+    atoms and, on each target atom, agree within ``1e-12 * max w``.  Indices
+    are integers, not ``bool``.
 
     Raises
     ------
     InvalidMapError
-        If some source atom is unmapped or a target index is out of range.
+        If some source atom is unmapped, an entry is for no source atom, or
+        a target index is not an integer or out of range.
     """
-    images = [mapping.get(i) for i in range(source.size)] if isinstance(mapping, Mapping) else list(mapping)
+    entries = dict(mapping) if isinstance(mapping, Mapping) else dict(enumerate(mapping))
+    if unmapped := [atom for i, atom in enumerate(source.atoms) if i not in entries]:
+        raise InvalidMapError(f"source atom {unmapped[0]!r} is unmapped")
     pushed = np.zeros(target.size)
-    for i in range(source.size):
-        y = images[i] if i < len(images) else None
-        if y is None:
-            raise InvalidMapError(f"source atom {source.atoms[i]!r} is unmapped")
-        y = int(y)
-        if not 0 <= y < target.size:
-            raise InvalidMapError(f"target index {y} out of range for {source.atoms[i]!r}")
-        pushed[y] += source.weights[i]
+    for x, y in entries.items():
+        if not (_is_index(x, source.size) and _is_index(y, target.size)):
+            raise InvalidMapError(f"map entry {x!r}: {y!r} is not a source atom index below {source.size} "
+                                  f"sent to a target index below {target.size}")
+        pushed[y] += source.weights[x]
     w = target.weight_array
     return np.array_equal(pushed > 0, w > 0) and judge(float(np.abs(pushed - w).max()), float(w.max()), 1e-12).passed
+
+
+def _is_index(value: object, size: int) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < size
 
 
 def export_factorization(

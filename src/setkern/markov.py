@@ -286,7 +286,7 @@ def green(chain: MarkovChain, *, agree_tol: float = 1e-8) -> GreenData:
     """
     rho = _require_transient(chain)  # before the solve: I - P is singular on a chain that is not transient
     data = GreenData(chain._green, rho, *chain._series)
-    if not check_series(chain, agree_tol).passed:
+    if not judge(data.series_agreement, data.scale, agree_tol).passed:
         gap = 1.0 - rho
         raise InconsistencyError(
             f"Green series and solve disagree by {data.series_agreement:.3e} > {agree_tol:g} × max|G| = "

@@ -141,10 +141,6 @@ class MeasureSpace:
         """Build a set from atom names."""
         return MeasurableSet(frozenset(self.index(a) for a in atoms))
 
-    def singleton(self, index: int) -> MeasurableSet:
-        self.validate_set(MeasurableSet(frozenset({index})))
-        return MeasurableSet(frozenset({index}))
-
     def singletons(self) -> tuple[MeasurableSet, ...]:
         return tuple(MeasurableSet(frozenset({i})) for i in range(self.size))
 
@@ -158,11 +154,8 @@ class MeasureSpace:
             )
 
     def measure(self, A: MeasurableSet) -> float:
-        """Total weight of ``A``; additive over disjoint unions."""
-        self.validate_set(A)
-        if not A.members:
-            return 0.0
-        return float(self.weight_array[A.indices].sum())
+        """Total weight of ``A``, ``indicator(A) @ w``; additive over disjoint unions."""
+        return float(self.indicator(A) @ self.weight_array)
 
     def indicator(self, A: MeasurableSet) -> np.ndarray:
         """Indicator of ``A`` as an atom vector."""
@@ -224,17 +217,10 @@ class Partition:
 
 
 def is_partition(space: MeasureSpace, blocks: Sequence[MeasurableSet]) -> bool:
-    """True iff the blocks are nonempty, pairwise disjoint, and cover all atoms."""
-    seen: set[int] = set()
-    for b in blocks:
-        if not b.members:
-            return False
-        if max(b.members) >= space.size:
-            return False
-        if seen & b.members:
-            return False
-        seen |= b.members
-    return seen == set(range(space.size))
+    """True iff the blocks are nonempty, in range, pairwise disjoint and cover all atoms: each indicator column sums to 1."""
+    if not all(b.members and max(b.members) < space.size for b in blocks):
+        return False
+    return bool((space.indicator_matrix(blocks).sum(axis=0) == 1.0).all())
 
 
 def is_refinement(coarse: Partition, fine: Partition) -> bool:

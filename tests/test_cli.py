@@ -10,10 +10,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from setkern import Factorization, check_series, green, markov
+from setkern import Factorization, check_series, factorization, green, kernels, markov
 from setkern.cli import CHECKS, SUITES, Run, _adjoint, _check_names, main
 from setkern.config import TOLERANCES, load_config
-from setkern.errors import ConfigError
+from setkern.errors import ConfigError, VerificationError
 from setkern.linalg import DOMAIN_BITS, selfadjoint_defect
 from setkern.report import CheckRecord, RunReport
 from support import random_nu_psd_matrix, random_sets, random_space
@@ -1204,3 +1204,49 @@ def test_a_sampler_the_library_rejects_fails_its_row_and_the_report_is_written(r
     ito = by_check.pop("ito-isometry")
     assert (ito["status"], ito["value"], ito["bound"]) == ("fail", None, None)
     assert len(by_check) == 10 and all(r["status"] == "pass" for r in by_check.values()), by_check
+
+
+KERNEL_ROWS = {"symmetry", "gram-psd", "schwarz", "absolute-continuity"}
+FACT_ROWS = {"realization", "density-consistency", "isometry", "adjoint", "parseval", "range-rank",
+             "ito-isometry", "cross-moment", "q-monotone", "q-bound", "q-attained"}  # and every q-level-<n>
+GREEN_RUNS = [("two-state-green", c) for c in ("validate", "factorize", "markov-green", "simulate")] + [
+    ("stochastic-chain", "markov-green")]
+
+
+@pytest.mark.parametrize("module, builder, reads, runs", [
+    (kernels, "gram", {"symmetry", "gram-psd", "schwarz", "isometry", "parseval", "green-psd"},
+     [("wiener", "validate"), ("rank-one", "validate"), ("counting-null-atom", "validate"),
+      ("two-state-green", "markov-green")]),
+    (factorization, "realize", FACT_ROWS,
+     [("wiener", "factorize"), ("wiener", "simulate"), ("wiener", "refine-sweep"), ("rank-one", "factorize"),
+      ("two-state-green", "factorize"), ("two-state-green", "simulate")]),
+    (markov, "green", {"green-identity", "green-psd", "green-factor"} | KERNEL_ROWS | FACT_ROWS, GREEN_RUNS),
+    (markov, "green_kernel", {"green-psd", "green-factor"} | KERNEL_ROWS | FACT_ROWS, GREEN_RUNS),
+], ids=["gram", "realize", "green", "green_kernel"])
+def test_a_part_the_library_rejects_fails_every_row_that_reads_it(runner, tmp_path, monkeypatch, module, builder,
+                                                                   reads, runs):
+    # a row reads a part directly or through a part built from it, and a suite that needs a realization
+    # does not run without one; a rejected Gram escaped the report as a traceback
+    def reads_part(check):
+        return check in reads or (check.startswith("q-level-") and FACT_ROWS <= reads)
+
+    def rejected(*args, **kwargs):
+        raise VerificationError(f"{builder} rejected its input")
+
+    def records(config, command, tag):
+        out = tmp_path / f"{config}.{command}.{tag}.jsonl"
+        result = invoke(runner, tmp_path, command, "--config", str(CONFIGS / f"{config}.yaml"), "--out", str(out))
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+        return result.exit_code, {r["check"]: r for r in read_records(out)[1]}
+
+    before = {run: records(*run, "before")[1] for run in runs}
+    monkeypatch.setattr(module, builder, rejected)
+    for run in runs:
+        code, after = records(*run, "after")
+        assert code == 1, run
+        for check in after.keys() | before[run].keys():
+            if not reads_part(check):
+                assert after.get(check) == before[run].get(check), (run, check)
+            elif check in after:
+                assert (after[check]["status"], after[check]["value"], after[check]["bound"]) == ("fail", None, None), (
+                    run, check)

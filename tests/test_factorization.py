@@ -1,6 +1,7 @@
 """Realization engine: densities, operator assembly, square roots, isometries."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,14 @@ def test_coisometry_rejects_vectors_of_the_wrong_size(space):
         coisometry_b_star(fact, np.ones(3), [space.subset("a")])
 
 
+@pytest.mark.parametrize("alpha", [np.ones((1, 3)), np.ones(1), np.ones((2, 1)), 1.0])
+def test_isometry_rejects_coefficients_that_are_not_one_per_set(space, alpha):
+    # a last axis other than len(sets) ended in numpy's matmul ValueError
+    fact = realize(wiener_kernel(space))
+    with pytest.raises(DomainError, match="one entry per set"):
+        isometry_b(fact, alpha, [space.subset("a"), space.subset("b")])
+
+
 # ---------------------------------------------------------------------------
 # Parseval expansions
 
@@ -490,6 +499,14 @@ def test_onb_rejects_incomplete_basis(space):
     v = np.array([1.0, 0.0, 0.0])
     with pytest.raises(InvalidBasisError):
         onb_factorization(fact, [v], [space.subset("a"), space.subset("b")])
+
+
+@pytest.mark.parametrize("basis", [[[1.0, 0.0, 0.0], [0.0]], [1.0, 2.0, 0.5], [[[1.0, 0.0, 0.0]]]])
+def test_onb_rejects_a_basis_that_is_not_one_vector_per_row(space, basis):
+    # a ragged basis ended in numpy's inhomogeneous-shape ValueError, a flat one in an IndexError
+    fact = realize(wiener_kernel(space))
+    with pytest.raises(InvalidBasisError, match="match the space size"):
+        onb_factorization(fact, basis, [space.subset("a")])
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +626,17 @@ def test_unmapped_atom_is_an_error(space):
 def test_bad_target_is_an_error(space):
     with pytest.raises(InvalidMapError):
         verify_pushforward(space, space, [0, 1, 9])
+
+
+@pytest.mark.parametrize("mapping, entry", [
+    ([0, 1.9], "1: 1.9"), ([0, True], "1: True"), ({0: 0, 1: 1.5}, "1: 1.5"), ([0, 1, 5], "2: 5"),
+    ({0: 0, 1: 1, 2.0: 1}, "2.0: 1"), ({0: 0, 1: 1, -1: 0}, "-1: 0"),
+])
+def test_an_entry_that_is_not_a_map_of_atom_indices_is_an_error(mapping, entry):
+    # each of these was read as [0, 1] and passed; [0, 1, 5] dropped the image of a third atom that does not exist
+    space = MeasureSpace(("u", "v"), (1.0, 2.0))
+    with pytest.raises(InvalidMapError, match=f"map entry {re.escape(entry)} "):
+        verify_pushforward(space, space, mapping)
 
 
 # ---------------------------------------------------------------------------
