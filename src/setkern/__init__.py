@@ -28,6 +28,7 @@ from .factorization import (
     b_range_dimension,
     build_T,
     check_absolute_continuity,
+    check_realization,
     coisometry_b_star,
     export_factorization,
     isometry_b,

@@ -6,24 +6,26 @@ JSON-lines report (optionally also CSV).  Exit codes: 0 all checks passed,
 every command decides before its first check, the kernel included.
 Reports are byte-deterministic for fixed (config, seed), including across
 ``--workers`` settings, and only the Monte Carlo rows read the seed; pass
-``--timings`` to record per-check runtimes at the cost of that determinism.
+``--timings`` to record each row's own runtime at the cost of that determinism.
 
 Every check is one row of ``SUITES``: its name, report tag and tolerance key
 (a name of ``config.TOLERANCES``; ``load_config`` resolves each one from its
 default, the file and ``--tol``), and a function of the command's shared
 ``Run`` state that returns a ``linalg.Verdict`` ``(value, bound, passed,
 detail)``, or ``None`` when the check does not apply.  Library checks such as
-``GramMatrix.psd``, ``check_absolute_continuity``, ``reverse_direction`` and
-the ``markov`` checks return the verdict their row records.  Library
-constructors raise, and so does each ``Run`` part built from them; the loop
-turns a ``SetKernError`` from a check, or from a part it reads, into a failed
-row with no value or bound, and the report is still written.  An error passes when
-it is at most ``tol * scale``, by ``linalg.judge``; transience, contractivity
-and the spectral gap compare a dimensionless norm or eigenvalue with
-``1 - tol``, ``1 + tol`` or ``tol``, and Monte Carlo sigmas and range rank
-keep their own rules.  Each command of ``COMMANDS`` runs its suites through
-one loop.  Every row fails under some mutation of the library that it exists
-to catch; ``tests/test_mutations.py`` pins which rows each mutation fails.
+``GramMatrix.psd``, ``check_absolute_continuity``, ``reverse_direction``,
+``check_realization`` (``isometry`` on the kernel's root, ``green-factor`` on
+the Green root) and the ``markov`` checks return the verdict their row
+records.  Library constructors raise, and so does each ``Run`` part built
+from them; the loop turns a ``SetKernError`` from a check, or from a part it
+reads, into a failed row with no value or bound, and the report is still
+written.  An error passes when it is at most ``tol * scale``, by
+``linalg.judge``; transience, contractivity and the spectral gap compare a
+dimensionless norm or eigenvalue with ``1 - tol``, ``1 + tol`` or ``tol``,
+and Monte Carlo sigmas and range rank keep their own rules.  Each command of
+``COMMANDS`` runs its suites through one loop.  Every row fails under some
+mutation of the library that it exists to catch; ``tests/test_mutations.py``
+pins which rows each mutation fails.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class Run:
 
     @cached_property
     def green_kernel(self) -> kernels.SetKernel:
-        return markov.green_kernel(self.cfg.chain, data=self.green)
+        return markov.green_kernel(self.cfg.chain, agree_tol=self.report.tolerances["series-solve"])
 
     @cached_property
     def sweep(self) -> tuple[list[float], float, float]:
@@ -135,15 +137,6 @@ class Check(NamedTuple):
     tag: str
     tol: str | None
     measure: Callable[[Run, float | None], Verdict | None]
-    shared: bool = False
-    """Record the runtime of the check before it, which computed both; set on every sweep level after the first."""
-
-
-def _isometry(run: Run, tol: float) -> Verdict:
-    """``max|K_P D K_P^T - G_P|`` over the probe family against ``tol * max|G_P|``: ``|b F|^2 = |F|^2`` for every ``F`` at once."""
-    K = run.fact.k_rows(run.probes)
-    inner = K @ (run.cfg.space.weight_array[:, None] * K.T)
-    return judge(float(np.abs(inner - run.gram.entries).max()), run.gram.scale, tol)
 
 
 def _adjoint(run: Run, tol: float) -> Verdict:
@@ -158,16 +151,6 @@ def _range_rank(run: Run, _: None) -> Verdict:
     expected = run.cfg.expect.get("range-rank")
     rank = factorization.b_range_dimension(run.fact)
     return Verdict(float(rank), expected, expected is None or rank == expected)
-
-
-def _green_factor(run: Run, tol: float) -> Verdict:
-    """Largest error of ``<k_A, k_B>`` from the Green root against the kernel, over the probe family."""
-    space = run.cfg.space
-    C = space.indicator_matrix(run.probes)
-    kvecs = C @ markov.green_root(run.cfg.chain).T
-    inner = kvecs @ (space.weight_array[:, None] * kvecs.T)
-    K = C @ run.green_kernel.Q @ C.T
-    return judge(float(np.abs(inner - K).max()), float(np.abs(K).max()), tol)
 
 
 def _monte_carlo(run: Run, tol: float, check: Callable, *integrands) -> Verdict:
@@ -203,7 +186,8 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
     "factorize": (lambda run: run.report.all_passed, (
         REALIZATION,
         Check("density-consistency", "density", "density", lambda run, tol: factorization.reverse_direction(run.fact, tol=tol)),
-        Check("isometry", "isometry", "isometry", _isometry),
+        Check("isometry", "isometry", "isometry",
+              lambda run, tol: factorization.check_realization(run.kernel, run.fact.S, run.probes, tol=tol)),
         Check("adjoint", "adjoint", "adjoint", _adjoint),
         Check("parseval", "parseval", "parseval", lambda run, tol: judge(run.parseval, run.gram.scale, tol)),
         Check("range-rank", "range-rank", None, _range_rank),
@@ -216,7 +200,8 @@ SUITES: dict[str, tuple[Callable[[Run], bool], tuple[Check, ...]]] = {
         ).max()), run.green.scale, tol)),
         Check("series-solve", "series-agreement", "series-solve", lambda run, tol: markov.check_series(run.cfg.chain, tol)),
         Check("green-psd", "positive-definite", "gram-psd", lambda run, tol: kernels.gram(run.green_kernel, run.probes).psd(tol)),
-        Check("green-factor", "green-factorization", "green-factor", _green_factor),
+        Check("green-factor", "green-factorization", "green-factor", lambda run, tol: factorization.check_realization(
+            run.green_kernel, markov.green_root(run.cfg.chain), run.probes, tol=tol)),
     )),
     "mc": (Run.realized, (
         Check("ito-isometry", "ito-isometry", "mc-sigma",
@@ -247,24 +232,19 @@ def _expand_levels(checks: tuple[Check, ...], levels: int):
             yield check
         else:
             for i in range(levels):
-                yield check._replace(name=f"q-level-{i}", measure=partial(check.measure, level=i), shared=i > 0)
+                yield check._replace(name=f"q-level-{i}", measure=partial(check.measure, level=i))
 
 
 def _run_checks(run: Run, checks: tuple[Check, ...], timings: bool) -> None:
-    """Record every enabled check that applies, in table order."""
-    last = None  # runtime of the previous check, if it ran
+    """Record every enabled check that applies, in table order, each with its own runtime under ``timings``."""
     for check in _expand_levels(checks, len(run.cfg.partitions)):
         if not run.cfg.enabled(check.name):
-            last = None
             continue
         t0 = time.perf_counter()
         outcome = Verdict(None, None, False)  # kept when the library rejects what the check reads
         with suppress(SetKernError):
             outcome = check.measure(run, run.report.tolerances.get(check.tol))
         runtime = time.perf_counter() - t0 if timings else None
-        if check.shared and last is not None:
-            runtime = last
-        last = runtime
         if outcome is not None:
             run.report.add(CheckRecord(check.name, check.tag, outcome, runtime))
 

@@ -13,8 +13,9 @@ orthonormal basis are each one product with ``C S^T``, whose rows are the
 measure-space morphisms round out the module.
 
 Constructors (``build_T``, ``realize``) raise on a kernel they cannot realize;
-checks (``check_absolute_continuity``, ``reverse_direction``) return the
-``linalg.Verdict`` of their decision: the error, its bound and whether it passed.
+checks (``check_absolute_continuity``, ``check_realization``,
+``reverse_direction``) return the ``linalg.Verdict`` of their decision: the
+error, its bound and whether it passed.
 
 Null atoms are treated as L2-equivalence classes: densities, ``T`` and every
 ``k_A`` vanish there.
@@ -44,6 +45,7 @@ from .measure import MeasurableSet, MeasureSpace, SimpleFunction
 __all__ = [
     "Factorization",
     "check_absolute_continuity",
+    "check_realization",
     "build_T",
     "realize",
     "reverse_direction",
@@ -83,6 +85,17 @@ def _require_absolute_continuity(kernel: SetKernel) -> None:
         raise AbsoluteContinuityError(
             f"no realization exists: kernel charges null atom {atom!r}: max_y |K({{{atom}}},{{y}})| = "
             f"{charges[first]:.3e} > 1e-10 × max|Q| = {kernel.scale:.3e}")
+
+
+def check_realization(kernel: SetKernel, root: np.ndarray, sets: Sequence[MeasurableSet] | None = None, *, tol: float) -> Verdict:
+    """``max|<k_A, k_B>_w - K(A, B)|`` over pairs of ``sets`` (of atoms if None), ``k_A = root chi_A``, against ``tol * max|C Q C^T|``.
+
+    The package's one realization check; ``C Q C^T`` is not symmetrized, so an asymmetric ``Q`` fails.
+    """
+    C = np.eye(kernel.space.size) if sets is None else kernel.space.indicator_matrix(sets)
+    K, values = C @ root.T, C @ kernel.Q @ C.T
+    inner = K @ (kernel.space.weight_array[:, None] * K.T)
+    return judge(float(np.abs(inner - values).max(initial=0.0)), float(np.abs(values).max(initial=0.0)), tol)
 
 
 def build_T(kernel: SetKernel) -> np.ndarray:
@@ -138,9 +151,9 @@ def realize(kernel: SetKernel, *, tol: float = 1e-8) -> Factorization:
     """Construct the weighted-L2 realization of a kernel.
 
     Requires the kernel to vanish on null sets and to be PSD on singletons;
-    then ``k_A = T^{1/2} chi_A`` reproduces the kernel.  The reconstruction
-    ``<k_x, k_y>`` is verified against the kernel's ``K({x}, {y})`` on every
-    singleton pair, null atoms included, before returning; kernels are
+    then ``k_A = T^{1/2} chi_A`` reproduces the kernel.  Before returning,
+    ``check_realization`` over the atoms compares ``<k_x, k_y>`` with
+    ``K({x}, {y})`` on every singleton pair, null atoms included; kernels are
     biadditive by construction, so the singleton pairs decide every pair.
     The root comes from the kernel's ``spectrum``, which ``build_T`` certifies.
 
@@ -150,12 +163,11 @@ def realize(kernel: SetKernel, *, tol: float = 1e-8) -> Factorization:
         Propagated from ``build_T``.
     VerificationError
         If the singleton-pair reconstruction residual exceeds
-        ``tol * max|Q|`` or is not a number.
+        ``tol * max|Q|`` or is not a number; an asymmetric ``Q`` exceeds it.
     """
     build_T(kernel)
     S = psd_sqrt(kernel.spectrum)
-    # <S chi_x, S chi_y> = (S^T D S)[x, y] must equal K({x},{y}) = Q[x, y].
-    residual = float(np.abs(S.T @ (kernel.space.weight_array[:, None] * S) - kernel.Q).max())
+    residual = check_realization(kernel, S, tol=tol).value
     require(residual, kernel.scale, tol, VerificationError,
             "factorization failed verification: singleton residual", "max|Q|")
     return Factorization(kernel=kernel, S=S, residual=residual)

@@ -193,8 +193,10 @@ def _moment_check(
     ``d = 1`` column, ``|a| z_1``, and squares one product per draw instead
     of multiplying two.  The keys, chunks and reduction order are those of
     ``FieldSampler.sample``, but not its draws, which take one column per
-    column of ``L``.
+    column of ``L``.  A ``fact`` of another kernel raises ``DomainError``.
     """
+    if fact.space != kernel.space or not np.array_equal(fact.kernel.Q, kernel.Q):
+        raise DomainError("the factorization realizes another kernel than the one sampled")
     sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + psi.sets()), seed)
     alpha = _coefficients(phi, sampler)
     beta = alpha if psi is phi else _coefficients(psi, sampler)
@@ -237,8 +239,8 @@ def ito_isometry_check(
 
     Estimates the mean square of the integral of ``phi`` over ``n`` draws
     and compares with the exact value, the weighted-L2 norm squared of the
-    transformed integrand.  ``n < 1`` or ``workers < 1`` raises
-    ``DomainError``.
+    transformed integrand.  ``n < 1``, ``workers < 1`` or a factorization of
+    another kernel raises ``DomainError``.
     """
     return _moment_check(kernel, factorization, phi, phi, n, seed, workers)
 
@@ -256,7 +258,8 @@ def cross_moment_check(
     """Monte Carlo check of the covariance of two integrals.
 
     The exact value is the weighted-L2 pairing of the two transformed
-    integrands.  ``n < 1`` or ``workers < 1`` raises ``DomainError``.
+    integrands.  ``n < 1``, ``workers < 1`` or a factorization of another
+    kernel raises ``DomainError``.
     """
     return _moment_check(kernel, factorization, phi, psi, n, seed, workers)
 

@@ -297,17 +297,16 @@ def green(chain: MarkovChain, *, agree_tol: float = 1e-8) -> GreenData:
     return data
 
 
-def green_kernel(chain: MarkovChain, *, data: GreenData | None = None) -> SetKernel:
-    """Kernel ``K(A, B) = sum_{x in A} w(x) G(x, B)`` of a reversible transient chain.
+def green_kernel(chain: MarkovChain, *, agree_tol: float = 1e-8) -> SetKernel:
+    """Kernel ``K(A, B) = sum_{x in A} w(x) G(x, B)`` of a reversible transient chain, with ``G`` from ``green`` at ``agree_tol``.
 
     Symmetric because detailed balance makes ``w G`` symmetric; positive
     definite because ``G`` is the inverse of ``I - P`` with spectrum in
     ``(0, 2]`` of the weighted geometry.  It accepts exactly the chains that
-    ``green_root`` factors.  Pass the chain's ``green(chain)`` as ``data`` to
-    build the kernel without solving for ``G`` again.
+    ``green_root`` factors and ``green`` accepts at ``agree_tol``.
     """
     _require_reversible(chain, "symmetric Green kernel")
-    G = (green(chain) if data is None else data).G
+    G = green(chain, agree_tol=agree_tol).G
     return SetKernel(space=chain.space, kind="green", Q=chain.space.weight_array[:, None] * G)
 
 

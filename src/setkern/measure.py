@@ -9,6 +9,7 @@ weights.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -45,7 +46,9 @@ class MeasurableSet:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
+        if bad := [i for i in self.members if isinstance(i, bool) or not hasattr(i, "__index__")]:
+            raise InvalidSetError(f"atom index {bad[0]!r} is not an integer")  # int() would make 0.5 or "2" another atom
+        object.__setattr__(self, "members", frozenset(map(operator.index, self.members)))
         if any(i < 0 for i in self.members):
             raise InvalidSetError("atom indices must be nonnegative")
         # no space has that many atoms, and index_array could not hold the index

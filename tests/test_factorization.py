@@ -15,6 +15,7 @@ from setkern import (
     Factorization,
     InvalidBasisError,
     InvalidMapError,
+    MarkovChain,
     MeasurableSet,
     MeasureSpace,
     NotPositiveError,
@@ -24,11 +25,13 @@ from setkern import (
     b_range_dimension,
     build_T,
     check_absolute_continuity,
+    check_realization,
     coisometry_b_star,
     counting_kernel,
     export_factorization,
     gram,
     green_kernel,
+    green_root,
     isometry_b,
     onb_factorization,
     operator_kernel,
@@ -286,6 +289,35 @@ def test_realize_reproduces_every_pair_or_refuses(data):
     kvecs = fact.k_rows([MeasurableSet(frozenset(np.flatnonzero(row))) for row in C])
     inner = kvecs @ (sp.weight_array[:, None] * kvecs.T)
     assert np.abs(inner - C @ Q @ C.T).max() <= n * n * 1e-8
+
+
+def test_check_realization_fails_an_asymmetric_Q_the_symmetrized_gram_passes(space):
+    # the root of the kernel's spectrum realizes the symmetric part of Q, half the nudge off Q on either side;
+    # the Gram symmetrized by halves compares with that part and passes
+    Q = np.diag(space.weight_array)
+    Q[0, 1] += 0.003
+    kernel = SetKernel(space, Q)
+    S = psd_sqrt(kernel.spectrum)
+    family = [*space.singletons(), space.subset("a", "b"), space.subset("b", "c"), space.full_set()]
+    K = space.indicator_matrix(family) @ S.T
+    symmetrized = gram(kernel, family)
+    assert np.abs(K @ (space.weight_array[:, None] * K.T) - symmetrized.entries).max() <= 1e-8 * symmetrized.scale
+    for sets in (None, family):
+        verdict = check_realization(kernel, S, sets, tol=1e-8)
+        assert not verdict.passed and verdict.value == pytest.approx(0.0015, rel=1e-9), sets
+    with pytest.raises(VerificationError, match="singleton residual 1.500e-03"):
+        realize(kernel)
+
+
+def test_check_realization_passes_the_roots_of_the_package(space):
+    chain = MarkovChain.from_conductances(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 0.5)], {"a": 0.25})
+    sets = [*space.singletons(), space.subset("a", "c"), space.full_set()]
+    for kernel, root in ((wiener_kernel(space), realize(wiener_kernel(space)).S),
+                         (green_kernel(chain), green_root(chain))):
+        for family in (None, sets, []):
+            assert check_realization(kernel, root, family, tol=1e-10).passed, (kernel.kind, family)
+    fact = realize(rank_one_kernel(space))
+    assert check_realization(fact.kernel, fact.S, tol=1e-8).value == fact.residual
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,18 @@ def test_isometry_on_two_state_green_kernel():
     assert res.within(5.0)
 
 
+def test_moment_checks_refuse_a_factorization_of_another_kernel(space, unit_space):
+    # the check compared one kernel's sampler with the other kernel's exact moment
+    phi = SimpleFunction(((1.0, space.subset("a", "b")),))
+    kernel = wiener_kernel(space)
+    others = (realize(rank_one_kernel(space)), realize(SetKernel(unit_space, kernel.Q)))
+    for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, phi))):
+        for fact in others:
+            with pytest.raises(DomainError, match="realizes another kernel"):
+                check(kernel, fact, *integrands, 100, seed=0)
+        assert check(kernel, realize(wiener_kernel(space)), *integrands, 100, seed=0).exact == 3.0
+
+
 def test_cross_moment_reduces_to_isometry(space):
     kernel = wiener_kernel(space)
     fact = realize(kernel)

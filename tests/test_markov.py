@@ -276,6 +276,15 @@ def test_green_kernel_requires_reversibility():
         green_kernel(chain)
 
 
+def test_green_kernel_judges_the_series_at_its_agree_tol():
+    # on this path solve and series disagree by more than 1e-8 × max|G|, within 1e-6 × max|G|
+    path = near_recurrent_path(10, 1e-8)
+    with pytest.raises(InconsistencyError):
+        green_kernel(path)
+    kernel = green_kernel(path, agree_tol=1e-6)
+    np.testing.assert_array_equal(kernel.Q, path.space.weight_array[:, None] * green(path, agree_tol=1e-6).G)
+
+
 def test_k_from_green_zero_chain_is_indicator():
     sp = MeasureSpace(("a", "b"), (1.0, 1.0))
     chain = MarkovChain(sp, np.zeros((2, 2)))

@@ -1,5 +1,7 @@
 """Measure space, sets, simple functions, partitions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -111,6 +113,19 @@ def test_an_index_no_array_can_hold_is_rejected_with_the_set():
     with pytest.raises(InvalidSetError, match=f"atom index {2**63} is beyond any measure space"):
         MeasurableSet(frozenset({0, 2**63}))
     assert MeasurableSet(frozenset({2**63 - 1})).index_array.tolist() == [2**63 - 1]
+
+
+@pytest.mark.parametrize("member", [0.5, 1.9, np.float64(2.7), "2", b"1", True, np.True_, None],
+                         ids=["half", "1.9", "float64", "str", "bytes", "bool", "numpy-bool", "none"])
+def test_a_member_that_is_not_an_integer_is_rejected(space, member):
+    # int() made each of these another set, and measure and K(A, A) answered for that set
+    with pytest.raises(InvalidSetError, match=re.escape(f"atom index {member!r} is not an integer")):
+        MeasurableSet(frozenset({member}))
+
+
+def test_numpy_integer_members_are_atom_indices(space):
+    A = MeasurableSet(frozenset(np.flatnonzero([1.0, 0.0, 1.0])) | {np.int32(1)})
+    assert A == space.full_set() and all(type(i) is int for i in A.members)
 
 
 # ---------------------------------------------------------------------------
