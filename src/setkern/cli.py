@@ -46,7 +46,7 @@ import numpy as np
 from . import factorization, field, kernels, markov
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SetKernError
-from .linalg import Verdict, judge
+from .linalg import SAMPLE_BITS, Verdict, judge, require_integer
 from .measure import MeasurableSet
 from .report import CheckRecord, RunReport
 
@@ -287,35 +287,38 @@ def _split_tolerances(overrides: tuple[str, ...]) -> list[tuple[str, str]]:
 
 def _run(name, requires, suites, config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings,
          export_path=None):
-    """Load and vet the config, run the command's suites, write the report and exit with its verdict."""
-    out_dir = Path(os.environ.get("SETKERN_OUT", "."))
+    """Vet the integer flags, load and vet the config, run the command's suites, write the report and exit with its verdict."""
+    def output(path: str | None, default: str) -> Path:  # the one rule for the report, CSV table and export
+        out = Path(path) if path else Path(os.environ.get("SETKERN_OUT", ".")) / default
+        out.parent.mkdir(parents=True, exist_ok=True)
+        return out
+
     try:
+        seed = seed if seed is None else require_integer(seed, "--seed", ConfigError)
+        samples = samples if samples is None else require_integer(samples, "--samples", ConfigError, least=1, bits=SAMPLE_BITS)
+        workers = require_integer(workers, "--workers", ConfigError, least=1)
         cfg = load_config(config_path, _split_tolerances(tol_overrides))
         _check_names(cfg)
         for section in requires:
             if getattr(cfg, "kernel_type" if section == "kernel" else section) in (None, ()):
                 raise ConfigError(f"{name} requires a {section} section")
-        seed = cfg.seed if seed is None else seed
-        samples = cfg.samples if samples is None else samples
-        report = RunReport(command=name, seed=seed, samples=samples, tolerances=cfg.tolerances)
+        report = RunReport(name, cfg.seed if seed is None else seed, cfg.samples if samples is None else samples, cfg.tolerances)
         run = Run(cfg, report, workers)
         for suite in suites:
             applies, checks = SUITES[suite]
             if applies(run):
                 _run_checks(run, checks, timings)
         if name == "factorize" and run.realized():
-            export = Path(export_path) if export_path else out_dir / "factorization.json"
-            export.parent.mkdir(parents=True, exist_ok=True)
+            export = output(export_path, "factorization.json")
             factorization.write_factorization(run.fact, export, family=cfg.family)
             click.echo(f"factorization written to {export}")
     except ConfigError as e:
         click.echo(f"config error: {e}", err=True)
         sys.exit(2)
-    out = Path(out_path) if out_path else out_dir / f"{name}-report.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = output(out_path, f"{name}-report.jsonl")
     report.write_jsonl(out)
     if csv_path:
-        report.write_csv(csv_path)
+        report.write_csv(output(csv_path, f"{name}-report.csv"))
     for line in report.summary_lines():
         click.echo(line)
     click.echo(f"report written to {out}")
@@ -327,12 +330,12 @@ def _options(name: str) -> list[click.Option]:
     path = click.Path(dir_okay=False)
     options = [
         click.Option(["--config", "config_path"], required=True, type=path),
-        click.Option(["--seed"], type=click.IntRange(0, 2**64 - 1), default=None, help="Override mc.seed."),
-        click.Option(["--samples"], type=click.IntRange(1), default=None, help="Override mc.samples."),
+        click.Option(["--seed"], type=int, default=None, help="Override mc.seed, in [0, 2**64)."),
+        click.Option(["--samples"], type=int, default=None, help="Override mc.samples, in [1, 2**40)."),
         click.Option(["--out", "out_path"], type=path, default=None, help="Report JSONL path."),
         click.Option(["--csv", "csv_path"], type=path, default=None, help="Also write a CSV table."),
         click.Option(["--tol", "tol_overrides"], multiple=True, metavar="NAME=VALUE", help="Override a tolerance (repeatable)."),
-        click.Option(["--workers"], type=click.IntRange(1), default=1, show_default=True, help="Worker threads for sampling."),
+        click.Option(["--workers"], type=int, default=1, show_default=True, help="Worker threads for sampling, at least 1."),
         click.Option(["--timings"], is_flag=True, help="Record per-check runtimes (breaks byte-determinism)."),
     ]
     if name == "factorize":

@@ -50,7 +50,7 @@ from .kernels import (
     rank_one_kernel,
     wiener_kernel,
 )
-from .linalg import require
+from .linalg import SAMPLE_BITS, require, require_integer
 from .markov import MarkovChain
 from .measure import (
     MeasurableSet,
@@ -221,14 +221,10 @@ def _matrix(rows: Any, where: str) -> np.ndarray:
         raise ConfigError(f"{where} must be a dense numeric matrix") from None
 
 
-def _integer(value: Any, where: str) -> int:
+def _integer(value: Any, where: str, **bounds) -> int:  # an integral float, as YAML may write a count, is its int
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if not 0 <= value < 2**64:  # a count or seed: what a report, a chunk count and the seed sequence all hold
-        raise ConfigError(f"{where} must be an integer in [0, 2**64)")
-    return value
+    return require_integer(value, where, ConfigError, **bounds)
 
 
 def _atom_name(value: Any, where: str) -> str:
@@ -383,10 +379,8 @@ def load_config(path: str | Path, overrides: Iterable[tuple[str, str]] = ()) -> 
         partitions.append(part)
 
     mc = _as_mapping(raw.get("mc"), "mc", ("samples", "seed"))
-    samples = _integer(mc.get("samples", 200000), "mc.samples")
+    samples = _integer(mc.get("samples", 200000), "mc.samples", least=1, bits=SAMPLE_BITS)
     seed = _integer(mc.get("seed", 0), "mc.seed")
-    if samples < 1:
-        raise ConfigError("mc.samples must be positive")
 
     tolerances = dict(TOLERANCES)
     for name, value in _as_mapping(raw.get("tolerances"), "tolerances", tuple(TOLERANCES)).items():

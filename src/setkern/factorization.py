@@ -92,8 +92,8 @@ def check_realization(kernel: SetKernel, root: np.ndarray, sets: Sequence[Measur
 
     The package's one realization check; ``C Q C^T`` is not symmetrized, so an asymmetric ``Q`` fails.
     """
-    C = np.eye(kernel.space.size) if sets is None else kernel.space.indicator_matrix(sets)
-    K, values = C @ root.T, C @ kernel.Q @ C.T
+    C = None if sets is None else kernel.space.indicator_matrix(sets)
+    K, values = (root.T, kernel.Q) if C is None else (C @ root.T, C @ kernel.Q @ C.T)
     inner = K @ (kernel.space.weight_array[:, None] * K.T)
     return judge(float(np.abs(inner - values).max(initial=0.0)), float(np.abs(values).max(initial=0.0)), tol)
 
@@ -236,7 +236,7 @@ def _check_onb(space: MeasureSpace, basis: Sequence[np.ndarray]) -> np.ndarray:
     B = np.array(vectors)
     w = space.weight_array
     G = B @ (w[:, None] * B.T)
-    if float(np.abs(G - np.eye(len(basis))).max()) > 1e-10:
+    if not judge(float(np.abs(G - np.eye(len(basis))).max()), 1.0, 1e-10).passed:  # a NaN fails
         raise InvalidBasisError("family is not orthonormal in the weighted pairing")
     # G is the Gram of the rows of B D^{1/2}, within 1e-10 of I, so it is nonsingular (Gershgorin)
     # for any basis of fewer than 1e10 vectors: the rows span the positive atoms iff there are that many.

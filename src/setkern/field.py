@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, InvalidCovarianceError, OrderingError
 from .factorization import Factorization
 from .kernels import GramMatrix, SetKernel, gram
-from .linalg import CLAMP, Spectrum, judge
+from .linalg import CLAMP, SAMPLE_BITS, Spectrum, judge, require_integer
 from .measure import MeasurableSet, Partition, SimpleFunction, is_partition, is_refinement
 
 __all__ = [
@@ -61,7 +61,7 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
     """
     starts = range(0, n, CHUNK_SIZE)
     results = [None] * len(starts)
-    threads = max(min(workers, len(starts)), 1)
+    threads = max(min(require_integer(workers, "workers", DomainError, least=1), len(starts)), 1)
     errors: list[BaseException] = []
 
     def run(first: int) -> None:
@@ -83,13 +83,6 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
     if errors:
         raise errors[0]
     return results
-
-
-def _check_counts(n: int, least: int, workers: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < least:
-        raise DomainError(f"n must be an integer >= {least}, got {n!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +107,9 @@ class FieldSampler:
         """Draw ``n`` i.i.d. field vectors, shape ``(n, len(family))``.
 
         Identical output for any ``workers`` value and across runs with the
-        same seed.  ``n < 0`` or ``workers < 1`` raises ``DomainError``.
+        same seed.  A count outside ``[0, 2^40)`` or ``workers < 1`` raises ``DomainError``.
         """
-        _check_counts(n, 0, workers)
+        n = require_integer(n, "n", DomainError, bits=SAMPLE_BITS)
         out = np.empty((n, len(self.family)))
 
         def fill(start: int, z: np.ndarray) -> None:
@@ -134,17 +127,16 @@ def build_sampler(kernel: SetKernel, family: Iterable[MeasurableSet], seed: int)
     ``CLAMP * lambda_max`` are dropped (rank deficiency is expected, e.g. for
     the product kernel).  An eigenvalue below ``-1e-10 * lambda_max`` means
     the Gram is indefinite and ``InvalidCovarianceError`` is raised.  A
-    ``seed`` that is not an integer in ``[0, 2**64)`` raises ``DomainError``.
+    ``seed`` that is not an integer in ``[0, 2^64)`` raises ``DomainError``.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    seed = require_integer(seed, "seed", DomainError)
     family = tuple(family)
     g = gram(kernel, family)
     spec = Spectrum.of(g.entries, np.ones(len(family))).certify(1e-10, InvalidCovarianceError, "Gram matrix")
     order = np.argsort(spec.values)[::-1]
     keep = order[spec.kept[order]]
     L = spec.vectors[:, keep] * np.sqrt(spec.values[keep])
-    return FieldSampler(family=family, gram=g, factor=L, seed=int(seed))
+    return FieldSampler(family=family, gram=g, factor=L, seed=seed)
 
 
 def _coefficients(phi: SimpleFunction, sampler: FieldSampler) -> np.ndarray:
@@ -198,11 +190,11 @@ def _moment_check(
     if fact.space != kernel.space or not np.array_equal(fact.kernel.Q, kernel.Q):
         raise DomainError("the factorization realizes another kernel than the one sampled")
     sampler = build_sampler(kernel, dict.fromkeys(phi.sets() + psi.sets()), seed)
+    n = require_integer(n, "n", DomainError, least=1, bits=SAMPLE_BITS)
     alpha = _coefficients(phi, sampler)
     beta = alpha if psi is phi else _coefficients(psi, sampler)
     size = fact.space.size
     exact = fact.space.inner(fact.S @ phi.values(size), fact.S @ psi.values(size))
-    _check_counts(n, 1, workers)
     a = sampler.factor.T @ alpha
     if psi is phi:
         ra = rb = np.array([np.linalg.norm(a)])
@@ -239,8 +231,8 @@ def ito_isometry_check(
 
     Estimates the mean square of the integral of ``phi`` over ``n`` draws
     and compares with the exact value, the weighted-L2 norm squared of the
-    transformed integrand.  ``n < 1``, ``workers < 1`` or a factorization of
-    another kernel raises ``DomainError``.
+    transformed integrand.  A count or seed outside its ``linalg`` domain or
+    a factorization of another kernel raises ``DomainError``.
     """
     return _moment_check(kernel, factorization, phi, phi, n, seed, workers)
 
@@ -258,8 +250,8 @@ def cross_moment_check(
     """Monte Carlo check of the covariance of two integrals.
 
     The exact value is the weighted-L2 pairing of the two transformed
-    integrands.  ``n < 1``, ``workers < 1`` or a factorization of another
-    kernel raises ``DomainError``.
+    integrands.  A count or seed outside its ``linalg`` domain or a
+    factorization of another kernel raises ``DomainError``.
     """
     return _moment_check(kernel, factorization, phi, psi, n, seed, workers)
 

@@ -25,10 +25,16 @@ kernel's ``w G <= 2^(b+34)`` is smaller), so it is at most ``n^8 N z^4 2^(8b)``.
 ``8b = 768`` leaves 255 bits below ``2^1023`` for ``n <= 2^24``, ``N <= 2^40``
 and ``|z| <= 16``, and its least nonzero size ``2^-768`` stays 254 bits above
 ``2^-1022``, so no underflow zeroes a ``judge`` scale either.
+
+Every count, seed and atom index is an integer in ``[least, 2^bits)`` by one
+rule, ``require_integer``, where it enters: a sample count in ``[1, 2^40)``
+(the ``N`` above), a worker count of at least 1, a seed in ``[0, 2^64)`` and
+an atom index in ``np.intp``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -38,6 +44,8 @@ __all__ = [
     "CLAMP",
     "DOMAIN_BITS",
     "require_in_domain",
+    "SAMPLE_BITS",
+    "require_integer",
     "Verdict",
     "judge",
     "require",
@@ -53,6 +61,8 @@ CLAMP = 1e-12
 """Eigenvalues at most ``CLAMP * lambda_max`` are roundoff: roots set them to zero and ranks skip them."""
 DOMAIN_BITS = 96
 """``b`` of the float domain ``[2^-b, 2^b]`` of every input (see the module docstring)."""
+SAMPLE_BITS = 40
+"""Monte Carlo sample counts are below ``2^SAMPLE_BITS``, the ``N`` of the float-domain bound."""
 
 
 def require_in_domain(values, name: Callable[..., str], error: type[Exception], *, nonnegative: bool = False,
@@ -69,6 +79,14 @@ def require_in_domain(values, name: Callable[..., str], error: type[Exception], 
         rule = (f"of magnitude at most 2^{ceiling}" if floor is None
                 else f"zero or {'in' if nonnegative else 'of magnitude in'} [2^{floor}, 2^{ceiling}]")
         raise error(f"{name(*index)} is {float(v[index])!r}, outside the float domain: {rule}")
+
+
+def require_integer(value, name: str, error: type[Exception], *, least: int = 0, bits: int = 64) -> int:
+    """``value``, a Python or numpy integer (no ``bool``), as an ``int`` in ``[least, 2^bits)``; else raise ``error``."""
+    number = None if isinstance(value, bool) or not hasattr(value, "__index__") else operator.index(value)
+    if number is None or not least <= number < 1 << bits:
+        raise error(f"{name} must be an integer in [{least}, 2**{bits})" + ("" if number is not None else f", got {value!r}"))
+    return number
 
 
 class Verdict(NamedTuple):

@@ -9,7 +9,6 @@ weights.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidSetError
-from .linalg import require_in_domain
+from .linalg import require_in_domain, require_integer
 
 __all__ = [
     "MeasureSpace",
@@ -29,8 +28,7 @@ __all__ = [
     "is_refinement",
 ]
 
-
-_MAX_INDEX = int(np.iinfo(np.intp).max)
+_INDEX_BITS = np.iinfo(np.intp).bits - 1  # index_array holds each member as an np.intp, which no space outgrows
 
 
 @dataclass(frozen=True)
@@ -45,15 +43,9 @@ class MeasurableSet:
 
     members: frozenset[int]
 
-    def __post_init__(self):
-        if bad := [i for i in self.members if isinstance(i, bool) or not hasattr(i, "__index__")]:
-            raise InvalidSetError(f"atom index {bad[0]!r} is not an integer")  # int() would make 0.5 or "2" another atom
-        object.__setattr__(self, "members", frozenset(map(operator.index, self.members)))
-        if any(i < 0 for i in self.members):
-            raise InvalidSetError("atom indices must be nonnegative")
-        # no space has that many atoms, and index_array could not hold the index
-        if self.members and max(self.members) > _MAX_INDEX:
-            raise InvalidSetError(f"atom index {max(self.members)} is beyond any measure space")
+    def __post_init__(self):  # int() would make 0.5 or "2" another atom
+        object.__setattr__(self, "members", frozenset(
+            require_integer(i, "atom index", InvalidSetError, bits=_INDEX_BITS) for i in self.members))
 
     def __contains__(self, index: int) -> bool:
         return index in self.members

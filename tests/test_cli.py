@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from setkern import Factorization, check_series, factorization, green, kernels, markov
 from setkern.cli import CHECKS, SUITES, Run, _adjoint, _check_names, main
 from setkern.config import TOLERANCES, load_config
-from setkern.errors import ConfigError, VerificationError
+from setkern.errors import ConfigError, InvalidChainError, InvalidOperatorError, VerificationError
 from setkern.linalg import DOMAIN_BITS, selfadjoint_defect
 from setkern.report import CheckRecord, RunReport
 from support import random_nu_psd_matrix, random_sets, random_space
@@ -415,6 +415,16 @@ def test_csv_table_is_written(runner, tmp_path):
     assert len(lines) == 5
 
 
+def test_every_output_file_gets_its_directory(runner, tmp_path):
+    # --csv into a missing directory wrote the report, then ended in FileNotFoundError with exit 1
+    out, csv_path, export = tmp_path / "a" / "r.jsonl", tmp_path / "b" / "r.csv", tmp_path / "c" / "f.json"
+    result = invoke(runner, tmp_path, "factorize", "--config", str(CONFIGS / "wiener.yaml"),
+                    "--out", str(out), "--csv", str(csv_path), "--export", str(export))
+    assert result.exit_code == 0, result.output
+    assert out.exists() and export.exists()
+    assert csv_path.read_text().splitlines()[0] == "check,tag,status,value,bound,runtime"
+
+
 def test_timings_flag_populates_runtime(runner, tmp_path):
     out = tmp_path / "v.jsonl"
     invoke(
@@ -657,6 +667,28 @@ def test_no_malformed_config_escapes_as_another_error(runner, tmp_path, text, to
         assert f"config error: {message}" in result.output, command
 
 
+@pytest.mark.parametrize("text, args, line, cause", [
+    (WIENER_SPACE + "kernel: {type: wiener}\n", ["--tol", "gram-psd"], "--tol expects NAME=VALUE, got 'gram-psd'", None),
+    (WIENER_SPACE + "kernel: {type: operator}\n", [], "kernel.type operator requires kernel.matrix", None),
+    (WIENER_SPACE + "kernel: {type: operator, matrix: [[1.0]]}\n", [],
+     "kernel.matrix: operator matrix must be 2x2, got (1, 1)", InvalidOperatorError),
+    (EDGE_SPACE + "chain: {edges: [[a, b, 1.0]], kill: {z: 0.5}}\n", [],
+     "chain: killing references unknown atom 'z'", InvalidChainError),
+    ("space: {atoms: []}\nchain: {edges: []}\n", [], "chain: need at least one atom", InvalidChainError),
+], ids=["tol-without-value", "operator-without-matrix", "matrix-of-another-size", "kill-of-unknown-atom", "chain-of-no-atom"])
+def test_each_rejection_of_config_input_is_one_line_naming_the_field(runner, tmp_path, text, args, line, cause):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    if not args:  # the library's error, if any, is the cause of the config error
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert type(err.value.__cause__) is cause if cause else err.value.__cause__ is None
+    for command in ("validate", "factorize", "markov-green", "simulate"):
+        result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(tmp_path / "r.jsonl"), *args)
+        assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"]), command
+        assert not (tmp_path / "r.jsonl").exists()
+
+
 def test_every_check_reads_a_tolerance_of_the_config_schema():
     assert {c.tol for _, checks in SUITES.values() for c in checks} - {None} <= set(TOLERANCES)
 
@@ -871,23 +903,23 @@ def test_fractional_expected_rank_is_a_config_error(runner, tmp_path):
     assert "expect.range-rank" in result.output
 
 
-@pytest.mark.parametrize("config, command, old, new, where", [
+@pytest.mark.parametrize("config, command, old, new, where, bounds", [
     # the report's float() of the bound raised OverflowError: a traceback, exit 1
-    ("rank-one", "factorize", "range-rank: 1", f"range-rank: {10**400}", "expect.range-rank"),
+    ("rank-one", "factorize", "range-rank: 1", f"range-rank: {10**400}", "expect.range-rank", "[0, 2**64)"),
     # read as a rank that can never match, so the row failed
-    ("rank-one", "factorize", "range-rank: 1", "range-rank: -1", "expect.range-rank"),
+    ("rank-one", "factorize", "range-rank: 1", "range-rank: -1", "expect.range-rank", "[0, 2**64)"),
     # len(range(0, n, CHUNK_SIZE)) raised OverflowError: a traceback, exit 1
-    ("wiener", "simulate", "samples: 200000", f"samples: {10**400}", "mc.samples"),
-    ("wiener", "simulate", "seed: 11", f"seed: {2**64}", "mc.seed"),
+    ("wiener", "simulate", "samples: 200000", f"samples: {10**400}", "mc.samples", "[1, 2**40)"),
+    ("wiener", "simulate", "seed: 11", f"seed: {2**64}", "mc.seed", "[0, 2**64)"),
 ], ids=["huge-rank", "negative-rank", "huge-samples", "huge-seed"])
-def test_an_integer_field_past_64_bits_is_a_config_error(runner, tmp_path, config, command, old, new, where):
+def test_an_integer_field_past_64_bits_is_a_config_error(runner, tmp_path, config, command, old, new, where, bounds):
     text = (CONFIGS / f"{config}.yaml").read_text()
     assert old in text
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text.replace(old, new))
     result = invoke(runner, tmp_path, command, "--config", str(cfg))
     assert result.exit_code == 2, result.output
-    assert result.output.splitlines() == [f"config error: {where} must be an integer in [0, 2**64)"]
+    assert result.output.splitlines() == [f"config error: {where} must be an integer in {bounds}"]
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])

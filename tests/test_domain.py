@@ -1,18 +1,24 @@
-"""The float domain: every input is zero or has a magnitude in ``[2^-b, 2^b]``.
+"""The float and integer domains of every input.
 
-Inputs outside it are config errors that name their field, and inputs at its
-ends run every command with no numpy warning (``pyproject.toml`` makes one a
-test error), no ``null`` value and a finite Monte Carlo standard error.
+Every number is zero or has a magnitude in ``[2^-b, 2^b]``, and every count,
+seed and atom index is an integer in ``[least, 2^bits)``.  Inputs outside
+them are config errors that name their field, and inputs at the ends of the
+float domain run every command with no numpy warning (``pyproject.toml``
+makes one a test error), no ``null`` value and a finite Monte Carlo standard
+error.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from setkern.cli import COMMANDS, main
-from setkern.linalg import DOMAIN_BITS
+from setkern.config import load_config
+from setkern.errors import ConfigError
+from setkern.linalg import DOMAIN_BITS, SAMPLE_BITS, require_integer
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DOMAIN = f"outside the float domain: zero or in [2^-{DOMAIN_BITS}, 2^{DOMAIN_BITS}]"
@@ -113,3 +119,67 @@ def test_every_command_runs_at_the_ends_of_the_float_domain(tmp_path, name):
         if command == "simulate":
             mc = [r for r in records if r["tag"] in ("ito-isometry", "cross-moment")]
             assert len(mc) == 2 and all(0.0 < r["detail"]["std_error"] < float("inf") for r in mc), mc
+
+
+SAMPLES = f"must be an integer in [1, 2**{SAMPLE_BITS})"
+SEED = "must be an integer in [0, 2**64)"
+
+
+@pytest.mark.parametrize("args, entry, line", [
+    # 10**400 ended in OverflowError from the chunk count and 2**64 in MemoryError, each a traceback with exit 1
+    (["--samples", str(10**400)], None, f"--samples {SAMPLES}"),
+    (["--samples", str(2**64)], None, f"--samples {SAMPLES}"),
+    # past the sample count of the float-domain bound
+    (["--samples", str(2**SAMPLE_BITS)], None, f"--samples {SAMPLES}"),
+    (["--samples", "1.5"], None, None),
+    # click's IntRange printed a usage screen for these
+    (["--samples", "0"], None, f"--samples {SAMPLES}"),
+    (["--seed", "-1"], None, f"--seed {SEED}"),
+    (["--seed", str(2**64)], None, f"--seed {SEED}"),
+    (["--workers", "0"], None, "--workers must be an integer in [1, 2**64)"),
+    ([], f"samples: {2**SAMPLE_BITS}", f"mc.samples {SAMPLES}"),
+    ([], "samples: 0", f"mc.samples {SAMPLES}"),
+    ([], "seed: -1.0", f"mc.seed {SEED}"),
+    ([], "seed: yes", f"mc.seed {SEED}, got True"),
+], ids=["samples-10^400", "samples-2^64", "samples-2^40", "samples-fraction", "samples-0", "seed-negative", "seed-2^64",
+        "workers-0", "mc.samples-2^40", "mc.samples-0", "mc.seed-negative", "mc.seed-boolean"])
+@pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
+def test_an_integer_outside_its_domain_is_one_config_error_line(tmp_path, args, entry, line, command):
+    # each is judged before the checks that a command needs, such as markov-green's chain, which wiener.yaml lacks
+    text = _shipped("wiener", "samples: 200000\n  seed: 11", entry or "samples: 200000\n  seed: 11")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "report.jsonl"
+    result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out), *args],
+                                env={"SETKERN_OUT": str(tmp_path)})
+    if line is None:  # not an integer at all: click's own usage error
+        assert result.exit_code == 2 and "'1.5' is not a valid integer" in result.output
+    else:
+        assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"]), result.exception
+    assert not out.exists()
+
+
+def test_the_ends_of_the_sample_and_seed_ranges_are_accepted(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(_shipped("wiener", "samples: 200000\n  seed: 11", f"samples: {2**SAMPLE_BITS - 1}\n  seed: {2**64 - 1}"))
+    config = load_config(cfg)
+    assert (config.samples, config.seed) == (2**SAMPLE_BITS - 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize("value, least, bits", [
+    (0, 0, 64), (2**64 - 1, 0, 64), (np.uint64(2**64 - 1), 0, 64), (np.int8(1), 1, SAMPLE_BITS), (2**SAMPLE_BITS - 1, 1, SAMPLE_BITS),
+])
+def test_an_integer_in_its_range_is_returned_as_an_int(value, least, bits):
+    number = require_integer(value, "x", ConfigError, least=least, bits=bits)
+    assert type(number) is int and number == int(value)
+
+
+@pytest.mark.parametrize("value, least, bits, got", [
+    (-1, 0, 64, ""), (2**64, 0, 64, ""), (0, 1, SAMPLE_BITS, ""), (2**SAMPLE_BITS, 1, SAMPLE_BITS, ""),
+    (True, 0, 64, ", got True"), (np.True_, 0, 64, ", got np.True_"), (1.0, 0, 64, ", got 1.0"),
+    ("3", 0, 64, ", got '3'"), (None, 0, 64, ", got None"),
+])
+def test_anything_else_is_rejected_naming_the_field_and_the_range(value, least, bits, got):
+    with pytest.raises(ConfigError) as err:
+        require_integer(value, "x", ConfigError, least=least, bits=bits)
+    assert str(err.value) == f"x must be an integer in [{least}, 2**{bits}){got}"

@@ -526,6 +526,20 @@ def test_onb_rejects_non_orthonormal(space):
         onb_factorization(fact, list(np.eye(3) * 2.0), [space.subset("a"), space.subset("b")])
 
 
+def test_onb_rejects_a_basis_with_a_nan_entry():
+    # a raw > let the NaN Gram through, and the expansions came back NaN
+    sp = MeasureSpace(("a", "b"), (1.0, 1.0))
+    fact = realize(wiener_kernel(sp))
+    with pytest.raises(InvalidBasisError, match="not orthonormal"):
+        onb_factorization(fact, [[1.0, np.nan], [np.nan, 0.71]], sp.singletons())
+
+
+def test_onb_rejects_an_empty_basis(space):
+    fact = realize(wiener_kernel(space))
+    with pytest.raises(InvalidBasisError, match="empty basis"):
+        onb_factorization(fact, [], [space.subset("a")])
+
+
 def test_onb_rejects_incomplete_basis(space):
     fact = realize(wiener_kernel(space))
     v = np.array([1.0, 0.0, 0.0])

@@ -658,6 +658,21 @@ def test_sample_needs_a_nonnegative_count(space):
         sampler.sample(-3)
 
 
+@pytest.mark.parametrize("argument, value", [("n", True), ("n", 2**40), ("n", 2**70), ("workers", True), ("workers", 2.0)])
+def test_a_count_outside_the_integer_domain_raises_naming_the_argument(space, argument, value):
+    # True ran as 1, n = 2**40 was accepted and n = 2**70 ended in MemoryError
+    kernel = wiener_kernel(space)
+    fact = realize(kernel)
+    phi = SimpleFunction(((1.0, space.subset("a")),))
+    counts = {"n": 10, "workers": 1, argument: value}
+    match = rf"^{argument} must be an integer in \["
+    with pytest.raises(DomainError, match=match):
+        build_sampler(kernel, [space.subset("a")], seed=0).sample(**counts)
+    for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, phi))):
+        with pytest.raises(DomainError, match=match):
+            check(kernel, fact, *integrands, seed=0, **counts)
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_worker_count_must_be_positive(space, workers):
     kernel = wiener_kernel(space)

@@ -1,5 +1,7 @@
 """Kernel constructors, Gram matrices, positivity and Schwarz checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,11 @@ def test_operator_value_matches_brute_force(space):
     k = operator_kernel(space, M)
     A, Bset = space.subset("a", "b"), space.subset("b")
     assert k(A, Bset) == pytest.approx(brute_force_operator_value(space, M, A, Bset), abs=1e-12)
+
+
+def test_operator_rejects_a_matrix_of_another_size(space):
+    with pytest.raises(InvalidOperatorError, match=re.escape("operator matrix must be 3x3, got (1, 1)")):
+        operator_kernel(space, [[1.0]])
 
 
 def test_operator_rejects_unbalanced_matrix(space):

@@ -143,6 +143,16 @@ def test_duplicate_atom_names_are_rejected():
     assert str(err.value) == "atom identifiers must be unique"
 
 
+def test_a_kill_of_an_unknown_atom_is_rejected():
+    with pytest.raises(InvalidChainError, match="killing references unknown atom 'z'"):
+        MarkovChain.from_conductances(["u", "v"], [("u", "v", 1.0)], {"z": 0.5})
+
+
+def test_a_chain_of_no_atom_is_rejected():
+    with pytest.raises(InvalidChainError, match="need at least one atom"):
+        MarkovChain.from_conductances([], [])
+
+
 def test_unknown_edge_atom_is_rejected():
     with pytest.raises(InvalidChainError):
         MarkovChain.from_conductances(["u"], [("u", "w", 1.0)], {"u": 0.1})

@@ -110,7 +110,7 @@ def test_a_set_holds_its_members_as_a_sorted_read_only_index_array(space):
 
 def test_an_index_no_array_can_hold_is_rejected_with_the_set():
     # the set was made, and indicator_matrix and the kernel value raised OverflowError on it
-    with pytest.raises(InvalidSetError, match=f"atom index {2**63} is beyond any measure space"):
+    with pytest.raises(InvalidSetError, match=re.escape("atom index must be an integer in [0, 2**63)")):
         MeasurableSet(frozenset({0, 2**63}))
     assert MeasurableSet(frozenset({2**63 - 1})).index_array.tolist() == [2**63 - 1]
 
@@ -119,7 +119,7 @@ def test_an_index_no_array_can_hold_is_rejected_with_the_set():
                          ids=["half", "1.9", "float64", "str", "bytes", "bool", "numpy-bool", "none"])
 def test_a_member_that_is_not_an_integer_is_rejected(space, member):
     # int() made each of these another set, and measure and K(A, A) answered for that set
-    with pytest.raises(InvalidSetError, match=re.escape(f"atom index {member!r} is not an integer")):
+    with pytest.raises(InvalidSetError, match=re.escape(f"atom index must be an integer in [0, 2**63), got {member!r}")):
         MeasurableSet(frozenset({member}))
 
 
@@ -153,6 +153,14 @@ def test_inner_weighted_expansion(space):
     f = SimpleFunction(((1.0, space.subset("a")), (2.0, space.subset("b"))))
     g = SimpleFunction(((1.0, space.subset("a", "b")),))
     assert l2(space, f, g) == pytest.approx(5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_inner_rejects_a_vector_of_another_length(space, size):
+    with pytest.raises(DomainError, match="atom vectors must match the space size"):
+        space.inner(np.ones(size), np.ones(3))
+    with pytest.raises(DomainError, match="atom vectors must match the space size"):
+        space.inner(np.ones(3), np.ones(size))
 
 
 def test_inner_rejects_foreign_function(space):
