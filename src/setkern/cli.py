@@ -46,7 +46,7 @@ import numpy as np
 from . import factorization, field, kernels, markov
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SetKernError
-from .linalg import SAMPLE_BITS, Verdict, judge, require_integer
+from .linalg import Verdict, judge
 from .measure import MeasurableSet
 from .report import CheckRecord, RunReport
 
@@ -63,7 +63,6 @@ class Run:
 
     cfg: ExperimentConfig
     report: RunReport  # also holds the resolved seed, sample count and tolerances
-    workers: int
 
     @cached_property
     def probes(self) -> list[MeasurableSet]:
@@ -155,7 +154,7 @@ def _range_rank(run: Run, _: None) -> Verdict:
 
 def _monte_carlo(run: Run, tol: float, check: Callable, *integrands) -> Verdict:
     """Deviation in sigmas; the detail is the ``ItoResult``: estimate, exact, std error, samples and normals drawn."""
-    res = check(run.kernel, run.fact, *integrands, run.report.samples, seed=run.report.seed, workers=run.workers)
+    res = check(run.kernel, run.fact, *integrands, run.report.samples, seed=run.report.seed, workers=run.cfg.workers)
     return Verdict(res.deviation_sigmas, tol, res.within(tol), dataclasses.asdict(res))
 
 
@@ -253,57 +252,28 @@ def _run_checks(run: Run, checks: tuple[Check, ...], timings: bool) -> None:
 # commands
 
 COMMANDS = (
-    # name, help, config sections it cannot run without, suites in report order
-    ("validate", "Kernel sanity checks: symmetry, positivity, Schwarz, null sets, chain balance.",
-     (), ("chain", "kernel")),
-    ("factorize", "Realize the kernel in weighted L2 and verify the isometry calculus.",
-     (), ("chain", "kernel", "factorize")),
-    ("markov-green", "Chain checks plus Green function, Green kernel, and its factorization.",
-     ("chain",), ("chain", "green")),
+    # name, help, suites in report order; config.SCHEMA names the sections each cannot run without
+    ("validate", "Kernel sanity checks: symmetry, positivity, Schwarz, null sets, chain balance.", ("chain", "kernel")),
+    ("factorize", "Realize the kernel in weighted L2 and verify the isometry calculus.", ("chain", "kernel", "factorize")),
+    ("markov-green", "Chain checks plus Green function, Green kernel, and its factorization.", ("chain", "green")),
     ("simulate", "Monte Carlo second-moment checks (and the projection sweep when configured).",
-     ("phi",), ("chain", "kernel", "factorize", "mc", "sweep")),
-    ("refine-sweep", "Projection second moments along the configured partition chain.",
-     ("phi", "partitions", "kernel"), ("unrealized", "sweep")),
+     ("chain", "kernel", "factorize", "mc", "sweep")),
+    ("refine-sweep", "Projection second moments along the configured partition chain.", ("unrealized", "sweep")),
 )
 
 
-def _check_names(cfg: ExperimentConfig) -> None:
-    levels = [f"q-level-{i}" for i in range(len(cfg.partitions))]  # a list: a YAML entry may be unhashable
-    for name in cfg.checks or ():
-        if name not in CHECKS and name not in levels:
-            raise ConfigError(f"checks: unknown check {name!r}")
-
-
-def _split_tolerances(overrides: tuple[str, ...]) -> list[tuple[str, str]]:
-    """Each ``--tol NAME=VALUE`` as the pair ``load_config`` reads."""
-    pairs = []
-    for item in overrides:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
-        pairs.append((name, value))
-    return pairs
-
-
-def _run(name, requires, suites, config_path, seed, samples, out_path, csv_path, tol_overrides, workers, timings,
-         export_path=None):
-    """Vet the integer flags, load and vet the config, run the command's suites, write the report and exit with its verdict."""
+def _run(name, suites, config_path, out_path, csv_path, tol_overrides, timings, export_path=None, **flags):
+    """Load and vet the config and ``flags``, the text of ``--seed``, ``--samples`` and ``--workers``, run the
+    command's suites, write the report and exit with its verdict."""
     def output(path: str | None, default: str) -> Path:  # the one rule for the report, CSV table and export
         out = Path(path) if path else Path(os.environ.get("SETKERN_OUT", ".")) / default
         out.parent.mkdir(parents=True, exist_ok=True)
         return out
 
     try:
-        seed = seed if seed is None else require_integer(seed, "--seed", ConfigError)
-        samples = samples if samples is None else require_integer(samples, "--samples", ConfigError, least=1, bits=SAMPLE_BITS)
-        workers = require_integer(workers, "--workers", ConfigError, least=1)
-        cfg = load_config(config_path, _split_tolerances(tol_overrides))
-        _check_names(cfg)
-        for section in requires:
-            if getattr(cfg, "kernel_type" if section == "kernel" else section) in (None, ()):
-                raise ConfigError(f"{name} requires a {section} section")
-        report = RunReport(name, cfg.seed if seed is None else seed, cfg.samples if samples is None else samples, cfg.tolerances)
-        run = Run(cfg, report, workers)
+        cfg = load_config(config_path, tol_overrides, command=name, flags=flags, check_names=CHECKS)
+        report = RunReport(name, cfg.seed, cfg.samples, cfg.tolerances)
+        run = Run(cfg, report)
         for suite in suites:
             applies, checks = SUITES[suite]
             if applies(run):
@@ -330,12 +300,12 @@ def _options(name: str) -> list[click.Option]:
     path = click.Path(dir_okay=False)
     options = [
         click.Option(["--config", "config_path"], required=True, type=path),
-        click.Option(["--seed"], type=int, default=None, help="Override mc.seed, in [0, 2**64)."),
-        click.Option(["--samples"], type=int, default=None, help="Override mc.samples, in [1, 2**40)."),
+        click.Option(["--seed"], metavar="INTEGER", help="Override mc.seed, in [0, 2**64)."),
+        click.Option(["--samples"], metavar="INTEGER", help="Override mc.samples, in [1, 2**40)."),
         click.Option(["--out", "out_path"], type=path, default=None, help="Report JSONL path."),
         click.Option(["--csv", "csv_path"], type=path, default=None, help="Also write a CSV table."),
         click.Option(["--tol", "tol_overrides"], multiple=True, metavar="NAME=VALUE", help="Override a tolerance (repeatable)."),
-        click.Option(["--workers"], type=int, default=1, show_default=True, help="Worker threads for sampling, at least 1."),
+        click.Option(["--workers"], metavar="INTEGER", default="1", show_default=True, help="Worker threads for sampling, at least 1."),
         click.Option(["--timings"], is_flag=True, help="Record per-check runtimes (breaks byte-determinism)."),
     ]
     if name == "factorize":
@@ -348,10 +318,8 @@ def main():
     """Validate, factorize, and simulate set-indexed kernels from config files."""
 
 
-for _name, _help, _requires, _suites in COMMANDS:
-    main.add_command(click.Command(
-        _name, callback=partial(_run, _name, _requires, _suites), params=_options(_name), help=_help
-    ))
+for _name, _help, _suites in COMMANDS:
+    main.add_command(click.Command(_name, callback=partial(_run, _name, _suites), params=_options(_name), help=_help))
 
 
 if __name__ == "__main__":

@@ -1,43 +1,27 @@
 """Experiment configuration: a single YAML document.
 
-Schema (all sections optional unless a command needs them; a key the schema
-does not name at the top level, in ``space``, ``kernel``, ``chain`` or ``mc``,
-or among ``TOLERANCES`` and ``EXPECTATIONS`` is an error).  ``load_config``
-builds every kernel but ``green``, which needs ``chain`` and which a command
-builds at its ``series-solve`` tolerance, and resolves every tolerance.  Any
-library rejection of the file's input is a ``ConfigError`` naming the field::
-
-    space:
-      atoms: [a, b, c]
-      weights: [1.0, 2.0, 0.5]    # may be omitted when chain.edges is given
-    kernel:
-      type: wiener                 # wiener | rank_one | operator | green | counting
-      matrix: [[...], ...]         # operator only; dense row-major over atoms
-    chain:
-      transitions: [[...], ...]    # dense substochastic matrix, or:
-      edges: [[a, b, 1.0], ...]    # conductances; weights derived from them
-      kill: {a: 0.1}               # per-atom killing mass
-    family: [[a], [a, b]]          # sets of atom names
-    phi: [[1.0, [a]], [2.0, [b]]]  # simple function terms
-    psi: [[1.0, [a, b]]]           # optional second integrand
-    partitions:                    # refinement-ordered chain of partitions
-      - [[a, b, c]]
-      - [[a], [b, c]]
-      - [[a], [b], [c]]
-    mc: {samples: 200000, seed: 7}
-    tolerances: {gram-psd: 1.0e-10} # overrides TOLERANCES; --tol overrides both
-    checks: [gram-psd, schwarz]    # optional filter of enabled checks
-    expect: {range-rank: 1}        # optional expected counts
+``SCHEMA`` describes each top-level section once: the key set that closes
+it, its reader, and the commands that cannot run without it.  ``load_config``
+walks that table in order.  A key the table does not name, at the top level
+or in a mapping section, is an error, and so is a section that a command
+requires and the file omits or leaves empty; README's config sketch shows
+every key.  ``load_config`` reads the ``--seed``, ``--samples``,
+``--workers`` and ``--tol`` flags as text by the readers of ``mc.seed``,
+``mc.samples`` and ``tolerances:``, builds every kernel but ``green``, which
+needs ``chain`` and which a command builds at its ``series-solve``
+tolerance, and resolves every tolerance.  Any library rejection of the
+file's input is a ``ConfigError`` naming the field.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Collection, Iterable, NamedTuple
 
 import numpy as np
 import yaml
@@ -61,7 +45,7 @@ from .measure import (
     is_refinement,
 )
 
-__all__ = ["ExperimentConfig", "load_config", "KERNEL_TYPES", "TOLERANCES", "EXPECTATIONS"]
+__all__ = ["ExperimentConfig", "load_config", "Section", "SCHEMA", "KERNEL_TYPES", "TOLERANCES", "EXPECTATIONS"]
 
 KERNEL_TYPES = ("wiener", "rank_one", "operator", "green", "counting")
 _BUILTIN_KERNELS = {"wiener": wiener_kernel, "rank_one": rank_one_kernel, "counting": counting_kernel}
@@ -89,7 +73,6 @@ TOLERANCES: dict[str, float] = {
 """Every tolerance and its default: the names accepted under ``tolerances:`` and by ``--tol``."""
 EXPECTATIONS = ("range-rank",)
 """Names accepted under ``expect:``; every expectation is a count."""
-_SECTIONS = ("space", "kernel", "chain", "family", "phi", "psi", "partitions", "mc", "tolerances", "checks", "expect")
 
 _FLOAT_TAG = "tag:yaml.org,2002:float"
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -159,9 +142,10 @@ class ExperimentConfig:
     partitions: tuple[Partition, ...]
     samples: int
     seed: int
-    tolerances: dict[str, float] = field(default_factory=dict)
-    checks: tuple[str, ...] | None = None
-    expect: dict[str, int] = field(default_factory=dict)
+    workers: int
+    tolerances: dict[str, float]
+    checks: tuple[str, ...] | None
+    expect: dict[str, int]
 
     def enabled(self, check: str) -> bool:
         return self.checks is None or check in self.checks
@@ -260,7 +244,7 @@ def _atom_set(space: MeasureSpace, names: Any, where: str) -> MeasurableSet:
 
 def _simple_function(space: MeasureSpace, node: Any, where: str) -> SimpleFunction:
     terms = []
-    for i, term in enumerate(_as_list(node, where)):
+    for i, term in enumerate(node):
         term = _as_list(term, f"{where}[{i}]")
         if len(term) != 2:
             raise ConfigError(f"{where}[{i}] must be [coefficient, [atoms...]]")
@@ -270,7 +254,47 @@ def _simple_function(space: MeasureSpace, node: Any, where: str) -> SimpleFuncti
         return SimpleFunction(tuple(terms))
 
 
-def _parse_chain(atoms: list[str], weights: list[float] | None, node: dict) -> tuple[MarkovChain, MeasureSpace]:
+# the reader of each count a run reads, from mc or from its flag
+_COUNTS = {"samples": partial(_integer, least=1, bits=SAMPLE_BITS), "seed": _integer, "workers": partial(_integer, least=1)}
+
+
+def _flag(name: str, text: str) -> int:
+    """``--<name>``, read as text by the reader of its count, so that text that is no integer is a config error too."""
+    with suppress(ValueError):
+        text = int(text)
+    return _COUNTS[name](text, f"--{name}")
+
+
+def _tol_flag(text: str) -> tuple[str, float]:
+    """``--tol NAME=VALUE`` as the tolerance it sets."""
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise ConfigError(f"--tol expects NAME=VALUE, got {text!r}")
+    if name not in TOLERANCES:
+        raise ConfigError(f"--tol: unknown tolerance {name!r}, expected one of {', '.join(TOLERANCES)}")
+    return name, _tolerance(value, f"--tol {name}")
+
+
+# ---------------------------------------------------------------------------
+# the section readers: each gets its section's node, None when the file omits
+# the section, and the fields read before it, and returns the fields it sets
+
+
+def _read_space(node: dict | None, got: dict) -> dict:
+    node = node or {}
+    if "atoms" not in node:
+        raise ConfigError("space.atoms is required")
+    atoms = [_atom_name(a, f"space.atoms[{i}]") for i, a in enumerate(_as_list(node["atoms"], "space.atoms"))]
+    weights = [_number(w, f"space.weights[{i}]") for i, w in enumerate(_as_list(node["weights"], "space.weights"))
+               ] if "weights" in node else None
+    return {"atoms": atoms, "weights": weights}
+
+
+def _read_chain(node: dict | None, got: dict) -> dict:
+    """The chain and the space: ``chain.edges`` derive the weights, and otherwise ``space.weights`` give them."""
+    atoms, weights = got["atoms"], got["weights"]
+    if node is None:
+        return {"chain": None, "space": _space(atoms, weights)}
     if "edges" in node and "transitions" in node:
         raise ConfigError("chain takes one of 'transitions' and 'edges', got both")
     if "edges" in node:
@@ -293,121 +317,149 @@ def _parse_chain(atoms: list[str], weights: list[float] | None, node: dict) -> t
             derived = chain.space.weight_array
             require(float(np.abs(np.asarray(weights) - derived).max()), float(derived.max()), 1e-12, ConfigError,
                     "space.weights disagree with the weights derived from chain.edges:", "max w")
-        return chain, chain.space
+        return {"chain": chain, "space": chain.space}
     if "transitions" in node:
         if "kill" in node:
             raise ConfigError("chain.kill applies only to chain.edges; fold the killing into chain.transitions")
         space = _space(atoms, weights)
         with _reading("chain.transitions"):
-            return MarkovChain(space, _matrix(node["transitions"], "chain.transitions")), space
+            return {"chain": MarkovChain(space, _matrix(node["transitions"], "chain.transitions")), "space": space}
     raise ConfigError("chain needs either 'transitions' or 'edges'")
 
 
-def load_config(path: str | Path, overrides: Iterable[tuple[str, str]] = ()) -> ExperimentConfig:
-    """Parse and validate a config file.
+def _read_kernel(node: dict | None, got: dict) -> dict:
+    """Every kernel but ``green``, which a command builds from the chain at its ``series-solve`` tolerance."""
+    if node is None:
+        return {"kernel_type": None, "kernel": None}
+    kernel_type, kernel = node.get("type", ""), None
+    if kernel_type not in KERNEL_TYPES:
+        raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {kernel_type!r}")
+    if "matrix" in node and kernel_type != "operator":
+        raise ConfigError(f"kernel.matrix is read only by kernel.type operator, got type {kernel_type!r}")
+    if kernel_type == "green" and got["chain"] is None:
+        raise ConfigError("kernel.type green requires a chain section")
+    if kernel_type == "operator":
+        if "matrix" not in node:
+            raise ConfigError("kernel.type operator requires kernel.matrix")
+        with _reading("kernel.matrix"):
+            kernel = operator_kernel(got["space"], _matrix(node["matrix"], "kernel.matrix"))
+    elif kernel_type in _BUILTIN_KERNELS:
+        with _reading("kernel"):
+            kernel = _BUILTIN_KERNELS[kernel_type](got["space"])
+    return {"kernel_type": kernel_type, "kernel": kernel}
 
-    ``overrides`` are ``--tol`` ``(NAME, VALUE)`` pairs, applied in order
-    after the file's ``tolerances:``.  Raises ``ConfigError`` naming the
-    field for malformed documents.
-    """
-    path = Path(path)
-    try:
-        # bytes, so that the loader reports text that is not UTF-8 as a YAMLError
-        raw = yaml.load(path.read_bytes(), Loader=_LOADER)
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{path}: {e}") from e
-    raw = _as_mapping(raw, str(path), _SECTIONS)
 
-    space_node = _as_mapping(raw.get("space"), "space", ("atoms", "weights"))
-    if "atoms" not in space_node:
-        raise ConfigError("space.atoms is required")
-    atoms = [_atom_name(a, f"space.atoms[{i}]") for i, a in enumerate(_as_list(space_node["atoms"], "space.atoms"))]
-    weights = None
-    if "weights" in space_node:
-        weights = [
-            _number(w, f"space.weights[{i}]")
-            for i, w in enumerate(_as_list(space_node["weights"], "space.weights"))
-        ]
+def _read_integrand(name: str) -> Callable[[list | None, dict], dict]:
+    return lambda node, got: {name: None if node is None else _simple_function(got["space"], node, name)}
 
-    if "chain" in raw:
-        chain, space = _parse_chain(atoms, weights, _as_mapping(raw["chain"], "chain", ("transitions", "edges", "kill")))
-    else:
-        chain, space = None, _space(atoms, weights)
 
-    kernel_type = None
-    kernel = None
-    if "kernel" in raw:
-        knode = _as_mapping(raw["kernel"], "kernel", ("type", "matrix"))
-        kernel_type = knode.get("type", "")
-        if kernel_type not in KERNEL_TYPES:
-            raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {kernel_type!r}")
-        if "matrix" in knode and kernel_type != "operator":
-            raise ConfigError(f"kernel.matrix is read only by kernel.type operator, got type {kernel_type!r}")
-        if kernel_type == "green" and chain is None:
-            raise ConfigError("kernel.type green requires a chain section")
-        if kernel_type == "operator":
-            if "matrix" not in knode:
-                raise ConfigError("kernel.type operator requires kernel.matrix")
-            with _reading("kernel.matrix"):
-                kernel = operator_kernel(space, _matrix(knode["matrix"], "kernel.matrix"))
-        elif kernel_type in _BUILTIN_KERNELS:
-            with _reading("kernel"):
-                kernel = _BUILTIN_KERNELS[kernel_type](space)
-
-    family = tuple(
-        _atom_set(space, names, f"family[{i}]")
-        for i, names in enumerate(_as_list(raw.get("family", []), "family"))
-    )
-
-    phi = _simple_function(space, raw["phi"], "phi") if "phi" in raw else None
-    psi = _simple_function(space, raw["psi"], "psi") if "psi" in raw else None
-
+def _read_partitions(node: list | None, got: dict) -> dict:
     partitions = []
-    for i, blocks in enumerate(_as_list(raw.get("partitions", []), "partitions")):
-        part = Partition(
-            tuple(
-                _atom_set(space, b, f"partitions[{i}][{j}]")
-                for j, b in enumerate(_as_list(blocks, f"partitions[{i}]"))
-            )
-        )
-        if not is_partition(space, part.blocks):
+    for i, blocks in enumerate(node or ()):
+        part = Partition(tuple(_atom_set(got["space"], b, f"partitions[{i}][{j}]")
+                               for j, b in enumerate(_as_list(blocks, f"partitions[{i}]"))))
+        if not is_partition(got["space"], part.blocks):
             raise ConfigError(f"partitions[{i}] does not partition the space")
         if partitions and not is_refinement(partitions[-1], part):
             raise ConfigError(f"partitions[{i}] does not refine partitions[{i - 1}]")
         partitions.append(part)
+    return {"partitions": tuple(partitions)}
 
-    mc = _as_mapping(raw.get("mc"), "mc", ("samples", "seed"))
-    samples = _integer(mc.get("samples", 200000), "mc.samples", least=1, bits=SAMPLE_BITS)
-    seed = _integer(mc.get("seed", 0), "mc.seed")
 
-    tolerances = dict(TOLERANCES)
-    for name, value in _as_mapping(raw.get("tolerances"), "tolerances", tuple(TOLERANCES)).items():
-        tolerances[name] = _tolerance(value, f"tolerances.{name}")
-    for name, value in overrides:
-        if name not in TOLERANCES:
-            raise ConfigError(f"--tol: unknown tolerance {name!r}, expected one of {', '.join(TOLERANCES)}")
-        tolerances[name] = _tolerance(value, f"--tol {name}")
+def _read_mc(node: dict | None, got: dict) -> dict:
+    """``mc.samples`` and ``mc.seed``, each overridden by its flag."""
+    node = node or {}
+    mc = {name: _COUNTS[name](node.get(name, default), f"mc.{name}") for name, default in (("samples", 200000), ("seed", 0))}
+    return {**mc, **got["flags"]}
 
-    checks = tuple(_as_list(raw["checks"], "checks")) if "checks" in raw else None
-    expect = {
-        name: _integer(value, f"expect.{name}")
-        for name, value in _as_mapping(raw.get("expect"), "expect", EXPECTATIONS).items()
-    }
 
-    return ExperimentConfig(
-        space=space,
-        kernel_type=kernel_type,
-        kernel=kernel,
-        chain=chain,
-        family=family,
-        phi=phi,
-        psi=psi,
-        partitions=tuple(partitions),
-        samples=samples,
-        seed=seed,
-        tolerances=tolerances,
-        checks=checks,
-        expect=expect,
-    )
+def _read_tolerances(node: dict | None, got: dict) -> dict:
+    """Every tolerance: its default, overridden by the file's ``tolerances:``, then by ``--tol`` in order."""
+    tolerances = {name: _tolerance(value, f"tolerances.{name}") for name, value in (node or {}).items()}
+    return {"tolerances": {**TOLERANCES, **tolerances, **got["tol"]}}
+
+
+def _read_checks(node: list | None, got: dict) -> dict:
+    """The names under ``checks:``, each a name of ``check_names`` or ``q-level-<n>`` for a configured partition ``n``."""
+    levels = [f"q-level-{i}" for i in range(len(got["partitions"]))]  # a list: a YAML entry may be unhashable
+    for name in node if node is not None and got["check_names"] is not None else ():
+        if name not in got["check_names"] and name not in levels:
+            raise ConfigError(f"checks: unknown check {name!r}")
+    return {"checks": None if node is None else tuple(node)}
+
+
+class Section(NamedTuple):
+    """One top-level section of the config: ``SCHEMA`` maps its name, which its errors carry, to this.
+
+    ``keys`` closes a mapping section's keys; a list section has ``None``.
+    ``read`` gets the section's node, ``None`` when the file omits the
+    section, and the fields read before it, and returns the fields it sets.
+    ``required_by`` names the commands that cannot run without the section;
+    for them a section that is absent or empty is missing.
+    """
+
+    keys: tuple[str, ...] | None
+    read: Callable[[Any, dict], dict]
+    required_by: tuple[str, ...] = ()
+
+
+SCHEMA: dict[str, Section] = {  # in reading order: the chain may derive the space, which every later section reads
+    "space": Section(("atoms", "weights"), _read_space),
+    "chain": Section(("transitions", "edges", "kill"), _read_chain, ("markov-green",)),
+    "kernel": Section(("type", "matrix"), _read_kernel, ("refine-sweep",)),
+    "family": Section(None, lambda node, got: {"family": tuple(_atom_set(got["space"], names, f"family[{i}]")
+                                                                for i, names in enumerate(node or ()))}),
+    "phi": Section(None, _read_integrand("phi"), ("simulate", "refine-sweep")),
+    "psi": Section(None, _read_integrand("psi")),
+    "partitions": Section(None, _read_partitions, ("refine-sweep",)),
+    "mc": Section(("samples", "seed"), _read_mc),
+    "tolerances": Section(tuple(TOLERANCES), _read_tolerances),
+    "checks": Section(None, _read_checks),
+    "expect": Section(EXPECTATIONS, lambda node, got: {"expect": {name: _integer(value, f"expect.{name}")
+                                                                  for name, value in (node or {}).items()}}),
+}
+
+
+def _yaml_error(path: Path, data: bytes, e: yaml.YAMLError) -> ConfigError:
+    """PyYAML's problem text as one line naming the file, line and column."""
+    if isinstance(e, yaml.MarkedYAMLError):
+        line, column, problem = e.problem_mark.line, e.problem_mark.column, e.problem
+    else:  # a ReaderError, from bytes that are not UTF-8, marks a byte offset
+        *lines, last = data[:e.position].split(b"\n")
+        line, column, problem = len(lines), len(last), str(e).splitlines()[0]
+    return ConfigError(f"{path}: line {line + 1}, column {column + 1}: {problem}")
+
+
+def load_config(path: str | Path, overrides: Iterable[str] = (), *, command: str | None = None,
+                flags: dict[str, str | None] | None = None, check_names: Collection[str] | None = None) -> ExperimentConfig:
+    """Parse and validate a config file, walking ``SCHEMA``.
+
+    ``overrides`` are the ``--tol`` texts ``NAME=VALUE``, applied in order
+    after the file's ``tolerances:``, and ``flags`` maps ``seed``,
+    ``samples`` and ``workers`` to a flag's text or ``None``; the first two
+    override ``mc``.  Every flag is judged before the file is read.  Given
+    ``check_names``, a name under ``checks:`` outside them is an error, and
+    given ``command``, so is a section that the command requires and the
+    file omits or leaves empty.  Raises ``ConfigError`` naming the field for
+    malformed documents.
+    """
+    tol = dict(map(_tol_flag, overrides))
+    counts = {name: _flag(name, text) for name, text in (flags or {}).items() if text is not None}
+    path = Path(path)
+    try:
+        data = path.read_bytes()  # bytes, so that the loader reports text that is not UTF-8 as a YAMLError
+        raw = yaml.load(data, Loader=_LOADER)
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    except yaml.YAMLError as e:
+        raise _yaml_error(path, data, e) from e
+    raw = _as_mapping(raw, str(path), tuple(SCHEMA))
+    # every reader sees the fields read before it and what it takes from the flags
+    got = {"workers": counts.pop("workers", 1), "flags": counts, "tol": tol, "check_names": check_names}
+    for name, (keys, read, _) in SCHEMA.items():  # a present section is a list or a mapping, an absent one None
+        node = None if name not in raw else _as_list(raw[name], name) if keys is None else _as_mapping(raw[name], name, keys)
+        got.update(read(node, got))
+    for name, section in SCHEMA.items():
+        if command in section.required_by and not raw.get(name):
+            raise ConfigError(f"{command} requires a {name} section")
+    return ExperimentConfig(**{f.name: got[f.name] for f in fields(ExperimentConfig)})

@@ -10,8 +10,8 @@ import yaml
 from click.testing import CliRunner
 
 from setkern import Factorization, check_series, factorization, green, kernels, markov
-from setkern.cli import CHECKS, SUITES, Run, _adjoint, _check_names, main
-from setkern.config import TOLERANCES, load_config
+from setkern.cli import CHECKS, COMMANDS, SUITES, Run, _adjoint, main
+from setkern.config import SCHEMA, TOLERANCES, load_config
 from setkern.errors import ConfigError, InvalidChainError, InvalidOperatorError, VerificationError
 from setkern.linalg import DOMAIN_BITS, selfadjoint_defect
 from setkern.report import CheckRecord, RunReport
@@ -563,13 +563,18 @@ def test_a_yaml_boolean_is_not_a_number(runner, tmp_path, text, where):
     assert where in _config_error(runner, tmp_path, text)
 
 
-def test_a_config_that_is_not_utf8_is_a_config_error(runner, tmp_path):
+@pytest.mark.parametrize("text, line", [
     # read_text() raised UnicodeDecodeError, which ended in a traceback and exit code 1
+    (b"space: {atoms: [\xe9]}\n", "line 1, column "),
+    # PyYAML's message took four lines and pointed at "<byte string>"
+    (b"space: {atoms: [a, b], weights: [1.0, 1.0]\nkernel: {type: wiener}\n", "line 2, column 1: "),
+], ids=["not-utf8", "unclosed-mapping"])
+def test_a_config_that_is_not_utf8_is_a_config_error(runner, tmp_path, text, line):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_bytes(b"space: {atoms: [\xe9]}\n")
+    cfg.write_bytes(text)
     result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
     assert result.exit_code == 2, result.output
-    assert f"config error: {cfg}: " in result.output
+    assert len(result.output.splitlines()) == 1 and result.output.startswith(f"config error: {cfg}: {line}")
 
 
 def test_an_unsigned_exponent_in_kernel_matrix_is_read_as_a_number(runner, tmp_path):
@@ -625,6 +630,34 @@ def test_a_misspelled_config_key_is_a_config_error(runner, tmp_path, text, where
     assert f"{where}: unknown key {key!r}" in output
 
 
+@pytest.mark.parametrize("name", [name for name, section in SCHEMA.items() if section.keys is not None])
+def test_every_mapping_section_of_the_schema_closes_its_keys(runner, tmp_path, name):
+    doc = {"space": {"atoms": ["a", "b"], "weights": [1.0, 1.0]}, name: {"misspelt": 1}}
+    output = _config_error(runner, tmp_path, yaml.safe_dump(doc))
+    assert f"config error: {name}: unknown key 'misspelt', expected one of {', '.join(SCHEMA[name].keys)}\n" == output
+
+
+REQUIRED = [(command, name) for command, *_ in COMMANDS for name, section in SCHEMA.items() if command in section.required_by]
+# an empty list section is missing too; an empty chain or kernel is rejected by its reader first
+MISSING = [(c, n, False) for c, n in REQUIRED] + [(c, n, True) for c, n in REQUIRED if SCHEMA[n].keys is None]
+
+
+@pytest.mark.parametrize("command, name, empty", MISSING, ids=[f"{c}-{'empty' if e else 'dropped'}-{n}" for c, n, e in MISSING])
+def test_a_required_section_that_is_dropped_or_empty_is_missing(runner, tmp_path, command, name, empty):
+    # phi: [] ran simulate with 18 of 18 rows passed, ito-isometry and cross-moment on estimate, exact and std_error 0
+    needs = [n for n, section in SCHEMA.items() if command in section.required_by]
+    doc = next(d for d in map(yaml.safe_load, map(Path.read_text, sorted(CONFIGS.glob("*.yaml")))) if all(n in d for n in needs))
+    if empty:
+        doc[name] = []
+    else:
+        del doc[name]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(tmp_path / "r.jsonl"))
+    assert (result.exit_code, result.output) == (2, f"config error: {command} requires a {name} section\n")
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 DENSE_CHAIN = "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]]}\n"
 EDGE_SPACE = "space: {atoms: [a, b]}\n"
 
@@ -659,7 +692,7 @@ def test_no_malformed_config_escapes_as_another_error(runner, tmp_path, text, to
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     with pytest.raises(ConfigError) as err:  # what every command vets before its first check
-        _check_names(load_config(cfg, tol))
+        load_config(cfg, [f"{n}={v}" for n, v in tol], check_names=CHECKS)
     assert message in str(err.value)
     for command in ("validate", "factorize", "markov-green", "simulate"):
         result = invoke(runner, tmp_path, command, "--config", str(cfg), *(f"--tol={n}={v}" for n, v in tol))
@@ -713,7 +746,7 @@ def test_the_file_overrides_the_defaults_and_tol_overrides_both(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {symmetry: 1.0e-6, schwarz: 1.0e-5}\n")
     assert load_config(cfg).tolerances == {**TOLERANCES, "symmetry": 1e-6, "schwarz": 1e-5}
-    tol = load_config(cfg, [("schwarz", "2e-5"), ("isometry", "3e-5"), ("isometry", "4e-5")]).tolerances
+    tol = load_config(cfg, ["schwarz=2e-5", "isometry=3e-5", "isometry=4e-5"]).tolerances
     assert tol == {**TOLERANCES, "symmetry": 1e-6, "schwarz": 2e-5, "isometry": 4e-5}
     assert list(tol) == list(TOLERANCES)  # the report's meta keeps this order
 
@@ -1012,7 +1045,7 @@ def test_adjoint_fails_a_root_that_is_not_nu_selfadjoint(tmp_path):
         "family": [["x0", "x1", "x2"], ["x3", "x5"]],
     }))
     config = load_config(cfg)
-    run = Run(config, RunReport("factorize", config.seed, config.samples, config.tolerances), workers=1)
+    run = Run(config, RunReport("factorize", config.seed, config.samples, config.tolerances))
     tol = config.tolerances["adjoint"]
     assert _adjoint(run, tol).passed
     # S + D^{-1} E with E antisymmetric: D S gains the antisymmetric part E, so S is not nu-selfadjoint

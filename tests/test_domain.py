@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from setkern.cli import COMMANDS, main
-from setkern.config import load_config
+from setkern.config import SCHEMA, load_config
 from setkern.errors import ConfigError
 from setkern.linalg import DOMAIN_BITS, SAMPLE_BITS, require_integer
 
@@ -106,9 +106,9 @@ CORNERS = {
 @pytest.mark.parametrize("name", CORNERS)
 def test_every_command_runs_at_the_ends_of_the_float_domain(tmp_path, name):
     text = CORNERS[name]
-    for command, _, requires, _ in COMMANDS:
+    for command, *_ in COMMANDS:
         result, out = _run(tmp_path, command, text)
-        if "chain" in requires and "chain" not in text:
+        if command in SCHEMA["chain"].required_by and "chain" not in text:
             assert result.exit_code == 2 and result.output == f"config error: {command} requires a chain section\n"
             continue
         assert result.exit_code in (0, 1) and not isinstance(result.exception, Exception), (command, result.output)
@@ -131,7 +131,10 @@ SEED = "must be an integer in [0, 2**64)"
     (["--samples", str(2**64)], None, f"--samples {SAMPLES}"),
     # past the sample count of the float-domain bound
     (["--samples", str(2**SAMPLE_BITS)], None, f"--samples {SAMPLES}"),
-    (["--samples", "1.5"], None, None),
+    # click's int type printed a usage screen for these
+    (["--samples", "1.5"], None, f"--samples {SAMPLES}, got '1.5'"),
+    (["--seed", "abc"], None, f"--seed {SEED}, got 'abc'"),
+    (["--workers", "2.0"], None, "--workers must be an integer in [1, 2**64), got '2.0'"),
     # click's IntRange printed a usage screen for these
     (["--samples", "0"], None, f"--samples {SAMPLES}"),
     (["--seed", "-1"], None, f"--seed {SEED}"),
@@ -141,8 +144,8 @@ SEED = "must be an integer in [0, 2**64)"
     ([], "samples: 0", f"mc.samples {SAMPLES}"),
     ([], "seed: -1.0", f"mc.seed {SEED}"),
     ([], "seed: yes", f"mc.seed {SEED}, got True"),
-], ids=["samples-10^400", "samples-2^64", "samples-2^40", "samples-fraction", "samples-0", "seed-negative", "seed-2^64",
-        "workers-0", "mc.samples-2^40", "mc.samples-0", "mc.seed-negative", "mc.seed-boolean"])
+], ids=["samples-10^400", "samples-2^64", "samples-2^40", "samples-fraction", "seed-text", "workers-fraction", "samples-0",
+        "seed-negative", "seed-2^64", "workers-0", "mc.samples-2^40", "mc.samples-0", "mc.seed-negative", "mc.seed-boolean"])
 @pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
 def test_an_integer_outside_its_domain_is_one_config_error_line(tmp_path, args, entry, line, command):
     # each is judged before the checks that a command needs, such as markov-green's chain, which wiener.yaml lacks
@@ -152,10 +155,7 @@ def test_an_integer_outside_its_domain_is_one_config_error_line(tmp_path, args, 
     out = tmp_path / "report.jsonl"
     result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out), *args],
                                 env={"SETKERN_OUT": str(tmp_path)})
-    if line is None:  # not an integer at all: click's own usage error
-        assert result.exit_code == 2 and "'1.5' is not a valid integer" in result.output
-    else:
-        assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"]), result.exception
+    assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"]), result.exception
     assert not out.exists()
 
 
