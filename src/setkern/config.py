@@ -353,6 +353,12 @@ def _read_integrand(name: str) -> Callable[[list | None, dict], dict]:
     return lambda node, got: {name: None if node is None else _simple_function(got["space"], node, name)}
 
 
+def _read_psi(node: list | None, got: dict) -> dict:
+    if node == []:  # the cross-moment row would pass on zeros; an empty phi is missing for the commands that read it
+        raise ConfigError("psi must have at least one term, or be left out")
+    return _read_integrand("psi")(node, got)
+
+
 def _read_partitions(node: list | None, got: dict) -> dict:
     partitions = []
     for i, blocks in enumerate(node or ()):
@@ -410,7 +416,7 @@ SCHEMA: dict[str, Section] = {  # in reading order: the chain may derive the spa
     "family": Section(None, lambda node, got: {"family": tuple(_atom_set(got["space"], names, f"family[{i}]")
                                                                 for i, names in enumerate(node or ()))}),
     "phi": Section(None, _read_integrand("phi"), ("simulate", "refine-sweep")),
-    "psi": Section(None, _read_integrand("psi")),
+    "psi": Section(None, _read_psi),
     "partitions": Section(None, _read_partitions, ("refine-sweep",)),
     "mc": Section(("samples", "seed"), _read_mc),
     "tolerances": Section(tuple(TOLERANCES), _read_tolerances),

@@ -9,12 +9,12 @@ weighted-L2 norm squared of the transformed integrand).
 
 Sampling is reproducible and embarrassingly parallel: each chunk of a fixed
 size draws its normals from a new SFC64 seeded by
-``SeedSequence(seed, spawn_key=(chunk index,))``, and Monte Carlo reductions
-always combine chunk partials in index order, so results are bit-identical
-for any worker count.  ``sample`` draws one normal per factor column; a
-moment check draws only the one or two columns its pair of integrals spans,
-so its moments are not computed from the ``sample`` stream.  Each threaded
-call starts and joins its own helper threads; none outlives the call.
+``SeedSequence(seed, spawn_key=(chunk index,))``, hashed for all of a call's
+chunks at once, and Monte Carlo reductions combine chunk partials in index
+order, so results are bit-identical for any worker count.  ``sample`` draws
+one normal per factor column; a moment check draws only the one or two
+columns its pair of integrals spans, so its moments are not computed from
+the ``sample`` stream.  Each call joins the helper threads it starts.
 """
 
 from __future__ import annotations
@@ -43,6 +43,27 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 8192
+# SeedSequence's hash, frozen by NEP 19: step k xors a word with INIT * MULT^k, then multiplies it by INIT * MULT^(k+1)
+# mod 2^32.  Rows: those two words for the 4 steps that mix a spawn key into the pool, after its 16, and the 6 state steps.
+_SPAWN_STEP = np.array([[0x43B0D7E5 * pow(0x931E8875, k + j, 1 << 32) & 0xFFFFFFFF for k in range(16, 20)] for j in (0, 1)], np.uint32)
+_STATE_STEP = np.array([[0x8B51F9DD * pow(0x58F38DED, k + j, 1 << 32) & 0xFFFFFFFF for k in range(6)] for j in (0, 1)], np.uint32)
+
+
+def _chunk_keys(seed: int, chunks: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(3, np.uint64)`` for ``i < chunks``, one row each.
+
+    A seed below ``2**64`` is padded with zeros to the pool's 4 words before
+    the key ``i``, so the pool that ``i`` is mixed into is
+    ``SeedSequence(seed).pool``; every ``i`` is mixed and hashed at once.
+    """
+    (x, m), pool = _SPAWN_STEP, np.random.SeedSequence(seed).pool
+    v = (np.arange(chunks, dtype=np.uint32)[:, None] ^ x) * m
+    v = 0xCA01F9DD * pool - 0x4973F715 * (v ^ v >> 16)
+    v ^= v >> 16
+    x, m = _STATE_STEP
+    v = (np.concatenate([v, v[:, :2]], axis=1) ^ x) * m
+    v ^= v >> 16
+    return v.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)  # word pairs, low word first
 
 
 def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray], object], workers: int) -> list:
@@ -50,7 +71,8 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
 
     Chunk ``i`` holds rows ``[i * CHUNK_SIZE, ...)``, and its ``(rows, width)``
     standard normals ``z`` come from ``SFC64(SeedSequence(seed, spawn_key=(i,)))``
-    alone, so the results do not depend on ``workers``.  The entropy
+    alone, so the results do not depend on ``workers``: ``Key`` hands SFC64
+    that sequence's state words, row ``i`` of ``_chunk_keys``.  The entropy
     ``[seed, i]`` would not do: ``SeedSequence`` drops its trailing zero words,
     so seed ``s + t * 2**32`` chunk 0 would replay seed ``s`` chunk ``t``.
     ``z`` is a per-thread buffer that is overwritten by the next chunk.  With
@@ -61,6 +83,15 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
     """
     starts = range(0, n, CHUNK_SIZE)
     results = [None] * len(starts)
+    keys = _chunk_keys(seed, len(starts))
+
+    class Key(np.random.bit_generator.ISeedSequence):  # defined here, so that import setkern leaves numpy.random out
+        def __init__(self, i: int):
+            self.words = keys[i]
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:  # SFC64 asks for 3 uint64 words
+            return self.words
+
     threads = max(min(require_integer(workers, "workers", DomainError, least=1), len(starts)), 1)
     errors: list[BaseException] = []
 
@@ -69,7 +100,7 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
             buf = np.empty((min(n, CHUNK_SIZE), width))
             for i in range(first, len(starts), threads):
                 z = buf[: min(CHUNK_SIZE, n - starts[i])]
-                np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,)))).standard_normal(out=z)
+                np.random.Generator(np.random.SFC64(Key(i))).standard_normal(out=z)
                 results[i] = work(starts[i], z)
         except BaseException as e:  # raised by the caller once every helper has been joined
             errors.append(e)
@@ -202,10 +233,16 @@ def _moment_check(
         ra, rb = np.linalg.qr(np.column_stack([a, sampler.factor.T @ beta]), mode="r").T.copy()
 
     def partial(start: int, z: np.ndarray) -> tuple[float, float]:
-        # for a one-column ``z``, ``dot`` reaches BLAS and ``@`` does not
-        za = z.dot(ra)
-        vals = za * za if rb is ra else za * z.dot(rb)
-        return float(vals.sum()), float((vals * vals).sum())
+        # R is upper triangular, so z . ra is exactly ra[0] z_0: the products are formed in z's first column
+        if not len(ra):  # a sampler of rank 0 draws no column
+            return 0.0, 0.0
+        zb = None if rb is ra else z.dot(rb)  # for a one-column ``z``, ``dot`` reaches BLAS and ``@`` does not
+        vals = z[:, 0]
+        vals *= ra[0]
+        vals *= vals if zb is None else zb
+        s1 = float(vals.sum())
+        vals *= vals
+        return s1, float(vals.sum())
 
     # Fixed-order reduction keeps results independent of the worker count.
     s1 = 0.0

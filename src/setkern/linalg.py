@@ -85,7 +85,9 @@ def require_integer(value, name: str, error: type[Exception], *, least: int = 0,
     """``value``, a Python or numpy integer (no ``bool``), as an ``int`` in ``[least, 2^bits)``; else raise ``error``."""
     number = None if isinstance(value, bool) or not hasattr(value, "__index__") else operator.index(value)
     if number is None or not least <= number < 1 << bits:
-        raise error(f"{name} must be an integer in [{least}, 2**{bits})" + ("" if number is not None else f", got {value!r}"))
+        got = "" if number is not None else repr(value)  # a flag past int()'s digit limit is still text: cut it short
+        got = got if len(got) <= 64 else f"{str(value)[:32]!r}... ({len(str(value))} characters)"
+        raise error(f"{name} must be an integer in [{least}, 2**{bits})" + (got and f", got {got}"))
     return number
 
 

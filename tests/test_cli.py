@@ -910,6 +910,18 @@ def test_an_atom_name_that_yaml_reads_as_no_string_is_a_config_error(runner, tmp
     assert where in _config_error(runner, tmp_path, text)
 
 
+@pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
+def test_an_empty_psi_is_a_config_error(runner, tmp_path, command):
+    # psi: [] ran simulate's cross-moment row on estimate, exact and std_error 0, and the row passed
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text((CONFIGS / "wiener.yaml").read_text().replace("psi:\n  - [1.0, [a, b]]\n", "psi: []\n"))
+    assert "psi: []" in cfg.read_text()
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out), "--samples", "1000")
+    assert (result.exit_code, result.output) == (2, "config error: psi must have at least one term, or be left out\n")
+    assert not out.exists()
+
+
 def test_integer_and_quoted_atom_names_read_as_before(runner, tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text('space: {atoms: [1, "yes", "~"], weights: [1.0, 1.0, 1.0]}\nkernel: {type: wiener}\nfamily: [[1, "yes"]]\n')

@@ -159,6 +159,17 @@ def test_an_integer_outside_its_domain_is_one_config_error_line(tmp_path, args, 
     assert not out.exists()
 
 
+def test_a_flag_past_the_digit_limit_of_int_is_echoed_cut_short(tmp_path):
+    # int() refuses text of more than 4300 digits, so the flag stayed text and its line echoed all 5,000: 5,065 bytes
+    out = tmp_path / "report.jsonl"
+    result = CliRunner().invoke(main, ["simulate", "--config", str(CONFIGS / "wiener.yaml"), "--out", str(out),
+                                       "--samples", "9" * 5000], env={"SETKERN_OUT": str(tmp_path)})
+    [line] = result.output.splitlines()
+    assert (result.exit_code, line) == (2, f"config error: --samples {SAMPLES}, got '{'9' * 32}'... (5000 characters)")
+    assert len(line.encode()) < 200
+    assert not out.exists()
+
+
 def test_the_ends_of_the_sample_and_seed_ranges_are_accepted(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(_shipped("wiener", "samples: 200000\n  seed: 11", f"samples: {2**SAMPLE_BITS - 1}\n  seed: {2**64 - 1}"))

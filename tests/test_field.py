@@ -456,6 +456,15 @@ def test_a_seed_past_32_bits_keys_chunks_of_its_own():
     assert not np.array_equal(top[0], top[1])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_chunk_keys_are_the_state_words_of_the_spawned_seed_sequences(seed):
+    # one pass over every chunk, on SeedSequence's frozen hash, in place of one SeedSequence per chunk
+    expected = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(3, np.uint64) for i in range(300)]
+    keys = setkern.field._chunk_keys(seed, 300)
+    assert keys.dtype == np.uint64 and keys.flags.c_contiguous
+    assert keys.tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2.5, True, "7"])
 def test_a_seed_outside_64_bits_or_not_an_integer_is_rejected(space, seed):
     kernel = wiener_kernel(space)

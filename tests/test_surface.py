@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,11 @@ def test_the_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", tour, flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_importing_the_package_leaves_numpy_random_yaml_and_click_unimported():
+    # every CLI call and every library user pays for what import setkern imports
+    code = "import sys, setkern; print(sorted(m for m in ('numpy.random', 'yaml', 'click') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
