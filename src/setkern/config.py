@@ -75,11 +75,14 @@ EXPECTATIONS = ("range-rank",)
 """Names accepted under ``expect:``; every expectation is a count."""
 
 _FLOAT_TAG = "tag:yaml.org,2002:float"
+_INT_TAG = "tag:yaml.org,2002:int"
 _STR_TAG = "tag:yaml.org,2002:str"
 _DECIMAL = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?")
 """YAML 1.1's float forms without ``_``, ``:``, ``.inf`` or ``.nan``: PyYAML's float
 resolver is the first to claim each, and ``float`` reads each as PyYAML does.
 The unsigned ``.5`` branch is PyYAML's own: it reads ``-.5`` as a string."""
+_DECIMAL_INT = re.compile(r"[-+]?[1-9][0-9_]*")
+"""The integers PyYAML reads in base 10, the one base in which ``int`` has a digit limit."""
 
 
 def _loader(base: type) -> type:
@@ -92,6 +95,9 @@ def _loader(base: type) -> type:
     needs.  Every document loads exactly as under ``base``: any other
     scalar, and every NaN (``float`` gives ``-nan`` a sign that PyYAML does
     not), takes ``base``'s path, and so does every other sequence item.
+    The one exception is an integer past ``int``'s digit limit, on which
+    ``base`` raises ``ValueError``: it loads as its text, so that the field
+    reading it rejects it as it would the same flag.
     """
 
     class Loader(base):
@@ -107,6 +113,14 @@ def _loader(base: type) -> type:
                 value = math.nan
             return value if value == value else super().construct_yaml_float(node)
 
+        def construct_yaml_int(self, node):
+            try:
+                return super().construct_yaml_int(node)
+            except ValueError:  # int() refuses more than 4,300 digits: the field's reader judges the text
+                if not _DECIMAL_INT.fullmatch(node.value):
+                    raise
+                return node.value
+
         def construct_sequence(self, node, deep=False):
             if not isinstance(node, yaml.SequenceNode):
                 return super().construct_sequence(node, deep=deep)
@@ -121,6 +135,7 @@ def _loader(base: type) -> type:
             ]
 
     Loader.add_constructor(_FLOAT_TAG, Loader.construct_yaml_float)
+    Loader.add_constructor(_INT_TAG, Loader.construct_yaml_int)
     return Loader
 
 
@@ -350,7 +365,19 @@ def _read_kernel(node: dict | None, got: dict) -> dict:
 
 
 def _read_integrand(name: str) -> Callable[[list | None, dict], dict]:
-    return lambda node, got: {name: None if node is None else _simple_function(got["space"], node, name)}
+    """The reader of ``phi`` or ``psi``: an integrand with terms that is zero in L^2(nu) is an error.
+
+    Every row that reads it would judge an estimate of 0 against an exact 0.
+    """
+    def read(node: list | None, got: dict) -> dict:
+        if node is None:
+            return {name: None}
+        space = got["space"]
+        function = _simple_function(space, node, name)
+        if node and space.norm_squared(function.values(space.size)) == 0.0:
+            raise ConfigError(f"{name} is zero in L^2(nu): its coefficients cancel or it charges only null atoms")
+        return {name: function}
+    return read
 
 
 def _read_psi(node: list | None, got: dict) -> dict:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, InvalidCovarianceError, OrderingError
 from .factorization import Factorization
 from .kernels import GramMatrix, SetKernel, gram
-from .linalg import CLAMP, SAMPLE_BITS, Spectrum, judge, require_integer
+from .linalg import CLAMP, SAMPLE_BITS, Spectrum, require_integer
 from .measure import MeasurableSet, Partition, SimpleFunction, is_partition, is_refinement
 
 __all__ = [
@@ -197,8 +197,8 @@ class ItoResult:
         return dev / self.std_error
 
     def within(self, n_sigma: float = 5.0) -> bool:
-        """True iff the estimate is within ``n_sigma`` standard errors of the exact value."""
-        return judge(abs(self.estimate - self.exact), self.std_error, n_sigma).passed
+        """True iff ``deviation_sigmas``, the value a report records, is at most ``n_sigma``; a NaN fails."""
+        return self.deviation_sigmas <= n_sigma
 
 
 def _moment_check(

@@ -80,6 +80,12 @@ class MeasurableSet:
         return f"MeasurableSet({self.indices})"
 
 
+def _require_in_range(A: MeasurableSet, size: int) -> None:
+    """The one range rule for sets: every member of ``A`` indexes an atom of a space of ``size`` atoms."""
+    if A.members and A.index_array[-1] >= size:
+        raise InvalidSetError(f"set references atom index {A.index_array[-1]} in a space of size {size}")
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
     """Finite measure space: named atoms with nonnegative weights.
@@ -143,10 +149,7 @@ class MeasureSpace:
         return MeasurableSet(frozenset(range(self.size)))
 
     def validate_set(self, A: MeasurableSet) -> None:
-        if A.members and A.index_array[-1] >= self.size:
-            raise InvalidSetError(
-                f"set references atom index {A.index_array[-1]} in a space of size {self.size}"
-            )
+        _require_in_range(A, self.size)
 
     def measure(self, A: MeasurableSet) -> float:
         """Total weight of ``A``, ``indicator(A) @ w``; additive over disjoint unions."""
@@ -191,12 +194,11 @@ class SimpleFunction:
         require_in_domain([c for c, _ in self.terms], lambda i: f"term {i} coefficient", DomainError)
 
     def values(self, size: int) -> np.ndarray:
-        """Pointwise values over ``size`` atoms."""
-        if any(s.members and max(s.members) >= size for _, s in self.terms):
-            raise InvalidSetError("simple function references atoms beyond the space")
+        """Pointwise values over ``size`` atoms; a set out of that range raises as ``MeasureSpace.validate_set`` does."""
         vals = np.zeros(size)
         for coef, s in self.terms:
-            vals[s.indices] += coef
+            _require_in_range(s, size)
+            vals[s.index_array] += coef
         return vals
 
     def sets(self) -> tuple[MeasurableSet, ...]:

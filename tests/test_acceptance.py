@@ -286,31 +286,33 @@ def test_criterion_6_projection_monotonicity():
 def test_criterion_7_report_determinism(tmp_path):
     runner = CliRunner()
     env = {"SETKERN_OUT": str(tmp_path)}
-    outs = []
-    for name, workers in (("r1", 1), ("r2", 1), ("r3", 3)):
-        out = tmp_path / f"{name}.jsonl"
-        result = runner.invoke(
-            main,
-            [
-                "simulate",
-                "--config",
-                str(CONFIGS / "wiener.yaml"),
-                "--samples",
-                "50000",
-                "--out",
-                str(out),
-                "--workers",
-                str(workers),
-            ],
-            env=env,
+    # two-state-green samples a Green kernel built from its chain, with one Monte Carlo row and no sweep
+    for config in ("wiener", "two-state-green"):
+        outs = []
+        for name, workers in (("r1", 1), ("r2", 1), ("r3", 2), ("r4", 3)):
+            out = tmp_path / f"{config}-{name}.jsonl"
+            result = runner.invoke(
+                main,
+                [
+                    "simulate",
+                    "--config",
+                    str(CONFIGS / f"{config}.yaml"),
+                    "--samples",
+                    "50000",
+                    "--out",
+                    str(out),
+                    "--workers",
+                    str(workers),
+                ],
+                env=env,
+            )
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        ok = outs[0] == outs[1] == outs[2] == outs[3]
+        report(
+            f"criterion 7 (byte-deterministic reports, {config})",
+            ok,
+            f"repeat run identical={outs[0] == outs[1]}, worker-count identical={outs[0] == outs[2] == outs[3]}",
         )
-        assert result.exit_code == 0, result.output
-        outs.append(out.read_bytes())
-    ok = outs[0] == outs[1] == outs[2]
-    report(
-        "criterion 7 (byte-deterministic reports)",
-        ok,
-        f"repeat run identical={outs[0] == outs[1]}, worker-count identical={outs[0] == outs[2]}",
-    )
-    assert outs[0] == outs[1]
-    assert outs[0] == outs[2]
+        assert outs[0] == outs[1]
+        assert outs[0] == outs[2] == outs[3]

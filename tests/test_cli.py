@@ -12,8 +12,8 @@ from click.testing import CliRunner
 from setkern import Factorization, check_series, factorization, green, kernels, markov
 from setkern.cli import CHECKS, COMMANDS, SUITES, Run, _adjoint, main
 from setkern.config import SCHEMA, TOLERANCES, load_config
-from setkern.errors import ConfigError, InvalidChainError, InvalidOperatorError, VerificationError
-from setkern.linalg import DOMAIN_BITS, selfadjoint_defect
+from setkern.errors import ConfigError, InvalidChainError, InvalidOperatorError, SetKernError, VerificationError
+from setkern.linalg import DOMAIN_BITS, Verdict, selfadjoint_defect
 from setkern.report import CheckRecord, RunReport
 from support import random_nu_psd_matrix, random_sets, random_space
 
@@ -214,6 +214,7 @@ def test_factorize_counting_kernel_fails_before_realizing(runner, tmp_path):
     _, records = read_records(out)
     checks = {r["check"] for r in records}
     assert "realization" not in checks  # pipeline stops at validation
+    assert not (tmp_path / "factorization.json").exists()  # and exports nothing
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +296,33 @@ def test_a_rank_one_monte_carlo_row_keeps_its_bytes_besides_the_detail(runner, t
     assert json.dumps(row, sort_keys=True) == golden.read_text().splitlines()[-1]
 
 
+# a 4-atom operator kernel whose atom Gram has eigenvalues from 8e-13 to 1.2: every q row must still pass
+ILL_CONDITIONED = """\
+space: {atoms: [x0, x1, x2, x3], weights: [0.58, 1.26, 1.28, 0.9]}
+kernel:
+  type: operator
+  matrix: [[0.001068159101960062, 0.014252260850859904, -0.04213576277510385, -0.015984701513540124], [0.0065605645186497955, 0.08763687699777253, -0.25939403958188595, -0.09837810600300512], [-0.019092767507468928, -0.25534100771341894, 0.756675259274543, 0.2868999533621744], [-0.010301252086503633, -0.13772934840420717, 0.40803548922620353, 0.15471971462672424]]
+phi: [[1.0, [x0, x1]], [-0.7, [x1, x2, x3]]]
+partitions:
+  - [[x0, x1, x2, x3]]
+  - [[x0, x1], [x2, x3]]
+  - [[x0], [x1], [x2], [x3]]
+"""
+
+
 def test_refine_sweep_records_levels(runner, tmp_path):
-    out = tmp_path / "q.jsonl"
-    result = invoke(
-        runner, tmp_path, "refine-sweep", "--config", str(CONFIGS / "wiener.yaml"), "--out", str(out)
-    )
-    assert result.exit_code == 0
-    _, records = read_records(out)
-    by_check = {r["check"]: r for r in records}
-    assert by_check["q-level-0"]["value"] <= by_check["q-level-1"]["value"] + 1e-10
-    assert by_check["q-level-1"]["value"] <= by_check["q-level-2"]["value"] + 1e-10
-    assert by_check["q-attained"]["status"] == "pass"
+    cfg = tmp_path / "cfg.yaml"
+    for text in ((CONFIGS / "wiener.yaml").read_text(), ILL_CONDITIONED):
+        cfg.write_text(text)
+        out = tmp_path / "q.jsonl"
+        result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
+        assert result.exit_code == 0, result.output
+        _, records = read_records(out)
+        by_check = {r["check"]: r for r in records}
+        assert by_check["q-level-0"]["value"] <= by_check["q-level-1"]["value"] + 1e-10
+        assert by_check["q-level-1"]["value"] <= by_check["q-level-2"]["value"] + 1e-10
+        assert list(by_check) == ["q-level-0", "q-level-1", "q-level-2", "q-monotone", "q-bound", "q-attained"]
+        assert all(r["status"] == "pass" for r in records), records
 
 
 def test_refine_sweep_passes_for_phi_in_the_null_space_of_S(runner, tmp_path):
@@ -338,9 +355,11 @@ def test_an_integrand_whose_norm_overflows_is_a_config_error(runner, tmp_path, n
     assert term in text
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text.replace(term, huge))
-    result = invoke(runner, tmp_path, "simulate", "--config", str(cfg))
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, "simulate", "--config", str(cfg), "--out", str(out))
     assert result.exit_code == 2, result.output
     assert result.output.splitlines() == [f"config error: {name}: term 0 coefficient is 1e+308, {SIGNED_DOMAIN}"]
+    assert not out.exists()
 
 
 def test_a_projection_moment_past_the_float_range_is_a_config_error(runner, tmp_path):
@@ -455,10 +474,13 @@ WIENER_SPACE = "space: {atoms: [a, b], weights: [1.0, 1.0]}\n"
 
 
 def _config_error(runner, tmp_path, text):
-    cfg = tmp_path / "cfg.yaml"
+    """The output of ``validate`` on ``text``, which must be one config error line with exit 2 and no report."""
+    cfg, out = tmp_path / "cfg.yaml", tmp_path / "r.jsonl"
     cfg.write_text(text)
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
+    result = invoke(runner, tmp_path, "validate", "--config", str(cfg), "--out", str(out))
     assert result.exit_code == 2, result.output
+    assert len(result.output.splitlines()) == 1 and result.output.startswith("config error: "), result.output
+    assert not out.exists()
     return result.output
 
 
@@ -504,9 +526,11 @@ def test_a_density_that_overflows_is_a_config_error_for_every_command(runner, tm
     # 1 / w(x) overflows at w = 1e-320: numpy's warning, then factorize failed realization and six rows valued null
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("space: {atoms: [a, b], weights: [1.0e-320, 1.0]}\nkernel: {type: counting}\n")
-    result = invoke(runner, tmp_path, command, "--config", str(cfg))
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out))
     assert result.exit_code == 2, result.output
     assert result.output.splitlines() == [f"config error: space: weight of atom 'a' is 1e-320, {DOMAIN}"]
+    assert not out.exists()
 
 
 def test_an_operator_product_that_overflows_is_a_config_error(runner, tmp_path):
@@ -732,14 +756,17 @@ def test_every_check_reads_a_tolerance_of_the_config_schema():
      f"tolerances: unknown key 'parseval-invariance', expected one of {', '.join(TOLERANCES)}"),
     ("markov-green", "", ("--tol", "fundamental-match=1e-8"),
      f"--tol: unknown tolerance 'fundamental-match', expected one of {', '.join(TOLERANCES)}"),
-], ids=["checks", "tolerances", "tol"])
+    ("factorize", "", ("--tol", "parseval-invariance=1e-10"),
+     f"--tol: unknown tolerance 'parseval-invariance', expected one of {', '.join(TOLERANCES)}"),
+], ids=["checks", "tolerances", "tol", "tol-parseval-invariance"])
 def test_the_names_of_the_removed_rows_are_config_errors(runner, tmp_path, command, where, args, line):
     # parseval-invariance (the Parseval sum in two bases, equal for any k_A) and fundamental-match
     # ((w G) / w against G) could fail under no mutation; a config that named them ran them
-    cfg = tmp_path / "cfg.yaml"
+    cfg, out = tmp_path / "cfg.yaml", tmp_path / "r.jsonl"
     cfg.write_text((CONFIGS / "two-state-green.yaml").read_text() + where)
-    result = invoke(runner, tmp_path, command, "--config", str(cfg), *args)
+    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out), *args)
     assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"])
+    assert not out.exists()
 
 
 def test_the_file_overrides_the_defaults_and_tol_overrides_both(tmp_path):
@@ -848,23 +875,43 @@ def test_transience_is_judged_by_its_own_gap(runner, tmp_path):
     assert (record["status"], record["value"], record["bound"]) == ("fail", 0.5, pytest.approx(0.4))
 
 
-@pytest.mark.parametrize("config", ["stochastic-chain", "two-state-green"])
-def test_every_markov_row_records_the_library_verdict(runner, tmp_path, config):
+def _recorded(check, *args) -> Verdict:
+    """The verdict a row records of a library check: its own, or a failure with no value or bound where it raises."""
+    try:
+        return check(*args)
+    except SetKernError:
+        return Verdict(None, None, False)
+
+
+@pytest.mark.parametrize("config, code, statuses", [
+    ("stochastic-chain", 1, {"detailed-balance": "pass", "transience": "fail"}),
+    ("two-state-green", 0, {}),
+    # detailed balance fails on these weights (3 × 0.5 against 1 × 0.2), and the chain is transient with rho = 0.866
+    ("space: {atoms: [a, b], weights: [3.0, 1.0]}\nchain: {transitions: [[0.0, 0.5], [0.2, 0.0]]}\n", 1,
+     {"detailed-balance": "fail", "transience": "pass", "green-identity": "pass", "series-solve": "pass"}),
+], ids=["stochastic-chain", "two-state-green", "non-reversible-transient"])
+def test_every_markov_row_records_the_library_verdict(runner, tmp_path, config, code, statuses):
     # the CLI rebuilt these verdicts: contractivity recorded no value or bound, and transience read
     # its value back out of NotTransientError
+    path = tmp_path / "cfg.yaml"  # a shipped config by name, or the text of one
+    path.write_text(config if "\n" in config else (CONFIGS / f"{config}.yaml").read_text())
     out = tmp_path / "m.jsonl"
-    invoke(runner, tmp_path, "markov-green", "--config", str(CONFIGS / f"{config}.yaml"), "--out", str(out))
+    result = invoke(runner, tmp_path, "markov-green", "--config", str(path), "--out", str(out))
+    assert result.exit_code == code, result.output
     meta, records = read_records(out)
-    chain, tol = load_config(CONFIGS / f"{config}.yaml").chain, meta["tolerances"]
+    chain, tol = load_config(path).chain, meta["tolerances"]
     verdicts = {
         "detailed-balance": markov.check_reversibility(chain, tol["detailed-balance"]),
         "contractivity": markov.check_contractivity(chain, tol["contractivity"]),
         "transience": markov.check_transient(chain, tol["transience-gap"]),
-        "spectral-gap": markov.check_spectral_gap(chain, tol["transience-gap"]),
+        "spectral-gap": _recorded(markov.check_spectral_gap, chain, tol["transience-gap"]),
     }
     by_check = {r["check"]: r for r in records}
     for name, verdict in verdicts.items():
         assert by_check[name] == CheckRecord(name, by_check[name]["tag"], verdict).as_dict(), name
+    assert {name: by_check[name]["status"] for name in statuses} == statuses
+    # both rows read the weighted norm of P
+    assert by_check["contractivity"]["value"] is not None
     assert by_check["contractivity"]["value"] == by_check["transience"]["value"]
 
 
@@ -919,6 +966,31 @@ def test_an_empty_psi_is_a_config_error(runner, tmp_path, command):
     out = tmp_path / "r.jsonl"
     result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out), "--samples", "1000")
     assert (result.exit_code, result.output) == (2, "config error: psi must have at least one term, or be left out\n")
+    assert not out.exists()
+
+
+WIENER_PHI = "  - [1.0, [a]]\n  - [2.0, [b]]\n"
+
+
+@pytest.mark.parametrize("name, edits", [
+    ("phi", [(WIENER_PHI, "  - [0.0, [a]]\n")]),
+    ("phi", [(WIENER_PHI, "  - [1.0, [a, b]]\n  - [-1.0, [a]]\n  - [-1.0, [b]]\n")]),
+    ("psi", [("  - [1.0, [a, b]]\n", "  - [1.0, [a]]\n  - [-1.0, [a]]\n")]),
+    ("phi", [("weights: [1.0, 2.0, 0.5]", "weights: [1.0, 2.0, 0.0]"), (WIENER_PHI, "  - [1.0, [c]]\n")]),
+], ids=["zero-phi", "cancelling-phi", "cancelling-psi", "null-atom-phi"])
+@pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
+def test_an_integrand_that_is_zero_in_l2_is_a_config_error(runner, tmp_path, command, name, edits):
+    # phi: [[0.0, [a]]] ran simulate with 18 of 18 rows passed, each Monte Carlo and q value 0 judged against 0
+    text = (CONFIGS / "wiener.yaml").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "r.jsonl"
+    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out), "--samples", "1000")
+    line = f"config error: {name} is zero in L^2(nu): its coefficients cancel or it charges only null atoms"
+    assert (result.exit_code, result.output.splitlines()) == (2, [line]), result.output
     assert not out.exists()
 
 
@@ -1185,7 +1257,7 @@ def test_a_looser_series_solve_tolerance_reaches_the_green_solve(runner, tmp_pat
     assert by_check["series-solve"]["value"] == data.series_agreement
     assert by_check["series-solve"]["bound"] == 1e-6 * data.scale
     for check in ("green-identity", "series-solve", "green-psd"):
-        assert by_check[check]["status"] == "pass", check
+        assert by_check[check]["status"] == "pass" and by_check[check]["value"] is not None, check
     assert result.exit_code == 1  # green-factor fails on its own bound
 
 
@@ -1228,7 +1300,7 @@ def test_every_command_builds_one_green_kernel_at_the_run_tolerance(runner, tmp_
         records[command] = {r["check"]: r for r in read_records(out)[1]}
     assert codes == {"validate": 0, "markov-green": 1}  # green-factor fails on its own bound
     psd, green_psd = records["validate"]["gram-psd"], records["markov-green"]["green-psd"]
-    assert psd["value"] is not None
+    assert psd["status"] == "pass" and psd["value"] is not None
     assert (psd["status"], psd["value"], psd["bound"]) == (green_psd["status"], green_psd["value"], green_psd["bound"])
 
 

@@ -4,6 +4,8 @@
 and a sequence builds its float and string items without ``construct_object``;
 these tests pin that the shortcuts change no outcome: type, value, the sign of
 zero and of NaN, aliases and recursion, and the exception a bad scalar raises.
+The one outcome the loader changes is an integer past ``int``'s digit limit,
+which loads as its text where PyYAML raises ``ValueError``.
 The shortcuts are run over both loader bases, pure Python and libyaml.
 """
 
@@ -35,7 +37,7 @@ SCALARS = [
     # quoted and tagged scalars
     "'1.5'", '"-0.0"', "!!float 3", "!!float ' 1.5 '", "!!float '--1'", "!!float '+-1'", "!!float '-nan'",
     "!!float 'nan'", "!!float '-inf'", "!!float '0x1F'", "!!float ''", "!!float [1]", "!!float '1_0'",
-    "!!float '١.٥'", "!!str 1.5", "! 1.5", "!!int 1.5",
+    "!!float '١.٥'", "!!str 1.5", "! 1.5", "!!int 1.5", "!!int 08", "!!int '1_0.5'",
 ]
 
 DOCUMENTS = [
@@ -162,3 +164,10 @@ def test_a_sequence_builds_its_float_and_string_items_itself(loader, monkeypatch
 
 def test_the_loader_still_reads_yaml_booleans_as_booleans():
     assert yaml.load("[yes, off, on]", Loader=config._LOADER) == [True, False, True]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=IDS)
+def test_an_integer_past_the_digit_limit_of_int_loads_as_its_text(loader):
+    # PyYAML's int() raised ValueError out of yaml.load, before any field could name it
+    long = "9" * 5000
+    assert yaml.load(f"[{long}, -{long}, {{n: +{long}}}, 12]", Loader=loader) == [long, f"-{long}", {"n": f"+{long}"}, 12]

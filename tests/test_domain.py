@@ -54,6 +54,9 @@ def _shipped(name, old, new):
     # a YAML integer past the float range ended in float()'s OverflowError
     (lambda: _shipped("wiener", "weights: [1.0, 2.0, 0.5]", f"weights: [{10**400}, 2.0, 0.5]"),
      f"config error: space: weight of atom 'a' is inf, {DOMAIN}"),
+    # past the 4,300 digits that int() reads, PyYAML's int() raised ValueError out of yaml.load: a traceback
+    (lambda: _shipped("wiener", "weights: [1.0, 2.0, 0.5]", f"weights: [{'9' * 5000}, 2.0, 0.5]"),
+     f"config error: space: weight of atom 'a' is inf, {DOMAIN}"),
     (lambda: _shipped("wiener", "- [1.0, [a]]", f"- [-{10**400}, [a]]"),
      f"config error: phi: term 0 coefficient is -inf, {DOMAIN.replace('in [', 'of magnitude in [')}"),
     # the message named the field but not the entry
@@ -61,8 +64,8 @@ def _shipped(name, old, new):
      "config error: kernel.matrix[1][1] is an integer past the float range"),
     (lambda: _shipped("stochastic-chain", "- [1.0, 0.0]", f"- [-{10**400}, 0.0]"),
      "config error: chain.transitions[1][0] is an integer past the float range"),
-], ids=["wiener-huge-weight", "chain-weight-span", "degree-8-moment", "integer-weight", "integer-coefficient",
-        "integer-entry", "integer-transition"])
+], ids=["wiener-huge-weight", "chain-weight-span", "degree-8-moment", "integer-weight", "digit-limit-weight",
+        "integer-coefficient", "integer-entry", "integer-transition"])
 @pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
 def test_an_input_outside_the_float_domain_is_one_config_error_line(tmp_path, text, line, command):
     result, out = _run(tmp_path, command, text())
@@ -144,8 +147,11 @@ SEED = "must be an integer in [0, 2**64)"
     ([], "samples: 0", f"mc.samples {SAMPLES}"),
     ([], "seed: -1.0", f"mc.seed {SEED}"),
     ([], "seed: yes", f"mc.seed {SEED}, got True"),
+    # past the 4,300 digits that int() reads, PyYAML's int() raised ValueError out of yaml.load: a traceback
+    ([], f"samples: {'9' * 5000}", f"mc.samples {SAMPLES}, got '{'9' * 32}'... (5000 characters)"),
 ], ids=["samples-10^400", "samples-2^64", "samples-2^40", "samples-fraction", "seed-text", "workers-fraction", "samples-0",
-        "seed-negative", "seed-2^64", "workers-0", "mc.samples-2^40", "mc.samples-0", "mc.seed-negative", "mc.seed-boolean"])
+        "seed-negative", "seed-2^64", "workers-0", "mc.samples-2^40", "mc.samples-0", "mc.seed-negative", "mc.seed-boolean",
+        "mc.samples-digit-limit"])
 @pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
 def test_an_integer_outside_its_domain_is_one_config_error_line(tmp_path, args, entry, line, command):
     # each is judged before the checks that a command needs, such as markov-green's chain, which wiener.yaml lacks

@@ -31,7 +31,7 @@ from setkern import (
     refinement_sweep,
     wiener_kernel,
 )
-from setkern.field import CHUNK_SIZE
+from setkern.field import CHUNK_SIZE, ItoResult
 from support import (
     chunk_generator,
     conditioned_operator_kernel,
@@ -190,6 +190,21 @@ def test_isometry_on_two_state_green_kernel():
     res = ito_isometry_check(kernel, fact, phi, 200000, seed=4)
     assert res.exact == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert res.within(5.0)
+
+
+@pytest.mark.parametrize("estimate, exact, std_error, passed", [
+    # the recorded value is 5.0 against the bound 5.0, but 5 × std_error rounds below |estimate - exact|: it failed
+    (13.492986754624697, 0.0, 2.6985973509249392, True),
+    (13.492986754624699, 0.0, 2.6985973509249392, False),
+    (0.0, 0.0, 0.0, True),
+    (1e-300, 0.0, 0.0, False),
+    (float("nan"), 0.0, 1.0, False),
+    (1.0, 0.0, float("nan"), False),
+], ids=["at-the-bound", "past-the-bound", "zero-over-zero", "off-a-zero-error", "nan-estimate", "nan-error"])
+def test_a_monte_carlo_verdict_passes_exactly_when_its_recorded_value_meets_the_bound(estimate, exact, std_error, passed):
+    res = ItoResult(estimate, std_error, 1000, exact, 1000)
+    assert res.within(5.0) is passed
+    assert (res.deviation_sigmas <= 5.0) is passed
 
 
 def test_moment_checks_refuse_a_factorization_of_another_kernel(space, unit_space):

@@ -169,6 +169,16 @@ def test_inner_rejects_foreign_function(space):
         l2(space, f, f)
 
 
+def test_a_simple_function_judges_its_sets_by_the_range_rule_of_the_space(space):
+    # values had a range test and a message of its own: "simple function references atoms beyond the space"
+    foreign = MeasurableSet(frozenset({1, 5}))
+    f = SimpleFunction(((1.0, space.subset("a")), (2.0, foreign)))
+    for reject in (lambda: f.values(space.size), lambda: space.validate_set(foreign)):
+        with pytest.raises(InvalidSetError, match=re.escape("set references atom index 5 in a space of size 3")):
+            reject()
+    assert f.values(6).tolist() == [1.0, 2.0, 0.0, 0.0, 0.0, 2.0]
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
