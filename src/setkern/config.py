@@ -25,6 +25,7 @@ from typing import Any, Callable, Collection, Iterable, NamedTuple
 
 import numpy as np
 import yaml
+from yaml.constructor import ConstructorError
 
 from .errors import ConfigError, SetKernError
 from .kernels import (
@@ -34,7 +35,7 @@ from .kernels import (
     rank_one_kernel,
     wiener_kernel,
 )
-from .linalg import SAMPLE_BITS, require, require_integer
+from .linalg import SAMPLE_BITS, echo, require, require_integer
 from .markov import MarkovChain
 from .measure import (
     MeasurableSet,
@@ -97,7 +98,11 @@ def _loader(base: type) -> type:
     not), takes ``base``'s path, and so does every other sequence item.
     The one exception is an integer past ``int``'s digit limit, on which
     ``base`` raises ``ValueError``: it loads as its text, so that the field
-    reading it rejects it as it would the same flag.
+    reading it rejects it as it would the same flag.  A tagged scalar that
+    its constructor refuses, as ``!!int 1.5``, ``!!bool maybe`` or
+    ``!!timestamp x``, raises a ``ConstructorError`` marking it where
+    ``base`` raises ``ValueError``, ``LookupError`` or ``AttributeError``.
+    A tag without a constructor raises ``base``'s error, its tag cut by ``echo``.
     """
 
     class Loader(base):
@@ -106,12 +111,18 @@ def _loader(base: type) -> type:
                 return _FLOAT_TAG
             return super().resolve(kind, value, implicit)
 
-        def construct_yaml_float(self, node):
+        def construct_object(self, node, deep=False):
+            return _marking(super().construct_object, node, deep=deep)
+
+        def construct_undefined(self, node):
+            raise ConstructorError(None, None, f"could not determine a constructor for the tag {echo(node.tag)}", node.start_mark)
+
+        def construct_yaml_float(self, node):  # the sequence shortcut calls it outside construct_object
             try:
                 value = float(node.value)
             except (TypeError, ValueError):
                 value = math.nan
-            return value if value == value else super().construct_yaml_float(node)
+            return value if value == value else _marking(super().construct_yaml_float, node)
 
         def construct_yaml_int(self, node):
             try:
@@ -136,7 +147,16 @@ def _loader(base: type) -> type:
 
     Loader.add_constructor(_FLOAT_TAG, Loader.construct_yaml_float)
     Loader.add_constructor(_INT_TAG, Loader.construct_yaml_int)
+    Loader.add_constructor(None, Loader.construct_undefined)
     return Loader
+
+
+def _marking(construct: Callable, node: yaml.Node, **kwargs) -> Any:
+    """``construct(node)``; a scalar that the constructor refuses raises a ``ConstructorError`` marking the node."""
+    try:
+        return construct(node, **kwargs)
+    except (AttributeError, LookupError, ValueError) as e:
+        raise ConstructorError(None, None, f"could not construct {node.tag!r} from {echo(node.value)}", node.start_mark) from e
 
 
 # libyaml parses and composes in C when PyYAML was built with it.
@@ -174,7 +194,7 @@ def _as_mapping(node: Any, where: str, keys: tuple[str, ...] | None = None) -> d
         raise ConfigError(f"{where} must be a mapping")
     for key in node if keys is not None else ():
         if key not in keys:
-            raise ConfigError(f"{where}: unknown key {key!r}, expected one of {', '.join(keys)}")
+            raise ConfigError(f"{where}: unknown key {echo(key)}, expected one of {', '.join(keys)}")
     return node
 
 
@@ -192,32 +212,27 @@ def _number(value: Any, where: str) -> float:
             pass
         except OverflowError:  # an integer past the float range, which the float domain rejects by name
             return math.inf if value > 0 else -math.inf
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+    raise ConfigError(f"{where} must be a number, got {echo(value)}")
 
 
 def _tolerance(value: Any, where: str) -> float:
     tol = _number(value, where)
     if not 0 <= tol < math.inf:  # a negative tolerance inverts the verdict it bounds
-        raise ConfigError(f"{where} must be finite and nonnegative, got {value!r}")
+        raise ConfigError(f"{where} must be finite and nonnegative, got {echo(value)}")
     return tol
 
 
 def _matrix(rows: Any, where: str) -> np.ndarray:
-    """``rows`` as a float array; a boolean entry, which numpy would read as 0 or 1, is a config error naming it."""
-    for i, row in enumerate(rows if isinstance(rows, list) else ()):
-        if isinstance(row, list) and bool in set(map(type, row)):
-            j = next(j for j, x in enumerate(row) if isinstance(x, bool))
-            raise ConfigError(f"{where}[{i}][{j}] must be a number, got {row[j]!r}")
-    try:
-        return np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a dense numeric matrix") from None
-    except OverflowError:  # an integer past the float range: name the first one
-        for i, row in enumerate(rows if isinstance(rows, list) else ()):
-            for j, x in enumerate(row if isinstance(row, list) else ()):
-                if isinstance(x, int) and math.isinf(_number(x, where)):
-                    raise ConfigError(f"{where}[{i}][{j}] is an integer past the float range") from None
-        raise ConfigError(f"{where} must be a dense numeric matrix") from None
+    """``rows`` as a float array; the first entry that is no number, a boolean included, is a config error naming it."""
+    lists = rows if isinstance(rows, list) else ()
+    if not any(isinstance(row, list) and bool in set(map(type, row)) for row in lists):  # numpy reads True as 1.0
+        with suppress(TypeError, ValueError, OverflowError):
+            return np.asarray(rows, dtype=float)
+    for i, row in enumerate(lists):
+        for j, x in enumerate(row if isinstance(row, list) else ()):
+            if math.isinf(_number(x, f"{where}[{i}][{j}]")) and isinstance(x, int):
+                raise ConfigError(f"{where}[{i}][{j}] is an integer past the float range")
+    raise ConfigError(f"{where} must be a dense numeric matrix")
 
 
 def _integer(value: Any, where: str, **bounds) -> int:  # an integral float, as YAML may write a count, is its int
@@ -229,7 +244,7 @@ def _integer(value: Any, where: str, **bounds) -> int:  # an integral float, as 
 def _atom_name(value: Any, where: str) -> str:
     """An atom name as text; YAML 1.1 reads yes, on, off and ~ as a boolean or null, which ``str`` would rename."""
     if value is None or isinstance(value, (bool, list, dict)):
-        raise ConfigError(f"{where} must be an atom name, got {value!r}; quote a name YAML reads otherwise")
+        raise ConfigError(f"{where} must be an atom name, got {echo(value)}; quote a name YAML reads otherwise")
     return str(value)
 
 
@@ -284,9 +299,9 @@ def _tol_flag(text: str) -> tuple[str, float]:
     """``--tol NAME=VALUE`` as the tolerance it sets."""
     name, sep, value = text.partition("=")
     if not sep:
-        raise ConfigError(f"--tol expects NAME=VALUE, got {text!r}")
+        raise ConfigError(f"--tol expects NAME=VALUE, got {echo(text)}")
     if name not in TOLERANCES:
-        raise ConfigError(f"--tol: unknown tolerance {name!r}, expected one of {', '.join(TOLERANCES)}")
+        raise ConfigError(f"--tol: unknown tolerance {echo(name)}, expected one of {', '.join(TOLERANCES)}")
     return name, _tolerance(value, f"--tol {name}")
 
 
@@ -348,7 +363,7 @@ def _read_kernel(node: dict | None, got: dict) -> dict:
         return {"kernel_type": None, "kernel": None}
     kernel_type, kernel = node.get("type", ""), None
     if kernel_type not in KERNEL_TYPES:
-        raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {kernel_type!r}")
+        raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {echo(kernel_type)}")
     if "matrix" in node and kernel_type != "operator":
         raise ConfigError(f"kernel.matrix is read only by kernel.type operator, got type {kernel_type!r}")
     if kernel_type == "green" and got["chain"] is None:
@@ -417,7 +432,7 @@ def _read_checks(node: list | None, got: dict) -> dict:
     levels = [f"q-level-{i}" for i in range(len(got["partitions"]))]  # a list: a YAML entry may be unhashable
     for name in node if node is not None and got["check_names"] is not None else ():
         if name not in got["check_names"] and name not in levels:
-            raise ConfigError(f"checks: unknown check {name!r}")
+            raise ConfigError(f"checks: unknown check {echo(name)}")
     return {"checks": None if node is None else tuple(node)}
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "cross_moment_check",
     "projection_second_moment",
     "refinement_sweep",
-    "CHUNK_SIZE",
 ]
 
 CHUNK_SIZE = 8192

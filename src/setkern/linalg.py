@@ -30,6 +30,10 @@ Every count, seed and atom index is an integer in ``[least, 2^bits)`` by one
 rule, ``require_integer``, where it enters: a sample count in ``[1, 2^40)``
 (the ``N`` above), a worker count of at least 1, a seed in ``[0, 2^64)`` and
 an atom index in ``np.intp``.
+
+Every error line that echoes input echoes it by one rule, ``echo``: its
+``repr``, cut past 64 characters to its first 32 and its length, so no input
+makes a line longer than a screen.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "require_in_domain",
     "SAMPLE_BITS",
     "require_integer",
+    "echo",
     "Verdict",
     "judge",
     "require",
@@ -85,10 +90,15 @@ def require_integer(value, name: str, error: type[Exception], *, least: int = 0,
     """``value``, a Python or numpy integer (no ``bool``), as an ``int`` in ``[least, 2^bits)``; else raise ``error``."""
     number = None if isinstance(value, bool) or not hasattr(value, "__index__") else operator.index(value)
     if number is None or not least <= number < 1 << bits:
-        got = "" if number is not None else repr(value)  # a flag past int()'s digit limit is still text: cut it short
-        got = got if len(got) <= 64 else f"{str(value)[:32]!r}... ({len(str(value))} characters)"
-        raise error(f"{name} must be an integer in [{least}, 2**{bits})" + (got and f", got {got}"))
+        got = "" if number is not None else f", got {echo(value)}"  # a flag past int()'s digit limit is still text
+        raise error(f"{name} must be an integer in [{least}, 2**{bits})" + got)
     return number
+
+
+def echo(value) -> str:
+    """``repr(value)`` for an error line; past 64 characters, the repr of the first 32 characters of its text and its length."""
+    text = repr(value)
+    return text if len(text) <= 64 else f"{str(value)[:32]!r}... ({len(str(value))} characters)"
 
 
 class Verdict(NamedTuple):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InconsistencyError, InvalidChainError, NotTransientError
 from .kernels import SetKernel
-from .linalg import Spectrum, Verdict, judge, require, require_in_domain, selfadjoint_defect, spectral_transform
+from .linalg import Spectrum, Verdict, echo, judge, require, require_in_domain, selfadjoint_defect, spectral_transform
 from .measure import MeasureSpace
 
 __all__ = [
@@ -124,14 +124,14 @@ class MarkovChain:
             try:
                 i, j = index[str(x)], index[str(y)]
             except KeyError as e:
-                raise InvalidChainError(f"edge references unknown atom {e.args[0]!r}") from None
+                raise InvalidChainError(f"edge references unknown atom {echo(e.args[0])}") from None
             C[i, j] += c
             if i != j:
                 C[j, i] += c
         killv = np.zeros(n)
         for a, m in kill.items():
             if str(a) not in index:
-                raise InvalidChainError(f"killing references unknown atom {a!r}")
+                raise InvalidChainError(f"killing references unknown atom {echo(a)}")
             killv[index[str(a)]] = m
         w = C.sum(axis=1) + killv
         if w.min() <= 0:
@@ -176,7 +176,8 @@ class MarkovChain:
         rho, w = self._norm, self.space.weight_array
         tail = SERIES_TOL * (1 - rho) / math.sqrt(w.max() / w.min())
         terms = 1 if rho == 0.0 else max(1, math.ceil(math.log(tail) / math.log(rho)))
-        return terms, float(np.abs(_neumann_sum(self.transitions, terms) - self._green).max())
+        # the solve first, so that its temporaries are freed before the series allocates its own
+        return terms, float(np.abs(self._green - _neumann_sum(self.transitions, terms)).max())
 
     @cached_property
     def _green_root(self) -> np.ndarray:
@@ -218,12 +219,11 @@ def check_transient(chain: MarkovChain, gap: float = TRANSIENCE_GAP) -> Verdict:
     return Verdict(rho, 1 - gap, rho < 1 - gap)
 
 
-def _require_transient(chain: MarkovChain) -> float:
-    """``rho`` of a chain that ``check_transient`` accepts at ``TRANSIENCE_GAP``; otherwise raise ``NotTransientError``."""
+def _require_transient(chain: MarkovChain) -> None:
+    """Raise ``NotTransientError`` unless ``check_transient`` accepts the chain at ``TRANSIENCE_GAP``."""
     rho, _, passed, _ = check_transient(chain)
     if not passed:
         raise NotTransientError(f"chain is not transient: spectral bound {rho:.12g} reaches 1")
-    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,10 +284,10 @@ def green(chain: MarkovChain, *, agree_tol: float = 1e-8) -> GreenData:
         If solve and series disagree beyond ``agree_tol * max|G|``; the
         message names the gap ``1 - rho`` and the roundoff scale ``eps / (1 - rho)``.
     """
-    rho = _require_transient(chain)  # before the solve: I - P is singular on a chain that is not transient
-    data = GreenData(chain._green, rho, *chain._series)
-    if not judge(data.series_agreement, data.scale, agree_tol).passed:
-        gap = 1.0 - rho
+    verdict = check_series(chain, agree_tol)  # NotTransientError first: I - P is singular on a chain that is not transient
+    data = GreenData(chain._green, chain._norm, *chain._series)
+    if not verdict.passed:
+        gap = 1.0 - data.spectral_bound
         raise InconsistencyError(
             f"Green series and solve disagree by {data.series_agreement:.3e} > {agree_tol:g} × max|G| = "
             f"{data.scale:.3e}; "

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidSetError
-from .linalg import require_in_domain, require_integer
+from .linalg import echo, require_in_domain, require_integer
 
 __all__ = [
     "MeasureSpace",
@@ -136,7 +136,7 @@ class MeasureSpace:
         try:
             return self.atoms.index(atom)
         except ValueError:
-            raise InvalidSetError(f"unknown atom {atom!r}") from None
+            raise InvalidSetError(f"unknown atom {echo(atom)}") from None
 
     def subset(self, *atoms: str) -> MeasurableSet:
         """Build a set from atom names."""

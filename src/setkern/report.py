@@ -22,12 +22,8 @@ _FIELDS = ("check", "tag", "status", "value", "bound", "runtime")
 
 
 def _clean(x: float | None) -> float | None:
-    if x is None:
-        return None
-    x = float(x)
-    if not math.isfinite(x):
-        return None
-    return x
+    """``x`` as a float, or ``None`` for a value not computed or not finite."""
+    return None if x is None or not math.isfinite(x) else float(x)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from setkern import Factorization, check_series, factorization, green, kernels, markov
 from setkern.cli import CHECKS, COMMANDS, SUITES, Run, _adjoint, main
-from setkern.config import SCHEMA, TOLERANCES, load_config
+from setkern.config import KERNEL_TYPES, SCHEMA, TOLERANCES, load_config
 from setkern.errors import ConfigError, InvalidChainError, InvalidOperatorError, SetKernError, VerificationError
 from setkern.linalg import DOMAIN_BITS, Verdict, selfadjoint_defect
 from setkern.report import CheckRecord, RunReport
@@ -551,6 +551,102 @@ def test_an_operator_matrix_past_the_float_range_is_a_config_error(runner, tmp_p
     assert f"config error: kernel.matrix: {message}" in output
 
 
+TAGGED = "space: {atoms: [a, b], weights: [1.0, %s]}\n"
+
+
+@pytest.mark.parametrize("text, at, tag, value", [
+    (TAGGED % "!!int 1.5", "line 1, column 39", "int", "'1.5'"),
+    # the sequence shortcut builds a float item without construct_object
+    (TAGGED % "!!float 'x'", "line 1, column 39", "float", "'x'"),
+    (WIENER_SPACE + "mc: {seed: !!int 1.5}\n", "line 2, column 12", "int", "'1.5'"),
+    (TAGGED % "!!bool maybe", "line 1, column 39", "bool", "'maybe'"),
+    (TAGGED % "!!timestamp x", "line 1, column 39", "timestamp", "'x'"),
+], ids=["int-item", "float-item", "int-value", "bool-item", "timestamp-item"])
+def test_a_tagged_scalar_its_constructor_refuses_is_one_config_error_line(runner, tmp_path, text, at, tag, value):
+    # each escaped yaml.load as ValueError, KeyError or AttributeError: a traceback with exit 1
+    output = _config_error(runner, tmp_path, text)
+    assert output == f"config error: {tmp_path / 'cfg.yaml'}: {at}: could not construct 'tag:yaml.org,2002:{tag}' from {value}\n"
+
+
+X = "x" * 5000
+CUT = f"'{'x' * 32}'... (5000 characters)"
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("text, args, line", [
+    (WIENER_SPACE + f"tolerances: {{gram-psd: {NINES}}}\n", [],
+     f"tolerances.gram-psd must be finite and nonnegative, got '{'9' * 32}'... (5000 characters)"),
+    (WIENER_SPACE + "kernel: {type: wiener}\n", ["--tol", f"gram-psd={NINES}"],
+     f"--tol gram-psd must be finite and nonnegative, got '{'9' * 32}'... (5000 characters)"),
+    (WIENER_SPACE + "kernel: {type: wiener}\n", ["--tol", X], f"--tol expects NAME=VALUE, got {CUT}"),
+    (WIENER_SPACE + "kernel: {type: wiener}\n", ["--tol", f"{X}=1.0"], f"--tol: unknown tolerance {CUT}, expected one of"),
+    (WIENER_SPACE + f"kernel: {{type: {X}}}\n", [], f"kernel.type must be one of {KERNEL_TYPES}, got {CUT}"),
+    (WIENER_SPACE + f"family: [[{X}]]\n", [], f"family[0]: unknown atom {CUT}"),
+    (WIENER_SPACE + f"kernel: {{type: wiener}}\nchecks: [{X}]\n", [], f"checks: unknown check {CUT}"),
+    (f"space:\n  atoms: [a, b]\n  weights: [1.0, 1.0]\n  ? {X}\n  : 1\n", [], f"space: unknown key {CUT}, expected one of"),
+    (TAGGED % X, [], f"space.weights[1] must be a number, got {CUT}"),
+    (f"space: {{atoms: [a, [{X}]], weights: [1.0, 1.0]}}\n", [],
+     f"space.atoms[1] must be an atom name, got \"['{'x' * 30}\"... (5004 characters); quote"),
+    (WIENER_SPACE + f"kernel: {{type: operator, matrix: [[1.0, {X}], [0.0, 1.0]]}}\n", [],
+     f"kernel.matrix[0][1] must be a number, got {CUT}"),
+    (f"space: {{atoms: [a, b]}}\nchain: {{edges: [[a, {X}, 1.0]]}}\n", [], f"chain: edge references unknown atom {CUT}"),
+    (TAGGED % f"!<{X}> 1.0", [], f"could not determine a constructor for the tag {CUT}"),
+], ids=["tolerance", "tol-flag", "tol-flag-form", "tol-flag-name", "kernel-type", "family-atom", "check-name", "space-key",
+        "weight", "atom-name", "matrix-entry", "edge-atom", "yaml-tag"])
+def test_every_echo_of_long_input_is_cut_to_one_short_line(runner, tmp_path, text, args, line):
+    # each line echoed the whole value: 5,073 bytes for the tolerance
+    cfg, out = tmp_path / "cfg.yaml", tmp_path / "r.jsonl"
+    cfg.write_text(text)
+    result = invoke(runner, tmp_path, "validate", "--config", str(cfg), "--out", str(out), *args)
+    [output] = result.output.replace(str(cfg), "cfg.yaml").splitlines()
+    echoed = output.split(", expected one of")[0]  # the names a line offers are not input
+    assert (result.exit_code, line in output, len(echoed.encode()) < 200) == (2, True, True), output[:300]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("matrix, message", [
+    # read as "kernel.matrix must be a dense numeric matrix", with no index
+    ("[[1.0, abc], [0.0, 1.0]]", "kernel.matrix[0][1] must be a number, got 'abc'"),
+    ("[[1.0, abc], [0.0]]", "kernel.matrix[0][1] must be a number, got 'abc'"),
+    (f"[[1.0, 1.0], [{10**400}, abc]]", "kernel.matrix[1][0] is an integer past the float range"),
+    (f"[[1.0, [1.0]], [{10**400}, 1.0]]", "kernel.matrix[0][1] must be a number, got [1.0]"),
+    # a boolean was named before any other entry
+    ("[[1.0, abc], [yes, 1.0]]", "kernel.matrix[0][1] must be a number, got 'abc'"),
+    ("[[1.0, 1.0], [yes, abc]]", "kernel.matrix[1][0] must be a number, got True"),
+    # ragged rows of numbers, and a matrix of one level, name no entry
+    ("[[1.0, 0.0], [0.0]]", "kernel.matrix must be a dense numeric matrix"),
+    (f"[{10**400}]", "kernel.matrix must be a dense numeric matrix"),
+], ids=["text", "ragged-text", "integer-first", "list-first", "text-before-boolean", "boolean-before-text", "ragged",
+        "one-level-integer"])
+def test_a_matrix_names_its_first_entry_that_is_no_number(runner, tmp_path, matrix, message):
+    output = _config_error(runner, tmp_path, WIENER_SPACE + f"kernel: {{type: operator, matrix: {matrix}}}\n")
+    assert output == f"config error: {message}\n"
+
+
+def test_a_sequence_tag_on_a_scalar_is_one_config_error_line(runner, tmp_path):
+    output = _config_error(runner, tmp_path, TAGGED % "!!seq abc")
+    assert output == f"config error: {tmp_path / 'cfg.yaml'}: line 1, column 39: expected a sequence node, but found scalar\n"
+
+
+def test_an_export_with_an_empty_family_set_is_indented_json(runner, tmp_path):
+    cfg, export = tmp_path / "cfg.yaml", tmp_path / "f.json"
+    cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\nfamily: [[]]\n")
+    result = invoke(runner, tmp_path, "factorize", "--config", str(cfg), "--export", str(export))
+    assert result.exit_code == 0, result.output
+    config = load_config(cfg)
+    expected = factorization.export_factorization(factorization.realize(config.kernel), config.family)
+    assert [entry["set"] for entry in expected["k"]] == [["a"], ["b"], []]
+    assert export.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_report_refuses_a_second_record_of_one_check():
+    report = RunReport("validate", 0, 1, {})
+    report.add(CheckRecord("symmetry", "kernel-symmetry", Verdict(0.0, 1.0, True)))
+    with pytest.raises(ValueError, match="duplicate check record 'symmetry'"):
+        report.add(CheckRecord("symmetry", "kernel-symmetry", Verdict(0.0, 1.0, True)))
+    assert len(report.records) == 1
+
+
 def test_duplicate_atoms_of_a_conductance_chain_are_a_config_error(runner, tmp_path):
     # read as "chain: atom 'a' has neither conductance nor killing"
     output = _config_error(runner, tmp_path, "space: {atoms: [a, a]}\nchain: {edges: [[a, a, 1.0]]}\n")
@@ -693,7 +789,7 @@ EDGE_SPACE = "space: {atoms: [a, b]}\n"
     ("space: {atoms: [], weights: []}\n" + DENSE_CHAIN, (), "space: a measure space needs at least one atom"),
     ("space: {atoms: [a, b]}\n" + DENSE_CHAIN, (), "space.weights are required unless chain.edges derives them"),
     (WIENER_SPACE + "chain: {transitions: [[0.0, 0.5], [0.5]]}\n", (), "chain.transitions must be a dense numeric matrix"),
-    (WIENER_SPACE + "chain: {transitions: [[0.0, x], [0.5, 0.0]]}\n", (), "chain.transitions must be a dense numeric matrix"),
+    (WIENER_SPACE + "chain: {transitions: [[0.0, x], [0.5, 0.0]]}\n", (), "chain.transitions[0][1] must be a number, got 'x'"),
     (WIENER_SPACE + "chain: {transitions: {a: [0.0, 0.5]}}\n", (), "chain.transitions must be a dense numeric matrix"),
     (WIENER_SPACE + "kernel: {type: operator, matrix: [[1.0], [0.0, 1.0]]}\n", (), "kernel.matrix must be a dense numeric matrix"),
     (EDGE_SPACE + "chain: {edges: [[a, b, 1.0]], kill: [0.5, 0.5]}\n", (), "chain.kill must be a mapping"),

@@ -4,8 +4,11 @@
 and a sequence builds its float and string items without ``construct_object``;
 these tests pin that the shortcuts change no outcome: type, value, the sign of
 zero and of NaN, aliases and recursion, and the exception a bad scalar raises.
-The one outcome the loader changes is an integer past ``int``'s digit limit,
-which loads as its text where PyYAML raises ``ValueError``.
+The loader changes two outcomes.  An integer past ``int``'s digit limit loads
+as its text where PyYAML raises ``ValueError``, and a tagged scalar that its
+constructor refuses raises ``ConstructorError``, a ``YAMLError`` marking the
+scalar, where PyYAML raises ``ValueError``, ``IndexError`` or another error
+that is no ``YAMLError``.
 The shortcuts are run over both loader bases, pure Python and libyaml.
 """
 
@@ -68,8 +71,8 @@ DOCUMENTS = [
 def _outcome(text, loader):
     try:
         return _key(yaml.load(text, Loader=loader))
-    except Exception as e:  # a bad !!float escapes PyYAML as ValueError or IndexError, too
-        return "raises", type(e).__name__
+    except Exception as e:  # a bad !!float escapes PyYAML as ValueError or IndexError, and the loader marks it
+        return "raises", type(e)
 
 
 def _key(value, enclosing=()):
@@ -94,6 +97,8 @@ def _key(value, enclosing=()):
 
 def _assert_loads_as_pure_python(text):
     want = _outcome(text, yaml.SafeLoader)
+    if want[0] == "raises" and not issubclass(want[1], yaml.YAMLError):
+        want = "raises", yaml.constructor.ConstructorError
     for loader in LOADERS:
         assert _outcome(text, loader) == want, (text, loader.__mro__[1].__name__)
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -22,15 +23,19 @@ def test_every_exported_name_exists(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_the_package_imports_only_exported_names():
+REPUBLISHED = ("errors", "factorization", "field", "kernels", "markov", "measure")
+
+
+def test_the_package_republishes_exactly_the_exported_names_of_six_modules():
+    # each module's __all__ is the one list of its public names: __init__.py star-imports it and names none itself
     tree = ast.parse((ROOT / "src" / "setkern" / "__init__.py").read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"setkern.{node.module}")
-        exported = set(getattr(module, "__all__", ()))
-        assert [a.name for a in node.names if a.name not in exported] == [], node.module
-        assert all(hasattr(setkern, a.name) for a in node.names)
+    imports = [(node.module, [a.name for a in node.names]) for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports == [(module, ["*"]) for module in REPUBLISHED]
+    exported = {name for module in REPUBLISHED for name in importlib.import_module(f"setkern.{module}").__all__}
+    public = {name for name, value in vars(setkern).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public - exported) == [] and sorted(exported - public) == []
+    assert isinstance(setkern.__version__, str)
 
 
 def test_the_readme_library_example_runs():
