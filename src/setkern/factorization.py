@@ -39,7 +39,7 @@ from .errors import (
     VerificationError,
 )
 from .kernels import SetKernel
-from .linalg import Verdict, judge, psd_sqrt, require
+from .linalg import Verdict, echo, judge, psd_sqrt, require
 from .measure import MeasurableSet, MeasureSpace, SimpleFunction
 
 __all__ = [
@@ -81,9 +81,9 @@ def _require_absolute_continuity(kernel: SetKernel) -> None:
         null = np.flatnonzero(~kernel.space.positive)  # no other set is probed
         charges = np.abs(kernel.Q[null]).max(axis=1)
         first = int(np.argmax(charges > verdict.bound))
-        atom = kernel.space.atoms[null[first]]
+        atom = echo(kernel.space.atoms[null[first]])
         raise AbsoluteContinuityError(
-            f"no realization exists: kernel charges null atom {atom!r}: max_y |K({{{atom}}},{{y}})| = "
+            f"no realization exists: kernel charges null atom {atom}: max_y |K({{{atom}}},{{y}})| = "
             f"{charges[first]:.3e} > 1e-10 × max|Q| = {kernel.scale:.3e}")
 
 

@@ -14,7 +14,9 @@ chunks at once, and Monte Carlo reductions combine chunk partials in index
 order, so results are bit-identical for any worker count.  ``sample`` draws
 one normal per factor column; a moment check draws only the one or two
 columns its pair of integrals spans, so its moments are not computed from
-the ``sample`` stream.  Each call joins the helper threads it starts.
+the ``sample`` stream.  Each chunk of a moment check returns two unscaled
+sums of its draws' products, and their totals are scaled once.  Each call
+joins the helper threads it starts.
 """
 
 from __future__ import annotations
@@ -211,11 +213,17 @@ def _moment_check(
     pair whose law is fixed by the Gram of ``a`` and ``b``.  So the pair is
     projected before it is drawn: from ``(n, d)`` normals ``z`` and the
     reduced QR ``[a b] = Q R``, ``d = R.shape[0] = min(rank, 2)``, it is
-    ``(z . R[:, 0], z . R[:, 1])``.  The isometry (``psi is phi``) draws
-    ``d = 1`` column, ``|a| z_1``, and squares one product per draw instead
-    of multiplying two.  The keys, chunks and reduction order are those of
-    ``FieldSampler.sample``, but not its draws, which take one column per
-    column of ``L``.  A ``fact`` of another kernel raises ``DomainError``.
+    ``(z . R[:, 0], z . R[:, -1])``; the isometry (``psi is phi``) takes
+    ``R = [[|a|]]`` and draws ``d = 1`` column.  ``R`` is upper triangular,
+    so a draw's product is ``c y`` for one number ``c``: ``y = z_0^2`` and
+    ``c = R[0, 0] R[0, -1]`` at ``d = 1``, ``y = z_0 (z . R[:, -1])`` and
+    ``c = R[0, 0]`` at ``d = 2``.  Each chunk returns its two sums of ``y``
+    and ``y^2`` (``ddot``, and numpy's ``sum`` for ``y`` at ``d = 2``), and
+    the totals are scaled by ``c`` and ``c^2`` once, so the float domain's
+    bound on the moment bounds ``c^2`` too.  The keys, chunks and reduction
+    order are those of ``FieldSampler.sample``, but not its draws, which take
+    one column per column of ``L``.  A ``fact`` of another kernel raises
+    ``DomainError``.
     """
     if fact.space != kernel.space or not np.array_equal(fact.kernel.Q, kernel.Q):
         raise DomainError("the factorization realizes another kernel than the one sampled")
@@ -227,31 +235,34 @@ def _moment_check(
     exact = fact.space.inner(fact.S @ phi.values(size), fact.S @ psi.values(size))
     a = sampler.factor.T @ alpha
     if psi is phi:
-        ra = rb = np.array([np.linalg.norm(a)])
+        R = np.array([[np.linalg.norm(a)]])
     else:
-        ra, rb = np.linalg.qr(np.column_stack([a, sampler.factor.T @ beta]), mode="r").T.copy()
+        R = np.linalg.qr(np.column_stack([a, sampler.factor.T @ beta]), mode="r")
+    d, r = len(R), R[:, -1].copy()  # contiguous, so that ``dot`` reaches BLAS
+    c = float(R[0, 0] * R[0, -1] if d == 1 else R[0, 0] if d else 0.0)
 
     def partial(start: int, z: np.ndarray) -> tuple[float, float]:
-        # R is upper triangular, so z . ra is exactly ra[0] z_0: the products are formed in z's first column
-        if not len(ra):  # a sampler of rank 0 draws no column
+        # the sums of y and y^2, for a draw's product c y: y = z_0^2 at width 1 and z_0 (z . r) at width 2
+        if not d:  # a sampler of rank 0 draws no column
             return 0.0, 0.0
-        zb = None if rb is ra else z.dot(rb)  # for a one-column ``z``, ``dot`` reaches BLAS and ``@`` does not
-        vals = z[:, 0]
-        vals *= ra[0]
-        vals *= vals if zb is None else zb
-        s1 = float(vals.sum())
-        vals *= vals
-        return s1, float(vals.sum())
+        if d == 1:
+            y = z[:, 0]
+            s1 = float(y @ y)
+            y *= y
+            return s1, float(y @ y)
+        y = z.dot(r)
+        y *= z[:, 0]
+        return float(y.sum()), float(y @ y)
 
     # Fixed-order reduction keeps results independent of the worker count.
     s1 = 0.0
     s2 = 0.0
-    for p1, p2 in _each_chunk(sampler.seed, n, len(ra), partial, workers):
+    for p1, p2 in _each_chunk(sampler.seed, n, d, partial, workers):
         s1 += p1
         s2 += p2
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
-    return ItoResult(estimate=mean, std_error=float(np.sqrt(var / n)), n_samples=n, exact=exact, normals=n * len(ra))
+    mean = c * s1 / n
+    var = max(c * c * s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
+    return ItoResult(estimate=mean, std_error=float(np.sqrt(var / n)), n_samples=n, exact=exact, normals=n * d)
 
 
 def ito_isometry_check(

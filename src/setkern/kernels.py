@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidOperatorError
-from .linalg import DOMAIN_BITS, Spectrum, Verdict, judge, psd, require, require_in_domain, selfadjoint_defect
+from .linalg import DOMAIN_BITS, Spectrum, Verdict, echo, judge, psd, require, require_in_domain, selfadjoint_defect
 from .measure import MeasurableSet, MeasureSpace
 
 __all__ = [
@@ -60,7 +60,7 @@ class SetKernel:
         if Q.shape != (n, n):
             raise InvalidOperatorError(f"atom Gram must be {n}x{n}, got {Q.shape}")
         atoms = self.space.atoms
-        require_in_domain(Q, lambda x, y: f"Q[{atoms[x]!r}, {atoms[y]!r}]", InvalidOperatorError,
+        require_in_domain(Q, lambda x, y: f"Q[{echo(atoms[x])}, {echo(atoms[y])}]", InvalidOperatorError,
                           floor=None, ceiling=2 * DOMAIN_BITS)
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
@@ -128,7 +128,7 @@ def operator_kernel(space: MeasureSpace, M: np.ndarray) -> SetKernel:
     n = space.size
     if M.shape != (n, n):
         raise InvalidOperatorError(f"operator matrix must be {n}x{n}, got {M.shape}")
-    require_in_domain(M, lambda x, y: f"M[{space.atoms[x]!r}, {space.atoms[y]!r}]", InvalidOperatorError)
+    require_in_domain(M, lambda x, y: f"M[{echo(space.atoms[x])}, {echo(space.atoms[y])}]", InvalidOperatorError)
     Q = space.weight_array[:, None] * M
     require(*selfadjoint_defect(M, space.weight_array), 1e-10, InvalidOperatorError,
             "matrix is not selfadjoint in the weighted geometry: defect", "max|wM|")

@@ -116,8 +116,8 @@ class MarkovChain:
             raise InvalidChainError("need at least one atom")
         edges = [(x, y, float(c)) for x, y, c in edges]
         kill = {a: float(m) for a, m in (kill or {}).items()}
-        for values, name in (([c for *_, c in edges], lambda i: f"conductance on ({edges[i][0]},{edges[i][1]})"),
-                             (list(kill.values()), lambda i: f"killing mass at {list(kill)[i]!r}")):
+        for values, name in (([c for *_, c in edges], lambda i: f"conductance on ({echo(edges[i][0])},{echo(edges[i][1])})"),
+                             (list(kill.values()), lambda i: f"killing mass at {echo(list(kill)[i])}")):
             require_in_domain(values, name, InvalidChainError, nonnegative=True)
         C = np.zeros((n, n))
         for x, y, c in edges:
@@ -136,7 +136,7 @@ class MarkovChain:
         w = C.sum(axis=1) + killv
         if w.min() <= 0:
             dead = atoms[int(np.argmin(w))]
-            raise InvalidChainError(f"atom {dead!r} has neither conductance nor killing")
+            raise InvalidChainError(f"atom {echo(dead)} has neither conductance nor killing")
         P = C / w[:, None]
         return cls(space=MeasureSpace(tuple(atoms), tuple(w)), transitions=P)
 

@@ -111,7 +111,7 @@ class MeasureSpace:
             raise DomainError("atom identifiers must be unique")
         if not self.atoms:
             raise DomainError("a measure space needs at least one atom")
-        require_in_domain(self.weight_array, lambda i: f"weight of atom {self.atoms[i]!r}", DomainError, nonnegative=True)
+        require_in_domain(self.weight_array, lambda i: f"weight of atom {echo(self.atoms[i])}", DomainError, nonnegative=True)
         if not self.positive.any():
             raise DomainError("at least one atom must carry positive weight")
 

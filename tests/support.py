@@ -221,21 +221,30 @@ def projected_moment(seed: int, a: np.ndarray, b: np.ndarray | None, n: int) -> 
     """Mean and standard error of ``(z . a) (z . b)`` over ``n`` draws, projected before drawing, and the width ``d``.
 
     Project, then draw: with ``R = projected_factor(a, b)`` a draw is
-    ``(z . R[:, 0]) (z . R[:, -1])`` from ``d = R.shape[0]`` columns.  Chunk
-    ``i`` of ``CHUNK_SIZE`` rows draws its ``(rows, d)`` normals from
-    ``chunk_generator(seed, i)``, and chunk sums are added in chunk order.
+    ``(z . R[:, 0]) (z . R[:, -1])`` from ``d = R.shape[0]`` columns, and as
+    ``R`` is upper triangular that is ``c y`` for one number ``c``: ``y = z_0^2``
+    and ``c = R[0, 0] R[0, -1]`` when ``d == 1``, else ``y = z_0 (z . R[:, -1])``
+    and ``c = R[0, 0]``.  Chunk ``i`` of ``CHUNK_SIZE`` rows draws its
+    ``(rows, d)`` normals from ``chunk_generator(seed, i)`` and sums ``y`` and
+    ``y^2``, each a ``ddot`` but the width-2 ``sum y``; the chunk sums are added
+    in chunk order and scaled by ``c`` and ``c^2`` once.
     """
     R = projected_factor(a, b)
+    d = R.shape[0]
     s1 = s2 = 0.0
     for i, start in enumerate(range(0, n, CHUNK_SIZE)):
-        rng = chunk_generator(seed, i)
-        z = rng.standard_normal((min(CHUNK_SIZE, n - start), R.shape[0]))
-        vals = (z @ R[:, 0]) * (z @ R[:, -1])
-        s1 += float(np.sum(vals))
-        s2 += float(np.sum(vals * vals))
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
-    return mean, float(np.sqrt(var / n)), R.shape[0]
+        z = chunk_generator(seed, i).standard_normal((min(CHUNK_SIZE, n - start), d))
+        if d == 1:
+            y = z[:, 0] * z[:, 0]
+            s1 += float(z[:, 0] @ z[:, 0])
+        else:
+            y = z[:, 0] * (z @ R[:, -1])
+            s1 += float(np.sum(y))
+        s2 += float(y @ y)
+    c = R[0, 0] * R[0, -1] if d == 1 else R[0, 0]
+    mean = c * s1 / n
+    var = max(c * c * s2 / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else 0.0
+    return float(mean), float(np.sqrt(var / n)), d
 
 
 def splitting_partitions(rng: np.random.Generator, space: MeasureSpace) -> list[Partition]:

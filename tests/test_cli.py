@@ -9,7 +9,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from setkern import Factorization, check_series, factorization, green, kernels, markov
+from setkern import (
+    Factorization, MeasureSpace, SetKernel, check_series, counting_kernel, factorization, green, kernels, markov, realize,
+)
 from setkern.cli import CHECKS, COMMANDS, SUITES, Run, _adjoint, main
 from setkern.config import KERNEL_TYPES, SCHEMA, TOLERANCES, load_config
 from setkern.errors import ConfigError, InvalidChainError, InvalidOperatorError, SetKernError, VerificationError
@@ -285,7 +287,7 @@ def test_monte_carlo_rows_carry_their_moments_and_normals(runner, tmp_path):
 
 
 def test_a_rank_one_monte_carlo_row_keeps_its_bytes_besides_the_detail(runner, tmp_path):
-    # two-state-green samples the one set {1}: projecting its rank-one pair changes no bit
+    # two-state-green samples the one set {1}: its rank-one row, the detail aside, is the golden record to the byte
     golden = CONFIGS.parent / "tests" / "golden" / "two-state-green.simulate.jsonl"
     out = tmp_path / "s.jsonl"
     result = invoke(runner, tmp_path, "simulate", "--config", str(CONFIGS / "two-state-green.yaml"), "--out", str(out))
@@ -591,8 +593,17 @@ NINES = "9" * 5000
      f"kernel.matrix[0][1] must be a number, got {CUT}"),
     (f"space: {{atoms: [a, b]}}\nchain: {{edges: [[a, {X}, 1.0]]}}\n", [], f"chain: edge references unknown atom {CUT}"),
     (TAGGED % f"!<{X}> 1.0", [], f"could not determine a constructor for the tag {CUT}"),
+    # a valid atom name of any length, in the library's own lines
+    (f"space: {{atoms: [{X}, b], weights: [-1.0, 1.0]}}\n", [], f"space: weight of atom {CUT} is -1.0, outside"),
+    (f"space: {{atoms: [{X}, b]}}\nchain: {{edges: [[{X}, b, .nan]]}}\n", [], f"chain: conductance on ({CUT},'b') is nan"),
+    (f"space: {{atoms: [{X}, b]}}\nchain:\n  edges: [[{X}, b, 1.0]]\n  kill:\n    ? {X}\n    : .inf\n", [],
+     f"chain: killing mass at {CUT} is inf"),
+    (f"space: {{atoms: [{X}, b]}}\nchain: {{edges: [[b, b, 1.0]]}}\n", [], f"chain: atom {CUT} has neither conductance nor killing"),
+    (f"space: {{atoms: [{X}, b], weights: [1.0, 1.0]}}\nkernel: {{type: operator, matrix: [[1.0, 1.0e300], [0.0, 1.0]]}}\n", [],
+     f"kernel.matrix: M[{CUT}, 'b'] is 1e+300"),
 ], ids=["tolerance", "tol-flag", "tol-flag-form", "tol-flag-name", "kernel-type", "family-atom", "check-name", "space-key",
-        "weight", "atom-name", "matrix-entry", "edge-atom", "yaml-tag"])
+        "weight", "atom-name", "matrix-entry", "edge-atom", "yaml-tag", "atom-weight", "atom-conductance", "atom-kill",
+        "atom-no-mass", "atom-operator-entry"])
 def test_every_echo_of_long_input_is_cut_to_one_short_line(runner, tmp_path, text, args, line):
     # each line echoed the whole value: 5,073 bytes for the tolerance
     cfg, out = tmp_path / "cfg.yaml", tmp_path / "r.jsonl"
@@ -602,6 +613,17 @@ def test_every_echo_of_long_input_is_cut_to_one_short_line(runner, tmp_path, tex
     echoed = output.split(", expected one of")[0]  # the names a line offers are not input
     assert (result.exit_code, line in output, len(echoed.encode()) < 200) == (2, True, True), output[:300]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("build, line", [
+    (lambda sp: SetKernel(sp, [[1.0, 0.0], [2.0**300, 1.0]]), f"Q['b', {CUT}] is "),
+    (lambda sp: realize(counting_kernel(sp)), f"null atom {CUT}: max_y |K({{{CUT}}},{{y}})| = 1.000e+00"),
+], ids=["atom-gram-entry", "null-atom"])
+def test_a_long_atom_name_is_cut_in_the_library_lines_no_command_prints(build, line):
+    # a custom Q and a realization refused by its null atom reach a report only as a failed row
+    with pytest.raises(SetKernError) as err:
+        build(MeasureSpace((X, "b"), (0.0, 1.0)))
+    assert line in str(err.value) and len(str(err.value).encode()) < 300, str(err.value)[:400]  # the null atom is named twice
 
 
 @pytest.mark.parametrize("matrix, message", [
@@ -800,7 +822,7 @@ EDGE_SPACE = "space: {atoms: [a, b]}\n"
     (WIENER_SPACE + "kernel: {type: wiener}\nexpect: {yes: 1}\n", (), "expect: unknown key True"),
     (WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {symmetri: 1.0e-9}\n", (), "tolerances: unknown key 'symmetri'"),
     (WIENER_SPACE + "kernel: {type: wiener}\n", (("symmetri", "1e-9"),), "--tol: unknown tolerance 'symmetri'"),
-    (EDGE_SPACE + "chain: {edges: [[a, b, .nan]]}\n", (), f"chain: conductance on (a,b) is nan, {DOMAIN}"),
+    (EDGE_SPACE + "chain: {edges: [[a, b, .nan]]}\n", (), f"chain: conductance on ('a','b') is nan, {DOMAIN}"),
     (EDGE_SPACE + "chain: {edges: [[a, b, 1.0]], kill: {a: .inf}}\n", (), f"chain: killing mass at 'a' is inf, {DOMAIN}"),
 ], ids=["dense-duplicate-atom", "dense-negative-weight", "dense-weight-count", "dense-no-atoms", "dense-no-weights",
         "ragged-transitions", "text-transitions", "mapping-transitions", "ragged-matrix", "list-kill",

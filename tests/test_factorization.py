@@ -357,7 +357,7 @@ def test_reverse_direction_detects_tampering(space):
 
 def test_reverse_direction_refuses_a_kernel_that_charges_a_null_atom(null_space):
     kernel = counting_kernel(null_space)
-    with pytest.raises(AbsoluteContinuityError, match=r"null atom 'c': max_y \|K\(\{c\},\{y\}\)\| = 1\.000e\+00"):
+    with pytest.raises(AbsoluteContinuityError, match=r"null atom 'c': max_y \|K\(\{'c'\},\{y\}\)\| = 1\.000e\+00"):
         reverse_direction(Factorization(kernel=kernel, S=np.eye(3), residual=0.0))
 
 

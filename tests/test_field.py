@@ -563,6 +563,45 @@ def test_moment_checks_are_the_per_chunk_stream_to_the_bit(case, n):
             assert (result.estimate, result.std_error, result.normals) == (mean, se, n * d)
 
 
+def _scaled(f: SimpleFunction, k: int) -> SimpleFunction:
+    return SimpleFunction(tuple((coef * 2.0**k, s) for coef, s in f.terms))
+
+
+def _rank_two_case():
+    sp = MeasureSpace(tuple("abcd"), (1.0, 2.0, 0.5, 1.5))
+    phi = SimpleFunction(((1.0, sp.subset("a", "b")), (-0.6, sp.subset("c", "d"))))
+    psi = SimpleFunction(((0.5, sp.subset("a", "b")), (1.3, sp.subset("c", "d"))))
+    return wiener_kernel(sp), phi, psi, 2
+
+
+@pytest.mark.parametrize("case", ["rank_one", "rank_two", "wiener", "green"])
+@pytest.mark.parametrize("k", [-30, 30])
+def test_moment_checks_scale_by_the_square_of_a_power_of_two_to_the_bit(case, k):
+    # 2^k phi and 2^k psi scale every draw's product by exactly 4^k, so the sigmas a row records keep their bits
+    kernel, phi, psi, rank = _rank_two_case() if case == "rank_two" else _rank_cases()[case]
+    fact = realize(kernel)
+    for check, integrands in ((ito_isometry_check, (phi,)), (cross_moment_check, (phi, psi))):
+        assert build_sampler(kernel, dict.fromkeys(phi.sets() + integrands[-1].sets()), seed=29).rank == rank
+        scaled = tuple(_scaled(f, k) for f in integrands)
+        for workers in (1, 2):
+            base = check(kernel, fact, *integrands, 3 * CHUNK_SIZE + 17, seed=29, workers=workers)
+            res = check(kernel, fact, *scaled, 3 * CHUNK_SIZE + 17, seed=29, workers=workers)
+            assert (res.estimate, res.std_error, res.exact) == tuple(4.0**k * x for x in (base.estimate, base.std_error, base.exact))
+            assert res.deviation_sigmas == base.deviation_sigmas
+            assert (res.n_samples, res.normals) == (base.n_samples, base.normals)
+
+
+@pytest.mark.parametrize("case, width", [("rank_one", 1), ("wiener", 2)])
+def test_a_moment_result_holds_python_numbers(case, width, monkeypatch):
+    # a scale factored out of the chunk sums is a numpy scalar unless it is turned into a float
+    kernel, phi, psi, _ = _rank_cases()[case]
+    fact = realize(kernel)
+    widths = _record_widths(monkeypatch)
+    for res in (ito_isometry_check(kernel, fact, phi, 1000, seed=30), cross_moment_check(kernel, fact, phi, psi, 1000, seed=30)):
+        assert [type(x) for x in (res.estimate, res.std_error, res.exact, res.n_samples, res.normals)] == [float] * 3 + [int] * 2
+    assert widths == [1, width]
+
+
 @pytest.mark.parametrize("workers, n", [(1, 50000), (2, 50000), (3, 50000), (64, 20000)])
 def test_each_call_runs_its_chunks_on_its_own_threads(workers, n):
     # a shared pool could hand both strides of a two-worker call to one idle thread

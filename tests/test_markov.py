@@ -105,14 +105,14 @@ DOMAIN = f"outside the float domain: zero or in [2^-{DOMAIN_BITS}, 2^{DOMAIN_BIT
 
 
 @pytest.mark.parametrize("edges, kill, message", [
-    ([("u", "v", float("nan"))], None, f"conductance on (u,v) is nan, {DOMAIN}"),
-    ([("u", "v", float("inf"))], None, f"conductance on (u,v) is inf, {DOMAIN}"),
-    ([("u", "v", -1.0)], None, f"conductance on (u,v) is -1.0, {DOMAIN}"),
+    ([("u", "v", float("nan"))], None, f"conductance on ('u','v') is nan, {DOMAIN}"),
+    ([("u", "v", float("inf"))], None, f"conductance on ('u','v') is inf, {DOMAIN}"),
+    ([("u", "v", -1.0)], None, f"conductance on ('u','v') is -1.0, {DOMAIN}"),
     ([("u", "v", 1.0)], {"u": float("inf")}, f"killing mass at 'u' is inf, {DOMAIN}"),
     ([("u", "v", 1.0)], {"v": float("nan")}, f"killing mass at 'v' is nan, {DOMAIN}"),
     ([("u", "v", 1.0)], {"v": -0.5}, f"killing mass at 'v' is -0.5, {DOMAIN}"),
-    ([("u", "v", 1.0), ("v", "u", 1.0e-320)], None, f"conductance on (v,u) is 1e-320, {DOMAIN}"),
-    ([("u", "v", 2.0 ** (DOMAIN_BITS + 1))], None, f"conductance on (u,v) is {2.0 ** (DOMAIN_BITS + 1)!r}, {DOMAIN}"),
+    ([("u", "v", 1.0), ("v", "u", 1.0e-320)], None, f"conductance on ('v','u') is 1e-320, {DOMAIN}"),
+    ([("u", "v", 2.0 ** (DOMAIN_BITS + 1))], None, f"conductance on ('u','v') is {2.0 ** (DOMAIN_BITS + 1)!r}, {DOMAIN}"),
     ([("u", "v", 1.0)], {"u": 1.0, "v": 1.0e-320}, f"killing mass at 'v' is 1e-320, {DOMAIN}"),
     # each conductance is in the domain, but the weight they derive for v is 2^(b+1)
     ([("u", "v", 2.0**DOMAIN_BITS), ("v", "w", 2.0**DOMAIN_BITS)], None,
