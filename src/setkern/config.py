@@ -2,17 +2,23 @@
 
 ``SCHEMA`` describes each top-level section once: the key set that closes
 it, its reader, and the commands that cannot run without it.  ``load_config``
-walks that table in order.  A key the table does not name, at the top level
-or in a mapping section, is an error, and so is a section that a command
-requires and the file omits or leaves empty; README's config sketch shows
-every key.  ``load_config`` reads the ``--seed``, ``--samples``,
-``--workers`` and ``--tol`` flags as text by the readers of ``mc.seed``,
-``mc.samples`` and ``tolerances:``, builds every kernel but ``green``, which
-needs ``chain`` and which a command builds at its ``series-solve``
-tolerance, and resolves every tolerance.  Any library rejection of the
-file's input is a ``ConfigError`` naming the field.
+composes the file into YAML nodes, without building Python objects, and
+walks that table in order; each reader walks the nodes of its section.  A
+field judges structure by node type, and a number field parses the text of a
+float-, int- or string-tagged scalar as PyYAML reads its tag, so a boolean
+is no number.  Any other scalar, an atom name say, is built by PyYAML's
+``SafeConstructor``, and a scalar it refuses is an error marking the line
+and column where the field reads it.  A key the table does not name, at the
+top level or in a mapping section, is an error, as is a key that a mapping
+gives twice and a section that a command requires and the file omits or
+leaves empty; README's config sketch shows every key.  ``load_config``
+reads the ``--seed``, ``--samples``, ``--workers`` and ``--tol`` flags as
+text, as the fields ``mc.seed``, ``mc.samples`` and ``tolerances:`` read
+theirs, builds every kernel but ``green``, which needs ``chain`` and which a
+command builds at its ``series-solve`` tolerance, and resolves every
+tolerance.  Any library rejection of the file's input is a ``ConfigError``
+naming the field.
 """
-
 from __future__ import annotations
 
 import math
@@ -25,7 +31,7 @@ from typing import Any, Callable, Collection, Iterable, NamedTuple
 
 import numpy as np
 import yaml
-from yaml.constructor import ConstructorError
+from yaml.constructor import ConstructorError, SafeConstructor
 
 from .errors import ConfigError, SetKernError
 from .kernels import (
@@ -78,6 +84,13 @@ EXPECTATIONS = ("range-rank",)
 _FLOAT_TAG = "tag:yaml.org,2002:float"
 _INT_TAG = "tag:yaml.org,2002:int"
 _STR_TAG = "tag:yaml.org,2002:str"
+_NUMBER_TAGS = (_FLOAT_TAG, _INT_TAG, _STR_TAG)
+"""The tags whose text a number field parses: a string as ``float`` reads it, as ``1e-3``."""
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_MAP_TAG = "tag:yaml.org,2002:map"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+_UNCONSTRUCTED = (_MERGE_TAG, "tag:yaml.org,2002:value")
+"""The tags of the keys ``<<`` and ``=``, which ``flatten_mapping`` reads and no constructor builds."""
 _DECIMAL = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?")
 """YAML 1.1's float forms without ``_``, ``:``, ``.inf`` or ``.nan``: PyYAML's float
 resolver is the first to claim each, and ``float`` reads each as PyYAML does.
@@ -86,81 +99,59 @@ _DECIMAL_INT = re.compile(r"[-+]?[1-9][0-9_]*")
 """The integers PyYAML reads in base 10, the one base in which ``int`` has a digit limit."""
 
 
-def _loader(base: type) -> type:
-    """``base`` with one-step floats and sequences of scalars.
+def _resolve(self, kind, value, implicit):
+    """PyYAML's tag for a node, each plain decimal float resolved by one match.
 
-    A 48-atom ``kernel.matrix`` is 2,304 plain decimal floats.  Each is
-    resolved by one match and built by one ``float``, and a sequence builds
-    its float and string items itself, without ``construct_object``'s
-    per-node dispatch, cache and recursion bookkeeping, which no scalar
-    needs.  Every document loads exactly as under ``base``: any other
-    scalar, and every NaN (``float`` gives ``-nan`` a sign that PyYAML does
-    not), takes ``base``'s path, and so does every other sequence item.
-    The one exception is an integer past ``int``'s digit limit, on which
-    ``base`` raises ``ValueError``: it loads as its text, so that the field
-    reading it rejects it as it would the same flag.  A tagged scalar that
-    its constructor refuses, as ``!!int 1.5``, ``!!bool maybe`` or
-    ``!!timestamp x``, raises a ``ConstructorError`` marking it where
-    ``base`` raises ``ValueError``, ``LookupError`` or ``AttributeError``.
-    A tag without a constructor raises ``base``'s error, its tag cut by ``echo``.
+    A 48-atom ``kernel.matrix`` is 2,304 of them.  It calls the base resolver by
+    name, so that it resolves alike on any loader it is set on.
     """
-
-    class Loader(base):
-        def resolve(self, kind, value, implicit):
-            if kind is yaml.ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
-                return _FLOAT_TAG
-            return super().resolve(kind, value, implicit)
-
-        def construct_object(self, node, deep=False):
-            return _marking(super().construct_object, node, deep=deep)
-
-        def construct_undefined(self, node):
-            raise ConstructorError(None, None, f"could not determine a constructor for the tag {echo(node.tag)}", node.start_mark)
-
-        def construct_yaml_float(self, node):  # the sequence shortcut calls it outside construct_object
-            try:
-                value = float(node.value)
-            except (TypeError, ValueError):
-                value = math.nan
-            return value if value == value else _marking(super().construct_yaml_float, node)
-
-        def construct_yaml_int(self, node):
-            try:
-                return super().construct_yaml_int(node)
-            except ValueError:  # int() refuses more than 4,300 digits: the field's reader judges the text
-                if not _DECIMAL_INT.fullmatch(node.value):
-                    raise
-                return node.value
-
-        def construct_sequence(self, node, deep=False):
-            if not isinstance(node, yaml.SequenceNode):
-                return super().construct_sequence(node, deep=deep)
-            # a float item is built by the constructor construct_object would pick,
-            # and a string item is its value, which is what construct_yaml_str returns
-            scalar, to_float = yaml.ScalarNode, self.construct_yaml_float
-            return [
-                to_float(child) if child.tag == _FLOAT_TAG and isinstance(child, scalar)
-                else child.value if child.tag == _STR_TAG and isinstance(child, scalar)
-                else self.construct_object(child, deep=deep)
-                for child in node.value
-            ]
-
-    Loader.add_constructor(_FLOAT_TAG, Loader.construct_yaml_float)
-    Loader.add_constructor(_INT_TAG, Loader.construct_yaml_int)
-    Loader.add_constructor(None, Loader.construct_undefined)
-    return Loader
-
-
-def _marking(construct: Callable, node: yaml.Node, **kwargs) -> Any:
-    """``construct(node)``; a scalar that the constructor refuses raises a ``ConstructorError`` marking the node."""
-    try:
-        return construct(node, **kwargs)
-    except (AttributeError, LookupError, ValueError) as e:
-        raise ConstructorError(None, None, f"could not construct {node.tag!r} from {echo(node.value)}", node.start_mark) from e
+    if kind is yaml.ScalarNode and implicit[0] and _DECIMAL.fullmatch(value):
+        return _FLOAT_TAG
+    return yaml.resolver.BaseResolver.resolve(self, kind, value, implicit)
 
 
 # libyaml parses and composes in C when PyYAML was built with it.
-_LOADER = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+_LOADER = type("Loader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {"resolve": _resolve})
+
+
+def _digits(text: str) -> int | str:
+    """``text`` as ``int`` reads it; past its digit limit, or when it is no integer, the text, which a count echoes."""
+    with suppress(ValueError):
+        return int(text)
+    return text
+
+
+def _value(node: yaml.Node) -> Any:
+    """``node`` as PyYAML's ``SafeConstructor`` builds it, each node it holds judged first, in document order.
+
+    A scalar that its constructor refuses, as ``!!int 1.5``, ``!!bool maybe`` or
+    ``!!timestamp x``, raises a ``ConstructorError`` marking it, where PyYAML
+    raises ``ValueError``, ``LookupError`` or ``AttributeError``, and a tag
+    without a constructor raises PyYAML's error with the tag cut by ``echo``.
+    The one value PyYAML cannot build, a base-10 integer past ``int``'s digit
+    limit, is its text, as ``--samples`` is: a count echoes it, and a number
+    reads it as an infinity.
+    """
+    if isinstance(node, yaml.ScalarNode) and node.tag == _STR_TAG:  # as construct_yaml_str returns it
+        return node.value
+    if isinstance(node, yaml.ScalarNode) and node.tag == _INT_TAG and _DECIMAL_INT.fullmatch(node.value):
+        return _digits(node.value.replace("_", ""))
+    constructor, held, seen = SafeConstructor(), [node], set()
+    while held:  # an alias repeats a node, and a recursive one holds itself
+        n = held.pop()
+        if id(n) in seen or n.tag in _UNCONSTRUCTED:
+            continue
+        seen.add(id(n))
+        if n.tag not in constructor.yaml_constructors:
+            raise ConstructorError(None, None, f"could not determine a constructor for the tag {echo(n.tag)}", n.start_mark)
+        if isinstance(n, yaml.ScalarNode):
+            try:
+                constructor.construct_object(n)  # kept, and reused by construct_document
+            except (AttributeError, LookupError, ValueError) as e:
+                raise ConstructorError(None, None, f"could not construct {n.tag!r} from {echo(n.value)}", n.start_mark) from e
+        else:
+            held.extend(reversed([c for item in n.value for c in (item if isinstance(item, tuple) else (item,))]))
+    return constructor.construct_document(node)
 
 
 @dataclass
@@ -186,63 +177,97 @@ class ExperimentConfig:
         return self.checks is None or check in self.checks
 
 
-def _as_mapping(node: Any, where: str, keys: tuple[str, ...] | None = None) -> dict:
-    """``node`` as a mapping; with ``keys``, a key outside them is a config error naming it."""
-    if node is None:
+def _is_list(node: yaml.Node) -> bool:
+    """Whether ``node`` is a sequence that PyYAML builds as a list, not one under another tag."""
+    return isinstance(node, yaml.SequenceNode) and node.tag == _SEQ_TAG
+
+
+def _as_mapping(node: yaml.Node | None, where: str, keys: tuple[str, ...] | None = None, read: Callable = _value) -> dict:
+    """``node``'s value nodes by key, each key read by ``read``; ``{}`` for ``None`` or null.
+
+    The pairs that ``<<`` merges in come first, so the node's own override
+    them, as YAML's merge rule says.  A key that the node itself gives twice,
+    and with ``keys`` a key outside them, is a config error naming it.
+    """
+    if node is None or node.tag == "tag:yaml.org,2002:null":
         return {}
-    if not isinstance(node, dict):
+    if not isinstance(node, yaml.MappingNode) or node.tag != _MAP_TAG:
         raise ConfigError(f"{where} must be a mapping")
-    for key in node if keys is not None else ():
-        if key not in keys:
+    flat = yaml.MappingNode(node.tag, list(node.value))  # flatten_mapping rewrites its node, which an alias may repeat
+    SafeConstructor().flatten_mapping(flat)
+    pairs = [(read(key), value) for key, value in flat.value]
+    first_own = len(pairs) - sum(key.tag != _MERGE_TAG for key, _ in node.value)
+    for i, (key, _) in enumerate(pairs):
+        if keys is not None and key not in keys:  # first: a list or mapping key, which dict() cannot hash, is no name
             raise ConfigError(f"{where}: unknown key {echo(key)}, expected one of {', '.join(keys)}")
-    return node
+        if i > first_own and key in [earlier for earlier, _ in pairs[first_own:i]]:
+            raise ConfigError(f"{where}: duplicate key {echo(key)}")
+    return dict(pairs)
 
 
-def _as_list(node: Any, where: str) -> list:
-    if not isinstance(node, list):
+def _as_list(node: yaml.Node, where: str) -> list:
+    if not _is_list(node):
         raise ConfigError(f"{where} must be a list")
-    return node
+    return node.value
 
 
-def _number(value: Any, where: str) -> float:
-    if not isinstance(value, bool):  # YAML 1.1 reads yes, on and off as booleans
+def _number(node: yaml.Node, where: str, *index: int) -> float:
+    """A float-, int- or string-tagged scalar as a float, as PyYAML reads its tag; an integer past the float range is an infinity.
+
+    A config error names ``where``, then each index in brackets.
+    """
+    if node.tag == _FLOAT_TAG and isinstance(node, yaml.ScalarNode):
+        try:
+            if (x := float(node.value)) == x:  # float gives NaN a sign that PyYAML does not
+                return x
+        except ValueError:  # a form that PyYAML reads and float does not, as .inf or 1_0.5
+            pass
+    value = _value(node)
+    if isinstance(node, yaml.ScalarNode) and node.tag in _NUMBER_TAGS:
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except ValueError:
             pass
         except OverflowError:  # an integer past the float range, which the float domain rejects by name
             return math.inf if value > 0 else -math.inf
-    raise ConfigError(f"{where} must be a number, got {echo(value)}")
+    raise ConfigError(f"{where}{''.join(f'[{i}]' for i in index)} must be a number, got {echo(value)}")
 
 
-def _tolerance(value: Any, where: str) -> float:
-    tol = _number(value, where)
+def _tolerance(node: yaml.Node, where: str) -> float:
+    tol = _number(node, where)
     if not 0 <= tol < math.inf:  # a negative tolerance inverts the verdict it bounds
-        raise ConfigError(f"{where} must be finite and nonnegative, got {echo(value)}")
+        raise ConfigError(f"{where} must be finite and nonnegative, got {echo(_value(node))}")
     return tol
 
 
-def _matrix(rows: Any, where: str) -> np.ndarray:
-    """``rows`` as a float array; the first entry that is no number, a boolean included, is a config error naming it."""
-    lists = rows if isinstance(rows, list) else ()
-    if not any(isinstance(row, list) and bool in set(map(type, row)) for row in lists):  # numpy reads True as 1.0
-        with suppress(TypeError, ValueError, OverflowError):
-            return np.asarray(rows, dtype=float)
-    for i, row in enumerate(lists):
-        for j, x in enumerate(row if isinstance(row, list) else ()):
-            if math.isinf(_number(x, f"{where}[{i}][{j}]")) and isinstance(x, int):
-                raise ConfigError(f"{where}[{i}][{j}] is an integer past the float range")
+def _entry(node: yaml.Node, where: str, i: int, j: int) -> float:
+    x = _number(node, where, i, j)  # which formats the entry's name only for its error: a 48-atom matrix has 2,304
+    if math.isinf(x) and node.tag == _INT_TAG:
+        raise ConfigError(f"{where}[{i}][{j}] is an integer past the float range")
+    return x
+
+
+def _matrix(node: yaml.Node, where: str) -> np.ndarray:
+    """A list of equal-length rows of numbers as a float array; the first entry that is no number, in row order, is a config error naming it."""
+    rows = node.value if _is_list(node) else None
+    matrix = [[_entry(x, where, i, j) for j, x in enumerate(row.value)] for i, row in enumerate(rows or ()) if _is_list(row)]
+    with suppress(ValueError):  # numpy refuses ragged rows
+        if rows is not None and len(matrix) == len(rows):
+            return np.array(matrix, dtype=float)
     raise ConfigError(f"{where} must be a dense numeric matrix")
 
 
-def _integer(value: Any, where: str, **bounds) -> int:  # an integral float, as YAML may write a count, is its int
+def _integer(node: yaml.Node, where: str, **bounds) -> int:
+    """A count; an integral float, as YAML may write one, is its int."""
+    value = _value(node)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     return require_integer(value, where, ConfigError, **bounds)
 
 
-def _atom_name(value: Any, where: str) -> str:
+def _atom_name(node: yaml.Node, where: str) -> str:
     """An atom name as text; YAML 1.1 reads yes, on, off and ~ as a boolean or null, which ``str`` would rename."""
+    value = _value(node)
     if value is None or isinstance(value, (bool, list, dict)):
         raise ConfigError(f"{where} must be an atom name, got {echo(value)}; quote a name YAML reads otherwise")
     return str(value)
@@ -284,15 +309,13 @@ def _simple_function(space: MeasureSpace, node: Any, where: str) -> SimpleFuncti
         return SimpleFunction(tuple(terms))
 
 
-# the reader of each count a run reads, from mc or from its flag
-_COUNTS = {"samples": partial(_integer, least=1, bits=SAMPLE_BITS), "seed": _integer, "workers": partial(_integer, least=1)}
+# the range of each count a run reads, from mc or from its flag
+_COUNTS = {"samples": {"least": 1, "bits": SAMPLE_BITS}, "seed": {}, "workers": {"least": 1}}
 
 
 def _flag(name: str, text: str) -> int:
-    """``--<name>``, read as text by the reader of its count, so that text that is no integer is a config error too."""
-    with suppress(ValueError):
-        text = int(text)
-    return _COUNTS[name](text, f"--{name}")
+    """``--<name>``, read as text in the range of its count, so that text that is no integer is a config error too."""
+    return require_integer(_digits(text), f"--{name}", ConfigError, **_COUNTS[name])
 
 
 def _tol_flag(text: str) -> tuple[str, float]:
@@ -302,7 +325,7 @@ def _tol_flag(text: str) -> tuple[str, float]:
         raise ConfigError(f"--tol expects NAME=VALUE, got {echo(text)}")
     if name not in TOLERANCES:
         raise ConfigError(f"--tol: unknown tolerance {echo(name)}, expected one of {', '.join(TOLERANCES)}")
-    return name, _tolerance(value, f"--tol {name}")
+    return name, _tolerance(yaml.ScalarNode(_STR_TAG, value), f"--tol {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +360,8 @@ def _read_chain(node: dict | None, got: dict) -> dict:
                 raise ConfigError(f"chain.edges[{i}] must be [atom, atom, conductance]")
             x, y = (_atom_name(e[j], f"chain.edges[{i}][{j}]") for j in (0, 1))
             edges.append((x, y, _number(e[2], f"chain.edges[{i}] conductance")))
-        kill = {
-            _atom_name(a, "chain.kill key"): _number(m, f"chain.kill.{a}")
-            for a, m in _as_mapping(node.get("kill"), "chain.kill").items()
-        }
+        kill = {name: _number(mass, f"chain.kill[{echo(name)}]")
+                for name, mass in _as_mapping(node.get("kill"), "chain.kill", read=partial(_atom_name, where="chain.kill key")).items()}
         with _reading("chain"):
             chain = MarkovChain.from_conductances(atoms, edges, kill)
         if weights is not None:
@@ -361,7 +382,7 @@ def _read_kernel(node: dict | None, got: dict) -> dict:
     """Every kernel but ``green``, which a command builds from the chain at its ``series-solve`` tolerance."""
     if node is None:
         return {"kernel_type": None, "kernel": None}
-    kernel_type, kernel = node.get("type", ""), None
+    kernel_type, kernel = _value(node["type"]) if "type" in node else "", None
     if kernel_type not in KERNEL_TYPES:
         raise ConfigError(f"kernel.type must be one of {KERNEL_TYPES}, got {echo(kernel_type)}")
     if "matrix" in node and kernel_type != "operator":
@@ -417,7 +438,8 @@ def _read_partitions(node: list | None, got: dict) -> dict:
 def _read_mc(node: dict | None, got: dict) -> dict:
     """``mc.samples`` and ``mc.seed``, each overridden by its flag."""
     node = node or {}
-    mc = {name: _COUNTS[name](node.get(name, default), f"mc.{name}") for name, default in (("samples", 200000), ("seed", 0))}
+    mc = {name: _integer(node[name], f"mc.{name}", **_COUNTS[name]) if name in node else default
+          for name, default in (("samples", 200000), ("seed", 0))}
     return {**mc, **got["flags"]}
 
 
@@ -429,11 +451,12 @@ def _read_tolerances(node: dict | None, got: dict) -> dict:
 
 def _read_checks(node: list | None, got: dict) -> dict:
     """The names under ``checks:``, each a name of ``check_names`` or ``q-level-<n>`` for a configured partition ``n``."""
+    names = None if node is None else [_value(name) for name in node]
     levels = [f"q-level-{i}" for i in range(len(got["partitions"]))]  # a list: a YAML entry may be unhashable
-    for name in node if node is not None and got["check_names"] is not None else ():
+    for name in names if names is not None and got["check_names"] is not None else ():
         if name not in got["check_names"] and name not in levels:
             raise ConfigError(f"checks: unknown check {echo(name)}")
-    return {"checks": None if node is None else tuple(node)}
+    return {"checks": None if names is None else tuple(names)}
 
 
 class Section(NamedTuple):
@@ -494,20 +517,21 @@ def load_config(path: str | Path, overrides: Iterable[str] = (), *, command: str
     tol = dict(map(_tol_flag, overrides))
     counts = {name: _flag(name, text) for name, text in (flags or {}).items() if text is not None}
     path = Path(path)
-    try:
-        data = path.read_bytes()  # bytes, so that the loader reports text that is not UTF-8 as a YAMLError
-        raw = yaml.load(data, Loader=_LOADER)
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
-    except yaml.YAMLError as e:
-        raise _yaml_error(path, data, e) from e
-    raw = _as_mapping(raw, str(path), tuple(SCHEMA))
     # every reader sees the fields read before it and what it takes from the flags
     got = {"workers": counts.pop("workers", 1), "flags": counts, "tol": tol, "check_names": check_names}
-    for name, (keys, read, _) in SCHEMA.items():  # a present section is a list or a mapping, an absent one None
-        node = None if name not in raw else _as_list(raw[name], name) if keys is None else _as_mapping(raw[name], name, keys)
-        got.update(read(node, got))
+    sections = {}  # a present section is a list or a mapping of nodes, an absent one None
+    try:
+        data = path.read_bytes()  # bytes, so that the composer reports text that is not UTF-8 as a YAMLError
+        raw = _as_mapping(yaml.compose(data, Loader=_LOADER), str(path), tuple(SCHEMA))
+        for name, (keys, read, _) in SCHEMA.items():
+            node = sections[name] = None if name not in raw else _as_list(raw[name], name) if keys is None \
+                else _as_mapping(raw[name], name, keys)
+            got.update(read(node, got))
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    except yaml.YAMLError as e:  # a syntax error, or a scalar that PyYAML refuses where a field reads it
+        raise _yaml_error(path, data, e) from e
     for name, section in SCHEMA.items():
-        if command in section.required_by and not raw.get(name):
+        if command in section.required_by and not sections[name]:
             raise ConfigError(f"{command} requires a {name} section")
     return ExperimentConfig(**{f.name: got[f.name] for f in fields(ExperimentConfig)})

@@ -599,11 +599,16 @@ NINES = "9" * 5000
     (f"space: {{atoms: [{X}, b]}}\nchain:\n  edges: [[{X}, b, 1.0]]\n  kill:\n    ? {X}\n    : .inf\n", [],
      f"chain: killing mass at {CUT} is inf"),
     (f"space: {{atoms: [{X}, b]}}\nchain: {{edges: [[b, b, 1.0]]}}\n", [], f"chain: atom {CUT} has neither conductance nor killing"),
+    # the field path held the whole key: 5,055 bytes
+    (f"space: {{atoms: [{X}, b]}}\nchain:\n  edges: [[{X}, b, 1.0]]\n  kill:\n    ? {X}\n    : oops\n", [],
+     f"chain.kill[{CUT}] must be a number, got 'oops'"),
+    (f"space: {{atoms: [{X}, b]}}\nchain:\n  edges: [[{X}, b, 1.0]]\n  kill:\n    ? {X}\n    : 1.0\n    ? {X}\n    : 2.0\n", [],
+     f"chain.kill: duplicate key {CUT}"),
     (f"space: {{atoms: [{X}, b], weights: [1.0, 1.0]}}\nkernel: {{type: operator, matrix: [[1.0, 1.0e300], [0.0, 1.0]]}}\n", [],
      f"kernel.matrix: M[{CUT}, 'b'] is 1e+300"),
 ], ids=["tolerance", "tol-flag", "tol-flag-form", "tol-flag-name", "kernel-type", "family-atom", "check-name", "space-key",
         "weight", "atom-name", "matrix-entry", "edge-atom", "yaml-tag", "atom-weight", "atom-conductance", "atom-kill",
-        "atom-no-mass", "atom-operator-entry"])
+        "atom-no-mass", "kill-mass", "kill-duplicate-key", "atom-operator-entry"])
 def test_every_echo_of_long_input_is_cut_to_one_short_line(runner, tmp_path, text, args, line):
     # each line echoed the whole value: 5,073 bytes for the tolerance
     cfg, out = tmp_path / "cfg.yaml", tmp_path / "r.jsonl"
@@ -770,6 +775,24 @@ def test_a_q_level_that_names_no_configured_partition_is_a_config_error(runner, 
 def test_a_misspelled_config_key_is_a_config_error(runner, tmp_path, text, where, key):
     output = _config_error(runner, tmp_path, text)
     assert f"{where}: unknown key {key!r}" in output
+
+
+@pytest.mark.parametrize("text, line", [
+    ("space: {atoms: [a, b], weights: [1.0, 2.0], weights: [5.0, 5.0]}\nkernel: {type: wiener}\n",
+     "space: duplicate key 'weights'"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nkernel: {type: counting}\n", "cfg.yaml: duplicate key 'kernel'"),
+    (WIENER_SPACE + "kernel: {type: wiener}\ntolerances: {gram-psd: 1.0e-3, gram-psd: 0.5}\n", "tolerances: duplicate key 'gram-psd'"),
+    ("space: {atoms: [a, b]}\nchain: {edges: [[a, b, 1.0]], kill: {a: 0.5, a: 0.1}}\n", "chain.kill: duplicate key 'a'"),
+    # two YAML keys, a float and a string, that name one atom
+    ('space: {atoms: ["1.5", b]}\nchain: {edges: [["1.5", b, 1.0]], kill: {1.50: 0.5, "1.5": 0.1}}\n',
+     "chain.kill: duplicate key '1.5'"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nmc: {seed: 1, seed: 2}\n", "mc: duplicate key 'seed'"),
+    (WIENER_SPACE + "kernel: {type: wiener}\nexpect: {range-rank: 2, range-rank: 2}\n", "expect: duplicate key 'range-rank'"),
+], ids=["space", "top-level", "tolerances", "chain.kill", "chain.kill-one-atom", "mc", "expect"])
+def test_a_key_given_twice_is_a_config_error(runner, tmp_path, text, line):
+    # the later value overrode the earlier one, and validate exited 0
+    output = _config_error(runner, tmp_path, text)
+    assert output == f"config error: {line.replace('cfg.yaml', str(tmp_path / 'cfg.yaml'))}\n"
 
 
 @pytest.mark.parametrize("name", [name for name, section in SCHEMA.items() if section.keys is not None])
