@@ -450,11 +450,12 @@ def _read_tolerances(node: dict | None, got: dict) -> dict:
 
 
 def _read_checks(node: list | None, got: dict) -> dict:
-    """The names under ``checks:``, each a name of ``check_names`` or ``q-level-<n>`` for a configured partition ``n``."""
+    """The names under ``checks:``, each a string and, given ``check_names``, one of them or ``q-level-<n>`` for a
+    configured partition ``n``."""
     names = None if node is None else [_value(name) for name in node]
-    levels = [f"q-level-{i}" for i in range(len(got["partitions"]))]  # a list: a YAML entry may be unhashable
-    for name in names if names is not None and got["check_names"] is not None else ():
-        if name not in got["check_names"] and name not in levels:
+    known, levels = got["check_names"], [f"q-level-{i}" for i in range(len(got["partitions"]))]
+    for name in names or ():
+        if not isinstance(name, str) or known is not None and name not in known and name not in levels:
             raise ConfigError(f"checks: unknown check {echo(name)}")
     return {"checks": None if names is None else tuple(names)}
 

@@ -2,8 +2,8 @@
 
 __all__ = [
     "SetKernError", "InvalidSetError", "DomainError", "InvalidOperatorError", "AbsoluteContinuityError",
-    "NotPositiveError", "VerificationError", "InconsistencyError", "InvalidBasisError", "InvalidMapError",
-    "InvalidChainError", "NotTransientError", "InvalidCovarianceError", "OrderingError", "ConfigError",
+    "NotPositiveError", "VerificationError", "InconsistencyError", "InvalidBasisError", "InvalidChainError",
+    "NotTransientError", "InvalidCovarianceError", "OrderingError", "ConfigError",
 ]
 
 
@@ -41,10 +41,6 @@ class InconsistencyError(SetKernError):
 
 class InvalidBasisError(SetKernError):
     """A vector family is not a complete orthonormal basis of the weighted L2 space."""
-
-
-class InvalidMapError(SetKernError):
-    """An atom map does not cover the source space or hits unknown targets."""
 
 
 class InvalidChainError(SetKernError):

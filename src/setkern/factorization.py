@@ -9,8 +9,7 @@ of the kernel's nu-selfadjoint PSD operator ``SetKernel.T``, and
 an isometry ``b`` of the kernel's reproducing space into weighted L2.  Over a
 set family, ``b``, its adjoint ``b*`` and Parseval expansions over an
 orthonormal basis are each one product with ``C S^T``, whose rows are the
-``k_A``.  The range dimension of ``b`` and a pushforward verifier for
-measure-space morphisms round out the module.
+``k_A``.  The range dimension of ``b`` rounds out the module.
 
 Constructors (``build_T``, ``realize``) raise on a kernel they cannot realize;
 checks (``check_absolute_continuity``, ``check_realization``,
@@ -26,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .errors import (
     AbsoluteContinuityError,
     DomainError,
     InvalidBasisError,
-    InvalidMapError,
     NotPositiveError,
     VerificationError,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "coisometry_b_star",
     "onb_factorization",
     "b_range_dimension",
-    "verify_pushforward",
     "export_factorization",
     "write_factorization",
 ]
@@ -278,37 +275,6 @@ def b_range_dimension(factorization: Factorization) -> int:
     atoms.
     """
     return factorization.kernel.spectrum.rank
-
-
-def verify_pushforward(source: MeasureSpace, target: MeasureSpace, mapping: Mapping[int, int] | Sequence[int]) -> bool:
-    """Check that an atom map transports the source weights onto the target.
-
-    ``mapping`` sends every source atom index to a target atom index; the
-    check passes iff the pushed mass and the target weights have the same null
-    atoms and, on each target atom, agree within ``1e-12 * max w``.  Indices
-    are integers, not ``bool``.
-
-    Raises
-    ------
-    InvalidMapError
-        If some source atom is unmapped, an entry is for no source atom, or
-        a target index is not an integer or out of range.
-    """
-    entries = dict(mapping) if isinstance(mapping, Mapping) else dict(enumerate(mapping))
-    if unmapped := [atom for i, atom in enumerate(source.atoms) if i not in entries]:
-        raise InvalidMapError(f"source atom {unmapped[0]!r} is unmapped")
-    pushed = np.zeros(target.size)
-    for x, y in entries.items():
-        if not (_is_index(x, source.size) and _is_index(y, target.size)):
-            raise InvalidMapError(f"map entry {x!r}: {y!r} is not a source atom index below {source.size} "
-                                  f"sent to a target index below {target.size}")
-        pushed[y] += source.weights[x]
-    w = target.weight_array
-    return np.array_equal(pushed > 0, w > 0) and judge(float(np.abs(pushed - w).max()), float(w.max()), 1e-12).passed
-
-
-def _is_index(value: object, size: int) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < size
 
 
 def export_factorization(

@@ -12,7 +12,7 @@ size draws its normals from a new SFC64 seeded by
 ``SeedSequence(seed, spawn_key=(chunk index,))``, hashed for all of a call's
 chunks at once, and Monte Carlo reductions combine chunk partials in index
 order, so results are bit-identical for any worker count.  ``sample`` draws
-one normal per factor column; a moment check draws only the one or two
+one normal per factor column; a moment check draws only the at most two
 columns its pair of integrals spans, so its moments are not computed from
 the ``sample`` stream.  Each chunk of a moment check returns two unscaled
 sums of its draws' products, and their totals are scaled once.  Each call
@@ -214,7 +214,7 @@ def _moment_check(
     projected before it is drawn: from ``(n, d)`` normals ``z`` and the
     reduced QR ``[a b] = Q R``, ``d = R.shape[0] = min(rank, 2)``, it is
     ``(z . R[:, 0], z . R[:, -1])``; the isometry (``psi is phi``) takes
-    ``R = [[|a|]]`` and draws ``d = 1`` column.  ``R`` is upper triangular,
+    ``R = [[|a|]]``, of ``d = min(rank, 1)`` rows.  ``R`` is upper triangular,
     so a draw's product is ``c y`` for one number ``c``: ``y = z_0^2`` and
     ``c = R[0, 0] R[0, -1]`` at ``d = 1``, ``y = z_0 (z . R[:, -1])`` and
     ``c = R[0, 0]`` at ``d = 2``.  Each chunk returns its two sums of ``y``
@@ -235,7 +235,7 @@ def _moment_check(
     exact = fact.space.inner(fact.S @ phi.values(size), fact.S @ psi.values(size))
     a = sampler.factor.T @ alpha
     if psi is phi:
-        R = np.array([[np.linalg.norm(a)]])
+        R = np.full((min(len(a), 1), 1), np.linalg.norm(a))
     else:
         R = np.linalg.qr(np.column_stack([a, sampler.factor.T @ beta]), mode="r")
     d, r = len(R), R[:, -1].copy()  # contiguous, so that ``dot`` reaches BLAS

@@ -5,9 +5,13 @@ Everything takes an explicit numpy Generator so tests stay reproducible.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import yaml
+from click.testing import CliRunner
 
 from setkern import (
     MarkovChain,
@@ -18,6 +22,7 @@ from setkern import (
     SimpleFunction,
     operator_kernel,
 )
+from setkern.cli import main
 from setkern.field import CHUNK_SIZE
 
 
@@ -298,3 +303,15 @@ def enumerate_partitions(n: int) -> list[list[frozenset[int]]]:
 
     grow(0, [])
     return out
+
+
+def cli_outcome(tmp_path: Path, command: str, cfg: dict) -> tuple[int, list[dict]]:
+    """Exit code and the records of ``command`` on the config document ``cfg``, none on a config error."""
+    path, out = tmp_path / "cfg.yaml", tmp_path / "report.jsonl"
+    path.write_text(yaml.safe_dump(cfg))
+    out.unlink(missing_ok=True)
+    result = CliRunner().invoke(main, [command, "--config", str(path), "--out", str(out)],
+                                env={"SETKERN_OUT": str(tmp_path)})
+    if result.exit_code == 2:
+        return 2, []
+    return result.exit_code, [json.loads(line) for line in out.read_text().splitlines()[1:]]

@@ -865,6 +865,19 @@ def test_no_malformed_config_escapes_as_another_error(runner, tmp_path, text, to
         assert f"config error: {message}" in result.output, command
 
 
+@pytest.mark.parametrize("checks, message", [
+    ("[yes, [symmetry], 3]", "True"), ("[symmetry, [symmetry]]", "['symmetry']"), ("[symmetry, 3]", "3"),
+])
+def test_a_check_that_is_not_a_string_is_a_config_error_without_check_names(tmp_path, checks, message):
+    # the library's call names no checks: these loaded as (True, ['symmetry'], 3) and the like, and ran no check
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(WIENER_SPACE + f"kernel: {{type: wiener}}\nchecks: {checks}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"checks: unknown check {message}")):
+        load_config(cfg)
+    cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\nchecks: [symmetry, any-name]\n")
+    assert load_config(cfg).checks == ("symmetry", "any-name")
+
+
 @pytest.mark.parametrize("text, args, line, cause", [
     (WIENER_SPACE + "kernel: {type: wiener}\n", ["--tol", "gram-psd"], "--tol expects NAME=VALUE, got 'gram-psd'", None),
     (WIENER_SPACE + "kernel: {type: operator}\n", [], "kernel.type operator requires kernel.matrix", None),

@@ -1,7 +1,6 @@
 """Realization engine: densities, operator assembly, square roots, isometries."""
 
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from setkern import (
     DomainError,
     Factorization,
     InvalidBasisError,
-    InvalidMapError,
     MarkovChain,
     MeasurableSet,
     MeasureSpace,
@@ -38,7 +36,6 @@ from setkern import (
     rank_one_kernel,
     realize,
     reverse_direction,
-    verify_pushforward,
     wiener_kernel,
     write_factorization,
 )
@@ -634,55 +631,6 @@ def test_kernel_spectrum_is_read_only_and_computed_once(monkeypatch):
         assert not array.flags.writeable
     with pytest.raises(AttributeError):
         spectrum.values = np.zeros(5)
-
-
-# ---------------------------------------------------------------------------
-# pushforward verifier
-
-
-def test_identity_pushforward(space):
-    assert verify_pushforward(space, space, {0: 0, 1: 1, 2: 2})
-
-
-def test_mass_aggregation_pushforward():
-    src = MeasureSpace(("u", "v"), (0.5, 0.5))
-    dst = MeasureSpace(("w",), (1.0,))
-    assert verify_pushforward(src, dst, [0, 0])
-
-
-def test_mass_mismatch_pushforward():
-    src = MeasureSpace(("u", "v"), (1.0, 1.0))
-    dst = MeasureSpace(("w", "z"), (1.0, 2.0))
-    assert not verify_pushforward(src, dst, [0, 1])
-
-
-def test_pushforward_that_leaves_a_positive_atom_null_fails():
-    # the mismatch 1e-7 is below 1e-12 * max w = 1e-6, but the image charges no mass to "z"
-    src = MeasureSpace(("u", "v"), (1e6, 1e-7))
-    dst = MeasureSpace(("w", "z"), (1e6, 1e-7))
-    assert verify_pushforward(src, dst, [0, 1])
-    assert not verify_pushforward(src, dst, [0, 0])
-
-
-def test_unmapped_atom_is_an_error(space):
-    with pytest.raises(InvalidMapError):
-        verify_pushforward(space, space, {0: 0, 1: 1})
-
-
-def test_bad_target_is_an_error(space):
-    with pytest.raises(InvalidMapError):
-        verify_pushforward(space, space, [0, 1, 9])
-
-
-@pytest.mark.parametrize("mapping, entry", [
-    ([0, 1.9], "1: 1.9"), ([0, True], "1: True"), ({0: 0, 1: 1.5}, "1: 1.5"), ([0, 1, 5], "2: 5"),
-    ({0: 0, 1: 1, 2.0: 1}, "2.0: 1"), ({0: 0, 1: 1, -1: 0}, "-1: 0"),
-])
-def test_an_entry_that_is_not_a_map_of_atom_indices_is_an_error(mapping, entry):
-    # each of these was read as [0, 1] and passed; [0, 1, 5] dropped the image of a third atom that does not exist
-    space = MeasureSpace(("u", "v"), (1.0, 2.0))
-    with pytest.raises(InvalidMapError, match=f"map entry {re.escape(entry)} "):
-        verify_pushforward(space, space, mapping)
 
 
 # ---------------------------------------------------------------------------

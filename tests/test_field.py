@@ -692,6 +692,21 @@ def test_a_sampler_of_rank_at_most_one_draws_its_rank_for_the_cross_moment(weigh
     assert res.within(5.0)
 
 
+def test_a_sampler_of_rank_zero_draws_no_normals(monkeypatch):
+    # the isometry drew n normals for the factor [[|a|]] of an empty a, and recorded them
+    sp = MeasureSpace(("a", "b"), (1.0, 1.0))
+    kernel = operator_kernel(sp, np.zeros((2, 2)))
+    fact = realize(kernel)
+    phi, psi = SimpleFunction(((1.0, sp.subset("a")),)), SimpleFunction(((1.0, sp.subset("b")),))
+    widths = _record_widths(monkeypatch)
+    results = [ito_isometry_check(kernel, fact, phi, 200000, seed=29),
+               cross_moment_check(kernel, fact, phi, psi, 200000, seed=29)]
+    assert widths == [0, 0]
+    for res in results:
+        assert (res.estimate, res.std_error, res.exact, res.normals) == (0.0, 0.0, 0.0, 0)
+        assert res.within(5.0)
+
+
 def test_an_error_on_a_helper_chunk_is_raised_by_the_call():
     def work(start, z):
         if start == CHUNK_SIZE:  # chunk 1 runs on the first helper

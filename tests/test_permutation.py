@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
-from setkern.cli import COMMANDS, main
+from setkern.cli import COMMANDS
+from support import cli_outcome
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -38,18 +38,6 @@ def _reversed(cfg: dict) -> dict:
     return cfg
 
 
-def _outcome(tmp_path: Path, command: str, cfg: dict) -> tuple[int, list[dict]]:
-    """Exit code and the records of ``command`` on ``cfg``."""
-    path, out = tmp_path / "cfg.yaml", tmp_path / "report.jsonl"
-    path.write_text(yaml.safe_dump(cfg))
-    out.unlink(missing_ok=True)
-    result = CliRunner().invoke(main, [command, "--config", str(path), "--out", str(out)],
-                                env={"SETKERN_OUT": str(tmp_path)})
-    if result.exit_code == 2:
-        return 2, []
-    return result.exit_code, [json.loads(line) for line in out.read_text().splitlines()[1:]]
-
-
 def _close(new, old) -> bool:
     if old is None or new is None:
         return old is new
@@ -62,7 +50,7 @@ def test_reversing_the_atoms_keeps_every_verdict(tmp_path, config, command):
     cfg = yaml.safe_load(config.read_text())
     moved = _reversed(cfg)
     assert moved["space"]["atoms"] != cfg["space"]["atoms"]
-    (code, records), (moved_code, moved_records) = _outcome(tmp_path, command, cfg), _outcome(tmp_path, command, moved)
+    (code, records), (moved_code, moved_records) = cli_outcome(tmp_path, command, cfg), cli_outcome(tmp_path, command, moved)
     assert moved_code == code
     assert [(r["check"], r["status"]) for r in moved_records] == [(r["check"], r["status"]) for r in records]
     for new, old in zip(moved_records, records):
