@@ -15,13 +15,15 @@ order, so results are bit-identical for any worker count.  ``sample`` draws
 one normal per factor column; a moment check draws only the at most two
 columns its pair of integrals spans, so its moments are not computed from
 the ``sample`` stream.  Each chunk of a moment check returns two unscaled
-sums of its draws' products, and their totals are scaled once.  Each call
-joins the helper threads it starts.
+sums of its draws' products, and their totals are scaled once.  The threads
+of a call claim its chunks from one shared counter, not by a fixed stride,
+and each call waits for every helper to finish its last chunk.
 """
 
 from __future__ import annotations
 
-import threading
+import _thread
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -76,11 +78,19 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
     that sequence's state words, row ``i`` of ``_chunk_keys``.  The entropy
     ``[seed, i]`` would not do: ``SeedSequence`` drops its trailing zero words,
     so seed ``s + t * 2**32`` chunk 0 would replay seed ``s`` chunk ``t``.
-    ``z`` is a per-thread buffer that is overwritten by the next chunk.  With
-    ``threads = min(workers, chunks)``, chunk ``i`` runs on thread
-    ``i % threads``: thread 0 is the caller, and the others are ``setkern-mc``
-    helpers that the call starts and joins.  The first error any of them
-    raised is raised again by the call.
+    ``z`` is a per-thread buffer that is overwritten by the next chunk.  The
+    caller and ``threads - 1`` helpers, ``threads = min(workers, chunks)``,
+    each claim the next chunk index from one ``itertools.count().__next__``,
+    which is atomic under the GIL, until the indices run out; chunk ``i``
+    writes ``results[i]`` whichever thread claims it.  The caller starts each
+    helper before its own first claim, with ``_thread.start_new_thread``,
+    which does not wait for the helper to run; the helper releases its latch,
+    a ``threading.Lock`` that the caller acquired before the start, in its
+    ``finally``.  ``workers=1`` runs the same loop with no helper.  The call
+    waits for every helper to finish its last chunk before it returns or
+    raises.  Once any thread records an error, or the caller an interrupt
+    while it waits, no thread claims another chunk, and the first error
+    recorded is raised again by the call.
     """
     starts = range(0, n, CHUNK_SIZE)
     results = [None] * len(starts)
@@ -95,23 +105,32 @@ def _each_chunk(seed: int, n: int, width: int, work: Callable[[int, np.ndarray],
 
     threads = max(min(require_integer(workers, "workers", DomainError, least=1), len(starts)), 1)
     errors: list[BaseException] = []
+    claim = itertools.count().__next__
+    latches: list[_thread.LockType] = []
 
-    def run(first: int) -> None:
+    def run(helpers: int, release: Callable[[], object] = lambda: None) -> None:
         try:
+            for _ in range(helpers):
+                (latch := _thread.allocate_lock()).acquire()
+                _thread.start_new_thread(run, (0, latch.release))
+                latches.append(latch)
             buf = np.empty((min(n, CHUNK_SIZE), width))
-            for i in range(first, len(starts), threads):
+            while not errors and (i := claim()) < len(starts):
                 z = buf[: min(CHUNK_SIZE, n - starts[i])]
                 np.random.Generator(np.random.SFC64(Key(i))).standard_normal(out=z)
                 results[i] = work(starts[i], z)
-        except BaseException as e:  # raised by the caller once every helper has been joined
+        except BaseException as e:  # a failed chunk or start: no thread claims another chunk, and the caller raises it
             errors.append(e)
+        finally:
+            release()
 
-    helpers = [threading.Thread(target=run, args=(first,), name="setkern-mc") for first in range(1, threads)]
-    for t in helpers:
-        t.start()
-    run(0)
-    for t in helpers:
-        t.join()
+    run(threads - 1)
+    while latches:
+        try:
+            with latches[-1]:  # released again if an interrupt lands right after the acquire, so the retry cannot hang
+                latches.pop()
+        except BaseException as e:  # an interrupt while the caller waits stops the claims as a failed chunk does
+            errors.append(e)
     if errors:
         raise errors[0]
     return results

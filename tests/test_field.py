@@ -1,13 +1,17 @@
 """Gaussian field sampling, stochastic-integral moments, projection sweeps."""
 
+import _thread
 import dataclasses
 import os
 import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import setkern.field
 from setkern import (
@@ -437,12 +441,24 @@ def test_a_null_atom_leaves_the_sweep_unchanged(kind):
 # the chunk engine: stream, folded reduction, helper threads, bad counts
 
 
-def _mc_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("setkern-mc")]
+def _helpers_exit(baseline):
+    """Whether the running thread count, ``_thread._count()``, is back at ``baseline`` within 1 s."""
+    deadline = time.monotonic() + 1.0
+    while _thread._count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return _thread._count() == baseline
 
 
-def _thread_of_chunk(start, z):
-    return threading.current_thread()
+def _sleeping_on_the_caller(work, seconds=0.001):
+    """``work``, sleeping ``seconds`` first on the calling thread's chunks, so that helpers claim most of them."""
+    caller = threading.get_ident()
+
+    def slowed(start, z):
+        if threading.get_ident() == caller:
+            time.sleep(seconds)
+        return work(start, z)
+
+    return slowed
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -603,34 +619,166 @@ def test_a_moment_result_holds_python_numbers(case, width, monkeypatch):
 
 
 @pytest.mark.parametrize("workers, n", [(1, 50000), (2, 50000), (3, 50000), (64, 20000)])
-def test_each_call_runs_its_chunks_on_its_own_threads(workers, n):
-    # a shared pool could hand both strides of a two-worker call to one idle thread
+def test_a_call_starts_at_most_one_helper_per_worker_past_the_caller(workers, n, monkeypatch):
     chunks = -(-n // CHUNK_SIZE)
-    caller = threading.current_thread()
-    for _ in range(300):
-        ran = setkern.field._each_chunk(0, n, 1, _thread_of_chunk, workers)
-        # Thread objects, not idents: an ident is reused once a helper exits
-        assert len(set(ran)) == min(workers, chunks)
-        assert ran[0] is caller
-        assert _mc_threads() == []
+    started = []
+    start = _thread.start_new_thread
+
+    def counting(function, args):
+        started.append(function)
+        return start(function, args)
+
+    def copy(start, z):
+        return z.copy()
+
+    expected = setkern.field._each_chunk(5, n, 2, copy, 1)
+    monkeypatch.setattr(_thread, "start_new_thread", counting)
+    for _ in range(20):
+        started.clear()
+        draws = setkern.field._each_chunk(5, n, 2, _sleeping_on_the_caller(copy), workers)
+        assert len(started) <= min(workers, chunks) - 1
+        assert all(np.array_equal(a, b) for a, b in zip(draws, expected, strict=True))
 
 
-def test_threads_are_capped_at_the_chunk_count(space, monkeypatch):
-    ran = set()
+def test_no_thread_but_the_caller_runs_chunks_of_two_calls():
+    # a pool would hand the second call's chunks to threads that ran the first call's
+    local, caller = threading.local(), threading.get_ident()
+    shared, on_helpers = [], []
+
+    def chunk_of(call):
+        def work(start, z):
+            calls = local.__dict__.setdefault("calls", set())
+            calls.add(call)
+            if threading.get_ident() != caller:
+                on_helpers.append(start)
+                if len(calls) > 1:
+                    shared.append(start)
+
+        return work
+
+    for _ in range(10):
+        for call in (1, 2):
+            setkern.field._each_chunk(0, 8 * CHUNK_SIZE, 1, _sleeping_on_the_caller(chunk_of(call)), 3)
+    assert on_helpers and shared == []
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_no_work_runs_after_the_call_returns_and_its_helpers_exit(workers):
+    baseline = _thread._count()
+    returned, late = threading.Event(), []
+
+    def work(start, z):
+        time.sleep(0.002)  # every thread is still in a chunk when the last index is claimed
+        if returned.is_set():
+            late.append(start)
+
+    for _ in range(5):
+        setkern.field._each_chunk(0, 12 * CHUNK_SIZE, 1, work, workers)
+        returned.set()
+        time.sleep(0.01)
+        returned.clear()
+        assert late == []
+        assert _helpers_exit(baseline)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_error_in_a_chunk_stops_every_thread_claiming(workers):
+    # the stride kept drawing and reducing 14 of 25 chunks at workers=2 and 18 at workers=3, but 2 at workers=1
+    baseline = _thread._count()
+    ran = []
+
+    def work(start, z):
+        ran.append(start // CHUNK_SIZE)
+        if start == CHUNK_SIZE:
+            raise ValueError("chunk 1 failed")
+        time.sleep(0.005)  # the thread that drew chunk 1 records its error before this one claims again
+
+    with pytest.raises(ValueError, match="chunk 1 failed"):
+        setkern.field._each_chunk(0, 25 * CHUNK_SIZE, 1, work, workers)
+    assert 1 in ran
+    assert len([i for i in ran if i > 1]) <= workers
+    assert _helpers_exit(baseline)
+
+
+def test_an_interrupt_stops_the_claims_and_is_raised_once_the_chunks_in_flight_are_done():
+    # the caller recorded the interrupt and stopped, while the helper drew the rest of its stride
+    baseline = _thread._count()
+    caller = threading.get_ident()
+    fired, ran, returned = threading.Event(), [], threading.Event()
+
+    def work(start, z):
+        ran.append((start, fired.is_set(), returned.is_set()))
+        if threading.get_ident() == caller:
+            time.sleep(0.005)
+        elif not fired.is_set():
+            fired.set()
+            _thread.interrupt_main()
+            time.sleep(0.05)  # the caller takes the interrupt while this chunk is in flight
+
+    with pytest.raises(KeyboardInterrupt):
+        setkern.field._each_chunk(0, 25 * CHUNK_SIZE, 1, work, 2)
+    returned.set()
+    assert fired.is_set()
+    assert len([start for start, after, _ in ran if after]) <= 2
+    assert _helpers_exit(baseline)
+    assert not any(late for _, _, late in ran)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+def test_an_interrupt_while_the_caller_waits_is_raised_once_the_helpers_are_done():
+    # the caller raised it from join, while both helpers still drew; a real signal interrupts the caller's wait
+    baseline = _thread._count()
+    caller = threading.get_ident()
+    fired, returned, late = threading.Event(), threading.Event(), []
+
+    def work(start, z):
+        if threading.get_ident() == caller:
+            return time.sleep(0.01)
+        if not fired.is_set():
+            fired.set()
+            time.sleep(0.05)  # by now the caller has run out of chunks and waits on a latch
+            signal.pthread_kill(caller, signal.SIGINT)
+        time.sleep(0.2)
+        if returned.is_set():
+            late.append(start)
+
+    with pytest.raises(KeyboardInterrupt):
+        setkern.field._each_chunk(0, 3 * CHUNK_SIZE, 1, work, 3)
+    returned.set()
+    assert fired.is_set()
+    assert _helpers_exit(baseline)
+    assert late == []
+
+
+_SPACE = MeasureSpace(("a", "b", "c"), (1.0, 2.0, 0.5))
+_FACT = realize(wiener_kernel(_SPACE))
+_PHI = SimpleFunction(((1.0, _SPACE.subset("a")), (-2.0, _SPACE.subset("b", "c"))))
+_PSI = SimpleFunction(((0.5, _SPACE.subset("a", "b")),))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 7]), st.integers(0, 2**64 - 1))
+def test_results_are_bit_identical_under_any_claim_order(n, seed):
+    # the caller sleeps on its chunks, so the helpers claim chunks in orders a fixed stride never gave them
+    kernel = _FACT.kernel
+    family = [_SPACE.subset("a"), _SPACE.subset("b", "c"), _SPACE.subset("a", "b")]
     each_chunk = setkern.field._each_chunk
 
-    def recording(seed, n, rank, work, workers):
-        def traced(start, z):
-            ran.add(threading.current_thread())
-            return work(start, z)
+    def runs(workers):
+        sampler = build_sampler(kernel, family, seed)
+        iso = ito_isometry_check(kernel, _FACT, _PHI, n, seed=seed, workers=workers)
+        cross = cross_moment_check(kernel, _FACT, _PHI, _PSI, n, seed=seed, workers=workers)
+        return sampler.sample(n, workers=workers).tobytes(), repr(iso), repr(cross)  # repr tells -0.0 from 0.0
 
-        return each_chunk(seed, n, rank, traced, workers)
-
-    monkeypatch.setattr(setkern.field, "_each_chunk", recording)
-    sampler = build_sampler(wiener_kernel(space), [space.subset("a")], seed=0)
-    draws = sampler.sample(20000, workers=64)  # 3 chunks
-    assert len(ran) == 3
-    assert np.array_equal(draws, sampler.sample(20000))
+    expected = runs(1)
+    setkern.field._each_chunk = lambda seed, n, width, work, workers: each_chunk(
+        seed, n, width, _sleeping_on_the_caller(work), workers
+    )
+    try:
+        for workers in (2, 3, 8):
+            assert runs(workers) == expected
+    finally:
+        setkern.field._each_chunk = each_chunk
 
 
 def _record_widths(monkeypatch) -> list[int]:
@@ -708,14 +856,16 @@ def test_a_sampler_of_rank_zero_draws_no_normals(monkeypatch):
 
 
 def test_an_error_on_a_helper_chunk_is_raised_by_the_call():
-    def work(start, z):
-        if start == CHUNK_SIZE:  # chunk 1 runs on the first helper
-            raise ValueError("chunk 1 failed")
-        return threading.current_thread()
+    caller = threading.get_ident()
 
-    with pytest.raises(ValueError, match="chunk 1 failed"):
-        setkern.field._each_chunk(0, 3 * CHUNK_SIZE, 1, work, 3)
-    assert _mc_threads() == []
+    def work(start, z):
+        if threading.get_ident() != caller:
+            raise ValueError("a helper's chunk failed")
+
+    baseline = _thread._count()
+    with pytest.raises(ValueError, match="a helper's chunk failed"):
+        setkern.field._each_chunk(0, 8 * CHUNK_SIZE, 1, _sleeping_on_the_caller(work, 0.005), 3)
+    assert _helpers_exit(baseline)
 
 
 @pytest.mark.parametrize("n", [-5, 0, 2.5])
@@ -763,7 +913,7 @@ def test_worker_count_must_be_positive(space, workers):
         ito_isometry_check(kernel, fact, phi, 10, seed=0, workers=workers)
 
 
-def test_concurrent_callers_growing_the_pool_get_the_serial_results(space):
+def test_concurrent_callers_get_the_serial_results(space):
     family = [space.subset("a"), space.subset("b", "c")]
     sampler = build_sampler(wiener_kernel(space), family, seed=31)
     n = 4 * CHUNK_SIZE + 3
@@ -795,7 +945,7 @@ def test_concurrent_callers_growing_the_pool_get_the_serial_results(space):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_a_forked_child_starts_its_own_pool(space):
+def test_a_forked_child_starts_its_own_helpers(space):
     # a forked child inherits none of its parent's threads; its threaded calls start their own
     sampler = build_sampler(wiener_kernel(space), [space.subset("a"), space.subset("b")], seed=1)
     expected = sampler.sample(20000, workers=2)
