@@ -7,6 +7,12 @@ every command decides before its first check, the kernel included.
 Reports are byte-deterministic for fixed (config, seed), including across
 ``--workers`` settings, and only the Monte Carlo rows read the seed; pass
 ``--timings`` to record each row's own runtime at the cost of that determinism.
+Each output (the report, the ``--csv`` table and the ``factorize`` export) is
+its flag's path or its default name in ``SETKERN_OUT``.  Its directory is made
+before the first check, and its file is written after the last.  A directory
+that cannot be made, a file that cannot be written and two outputs at one
+file are config errors that name the flag (``SETKERN_OUT`` for a default
+path); the report is written last, so a command that exits 2 leaves none.
 
 Every check is one row of ``SUITES``: its name, report tag and tolerance key
 (a name of ``config.TOLERANCES``; ``load_config`` resolves each one from its
@@ -46,7 +52,7 @@ import numpy as np
 from . import factorization, field, kernels, markov
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, SetKernError
-from .linalg import Verdict, judge
+from .linalg import Verdict, echo, judge
 from .measure import MeasurableSet
 from .report import CheckRecord, RunReport
 
@@ -263,53 +269,71 @@ COMMANDS = (
 
 
 def _run(name, suites, config_path, out_path, csv_path, tol_overrides, timings, export_path=None, **flags):
-    """Load and vet the config and ``flags``, the text of ``--seed``, ``--samples`` and ``--workers``, run the
-    command's suites, write the report and exit with its verdict."""
-    def output(path: str | None, default: str) -> Path:  # the one rule for the report, CSV table and export
-        out = Path(path) if path else Path(os.environ.get("SETKERN_OUT", ".")) / default
-        out.parent.mkdir(parents=True, exist_ok=True)
-        return out
-
+    """Load and vet the config, ``flags`` (the text of ``--seed``, ``--samples`` and ``--workers``) and the output
+    paths, run the command's suites, write the outputs and exit with the report's verdict."""
     try:
         cfg = load_config(config_path, tol_overrides, command=name, flags=flags, check_names=CHECKS)
+        outputs = _outputs(name, out_path, csv_path, export_path)
         report = RunReport(name, cfg.seed, cfg.samples, cfg.tolerances)
         run = Run(cfg, report)
         for suite in suites:
             applies, checks = SUITES[suite]
             if applies(run):
                 _run_checks(run, checks, timings)
+        lines = [*report.summary_lines(), f"report written to {outputs['--out'][1]}"]
         if name == "factorize" and run.realized():
-            export = output(export_path, "factorization.json")
-            factorization.write_factorization(run.fact, export, family=cfg.family)
-            click.echo(f"factorization written to {export}")
+            _write(outputs["--export"], partial(factorization.write_factorization, run.fact, family=cfg.family))
+            lines.insert(0, f"factorization written to {outputs['--export'][1]}")
+        if csv_path:
+            _write(outputs["--csv"], report.write_csv)
+        _write(outputs["--out"], report.write_jsonl)  # last, so that a command that exits 2 leaves no report
     except ConfigError as e:
         click.echo(f"config error: {e}", err=True)
         sys.exit(2)
-    out = output(out_path, f"{name}-report.jsonl")
-    report.write_jsonl(out)
-    if csv_path:
-        report.write_csv(output(csv_path, f"{name}-report.csv"))
-    for line in report.summary_lines():
+    for line in lines:
         click.echo(line)
-    click.echo(f"report written to {out}")
     # A run that recorded no check has shown nothing, so it does not pass.
     sys.exit(0 if report.records and report.all_passed else 1)
 
 
+def _outputs(name: str, out_path, csv_path, export_path) -> dict[str, tuple[str, Path]]:
+    """Each output the command writes, by flag: the name its path comes from, and the path, the flag's own or the
+    default name under ``SETKERN_OUT``.  Every directory is made now, and no file; two outputs at one file are a
+    config error."""
+    outputs, files = {}, {}
+    for flag, path, default in (("--out", out_path, f"{name}-report.jsonl"), ("--csv", csv_path, None),
+                                ("--export", export_path, "factorization.json" if name == "factorize" else None)):
+        if path or default:
+            source, out = (flag, Path(path)) if path else ("SETKERN_OUT", Path(os.environ.get("SETKERN_OUT", ".")) / default)
+            _write((source, out), lambda p: p.parent.mkdir(parents=True, exist_ok=True))
+            if (other := files.setdefault(out.resolve(), source)) != source:
+                raise ConfigError(f"{other} and {source} name one file {echo(str(out))}")
+            outputs[flag] = source, out
+    return outputs
+
+
+def _write(output: tuple[str, Path], write: Callable[[Path], object]) -> None:
+    """``write(path)`` for an output ``(source, path)``; an ``OSError`` is a config error naming the source."""
+    source, path = output
+    try:
+        write(path)
+    except OSError as e:
+        raise ConfigError(f"{source}: cannot write {echo(str(path))}: {e.strerror or e}") from e
+
+
 def _options(name: str) -> list[click.Option]:
-    path = click.Path(dir_okay=False)
     options = [
-        click.Option(["--config", "config_path"], required=True, type=path),
+        click.Option(["--config", "config_path"], required=True, metavar="FILE"),
         click.Option(["--seed"], metavar="INTEGER", help="Override mc.seed, in [0, 2**64)."),
         click.Option(["--samples"], metavar="INTEGER", help="Override mc.samples, in [1, 2**40)."),
-        click.Option(["--out", "out_path"], type=path, default=None, help="Report JSONL path."),
-        click.Option(["--csv", "csv_path"], type=path, default=None, help="Also write a CSV table."),
+        click.Option(["--out", "out_path"], metavar="FILE", help="Report JSONL path."),
+        click.Option(["--csv", "csv_path"], metavar="FILE", help="Also write a CSV table."),
         click.Option(["--tol", "tol_overrides"], multiple=True, metavar="NAME=VALUE", help="Override a tolerance (repeatable)."),
         click.Option(["--workers"], metavar="INTEGER", default="1", show_default=True, help="Worker threads for sampling, at least 1."),
         click.Option(["--timings"], is_flag=True, help="Record per-check runtimes (breaks byte-determinism)."),
     ]
     if name == "factorize":
-        options.append(click.Option(["--export", "export_path"], type=path, default=None, help="Factorization export path (JSON)."))
+        options.append(click.Option(["--export", "export_path"], metavar="FILE", help="Factorization export path (JSON)."))
     return options
 
 

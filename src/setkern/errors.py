@@ -16,7 +16,12 @@ class InvalidSetError(SetKernError):
 
 
 class DomainError(SetKernError):
-    """Objects from different measure spaces were mixed, or a partition is invalid."""
+    """Input outside what the library accepts.
+
+    Objects from different measure spaces were mixed; a measure space or partition is invalid; a sample count,
+    seed or worker count is outside its integer range; an atom vector or coefficient array has the wrong shape;
+    or a weight or coefficient is outside the float domain.
+    """
 
 
 class InvalidOperatorError(SetKernError):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -305,13 +306,61 @@ def enumerate_partitions(n: int) -> list[list[frozenset[int]]]:
     return out
 
 
-def cli_outcome(tmp_path: Path, command: str, cfg: dict) -> tuple[int, list[dict]]:
-    """Exit code and the records of ``command`` on the config document ``cfg``, none on a config error."""
-    path, out = tmp_path / "cfg.yaml", tmp_path / "report.jsonl"
-    path.write_text(yaml.safe_dump(cfg))
-    out.unlink(missing_ok=True)
-    result = CliRunner().invoke(main, [command, "--config", str(path), "--out", str(out)],
-                                env={"SETKERN_OUT": str(tmp_path)})
+class CliOutcome(NamedTuple):
+    """One CLI call: its exit code, its output lines (stdout and stderr), and its report's meta record and rows.
+
+    A call that exits 2 has no report: ``meta`` is ``None`` and ``rows`` is empty.
+    """
+
+    code: int
+    lines: list[str]
+    meta: dict | None
+    rows: list[dict]
+
+    @property
+    def by_check(self) -> dict[str, dict]:
+        return {r["check"]: r for r in self.rows}
+
+    @property
+    def statuses(self) -> list[tuple[str, str]]:
+        return [(r["check"], r["status"]) for r in self.rows]
+
+
+def cli_outcome(tmp_path: Path, command: str, config: dict | str | Path, *flags, env: dict | None = None,
+                expect: int | None = None) -> CliOutcome:
+    """Run ``setkern command`` in process on ``config`` with ``flags``, and assert the exit-code contract.
+
+    ``config`` is a config document, which is dumped, YAML text, or a config
+    file's path; a document or text is written to ``tmp_path / "cfg.yaml"``.
+    Each flag is passed as its ``str``.  ``SETKERN_OUT`` is ``tmp_path``
+    unless ``env`` sets it, and the report is read from ``--out`` when the
+    flags give it, else from the default path in ``SETKERN_OUT``; a report
+    left there by an earlier call is removed first.  ``expect`` is the exit
+    code the caller expects, if any.  Every call must keep the contract:
+
+    - the exit code is 0, 1 or 2, and no exception but ``SystemExit`` escaped;
+    - exit 2 is exactly one output line, starting ``config error: ``, and no report;
+    - exit 0 or 1 writes a report whose first record is the command's ``meta``;
+    - exit 0 holds exactly when the report has at least one row and every row passed.
+    """
+    if not isinstance(config, Path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(config if isinstance(config, str) else yaml.safe_dump(config))
+        config = path
+    env = {"SETKERN_OUT": str(tmp_path), **(env or {})}
+    argv = [command, "--config", str(config), *map(str, flags)]
+    report = Path(argv[argv.index("--out") + 1] if "--out" in argv else Path(env["SETKERN_OUT"]) / f"{command}-report.jsonl")
+    if report.is_file():
+        report.unlink()
+    result = CliRunner().invoke(main, argv, env=env)
+    lines = result.output.splitlines()
+    assert result.exception is None or isinstance(result.exception, SystemExit), (argv, repr(result.exception))
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert expect in (None, result.exit_code), (argv, result.exit_code, result.output)
     if result.exit_code == 2:
-        return 2, []
-    return result.exit_code, [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and not report.is_file(), (argv, lines)
+        return CliOutcome(2, lines, None, [])
+    first, *rows = map(json.loads, report.read_text().splitlines())
+    assert list(first) == ["meta"] and first["meta"]["command"] == command, (argv, first)
+    assert (result.exit_code == 0) == (bool(rows) and all(r["status"] == "pass" for r in rows)), (argv, result.exit_code, rows)
+    return CliOutcome(result.exit_code, lines, first["meta"], rows)

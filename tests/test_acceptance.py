@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from setkern import (
     AbsoluteContinuityError,
@@ -31,8 +30,8 @@ from setkern import (
     reverse_direction,
     wiener_kernel,
 )
-from setkern.cli import main
 from support import (
+    cli_outcome,
     random_conductance_chain,
     random_operator_kernel,
     random_refinement_chain,
@@ -284,29 +283,13 @@ def test_criterion_6_projection_monotonicity():
 
 
 def test_criterion_7_report_determinism(tmp_path):
-    runner = CliRunner()
-    env = {"SETKERN_OUT": str(tmp_path)}
     # two-state-green samples a Green kernel built from its chain, with one Monte Carlo row and no sweep
     for config in ("wiener", "two-state-green"):
         outs = []
         for name, workers in (("r1", 1), ("r2", 1), ("r3", 2), ("r4", 3)):
             out = tmp_path / f"{config}-{name}.jsonl"
-            result = runner.invoke(
-                main,
-                [
-                    "simulate",
-                    "--config",
-                    str(CONFIGS / f"{config}.yaml"),
-                    "--samples",
-                    "50000",
-                    "--out",
-                    str(out),
-                    "--workers",
-                    str(workers),
-                ],
-                env=env,
-            )
-            assert result.exit_code == 0, result.output
+            cli_outcome(tmp_path, "simulate", CONFIGS / f"{config}.yaml", "--samples", "50000", "--out", out, "--workers", workers,
+                        expect=0)
             outs.append(out.read_bytes())
         ok = outs[0] == outs[1] == outs[2] == outs[3]
         report(

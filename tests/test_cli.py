@@ -7,215 +7,127 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from setkern import (
     Factorization, MeasureSpace, SetKernel, check_series, counting_kernel, factorization, green, kernels, markov, realize,
 )
-from setkern.cli import CHECKS, COMMANDS, SUITES, Run, _adjoint, main
+from setkern.cli import CHECKS, COMMANDS, SUITES, Run, _adjoint
 from setkern.config import KERNEL_TYPES, SCHEMA, TOLERANCES, load_config
 from setkern.errors import ConfigError, InvalidChainError, InvalidOperatorError, SetKernError, VerificationError
-from setkern.linalg import DOMAIN_BITS, Verdict, selfadjoint_defect
+from setkern.linalg import DOMAIN_BITS, Verdict, echo, selfadjoint_defect
 from setkern.report import CheckRecord, RunReport
-from support import random_nu_psd_matrix, random_sets, random_space
+from support import cli_outcome, random_nu_psd_matrix, random_sets, random_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DOMAIN = f"outside the float domain: zero or in [2^-{DOMAIN_BITS}, 2^{DOMAIN_BITS}]"
 SIGNED_DOMAIN = f"outside the float domain: zero or of magnitude in [2^-{DOMAIN_BITS}, 2^{DOMAIN_BITS}]"
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, tmp_path, *args):
-    return runner.invoke(main, list(args), env={"SETKERN_OUT": str(tmp_path)})
-
-
-def read_records(path):
-    lines = Path(path).read_text().splitlines()
-    meta = json.loads(lines[0])["meta"]
-    records = [json.loads(l) for l in lines[1:]]
-    return meta, records
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 
 
-def test_validate_passes_on_wiener(runner, tmp_path):
-    out = tmp_path / "v.jsonl"
-    result = invoke(runner, tmp_path, "validate", "--config", str(CONFIGS / "wiener.yaml"), "--out", str(out))
-    assert result.exit_code == 0
-    meta, records = read_records(out)
-    assert meta["command"] == "validate"
-    assert all(r["status"] == "pass" for r in records)
-    assert {r["check"] for r in records} == {"symmetry", "gram-psd", "schwarz", "absolute-continuity"}
+def test_validate_passes_on_wiener(tmp_path):
+    run = cli_outcome(tmp_path, "validate", CONFIGS / "wiener.yaml", expect=0)
+    assert run.meta["command"] == "validate"
+    assert all(r["status"] == "pass" for r in run.rows)
+    assert set(run.by_check) == {"symmetry", "gram-psd", "schwarz", "absolute-continuity"}
 
 
-def test_counting_kernel_violation_is_reported(runner, tmp_path):
-    out = tmp_path / "c.jsonl"
-    result = invoke(
-        runner, tmp_path, "validate", "--config", str(CONFIGS / "counting-null-atom.yaml"), "--out", str(out)
-    )
-    assert result.exit_code == 1
-    _, records = read_records(out)
-    by_check = {r["check"]: r for r in records}
+def test_counting_kernel_violation_is_reported(tmp_path):
+    by_check = cli_outcome(tmp_path, "validate", CONFIGS / "counting-null-atom.yaml", expect=1).by_check
     assert by_check["absolute-continuity"]["status"] == "fail"
     assert by_check["absolute-continuity"]["value"] == 1.0
     assert by_check["gram-psd"]["status"] == "pass"
 
 
-def test_stochastic_chain_not_transient_in_report(runner, tmp_path):
-    out = tmp_path / "s.jsonl"
-    result = invoke(
-        runner, tmp_path, "validate", "--config", str(CONFIGS / "stochastic-chain.yaml"), "--out", str(out)
-    )
-    assert result.exit_code == 1
-    _, records = read_records(out)
-    by_check = {r["check"]: r for r in records}
+def test_stochastic_chain_not_transient_in_report(tmp_path):
+    by_check = cli_outcome(tmp_path, "validate", CONFIGS / "stochastic-chain.yaml", expect=1).by_check
     assert by_check["transience"]["status"] == "fail"
     assert by_check["transience"]["value"] == pytest.approx(1.0)
     assert by_check["detailed-balance"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("command", ["validate", "factorize", "markov-green"])
-def test_a_non_reversible_chain_on_a_subnormal_weight_is_a_config_error(runner, tmp_path, command):
+def test_a_non_reversible_chain_on_a_subnormal_weight_is_a_config_error(tmp_path, command):
     # P* = D^{-1} P^T D overflowed at w = 1e-320: numpy's warnings, and both rows recorded null;
     # then the rows read 1e160; now the weight is outside the float domain
     text = (CONFIGS / "stochastic-chain.yaml").read_text()
     assert "weights: [1.0, 1.0]" in text
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text.replace("weights: [1.0, 1.0]", "weights: [1.0e-320, 1.0]"))
-    result = invoke(runner, tmp_path, command, "--config", str(cfg))
-    assert result.exit_code == 2, result.output
-    assert result.output.splitlines() == [f"config error: space: weight of atom 'a' is 1e-320, {DOMAIN}"]
+    run = cli_outcome(tmp_path, command, text.replace("weights: [1.0, 1.0]", "weights: [1.0e-320, 1.0]"), expect=2)
+    assert run.lines == [f"config error: space: weight of atom 'a' is 1e-320, {DOMAIN}"]
     # at the least weight of the domain, both rows record the finite norm 2^(b/2)
-    cfg.write_text(text.replace("weights: [1.0, 1.0]", f"weights: [{2.0**-DOMAIN_BITS!r}, 1.0]"))
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 1, result.output
-    by_check = {r["check"]: r for r in read_records(out)[1]}
+    text = text.replace("weights: [1.0, 1.0]", f"weights: [{2.0**-DOMAIN_BITS!r}, 1.0]")
+    by_check = cli_outcome(tmp_path, command, text, expect=1).by_check
     for name in ("contractivity", "transience"):
         assert by_check[name]["status"] == "fail"
         assert by_check[name]["value"] == pytest.approx(2.0 ** (DOMAIN_BITS / 2), rel=1e-12)
 
 
-def test_missing_config_is_a_usage_error(runner, tmp_path):
-    result = invoke(runner, tmp_path, "validate", "--config", str(tmp_path / "nope.yaml"))
-    assert result.exit_code == 2
+def test_missing_config_is_a_usage_error(tmp_path):
+    cli_outcome(tmp_path, "validate", tmp_path / "nope.yaml", expect=2)
 
 
-def test_malformed_yaml_is_a_config_error(runner, tmp_path):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("space: [unclosed\n")
-    result = invoke(runner, tmp_path, "validate", "--config", str(bad))
-    assert result.exit_code == 2
+def test_malformed_yaml_is_a_config_error(tmp_path):
+    cli_outcome(tmp_path, "validate", "space: [unclosed\n", expect=2)
 
 
-def test_unordered_partitions_are_a_config_error(runner, tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(
+def test_unordered_partitions_are_a_config_error(tmp_path):
+    cli_outcome(tmp_path, "validate", (
         "space: {atoms: [a, b], weights: [1.0, 1.0]}\n"
         "kernel: {type: wiener}\n"
         "partitions:\n"
         "  - [[a], [b]]\n"
         "  - [[a, b]]\n"
-    )
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
-    assert result.exit_code == 2
+    ), expect=2)
 
 
-def test_the_refinement_error_names_the_failing_pair(runner, tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(
+def test_the_refinement_error_names_the_failing_pair(tmp_path):
+    [line] = cli_outcome(tmp_path, "validate", (
         "space: {atoms: [a, b, c], weights: [1.0, 2.0, 0.5]}\n"
         "kernel: {type: wiener}\n"
         "partitions:\n"
         "  - [[a, b, c]]\n"
         "  - [[a], [b, c]]\n"
         "  - [[a, b], [c]]\n"
-    )
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
-    assert result.exit_code == 2
-    assert "partitions[2] does not refine partitions[1]" in result.output
+    ), expect=2).lines
+    assert "partitions[2] does not refine partitions[1]" in line
 
 
-def test_simulate_requires_phi(runner, tmp_path):
-    result = invoke(runner, tmp_path, "simulate", "--config", str(CONFIGS / "rank-one.yaml"))
-    assert result.exit_code == 2
+def test_simulate_requires_phi(tmp_path):
+    cli_outcome(tmp_path, "simulate", CONFIGS / "rank-one.yaml", expect=2)
 
 
 # ---------------------------------------------------------------------------
 # factorize
 
 
-def test_factorize_wiener_exports_indicators(runner, tmp_path):
-    out = tmp_path / "f.jsonl"
+def test_factorize_wiener_exports_indicators(tmp_path):
     export = tmp_path / "fact.json"
-    result = invoke(
-        runner,
-        tmp_path,
-        "factorize",
-        "--config",
-        str(CONFIGS / "wiener.yaml"),
-        "--out",
-        str(out),
-        "--export",
-        str(export),
-    )
-    assert result.exit_code == 0
+    cli_outcome(tmp_path, "factorize", CONFIGS / "wiener.yaml", "--export", export, expect=0)
     data = json.loads(export.read_text())
     by_set = {tuple(e["set"]): e["vector"] for e in data["k"]}
     np.testing.assert_allclose(by_set[("a", "b")], [1.0, 1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(data["T"], np.eye(3), atol=1e-12)
 
 
-def test_factorize_rank_one_reports_unit_rank(runner, tmp_path):
-    out = tmp_path / "r.jsonl"
-    result = invoke(
-        runner, tmp_path, "factorize", "--config", str(CONFIGS / "rank-one.yaml"), "--out", str(out)
-    )
-    assert result.exit_code == 0
-    _, records = read_records(out)
-    by_check = {r["check"]: r for r in records}
+def test_factorize_rank_one_reports_unit_rank(tmp_path):
+    by_check = cli_outcome(tmp_path, "factorize", CONFIGS / "rank-one.yaml", expect=0).by_check
     assert by_check["range-rank"]["value"] == 1.0
     assert by_check["range-rank"]["status"] == "pass"
 
 
-def test_factorize_green_exports_fundamental_matrix(runner, tmp_path):
+def test_factorize_green_exports_fundamental_matrix(tmp_path):
     export = tmp_path / "green.json"
-    result = invoke(
-        runner,
-        tmp_path,
-        "factorize",
-        "--config",
-        str(CONFIGS / "two-state-green.yaml"),
-        "--export",
-        str(export),
-    )
-    assert result.exit_code == 0
+    cli_outcome(tmp_path, "factorize", CONFIGS / "two-state-green.yaml", "--export", export, expect=0)
     data = json.loads(export.read_text())
     expected = [[4.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 4.0 / 3.0]]
     np.testing.assert_allclose(data["T"], expected, atol=1e-12)
 
 
-def test_factorize_counting_kernel_fails_before_realizing(runner, tmp_path):
-    out = tmp_path / "c.jsonl"
-    result = invoke(
-        runner,
-        tmp_path,
-        "factorize",
-        "--config",
-        str(CONFIGS / "counting-null-atom.yaml"),
-        "--out",
-        str(out),
-    )
-    assert result.exit_code == 1
-    _, records = read_records(out)
-    checks = {r["check"] for r in records}
-    assert "realization" not in checks  # pipeline stops at validation
+def test_factorize_counting_kernel_fails_before_realizing(tmp_path):
+    run = cli_outcome(tmp_path, "factorize", CONFIGS / "counting-null-atom.yaml", expect=1)
+    assert "realization" not in run.by_check  # pipeline stops at validation
     assert not (tmp_path / "factorization.json").exists()  # and exports nothing
 
 
@@ -223,14 +135,8 @@ def test_factorize_counting_kernel_fails_before_realizing(runner, tmp_path):
 # markov-green
 
 
-def test_markov_green_two_state(runner, tmp_path):
-    out = tmp_path / "mg.jsonl"
-    result = invoke(
-        runner, tmp_path, "markov-green", "--config", str(CONFIGS / "two-state-green.yaml"), "--out", str(out)
-    )
-    assert result.exit_code == 0
-    _, records = read_records(out)
-    by_check = {r["check"]: r for r in records}
+def test_markov_green_two_state(tmp_path):
+    by_check = cli_outcome(tmp_path, "markov-green", CONFIGS / "two-state-green.yaml", expect=0).by_check
     assert by_check["transience"]["value"] == pytest.approx(0.5)
     assert by_check["green-identity"]["status"] == "pass"
     assert by_check["green-factor"]["status"] == "pass"
@@ -238,42 +144,33 @@ def test_markov_green_two_state(runner, tmp_path):
                               "series-solve", "green-psd", "green-factor"]
 
 
-def test_markov_green_requires_chain(runner, tmp_path):
-    result = invoke(runner, tmp_path, "markov-green", "--config", str(CONFIGS / "wiener.yaml"))
-    assert result.exit_code == 2
+def test_markov_green_requires_chain(tmp_path):
+    cli_outcome(tmp_path, "markov-green", CONFIGS / "wiener.yaml", expect=2)
 
 
 # ---------------------------------------------------------------------------
 # simulate and refine-sweep
 
 
-def test_simulate_passes_and_is_deterministic(runner, tmp_path):
+def test_simulate_passes_and_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
-    args = ["simulate", "--config", str(CONFIGS / "wiener.yaml"), "--samples", "20000"]
-    r1 = invoke(runner, tmp_path, *args, "--out", str(out1))
-    r2 = invoke(runner, tmp_path, *args, "--out", str(out2), "--workers", "4")
-    assert r1.exit_code == 0 and r2.exit_code == 0
+    run = cli_outcome(tmp_path, "simulate", CONFIGS / "wiener.yaml", "--samples", "20000", "--out", out1, expect=0)
+    cli_outcome(tmp_path, "simulate", CONFIGS / "wiener.yaml", "--samples", "20000", "--out", out2, "--workers", "4", expect=0)
     assert out1.read_bytes() == out2.read_bytes()
-    _, records = read_records(out1)
-    checks = {r["check"] for r in records}
-    assert {"ito-isometry", "cross-moment", "q-monotone", "q-bound", "q-attained"} <= checks
+    assert {"ito-isometry", "cross-moment", "q-monotone", "q-bound", "q-attained"} <= set(run.by_check)
 
 
-def test_simulate_seed_changes_report(runner, tmp_path):
+def test_simulate_seed_changes_report(tmp_path):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    args = ["simulate", "--config", str(CONFIGS / "wiener.yaml"), "--samples", "20000"]
-    invoke(runner, tmp_path, *args, "--out", str(out1), "--seed", "1")
-    invoke(runner, tmp_path, *args, "--out", str(out2), "--seed", "2")
+    for out, seed in ((out1, "1"), (out2, "2")):
+        cli_outcome(tmp_path, "simulate", CONFIGS / "wiener.yaml", "--samples", "20000", "--out", out, "--seed", seed)
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_monte_carlo_rows_carry_their_moments_and_normals(runner, tmp_path):
-    out, csv_path = tmp_path / "s.jsonl", tmp_path / "s.csv"
-    args = ["simulate", "--config", str(CONFIGS / "wiener.yaml"), "--samples", "20000"]
-    result = invoke(runner, tmp_path, *args, "--out", str(out), "--csv", str(csv_path))
-    assert result.exit_code == 0
-    _, records = read_records(out)
-    by_check = {r["check"]: r for r in records}
+def test_monte_carlo_rows_carry_their_moments_and_normals(tmp_path):
+    csv_path = tmp_path / "s.csv"
+    run = cli_outcome(tmp_path, "simulate", CONFIGS / "wiener.yaml", "--samples", "20000", "--csv", csv_path, expect=0)
+    by_check = run.by_check
     # phi on {a}, {b}: the isometry draws one column, the cross moment with psi on {a, b} two
     for check, width in (("ito-isometry", 1), ("cross-moment", 2)):
         detail = by_check[check]["detail"]
@@ -282,17 +179,14 @@ def test_monte_carlo_rows_carry_their_moments_and_normals(runner, tmp_path):
         sigmas = abs(detail["estimate"] - detail["exact"]) / detail["std_error"]
         assert by_check[check]["value"] == pytest.approx(sigmas, rel=1e-12)
     assert by_check["ito-isometry"]["detail"]["exact"] == pytest.approx(9.0, rel=1e-12)  # |phi|^2_w = 1 + 4 * 2
-    assert [r["check"] for r in records if "detail" in r] == ["ito-isometry", "cross-moment"]
+    assert [r["check"] for r in run.rows if "detail" in r] == ["ito-isometry", "cross-moment"]
     assert csv_path.read_text().splitlines()[0] == "check,tag,status,value,bound,runtime"
 
 
-def test_a_rank_one_monte_carlo_row_keeps_its_bytes_besides_the_detail(runner, tmp_path):
+def test_a_rank_one_monte_carlo_row_keeps_its_bytes_besides_the_detail(tmp_path):
     # two-state-green samples the one set {1}: its rank-one row, the detail aside, is the golden record to the byte
     golden = CONFIGS.parent / "tests" / "golden" / "two-state-green.simulate.jsonl"
-    out = tmp_path / "s.jsonl"
-    result = invoke(runner, tmp_path, "simulate", "--config", str(CONFIGS / "two-state-green.yaml"), "--out", str(out))
-    assert result.exit_code == 0
-    row = json.loads(out.read_text().splitlines()[-1])
+    row = cli_outcome(tmp_path, "simulate", CONFIGS / "two-state-green.yaml", expect=0).rows[-1]
     assert row["detail"]["normals"] == 200000
     del row["detail"]
     assert json.dumps(row, sort_keys=True) == golden.read_text().splitlines()[-1]
@@ -312,34 +206,23 @@ partitions:
 """
 
 
-def test_refine_sweep_records_levels(runner, tmp_path):
-    cfg = tmp_path / "cfg.yaml"
+def test_refine_sweep_records_levels(tmp_path):
     for text in ((CONFIGS / "wiener.yaml").read_text(), ILL_CONDITIONED):
-        cfg.write_text(text)
-        out = tmp_path / "q.jsonl"
-        result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
-        assert result.exit_code == 0, result.output
-        _, records = read_records(out)
-        by_check = {r["check"]: r for r in records}
+        run = cli_outcome(tmp_path, "refine-sweep", text, expect=0)
+        by_check = run.by_check
         assert by_check["q-level-0"]["value"] <= by_check["q-level-1"]["value"] + 1e-10
         assert by_check["q-level-1"]["value"] <= by_check["q-level-2"]["value"] + 1e-10
         assert list(by_check) == ["q-level-0", "q-level-1", "q-level-2", "q-monotone", "q-bound", "q-attained"]
-        assert all(r["status"] == "pass" for r in records), records
+        assert all(r["status"] == "pass" for r in run.rows), run.rows
 
 
-def test_refine_sweep_passes_for_phi_in_the_null_space_of_S(runner, tmp_path):
+def test_refine_sweep_passes_for_phi_in_the_null_space_of_S(tmp_path):
     # T = 1 w^T, so S phi = 0 for a mean-zero phi and every q_n is roundoff:
     # the q rows must bound that roundoff by |phi|^2_w lambda_max(T), not by |S phi|^2_w
-    cfg = tmp_path / "mean-zero.yaml"
-    cfg.write_text(CONFIGS.joinpath("rank-one.yaml").read_text() + (
+    by_check = cli_outcome(tmp_path, "refine-sweep", CONFIGS.joinpath("rank-one.yaml").read_text() + (
         "phi:\n  - [2.0, [a]]\n  - [-3.3333333333333335, [b]]\n"
         "partitions:\n  - [[a, b, c]]\n  - [[a], [b, c]]\n  - [[a], [b], [c]]\n"
-    ))
-    out = tmp_path / "q.jsonl"
-    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
-    _, records = read_records(out)
-    by_check = {r["check"]: r for r in records}
-    assert result.exit_code == 0, records
+    ), expect=0).by_check
     assert {by_check[c]["status"] for c in ("q-monotone", "q-bound", "q-attained")} == {"pass"}
     assert by_check["q-attained"]["bound"] > 1e-12
 
@@ -350,38 +233,27 @@ def test_refine_sweep_passes_for_phi_in_the_null_space_of_S(runner, tmp_path):
     # the values overflow at the null atom c, where the weight times inf is nan
     ("phi", "counting-null-atom", "family:", "phi: [[1.0e308, [c]], [1.0e308, [c]]]\nfamily:"),
 ], ids=["phi", "psi", "null-atom"])
-def test_an_integrand_whose_norm_overflows_is_a_config_error(runner, tmp_path, name, config, term, huge):
+def test_an_integrand_whose_norm_overflows_is_a_config_error(tmp_path, name, config, term, huge):
     # simulate printed numpy's overflow warning and exited 1, with every q-level row passing on a null value;
     # then |phi|^2_w was judged after the fact; now the coefficient is outside the float domain
     text = (CONFIGS / f"{config}.yaml").read_text()
     assert term in text
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text.replace(term, huge))
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, "simulate", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 2, result.output
-    assert result.output.splitlines() == [f"config error: {name}: term 0 coefficient is 1e+308, {SIGNED_DOMAIN}"]
-    assert not out.exists()
+    run = cli_outcome(tmp_path, "simulate", text.replace(term, huge), expect=2)
+    assert run.lines == [f"config error: {name}: term 0 coefficient is 1e+308, {SIGNED_DOMAIN}"]
 
 
-def test_a_projection_moment_past_the_float_range_is_a_config_error(runner, tmp_path):
+def test_a_projection_moment_past_the_float_range_is_a_config_error(tmp_path):
     # q = 1e310 overflowed to inf, and its q-level row passed with the value null; then it failed
     # its row, but numpy's overflow warnings from q and |S phi|^2_w reached stderr
     text = ("space: {atoms: [a, b], weights: [1.0, 1.0]}\n"
             "kernel: {type: operator, matrix: [[1.0e10, 0.0], [0.0, 1.0e10]]}\n"
             "phi: [[1.0e150, [a]]]\npartitions:\n  - [[a, b]]\n  - [[a], [b]]\n")
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text)
-    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg))
-    assert result.exit_code == 2
-    assert result.output.splitlines() == [f"config error: phi: term 0 coefficient is 1e+150, {SIGNED_DOMAIN}"]
+    run = cli_outcome(tmp_path, "refine-sweep", text, expect=2)
+    assert run.lines == [f"config error: phi: term 0 coefficient is 1e+150, {SIGNED_DOMAIN}"]
     # every input at the top of the domain: q = w M c^2 = 2^(4b) is finite, and every row passes on it
     top = f"{2.0**DOMAIN_BITS!r}"
-    cfg.write_text(text.replace("1.0e150", top).replace("1.0e10", top).replace("1.0, 1.0", f"{top}, {top}"))
-    out = tmp_path / "q.jsonl"
-    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 0, result.output
-    by_check = {r["check"]: r for r in read_records(out)[1]}
+    text = text.replace("1.0e150", top).replace("1.0e10", top).replace("1.0, 1.0", f"{top}, {top}")
+    by_check = cli_outcome(tmp_path, "refine-sweep", text, expect=0).by_check
     q = [by_check[f"q-level-{i}"]["value"] for i in (0, 1)]
     assert q == pytest.approx([2.0 ** (4 * DOMAIN_BITS) / 2, 2.0 ** (4 * DOMAIN_BITS)], rel=1e-12)
 
@@ -390,81 +262,79 @@ def test_a_projection_moment_past_the_float_range_is_a_config_error(runner, tmp_
 # flags and formats
 
 
-def test_tolerance_override_is_recorded_and_applied(runner, tmp_path):
-    out = tmp_path / "t.jsonl"
-    result = invoke(
-        runner,
-        tmp_path,
-        "factorize",
-        "--config",
-        str(CONFIGS / "rank-one.yaml"),
-        "--out",
-        str(out),
-        "--tol",
-        "isometry=1e-20",
-    )
-    assert result.exit_code == 1  # machine epsilon exceeds the absurd bound (the Wiener isometry row is exactly 0)
-    meta, records = read_records(out)
-    assert meta["tolerances"]["isometry"] == 1e-20
-    by_check = {r["check"]: r for r in records}
-    assert by_check["isometry"]["status"] == "fail"
+def test_tolerance_override_is_recorded_and_applied(tmp_path):
+    # machine epsilon exceeds the absurd bound (the Wiener isometry row is exactly 0)
+    run = cli_outcome(tmp_path, "factorize", CONFIGS / "rank-one.yaml", "--tol", "isometry=1e-20", expect=1)
+    assert run.meta["tolerances"]["isometry"] == 1e-20
+    assert run.by_check["isometry"]["status"] == "fail"
 
 
-def test_unknown_tolerance_is_rejected(runner, tmp_path):
-    result = invoke(
-        runner, tmp_path, "validate", "--config", str(CONFIGS / "wiener.yaml"), "--tol", "bogus=1"
-    )
-    assert result.exit_code == 2
+def test_unknown_tolerance_is_rejected(tmp_path):
+    cli_outcome(tmp_path, "validate", CONFIGS / "wiener.yaml", "--tol", "bogus=1", expect=2)
 
 
-def test_csv_table_is_written(runner, tmp_path):
-    out = tmp_path / "v.jsonl"
+def test_csv_table_is_written(tmp_path):
     csv_path = tmp_path / "v.csv"
-    invoke(
-        runner,
-        tmp_path,
-        "validate",
-        "--config",
-        str(CONFIGS / "wiener.yaml"),
-        "--out",
-        str(out),
-        "--csv",
-        str(csv_path),
-    )
+    cli_outcome(tmp_path, "validate", CONFIGS / "wiener.yaml", "--csv", csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "check,tag,status,value,bound,runtime"
     assert len(lines) == 5
 
 
-def test_every_output_file_gets_its_directory(runner, tmp_path):
+def test_every_output_file_gets_its_directory(tmp_path):
     # --csv into a missing directory wrote the report, then ended in FileNotFoundError with exit 1
     out, csv_path, export = tmp_path / "a" / "r.jsonl", tmp_path / "b" / "r.csv", tmp_path / "c" / "f.json"
-    result = invoke(runner, tmp_path, "factorize", "--config", str(CONFIGS / "wiener.yaml"),
-                    "--out", str(out), "--csv", str(csv_path), "--export", str(export))
-    assert result.exit_code == 0, result.output
+    cli_outcome(tmp_path, "factorize", CONFIGS / "wiener.yaml", "--out", out, "--csv", csv_path, "--export", export, expect=0)
     assert out.exists() and export.exists()
     assert csv_path.read_text().splitlines()[0] == "check,tag,status,value,bound,runtime"
 
 
-def test_timings_flag_populates_runtime(runner, tmp_path):
-    out = tmp_path / "v.jsonl"
-    invoke(
-        runner,
-        tmp_path,
-        "validate",
-        "--config",
-        str(CONFIGS / "wiener.yaml"),
-        "--out",
-        str(out),
-        "--timings",
-    )
-    _, records = read_records(out)
-    assert all(isinstance(r["runtime"], float) for r in records)
+BLOCKED = [("--out", "r.jsonl", "validate"), ("--csv", "r.csv", "validate"), ("--export", "f.json", "factorize"),
+           ("SETKERN_OUT", "validate-report.jsonl", "validate")]
 
 
-def test_default_output_uses_env_dir(runner, tmp_path):
-    result = invoke(runner, tmp_path, "validate", "--config", str(CONFIGS / "wiener.yaml"))
-    assert result.exit_code == 0
+@pytest.mark.parametrize("source, name, command", BLOCKED, ids=[source for source, *_ in BLOCKED])
+def test_an_output_under_a_regular_file_is_one_config_error_line(tmp_path, source, name, command):
+    # making the directory raised FileExistsError: a traceback with exit 1, for --export after every check had run
+    blocked = tmp_path / "afile"
+    blocked.write_text("")
+    path = blocked / name
+    flags, env = ((), {"SETKERN_OUT": str(blocked)}) if source == "SETKERN_OUT" else ((source, path), None)
+    run = cli_outcome(tmp_path, command, CONFIGS / "wiener.yaml", *flags, env=env, expect=2)
+    assert run.lines == [f"config error: {source}: cannot write {echo(str(path))}: File exists"]
+    assert blocked.read_text() == "" and sorted(tmp_path.iterdir()) == [blocked]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out", "--csv", "--export"])
+def test_a_path_that_is_a_directory_is_one_config_error_line(tmp_path, flag):
+    # click's dir_okay=False printed a three-line usage screen with exit 2
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    config, flags = (folder, ()) if flag == "--config" else (CONFIGS / "wiener.yaml", (flag, folder))
+    [output] = cli_outcome(tmp_path, "factorize", config, *flags, expect=2).lines
+    assert output == (f"config error: cannot read {folder}: [Errno 21] Is a directory: {str(folder)!r}" if flag == "--config"
+                      else f"config error: {flag}: cannot write {echo(str(folder))}: Is a directory")
+
+
+@pytest.mark.parametrize("flags, line", [
+    (("--out", "same.json", "--export", "same.json"), "--out and --export name one file 'same.json'"),
+    (("--out", "r.jsonl", "--csv", "./r.jsonl"), "--out and --csv name one file './r.jsonl'"),
+    (("--export", "factorize-report.jsonl"), "SETKERN_OUT and --export name one file 'factorize-report.jsonl'"),
+], ids=["out-export", "out-csv", "default-export"])
+def test_two_outputs_at_one_file_are_one_config_error_line(tmp_path, monkeypatch, flags, line):
+    # the later output overwrote the earlier one, and factorize exited 0
+    monkeypatch.chdir(tmp_path)
+    cli_outcome(tmp_path, "factorize", CONFIGS / "wiener.yaml", *flags, env={"SETKERN_OUT": "."}, expect=2)
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_timings_flag_populates_runtime(tmp_path):
+    run = cli_outcome(tmp_path, "validate", CONFIGS / "wiener.yaml", "--timings")
+    assert all(isinstance(r["runtime"], float) for r in run.rows)
+
+
+def test_default_output_uses_env_dir(tmp_path):
+    cli_outcome(tmp_path, "validate", CONFIGS / "wiener.yaml", expect=0)
     assert (tmp_path / "validate-report.jsonl").exists()
 
 
@@ -475,70 +345,52 @@ def test_default_output_uses_env_dir(runner, tmp_path):
 WIENER_SPACE = "space: {atoms: [a, b], weights: [1.0, 1.0]}\n"
 
 
-def _config_error(runner, tmp_path, text):
-    """The output of ``validate`` on ``text``, which must be one config error line with exit 2 and no report."""
-    cfg, out = tmp_path / "cfg.yaml", tmp_path / "r.jsonl"
-    cfg.write_text(text)
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 2, result.output
-    assert len(result.output.splitlines()) == 1 and result.output.startswith("config error: "), result.output
-    assert not out.exists()
-    return result.output
-
-
 @pytest.mark.parametrize("entry", [".nan", ".inf", "-.inf"])
-def test_nonfinite_kernel_matrix_is_a_config_error(runner, tmp_path, entry):
-    output = _config_error(
-        runner,
+def test_nonfinite_kernel_matrix_is_a_config_error(tmp_path, entry):
+    [output] = cli_outcome(
         tmp_path,
+        "validate",
         WIENER_SPACE
         + f"kernel: {{type: operator, matrix: [[{entry}, 0.0], [0.0, 1.0]]}}\n"
         + "checks: [gram-psd]\n",
-    )
+        expect=2,
+    ).lines
     assert f"kernel.matrix: M['a', 'a'] is {float(entry.replace('.', ''))!r}, {SIGNED_DOMAIN}" in output
 
 
-def test_an_indefinite_kernel_matrix_is_a_config_error_for_a_command_that_never_reads_it(runner, tmp_path):
+def test_an_indefinite_kernel_matrix_is_a_config_error_for_a_command_that_never_reads_it(tmp_path):
     # the matrix was checked only when a command built the kernel, so markov-green exited 0
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(WIENER_SPACE + "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]]}\n"
-                   "kernel: {type: operator, matrix: [[1.0, 2.0], [2.0, 1.0]]}\n")
-    result = invoke(runner, tmp_path, "markov-green", "--config", str(cfg))
-    assert result.exit_code == 2, result.output
-    assert "kernel.matrix" in result.output and "indefinite" in result.output
+    [output] = cli_outcome(tmp_path, "markov-green", WIENER_SPACE + "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]]}\n"
+                           "kernel: {type: operator, matrix: [[1.0, 2.0], [2.0, 1.0]]}\n", expect=2).lines
+    assert "kernel.matrix" in output and "indefinite" in output
 
 
 @pytest.mark.parametrize("command", ["validate", "factorize", "markov-green", "simulate", "refine-sweep"])
-def test_a_green_kernel_without_a_chain_is_a_config_error_for_every_command(runner, tmp_path, command):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(WIENER_SPACE + "kernel: {type: green}\n")
-    result = invoke(runner, tmp_path, command, "--config", str(cfg))
-    assert result.exit_code == 2, result.output
-    assert "kernel.type green requires a chain section" in result.output
+def test_a_green_kernel_without_a_chain_is_a_config_error_for_every_command(tmp_path, command):
+    [output] = cli_outcome(tmp_path, command, WIENER_SPACE + "kernel: {type: green}\n", expect=2).lines
+    assert "kernel.type green requires a chain section" in output
 
 
-def test_a_builtin_kernel_that_overflows_is_a_config_error(runner, tmp_path):
+def test_a_builtin_kernel_that_overflows_is_a_config_error(tmp_path):
     # w w^T overflows at w = 1e200: validate recorded 0/4 checks with no value and exited 1
-    output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\nkernel: {type: rank_one}")
+    [output] = cli_outcome(tmp_path, "validate", "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\nkernel: {type: rank_one}",
+                           expect=2).lines
     assert f"config error: space: weight of atom 'a' is 1e+200, {DOMAIN}" in output
 
 
 @pytest.mark.parametrize("command", ["validate", "factorize", "markov-green", "simulate", "refine-sweep"])
-def test_a_density_that_overflows_is_a_config_error_for_every_command(runner, tmp_path, command):
+def test_a_density_that_overflows_is_a_config_error_for_every_command(tmp_path, command):
     # 1 / w(x) overflows at w = 1e-320: numpy's warning, then factorize failed realization and six rows valued null
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("space: {atoms: [a, b], weights: [1.0e-320, 1.0]}\nkernel: {type: counting}\n")
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 2, result.output
-    assert result.output.splitlines() == [f"config error: space: weight of atom 'a' is 1e-320, {DOMAIN}"]
-    assert not out.exists()
+    run = cli_outcome(tmp_path, command, "space: {atoms: [a, b], weights: [1.0e-320, 1.0]}\nkernel: {type: counting}\n",
+                      expect=2)
+    assert run.lines == [f"config error: space: weight of atom 'a' is 1e-320, {DOMAIN}"]
 
 
-def test_an_operator_product_that_overflows_is_a_config_error(runner, tmp_path):
+def test_an_operator_product_that_overflows_is_a_config_error(tmp_path):
     # read as "matrix is not selfadjoint ...: defect nan > 1e-10 × max|wM| = inf", after two numpy warnings
-    output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\n"
-                                             "kernel: {type: operator, matrix: [[1.0e200, 0.0], [0.0, 1.0]]}\n")
+    [output] = cli_outcome(tmp_path, "validate", "space: {atoms: [a, b], weights: [1.0e200, 1.0]}\n"
+                                                 "kernel: {type: operator, matrix: [[1.0e200, 0.0], [0.0, 1.0]]}\n",
+                           expect=2).lines
     assert f"config error: space: weight of atom 'a' is 1e+200, {DOMAIN}" in output
 
 
@@ -548,8 +400,9 @@ def test_an_operator_product_that_overflows_is_a_config_error(runner, tmp_path):
     # the message was right, but numpy's overflow warning reached stderr first
     ("[[1.0, 1.0e308], [-1.0e308, 1.0]]", f"M['a', 'b'] is 1e+308, {SIGNED_DOMAIN}"),
 ], ids=["spectrum", "defect"])
-def test_an_operator_matrix_past_the_float_range_is_a_config_error(runner, tmp_path, matrix, message):
-    output = _config_error(runner, tmp_path, f"space: {{atoms: [a, b], weights: [1.0, 1.0]}}\nkernel: {{type: operator, matrix: {matrix}}}\n")
+def test_an_operator_matrix_past_the_float_range_is_a_config_error(tmp_path, matrix, message):
+    [output] = cli_outcome(tmp_path, "validate", f"space: {{atoms: [a, b], weights: [1.0, 1.0]}}\n"
+                                                 f"kernel: {{type: operator, matrix: {matrix}}}\n", expect=2).lines
     assert f"config error: kernel.matrix: {message}" in output
 
 
@@ -564,10 +417,10 @@ TAGGED = "space: {atoms: [a, b], weights: [1.0, %s]}\n"
     (TAGGED % "!!bool maybe", "line 1, column 39", "bool", "'maybe'"),
     (TAGGED % "!!timestamp x", "line 1, column 39", "timestamp", "'x'"),
 ], ids=["int-item", "float-item", "int-value", "bool-item", "timestamp-item"])
-def test_a_tagged_scalar_its_constructor_refuses_is_one_config_error_line(runner, tmp_path, text, at, tag, value):
+def test_a_tagged_scalar_its_constructor_refuses_is_one_config_error_line(tmp_path, text, at, tag, value):
     # each escaped yaml.load as ValueError, KeyError or AttributeError: a traceback with exit 1
-    output = _config_error(runner, tmp_path, text)
-    assert output == f"config error: {tmp_path / 'cfg.yaml'}: {at}: could not construct 'tag:yaml.org,2002:{tag}' from {value}\n"
+    [output] = cli_outcome(tmp_path, "validate", text, expect=2).lines
+    assert output == f"config error: {tmp_path / 'cfg.yaml'}: {at}: could not construct 'tag:yaml.org,2002:{tag}' from {value}"
 
 
 X = "x" * 5000
@@ -609,15 +462,12 @@ NINES = "9" * 5000
 ], ids=["tolerance", "tol-flag", "tol-flag-form", "tol-flag-name", "kernel-type", "family-atom", "check-name", "space-key",
         "weight", "atom-name", "matrix-entry", "edge-atom", "yaml-tag", "atom-weight", "atom-conductance", "atom-kill",
         "atom-no-mass", "kill-mass", "kill-duplicate-key", "atom-operator-entry"])
-def test_every_echo_of_long_input_is_cut_to_one_short_line(runner, tmp_path, text, args, line):
+def test_every_echo_of_long_input_is_cut_to_one_short_line(tmp_path, text, args, line):
     # each line echoed the whole value: 5,073 bytes for the tolerance
-    cfg, out = tmp_path / "cfg.yaml", tmp_path / "r.jsonl"
-    cfg.write_text(text)
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg), "--out", str(out), *args)
-    [output] = result.output.replace(str(cfg), "cfg.yaml").splitlines()
+    [output] = cli_outcome(tmp_path, "validate", text, *args, expect=2).lines
+    output = output.replace(str(tmp_path / "cfg.yaml"), "cfg.yaml")
     echoed = output.split(", expected one of")[0]  # the names a line offers are not input
-    assert (result.exit_code, line in output, len(echoed.encode()) < 200) == (2, True, True), output[:300]
-    assert not out.exists()
+    assert (line in output, len(echoed.encode()) < 200) == (True, True), output[:300]
 
 
 @pytest.mark.parametrize("build, line", [
@@ -645,22 +495,20 @@ def test_a_long_atom_name_is_cut_in_the_library_lines_no_command_prints(build, l
     (f"[{10**400}]", "kernel.matrix must be a dense numeric matrix"),
 ], ids=["text", "ragged-text", "integer-first", "list-first", "text-before-boolean", "boolean-before-text", "ragged",
         "one-level-integer"])
-def test_a_matrix_names_its_first_entry_that_is_no_number(runner, tmp_path, matrix, message):
-    output = _config_error(runner, tmp_path, WIENER_SPACE + f"kernel: {{type: operator, matrix: {matrix}}}\n")
-    assert output == f"config error: {message}\n"
+def test_a_matrix_names_its_first_entry_that_is_no_number(tmp_path, matrix, message):
+    run = cli_outcome(tmp_path, "validate", WIENER_SPACE + f"kernel: {{type: operator, matrix: {matrix}}}\n", expect=2)
+    assert run.lines == [f"config error: {message}"]
 
 
-def test_a_sequence_tag_on_a_scalar_is_one_config_error_line(runner, tmp_path):
-    output = _config_error(runner, tmp_path, TAGGED % "!!seq abc")
-    assert output == f"config error: {tmp_path / 'cfg.yaml'}: line 1, column 39: expected a sequence node, but found scalar\n"
+def test_a_sequence_tag_on_a_scalar_is_one_config_error_line(tmp_path):
+    [output] = cli_outcome(tmp_path, "validate", TAGGED % "!!seq abc", expect=2).lines
+    assert output == f"config error: {tmp_path / 'cfg.yaml'}: line 1, column 39: expected a sequence node, but found scalar"
 
 
-def test_an_export_with_an_empty_family_set_is_indented_json(runner, tmp_path):
-    cfg, export = tmp_path / "cfg.yaml", tmp_path / "f.json"
-    cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\nfamily: [[]]\n")
-    result = invoke(runner, tmp_path, "factorize", "--config", str(cfg), "--export", str(export))
-    assert result.exit_code == 0, result.output
-    config = load_config(cfg)
+def test_an_export_with_an_empty_family_set_is_indented_json(tmp_path):
+    export = tmp_path / "f.json"
+    cli_outcome(tmp_path, "factorize", WIENER_SPACE + "kernel: {type: wiener}\nfamily: [[]]\n", "--export", export, expect=0)
+    config = load_config(tmp_path / "cfg.yaml")
     expected = factorization.export_factorization(factorization.realize(config.kernel), config.family)
     assert [entry["set"] for entry in expected["k"]] == [["a"], ["b"], []]
     assert export.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
@@ -674,26 +522,28 @@ def test_a_report_refuses_a_second_record_of_one_check():
     assert len(report.records) == 1
 
 
-def test_duplicate_atoms_of_a_conductance_chain_are_a_config_error(runner, tmp_path):
+def test_duplicate_atoms_of_a_conductance_chain_are_a_config_error(tmp_path):
     # read as "chain: atom 'a' has neither conductance nor killing"
-    output = _config_error(runner, tmp_path, "space: {atoms: [a, a]}\nchain: {edges: [[a, a, 1.0]]}\n")
+    [output] = cli_outcome(tmp_path, "validate", "space: {atoms: [a, a]}\nchain: {edges: [[a, a, 1.0]]}\n", expect=2).lines
     assert "config error: chain: atom identifiers must be unique" in output
 
 
 @pytest.mark.parametrize("weights", ["[1.0]", "[1.0, 1.0, 1.0]"])
-def test_the_weight_count_next_to_chain_edges_is_named(runner, tmp_path, weights):
+def test_the_weight_count_next_to_chain_edges_is_named(tmp_path, weights):
     # read as "space.weights disagree with the weights derived from chain.edges: inf > ..."
-    output = _config_error(runner, tmp_path, f"space: {{atoms: [a, b], weights: {weights}}}\nchain: {{edges: [[a, b, 1.0]]}}\n")
+    [output] = cli_outcome(tmp_path, "validate", f"space: {{atoms: [a, b], weights: {weights}}}\nchain: {{edges: [[a, b, 1.0]]}}\n",
+                           expect=2).lines
     assert f"config error: space.weights: expected 2 weights, got {weights.count(',') + 1}" in output
 
 
-def test_non_integer_sample_count_is_a_config_error(runner, tmp_path):
-    output = _config_error(runner, tmp_path, WIENER_SPACE + "kernel: {type: wiener}\nmc: {samples: 1e3}\n")
+def test_non_integer_sample_count_is_a_config_error(tmp_path):
+    [output] = cli_outcome(tmp_path, "validate", WIENER_SPACE + "kernel: {type: wiener}\nmc: {samples: 1e3}\n", expect=2).lines
     assert "mc.samples" in output
 
 
-def test_non_numeric_weight_is_a_config_error(runner, tmp_path):
-    output = _config_error(runner, tmp_path, "space: {atoms: [a, b], weights: [1.0, x]}\nkernel: {type: wiener}\n")
+def test_non_numeric_weight_is_a_config_error(tmp_path):
+    [output] = cli_outcome(tmp_path, "validate", "space: {atoms: [a, b], weights: [1.0, x]}\nkernel: {type: wiener}\n",
+                           expect=2).lines
     assert "space.weights[1]" in output
 
 
@@ -705,9 +555,10 @@ def test_non_numeric_weight_is_a_config_error(runner, tmp_path):
     ("space: {atoms: [a, b]}\nchain: {edges: [[a, b, on]]}\n", "chain.edges[0] conductance must be a number, got True"),
     (WIENER_SPACE + "kernel: {type: wiener}\nphi: [[yes, [a]]]\n", "phi[0] coefficient must be a number, got True"),
 ], ids=["weight", "tolerance", "matrix", "transitions", "conductance", "coefficient"])
-def test_a_yaml_boolean_is_not_a_number(runner, tmp_path, text, where):
+def test_a_yaml_boolean_is_not_a_number(tmp_path, text, where):
     # YAML 1.1 reads yes/no/on/off as booleans, and float(True) is 1.0: each of these ran and exited 0 or 1
-    assert where in _config_error(runner, tmp_path, text)
+    [output] = cli_outcome(tmp_path, "validate", text, expect=2).lines
+    assert where in output
 
 
 @pytest.mark.parametrize("text, line", [
@@ -716,52 +567,42 @@ def test_a_yaml_boolean_is_not_a_number(runner, tmp_path, text, where):
     # PyYAML's message took four lines and pointed at "<byte string>"
     (b"space: {atoms: [a, b], weights: [1.0, 1.0]\nkernel: {type: wiener}\n", "line 2, column 1: "),
 ], ids=["not-utf8", "unclosed-mapping"])
-def test_a_config_that_is_not_utf8_is_a_config_error(runner, tmp_path, text, line):
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, text, line):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_bytes(text)
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
-    assert result.exit_code == 2, result.output
-    assert len(result.output.splitlines()) == 1 and result.output.startswith(f"config error: {cfg}: {line}")
+    [output] = cli_outcome(tmp_path, "validate", cfg, expect=2).lines
+    assert output.startswith(f"config error: {cfg}: {line}")
 
 
-def test_an_unsigned_exponent_in_kernel_matrix_is_read_as_a_number(runner, tmp_path):
+def test_an_unsigned_exponent_in_kernel_matrix_is_read_as_a_number(tmp_path):
     # YAML 1.1 floats need a dot and a signed exponent, so PyYAML reads 1e-3 as a string; numpy parses it
     text = WIENER_SPACE + "kernel: {type: operator, matrix: [[1e-3, 0.0], [0.0, 1.0]]}\n"
     assert yaml.safe_load(text)["kernel"]["matrix"][0][0] == "1e-3"
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text)
-    assert load_config(cfg).kernel.Q[0, 0] == 0.001
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg))
-    assert result.exit_code == 0, result.output
+    cli_outcome(tmp_path, "validate", text, expect=0)
+    assert load_config(tmp_path / "cfg.yaml").kernel.Q[0, 0] == 0.001
 
 
-def test_unknown_check_name_is_a_config_error(runner, tmp_path):
-    output = _config_error(runner, tmp_path, WIENER_SPACE + "kernel: {type: wiener}\nchecks: [gram-psdd]\n")
+def test_unknown_check_name_is_a_config_error(tmp_path):
+    [output] = cli_outcome(tmp_path, "validate", WIENER_SPACE + "kernel: {type: wiener}\nchecks: [gram-psdd]\n", expect=2).lines
     assert "gram-psdd" in output
 
 
-def test_unknown_expectation_is_a_config_error(runner, tmp_path):
-    output = _config_error(runner, tmp_path, WIENER_SPACE + "kernel: {type: wiener}\nexpect: {rank: 1}\n")
+def test_unknown_expectation_is_a_config_error(tmp_path):
+    [output] = cli_outcome(tmp_path, "validate", WIENER_SPACE + "kernel: {type: wiener}\nexpect: {rank: 1}\n", expect=2).lines
     assert "rank" in output
 
 
-def test_q_level_checks_are_matched_by_pattern(runner, tmp_path):
+def test_q_level_checks_are_matched_by_pattern(tmp_path):
     # configs/wiener.yaml has three partitions, so q-level-2 is the last level
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text((CONFIGS / "wiener.yaml").read_text() + "checks: [q-level-2]\n")
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 0, result.output
-    assert [r["check"] for r in read_records(out)[1]] == ["q-level-2"]
+    run = cli_outcome(tmp_path, "refine-sweep", (CONFIGS / "wiener.yaml").read_text() + "checks: [q-level-2]\n", expect=0)
+    assert [r["check"] for r in run.rows] == ["q-level-2"]
 
 
 @pytest.mark.parametrize("name", ["q-level-3", "q-level-5", "q-level-01"])
-def test_a_q_level_that_names_no_configured_partition_is_a_config_error(runner, tmp_path, name):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text((CONFIGS / "wiener.yaml").read_text() + f"checks: [{name}, q-monotone]\n")
-    result = invoke(runner, tmp_path, "refine-sweep", "--config", str(cfg))
-    assert result.exit_code == 2, result.output
-    assert f"checks: unknown check {name!r}" in result.output
+def test_a_q_level_that_names_no_configured_partition_is_a_config_error(tmp_path, name):
+    [output] = cli_outcome(tmp_path, "refine-sweep", (CONFIGS / "wiener.yaml").read_text() + f"checks: [{name}, q-monotone]\n",
+                           expect=2).lines
+    assert f"checks: unknown check {name!r}" in output
 
 
 @pytest.mark.parametrize("text, where, key", [
@@ -772,8 +613,8 @@ def test_a_q_level_that_names_no_configured_partition_is_a_config_error(runner, 
     (WIENER_SPACE + "kernel: {type: wiener, matrx: [[1.0, 0.0], [0.0, 1.0]]}\n", "kernel", "matrx"),
     ("space: {atoms: [a, b]}\nchain: {edges: [[a, b, 1.0]], kil: {a: 0.5}}\n", "chain", "kil"),
 ], ids=["top-level", "checks", "mc", "space", "kernel", "chain"])
-def test_a_misspelled_config_key_is_a_config_error(runner, tmp_path, text, where, key):
-    output = _config_error(runner, tmp_path, text)
+def test_a_misspelled_config_key_is_a_config_error(tmp_path, text, where, key):
+    [output] = cli_outcome(tmp_path, "validate", text, expect=2).lines
     assert f"{where}: unknown key {key!r}" in output
 
 
@@ -789,17 +630,17 @@ def test_a_misspelled_config_key_is_a_config_error(runner, tmp_path, text, where
     (WIENER_SPACE + "kernel: {type: wiener}\nmc: {seed: 1, seed: 2}\n", "mc: duplicate key 'seed'"),
     (WIENER_SPACE + "kernel: {type: wiener}\nexpect: {range-rank: 2, range-rank: 2}\n", "expect: duplicate key 'range-rank'"),
 ], ids=["space", "top-level", "tolerances", "chain.kill", "chain.kill-one-atom", "mc", "expect"])
-def test_a_key_given_twice_is_a_config_error(runner, tmp_path, text, line):
+def test_a_key_given_twice_is_a_config_error(tmp_path, text, line):
     # the later value overrode the earlier one, and validate exited 0
-    output = _config_error(runner, tmp_path, text)
-    assert output == f"config error: {line.replace('cfg.yaml', str(tmp_path / 'cfg.yaml'))}\n"
+    run = cli_outcome(tmp_path, "validate", text, expect=2)
+    assert run.lines == [f"config error: {line.replace('cfg.yaml', str(tmp_path / 'cfg.yaml'))}"]
 
 
 @pytest.mark.parametrize("name", [name for name, section in SCHEMA.items() if section.keys is not None])
-def test_every_mapping_section_of_the_schema_closes_its_keys(runner, tmp_path, name):
-    doc = {"space": {"atoms": ["a", "b"], "weights": [1.0, 1.0]}, name: {"misspelt": 1}}
-    output = _config_error(runner, tmp_path, yaml.safe_dump(doc))
-    assert f"config error: {name}: unknown key 'misspelt', expected one of {', '.join(SCHEMA[name].keys)}\n" == output
+def test_every_mapping_section_of_the_schema_closes_its_keys(tmp_path, name):
+    run = cli_outcome(tmp_path, "validate", {"space": {"atoms": ["a", "b"], "weights": [1.0, 1.0]}, name: {"misspelt": 1}},
+                      expect=2)
+    assert run.lines == [f"config error: {name}: unknown key 'misspelt', expected one of {', '.join(SCHEMA[name].keys)}"]
 
 
 REQUIRED = [(command, name) for command, *_ in COMMANDS for name, section in SCHEMA.items() if command in section.required_by]
@@ -808,7 +649,7 @@ MISSING = [(c, n, False) for c, n in REQUIRED] + [(c, n, True) for c, n in REQUI
 
 
 @pytest.mark.parametrize("command, name, empty", MISSING, ids=[f"{c}-{'empty' if e else 'dropped'}-{n}" for c, n, e in MISSING])
-def test_a_required_section_that_is_dropped_or_empty_is_missing(runner, tmp_path, command, name, empty):
+def test_a_required_section_that_is_dropped_or_empty_is_missing(tmp_path, command, name, empty):
     # phi: [] ran simulate with 18 of 18 rows passed, ito-isometry and cross-moment on estimate, exact and std_error 0
     needs = [n for n, section in SCHEMA.items() if command in section.required_by]
     doc = next(d for d in map(yaml.safe_load, map(Path.read_text, sorted(CONFIGS.glob("*.yaml")))) if all(n in d for n in needs))
@@ -816,11 +657,7 @@ def test_a_required_section_that_is_dropped_or_empty_is_missing(runner, tmp_path
         doc[name] = []
     else:
         del doc[name]
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump(doc))
-    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(tmp_path / "r.jsonl"))
-    assert (result.exit_code, result.output) == (2, f"config error: {command} requires a {name} section\n")
-    assert not (tmp_path / "r.jsonl").exists()
+    assert cli_outcome(tmp_path, command, doc, expect=2).lines == [f"config error: {command} requires a {name} section"]
 
 
 DENSE_CHAIN = "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]]}\n"
@@ -851,7 +688,7 @@ EDGE_SPACE = "space: {atoms: [a, b]}\n"
         "ragged-transitions", "text-transitions", "mapping-transitions", "ragged-matrix", "list-kill",
         "boolean-kernel-type", "boolean-check", "list-check", "boolean-tolerance", "boolean-expectation",
         "unknown-tolerance", "unknown-tol-override", "nan-conductance", "infinite-kill"])
-def test_no_malformed_config_escapes_as_another_error(runner, tmp_path, text, tol, message):
+def test_no_malformed_config_escapes_as_another_error(tmp_path, text, tol, message):
     # the dense chain over a bad space ended in a DomainError traceback and exit 1; the booleans were
     # reported as the string 'True'; the nonfinite conductance and kill were reported as a bad weight
     cfg = tmp_path / "cfg.yaml"
@@ -860,9 +697,8 @@ def test_no_malformed_config_escapes_as_another_error(runner, tmp_path, text, to
         load_config(cfg, [f"{n}={v}" for n, v in tol], check_names=CHECKS)
     assert message in str(err.value)
     for command in ("validate", "factorize", "markov-green", "simulate"):
-        result = invoke(runner, tmp_path, command, "--config", str(cfg), *(f"--tol={n}={v}" for n, v in tol))
-        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), (command, result.output)
-        assert f"config error: {message}" in result.output, command
+        [output] = cli_outcome(tmp_path, command, cfg, *(f"--tol={n}={v}" for n, v in tol), expect=2).lines
+        assert f"config error: {message}" in output, command
 
 
 @pytest.mark.parametrize("checks, message", [
@@ -887,7 +723,7 @@ def test_a_check_that_is_not_a_string_is_a_config_error_without_check_names(tmp_
      "chain: killing references unknown atom 'z'", InvalidChainError),
     ("space: {atoms: []}\nchain: {edges: []}\n", [], "chain: need at least one atom", InvalidChainError),
 ], ids=["tol-without-value", "operator-without-matrix", "matrix-of-another-size", "kill-of-unknown-atom", "chain-of-no-atom"])
-def test_each_rejection_of_config_input_is_one_line_naming_the_field(runner, tmp_path, text, args, line, cause):
+def test_each_rejection_of_config_input_is_one_line_naming_the_field(tmp_path, text, args, line, cause):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
     if not args:  # the library's error, if any, is the cause of the config error
@@ -895,9 +731,7 @@ def test_each_rejection_of_config_input_is_one_line_naming_the_field(runner, tmp
             load_config(cfg)
         assert type(err.value.__cause__) is cause if cause else err.value.__cause__ is None
     for command in ("validate", "factorize", "markov-green", "simulate"):
-        result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(tmp_path / "r.jsonl"), *args)
-        assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"]), command
-        assert not (tmp_path / "r.jsonl").exists()
+        assert cli_outcome(tmp_path, command, cfg, *args, expect=2).lines == [f"config error: {line}"], command
 
 
 def test_every_check_reads_a_tolerance_of_the_config_schema():
@@ -913,14 +747,11 @@ def test_every_check_reads_a_tolerance_of_the_config_schema():
     ("factorize", "", ("--tol", "parseval-invariance=1e-10"),
      f"--tol: unknown tolerance 'parseval-invariance', expected one of {', '.join(TOLERANCES)}"),
 ], ids=["checks", "tolerances", "tol", "tol-parseval-invariance"])
-def test_the_names_of_the_removed_rows_are_config_errors(runner, tmp_path, command, where, args, line):
+def test_the_names_of_the_removed_rows_are_config_errors(tmp_path, command, where, args, line):
     # parseval-invariance (the Parseval sum in two bases, equal for any k_A) and fundamental-match
     # ((w G) / w against G) could fail under no mutation; a config that named them ran them
-    cfg, out = tmp_path / "cfg.yaml", tmp_path / "r.jsonl"
-    cfg.write_text((CONFIGS / "two-state-green.yaml").read_text() + where)
-    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out), *args)
-    assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"])
-    assert not out.exists()
+    run = cli_outcome(tmp_path, command, (CONFIGS / "two-state-green.yaml").read_text() + where, *args, expect=2)
+    assert run.lines == [f"config error: {line}"]
 
 
 def test_the_file_overrides_the_defaults_and_tol_overrides_both(tmp_path):
@@ -953,40 +784,30 @@ def test_libyaml_and_python_loaders_agree(path):
 
 
 @pytest.mark.parametrize("checks", ["[]", "[ito-isometry]"])
-def test_a_run_that_records_no_check_fails(runner, tmp_path, checks):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(WIENER_SPACE + f"kernel: {{type: wiener}}\nphi: [[1.0, [a]]]\nchecks: {checks}\n")
-    out = tmp_path / "v.jsonl"
-    result = invoke(runner, tmp_path, "validate", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 1, result.output
-    assert "0/0 checks passed" in result.output
-    assert read_records(out)[1] == []
+def test_a_run_that_records_no_check_fails(tmp_path, checks):
+    text = WIENER_SPACE + f"kernel: {{type: wiener}}\nphi: [[1.0, [a]]]\nchecks: {checks}\n"
+    run = cli_outcome(tmp_path, "validate", text, expect=1)
+    assert "0/0 checks passed" in run.lines
+    assert run.rows == []
 
 
-def test_factorize_runs_a_realization_only_suite(runner, tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(WIENER_SPACE + "kernel: {type: wiener}\nchecks: [realization]\n")
-    out = tmp_path / "f.jsonl"
-    result = invoke(runner, tmp_path, "factorize", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 0, result.output
-    assert [(r["check"], r["status"]) for r in read_records(out)[1]] == [("realization", "pass")]
+def test_factorize_runs_a_realization_only_suite(tmp_path):
+    run = cli_outcome(tmp_path, "factorize", WIENER_SPACE + "kernel: {type: wiener}\nchecks: [realization]\n", expect=0)
+    assert run.statuses == [("realization", "pass")]
 
 
 @pytest.mark.parametrize("command", ["factorize", "simulate"])
-def test_failed_validation_stops_before_realizing(runner, tmp_path, command):
+def test_failed_validation_stops_before_realizing(tmp_path, command):
     # the counting kernel charges the null atom c, so absolute continuity fails
-    out, export, cfg = tmp_path / "r.jsonl", tmp_path / "fact.json", tmp_path / "cfg.yaml"
-    cfg.write_text((CONFIGS / "counting-null-atom.yaml").read_text() + "phi: [[1.0, [a]]]\n")
-    args = [command, "--config", str(cfg), "--out", str(out)]
-    args += ["--export", str(export)] if command == "factorize" else ["--samples", "2000"]
-    result = invoke(runner, tmp_path, *args)
-    assert result.exit_code == 1, result.output
-    _, records = read_records(out)
-    assert [r["check"] for r in records] == ["symmetry", "gram-psd", "schwarz", "absolute-continuity"]
+    export = tmp_path / "fact.json"
+    flags = ["--export", export] if command == "factorize" else ["--samples", "2000"]
+    text = (CONFIGS / "counting-null-atom.yaml").read_text() + "phi: [[1.0, [a]]]\n"
+    run = cli_outcome(tmp_path, command, text, *flags, expect=1)
+    assert [r["check"] for r in run.rows] == ["symmetry", "gram-psd", "schwarz", "absolute-continuity"]
     assert not export.exists() and not (tmp_path / "factorization.json").exists()
 
 
-def test_markov_green_solves_for_the_green_function_once(runner, tmp_path, monkeypatch):
+def test_markov_green_solves_for_the_green_function_once(tmp_path, monkeypatch):
     calls = []
     solve = np.linalg.solve
 
@@ -995,12 +816,11 @@ def test_markov_green_solves_for_the_green_function_once(runner, tmp_path, monke
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    result = invoke(runner, tmp_path, "markov-green", "--config", str(CONFIGS / "two-state-green.yaml"))
-    assert result.exit_code == 0, result.output
+    cli_outcome(tmp_path, "markov-green", CONFIGS / "two-state-green.yaml", expect=0)
     assert len(calls) == 1
 
 
-def test_markov_green_decomposes_the_chain_once(runner, tmp_path, monkeypatch):
+def test_markov_green_decomposes_the_chain_once(tmp_path, monkeypatch):
     calls = []
 
     def counting(decompose):
@@ -1012,20 +832,14 @@ def test_markov_green_decomposes_the_chain_once(runner, tmp_path, monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    result = invoke(runner, tmp_path, "markov-green", "--config", str(CONFIGS / "two-state-green.yaml"))
-    assert result.exit_code == 0, result.output
+    cli_outcome(tmp_path, "markov-green", CONFIGS / "two-state-green.yaml", expect=0)
     # the chain's spectrum once, then the probe Gram's; the Green kernel's own spectrum is never needed
     assert len(calls) == 2
 
 
-def test_transience_is_judged_by_its_own_gap(runner, tmp_path):
-    out = tmp_path / "g.jsonl"
-    result = invoke(
-        runner, tmp_path, "markov-green", "--config", str(CONFIGS / "two-state-green.yaml"),
-        "--out", str(out), "--tol", "transience-gap=0.6",
-    )
-    assert result.exit_code == 1, result.output
-    record = next(r for r in read_records(out)[1] if r["check"] == "transience")
+def test_transience_is_judged_by_its_own_gap(tmp_path):
+    run = cli_outcome(tmp_path, "markov-green", CONFIGS / "two-state-green.yaml", "--tol", "transience-gap=0.6", expect=1)
+    record = run.by_check["transience"]
     assert (record["status"], record["value"], record["bound"]) == ("fail", 0.5, pytest.approx(0.4))
 
 
@@ -1044,23 +858,20 @@ def _recorded(check, *args) -> Verdict:
     ("space: {atoms: [a, b], weights: [3.0, 1.0]}\nchain: {transitions: [[0.0, 0.5], [0.2, 0.0]]}\n", 1,
      {"detailed-balance": "fail", "transience": "pass", "green-identity": "pass", "series-solve": "pass"}),
 ], ids=["stochastic-chain", "two-state-green", "non-reversible-transient"])
-def test_every_markov_row_records_the_library_verdict(runner, tmp_path, config, code, statuses):
+def test_every_markov_row_records_the_library_verdict(tmp_path, config, code, statuses):
     # the CLI rebuilt these verdicts: contractivity recorded no value or bound, and transience read
     # its value back out of NotTransientError
     path = tmp_path / "cfg.yaml"  # a shipped config by name, or the text of one
     path.write_text(config if "\n" in config else (CONFIGS / f"{config}.yaml").read_text())
-    out = tmp_path / "m.jsonl"
-    result = invoke(runner, tmp_path, "markov-green", "--config", str(path), "--out", str(out))
-    assert result.exit_code == code, result.output
-    meta, records = read_records(out)
-    chain, tol = load_config(path).chain, meta["tolerances"]
+    run = cli_outcome(tmp_path, "markov-green", path, expect=code)
+    chain, tol = load_config(path).chain, run.meta["tolerances"]
     verdicts = {
         "detailed-balance": markov.check_reversibility(chain, tol["detailed-balance"]),
         "contractivity": markov.check_contractivity(chain, tol["contractivity"]),
         "transience": markov.check_transient(chain, tol["transience-gap"]),
         "spectral-gap": _recorded(markov.check_spectral_gap, chain, tol["transience-gap"]),
     }
-    by_check = {r["check"]: r for r in records}
+    by_check = run.by_check
     for name, verdict in verdicts.items():
         assert by_check[name] == CheckRecord(name, by_check[name]["tag"], verdict).as_dict(), name
     assert {name: by_check[name]["status"] for name in statuses} == statuses
@@ -1070,25 +881,19 @@ def test_every_markov_row_records_the_library_verdict(runner, tmp_path, config, 
 
 
 @pytest.mark.parametrize("value", ["-0.5", "-1e-300"])
-def test_a_negative_tolerance_is_a_config_error(runner, tmp_path, value):
+def test_a_negative_tolerance_is_a_config_error(tmp_path, value):
     # transience-gap=-0.5 recorded transience as pass (value 1, bound 1.5) on a chain with rho = 1, and exited 0
-    result = invoke(
-        runner, tmp_path, "validate", "--config", str(CONFIGS / "stochastic-chain.yaml"), "--tol", f"transience-gap={value}"
-    )
-    assert result.exit_code == 2, result.output
-    assert "--tol transience-gap" in result.output
-    output = _config_error(runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\ntolerances: {{symmetry: {value}}}\n")
+    [output] = cli_outcome(tmp_path, "validate", CONFIGS / "stochastic-chain.yaml", "--tol", f"transience-gap={value}",
+                           expect=2).lines
+    assert "--tol transience-gap" in output
+    [output] = cli_outcome(tmp_path, "validate", WIENER_SPACE + f"kernel: {{type: wiener}}\ntolerances: {{symmetry: {value}}}\n",
+                           expect=2).lines
     assert "tolerances.symmetry" in output
 
 
-def test_a_zero_tolerance_is_allowed(runner, tmp_path):
-    out = tmp_path / "z.jsonl"
-    result = invoke(
-        runner, tmp_path, "validate", "--config", str(CONFIGS / "wiener.yaml"), "--tol", "absolute-continuity=0",
-        "--out", str(out),
-    )
-    assert result.exit_code == 0, result.output
-    assert read_records(out)[0]["tolerances"]["absolute-continuity"] == 0.0
+def test_a_zero_tolerance_is_allowed(tmp_path):
+    run = cli_outcome(tmp_path, "validate", CONFIGS / "wiener.yaml", "--tol", "absolute-continuity=0", expect=0)
+    assert run.meta["tolerances"]["absolute-continuity"] == 0.0
 
 
 @pytest.mark.parametrize("text, where", [
@@ -1105,22 +910,20 @@ def test_a_zero_tolerance_is_allowed(runner, tmp_path):
     (WIENER_SPACE + "kernel: {type: wiener}\npartitions: [[[a, b]], [[a], [yes]]]\n",
      "partitions[1][1][0] must be an atom name, got True"),
 ], ids=["yes-on", "on-off", "null", "list", "mapping", "edge", "kill", "family", "phi", "psi", "partition"])
-def test_an_atom_name_that_yaml_reads_as_no_string_is_a_config_error(runner, tmp_path, text, where):
+def test_an_atom_name_that_yaml_reads_as_no_string_is_a_config_error(tmp_path, text, where):
     # str() made atoms named True, False and None: [on, off] and [a, ~] ran, and [yes, on] was
     # rejected as "atom identifiers must be unique"
-    assert where in _config_error(runner, tmp_path, text)
+    [output] = cli_outcome(tmp_path, "validate", text, expect=2).lines
+    assert where in output
 
 
 @pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
-def test_an_empty_psi_is_a_config_error(runner, tmp_path, command):
+def test_an_empty_psi_is_a_config_error(tmp_path, command):
     # psi: [] ran simulate's cross-moment row on estimate, exact and std_error 0, and the row passed
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text((CONFIGS / "wiener.yaml").read_text().replace("psi:\n  - [1.0, [a, b]]\n", "psi: []\n"))
-    assert "psi: []" in cfg.read_text()
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out), "--samples", "1000")
-    assert (result.exit_code, result.output) == (2, "config error: psi must have at least one term, or be left out\n")
-    assert not out.exists()
+    text = (CONFIGS / "wiener.yaml").read_text().replace("psi:\n  - [1.0, [a, b]]\n", "psi: []\n")
+    assert "psi: []" in text
+    run = cli_outcome(tmp_path, command, text, "--samples", "1000", expect=2)
+    assert run.lines == ["config error: psi must have at least one term, or be left out"]
 
 
 WIENER_PHI = "  - [1.0, [a]]\n  - [2.0, [b]]\n"
@@ -1133,45 +936,36 @@ WIENER_PHI = "  - [1.0, [a]]\n  - [2.0, [b]]\n"
     ("phi", [("weights: [1.0, 2.0, 0.5]", "weights: [1.0, 2.0, 0.0]"), (WIENER_PHI, "  - [1.0, [c]]\n")]),
 ], ids=["zero-phi", "cancelling-phi", "cancelling-psi", "null-atom-phi"])
 @pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
-def test_an_integrand_that_is_zero_in_l2_is_a_config_error(runner, tmp_path, command, name, edits):
+def test_an_integrand_that_is_zero_in_l2_is_a_config_error(tmp_path, command, name, edits):
     # phi: [[0.0, [a]]] ran simulate with 18 of 18 rows passed, each Monte Carlo and q value 0 judged against 0
     text = (CONFIGS / "wiener.yaml").read_text()
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text)
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out), "--samples", "1000")
-    line = f"config error: {name} is zero in L^2(nu): its coefficients cancel or it charges only null atoms"
-    assert (result.exit_code, result.output.splitlines()) == (2, [line]), result.output
-    assert not out.exists()
+    run = cli_outcome(tmp_path, command, text, "--samples", "1000", expect=2)
+    assert run.lines == [f"config error: {name} is zero in L^2(nu): its coefficients cancel or it charges only null atoms"]
 
 
-def test_integer_and_quoted_atom_names_read_as_before(runner, tmp_path):
+def test_integer_and_quoted_atom_names_read_as_before(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text('space: {atoms: [1, "yes", "~"], weights: [1.0, 1.0, 1.0]}\nkernel: {type: wiener}\nfamily: [[1, "yes"]]\n')
     assert load_config(cfg).space.atoms == ("1", "yes", "~")
-    assert invoke(runner, tmp_path, "validate", "--config", str(cfg)).exit_code == 0
+    cli_outcome(tmp_path, "validate", cfg, expect=0)
 
 
 GOLDEN_RUNS = sorted(p.stem.split(".") for p in (Path(__file__).resolve().parent / "golden").glob("*.jsonl"))
 
 
 @pytest.mark.parametrize("config,command", GOLDEN_RUNS, ids=[f"{c}.{m}" for c, m in GOLDEN_RUNS])
-def test_timings_fill_every_runtime(runner, tmp_path, config, command):
-    out = tmp_path / "t.jsonl"
-    invoke(runner, tmp_path, command, "--config", str(CONFIGS / f"{config}.yaml"), "--out", str(out), "--timings")
-    _, records = read_records(out)
-    assert records and all(isinstance(r["runtime"], float) for r in records)
+def test_timings_fill_every_runtime(tmp_path, config, command):
+    rows = cli_outcome(tmp_path, command, CONFIGS / f"{config}.yaml", "--timings").rows
+    assert rows and all(isinstance(r["runtime"], float) for r in rows)
 
 
-def test_fractional_expected_rank_is_a_config_error(runner, tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(CONFIGS.joinpath("rank-one.yaml").read_text().replace("range-rank: 1", "range-rank: 1.5"))
-    result = invoke(runner, tmp_path, "factorize", "--config", str(cfg))
-    assert result.exit_code == 2, result.output
-    assert "expect.range-rank" in result.output
+def test_fractional_expected_rank_is_a_config_error(tmp_path):
+    text = CONFIGS.joinpath("rank-one.yaml").read_text().replace("range-rank: 1", "range-rank: 1.5")
+    [output] = cli_outcome(tmp_path, "factorize", text, expect=2).lines
+    assert "expect.range-rank" in output
 
 
 @pytest.mark.parametrize("config, command, old, new, where, bounds", [
@@ -1183,29 +977,24 @@ def test_fractional_expected_rank_is_a_config_error(runner, tmp_path):
     ("wiener", "simulate", "samples: 200000", f"samples: {10**400}", "mc.samples", "[1, 2**40)"),
     ("wiener", "simulate", "seed: 11", f"seed: {2**64}", "mc.seed", "[0, 2**64)"),
 ], ids=["huge-rank", "negative-rank", "huge-samples", "huge-seed"])
-def test_an_integer_field_past_64_bits_is_a_config_error(runner, tmp_path, config, command, old, new, where, bounds):
+def test_an_integer_field_past_64_bits_is_a_config_error(tmp_path, config, command, old, new, where, bounds):
     text = (CONFIGS / f"{config}.yaml").read_text()
     assert old in text
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text.replace(old, new))
-    result = invoke(runner, tmp_path, command, "--config", str(cfg))
-    assert result.exit_code == 2, result.output
-    assert result.output.splitlines() == [f"config error: {where} must be an integer in {bounds}"]
+    run = cli_outcome(tmp_path, command, text.replace(old, new), expect=2)
+    assert run.lines == [f"config error: {where} must be an integer in {bounds}"]
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
-def test_nonfinite_config_tolerance_is_a_config_error(runner, tmp_path, value):
-    output = _config_error(runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\ntolerances: {{symmetry: {value}}}\n")
+def test_nonfinite_config_tolerance_is_a_config_error(tmp_path, value):
+    [output] = cli_outcome(tmp_path, "validate", WIENER_SPACE + f"kernel: {{type: wiener}}\ntolerances: {{symmetry: {value}}}\n",
+                           expect=2).lines
     assert "tolerances.symmetry" in output
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_nonfinite_tolerance_override_is_a_config_error(runner, tmp_path, value):
-    result = invoke(
-        runner, tmp_path, "validate", "--config", str(CONFIGS / "wiener.yaml"), "--tol", f"symmetry={value}"
-    )
-    assert result.exit_code == 2, result.output
-    assert "--tol symmetry" in result.output
+def test_nonfinite_tolerance_override_is_a_config_error(tmp_path, value):
+    [output] = cli_outcome(tmp_path, "validate", CONFIGS / "wiener.yaml", "--tol", f"symmetry={value}", expect=2).lines
+    assert "--tol symmetry" in output
 
 
 def test_readme_check_table_matches_the_registry():
@@ -1221,29 +1010,26 @@ def test_readme_check_table_matches_the_registry():
 
 @pytest.mark.parametrize("field", ["phi", "psi"])
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
-def test_nonfinite_simple_function_coefficient_is_a_config_error(runner, tmp_path, field, value):
+def test_nonfinite_simple_function_coefficient_is_a_config_error(tmp_path, field, value):
     terms = {"phi": "[[1.0, [a]]]", "psi": "[[1.0, [b]]]"}
     terms[field] = f"[[{value}, [a]]]"
-    output = _config_error(
-        runner, tmp_path, WIENER_SPACE + f"kernel: {{type: wiener}}\nphi: {terms['phi']}\npsi: {terms['psi']}\n"
-    )
+    [output] = cli_outcome(
+        tmp_path, "validate", WIENER_SPACE + f"kernel: {{type: wiener}}\nphi: {terms['phi']}\npsi: {terms['psi']}\n", expect=2
+    ).lines
     assert f"{field}: term 0 coefficient is {float(value.replace('.', ''))!r}, {SIGNED_DOMAIN}" in output
 
 
-def test_an_indefinite_matrix_far_below_unit_scale_is_a_config_error(runner, tmp_path):
-    output = _config_error(
-        runner, tmp_path, WIENER_SPACE + "kernel: {type: operator, matrix: [[1e-12, 2e-12], [2e-12, 1e-12]]}\n"
-    )
+def test_an_indefinite_matrix_far_below_unit_scale_is_a_config_error(tmp_path):
+    [output] = cli_outcome(
+        tmp_path, "validate", WIENER_SPACE + "kernel: {type: operator, matrix: [[1e-12, 2e-12], [2e-12, 1e-12]]}\n", expect=2
+    ).lines
     assert "kernel.matrix" in output
     assert "indefinite" in output
 
 
-def test_factorize_checks_keep_their_order_tags_and_bounds(runner, tmp_path):
-    out = tmp_path / "f.jsonl"
-    result = invoke(runner, tmp_path, "factorize", "--config", str(CONFIGS / "rank-one.yaml"), "--out", str(out))
-    assert result.exit_code == 0
-    _, records = read_records(out)
-    factorize = [(r["check"], r["tag"], r["bound"]) for r in records[4:]]
+def test_factorize_checks_keep_their_order_tags_and_bounds(tmp_path):
+    run = cli_outcome(tmp_path, "factorize", CONFIGS / "rank-one.yaml", expect=0)
+    factorize = [(r["check"], r["tag"], r["bound"]) for r in run.rows[4:]]
     # each bound is tol * scale: max|Q| = 0.5**2, max|T chi_B| = w(X) = 1, max|G| = w({a, b})**2 = 0.64,
     # and max|C D S| = w({a, b}) w(a) = 0.4, as S = T = 1 w^T
     assert factorize == [
@@ -1256,14 +1042,12 @@ def test_factorize_checks_keep_their_order_tags_and_bounds(runner, tmp_path):
     ]
 
 
-def test_a_factorize_report_and_export_do_not_depend_on_the_seed(runner, tmp_path):
+def test_a_factorize_report_and_export_do_not_depend_on_the_seed(tmp_path):
     # the isometry, adjoint and Parseval rows drew random elements, pairs and bases from --seed
     runs = {}
     for seed in ("1", "2"):
         out, export = tmp_path / f"report-{seed}.jsonl", tmp_path / f"export-{seed}.json"
-        result = invoke(runner, tmp_path, "factorize", "--config", str(CONFIGS / "wiener.yaml"), "--seed", seed,
-                        "--out", str(out), "--export", str(export))
-        assert result.exit_code == 0, result.output
+        cli_outcome(tmp_path, "factorize", CONFIGS / "wiener.yaml", "--seed", seed, "--out", out, "--export", export, expect=0)
         meta, *records = out.read_bytes().splitlines()
         runs[seed] = json.loads(meta)["meta"], records, export.read_bytes()
     (meta1, records1, export1), (meta2, records2, export2) = runs["1"], runs["2"]
@@ -1297,27 +1081,26 @@ def test_adjoint_fails_a_root_that_is_not_nu_selfadjoint(tmp_path):
     assert not verdict.passed and verdict.value > 1e3 * verdict.bound
 
 
-def test_an_asymmetric_matrix_far_below_unit_scale_is_a_config_error(runner, tmp_path):
+def test_an_asymmetric_matrix_far_below_unit_scale_is_a_config_error(tmp_path):
     # the defect 2e-12 is as large as the matrix; judged against an absolute floor of 1,
     # it was accepted and validate exited 1 with FAIL symmetry
-    output = _config_error(
-        runner, tmp_path, WIENER_SPACE + "kernel: {type: operator, matrix: [[3e-12, 2e-12], [0.0, 3e-12]]}\n"
-    )
+    [output] = cli_outcome(
+        tmp_path, "validate", WIENER_SPACE + "kernel: {type: operator, matrix: [[3e-12, 2e-12], [0.0, 3e-12]]}\n", expect=2
+    ).lines
     assert "kernel.matrix" in output
     assert "selfadjoint" in output
 
 
-def test_factorize_decomposes_the_kernel_once_and_runs_no_svd(runner, tmp_path, monkeypatch):
+def test_factorize_decomposes_the_kernel_once_and_runs_no_svd(tmp_path, monkeypatch):
     # before the shared kernel spectrum, a 48-atom factorize made 1 eigh, 3 eigvalsh and 3 svd calls
     rng = np.random.default_rng(48)
     space = random_space(rng, 48)
     atoms = list(space.atoms)
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({
+    cfg = {
         "space": {"atoms": atoms, "weights": list(space.weights)},
         "kernel": {"type": "operator", "matrix": random_nu_psd_matrix(rng, space, well_conditioned=True).tolist()},
         "family": [[atoms[i] for i in A.indices] for A in random_sets(rng, space, 16)],
-    }))
+    }
     calls = []
 
     def counting(name):
@@ -1326,8 +1109,7 @@ def test_factorize_decomposes_the_kernel_once_and_runs_no_svd(runner, tmp_path, 
 
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name))
-    result = invoke(runner, tmp_path, "factorize", "--config", str(cfg))
-    assert result.exit_code == 0, result.output
+    cli_outcome(tmp_path, "factorize", cfg, expect=0)
     assert sorted(calls) == ["eigh", "eigvalsh"]
 
 
@@ -1335,15 +1117,10 @@ NON_REVERSIBLE = "space: {atoms: [a, b], weights: [3.0, 1.0]}\nchain: {transitio
 
 
 @pytest.mark.parametrize("command", ["validate", "markov-green"])
-def test_a_non_reversible_chain_gets_no_spectral_certificate(runner, tmp_path, command):
+def test_a_non_reversible_chain_gets_no_spectral_certificate(tmp_path, command):
     # ||P||_w = sqrt(3), but the symmetric part has radius sqrt(3)/2: read from it, the
     # contractivity, transience (0.866) and spectral-gap records passed
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(NON_REVERSIBLE)
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 1, result.output
-    by_check = {r["check"]: r for r in read_records(out)[1]}
+    by_check = cli_outcome(tmp_path, command, NON_REVERSIBLE, expect=1).by_check
     assert by_check["contractivity"]["status"] == "fail"
     assert by_check["transience"]["status"] == "fail"
     assert by_check["transience"]["value"] == pytest.approx(3**0.5)
@@ -1352,18 +1129,12 @@ def test_a_non_reversible_chain_gets_no_spectral_certificate(runner, tmp_path, c
         assert (gap["status"], gap["value"], gap["bound"]) == ("fail", None, None)
 
 
-def test_a_chain_with_a_defect_below_unit_scale_fails_every_green_row_alike(runner, tmp_path):
+def test_a_chain_with_a_defect_below_unit_scale_fails_every_green_row_alike(tmp_path):
     # judged by an absolute 1e-10, the defect 5e-11 (1e-8 of the chain's scale) passed
     # detailed-balance and every Green row; with a relative rule in green_root alone,
     # green_kernel still accepted the chain and green-factor ended in a traceback
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("space: {atoms: [a, b], weights: [0.01, 0.01]}\n"
-                   "chain: {transitions: [[0.0, 0.5], [0.500000005, 0.0]]}\n")
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, "markov-green", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 1, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    by_check = {r["check"]: r for r in read_records(out)[1]}
+    by_check = cli_outcome(tmp_path, "markov-green", "space: {atoms: [a, b], weights: [0.01, 0.01]}\n"
+                           "chain: {transitions: [[0.0, 0.5], [0.500000005, 0.0]]}\n", expect=1).by_check
     balance = by_check["detailed-balance"]  # the defect is 1e-8 of max|wP|, 100 times its bound
     assert balance["value"] / balance["bound"] == pytest.approx(1e-8 / 1e-10, rel=1e-3)
     for check in ("detailed-balance", "spectral-gap", "green-psd", "green-factor"):
@@ -1371,21 +1142,17 @@ def test_a_chain_with_a_defect_below_unit_scale_fails_every_green_row_alike(runn
     assert by_check["transience"]["status"] == "pass"
 
 
-def test_series_solve_reports_the_gap_relative_to_the_green_function(runner, tmp_path):
+ATOMS = [f"p{i}" for i in range(10)]
+PATH = {"space": {"atoms": ATOMS}, "chain": {"edges": [[a, b, 1.0] for a, b in zip(ATOMS, ATOMS[1:])], "kill": {"p0": 1e-8}}}
+"""The unit path ``p0 - ... - p9`` killed at ``p0``, with no kernel."""
+
+
+def test_series_solve_reports_the_gap_relative_to_the_green_function(tmp_path):
     # the solve and the series of this path differ by 1.2e-8, 6e-13 of max|G| ~ 2e4: judged
     # absolutely, every Green row failed with no value
-    atoms = [f"p{i}" for i in range(10)]
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({
-        "space": {"atoms": atoms},
-        "kernel": {"type": "green"},
-        "chain": {"edges": [[a, b, 1.0] for a, b in zip(atoms, atoms[1:])], "kill": {"p0": 1e-4}},
-        "family": [["p0", "p1"], ["p5"]],
-    }))
-    out = tmp_path / "r.jsonl"
-    invoke(runner, tmp_path, "markov-green", "--config", str(cfg), "--out", str(out))
-    by_check = {r["check"]: r for r in read_records(out)[1]}
-    data = green(load_config(cfg).chain)
+    cfg = {**PATH, "kernel": {"type": "green"}, "chain": {**PATH["chain"], "kill": {"p0": 1e-4}}, "family": [["p0", "p1"], ["p5"]]}
+    by_check = cli_outcome(tmp_path, "markov-green", cfg).by_check
+    data = green(load_config(tmp_path / "cfg.yaml").chain)
     assert data.series_agreement > 1e-8
     assert by_check["series-solve"]["value"] == data.series_agreement
     assert by_check["series-solve"]["bound"] == 1e-8 * np.abs(data.G).max()
@@ -1393,41 +1160,24 @@ def test_series_solve_reports_the_gap_relative_to_the_green_function(runner, tmp
         assert by_check[check]["status"] == "pass", check
 
 
-def test_a_looser_series_solve_tolerance_reaches_the_green_solve(runner, tmp_path):
+def test_a_looser_series_solve_tolerance_reaches_the_green_solve(tmp_path):
     # the series of this path differs from the solve by 1.52e-8 of max|G|; green judged it at a fixed
     # 1e-8, so --tol series-solve=1e-6 still recorded every Green row as failed with no value
-    atoms = [f"p{i}" for i in range(10)]
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({
-        "space": {"atoms": atoms},
-        "chain": {"edges": [[a, b, 1.0] for a, b in zip(atoms, atoms[1:])], "kill": {"p0": 1e-8}},
-    }))
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, "markov-green", "--config", str(cfg), "--out", str(out),
-                    "--tol", "series-solve=1e-6")
-    by_check = {r["check"]: r for r in read_records(out)[1]}
-    data = green(load_config(cfg).chain, agree_tol=1e-6)
+    run = cli_outcome(tmp_path, "markov-green", PATH, "--tol", "series-solve=1e-6")
+    by_check = run.by_check
+    data = green(load_config(tmp_path / "cfg.yaml").chain, agree_tol=1e-6)
     assert 1e-8 < data.series_agreement / data.scale <= 1e-6
     assert by_check["series-solve"]["value"] == data.series_agreement
     assert by_check["series-solve"]["bound"] == 1e-6 * data.scale
     for check in ("green-identity", "series-solve", "green-psd"):
         assert by_check[check]["status"] == "pass" and by_check[check]["value"] is not None, check
-    assert result.exit_code == 1  # green-factor fails on its own bound
+    assert run.code == 1  # green-factor fails on its own bound
 
 
-def test_a_failing_series_solve_row_records_its_value_and_bound(runner, tmp_path):
+def test_a_failing_series_solve_row_records_its_value_and_bound(tmp_path):
     # green rejected this path and the row judged the same gap again, so it failed with no value or bound
-    atoms = [f"p{i}" for i in range(10)]
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({
-        "space": {"atoms": atoms},
-        "chain": {"edges": [[a, b, 1.0] for a, b in zip(atoms, atoms[1:])], "kill": {"p0": 1e-8}},
-    }))
-    out = tmp_path / "r.jsonl"
-    result = invoke(runner, tmp_path, "markov-green", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 1, result.output
-    by_check = {r["check"]: r for r in read_records(out)[1]}
-    row, verdict = by_check["series-solve"], check_series(load_config(cfg).chain)
+    by_check = cli_outcome(tmp_path, "markov-green", PATH, expect=1).by_check
+    row, verdict = by_check["series-solve"], check_series(load_config(tmp_path / "cfg.yaml").chain)
     assert (row["status"], row["value"], row["bound"]) == ("fail", verdict.value, verdict.bound)
     assert row["bound"] == pytest.approx(2.0, rel=1e-6)  # 1e-8 × max|G|, with max|G| ~ 2e8
     assert row["value"] > row["bound"]
@@ -1435,67 +1185,50 @@ def test_a_failing_series_solve_row_records_its_value_and_bound(runner, tmp_path
         assert (by_check[check]["status"], by_check[check]["value"]) == ("fail", None), check
 
 
-def test_every_command_builds_one_green_kernel_at_the_run_tolerance(runner, tmp_path):
+def test_every_command_builds_one_green_kernel_at_the_run_tolerance(tmp_path):
     # validate built its Green kernel at the fixed series tolerance 1e-8, apart from the run's
     # --tol series-solve=1e-6, and failed symmetry, gram-psd, schwarz and absolute-continuity
     # with no value (3/7, exit 1) where markov-green passed green-psd
-    atoms = [f"p{i}" for i in range(10)]
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({
-        "space": {"atoms": atoms},
-        "kernel": {"type": "green"},
-        "chain": {"edges": [[a, b, 1.0] for a, b in zip(atoms, atoms[1:])], "kill": {"p0": 1e-8}},
-    }))
-    codes, records = {}, {}
-    for command in ("validate", "markov-green"):
-        out = tmp_path / f"{command}.jsonl"
-        codes[command] = invoke(runner, tmp_path, command, "--config", str(cfg), "--out", str(out),
-                                "--tol", "series-solve=1e-6").exit_code
-        records[command] = {r["check"]: r for r in read_records(out)[1]}
-    assert codes == {"validate": 0, "markov-green": 1}  # green-factor fails on its own bound
-    psd, green_psd = records["validate"]["gram-psd"], records["markov-green"]["green-psd"]
+    runs = {command: cli_outcome(tmp_path, command, {**PATH, "kernel": {"type": "green"}}, "--tol", "series-solve=1e-6")
+            for command in ("validate", "markov-green")}
+    assert {command: run.code for command, run in runs.items()} == {"validate": 0, "markov-green": 1}  # green-factor fails on its own bound
+    psd, green_psd = runs["validate"].by_check["gram-psd"], runs["markov-green"].by_check["green-psd"]
     assert psd["status"] == "pass" and psd["value"] is not None
     assert (psd["status"], psd["value"], psd["bound"]) == (green_psd["status"], green_psd["value"], green_psd["bound"])
 
 
-def test_a_chain_with_both_transitions_and_edges_is_a_config_error(runner, tmp_path):
+def test_a_chain_with_both_transitions_and_edges_is_a_config_error(tmp_path):
     # the edges chain ran and the matrix was dropped without a word
-    output = _config_error(runner, tmp_path, WIENER_SPACE + (
+    [output] = cli_outcome(tmp_path, "validate", WIENER_SPACE + (
         "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]], edges: [[a, b, 1.0]], kill: {a: 1.0}}\n"
-    ))
+    ), expect=2).lines
     assert "'transitions'" in output and "'edges'" in output
 
 
-def test_a_kill_next_to_dense_transitions_is_a_config_error(runner, tmp_path):
+def test_a_kill_next_to_dense_transitions_is_a_config_error(tmp_path):
     # the unkilled matrix ran and printed 3/3 checks passed
-    output = _config_error(runner, tmp_path, WIENER_SPACE + (
+    [output] = cli_outcome(tmp_path, "validate", WIENER_SPACE + (
         "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]], kill: {a: 5.0}}\n"
-    ))
+    ), expect=2).lines
     assert "chain.kill" in output
 
 
 @pytest.mark.parametrize("kind, chain", [
     ("wiener", ""), ("rank_one", ""), ("counting", ""), ("green", "chain: {transitions: [[0.0, 0.5], [0.5, 0.0]]}\n"),
 ])
-def test_a_matrix_under_another_kernel_type_is_a_config_error(runner, tmp_path, kind, chain):
+def test_a_matrix_under_another_kernel_type_is_a_config_error(tmp_path, kind, chain):
     # type: wiener ignored the matrix and printed 4/4 checks passed
-    output = _config_error(runner, tmp_path, WIENER_SPACE + chain + (
+    [output] = cli_outcome(tmp_path, "validate", WIENER_SPACE + chain + (
         f"kernel: {{type: {kind}, matrix: [[1.0, 0.0], [0.0, 1.0]]}}\n"
-    ))
+    ), expect=2).lines
     assert "kernel.matrix" in output
 
 
-def test_a_sampler_the_library_rejects_fails_its_row_and_the_report_is_written(runner, tmp_path):
+def test_a_sampler_the_library_rejects_fails_its_row_and_the_report_is_written(tmp_path):
     # build_sampler's InvalidCovarianceError escaped as a traceback, with no report
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(WIENER_SPACE + (
+    by_check = cli_outcome(tmp_path, "simulate", WIENER_SPACE + (
         "kernel: {type: operator, matrix: [[1.0, 0.0], [0.0, -9.0e-11]]}\nphi: [[1.0, [b]]]\nmc: {samples: 1000, seed: 1}\n"
-    ))
-    out = tmp_path / "s.jsonl"
-    result = invoke(runner, tmp_path, "simulate", "--config", str(cfg), "--out", str(out))
-    assert result.exit_code == 1, result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
-    by_check = {r["check"]: r for r in read_records(out)[1]}
+    ), expect=1).by_check
     ito = by_check.pop("ito-isometry")
     assert (ito["status"], ito["value"], ito["bound"]) == ("fail", None, None)
     assert len(by_check) == 10 and all(r["status"] == "pass" for r in by_check.values()), by_check
@@ -1518,8 +1251,7 @@ GREEN_RUNS = [("two-state-green", c) for c in ("validate", "factorize", "markov-
     (markov, "green", {"green-identity", "green-psd", "green-factor"} | KERNEL_ROWS | FACT_ROWS, GREEN_RUNS),
     (markov, "green_kernel", {"green-psd", "green-factor"} | KERNEL_ROWS | FACT_ROWS, GREEN_RUNS),
 ], ids=["gram", "realize", "green", "green_kernel"])
-def test_a_part_the_library_rejects_fails_every_row_that_reads_it(runner, tmp_path, monkeypatch, module, builder,
-                                                                   reads, runs):
+def test_a_part_the_library_rejects_fails_every_row_that_reads_it(tmp_path, monkeypatch, module, builder, reads, runs):
     # a row reads a part directly or through a part built from it, and a suite that needs a realization
     # does not run without one; a rejected Gram escaped the report as a traceback
     def reads_part(check):
@@ -1528,17 +1260,11 @@ def test_a_part_the_library_rejects_fails_every_row_that_reads_it(runner, tmp_pa
     def rejected(*args, **kwargs):
         raise VerificationError(f"{builder} rejected its input")
 
-    def records(config, command, tag):
-        out = tmp_path / f"{config}.{command}.{tag}.jsonl"
-        result = invoke(runner, tmp_path, command, "--config", str(CONFIGS / f"{config}.yaml"), "--out", str(out))
-        assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
-        return result.exit_code, {r["check"]: r for r in read_records(out)[1]}
-
-    before = {run: records(*run, "before")[1] for run in runs}
+    before = {(config, command): cli_outcome(tmp_path, command, CONFIGS / f"{config}.yaml").by_check for config, command in runs}
     monkeypatch.setattr(module, builder, rejected)
-    for run in runs:
-        code, after = records(*run, "after")
-        assert code == 1, run
+    for config, command in runs:
+        after = cli_outcome(tmp_path, command, CONFIGS / f"{config}.yaml", expect=1).by_check
+        run = config, command
         for check in after.keys() | before[run].keys():
             if not reads_part(check):
                 assert after.get(check) == before[run].get(check), (run, check)

@@ -4,13 +4,12 @@ Each example makes one mutation of one shipped config's document: it drops a
 key or list item, lengthens a list by one, duplicates an atom, or replaces a
 value with a bool, null, string, list, mapping, NaN, an infinity, -1, 0,
 1e308, 1e-320 or an integer past the float range.  Every command then runs
-in process.  Nothing but ``SystemExit`` may escape, no numpy
-``RuntimeWarning`` may be raised, a config error is one line that names a
-schema field, and no record passes on a ``null`` value.
+in process through ``support.cli_outcome``, which holds each call to the
+exit-code contract.  No numpy ``RuntimeWarning`` may be raised, a config
+error names a schema field, and no record passes on a ``null`` value.
 """
 
 import copy
-import json
 import math
 import re
 import warnings
@@ -19,11 +18,11 @@ from operator import getitem
 from pathlib import Path
 
 import yaml
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from setkern.cli import COMMANDS, main
+from setkern.cli import COMMANDS
+from support import cli_outcome
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DOCUMENTS = {p.stem: yaml.safe_load(p.read_text()) for p in sorted(CONFIGS.glob("*.yaml"))}
@@ -69,20 +68,10 @@ def mutated(draw):
 @given(mutated())
 def test_a_mutated_config_exits_0_1_or_2_with_one_named_config_error(tmp_path, case):
     what, doc = case
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump(doc))
     for command, *_ in COMMANDS:
-        out = tmp_path / f"{command}.jsonl"
-        out.unlink(missing_ok=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out), "--samples", "1000"],
-                                        env={"SETKERN_OUT": str(tmp_path)})
-        assert result.exit_code in (0, 1, 2), (what, command, result.output)
-        assert not isinstance(result.exception, Exception), (what, command, repr(result.exception))
-        if result.exit_code == 2:
-            lines = result.output.splitlines()
-            assert len(lines) == 1 and CONFIG_ERROR.match(lines[0]), (what, command, lines)
-            continue
-        for record in map(json.loads, out.read_text().splitlines()[1:]):
+            run = cli_outcome(tmp_path, command, doc, "--samples", "1000")
+        assert run.code != 2 or CONFIG_ERROR.match(run.lines[0]), (what, command, run.lines)
+        for record in run.rows:
             assert record["value"] is not None or record["status"] != "pass", (what, command, record)

@@ -8,30 +8,20 @@ makes one a test error), no ``null`` value and a finite Monte Carlo standard
 error.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from setkern.cli import COMMANDS, main
+from setkern.cli import COMMANDS
 from setkern.config import SCHEMA, load_config
 from setkern.errors import ConfigError
 from setkern.linalg import DOMAIN_BITS, SAMPLE_BITS, require_integer
+from support import cli_outcome
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DOMAIN = f"outside the float domain: zero or in [2^-{DOMAIN_BITS}, 2^{DOMAIN_BITS}]"
 TOP, LOW = (repr(2.0**e) for e in (DOMAIN_BITS, -DOMAIN_BITS))
-
-
-def _run(tmp_path, command, text):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text)
-    out = tmp_path / f"{command}.jsonl"
-    result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out), "--samples", "1000"],
-                                env={"SETKERN_OUT": str(tmp_path)})
-    return result, out
 
 
 def _shipped(name, old, new):
@@ -68,9 +58,7 @@ def _shipped(name, old, new):
         "integer-coefficient", "integer-entry", "integer-transition"])
 @pytest.mark.parametrize("command", [c[0] for c in COMMANDS])
 def test_an_input_outside_the_float_domain_is_one_config_error_line(tmp_path, text, line, command):
-    result, out = _run(tmp_path, command, text())
-    assert (result.exit_code, result.output.splitlines()) == (2, [line]), result.exception
-    assert not out.exists()
+    assert cli_outcome(tmp_path, command, text(), "--samples", "1000", expect=2).lines == [line]
 
 
 def _wiener(w, c):
@@ -110,17 +98,15 @@ CORNERS = {
 def test_every_command_runs_at_the_ends_of_the_float_domain(tmp_path, name):
     text = CORNERS[name]
     for command, *_ in COMMANDS:
-        result, out = _run(tmp_path, command, text)
+        run = cli_outcome(tmp_path, command, text, "--samples", "1000")
         if command in SCHEMA["chain"].required_by and "chain" not in text:
-            assert result.exit_code == 2 and result.output == f"config error: {command} requires a chain section\n"
+            assert (run.code, run.lines) == (2, [f"config error: {command} requires a chain section"])
             continue
-        assert result.exit_code in (0, 1) and not isinstance(result.exception, Exception), (command, result.output)
-        records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
-        assert records, command
-        for r in records:
+        assert run.code in (0, 1) and run.rows, command
+        for r in run.rows:
             assert r["value"] is not None, (command, r)
         if command == "simulate":
-            mc = [r for r in records if r["tag"] in ("ito-isometry", "cross-moment")]
+            mc = [r for r in run.rows if r["tag"] in ("ito-isometry", "cross-moment")]
             assert len(mc) == 2 and all(0.0 < r["detail"]["std_error"] < float("inf") for r in mc), mc
 
 
@@ -156,24 +142,14 @@ SEED = "must be an integer in [0, 2**64)"
 def test_an_integer_outside_its_domain_is_one_config_error_line(tmp_path, args, entry, line, command):
     # each is judged before the checks that a command needs, such as markov-green's chain, which wiener.yaml lacks
     text = _shipped("wiener", "samples: 200000\n  seed: 11", entry or "samples: 200000\n  seed: 11")
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text)
-    out = tmp_path / "report.jsonl"
-    result = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out), *args],
-                                env={"SETKERN_OUT": str(tmp_path)})
-    assert (result.exit_code, result.output.splitlines()) == (2, [f"config error: {line}"]), result.exception
-    assert not out.exists()
+    assert cli_outcome(tmp_path, command, text, *args, expect=2).lines == [f"config error: {line}"]
 
 
 def test_a_flag_past_the_digit_limit_of_int_is_echoed_cut_short(tmp_path):
     # int() refuses text of more than 4300 digits, so the flag stayed text and its line echoed all 5,000: 5,065 bytes
-    out = tmp_path / "report.jsonl"
-    result = CliRunner().invoke(main, ["simulate", "--config", str(CONFIGS / "wiener.yaml"), "--out", str(out),
-                                       "--samples", "9" * 5000], env={"SETKERN_OUT": str(tmp_path)})
-    [line] = result.output.splitlines()
-    assert (result.exit_code, line) == (2, f"config error: --samples {SAMPLES}, got '{'9' * 32}'... (5000 characters)")
+    [line] = cli_outcome(tmp_path, "simulate", CONFIGS / "wiener.yaml", "--samples", "9" * 5000, expect=2).lines
+    assert line == f"config error: --samples {SAMPLES}, got '{'9' * 32}'... (5000 characters)"
     assert len(line.encode()) < 200
-    assert not out.exists()
 
 
 def test_the_ends_of_the_sample_and_seed_ranges_are_accepted(tmp_path):

@@ -12,9 +12,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from setkern.cli import main
+from support import cli_outcome
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = sorted((ROOT / "tests" / "golden").glob("*.jsonl"))
@@ -35,20 +34,14 @@ def test_every_shipped_config_has_a_golden_report():
 @pytest.mark.parametrize("golden", GOLDEN, ids=[p.stem for p in GOLDEN])
 def test_report_matches_golden(golden, tmp_path):
     config, command = golden.stem.split(".")
-    out = tmp_path / "report.jsonl"
-    result = CliRunner().invoke(
-        main,
-        [command, "--config", str(ROOT / "configs" / f"{config}.yaml"), "--out", str(out)],
-        env={"SETKERN_OUT": str(tmp_path)},
-    )
+    run = cli_outcome(tmp_path, command, ROOT / "configs" / f"{config}.yaml")
     old = [json.loads(line) for line in golden.read_text().splitlines()]
-    new = [json.loads(line) for line in out.read_text().splitlines()]
-    assert {k: new[0]["meta"].get(k) for k in old[0]["meta"]} == old[0]["meta"]
-    assert [r["check"] for r in new[1:]] == [r["check"] for r in old[1:]]
-    for n, o in zip(new[1:], old[1:]):
+    assert {k: run.meta.get(k) for k in old[0]["meta"]} == old[0]["meta"]
+    assert [r["check"] for r in run.rows] == [r["check"] for r in old[1:]]
+    for n, o in zip(run.rows, old[1:]):
         assert n["status"] == o["status"], n["check"]
         assert n["tag"] == o["tag"], n["check"]
         assert _close(n["value"], o["value"]), (n["check"], n["value"], o["value"])
         assert _close(n["bound"], o["bound"], floor=0.0), (n["check"], n["bound"], o["bound"])
     passed = all(r["status"] == "pass" for r in old[1:])
-    assert result.exit_code == (0 if passed else 1)
+    assert run.code == (0 if passed else 1)

@@ -2,7 +2,7 @@
 
 Each mutation breaks one library internal by ``monkeypatch``, as a defect
 would; nothing in ``setkern`` knows of it.  Each config runs every command
-it supports through ``CliRunner``, and a cell of the table is the set of rows
+through ``support.cli_outcome``, and a cell of the table is the set of rows
 that fail over all of those commands.  A row that fails under no mutation
 cannot see anything, and a change that leaves a row blind changes its cells.
 
@@ -10,7 +10,6 @@ Two cells mark what the rows cannot see yet: the root at ``1 + 1e-10`` and
 the sampler factor at ``1 + 1e-3`` pass every row.
 """
 
-import json
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -18,13 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from setkern import factorization, field, kernels, markov
-from setkern.cli import CHECKS, COMMANDS, LEVELS, main
+from setkern.cli import CHECKS, COMMANDS, LEVELS
 from setkern.kernels import SetKernel
 from setkern.markov import MarkovChain
-from support import random_operator_config
+from support import cli_outcome, random_operator_config
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
@@ -266,30 +264,16 @@ TABLE = {
 """The rows each mutation fails, by config; a config left out fails exactly its ``BASELINE`` rows."""
 
 
-def _run(tmp_path: Path, config: str) -> tuple[set[str], set[str]]:
-    """The rows that fail over every command the config supports, and the commands that end in a config error."""
-    path = tmp_path / f"{config}.yaml"
-    path.write_text(CONFIGS[config])
-    failed, errors = set(), set()
-    for command, *_ in COMMANDS:
-        out = tmp_path / f"{config}.{command}.jsonl"
-        result = CliRunner().invoke(main, [command, "--config", str(path), "--out", str(out)],
-                                    env={"SETKERN_OUT": str(tmp_path)})
-        assert result.exit_code in (0, 1, 2) and isinstance(result.exception, (SystemExit, type(None))), result.output
-        if result.exit_code == 2:
-            errors.add(command)
-        else:
-            failed.update(r["check"] for r in map(json.loads, out.read_text().splitlines()[1:]) if r["status"] == "fail")
-    return failed, errors
-
-
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_the_rows_each_mutation_fails(tmp_path, monkeypatch, mutation):
     MUTATIONS[mutation](monkeypatch)
-    runs = {config: _run(tmp_path, config) for config in CONFIGS}
-    assert {c: errors for c, (_, errors) in runs.items()} == {c: set(CONFIG_ERRORS[c].split()) for c in CONFIGS}
+    runs = {c: {command: cli_outcome(tmp_path, command, text) for command, *_ in COMMANDS} for c, text in CONFIGS.items()}
+    # the commands that end in a config error, and the rows that fail over every other command
+    assert {c: {m for m, run in r.items() if run.code == 2} for c, r in runs.items()} == {
+        c: set(CONFIG_ERRORS[c].split()) for c in CONFIGS}
+    failed = {c: {check for run in r.values() for check, status in run.statuses if status == "fail"} for c, r in runs.items()}
     expected = {c: TABLE[mutation].get(c, BASELINE.get(c, "")) for c in CONFIGS}
-    assert {c: failed for c, (failed, _) in runs.items()} == {c: set(rows.split()) for c, rows in expected.items()}
+    assert failed == {c: set(rows.split()) for c, rows in expected.items()}
 
 
 def test_every_row_fails_under_some_mutation_where_it_passes_unmutated():

@@ -50,10 +50,10 @@ def test_reversing_the_atoms_keeps_every_verdict(tmp_path, config, command):
     cfg = yaml.safe_load(config.read_text())
     moved = _reversed(cfg)
     assert moved["space"]["atoms"] != cfg["space"]["atoms"]
-    (code, records), (moved_code, moved_records) = cli_outcome(tmp_path, command, cfg), cli_outcome(tmp_path, command, moved)
-    assert moved_code == code
-    assert [(r["check"], r["status"]) for r in moved_records] == [(r["check"], r["status"]) for r in records]
-    for new, old in zip(moved_records, records):
+    run, moved_run = cli_outcome(tmp_path, command, cfg), cli_outcome(tmp_path, command, moved)
+    assert moved_run.code == run.code
+    assert moved_run.statuses == run.statuses
+    for new, old in zip(moved_run.rows, run.rows):
         if old["check"] not in DRAWN:
             assert _close(new["value"], old["value"]), (old["check"], new["value"], old["value"])
             assert _close(new["bound"], old["bound"]), (old["check"], new["bound"], old["bound"])

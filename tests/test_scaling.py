@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from setkern import (
     Factorization,
@@ -30,9 +29,8 @@ from setkern import (
     realize,
     reverse_direction,
 )
-from setkern.cli import main
 from setkern.config import load_config
-from support import near_recurrent_path, random_nu_psd_matrix, random_operator_kernel, random_space
+from support import cli_outcome, near_recurrent_path, random_nu_psd_matrix, random_operator_kernel, random_space
 
 ROOT = Path(__file__).resolve().parent.parent
 EVEN = range(-40, 41, 2)
@@ -52,26 +50,10 @@ def _scaled(cfg: dict, c: float) -> dict:
     return cfg
 
 
-def _write(tmp_path: Path, cfg: dict, name: str = "cfg.yaml") -> Path:
-    path = tmp_path / name
-    path.write_text(yaml.safe_dump(cfg))
-    return path
-
-
 def _load(tmp_path: Path, cfg: dict):
-    return load_config(_write(tmp_path, cfg, "loaded.yaml"))
-
-
-def _run(tmp_path: Path, command: str, cfg: dict, *args: str) -> tuple[int, dict]:
-    """Exit code and records by check name of ``command`` on ``cfg``."""
-    out = tmp_path / "report.jsonl"
-    result = CliRunner().invoke(
-        main, [command, "--config", str(_write(tmp_path, cfg)), "--out", str(out), *args],
-        env={"SETKERN_OUT": str(tmp_path)},
-    )
-    if result.exit_code == 2:
-        return 2, {}
-    return result.exit_code, {r["check"]: r for r in map(json.loads, out.read_text().splitlines()[1:])}
+    path = tmp_path / "loaded.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return load_config(path)
 
 
 @lru_cache(maxsize=None)
@@ -134,8 +116,8 @@ def test_a_wrong_root_fails_reverse_direction_at_every_scale():
 def test_valid_kernels_pass_at_every_scale(tmp_path, config, command, check):
     cfg = {"operator-12": _operator_12, "path": _path}.get(config, lambda: _config(config))()
     for k in EVEN:
-        code, records = _run(tmp_path, command, _scaled(cfg, 2.0**k))
-        assert (code, records[check]["status"]) == (0, "pass"), (k, records[check])
+        run = cli_outcome(tmp_path, command, _scaled(cfg, 2.0**k))
+        assert (run.code, run.by_check[check]["status"]) == (0, "pass"), (k, run.by_check[check])
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +131,13 @@ def _same_up_to_a_power(new: float, old: float, c: float) -> bool:
 @pytest.mark.parametrize("golden", GOLDEN, ids=[p.stem for p in GOLDEN])
 def test_every_report_is_scale_covariant(tmp_path, golden):
     config, command = golden.stem.split(".")
-    code, unit = _run(tmp_path, command, _config(config))
+    run = cli_outcome(tmp_path, command, _config(config))
+    unit = run.by_check
     for k in (-40, -20, 20, 40):
         c = 2.0**k
-        scaled_code, scaled = _run(tmp_path, command, _scaled(_config(config), c))
-        assert scaled_code == code, k
+        scaled_run = cli_outcome(tmp_path, command, _scaled(_config(config), c))
+        scaled = scaled_run.by_check
+        assert scaled_run.code == run.code, k
         assert list(scaled) == list(unit), k
         for name, old in unit.items():
             new = scaled[name]
@@ -185,7 +169,7 @@ def _decides_alike(tmp_path, cfg, command, row, tolerance, ratio, rejects):
     """At ``tol`` just below and just above ``ratio``, the row fails exactly when ``rejects(tol)``."""
     assert ratio > 0
     for tol in (ratio * (1 - 1e-3), ratio * (1 + 1e-3)):
-        _, records = _run(tmp_path, command, cfg, "--tol", f"{tolerance}={float(tol)!r}")
+        records = cli_outcome(tmp_path, command, cfg, "--tol", f"{tolerance}={float(tol)!r}").by_check
         assert rejects(tol) == (tol < ratio), tol
         assert records[row]["status"] == ("fail" if tol < ratio else "pass"), (tol, records[row])
 
@@ -253,14 +237,13 @@ DECIMAL = {"space": {"atoms": ["a", "b", "c"], "weights": [787397.2, 1116959.3, 
 
 def test_weights_written_as_decimals_agree_with_their_conductances(tmp_path):
     # the float sum for b is 2.3e-10 off the written weight: an absolute 1e-12 made it a config error
-    assert _run(tmp_path, "validate", DECIMAL)[0] == 0
-    assert _run(tmp_path, "validate", _scaled(DECIMAL, 1e-6))[0] == 0
+    cli_outcome(tmp_path, "validate", DECIMAL, expect=0)
+    cli_outcome(tmp_path, "validate", _scaled(DECIMAL, 1e-6), expect=0)
 
 
 def test_weights_off_by_one_part_in_a_million_are_a_config_error(tmp_path):
     cfg = json.loads(json.dumps(DECIMAL))
     cfg["space"]["weights"][1] *= 1 + 1e-6
-    result = CliRunner().invoke(main, ["validate", "--config", str(_write(tmp_path, cfg))])
-    assert result.exit_code == 2
-    assert "space.weights disagree" in result.output
-    assert "× max w = 1.117e+06" in result.output
+    [output] = cli_outcome(tmp_path, "validate", cfg, expect=2).lines
+    assert "space.weights disagree" in output
+    assert "× max w = 1.117e+06" in output
